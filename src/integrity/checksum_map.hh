@@ -8,7 +8,8 @@
  * chain records a 64-bit FNV-1a of its contents, and verify-on-read
  * (integrity::VerifyingDevice) compares what came back against what
  * was written.  The same checksum is persisted in each segment
- * summary's SummaryEntry::csum (format v2), so the map can be re-seeded
+ * summary's SummaryEntry::csum (since format v2), so the map can be
+ * re-seeded
  * from the log after a crash (integrity::seedFromSegments).
  *
  * Blocks never written have no expectation and verify trivially — the

@@ -1,6 +1,7 @@
 #include "integrity/log_seed.hh"
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "lfs/format.hh"
@@ -30,24 +31,14 @@ seedFromSegments(fs::BlockDevice &dev, ChecksumMap &map)
             break;
         dev.readRange(seg_start, summary_blocks,
                       {summary.data(), summary.size()});
+        const std::span<const std::uint8_t> region{summary.data(),
+                                                   summary.size()};
         lfs::SummaryHeader hdr{};
-        std::memcpy(&hdr, summary.data(), sizeof(hdr));
-        if (hdr.magic != lfs::summaryMagic || hdr.count == 0 ||
-            hdr.count > sb.payloadBlocksPerSegment())
+        if (!lfs::readSummary(region, sb, hdr))
             continue;
-        // Same validation roll-forward applies: the summary checksum
-        // is computed with its own field zeroed.
-        std::vector<std::uint8_t> tmp = summary;
-        const std::uint32_t zero = 0;
-        std::memcpy(tmp.data() + offsetof(lfs::SummaryHeader, checksum),
-                    &zero, sizeof(zero));
-        if (lfs::fnv1a({tmp.data(), tmp.size()}) != hdr.checksum)
-            continue;
-
-        const auto *entries = reinterpret_cast<const lfs::SummaryEntry *>(
-            summary.data() + sizeof(lfs::SummaryHeader));
         for (std::uint32_t i = 0; i < hdr.count; ++i) {
-            map.set(seg_start + summary_blocks + i, entries[i].csum);
+            map.set(seg_start + summary_blocks + i,
+                    lfs::summaryEntry(region, i).csum);
             ++seeded;
         }
     }

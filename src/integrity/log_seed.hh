@@ -4,7 +4,7 @@
  *
  * The ChecksumMap lives in memory, so a crash loses it.  The on-media
  * copy survives: every segment summary carries SummaryEntry::csum for
- * each payload block (format v2).  seedFromSegments() walks the
+ * each payload block (since format v2).  seedFromSegments() walks the
  * segment chain exactly like roll-forward recovery — validating each
  * summary's magic and checksum — and re-installs the per-block
  * expectations, so verify-on-read is armed again right after mount.

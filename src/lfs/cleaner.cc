@@ -136,15 +136,14 @@ Lfs::clean(unsigned target_free)
             usage[victim] = Usage{};
             return 0;
         }
-        const auto *entries = reinterpret_cast<const SummaryEntry *>(
-            summary.data() + sizeof(SummaryHeader));
 
         std::uint64_t copied = 0;
         std::vector<std::uint8_t> content(bs);
         for (std::uint32_t i = 0; i < hdr.count; ++i) {
             const BlockAddr addr =
                 sb.segmentStartBlock(victim) + summary_blocks + i;
-            const SummaryEntry &e = entries[i];
+            const SummaryEntry e =
+                summaryEntry({summary.data(), summary.size()}, i);
             const auto kind = static_cast<BlockKind>(e.kind);
 
             if (kind == BlockKind::ImapChunk) {

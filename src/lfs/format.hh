@@ -18,6 +18,7 @@
 #ifndef RAID2_LFS_FORMAT_HH
 #define RAID2_LFS_FORMAT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -34,7 +35,9 @@ constexpr InodeNum nullIno = 0;
 constexpr std::uint32_t superMagic = 0x4c465321;      // "LFS!"
 constexpr std::uint32_t summaryMagic = 0x5345474d;    // "SEGM"
 constexpr std::uint32_t checkpointMagic = 0x43484b50; // "CHKP"
-constexpr std::uint32_t formatVersion = 2; // v2: SummaryEntry.csum
+// v2: SummaryEntry.csum.  v3: each payload block is checked against its
+// own csum; the header's whole-payload checksum is gone.
+constexpr std::uint32_t formatVersion = 3;
 
 constexpr unsigned numDirect = 12;
 constexpr std::uint32_t inodeBytes = 256;
@@ -215,8 +218,8 @@ struct SummaryHeader
     std::uint32_t count;          // payload blocks present
     std::uint64_t segSeq;         // monotonic log sequence number
     std::uint64_t nextSegment;    // successor segment in the log
-    std::uint32_t payloadChecksum; // over all payload block bytes
-    std::uint32_t checksum;       // over header + entries
+    std::uint32_t reserved;       // zero (v2: payloadChecksum)
+    std::uint32_t checksum;       // over the whole summary region
 };
 static_assert(sizeof(SummaryHeader) == 32);
 
@@ -299,6 +302,46 @@ Superblock::valid() const
 {
     return magic == superMagic && version == formatVersion &&
            checksum == computeChecksum();
+}
+
+/**
+ * Checksum of a segment's summary region (header, entries, zero tail):
+ * fnv1a over @p region with the header's checksum field read as zero.
+ */
+inline std::uint32_t
+summaryChecksum(std::span<const std::uint8_t> region)
+{
+    constexpr std::size_t off = offsetof(SummaryHeader, checksum);
+    constexpr std::uint8_t zero[sizeof(std::uint32_t)] = {};
+    const std::uint32_t h = fnv1a(zero, fnv1a(region.first(off)));
+    return fnv1a(region.subspan(off + sizeof(zero)), h);
+}
+
+/**
+ * Validate the summary region @p region of a segment of @p sb and copy
+ * its header to @p hdr: magic, a payload count that fits the segment,
+ * and the summary checksum.  False for a never-written, foreign or
+ * torn summary.  Payload blocks are validated separately, each against
+ * its own SummaryEntry::csum.
+ */
+inline bool
+readSummary(std::span<const std::uint8_t> region, const Superblock &sb,
+            SummaryHeader &hdr)
+{
+    std::memcpy(&hdr, region.data(), sizeof(hdr));
+    return hdr.magic == summaryMagic && hdr.count != 0 &&
+           hdr.count <= sb.payloadBlocksPerSegment() &&
+           hdr.checksum == summaryChecksum(region);
+}
+
+/** Entry @p i of a summary region (the entries follow the header). */
+inline SummaryEntry
+summaryEntry(std::span<const std::uint8_t> region, std::size_t i)
+{
+    SummaryEntry e;
+    std::memcpy(&e, region.data() + sizeof(SummaryHeader) + i * sizeof(e),
+                sizeof(e));
+    return e;
 }
 
 inline std::uint32_t

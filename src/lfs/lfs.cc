@@ -125,6 +125,12 @@ Lfs::Lfs(fs::BlockDevice &dev_) : dev(dev_)
     std::vector<std::uint8_t> block(dev.blockSize(), 0);
     dev.readBlock(0, {block.data(), block.size()});
     std::memcpy(&sb, block.data(), sizeof(sb));
+    if (sb.magic == superMagic && sb.version != formatVersion) {
+        throw LfsError(Errno::Invalid,
+                       "LFS format v" + std::to_string(sb.version) +
+                           " is not readable; this build reads v" +
+                           std::to_string(formatVersion));
+    }
     if (!sb.valid())
         throw LfsError(Errno::Invalid, "not an LFS device (bad superblock)");
     prm.blockSize = sb.blockSize;

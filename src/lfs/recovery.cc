@@ -3,17 +3,16 @@
  * Mount-time crash recovery.
  *
  * Load the newest valid checkpoint, then roll the log forward: follow
- * the segment chain the summaries record, verifying sequence numbers
- * and payload checksums, and re-apply the imap chunk updates each
- * segment carries.  Everything synced before the crash becomes
- * reachable again; a torn head segment fails its checksum and ends the
- * roll-forward, exactly as in Sprite LFS.  §3.1: "For a 1 gigabyte
- * file system, it takes a few seconds to perform an LFS file system
- * check" — the work here is proportional to the log written since the
- * last checkpoint, not to the file system size.
+ * the segment chain the summaries record, verifying sequence numbers,
+ * the summary checksum and every payload block's own checksum, and
+ * re-apply the imap chunk updates each segment carries.  Everything
+ * synced before the crash becomes reachable again; a torn head segment
+ * fails a checksum and ends the roll-forward, exactly as in Sprite LFS.
+ * §3.1: "For a 1 gigabyte file system, it takes a few seconds to
+ * perform an LFS file system check" — the work here is proportional to
+ * the log written since the last checkpoint, not to the file system
+ * size.
  */
-
-#include <cstring>
 
 #include "lfs/lfs.hh"
 #include "sim/logging.hh"
@@ -70,7 +69,10 @@ Lfs::rollForward(std::uint64_t start_seg, std::uint64_t start_seq)
     const std::uint32_t summary_blocks = sb.summaryBlocksPerSegment();
     std::vector<std::uint8_t> summary(
         std::size_t(summary_blocks) * sb.blockSize);
+    const std::span<const std::uint8_t> region{summary.data(),
+                                               summary.size()};
     std::vector<std::uint8_t> payload;
+    std::vector<std::uint64_t> sums;
     bool any_applied = false;
 
     for (std::uint64_t hops = 0; hops <= sb.numSegments; ++hops) {
@@ -79,26 +81,20 @@ Lfs::rollForward(std::uint64_t start_seg, std::uint64_t start_seq)
         dev.readBlocks(sb.segmentStartBlock(seg), summary_blocks,
                        {summary.data(), summary.size()});
         SummaryHeader hdr;
-        std::memcpy(&hdr, summary.data(), sizeof(hdr));
-        if (hdr.magic != summaryMagic || hdr.segSeq != expect_seq ||
-            hdr.count == 0 ||
-            hdr.count > sb.payloadBlocksPerSegment()) {
+        if (!readSummary(region, sb, hdr) || hdr.segSeq != expect_seq)
             break;
-        }
-        // Validate the summary checksum (computed with field zeroed).
-        {
-            std::vector<std::uint8_t> tmp = summary;
-            std::uint32_t zero = 0;
-            std::memcpy(tmp.data() + offsetof(SummaryHeader, checksum),
-                        &zero, sizeof(zero));
-            if (hdr.checksum != fnv1a({tmp.data(), tmp.size()}))
-                break;
-        }
-        // Validate the payload (a torn segment write ends recovery).
+        // Check every payload block against its own checksum: a torn
+        // segment write ends recovery.
         payload.resize(std::size_t(hdr.count) * sb.blockSize);
         dev.readBlocks(sb.segmentStartBlock(seg) + summary_blocks,
                        hdr.count, {payload.data(), payload.size()});
-        if (hdr.payloadChecksum != fnv1a({payload.data(), payload.size()}))
+        sums.resize(hdr.count);
+        fnv1a64Blocks(payload.data(), hdr.count, sb.blockSize, sums.data());
+        std::uint32_t intact = 0;
+        while (intact < hdr.count &&
+               sums[intact] == summaryEntry(region, intact).csum)
+            ++intact;
+        if (intact != hdr.count)
             break;
 
         // Apply: the segment is live; its imap chunks supersede the
@@ -106,12 +102,10 @@ Lfs::rollForward(std::uint64_t start_seg, std::uint64_t start_seq)
         usage[seg].liveBytes =
             static_cast<std::uint32_t>(hdr.count) * sb.blockSize;
         usage[seg].writeSeq = hdr.segSeq;
-        const auto *entries = reinterpret_cast<const SummaryEntry *>(
-            summary.data() + sizeof(SummaryHeader));
         for (std::uint32_t i = 0; i < hdr.count; ++i) {
-            if (static_cast<BlockKind>(entries[i].kind) ==
-                BlockKind::ImapChunk) {
-                const std::uint64_t chunk = entries[i].aux;
+            const SummaryEntry e = summaryEntry(region, i);
+            if (static_cast<BlockKind>(e.kind) == BlockKind::ImapChunk) {
+                const std::uint64_t chunk = e.aux;
                 if (chunk < imapChunkAddr.size()) {
                     imapChunkAddr[chunk] = sb.segmentStartBlock(seg) +
                                            summary_blocks + i;

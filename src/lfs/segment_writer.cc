@@ -1,5 +1,6 @@
 #include "lfs/segment_writer.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -7,7 +8,8 @@
 namespace raid2::lfs {
 
 SegmentWriter::SegmentWriter(fs::BlockDevice &dev_, const Superblock &sb_)
-    : dev(dev_), sb(sb_)
+    : dev(dev_), sb(sb_), summaryBlocks(sb_.summaryBlocksPerSegment()),
+      image(std::size_t(sb_.segBlocks) * sb_.blockSize, 0)
 {
 }
 
@@ -25,14 +27,13 @@ SegmentWriter::open(std::uint64_t seg, std::uint64_t seg_seq)
     opened = true;
     segIdx = seg;
     seq = seg_seq;
-    entries.clear();
-    payload.clear();
+    used = 0;
 }
 
 bool
 SegmentWriter::hasSpace(unsigned blocks) const
 {
-    return entries.size() + blocks <= sb.payloadBlocksPerSegment();
+    return used + blocks <= sb.payloadBlocksPerSegment();
 }
 
 BlockAddr
@@ -46,19 +47,17 @@ SegmentWriter::add(BlockKind kind, InodeNum ino, std::uint64_t aux,
     if (data.size() != sb.blockSize)
         sim::panic("SegmentWriter: bad block size %zu", data.size());
 
-    const BlockAddr addr = payloadBase() + entries.size();
     // csum is filled in by writeOut, once the block's bytes are final.
-    entries.push_back(
-        SummaryEntry{static_cast<std::uint32_t>(kind), ino, aux, 0});
-    payload.insert(payload.end(), data.begin(), data.end());
-    return addr;
+    const SummaryEntry e{static_cast<std::uint32_t>(kind), ino, aux, 0};
+    std::memcpy(entryData(used), &e, sizeof(e));
+    std::memcpy(slotData(used), data.data(), sb.blockSize);
+    return payloadBase() + used++;
 }
 
 bool
 SegmentWriter::contains(BlockAddr addr) const
 {
-    return opened && addr >= payloadBase() &&
-           addr < payloadBase() + entries.size();
+    return opened && addr >= payloadBase() && addr < payloadBase() + used;
 }
 
 void
@@ -69,10 +68,7 @@ SegmentWriter::updateInPlace(BlockAddr addr,
         sim::panic("SegmentWriter: update of non-buffered block");
     if (data.size() != sb.blockSize)
         sim::panic("SegmentWriter: bad block size %zu", data.size());
-    const std::size_t slot =
-        static_cast<std::size_t>(addr - payloadBase());
-    std::memcpy(payload.data() + slot * sb.blockSize, data.data(),
-                sb.blockSize);
+    std::memcpy(slotData(addr - payloadBase()), data.data(), sb.blockSize);
 }
 
 void
@@ -83,10 +79,7 @@ SegmentWriter::readBuffered(BlockAddr addr,
         sim::panic("SegmentWriter: read of non-buffered block");
     if (out.size() != sb.blockSize)
         sim::panic("SegmentWriter: bad block size %zu", out.size());
-    const std::size_t slot =
-        static_cast<std::size_t>(addr - payloadBase());
-    std::memcpy(out.data(), payload.data() + slot * sb.blockSize,
-                sb.blockSize);
+    std::memcpy(out.data(), slotData(addr - payloadBase()), sb.blockSize);
 }
 
 void
@@ -94,64 +87,47 @@ SegmentWriter::writeOut(std::uint64_t next_segment)
 {
     if (!opened)
         sim::panic("SegmentWriter: writeOut with no open segment");
-    if (entries.empty())
+    if (!dirty())
         sim::panic("SegmentWriter: writeOut of empty segment");
 
-    // Build the summary region (may span several blocks for large
-    // segments).
-    const std::uint32_t summary_blocks = sb.summaryBlocksPerSegment();
-    std::vector<std::uint8_t> summary(
-        std::size_t(summary_blocks) * sb.blockSize, 0);
+    // Every block's SummaryEntry::csum over its final bytes, four
+    // blocks at a time.
+    std::vector<std::uint64_t> sums(used);
+    fnv1a64Blocks(slotData(0), used, sb.blockSize, sums.data());
+    for (unsigned i = 0; i < used; ++i) {
+        std::memcpy(entryData(i) + offsetof(SummaryEntry, csum), &sums[i],
+                    sizeof(sums[i]));
+    }
+
+    // Zero what a fuller earlier segment left past the last entry and
+    // the last payload slot.  The image then goes out as a single
+    // extent covering the whole segment: a segment usually closes a
+    // few slots short (pointer-block reservation), and padding keeps
+    // the device write exactly one full stripe — the efficient RAID-5
+    // case (§3.1).  One extent also means the array computes each
+    // stripe's parity exactly once, single-pass.  The summary's count
+    // ignores the padding.
+    const std::size_t summary_bytes =
+        std::size_t(summaryBlocks) * sb.blockSize;
+    std::fill(entryData(used), image.data() + summary_bytes, 0);
+    std::fill(slotData(used), image.data() + image.size(), 0);
+
     SummaryHeader hdr{};
     hdr.magic = summaryMagic;
-    hdr.count = static_cast<std::uint32_t>(entries.size());
+    hdr.count = used;
     hdr.segSeq = seq;
     hdr.nextSegment = next_segment;
-    hdr.checksum = 0;
+    std::memcpy(image.data(), &hdr, sizeof(hdr));
+    hdr.checksum = summaryChecksum({image.data(), summary_bytes});
+    std::memcpy(image.data() + offsetof(SummaryHeader, checksum),
+                &hdr.checksum, sizeof(hdr.checksum));
 
-    // One pass over the payload: the 32-bit payload chain and each
-    // block's 64-bit SummaryEntry::csum chain advance over the same
-    // bytes together.  Equal to fnv1a over the payload and fnv1a64
-    // over each block, computed separately.
-    std::uint32_t payload_sum = fnv32Basis;
-    const std::uint8_t *p = payload.data();
-    for (SummaryEntry &e : entries) {
-        std::uint64_t block_sum = fnv64Basis;
-        for (const std::uint8_t *end = p + sb.blockSize; p != end; ++p) {
-            payload_sum = (payload_sum ^ *p) * fnv32Prime;
-            block_sum = (block_sum ^ *p) * fnv64Prime;
-        }
-        e.csum = block_sum;
-    }
-    hdr.payloadChecksum = payload_sum;
-
-    std::memcpy(summary.data(), &hdr, sizeof(hdr));
-    std::memcpy(summary.data() + sizeof(hdr), entries.data(),
-                entries.size() * sizeof(SummaryEntry));
-    const std::uint32_t csum =
-        fnv1a({summary.data(), summary.size()});
-    std::memcpy(summary.data() + offsetof(SummaryHeader, checksum), &csum,
-                sizeof(csum));
-
-    // Assemble summary + payload + zero padding into one image and
-    // issue it as a single extent write covering the whole segment: a
-    // segment usually closes a few slots short (pointer-block
-    // reservation), and padding keeps the device write exactly one
-    // full stripe — the efficient RAID-5 case (§3.1).  One extent
-    // (instead of summary/payload/pad pieces) also means the array
-    // computes each stripe's parity exactly once, single-pass.  The
-    // summary's count ignores the padding.
-    segImage.assign(std::size_t(sb.segBlocks) * sb.blockSize, 0);
-    std::memcpy(segImage.data(), summary.data(), summary.size());
-    std::memcpy(segImage.data() + summary.size(), payload.data(),
-                payload.size());
     dev.writeRange(sb.segmentStartBlock(segIdx), sb.segBlocks,
-                   {segImage.data(), segImage.size()});
+                   {image.data(), image.size()});
 
     ++written;
-    payloadBytes += payload.size();
-    entries.clear();
-    payload.clear();
+    payloadBytes += std::uint64_t(used) * sb.blockSize;
+    used = 0;
     opened = false;
 }
 

@@ -2,11 +2,12 @@
  * @file
  * The open log segment.
  *
- * Dirty blocks accumulate in an in-memory segment buffer with their
- * final device addresses already assigned; when the buffer fills (or
- * the file system syncs) the whole segment goes to the device as one
- * large sequential write — the key LFS idea ("LFS ... writes all file
- * data and metadata to a sequential append-only log", §3.1).  Repeated
+ * Dirty blocks accumulate in an in-memory image of the whole segment
+ * (summary region, payload slots, padding) with their final device
+ * addresses already assigned; when the segment fills (or the file
+ * system syncs) the image goes to the device as one large sequential
+ * write — the key LFS idea ("LFS ... writes all file data and metadata
+ * to a sequential append-only log", §3.1).  Repeated
  * updates to a block that is still in the open segment are folded in
  * place, so a burst of small writes to one file costs one log slot.
  */
@@ -47,12 +48,9 @@ class SegmentWriter
     bool isOpen() const { return opened; }
     std::uint64_t currentSegment() const { return segIdx; }
     std::uint64_t segSeq() const { return seq; }
-    unsigned usedSlots() const
-    {
-        return static_cast<unsigned>(entries.size());
-    }
+    unsigned usedSlots() const { return used; }
     bool hasSpace(unsigned blocks = 1) const;
-    bool dirty() const { return !entries.empty(); }
+    bool dirty() const { return used != 0; }
 
     /**
      * Append a block; returns its (final) device address.
@@ -72,10 +70,10 @@ class SegmentWriter
     void readBuffered(BlockAddr addr, std::span<std::uint8_t> out) const;
 
     /**
-     * Write summary + payload to the device and reset.  @p next_segment
+     * Write the segment image to the device and reset.  @p next_segment
      * is recorded in the summary so recovery can follow the chain.
-     * Every checksum in the summary is computed here, in one pass over
-     * the final payload: add() and updateInPlace() only copy bytes.
+     * Every checksum in the summary is computed here, over the final
+     * bytes: add() and updateInPlace() only copy them into the image.
      */
     void writeOut(std::uint64_t next_segment);
 
@@ -87,20 +85,34 @@ class SegmentWriter
   private:
     std::uint64_t payloadBase() const
     {
-        return sb.segmentStartBlock(segIdx) +
-               sb.summaryBlocksPerSegment();
+        return sb.segmentStartBlock(segIdx) + summaryBlocks;
+    }
+    /** Payload slot @p slot's bytes in the image. */
+    std::uint8_t *slotData(std::size_t slot)
+    {
+        return image.data() + (summaryBlocks + slot) * sb.blockSize;
+    }
+    const std::uint8_t *slotData(std::size_t slot) const
+    {
+        return image.data() + (summaryBlocks + slot) * sb.blockSize;
+    }
+    /** Summary entry @p slot's bytes in the image. */
+    std::uint8_t *entryData(std::size_t slot)
+    {
+        return image.data() + sizeof(SummaryHeader) +
+               slot * sizeof(SummaryEntry);
     }
 
     fs::BlockDevice &dev;
     const Superblock &sb;
+    const std::uint32_t summaryBlocks;
     std::function<bool(std::uint64_t)> reuseGuard;
 
     bool opened = false;
     std::uint64_t segIdx = 0;
     std::uint64_t seq = 0;
-    std::vector<SummaryEntry> entries;
-    std::vector<std::uint8_t> payload; // entries.size() * blockSize
-    std::vector<std::uint8_t> segImage; // writeOut scratch, reused
+    unsigned used = 0; // payload slots filled
+    std::vector<std::uint8_t> image; // segBlocks * blockSize
     std::uint64_t written = 0;
     std::uint64_t payloadBytes = 0;
 };

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -197,8 +199,21 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
         payload.insert(payload.end(), final_blocks[i].begin(),
                        final_blocks[i].end());
     }
-    EXPECT_EQ(hdr.payloadChecksum,
-              lfs::fnv1a({payload.data(), payload.size()}));
+    // Format v3: no whole-payload checksum; the summary checksum
+    // covers the region with its own field zeroed.
+    EXPECT_EQ(hdr.reserved, 0u);
+    lfs::SummaryHeader zeroed = hdr;
+    zeroed.checksum = 0;
+    const std::uint32_t head = lfs::fnv1a(
+        {reinterpret_cast<const std::uint8_t *>(&zeroed), sizeof(zeroed)});
+    EXPECT_EQ(hdr.checksum,
+              lfs::fnv1a({summary.data() + sizeof(hdr),
+                          summary.size() - sizeof(hdr)},
+                         head));
+    std::vector<std::uint8_t> on_media(payload.size());
+    dev.readBlocks(sb.segmentStartBlock(0) + summary_blocks, 6,
+                   {on_media.data(), on_media.size()});
+    EXPECT_EQ(on_media, payload);
 
     integrity::ChecksumMap map(dev.numBlocks(), kBs);
     EXPECT_EQ(integrity::seedFromSegments(dev, map), 6u);
@@ -211,6 +226,64 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
     lfs::Lfs fs(dev);
     EXPECT_EQ(fs.stats().rollForwardSegments, 1u);
     EXPECT_TRUE(fs.fsck().ok);
+}
+
+TEST(SegmentFormat, ReusedImageZeroesEveryTail)
+{
+    // The writer builds every segment in one reused image.  A short
+    // segment written after a fuller one must carry none of the older
+    // segment's bytes: past its last entry the summary region is zero,
+    // and past its last payload slot the segment is zero.
+    fs::MemBlockDevice dev(kBs, 4096);
+    lfs::Lfs::Params params;
+    params.segBlocks = 32;
+    lfs::Lfs::format(dev, params);
+    lfs::Superblock sb{};
+    std::memcpy(&sb, dev.raw(0).data(), sizeof(sb));
+    ASSERT_TRUE(sb.valid());
+
+    lfs::SegmentWriter w(dev, sb);
+    w.open(0, 1);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        const auto b = patternBlock(200 + i);
+        w.add(lfs::BlockKind::Data, 7, i, {b.data(), kBs});
+    }
+    w.writeOut(1);
+    w.open(1, 2);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        const auto b = patternBlock(300 + i);
+        w.add(lfs::BlockKind::Data, 8, i, {b.data(), kBs});
+    }
+    w.writeOut(2);
+    EXPECT_EQ(w.segmentsWritten(), 2u);
+    EXPECT_EQ(w.payloadBytesWritten(), 23u * kBs);
+
+    std::vector<std::uint8_t> seg(std::size_t(sb.segBlocks) * kBs);
+    dev.readBlocks(sb.segmentStartBlock(1), sb.segBlocks,
+                   {seg.data(), seg.size()});
+    const std::size_t summary_bytes =
+        std::size_t(sb.summaryBlocksPerSegment()) * kBs;
+    lfs::SummaryHeader hdr{};
+    ASSERT_TRUE(lfs::readSummary({seg.data(), summary_bytes}, sb, hdr));
+    EXPECT_EQ(hdr.count, 3u);
+    EXPECT_EQ(hdr.segSeq, 2u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        const auto want = patternBlock(300 + i);
+        const lfs::SummaryEntry e =
+            lfs::summaryEntry({seg.data(), summary_bytes}, i);
+        EXPECT_EQ(e.ino, 8u) << "slot " << i;
+        EXPECT_EQ(e.aux, i) << "slot " << i;
+        EXPECT_EQ(0, std::memcmp(seg.data() + summary_bytes + i * kBs,
+                                 want.data(), kBs))
+            << "slot " << i;
+    }
+    const auto all_zero = [&](std::size_t from, std::size_t to) {
+        return std::all_of(seg.begin() + from, seg.begin() + to,
+                           [](std::uint8_t b) { return b == 0; });
+    };
+    EXPECT_TRUE(all_zero(sizeof(hdr) + 3 * sizeof(lfs::SummaryEntry),
+                         summary_bytes));
+    EXPECT_TRUE(all_zero(summary_bytes + 3 * kBs, seg.size()));
 }
 
 // ---------------------------------------------------------------------

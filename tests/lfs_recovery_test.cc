@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "fs/fault_device.hh"
@@ -135,6 +137,89 @@ TEST(LfsRecovery, TornSegmentEndsRollForward)
     fs.read(fs.lookup("/a"), 0, {back.data(), back.size()});
     EXPECT_EQ(back, data);
     EXPECT_TRUE(fs.fsck().ok);
+}
+
+/** Start block of the valid segment with the highest sequence number. */
+std::uint64_t
+newestSegment(fs::MemBlockDevice &dev, const lfs::Superblock &sb)
+{
+    const std::size_t summary_bytes =
+        std::size_t(sb.summaryBlocksPerSegment()) * sb.blockSize;
+    std::vector<std::uint8_t> summary(summary_bytes);
+    std::uint64_t best = 0, best_seq = 0;
+    for (std::uint64_t s = 0; s < sb.numSegments; ++s) {
+        dev.readBlocks(sb.segmentStartBlock(s),
+                       sb.summaryBlocksPerSegment(),
+                       {summary.data(), summary.size()});
+        lfs::SummaryHeader hdr{};
+        if (lfs::readSummary({summary.data(), summary.size()}, sb, hdr) &&
+            hdr.segSeq > best_seq) {
+            best = s;
+            best_seq = hdr.segSeq;
+        }
+    }
+    return sb.segmentStartBlock(best);
+}
+
+TEST(LfsRecovery, CorruptBlockInNewestSegmentEndsRollForward)
+{
+    // Format v3 checks every payload block against its own summary
+    // checksum.  One flipped byte in the last block of the newest
+    // segment must stop roll-forward just before that segment.
+    fs::MemBlockDevice dev(4096, 16384);
+    Lfs::format(dev, smallParams());
+    const auto data = pattern(300000, 4);
+    std::uint64_t synced = 0;
+    {
+        Lfs fs(dev);
+        fs.create("/keep");
+        fs.checkpoint();
+        const auto before = fs.stats().segmentsWritten;
+        fs.write(fs.create("/f"), 0, {data.data(), data.size()});
+        fs.sync();
+        synced = fs.stats().segmentsWritten - before;
+        ASSERT_GE(synced, 2u);
+    }
+    {
+        Lfs fs(dev);
+        EXPECT_EQ(fs.stats().rollForwardSegments, synced);
+        EXPECT_TRUE(fs.exists("/f"));
+    }
+
+    lfs::Superblock sb{};
+    std::memcpy(&sb, dev.raw(0).data(), sizeof(sb));
+    const std::uint64_t start = newestSegment(dev, sb);
+    lfs::SummaryHeader hdr{};
+    std::memcpy(&hdr, dev.raw(start).data(), sizeof(hdr));
+    const std::uint64_t last_block =
+        start + sb.summaryBlocksPerSegment() + hdr.count - 1;
+    dev.raw(last_block)[sb.blockSize - 1] ^= 0x01;
+
+    Lfs fs(dev);
+    EXPECT_EQ(fs.stats().rollForwardSegments, synced - 1);
+    EXPECT_TRUE(fs.exists("/keep"));
+    EXPECT_FALSE(fs.exists("/f")); // its imap chunk was in that segment
+    EXPECT_TRUE(fs.fsck().ok);
+}
+
+TEST(LfsRecovery, MountNamesAnUnreadableFormatVersion)
+{
+    fs::MemBlockDevice dev(4096, 16384);
+    Lfs::format(dev, smallParams());
+    lfs::Superblock sb{};
+    std::memcpy(&sb, dev.raw(0).data(), sizeof(sb));
+    sb.version = 2;
+    sb.checksum = sb.computeChecksum();
+    std::memcpy(dev.raw(0).data(), &sb, sizeof(sb));
+    try {
+        Lfs fs(dev);
+        FAIL() << "mounted a v2 superblock";
+    } catch (const LfsError &e) {
+        EXPECT_EQ(e.code(), lfs::Errno::Invalid);
+        EXPECT_NE(std::string(e.what()).find("format v2"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(LfsRecovery, CrossDirRenameAcrossSegmentBoundarySurvivesCrash)
