@@ -74,7 +74,8 @@ measureReads(std::uint64_t req_bytes, bench::Reporter *rep = nullptr)
 
     auto op = [&](std::uint64_t off, std::uint64_t len,
                   std::function<void()> done) {
-        srv.fileRead(ino, off, len, std::move(done));
+        srv.fileRead(ino, off, len,
+                     [done = std::move(done)](server::Status) { done(); });
     };
     const double mbs =
         workload::ClosedLoopRunner::run(eq, wcfg, op).throughputMBs();

@@ -123,7 +123,7 @@ runPoint(const Point &p)
         }
         const std::uint64_t len =
             std::min(p.readBytes, kFileBytes - off);
-        srv.fileReadChecked(inos[file], off, len, [&, len](bool) {
+        srv.fileRead(inos[file], off, len, [&, len](server::Status) {
             bytes += len;
             off += len;
             if (off >= kFileBytes) {
@@ -206,8 +206,8 @@ main(int argc, char **argv)
         sim::StatsRegistry reg;
         srv.registerStats(reg);
         bool done = false;
-        srv.fileReadChecked(ino, 0, kFileBytes,
-                            [&](bool) { done = true; });
+        srv.fileRead(ino, 0, kFileBytes,
+                     [&](server::Status) { done = true; });
         eq.runUntilDone([&] { return done; });
         rep.snapshotRegistry(reg);
     }

@@ -52,7 +52,8 @@ serveFile(std::uint64_t bytes)
     {
         const sim::Tick t0 = eq.now();
         bool done = false;
-        server.standardRead(ino, 0, bytes, [&] { done = true; });
+        server.standardRead(ino, 0, bytes,
+                            [&](server::Status) { done = true; });
         eq.runUntilDone([&] { return done; });
         res.standard_ms = sim::ticksToMs(eq.now() - t0);
     }

@@ -71,7 +71,9 @@ playback(unsigned streams)
         // clip index and position back out of the offset.
         const unsigned s = static_cast<unsigned>(off / clip_bytes);
         server.fileRead(clips[s], off % clip_bytes, len,
-                        std::move(done));
+                        [done = std::move(done)](server::Status) {
+                            done();
+                        });
     };
     const auto res = workload::StreamRunner::run(eq, scfg, op);
 

@@ -132,8 +132,7 @@ RaidFileClient::raidOpen(const std::string &path, bool create,
 
 void
 RaidFileClient::directRead(lfs::InodeNum ino, std::uint64_t off,
-                           std::uint64_t n,
-                           std::function<void(bool)> done)
+                           std::uint64_t n, Raid2Server::ReadDone done)
 {
     // Command exchange already paid; the server reads through the
     // high-bandwidth path: array -> XBUS memory -> HIPPI source ->
@@ -143,8 +142,8 @@ RaidFileClient::directRead(lfs::InodeNum ino, std::uint64_t off,
         server.host().cpu().submitBusyTime(
             sim::transferTicks(n, cal::clientReadMBs), nullptr);
     }
-    server.fileReadChecked(ino, off, n, std::move(done),
-                           readOutStages(), cal::hippiSetupOverhead);
+    server.fileRead(ino, off, n, std::move(done), readOutStages(),
+                    cal::hippiSetupOverhead);
 }
 
 void
@@ -203,10 +202,7 @@ RaidFileClient::issueRead(Handle h, lfs::InodeNum ino, std::uint64_t off,
     eq.scheduleIn(cfg.commandRtt, [this, ino, off, n,
                                    complete =
                                        std::move(complete)]() mutable {
-        directRead(ino, off, n,
-                   [complete = std::move(complete)](bool ok) mutable {
-                       complete(ok ? Status::Ok : Status::DataCorrupt);
-                   });
+        directRead(ino, off, n, std::move(complete));
     });
 }
 
@@ -375,43 +371,6 @@ RaidFileClient::position(Handle h) const
     if (it == open.end())
         return std::nullopt;
     return it->second.pos;
-}
-
-// ---------------------------------------------------------------------
-// Deprecated callback-pair shims (kept for one PR)
-// ---------------------------------------------------------------------
-
-void
-RaidFileClient::raidOpen(const std::string &path, bool create,
-                         std::function<void(Status, Handle)> done)
-{
-    raidOpen(path, create,
-             Completion([done = std::move(done)](const Result &r) {
-                 if (done)
-                     done(r.status, r.handle);
-             }));
-}
-
-void
-RaidFileClient::raidRead(Handle h, std::uint64_t len,
-                         std::function<void(Status, std::uint64_t)> done)
-{
-    raidRead(h, len,
-             Completion([done = std::move(done)](const Result &r) {
-                 if (done)
-                     done(r.status, r.bytes);
-             }));
-}
-
-void
-RaidFileClient::raidWrite(Handle h, std::uint64_t len,
-                          std::function<void(Status, std::uint64_t)> done)
-{
-    raidWrite(h, len,
-              Completion([done = std::move(done)](const Result &r) {
-                  if (done)
-                      done(r.status, r.bytes);
-              }));
 }
 
 } // namespace raid2::server

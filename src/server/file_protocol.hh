@@ -131,18 +131,6 @@ class RaidFileClient
     /** The scheduler session this client was assigned (0 if direct). */
     std::uint32_t session() const { return _session; }
 
-    /** @{ Deprecated callback-pair completions (one-PR shims). */
-    [[deprecated("use the Result completion overload")]] void
-    raidOpen(const std::string &path, bool create,
-             std::function<void(Status, Handle)> done);
-    [[deprecated("use the Result completion overload")]] void
-    raidRead(Handle h, std::uint64_t len,
-             std::function<void(Status, std::uint64_t)> done);
-    [[deprecated("use the Result completion overload")]] void
-    raidWrite(Handle h, std::uint64_t len,
-              std::function<void(Status, std::uint64_t)> done);
-    /** @} */
-
   private:
     struct OpenFile
     {
@@ -162,7 +150,7 @@ class RaidFileClient
 
     /** @{ Direct (scheduler-less) datapath issue, post-RTT. */
     void directRead(lfs::InodeNum ino, std::uint64_t off,
-                    std::uint64_t n, std::function<void(bool ok)> done);
+                    std::uint64_t n, Raid2Server::ReadDone done);
     void directWrite(lfs::InodeNum ino, std::uint64_t off,
                      std::uint64_t len, std::function<void()> done);
     /** @} */

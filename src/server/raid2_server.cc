@@ -9,6 +9,26 @@
 
 namespace raid2::server {
 
+const char *
+statusName(Status st)
+{
+    switch (st) {
+    case Status::Ok:
+        return "Ok";
+    case Status::NotFound:
+        return "NotFound";
+    case Status::BadHandle:
+        return "BadHandle";
+    case Status::Busy:
+        return "Busy";
+    case Status::Throttled:
+        return "Throttled";
+    case Status::DataCorrupt:
+        return "DataCorrupt";
+    }
+    return "?";
+}
+
 Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
                          const Config &cfg_)
     : eq(eq_), _name(std::move(name)), cfg(cfg_),
@@ -108,8 +128,8 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
                 break;
             default:
                 // HIPPI payload flip: the link FCS catches it, so the
-                // next checked fast-path read pays a retransmit —
-                // a timing cost, never bad bytes.
+                // next fast-path read pays a retransmit — a timing
+                // cost, never bad bytes.
                 ++_netFlipsArmed;
                 break;
             }
@@ -126,15 +146,6 @@ Raid2Server::fs()
         sim::fatal("Raid2Server %s: configured without a file system",
                    _name.c_str());
     return *_fs;
-}
-
-fs::BlockDevice &
-Raid2Server::fsDevice()
-{
-    if (!hookDev)
-        sim::fatal("Raid2Server %s: configured without a file system",
-                   _name.c_str());
-    return *hookDev;
 }
 
 fs::HookBlockDevice &
@@ -243,20 +254,29 @@ Raid2Server::functionalArray()
 // Hardware-level ops
 // ---------------------------------------------------------------------
 
-void
-Raid2Server::hwRead(std::uint64_t off, std::uint64_t len,
-                    std::function<void()> done)
+PipelinedReader::Config
+Raid2Server::readerConfig(std::vector<sim::Stage> out_stages,
+                          sim::Tick out_setup)
 {
     PipelinedReader::Config pcfg;
     pcfg.depth = cfg.pipelineDepth;
     pcfg.bufferBytes = cfg.pipelineBufferBytes;
-    pcfg.outStages = {sim::Stage(_board->memory()),
-                      sim::Stage(_board->hippiSrcPort()),
-                      sim::Stage(_board->hippiDstPort()),
-                      sim::Stage(_board->memory())};
-    pcfg.outSetup = cal::hippiSetupOverhead;
+    pcfg.outStages = std::move(out_stages);
+    pcfg.outSetup = out_setup;
     pcfg.buffers = &_board->buffers();
-    PipelinedReader::start(eq, *_array, {Range{off, len}}, pcfg,
+    return pcfg;
+}
+
+void
+Raid2Server::hwRead(std::uint64_t off, std::uint64_t len,
+                    std::function<void()> done)
+{
+    PipelinedReader::start(eq, *_array, {Range{off, len}},
+                           readerConfig({sim::Stage(_board->memory()),
+                                         sim::Stage(_board->hippiSrcPort()),
+                                         sim::Stage(_board->hippiDstPort()),
+                                         sim::Stage(_board->memory())},
+                                        cal::hippiSetupOverhead),
                            std::move(done));
 }
 
@@ -460,9 +480,49 @@ Raid2Server::fileWriteData(lfs::InodeNum ino, std::uint64_t off,
     });
 }
 
+std::vector<Range>
+Raid2Server::mapRanges(lfs::InodeNum ino, std::uint64_t off,
+                       std::uint64_t len)
+{
+    std::vector<Range> ranges;
+    for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
+        if (!e.hole)
+            ranges.push_back(Range{e.deviceOffset, e.bytes});
+    }
+    return ranges;
+}
+
+Status
+Raid2Server::verifyRanges(const std::vector<Range> &ranges,
+                          std::uint64_t len)
+{
+    if (!verifyDev)
+        return Status::Ok;
+    const std::uint32_t bs = verifyDev->blockSize();
+    bool ok = true;
+    for (const Range &r : ranges) {
+        const std::uint64_t b0 = r.off / bs;
+        const std::uint64_t b1 = std::min((r.off + r.len + bs - 1) / bs,
+                                          verifyDev->numBlocks());
+        if (r.len == 0 || b0 >= b1)
+            continue;
+        _verifyScratch.resize((b1 - b0) * bs);
+        if (!verifyDev->verifiedReadRange(
+                b0, b1 - b0,
+                {_verifyScratch.data(), _verifyScratch.size()}))
+            ok = false;
+    }
+    if (ok)
+        return Status::Ok;
+    ++_corruptReads;
+    if (auto *t = eq.tracer())
+        t->complete(_name, "data_corrupt_read", eq.now(), eq.now(), len);
+    return Status::DataCorrupt;
+}
+
 void
 Raid2Server::fileRead(lfs::InodeNum ino, std::uint64_t off,
-                      std::uint64_t len, std::function<void()> done,
+                      std::uint64_t len, ReadDone done,
                       std::vector<sim::Stage> extra_out,
                       sim::Tick out_setup)
 {
@@ -472,82 +532,12 @@ Raid2Server::fileRead(lfs::InodeNum ino, std::uint64_t off,
                                                out_setup,
                                                done = std::move(done)]()
                                                   mutable {
-        std::vector<Range> ranges;
-        for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
-            if (e.hole)
-                continue;
-            ranges.push_back(Range{e.deviceOffset, e.bytes});
-        }
-        PipelinedReader::Config pcfg;
-        pcfg.depth = cfg.pipelineDepth;
-        pcfg.bufferBytes = cfg.pipelineBufferBytes;
-        pcfg.outStages = {sim::Stage(_board->memory())};
-        for (auto &st : extra_out)
-            pcfg.outStages.push_back(st);
-        pcfg.outSetup = out_setup;
-        pcfg.buffers = &_board->buffers();
-        PipelinedReader::start(eq, *_array, std::move(ranges), pcfg,
-                               std::move(done));
-    });
-}
-
-bool
-Raid2Server::verifyFunctionalRange(std::uint64_t dev_off,
-                                   std::uint64_t bytes)
-{
-    if (!verifyDev || bytes == 0)
-        return true;
-    const std::uint32_t bs = verifyDev->blockSize();
-    const std::uint64_t b0 = dev_off / bs;
-    const std::uint64_t b1 =
-        std::min((dev_off + bytes + bs - 1) / bs,
-                 verifyDev->numBlocks());
-    if (b0 >= b1)
-        return true;
-    _verifyScratch.resize((b1 - b0) * bs);
-    return verifyDev->verifiedReadRange(
-        b0, b1 - b0, {_verifyScratch.data(), _verifyScratch.size()});
-}
-
-void
-Raid2Server::fileReadChecked(lfs::InodeNum ino, std::uint64_t off,
-                             std::uint64_t len,
-                             std::function<void(bool)> done,
-                             std::vector<sim::Stage> extra_out,
-                             sim::Tick out_setup)
-{
-    fsCpu->submitBusyTime(cfg.fsReadOverhead, [this, ino, off, len,
-                                               extra_out =
-                                                   std::move(extra_out),
-                                               out_setup,
-                                               done = std::move(done)]()
-                                                  mutable {
-        bool ok = true;
-        std::vector<Range> ranges;
-        for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
-            if (e.hole)
-                continue;
-            ranges.push_back(Range{e.deviceOffset, e.bytes});
-            // Verify-on-read with read-repair on the functional plane;
-            // the timed transfer below ships whatever survived.
-            if (!verifyFunctionalRange(e.deviceOffset, e.bytes))
-                ok = false;
-        }
-        if (!ok) {
-            ++_corruptReads;
-            if (auto *t = eq.tracer())
-                t->complete(_name, "data_corrupt_read", eq.now(),
-                            eq.now(), len);
-        }
-        PipelinedReader::Config pcfg;
-        pcfg.depth = cfg.pipelineDepth;
-        pcfg.bufferBytes = cfg.pipelineBufferBytes;
-        pcfg.outStages = {sim::Stage(_board->memory())};
-        for (auto &st : extra_out)
-            pcfg.outStages.push_back(st);
-        pcfg.outSetup = out_setup;
-        pcfg.buffers = &_board->buffers();
-        auto finish = [this, ok, len, done = std::move(done)]() mutable {
+        // Verify-on-read with read-repair on the functional plane; the
+        // timed transfer below ships whatever survived.
+        std::vector<Range> ranges = mapRanges(ino, off, len);
+        const Status st = verifyRanges(ranges, len);
+        extra_out.insert(extra_out.begin(), sim::Stage(_board->memory()));
+        auto finish = [this, st, len, done = std::move(done)]() mutable {
             if (_netFlipsArmed > 0) {
                 --_netFlipsArmed;
                 ++_netRetransmits;
@@ -555,36 +545,18 @@ Raid2Server::fileReadChecked(lfs::InodeNum ino, std::uint64_t off,
                     t->complete(_name, "hippi_retransmit", eq.now(),
                                 eq.now(), len);
                 _loop->transfer(len,
-                                [ok, done = std::move(done)]() mutable {
-                                    done(ok);
+                                [st, done = std::move(done)]() mutable {
+                                    done(st);
                                 });
                 return;
             }
-            done(ok);
+            done(st);
         };
-        PipelinedReader::start(eq, *_array, std::move(ranges), pcfg,
+        PipelinedReader::start(eq, *_array, std::move(ranges),
+                               readerConfig(std::move(extra_out),
+                                            out_setup),
                                std::move(finish));
     });
-}
-
-void
-Raid2Server::standardReadChecked(lfs::InodeNum ino, std::uint64_t off,
-                                 std::uint64_t len,
-                                 std::function<void(bool)> done)
-{
-    bool ok = true;
-    if (verifyDev) {
-        for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
-            if (e.hole)
-                continue;
-            if (!verifyFunctionalRange(e.deviceOffset, e.bytes))
-                ok = false;
-        }
-        if (!ok)
-            ++_corruptReads;
-    }
-    standardRead(ino, off, len,
-                 [ok, done = std::move(done)]() mutable { done(ok); });
 }
 
 void
@@ -632,8 +604,14 @@ Raid2Server::fsSync(std::function<void()> done)
 
 void
 Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
-                          std::uint64_t len, std::function<void()> done)
+                          std::uint64_t len, ReadDone done)
 {
+    // Verify-on-read (integrity only) comes first, before the host
+    // cache is consulted: a cached copy is served only while the
+    // blocks it came from still verify.
+    const Status st = verifyDev ? verifyRanges(mapRanges(ino, off, len), len)
+                                : Status::Ok;
+
     // Name lookup / request handling on the host.
     _host->chargeIoCompletion(true, nullptr);
 
@@ -642,10 +620,13 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
     if (_hostCache.lookup(ino)) {
         fsCpu->submitBusyTime(
             cfg.fsReadOverhead,
-            [this, len, done = std::move(done)]() mutable {
+            [this, len, st, done = std::move(done)]() mutable {
                 _host->copyThroughMemory(
-                    len, [this, len, done = std::move(done)]() mutable {
-                        _ethernet->send(len, std::move(done));
+                    len, [this, len, st, done = std::move(done)]() mutable {
+                        _ethernet->send(
+                            len, [st, done = std::move(done)]() mutable {
+                                done(st);
+                            });
                     });
             });
         return;
@@ -656,33 +637,25 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
     if (file_size > 0 && file_size <= _hostCache.capacity())
         _hostCache.insert(ino, file_size);
 
-    fsCpu->submitBusyTime(cfg.fsReadOverhead, [this, ino, off, len,
+    fsCpu->submitBusyTime(cfg.fsReadOverhead, [this, ino, off, len, st,
                                                done = std::move(done)]()
                                                   mutable {
-        std::vector<Range> ranges;
-        for (const lfs::FileExtent &e : fs().mapFile(ino, off, len)) {
-            if (e.hole)
-                continue;
-            ranges.push_back(Range{e.deviceOffset, e.bytes});
-        }
+        const std::vector<Range> ranges = mapRanges(ino, off, len);
         auto remaining = std::make_shared<std::size_t>(ranges.size());
-        auto done_ptr = std::make_shared<std::function<void()>>(
-            std::move(done));
-        auto total = len;
-        auto after_reads = [this, done_ptr, total] {
+        auto done_ptr = std::make_shared<ReadDone>(std::move(done));
+        auto after_reads = [this, done_ptr, len, st] {
             // XBUS -> slow VME link -> host backplane -> host memory
             // copies -> Ethernet to the client.
             std::vector<sim::Stage> stages = {
                 sim::Stage(_board->memory()),
                 sim::Stage(_board->hostLink(), cal::controlLinkReadMBs)};
-            for (auto &st : _host->dataPathStages())
-                stages.push_back(st);
+            for (auto &stage : _host->dataPathStages())
+                stages.push_back(stage);
             sim::Pipeline::start(
-                eq, stages, total, cal::xbusChunkBytes,
-                [this, done_ptr, total] {
-                    _ethernet->send(total, [done_ptr] {
-                        if (*done_ptr)
-                            (*done_ptr)();
+                eq, stages, len, cal::xbusChunkBytes,
+                [this, done_ptr, len, st] {
+                    _ethernet->send(len, [done_ptr, st] {
+                        (*done_ptr)(st);
                     });
                 });
         };

@@ -10,26 +10,6 @@
 namespace raid2::server {
 
 const char *
-statusName(Status st)
-{
-    switch (st) {
-    case Status::Ok:
-        return "Ok";
-    case Status::NotFound:
-        return "NotFound";
-    case Status::BadHandle:
-        return "BadHandle";
-    case Status::Busy:
-        return "Busy";
-    case Status::Throttled:
-        return "Throttled";
-    case Status::DataCorrupt:
-        return "DataCorrupt";
-    }
-    return "?";
-}
-
-const char *
 RequestScheduler::className(ServiceClass c)
 {
     return c == ServiceClass::FastPath ? "fast" : "std";
@@ -203,18 +183,16 @@ RequestScheduler::dispatch(ClassState &cs, Request &&r,
     auto on_done = [this, &cs, req, granted_at, span] {
         finish(cs, *req, granted_at, span, Status::Ok, req->ino);
     };
-    // Reads report verify-on-read failures (integrity subsystem) as
-    // DataCorrupt instead of silently shipping wrong bytes.
-    auto on_read_done = [this, &cs, req, granted_at, span](bool ok) {
-        finish(cs, *req, granted_at, span,
-               ok ? Status::Ok : Status::DataCorrupt, req->ino);
+    // Reads pass the server's status through: verify-on-read failures
+    // (integrity subsystem) reach the client as DataCorrupt.
+    auto on_read_done = [this, &cs, req, granted_at, span](Status st) {
+        finish(cs, *req, granted_at, span, st, req->ino);
     };
 
     if (cs.cls == ServiceClass::FastPath) {
         if (req->kind == OpKind::Read) {
-            srv.fileReadChecked(req->ino, req->off, req->len,
-                                on_read_done, req->outStages,
-                                cal::hippiSetupOverhead);
+            srv.fileRead(req->ino, req->off, req->len, on_read_done,
+                         req->outStages, cal::hippiSetupOverhead);
         } else if (req->inStages.empty()) {
             srv.fileWrite(req->ino, req->off, req->len,
                           std::move(on_done));
@@ -231,8 +209,7 @@ RequestScheduler::dispatch(ClassState &cs, Request &&r,
     // Standard mode: small transfers ride the Ethernet through the
     // host (§2.1.1).
     if (req->kind == OpKind::Read)
-        srv.standardReadChecked(req->ino, req->off, req->len,
-                                on_read_done);
+        srv.standardRead(req->ino, req->off, req->len, on_read_done);
     else
         srv.standardWrite(req->ino, req->off, req->len, on_done);
 }

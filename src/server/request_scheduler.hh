@@ -40,19 +40,6 @@
 
 namespace raid2::server {
 
-/** Completion status delivered with every front-end operation. */
-enum class Status {
-    Ok,
-    NotFound,   // open of a missing path without create
-    BadHandle,  // operation on a closed or never-opened handle
-    Busy,       // admission queue full; back off and retry
-    Throttled,  // per-session backlog cap exceeded; back off and retry
-    DataCorrupt, // read hit unrepairable corruption; retry may succeed
-                 // once the scrubber or a rewrite heals the block
-};
-
-const char *statusName(Status st);
-
 /** Front-end request scheduler for one Raid2Server. */
 class RequestScheduler
 {

@@ -318,10 +318,11 @@ TraceReplayer::replay(sim::EventQueue &eq, server::Raid2Server &server,
                 eq.scheduleIn(0, finish);
                 break;
             }
+            auto read_done = [finish](server::Status) { finish(); };
             if (cfg.standardMode)
-                server.standardRead(ino, r.offset, len, finish);
+                server.standardRead(ino, r.offset, len, read_done);
             else
-                server.fileRead(ino, r.offset, len, finish);
+                server.fileRead(ino, r.offset, len, read_done);
             break;
           }
         }

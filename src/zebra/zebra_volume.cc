@@ -179,6 +179,7 @@ ZebraVolume::read(std::uint64_t off, std::span<std::uint8_t> out,
         if (--*remaining == 0 && *done_ptr)
             (*done_ptr)();
     };
+    auto read_done = [finish](server::Status) { finish(); };
 
     std::uint64_t pos = off;
     std::uint64_t left = out.size();
@@ -209,13 +210,15 @@ ZebraVolume::read(std::uint64_t off, std::span<std::uint8_t> out,
         const unsigned srv = dataServer(stripe, k);
         if (!failed[srv]) {
             ++*remaining;
-            servers[srv]->fileRead(fragIno[srv], file_off, take, finish);
+            servers[srv]->fileRead(fragIno[srv], file_off, take,
+                                   read_done);
         } else {
             for (unsigned j = 0; j < numServers(); ++j) {
                 if (j == srv)
                     continue;
                 ++*remaining;
-                servers[j]->fileRead(fragIno[j], file_off, take, finish);
+                servers[j]->fileRead(fragIno[j], file_off, take,
+                                     read_done);
             }
         }
         pos += take;
@@ -267,7 +270,8 @@ ZebraVolume::rebuildServer(unsigned s, std::function<void()> done)
         auto remaining =
             std::make_shared<unsigned>(numServers() - 1);
         auto cont = [this, s, stripe, frag, step,
-                     rebuilt = std::move(rebuilt), remaining]() mutable {
+                     rebuilt = std::move(rebuilt),
+                     remaining](server::Status) mutable {
             if (--*remaining > 0)
                 return;
             servers[s]->fileWriteData(

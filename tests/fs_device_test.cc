@@ -2,8 +2,7 @@
  * @file
  * Block-device layer tests: the MemBlockDevice basics, multi-block
  * helpers, FaultDevice crash/tear semantics, HookBlockDevice
- * observation, ArrayBlockDevice over real RAID parity, and
- * SimBlockDevice's coupling of functional bytes with simulated time.
+ * observation, and ArrayBlockDevice over real RAID parity.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +12,7 @@
 #include "fs/array_block_device.hh"
 #include "fs/fault_device.hh"
 #include "fs/mem_block_device.hh"
-#include "fs/sim_block_device.hh"
-#include "lfs/lfs.hh"
-#include "sim/event_queue.hh"
 #include "sim/random.hh"
-#include "xbus/xbus_board.hh"
 
 namespace {
 
@@ -167,78 +162,6 @@ TEST(ArrayBlockDevice, MaintainsParityUnderneath)
     std::vector<std::uint8_t> out(4096);
     dev.readBlock(11, {out.data(), out.size()});
     EXPECT_EQ(out, marker);
-}
-
-struct SimDevRig
-{
-    sim::EventQueue eq;
-    xbus::XbusBoard board{eq, "x"};
-    raid::RaidArray functional;
-    raid::SimArray timed;
-    fs::SimBlockDevice dev;
-
-    SimDevRig()
-        : functional(layoutCfg(), 32ull * 1024 * 1024),
-          timed(eq, board, "a", layoutCfg(), topoCfg()),
-          dev(eq, functional, timed, 4096)
-    {
-    }
-
-    static raid::LayoutConfig
-    layoutCfg()
-    {
-        raid::LayoutConfig cfg;
-        cfg.level = raid::RaidLevel::Raid5;
-        cfg.numDisks = 16; // matches topoCfg()
-        cfg.stripeUnitBytes = 64 * 1024;
-        return cfg;
-    }
-    static raid::ArrayTopology
-    topoCfg()
-    {
-        raid::ArrayTopology topo;
-        topo.disksPerString = 2;
-        return topo;
-    }
-};
-
-TEST(SimBlockDevice, AdvancesSimulatedTimePerOp)
-{
-    SimDevRig rig;
-    const auto a = block(0x42);
-    const sim::Tick t0 = rig.eq.now();
-    rig.dev.writeBlock(100, {a.data(), a.size()});
-    EXPECT_GT(rig.eq.now(), t0); // a 4 KB RMW takes real (sim) time
-    std::vector<std::uint8_t> out(4096);
-    rig.dev.readBlock(100, {out.data(), out.size()});
-    EXPECT_EQ(out, a);
-    EXPECT_GT(rig.dev.ticksSpent(), sim::msToTicks(20));
-}
-
-TEST(SimBlockDevice, LfsMountsAndRoundTripsOnTheFullDatapath)
-{
-    SimDevRig rig;
-    lfs::Lfs::Params p;
-    p.segBlocks = 32;
-    lfs::Lfs::format(rig.dev, p);
-    lfs::Lfs fs(rig.dev);
-
-    sim::Random rng(3);
-    std::vector<std::uint8_t> data(300000);
-    for (auto &b : data)
-        b = static_cast<std::uint8_t>(rng.next());
-    const auto ino = fs.create("/f");
-    fs.write(ino, 0, {data.data(), data.size()});
-    fs.checkpoint();
-
-    std::vector<std::uint8_t> back(data.size());
-    fs.read(ino, 0, {back.data(), back.size()});
-    EXPECT_EQ(back, data);
-    EXPECT_TRUE(fs.fsck().ok);
-    // The whole mount+write+read consumed simulated time and kept the
-    // functional RAID parity-consistent.
-    EXPECT_GT(rig.dev.ticksSpent(), sim::msToTicks(100));
-    EXPECT_TRUE(rig.functional.redundancyConsistent());
 }
 
 } // namespace

@@ -26,6 +26,7 @@ namespace {
 
 using namespace raid2;
 using server::Raid2Server;
+using server::Status;
 
 Raid2Server::Config
 cfg16()
@@ -91,14 +92,20 @@ TEST(Integration, HighBandwidthModeBeatsStandardModeForLargeFiles)
     {
         bool done = false;
         const sim::Tick t0 = eq.now();
-        srv.fileRead(ino, 0, data.size(), [&] { done = true; });
+        srv.fileRead(ino, 0, data.size(), [&](Status st) {
+            EXPECT_EQ(st, Status::Ok);
+            done = true;
+        });
         eq.runUntilDone([&] { return done; });
         fast = eq.now() - t0;
     }
     {
         bool done = false;
         const sim::Tick t0 = eq.now();
-        srv.standardRead(ino, 0, data.size(), [&] { done = true; });
+        srv.standardRead(ino, 0, data.size(), [&](Status st) {
+            EXPECT_EQ(st, Status::Ok);
+            done = true;
+        });
         eq.runUntilDone([&] { return done; });
         standard = eq.now() - t0;
     }

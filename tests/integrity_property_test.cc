@@ -230,8 +230,8 @@ struct World
         unsigned corruptFiles = 0;
         for (const lfs::InodeNum ino : inos) {
             bool ok = false, done = false;
-            srv.fileReadChecked(ino, 0, kFileBytes, [&](bool r) {
-                ok = r;
+            srv.fileRead(ino, 0, kFileBytes, [&](Status st) {
+                ok = st == Status::Ok;
                 done = true;
             });
             EXPECT_TRUE(eq.runUntilDone([&] { return done; }));

@@ -38,6 +38,7 @@
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/stats_registry.hh"
+#include "sim/trace_sink.hh"
 #include "workload/client_fleet.hh"
 #include "xbus/xbus_board.hh"
 
@@ -782,8 +783,8 @@ struct ServerRig
     checkedRead(std::uint64_t off, std::uint64_t len)
     {
         bool ok = false, done = false;
-        srv.fileReadChecked(ino, off, len, [&](bool r) {
-            ok = r;
+        srv.fileRead(ino, off, len, [&](Status st) {
+            ok = st == Status::Ok;
             done = true;
         });
         eq.runUntilDone([&] { return done; });
@@ -858,10 +859,23 @@ TEST(ServerIntegrity, DegradedCorruptReadSurfacesDataCorrupt)
         return got;
     };
 
-    // Both access modes refuse to serve the bytes.
+    sim::TraceSink sink(rig.eq);
+    rig.eq.setTracer(&sink);
+    auto corrupt_spans = [&] {
+        return std::count_if(sink.spans().begin(), sink.spans().end(),
+                             [](const sim::TraceSink::Span &sp) {
+                                 return sp.name == "data_corrupt_read";
+                             });
+    };
+
+    // Both access modes refuse to serve the bytes, and each counts
+    // exactly one corrupt read with one span.
     EXPECT_EQ(read(512 * 1024), Status::DataCorrupt); // fast path
-    EXPECT_EQ(read(8 * 1024), Status::DataCorrupt);   // standard
-    EXPECT_GE(rig.srv.corruptReads(), 2u);
+    EXPECT_EQ(rig.srv.corruptReads(), 1u);
+    EXPECT_EQ(corrupt_spans(), 1);
+    EXPECT_EQ(read(8 * 1024), Status::DataCorrupt); // standard
+    EXPECT_EQ(rig.srv.corruptReads(), 2u);
+    EXPECT_EQ(corrupt_spans(), 2);
     EXPECT_GE(rig.srv.integrity().unrepairableReads(), 1u);
 
     // A rewrite relocates the data (fresh checksums): the client's
@@ -869,6 +883,9 @@ TEST(ServerIntegrity, DegradedCorruptReadSurfacesDataCorrupt)
     rig.srv.fs().write(rig.ino, 0,
                        {rig.shadow.data(), rig.shadow.size()});
     EXPECT_EQ(read(512 * 1024), Status::Ok);
+    EXPECT_EQ(rig.srv.corruptReads(), 2u);
+    EXPECT_EQ(corrupt_spans(), 2);
+    rig.eq.setTracer(nullptr);
 }
 
 TEST(ServerIntegrity, NetworkCorruptionCostsOneRetransmit)

@@ -25,6 +25,7 @@ namespace {
 
 using namespace raid2;
 using server::Raid2Server;
+using server::Status;
 
 Raid2Server::Config
 cfg16(bool with_fs = true)
@@ -54,7 +55,8 @@ TEST(Robustness, ServerServesThroughFailureAndRebuild)
             return;
         const std::uint64_t off =
             rng.below(seed.size() / (256 * 1024)) * (256 * 1024);
-        srv.fileRead(ino, off, 256 * 1024, [&] {
+        srv.fileRead(ino, off, 256 * 1024, [&](Status st) {
+            EXPECT_EQ(st, Status::Ok);
             ++served;
             pump();
         });
@@ -176,7 +178,10 @@ TEST(Robustness, MixedReadWriteSyncLoadStaysConsistent)
             srv.fileRead(ino, 0,
                          std::min<std::uint64_t>(
                              srv.fs().statIno(ino).size, 100000),
-                         done);
+                         [done](Status st) {
+                             EXPECT_EQ(st, Status::Ok);
+                             done();
+                         });
         else
             srv.fsSync(done);
     };

@@ -23,6 +23,7 @@ namespace {
 
 using namespace raid2;
 using server::Raid2Server;
+using server::Status;
 
 Raid2Server::Config
 smallConfig(bool with_fs)
@@ -136,7 +137,10 @@ TEST(Raid2Server, FileReadUsesMappedExtents)
 
     bool done = false;
     const sim::Tick t0 = eq.now();
-    srv.fileRead(ino, 0, data.size(), [&] { done = true; });
+    srv.fileRead(ino, 0, data.size(), [&](Status st) {
+        EXPECT_EQ(st, Status::Ok);
+        done = true;
+    });
     eq.runUntilDone([&] { return done; });
     EXPECT_TRUE(done);
     EXPECT_GE(srv.array().bytesRead(), data.size());
@@ -168,7 +172,10 @@ TEST(Raid2Server, StandardReadGoesOverEthernet)
     srv.fs().sync();
 
     bool done = false;
-    srv.standardRead(ino, 0, data.size(), [&] { done = true; });
+    srv.standardRead(ino, 0, data.size(), [&](Status st) {
+        EXPECT_EQ(st, Status::Ok);
+        done = true;
+    });
     eq.runUntilDone([&] { return done; });
     EXPECT_TRUE(done);
     EXPECT_GT(srv.ethernet().packets(), 0u);
@@ -188,7 +195,10 @@ TEST(Raid2Server, HostCacheServesRepeatStandardReads)
     auto timed_read = [&] {
         bool done = false;
         const sim::Tick t0 = eq.now();
-        srv.standardRead(ino, 0, data.size(), [&] { done = true; });
+        srv.standardRead(ino, 0, data.size(), [&](Status st) {
+            EXPECT_EQ(st, Status::Ok);
+            done = true;
+        });
         eq.runUntilDone([&] { return done; });
         return eq.now() - t0;
     };
@@ -214,7 +224,10 @@ TEST(Raid2Server, WritesInvalidateHostCache)
     srv.fs().sync();
 
     bool done = false;
-    srv.standardRead(ino, 0, data.size(), [&] { done = true; });
+    srv.standardRead(ino, 0, data.size(), [&](Status st) {
+        EXPECT_EQ(st, Status::Ok);
+        done = true;
+    });
     eq.runUntilDone([&] { return done; });
     EXPECT_TRUE(srv.hostCache().lookup(ino));
 

@@ -454,7 +454,10 @@ main(int argc, char **argv)
             if (write)
                 srv.fileWrite(ino, off, len, std::move(done));
             else
-                srv.fileRead(ino, off, len, std::move(done));
+                srv.fileRead(ino, off, len,
+                             [done = std::move(done)](server::Status) {
+                                 done();
+                             });
         } else {
             if (write)
                 srv.hwWrite(off, len, std::move(done));
