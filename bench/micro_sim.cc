@@ -2,9 +2,9 @@
  * @file
  * Microbenchmarks of the simulator's own primitives
  * (google-benchmark): event queue throughput, service/pipeline cost,
- * RAID mapping, XOR parity bandwidth, and the functional LFS write
- * path.  These guard the simulator's performance, not the paper's
- * results.
+ * RAID mapping, XOR parity bandwidth, block checksum bandwidth, and
+ * the functional LFS write path.  These guard the simulator's
+ * performance, not the paper's results.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 
 #include "bench_util.hh"
 #include "fs/mem_block_device.hh"
+#include "lfs/format.hh"
 #include "lfs/lfs.hh"
 #include "raid/parity.hh"
 #include "raid/raid_layout.hh"
@@ -149,6 +150,25 @@ BM_ParityXor(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * dst.size());
 }
 BENCHMARK(BM_ParityXor);
+
+/** The segment writer's checksum pass: one 960 KB segment of 240
+ *  4 KB payload blocks through lfs::blockChecksums. */
+void
+BM_BlockChecksum(benchmark::State &state)
+{
+    constexpr std::size_t bs = 4096, blocks = 240;
+    std::vector<std::uint8_t> seg(blocks * bs);
+    for (std::size_t i = 0; i < seg.size(); ++i)
+        seg[i] = static_cast<std::uint8_t>(i * 131 + i / bs);
+    std::vector<std::uint64_t> sums(blocks);
+    for (auto _ : state) {
+        lfs::blockChecksums(seg.data(), blocks, bs, sums.data());
+        benchmark::DoNotOptimize(sums.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * seg.size());
+}
+BENCHMARK(BM_BlockChecksum);
 
 void
 BM_LfsWritePath(benchmark::State &state)

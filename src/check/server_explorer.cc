@@ -98,13 +98,6 @@ mutableStats()
 constexpr unsigned maxRetries = 8;
 constexpr unsigned maxClients = 16;
 
-/** Mirror of Raid2Server::fileWrite's synthesized payload. */
-std::uint8_t
-payloadByte(std::uint64_t pos, lfs::InodeNum ino)
-{
-    return static_cast<std::uint8_t>(pos * 131 + ino);
-}
-
 void
 treeCreate(Tree &t, const std::string &path)
 {
@@ -131,7 +124,7 @@ treeWrite(Tree &t, const std::string &path, std::uint64_t off,
     if (nb->size() < off + len)
         nb->resize(off + len, 0); // holes read back as zeros
     for (std::uint64_t i = 0; i < len; ++i)
-        (*nb)[off + i] = payloadByte(off + i, ino);
+        (*nb)[off + i] = server::payloadByte(off + i, ino);
     it->second.bytes = std::move(nb);
 }
 

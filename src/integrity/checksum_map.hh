@@ -5,12 +5,12 @@
  * RAID parity protects against *reported* failures; a silently flipped
  * bit on media or on a transfer is invisible to it.  The ChecksumMap
  * closes that gap: every block written through the functional device
- * chain records a 64-bit FNV-1a of its contents, and verify-on-read
- * (integrity::VerifyingDevice) compares what came back against what
- * was written.  The same checksum is persisted in each segment
- * summary's SummaryEntry::csum (since format v2), so the map can be
- * re-seeded
- * from the log after a crash (integrity::seedFromSegments).
+ * chain records a 64-bit lfs::blockChecksum (XXH64) of its contents,
+ * and verify-on-read (integrity::VerifyingDevice) compares what came
+ * back against what was written.  The same checksum is persisted in
+ * each segment summary's SummaryEntry::csum (since format v2; XXH64
+ * since v4), so the map can be re-seeded from the log after a crash
+ * (integrity::seedFromSegments).
  *
  * Blocks never written have no expectation and verify trivially — the
  * map answers "does this match what the server last wrote", not "is
@@ -30,7 +30,7 @@
 
 namespace raid2::integrity {
 
-/** Block number -> expected content checksum (fnv1a64). */
+/** Block number -> expected content checksum (lfs::blockChecksum). */
 class ChecksumMap
 {
   public:
@@ -45,7 +45,7 @@ class ChecksumMap
     /**
      * Record the checksums of freshly written blocks: @p blocks holds
      * whole blocks for @p bno, @p bno + 1, ..., hashed in one
-     * lfs::fnv1a64Blocks pass straight into the map.
+     * lfs::blockChecksums pass straight into the map.
      */
     void
     record(std::uint64_t bno, std::span<const std::uint8_t> blocks)
@@ -56,7 +56,7 @@ class ChecksumMap
         if (bno > sums.size() || n > sums.size() - bno)
             sim::panic("ChecksumMap: block %llu out of range",
                        (unsigned long long)bno);
-        lfs::fnv1a64Blocks(blocks.data(), n, bs, sums.data() + bno);
+        lfs::blockChecksums(blocks.data(), n, bs, sums.data() + bno);
         for (std::uint64_t b = bno; b < bno + n; ++b)
             markKnown(b);
     }
@@ -89,10 +89,10 @@ class ChecksumMap
     bool
     matches(std::uint64_t bno, std::span<const std::uint8_t> block) const
     {
-        return matchesChecksum(bno, lfs::fnv1a64(block));
+        return matchesChecksum(bno, lfs::blockChecksum(block));
     }
 
-    /** matches() for a block whose fnv1a64 @p csum the caller has. */
+    /** matches() for a block whose checksum @p csum the caller has. */
     bool
     matchesChecksum(std::uint64_t bno, std::uint64_t csum) const
     {

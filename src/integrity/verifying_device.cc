@@ -95,8 +95,8 @@ VerifyingDevice::verifiedReadRange(std::uint64_t bno, std::uint64_t count,
     // rewrites only block i's bytes, so the other hashes stay valid.
     const std::uint32_t bs = blockSize();
     readSums.resize(static_cast<std::size_t>(count));
-    lfs::fnv1a64Blocks(out.data(), static_cast<std::size_t>(count), bs,
-                       readSums.data());
+    lfs::blockChecksums(out.data(), static_cast<std::size_t>(count), bs,
+                        readSums.data());
     bool ok = true;
     for (std::uint64_t i = 0; i < count; ++i) {
         std::span<std::uint8_t> blk =

@@ -120,7 +120,7 @@ class VerifyingDevice : public fs::BlockDevice
                        const std::string &prefix = "integrity") const;
 
   private:
-    /** Verify one block in @p blk (its read image, whose fnv1a64 is
+    /** Verify one block in @p blk (its read image, whose checksum is
      *  @p csum); detect, repair, poison.  @return true if @p blk now
      *  holds verified bytes. */
     bool verifyOneBlock(std::uint64_t bno, std::span<std::uint8_t> blk,

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 
 namespace raid2::lfs {
@@ -36,8 +37,9 @@ constexpr std::uint32_t superMagic = 0x4c465321;      // "LFS!"
 constexpr std::uint32_t summaryMagic = 0x5345474d;    // "SEGM"
 constexpr std::uint32_t checkpointMagic = 0x43484b50; // "CHKP"
 // v2: SummaryEntry.csum.  v3: each payload block is checked against its
-// own csum; the header's whole-payload checksum is gone.
-constexpr std::uint32_t formatVersion = 3;
+// own csum; the header's whole-payload checksum is gone.  v4: csum is
+// XXH64 (blockChecksum) instead of 64-bit FNV-1a.
+constexpr std::uint32_t formatVersion = 4;
 
 constexpr unsigned numDirect = 12;
 constexpr std::uint32_t inodeBytes = 256;
@@ -62,10 +64,9 @@ enum class BlockKind : std::uint32_t {
 
 constexpr std::uint32_t fnv32Basis = 0x811c9dc5;
 constexpr std::uint32_t fnv32Prime = 16777619u;
-constexpr std::uint64_t fnv64Basis = 0xcbf29ce484222325ull;
-constexpr std::uint64_t fnv64Prime = 0x100000001b3ull;
 
-/** Simple FNV-1a over a byte range (format checksums). */
+/** Simple FNV-1a over a byte range (superblock, summary and
+ *  checkpoint checksums). */
 inline std::uint32_t
 fnv1a(std::span<const std::uint8_t> bytes, std::uint32_t seed = fnv32Basis)
 {
@@ -77,51 +78,87 @@ fnv1a(std::span<const std::uint8_t> bytes, std::uint32_t seed = fnv32Basis)
     return h;
 }
 
-/** 64-bit FNV-1a (per-block content checksums; see src/integrity/). */
+namespace xxh64 {
+
+constexpr std::uint64_t p1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t p2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t p3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t p4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t p5 = 0x27d4eb2f165667c5ull;
+
 inline std::uint64_t
-fnv1a64(std::span<const std::uint8_t> bytes,
-        std::uint64_t seed = fnv64Basis)
+rotl(std::uint64_t x, int r)
 {
-    std::uint64_t h = seed;
-    for (std::uint8_t b : bytes) {
-        h ^= b;
-        h *= fnv64Prime;
-    }
-    return h;
+    return (x << r) | (x >> (64 - r));
 }
 
-/**
- * fnv1a64 of each of @p n consecutive @p bs-byte blocks at @p data,
- * into out[0..n).  FNV-1a is one serial multiply chain per block, so
- * hashing blocks one after another is bound by the multiply latency;
- * four blocks advance together here, their chains overlapping in the
- * pipeline.  out[i] == fnv1a64(block i) exactly.
- */
-inline void
-fnv1a64Blocks(const std::uint8_t *data, std::size_t n, std::size_t bs,
-              std::uint64_t *out)
+inline std::uint64_t
+round(std::uint64_t acc, std::uint64_t lane)
 {
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const std::uint8_t *p0 = data + i * bs;
-        const std::uint8_t *p1 = p0 + bs;
-        const std::uint8_t *p2 = p1 + bs;
-        const std::uint8_t *p3 = p2 + bs;
-        std::uint64_t h0 = fnv64Basis, h1 = fnv64Basis;
-        std::uint64_t h2 = fnv64Basis, h3 = fnv64Basis;
-        for (std::size_t j = 0; j < bs; ++j) {
-            h0 = (h0 ^ p0[j]) * fnv64Prime;
-            h1 = (h1 ^ p1[j]) * fnv64Prime;
-            h2 = (h2 ^ p2[j]) * fnv64Prime;
-            h3 = (h3 ^ p3[j]) * fnv64Prime;
+    return rotl(acc + lane * p2, 31) * p1;
+}
+
+/** A host-endian word at @p p (the format's byte order throughout). */
+template <typename T>
+inline T
+load(const std::uint8_t *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+} // namespace xxh64
+
+/**
+ * Per-block content checksum (SummaryEntry::csum, integrity::ChecksumMap):
+ * XXH64 with seed 0, as the xxHash specification defines it.  Four
+ * independent 64-bit lanes take one multiply round per 8-byte word, so
+ * the CPU overlaps their multiplies.
+ */
+inline std::uint64_t
+blockChecksum(std::span<const std::uint8_t> bytes)
+{
+    using namespace xxh64;
+    const std::uint8_t *p = bytes.data();
+    const std::uint8_t *const end = p + bytes.size();
+    std::uint64_t acc;
+    if (bytes.size() >= 32) {
+        std::uint64_t v1 = p1 + p2, v2 = p2, v3 = 0, v4 = 0 - p1;
+        for (; end - p >= 32; p += 32) {
+            v1 = round(v1, load<std::uint64_t>(p));
+            v2 = round(v2, load<std::uint64_t>(p + 8));
+            v3 = round(v3, load<std::uint64_t>(p + 16));
+            v4 = round(v4, load<std::uint64_t>(p + 24));
         }
-        out[i] = h0;
-        out[i + 1] = h1;
-        out[i + 2] = h2;
-        out[i + 3] = h3;
+        acc = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+        for (std::uint64_t v : {v1, v2, v3, v4})
+            acc = (acc ^ round(0, v)) * p1 + p4;
+    } else {
+        acc = p5;
     }
-    for (; i < n; ++i)
-        out[i] = fnv1a64({data + i * bs, bs});
+    acc += bytes.size();
+    for (; end - p >= 8; p += 8)
+        acc = rotl(acc ^ round(0, load<std::uint64_t>(p)), 27) * p1 + p4;
+    if (end - p >= 4) {
+        acc = rotl(acc ^ load<std::uint32_t>(p) * p1, 23) * p2 + p3;
+        p += 4;
+    }
+    for (; p < end; ++p)
+        acc = rotl(acc ^ *p * p5, 11) * p1;
+    acc = (acc ^ (acc >> 33)) * p2;
+    acc = (acc ^ (acc >> 29)) * p3;
+    return acc ^ (acc >> 32);
+}
+
+/** blockChecksum of each of @p n consecutive @p bs-byte blocks at
+ *  @p data, into out[0..n). */
+inline void
+blockChecksums(const std::uint8_t *data, std::size_t n, std::size_t bs,
+               std::uint64_t *out)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = blockChecksum({data + i * bs, bs});
 }
 
 #pragma pack(push, 1)
@@ -207,7 +244,7 @@ struct SummaryEntry
     std::uint32_t kind; // BlockKind
     InodeNum ino;
     std::uint64_t aux;
-    std::uint64_t csum; // fnv1a64 of the payload block's contents
+    std::uint64_t csum; // blockChecksum of the payload block's contents
 };
 static_assert(sizeof(SummaryEntry) == 24);
 

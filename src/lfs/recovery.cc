@@ -89,7 +89,7 @@ Lfs::rollForward(std::uint64_t start_seg, std::uint64_t start_seq)
         dev.readBlocks(sb.segmentStartBlock(seg) + summary_blocks,
                        hdr.count, {payload.data(), payload.size()});
         sums.resize(hdr.count);
-        fnv1a64Blocks(payload.data(), hdr.count, sb.blockSize, sums.data());
+        blockChecksums(payload.data(), hdr.count, sb.blockSize, sums.data());
         std::uint32_t intact = 0;
         while (intact < hdr.count &&
                sums[intact] == summaryEntry(region, intact).csum)

@@ -90,10 +90,9 @@ SegmentWriter::writeOut(std::uint64_t next_segment)
     if (!dirty())
         sim::panic("SegmentWriter: writeOut of empty segment");
 
-    // Every block's SummaryEntry::csum over its final bytes, four
-    // blocks at a time.
+    // Every block's SummaryEntry::csum over its final bytes.
     std::vector<std::uint64_t> sums(used);
-    fnv1a64Blocks(slotData(0), used, sb.blockSize, sums.data());
+    blockChecksums(slotData(0), used, sb.blockSize, sums.data());
     for (unsigned i = 0; i < used; ++i) {
         std::memcpy(entryData(i) + offsetof(SummaryEntry, csum), &sums[i],
                     sizeof(sums[i]));

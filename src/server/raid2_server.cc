@@ -1,6 +1,7 @@
 #include "server/raid2_server.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "integrity/log_seed.hh"
 #include "sim/logging.hh"
@@ -436,12 +437,17 @@ Raid2Server::fileWrite(lfs::InodeNum ino, std::uint64_t off,
                        std::uint64_t len, std::function<void()> done)
 {
     // Synthesize a deterministic payload for benches that don't care
-    // about the bytes.
-    std::vector<std::uint8_t> data(len);
-    for (std::size_t i = 0; i < data.size(); ++i)
-        data[i] = static_cast<std::uint8_t>((off + i) * 131 + ino);
-    fileWriteData(ino, off, {data.data(), data.size()},
-                  std::move(done));
+    // about the bytes.  payloadByte() repeats every 256 bytes: fill one
+    // period, then double the filled prefix until the buffer is full
+    // (every copy lands on a period boundary).
+    auto data = std::make_shared<std::vector<std::uint8_t>>(len);
+    std::uint8_t *p = data->data();
+    const std::uint64_t period = std::min<std::uint64_t>(len, 256);
+    for (std::uint64_t i = 0; i < period; ++i)
+        p[i] = payloadByte(off + i, ino);
+    for (std::uint64_t n = period; n < len; n *= 2)
+        std::memcpy(p + n, p, std::min(n, len - n));
+    writePayload(ino, off, std::move(data), std::move(done));
 }
 
 void
@@ -449,11 +455,21 @@ Raid2Server::fileWriteData(lfs::InodeNum ino, std::uint64_t off,
                            std::span<const std::uint8_t> data,
                            std::function<void()> done)
 {
-    auto copy = std::make_shared<std::vector<std::uint8_t>>(
-        data.begin(), data.end());
+    writePayload(ino, off,
+                 std::make_shared<const std::vector<std::uint8_t>>(
+                     data.begin(), data.end()),
+                 std::move(done));
+}
+
+void
+Raid2Server::writePayload(
+    lfs::InodeNum ino, std::uint64_t off,
+    std::shared_ptr<const std::vector<std::uint8_t>> data,
+    std::function<void()> done)
+{
     // Per-request file system + network software cost (~3 ms, §3.4),
     // serialized on the server software path.
-    fsCpu->submitBusyTime(cfg.fsWriteOverhead, [this, ino, off, copy,
+    fsCpu->submitBusyTime(cfg.fsWriteOverhead, [this, ino, off, data,
                                                 done =
                                                     std::move(done)]()
                                                    mutable {
@@ -462,12 +478,12 @@ Raid2Server::fileWriteData(lfs::InodeNum ino, std::uint64_t off,
         // keeps the two caches consistent").
         if (_fsOpObserver)
             _fsOpObserver({FsOp::Kind::Write, {}, ino, off,
-                           copy->size()});
+                           data->size()});
         _hostCache.invalidate(ino);
-        fs().write(ino, off, {copy->data(), copy->size()});
+        fs().write(ino, off, {data->data(), data->size()});
 
         // Copy into the XBUS segment buffer.
-        _board->memory().submit(copy->size(), [this,
+        _board->memory().submit(data->size(), [this,
                                                done = std::move(done)]()
                                                   mutable {
             drainPendingWrites(nullptr);

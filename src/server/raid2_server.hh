@@ -55,6 +55,17 @@ enum class Status {
 
 const char *statusName(Status st);
 
+/**
+ * Byte @p pos of file @p ino as Raid2Server::fileWrite synthesizes it:
+ * (pos * 131 + ino) mod 256, the same whatever the order of the writes.
+ * 131 * 256 is 0 mod 256, so the pattern repeats every 256 bytes.
+ */
+constexpr std::uint8_t
+payloadByte(std::uint64_t pos, lfs::InodeNum ino)
+{
+    return static_cast<std::uint8_t>(pos * 131 + ino);
+}
+
 /** One-XBUS-board RAID-II server. */
 class Raid2Server
 {
@@ -164,9 +175,9 @@ class Raid2Server
     lfs::InodeNum createFile(const std::string &path);
 
     /**
-     * Timed + functional file write.  Completion models LFS
-     * write-behind: the request finishes once buffered (overhead +
-     * memory copy) unless segment flushes back up.
+     * Timed + functional file write of payloadByte() bytes.  Completion
+     * models LFS write-behind: the request finishes once buffered
+     * (overhead + memory copy) unless segment flushes back up.
      */
     void fileWrite(lfs::InodeNum ino, std::uint64_t off,
                    std::uint64_t len, std::function<void()> done);
@@ -305,6 +316,11 @@ class Raid2Server
     /** @} */
 
   private:
+    /** fileWrite() and fileWriteData() once the bytes are in @p data,
+     *  which the server owns until the functional write. */
+    void writePayload(lfs::InodeNum ino, std::uint64_t off,
+                      std::shared_ptr<const std::vector<std::uint8_t>> data,
+                      std::function<void()> done);
     /** Collect LFS device writes and issue them to the timed array. */
     void drainPendingWrites(std::function<void()> per_batch_done);
     void noteDeviceWrite(std::uint64_t off, std::uint64_t len);

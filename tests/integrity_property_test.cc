@@ -89,9 +89,11 @@ struct World
             const lfs::InodeNum ino =
                 srv.createFile("/f" + std::to_string(f));
             inos.push_back(ino);
+            // The server's own fileWrite pattern: scheduler writes and
+            // the population agree, so the shadow is position-derived.
             std::vector<std::uint8_t> data(kFileBytes);
             for (std::uint64_t i = 0; i < kFileBytes; ++i)
-                data[i] = shadowByte(ino, i);
+                data[i] = server::payloadByte(i, ino);
             srv.fs().write(ino, 0, {data.data(), data.size()});
         }
         srv.fs().checkpoint();
@@ -120,14 +122,6 @@ struct World
         cfg.withReliability = true;
         cfg.recovery.spares = 0;
         return cfg;
-    }
-
-    /** The server's own fileWrite pattern — scheduler writes and the
-     *  population agree, so the shadow is position-derived. */
-    static std::uint8_t
-    shadowByte(lfs::InodeNum ino, std::uint64_t pos)
-    {
-        return static_cast<std::uint8_t>(pos * 131 + ino);
     }
 
     /** Closed-loop session: one op outstanding, chained by done(). */
@@ -201,7 +195,7 @@ struct World
         if (got == len) {
             bool mismatch = false;
             for (std::uint64_t i = 0; i < len; ++i)
-                if (buf[i] != shadowByte(ino, off + i)) {
+                if (buf[i] != server::payloadByte(off + i, ino)) {
                     mismatch = true;
                     break;
                 }

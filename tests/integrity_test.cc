@@ -95,7 +95,7 @@ TEST(ChecksumMap, RecordsMatchesAndResets)
     EXPECT_FALSE(map.matches(3, {bad.data(), bad.size()}));
 
     // Re-seeding path: install a checksum directly.
-    map.set(7, lfs::fnv1a64({blk.data(), blk.size()}));
+    map.set(7, lfs::blockChecksum({blk.data(), blk.size()}));
     EXPECT_TRUE(map.matches(7, {blk.data(), blk.size()}));
     EXPECT_EQ(map.knownCount(), 2u);
 
@@ -105,10 +105,16 @@ TEST(ChecksumMap, RecordsMatchesAndResets)
     EXPECT_TRUE(map.matches(3, {bad.data(), bad.size()}));
 }
 
-TEST(ChecksumKernel, FourLaneBlocksEqualPerBlockFnv)
+TEST(ChecksumKernel, BlockChecksumMatchesPublishedXxh64Vectors)
 {
-    // n = 0..9 covers empty, pure-tail, whole four-lane groups and
-    // every tail length after them.
+    // XXH64 at seed 0, from the xxHash specification's test vectors.
+    EXPECT_EQ(lfs::blockChecksum({}), 0xef46db3751d8e999ull);
+    const std::uint8_t abc[] = {'a', 'b', 'c'};
+    EXPECT_EQ(lfs::blockChecksum(abc), 0x44bc2cf5ad770999ull);
+}
+
+TEST(ChecksumKernel, BlockChecksumsEqualPerBlockChecksum)
+{
     for (const std::uint32_t bs : {512u, 4096u}) {
         sim::Random rng(bs);
         std::vector<std::uint8_t> data(9 * std::size_t(bs));
@@ -117,13 +123,28 @@ TEST(ChecksumKernel, FourLaneBlocksEqualPerBlockFnv)
         for (std::size_t n = 0; n <= 9; ++n) {
             const std::uint64_t sentinel = 0x5a5a5a5a5a5a5a5aull;
             std::vector<std::uint64_t> out(n + 1, sentinel);
-            lfs::fnv1a64Blocks(data.data(), n, bs, out.data());
+            lfs::blockChecksums(data.data(), n, bs, out.data());
             for (std::size_t i = 0; i < n; ++i) {
-                EXPECT_EQ(out[i], lfs::fnv1a64({data.data() + i * bs, bs}))
+                EXPECT_EQ(out[i],
+                          lfs::blockChecksum({data.data() + i * bs, bs}))
                     << "bs " << bs << " n " << n << " block " << i;
             }
             EXPECT_EQ(out[n], sentinel) << "bs " << bs << " n " << n;
         }
+    }
+}
+
+TEST(ChecksumKernel, EverySingleBitFlipChangesTheChecksum)
+{
+    sim::Random rng(4096);
+    std::vector<std::uint8_t> blk(kBs);
+    for (auto &b : blk)
+        b = static_cast<std::uint8_t>(rng.next());
+    const std::uint64_t clean = lfs::blockChecksum(blk);
+    for (std::size_t bit = 0; bit < 8 * blk.size(); ++bit) {
+        blk[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        ASSERT_NE(lfs::blockChecksum(blk), clean) << "bit " << bit;
+        blk[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
 }
 
@@ -139,7 +160,8 @@ TEST(ChecksumMap, RecordsAnExtentInOnePass)
     EXPECT_EQ(map.knownCount(), 7u);
     for (std::uint64_t b = 4; b < 11; ++b) {
         const auto blk = patternBlock(b);
-        EXPECT_EQ(map.expected(b), lfs::fnv1a64({blk.data(), blk.size()}))
+        EXPECT_EQ(map.expected(b),
+                  lfs::blockChecksum({blk.data(), blk.size()}))
             << "block " << b;
     }
     EXPECT_FALSE(map.known(3));
@@ -195,12 +217,12 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
                     summary.data() + sizeof(hdr) +
                         i * sizeof(lfs::SummaryEntry),
                     sizeof(e));
-        EXPECT_EQ(e.csum, lfs::fnv1a64({final_blocks[i].data(), kBs}))
+        EXPECT_EQ(e.csum, lfs::blockChecksum({final_blocks[i].data(), kBs}))
             << "slot " << i;
         payload.insert(payload.end(), final_blocks[i].begin(),
                        final_blocks[i].end());
     }
-    // Format v3: no whole-payload checksum; the summary checksum
+    // Since format v3: no whole-payload checksum; the summary checksum
     // covers the region with its own field zeroed.
     EXPECT_EQ(hdr.reserved, 0u);
     lfs::SummaryHeader zeroed = hdr;
@@ -220,7 +242,7 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
     EXPECT_EQ(integrity::seedFromSegments(dev, map), 6u);
     for (std::size_t i = 0; i < 6; ++i) {
         EXPECT_EQ(map.expected(addrs[i]),
-                  lfs::fnv1a64({final_blocks[i].data(), kBs}))
+                  lfs::blockChecksum({final_blocks[i].data(), kBs}))
             << "slot " << i;
     }
 

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "net/client_model.hh"
@@ -124,6 +126,33 @@ TEST(Raid2Server, FileWriteIsFunctionalAndTimed)
     EXPECT_GE(srv.flushedBytes(), 4u * sim::MB);
     EXPECT_GT(srv.array().bytesWritten(), 4u * sim::MB);
     EXPECT_TRUE(srv.fs().fsck().ok);
+}
+
+TEST(Raid2Server, FileWritePayloadAtRaggedOffsets)
+{
+    // fileWrite copies one 256-byte period across its buffer: starts
+    // and ends off the period boundary must keep the phase and the
+    // tail of payloadByte().
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", smallConfig(true));
+    const std::uint64_t offs[] = {0, 1, 255, 257, 4095};
+    const std::uint64_t lens[] = {1, 255, 256, 257, 4099};
+    for (std::size_t k = 0; k < std::size(offs); ++k) {
+        const auto ino = srv.createFile("/f" + std::to_string(k));
+        bool done = false;
+        srv.fileWrite(ino, offs[k], lens[k], [&] { done = true; });
+        eq.runUntilDone([&] { return done; });
+        ASSERT_TRUE(done);
+        ASSERT_EQ(srv.fs().statIno(ino).size, offs[k] + lens[k]);
+        std::vector<std::uint8_t> got(lens[k]);
+        ASSERT_EQ(srv.fs().read(ino, offs[k], {got.data(), got.size()}),
+                  lens[k]);
+        for (std::uint64_t i = 0; i < lens[k]; ++i) {
+            ASSERT_EQ(got[i], server::payloadByte(offs[k] + i, ino))
+                << "off " << offs[k] << " len " << lens[k] << " byte "
+                << i;
+        }
+    }
 }
 
 TEST(Raid2Server, FileReadUsesMappedExtents)
