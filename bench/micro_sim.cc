@@ -2,9 +2,9 @@
  * @file
  * Microbenchmarks of the simulator's own primitives
  * (google-benchmark): event queue throughput, service/pipeline cost,
- * RAID mapping, XOR parity bandwidth, block checksum bandwidth, and
- * the functional LFS write path.  These guard the simulator's
- * performance, not the paper's results.
+ * RAID mapping, XOR parity bandwidth, block checksum bandwidth, the
+ * functional LFS write path, and building a server world.  These guard
+ * the simulator's performance, not the paper's results.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,14 +13,18 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
+#include "config/calibration.hh"
+#include "disk/disk_profile.hh"
 #include "fs/mem_block_device.hh"
 #include "lfs/format.hh"
 #include "lfs/lfs.hh"
 #include "raid/parity.hh"
 #include "raid/raid_layout.hh"
+#include "server/raid2_server.hh"
 #include "sim/event_queue.hh"
 #include "sim/service.hh"
 
@@ -188,6 +192,59 @@ BM_LfsWritePath(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 256 * 64 * 1024);
 }
 BENCHMARK(BM_LfsWritePath);
+
+/** Build and destroy the §3.4 server: RAID-5 on 16 disks under a
+ *  256 MB LFS, the repository benchmark's world.  With integrity on,
+ *  the file system sits on a 16-disk functional twin instead of one
+ *  memory device. */
+void
+buildSection34Server(bool integrity)
+{
+    server::Raid2Server::Config cfg;
+    cfg.layout.level = raid::RaidLevel::Raid5;
+    cfg.layout.stripeUnitBytes = cal::lfsStripeUnitBytes;
+    cfg.topo.numCougars = 4;
+    cfg.topo.disksPerString = 2;
+    cfg.topo.profile = &disk::ibm0661();
+    cfg.withFs = true;
+    cfg.fsDeviceBytes = 256 * sim::MiB;
+    cfg.pipelineDepth = 8;
+    cfg.withIntegrity = integrity;
+    sim::EventQueue eq;
+    server::Raid2Server srv(eq, "srv", cfg);
+    benchmark::DoNotOptimize(srv.fs().stats().checkpoints);
+}
+
+/** Each world on this thread adopts the stores the last one freed;
+ *  an untimed first build fills the pool. */
+void
+BM_ServerBuildRecycled(benchmark::State &state)
+{
+    buildSection34Server(state.range(0) != 0);
+    for (auto _ : state)
+        buildSection34Server(state.range(0) != 0);
+}
+BENCHMARK(BM_ServerBuildRecycled)
+    ->ArgName("integrity")
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/** Each world on a new thread, whose pool starts empty.  The work is
+ *  off the benchmark thread, so both variants report wall time. */
+void
+BM_ServerBuildFresh(benchmark::State &state)
+{
+    for (auto _ : state)
+        std::thread(buildSection34Server, state.range(0) != 0).join();
+}
+BENCHMARK(BM_ServerBuildFresh)
+    ->ArgName("integrity")
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /** Wall-clock kernel throughput at queue depth @p n: repeat
  *  schedule-then-drain rounds for ~200 ms and report events/sec. */

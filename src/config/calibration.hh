@@ -45,9 +45,6 @@ constexpr Tick scsiCommandOverhead = usToTicks(500);
 // XBUS board (§2.2)
 // ---------------------------------------------------------------------
 
-/** "Each port was intended to support 40 megabytes/second" (§2.2). */
-constexpr double xbusPortMBs = 40.0;
-
 /** Four 8 MB DRAM modules, 16-word interleave (§2.2, Fig 4). */
 constexpr unsigned xbusMemModules = 4;
 constexpr double xbusMemModuleMBs = 40.0; // 4 x 40 = 160 MB/s total
@@ -86,11 +83,6 @@ constexpr double hippiPortMBs = 38.5;
  *  mostly due to setting up the HIPPI and XBUS control registers
  *  across the slow VME link" (§2.3). */
 constexpr Tick hippiSetupOverhead = msToTicks(1.1);
-
-/** HIPPI FIFO burst interface: "bursts of 100 megabytes/second into
- *  32 kilobyte FIFO interfaces" (§2.2). */
-constexpr double hippiBurstMBs = 100.0;
-constexpr std::uint64_t hippiFifoBytes = 32 * 1024;
 
 // ---------------------------------------------------------------------
 // Ethernet / clients (§2.1.1, §3.4)

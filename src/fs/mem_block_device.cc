@@ -7,7 +7,7 @@ namespace raid2::fs {
 MemBlockDevice::MemBlockDevice(std::uint32_t block_size,
                                std::uint64_t num_blocks)
     : bs(block_size), blocks(num_blocks),
-      data(static_cast<std::size_t>(block_size) * num_blocks, 0)
+      data(static_cast<std::size_t>(block_size) * num_blocks)
 {
 }
 

@@ -7,13 +7,13 @@
 #define RAID2_FS_MEM_BLOCK_DEVICE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "fs/block_device.hh"
+#include "sim/byte_store.hh"
 
 namespace raid2::fs {
 
-/** RAM-backed block device. */
+/** RAM-backed block device; its bytes come from a sim::ByteStore. */
 class MemBlockDevice : public BlockDevice
 {
   public:
@@ -38,7 +38,7 @@ class MemBlockDevice : public BlockDevice
   private:
     std::uint32_t bs;
     std::uint64_t blocks;
-    std::vector<std::uint8_t> data;
+    sim::ByteStore data;
 };
 
 } // namespace raid2::fs

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "config/calibration.hh"
 #include "fs/block_device.hh"
 #include "lfs/format.hh"
 #include "lfs/segment_writer.hh"
@@ -163,10 +164,13 @@ class Lfs
   public:
     struct Params
     {
-        std::uint32_t blockSize = 4096;
-        /** Blocks per segment incl. summary; 240 x 4 KB = 960 KB, the
-         *  paper's segment size (§3.4). */
-        std::uint32_t segBlocks = 240;
+        static constexpr std::uint32_t defaultBlockSize = 4096;
+        std::uint32_t blockSize = defaultBlockSize;
+        /** Blocks per segment incl. summary; by default the paper's
+         *  960 KB segment (§3.4) in default-sized blocks: 240.  A
+         *  caller that changes blockSize keeps the block count. */
+        std::uint32_t segBlocks = static_cast<std::uint32_t>(
+            cal::lfsSegmentBytes / defaultBlockSize);
         std::uint32_t maxInodes = 4096;
         /** Byte alignment of segment 0 on the device; set to the
          *  array's stripe width so every segment flush is a

@@ -11,13 +11,15 @@ namespace raid2::raid {
 
 RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
     : _layout(cfg, disk_bytes), diskBytes(disk_bytes),
-      disks(cfg.numDisks, std::vector<std::uint8_t>(disk_bytes, 0)),
       failed(cfg.numDisks, false), latents(cfg.numDisks)
 {
     if (cfg.numDisks > kMaxFoldSources)
         sim::fatal("RaidArray: %u disks exceeds the %zu-way parity "
                    "fold limit",
                    cfg.numDisks, kMaxFoldSources);
+    disks.reserve(cfg.numDisks);
+    for (unsigned d = 0; d < cfg.numDisks; ++d)
+        disks.emplace_back(static_cast<std::size_t>(disk_bytes));
 }
 
 /** Mirror partner of @p d, valid for either half of the array. */
@@ -40,13 +42,13 @@ RaidArray::failedCount() const
 std::span<const std::uint8_t>
 RaidArray::diskData(unsigned d) const
 {
-    return {disks.at(d).data(), disks.at(d).size()};
+    return disks.at(d).bytes();
 }
 
 std::span<std::uint8_t>
 RaidArray::diskData(unsigned d)
 {
-    return {disks.at(d).data(), disks.at(d).size()};
+    return disks.at(d).bytes();
 }
 
 void
@@ -420,7 +422,7 @@ RaidArray::failDisk(unsigned d)
     if (d >= disks.size())
         sim::panic("failDisk: bad disk %u", d);
     failed[d] = true;
-    std::fill(disks[d].begin(), disks[d].end(), 0xde);
+    std::memset(disks[d].data(), 0xde, disks[d].size());
     // The whole disk is gone; its latent defects go with it.
     latents[d].clear();
 }
@@ -441,7 +443,7 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
     // still encodes the original bytes; only this copy is damaged.
     for (std::uint64_t i = 0; i < bytes; ++i) {
         const std::uint64_t p = off + i;
-        disks[d][p] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
+        disks[d].data()[p] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
     }
 
     // Merge into the interval map.
@@ -613,7 +615,8 @@ RaidArray::rebuildDisk(unsigned d)
         if (failed[partner])
             sim::fatal("rebuildDisk: mirror partner %u also failed",
                        partner);
-        disks[d] = disks[partner];
+        std::memcpy(disks[d].data(), disks[partner].data(),
+                    disks[d].size());
         return;
     }
     if (level == RaidLevel::Raid0)
@@ -623,7 +626,7 @@ RaidArray::rebuildDisk(unsigned d)
     // parity-covered region.
     const std::uint64_t covered =
         _layout.numStripes() * _layout.unitBytes();
-    std::fill(disks[d].begin(), disks[d].end(), 0);
+    std::memset(disks[d].data(), 0, disks[d].size());
     reconstructRange(d, 0, {disks[d].data(),
                             static_cast<std::size_t>(covered)});
 }
@@ -640,7 +643,9 @@ RaidArray::redundancyConsistent() const
     if (level == RaidLevel::Raid1) {
         const unsigned half = _layout.numDisks() / 2;
         for (unsigned d = 0; d < half; ++d) {
-            if (disks[d] != disks[_layout.mirrorDisk(d)])
+            if (std::memcmp(disks[d].data(),
+                            disks[_layout.mirrorDisk(d)].data(),
+                            disks[d].size()) != 0)
                 return false;
         }
         return true;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "raid/raid_layout.hh"
+#include "sim/byte_store.hh"
 #include "sim/stats.hh"
 
 namespace raid2::raid {
@@ -174,7 +175,7 @@ class RaidArray
 
     RaidLayout _layout;
     std::uint64_t diskBytes;
-    std::vector<std::vector<std::uint8_t>> disks;
+    std::vector<sim::ByteStore> disks;
     std::vector<bool> failed;
     /** Per-disk latent ranges: start offset -> length, non-overlapping. */
     std::vector<std::map<std::uint64_t, std::uint64_t>> latents;

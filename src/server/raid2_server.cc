@@ -49,7 +49,8 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
         // Functional RAID twin sized so its data capacity covers the
         // file-system device (whole stripes; geometry shared with the
         // timed array, whose layout carries the disk count the
-        // topology resolved).
+        // topology resolved).  Each stripe takes one layout unit per
+        // disk, which RAID-3 pins to the sector.
         raid::LayoutConfig lcfg = cfg.layout;
         lcfg.numDisks = _array->layout().numDisks();
         const raid::RaidLayout probe(lcfg, lcfg.stripeUnitBytes);
@@ -57,7 +58,7 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
         const std::uint64_t stripes =
             (cfg.fsDeviceBytes + sdb - 1) / sdb;
         _functional = std::make_unique<raid::RaidArray>(
-            lcfg, stripes * lcfg.stripeUnitBytes);
+            lcfg, stripes * probe.unitBytes());
     }
 
     if (cfg.withReliability) {

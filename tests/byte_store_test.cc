@@ -1,0 +1,339 @@
+/**
+ * @file
+ * sim::ByteStore recycling: a recycled store reads all zeros, a second
+ * store of one size allocates nothing, another size empties the pool,
+ * pools are per thread, a world built on recycled stores simulates
+ * exactly as on fresh ones, and under AddressSanitizer a pooled buffer
+ * is poisoned.
+ *
+ * Global operator new/delete are replaced with counting versions, as in
+ * event_alloc_test.cc.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <future>
+#include <new>
+#include <thread>
+#include <vector>
+
+#include "fs/mem_block_device.hh"
+#include "raid/raid_array.hh"
+#include "server/raid2_server.hh"
+#include "server/request_scheduler.hh"
+#include "sim/byte_store.hh"
+#include "sim/event_queue.hh"
+#include "workload/client_fleet.hh"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define RAID2_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RAID2_TEST_ASAN 1
+#endif
+#endif
+#ifdef RAID2_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_frees{0};
+/** Allocations of exactly g_watchBytes bytes. */
+std::atomic<std::size_t> g_watchBytes{0};
+std::atomic<std::uint64_t> g_watchHits{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    ++g_allocs;
+    if (n == g_watchBytes.load())
+        ++g_watchHits;
+    if (void *p = std::malloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return countedAlloc(n);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    ++g_frees;
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    ++g_frees;
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    ++g_frees;
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    ++g_frees;
+    std::free(p);
+}
+
+namespace {
+
+using namespace raid2;
+using server::Raid2Server;
+using server::RequestScheduler;
+using workload::ClientFleet;
+
+bool
+allZero(std::span<const std::uint8_t> s)
+{
+    return std::all_of(s.begin(), s.end(),
+                       [](std::uint8_t b) { return b == 0; });
+}
+
+TEST(ByteStore, SecondStoreOfOneSizeAllocatesNothing)
+{
+    constexpr std::size_t a = 3 << 20, b = 5 << 20;
+    { sim::ByteStore warm(a); }
+
+    std::uint64_t before = g_allocs.load();
+    {
+        sim::ByteStore s(a);
+        EXPECT_EQ(g_allocs.load() - before, 0u)
+            << "a same-size store allocated";
+        EXPECT_TRUE(allZero(s.bytes()));
+    }
+
+    // Another size empties the pool before it allocates; the first
+    // size then allocates again.
+    before = g_allocs.load();
+    const std::uint64_t freed = g_frees.load();
+    {
+        sim::ByteStore other(b);
+        EXPECT_EQ(g_allocs.load() - before, 1u);
+        EXPECT_EQ(g_frees.load() - freed, 1u)
+            << "the pooled store outlived a request of another size";
+    }
+    before = g_allocs.load();
+    {
+        sim::ByteStore s(a);
+        EXPECT_EQ(g_allocs.load() - before, 1u)
+            << "the pool kept a store of another size";
+    }
+}
+
+TEST(ByteStore, FreedStoreIsNeverHandedToAnotherThread)
+{
+    constexpr std::size_t n = 7 << 20;
+    std::promise<const std::uint8_t *> pooled;
+    std::future<const std::uint8_t *> theirsF = pooled.get_future();
+    std::promise<void> done;
+    std::future<void> released = done.get_future();
+    std::thread worker([&] {
+        const std::uint8_t *p = nullptr;
+        {
+            sim::ByteStore s(n);
+            p = s.data();
+        }
+        // The buffer now sits in this thread's pool; keep the thread
+        // (and its pool) alive while the main thread asks for one.
+        pooled.set_value(p);
+        released.wait();
+    });
+    const std::uint8_t *theirs = theirsF.get();
+
+    const std::uint64_t before = g_allocs.load();
+    {
+        sim::ByteStore mine(n);
+        EXPECT_EQ(g_allocs.load() - before, 1u);
+        EXPECT_NE(mine.data(), theirs);
+    }
+    done.set_value();
+    worker.join();
+}
+
+TEST(ByteStore, RecycledMemBlockDeviceReadsAllZeros)
+{
+    constexpr std::uint32_t bs = 4096;
+    constexpr std::uint64_t blocks = 256;
+    const std::uint8_t *first = nullptr;
+    {
+        fs::MemBlockDevice dev(bs, blocks);
+        std::vector<std::uint8_t> ones(bs, 0xff);
+        for (std::uint64_t b = 0; b < blocks; ++b)
+            dev.writeBlock(b, ones);
+        first = dev.raw(0).data();
+    }
+    fs::MemBlockDevice dev(bs, blocks);
+    ASSERT_EQ(dev.raw(0).data(), first) << "the store was not recycled";
+    std::vector<std::uint8_t> all(bs * blocks, 0xaa);
+    dev.readRange(0, blocks, all);
+    EXPECT_TRUE(allZero(all));
+}
+
+class RecycledRaidArray : public ::testing::TestWithParam<raid::RaidLevel>
+{
+};
+
+TEST_P(RecycledRaidArray, IsZeroAndConsistentAfterFailAndRebuild)
+{
+    raid::LayoutConfig cfg;
+    cfg.level = GetParam();
+    cfg.numDisks = 6;
+    cfg.stripeUnitBytes = 4096;
+    constexpr std::uint64_t diskBytes = 256 * 1024;
+
+    std::vector<const std::uint8_t *> old;
+    {
+        raid::RaidArray a(cfg, diskBytes);
+        std::vector<std::uint8_t> data(a.capacity());
+        for (std::size_t i = 0; i < data.size(); ++i)
+            data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+        a.write(0, data);
+        a.failDisk(1);
+        a.rebuildDisk(1);
+        ASSERT_TRUE(a.redundancyConsistent());
+        for (unsigned d = 0; d < a.numDisks(); ++d)
+            old.push_back(a.diskData(d).data());
+    }
+
+    raid::RaidArray b(cfg, diskBytes);
+    for (unsigned d = 0; d < b.numDisks(); ++d) {
+        EXPECT_NE(std::find(old.begin(), old.end(), b.diskData(d).data()),
+                  old.end())
+            << "disk " << d << " was not recycled";
+        EXPECT_EQ(b.diskData(d).size(), diskBytes);
+        EXPECT_TRUE(allZero(b.diskData(d))) << "disk " << d;
+    }
+    EXPECT_TRUE(b.redundancyConsistent());
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, RecycledRaidArray,
+                         ::testing::Values(raid::RaidLevel::Raid1,
+                                           raid::RaidLevel::Raid3,
+                                           raid::RaidLevel::Raid5));
+
+/** One small fleet world; @p storeBytes gets the size of one of its
+ *  stores (the file-system device, or one twin disk). */
+ClientFleet::Results
+fleetWorld(bool integrity, std::size_t &storeBytes)
+{
+    Raid2Server::Config cfg;
+    cfg.topo.disksPerString = 2; // 16 disks
+    cfg.fsDeviceBytes = 32ull * 1024 * 1024;
+    cfg.withIntegrity = integrity;
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", cfg);
+    storeBytes = integrity ? srv.functionalArray().diskData(0).size()
+                           : cfg.fsDeviceBytes;
+    RequestScheduler sched(eq, srv);
+    ClientFleet::Config fc;
+    fc.sessions = 32;
+    fc.opsPerSession = 4;
+    fc.fileCount = 8;
+    fc.fileBytes = 512 * 1024;
+    fc.bulkBytes = 256 * 1024;
+    fc.smallBytes = 8 * 1024;
+    fc.readFraction = 0.5;
+    return ClientFleet::run(eq, srv, sched, fc);
+}
+
+void
+expectSameClass(const ClientFleet::ClassBreakdown &a,
+                const ClientFleet::ClassBreakdown &b)
+{
+    EXPECT_EQ(a.ops, b.ops);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.rejects, b.rejects);
+    EXPECT_EQ(a.latencyMs, b.latencyMs);
+}
+
+TEST(ByteStore, FleetOnRecycledStoresMatchesFreshThread)
+{
+    for (const bool integrity : {false, true}) {
+        SCOPED_TRACE(integrity ? "integrity on" : "integrity off");
+        std::size_t storeBytes = 0;
+        ClientFleet::Results fresh;
+        std::thread([&] { fresh = fleetWorld(integrity, storeBytes); })
+            .join();
+
+        // Build once here so this thread's pool holds the stores, then
+        // again on them.
+        fleetWorld(integrity, storeBytes);
+        g_watchBytes = storeBytes;
+        const std::uint64_t before = g_watchHits.load();
+        const ClientFleet::Results recycled =
+            fleetWorld(integrity, storeBytes);
+        EXPECT_EQ(g_watchHits.load() - before, 0u)
+            << "the world allocated a store";
+        g_watchBytes = 0;
+
+        EXPECT_GT(recycled.ops, 0u);
+        EXPECT_EQ(recycled.elapsed, fresh.elapsed);
+        EXPECT_EQ(recycled.ops, fresh.ops);
+        EXPECT_EQ(recycled.bytes, fresh.bytes);
+        EXPECT_EQ(recycled.retries, fresh.retries);
+        EXPECT_EQ(recycled.dropped, fresh.dropped);
+        EXPECT_EQ(recycled.corruptRetries, fresh.corruptRetries);
+        EXPECT_EQ(recycled.corruptOps, fresh.corruptOps);
+        expectSameClass(recycled.fast, fresh.fast);
+        expectSameClass(recycled.standard, fresh.standard);
+    }
+}
+
+#ifdef RAID2_TEST_ASAN
+void
+readByte(const std::uint8_t *p)
+{
+    volatile std::uint8_t b = *p;
+    (void)b;
+}
+#endif
+
+TEST(ByteStore, PooledBufferIsPoisonedUnderAsan)
+{
+#ifdef RAID2_TEST_ASAN
+    constexpr std::uint32_t bs = 4096;
+    constexpr std::uint64_t blocks = 64;
+    const std::uint8_t *dead = nullptr;
+    {
+        fs::MemBlockDevice dev(bs, blocks);
+        dead = dev.raw(blocks - 1).data();
+    }
+    EXPECT_TRUE(__asan_address_is_poisoned(dead));
+    EXPECT_DEATH(readByte(dead), "use-after-poison");
+
+    fs::MemBlockDevice dev(bs, blocks);
+    ASSERT_EQ(dev.raw(blocks - 1).data(), dead);
+    EXPECT_EQ(__asan_region_is_poisoned(dev.raw(0).data(), bs * blocks),
+              nullptr);
+#else
+    GTEST_SKIP() << "needs AddressSanitizer";
+#endif
+}
+
+} // namespace

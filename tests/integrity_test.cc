@@ -993,6 +993,33 @@ TEST(ServerIntegrity, StatsRegisterUnderIntegrityPrefix)
     EXPECT_FALSE(reg2.contains("integrity.verified_blocks"));
 }
 
+TEST(ServerIntegrity, TwinDisksHoldOneLayoutUnitPerStripe)
+{
+    // 16 disks under a 16 MB device.  RAID-5 stripes hold 15 x 64 KB,
+    // so 18 stripes of 64 KB per disk.  RAID-3 ignores the configured
+    // unit (4 KB here) for the 512 B sector: 15 x 512 B per stripe,
+    // 2185 stripes of 512 B per disk.
+    struct Case
+    {
+        raid::RaidLevel level;
+        std::uint64_t unit;
+        std::uint64_t diskBytes;
+    };
+    for (const Case c : {Case{raid::RaidLevel::Raid5, 65536, 18 * 65536},
+                         Case{raid::RaidLevel::Raid3, 4096, 2185 * 512}}) {
+        Raid2Server::Config cfg = serverCfg();
+        cfg.layout.level = c.level;
+        cfg.layout.stripeUnitBytes = c.unit;
+        sim::EventQueue eq;
+        Raid2Server srv(eq, "s", cfg);
+        const raid::RaidArray &twin = srv.functionalArray();
+        ASSERT_EQ(twin.numDisks(), 16u);
+        for (unsigned d = 0; d < twin.numDisks(); ++d)
+            EXPECT_EQ(twin.diskData(d).size(), c.diskBytes)
+                << "level " << static_cast<int>(c.level) << " disk " << d;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Client retry on DataCorrupt
 // ---------------------------------------------------------------------
