@@ -59,31 +59,29 @@ Lfs::clean(unsigned target_free)
         if (inode.dindirect == addr)
             return {PtrRole::Ind2Root, 0};
         if (inode.dindirect != nullAddr) {
-            std::vector<std::uint8_t> root(bs);
-            readBlockAny(inode.dindirect, {root.data(), root.size()});
-            const auto *ptrs =
-                reinterpret_cast<const BlockAddr *>(root.data());
+            scratchWalk.forget();
+            const std::uint8_t *root =
+                pointerBlock(scratchWalk.root, inode.dindirect);
             for (std::uint64_t ci = 0; ci < ptrs_per; ++ci) {
-                if (ptrs[ci] == addr)
+                if (pointerEntry(root, ci) == addr)
                     return {PtrRole::Ind2Child, ci};
             }
         }
         return {PtrRole::None, 0};
     };
 
-    // Relocate one live pointer block to the log head.
+    // Relocate one live pointer block to the log head: read once,
+    // straight into its new slot.
     auto relocate_pointer = [&](DiskInode &inode, BlockAddr addr,
                                 const PtrRoleResult &role) {
-        std::vector<std::uint8_t> content(bs);
-        readBlockAny(addr, {content.data(), content.size()});
         ensureSpace();
         BlockKind kind = role.role == PtrRole::Ind1 ? BlockKind::Ind1
                          : role.role == PtrRole::Ind2Root
                              ? BlockKind::Ind2Root
                              : BlockKind::Ind2Child;
-        const BlockAddr naddr =
-            segw->add(kind, inode.ino, role.childIndex,
-                      {content.data(), content.size()});
+        const BlockAddr naddr = segw->append(kind, inode.ino,
+                                             role.childIndex);
+        readBlockAny(addr, segw->block(naddr));
         usageAdd(naddr, bs);
         usageSub(addr, bs);
 
@@ -94,27 +92,14 @@ Lfs::clean(unsigned target_free)
           case PtrRole::Ind2Root:
             inode.dindirect = naddr;
             break;
-          case PtrRole::Ind2Child: {
+          case PtrRole::Ind2Child:
             // Update the root entry for this child.
-            std::vector<std::uint8_t> root(bs);
-            readBlockAny(inode.dindirect, {root.data(), root.size()});
-            std::memcpy(root.data() +
-                            role.childIndex * sizeof(BlockAddr),
-                        &naddr, sizeof(naddr));
-            if (segw->contains(inode.dindirect)) {
-                segw->updateInPlace(inode.dindirect,
-                                    {root.data(), root.size()});
-            } else {
+            if (!segw->contains(inode.dindirect))
                 ensureSpace();
-                const BlockAddr nroot =
-                    segw->add(BlockKind::Ind2Root, inode.ino, 0,
-                              {root.data(), root.size()});
-                usageAdd(nroot, bs);
-                usageSub(inode.dindirect, bs);
-                inode.dindirect = nroot;
-            }
+            inode.dindirect = setPointer(BlockKind::Ind2Root, inode.ino, 0,
+                                         inode.dindirect, role.childIndex,
+                                         naddr);
             break;
-          }
           case PtrRole::None:
             sim::panic("relocate_pointer with no role");
         }

@@ -381,6 +381,22 @@ summaryEntry(std::span<const std::uint8_t> region, std::size_t i)
     return e;
 }
 
+/** @{ Entry @p idx of a pointer block (an array of BlockAddr) held at
+ *  @p block. */
+inline BlockAddr
+pointerEntry(const std::uint8_t *block, std::uint64_t idx)
+{
+    BlockAddr addr;
+    std::memcpy(&addr, block + idx * sizeof(addr), sizeof(addr));
+    return addr;
+}
+inline void
+setPointerEntry(std::uint8_t *block, std::uint64_t idx, BlockAddr addr)
+{
+    std::memcpy(block + idx * sizeof(addr), &addr, sizeof(addr));
+}
+/** @} */
+
 inline std::uint32_t
 Superblock::imapEntriesPerChunk() const
 {

@@ -8,6 +8,7 @@
  * records the chunk addresses.
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include "lfs/lfs.hh"
@@ -54,7 +55,7 @@ Lfs::flushImap()
         ensureSpace();
         const BlockAddr old = imapChunkAddr[c];
         if (old != nullAddr && segw->contains(old)) {
-            segw->updateInPlace(old, {block.data(), block.size()});
+            std::copy(block.begin(), block.end(), segw->block(old).begin());
         } else {
             const BlockAddr addr =
                 segw->add(BlockKind::ImapChunk, nullIno, c,

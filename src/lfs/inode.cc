@@ -5,6 +5,7 @@
  * indirect blocks.
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include "lfs/lfs.hh"
@@ -159,19 +160,17 @@ Lfs::flushInodes()
     }
 }
 
-BlockAddr
-Lfs::pointerAt(BlockMapWalk::Slot &slot, BlockAddr blk,
-               std::uint64_t idx) const
+const std::uint8_t *
+Lfs::pointerBlock(BlockMapWalk::Slot &slot, BlockAddr blk) const
 {
+    if (segw->contains(blk))
+        return segw->block(blk).data();
     if (slot.addr != blk) {
         slot.bytes.resize(sb.blockSize);
-        readBlockAny(blk, {slot.bytes.data(), slot.bytes.size()});
+        dev.readBlock(blk, {slot.bytes.data(), slot.bytes.size()});
         slot.addr = blk;
     }
-    BlockAddr addr;
-    std::memcpy(&addr, slot.bytes.data() + idx * sizeof(addr),
-                sizeof(addr));
-    return addr;
+    return slot.bytes.data();
 }
 
 BlockAddr
@@ -185,17 +184,18 @@ Lfs::getFileBlock(const DiskInode &inode, std::uint64_t fbno,
     if (fbno < numDirect + p) {
         if (inode.indirect == nullAddr)
             return nullAddr;
-        return pointerAt(walk.ind1, inode.indirect, fbno - numDirect);
+        return pointerEntry(pointerBlock(walk.ind1, inode.indirect),
+                            fbno - numDirect);
     }
     if (fbno < maxFileBlocks(sb.blockSize)) {
         if (inode.dindirect == nullAddr)
             return nullAddr;
         const std::uint64_t rel = fbno - numDirect - p;
-        const BlockAddr child = pointerAt(walk.root, inode.dindirect,
-                                          rel / p);
+        const BlockAddr child =
+            pointerEntry(pointerBlock(walk.root, inode.dindirect), rel / p);
         if (child == nullAddr)
             return nullAddr;
-        return pointerAt(walk.child, child, rel % p);
+        return pointerEntry(pointerBlock(walk.child, child), rel % p);
     }
     throw LfsError(Errno::FileTooBig, "file block number out of range");
 }
@@ -203,8 +203,28 @@ Lfs::getFileBlock(const DiskInode &inode, std::uint64_t fbno,
 BlockAddr
 Lfs::getFileBlock(const DiskInode &inode, std::uint64_t fbno) const
 {
-    BlockMapWalk walk;
-    return getFileBlock(inode, fbno, walk);
+    scratchWalk.forget();
+    return getFileBlock(inode, fbno, scratchWalk);
+}
+
+BlockAddr
+Lfs::setPointer(BlockKind kind, InodeNum ino, std::uint64_t aux,
+                BlockAddr ref, std::uint64_t idx, BlockAddr value)
+{
+    BlockAddr at = ref;
+    if (ref == nullAddr || !segw->contains(ref)) {
+        at = segw->append(kind, ino, aux);
+        usageAdd(at, sb.blockSize);
+        const std::span<std::uint8_t> slot = segw->block(at);
+        if (ref == nullAddr) {
+            std::fill(slot.begin(), slot.end(), 0);
+        } else {
+            dev.readBlock(ref, slot);
+            usageSub(ref, sb.blockSize);
+        }
+    }
+    setPointerEntry(segw->block(at).data(), idx, value);
+    return at;
 }
 
 void
@@ -212,34 +232,13 @@ Lfs::setFileBlock(DiskInode &inode, std::uint64_t fbno, BlockAddr addr)
 {
     const std::uint32_t p = ptrsPer(sb.blockSize);
 
-    // Rewrite (or update in place) one pointer block.
-    auto rewrite = [this](BlockKind kind, InodeNum ino, std::uint64_t aux,
-                          BlockAddr ref, std::uint64_t idx,
-                          BlockAddr value) -> BlockAddr {
-        std::vector<std::uint8_t> block(sb.blockSize, 0);
-        if (ref != nullAddr)
-            readBlockAny(ref, {block.data(), block.size()});
-        std::memcpy(block.data() + idx * sizeof(value), &value,
-                    sizeof(value));
-        if (ref != nullAddr && segw->contains(ref)) {
-            segw->updateInPlace(ref, {block.data(), block.size()});
-            return ref;
-        }
-        const BlockAddr naddr =
-            segw->add(kind, ino, aux, {block.data(), block.size()});
-        usageAdd(naddr, sb.blockSize);
-        if (ref != nullAddr)
-            usageSub(ref, sb.blockSize);
-        return naddr;
-    };
-
     if (fbno < numDirect) {
         inode.direct[fbno] = addr;
         return;
     }
     if (fbno < numDirect + p) {
-        inode.indirect = rewrite(BlockKind::Ind1, inode.ino, 0,
-                                 inode.indirect, fbno - numDirect, addr);
+        inode.indirect = setPointer(BlockKind::Ind1, inode.ino, 0,
+                                    inode.indirect, fbno - numDirect, addr);
         return;
     }
     if (fbno >= maxFileBlocks(sb.blockSize))
@@ -249,19 +248,19 @@ Lfs::setFileBlock(DiskInode &inode, std::uint64_t fbno, BlockAddr addr)
     const std::uint64_t ci = rel / p;
     const std::uint64_t idx = rel % p;
 
-    // Find the current child block.
-    BlockAddr child = nullAddr;
-    if (inode.dindirect != nullAddr) {
-        std::vector<std::uint8_t> root(sb.blockSize);
-        readBlockAny(inode.dindirect, {root.data(), root.size()});
-        std::memcpy(&child, root.data() + ci * sizeof(child),
-                    sizeof(child));
-    }
-    const BlockAddr new_child = rewrite(BlockKind::Ind2Child, inode.ino,
-                                        ci, child, idx, addr);
+    // The child first, then the root only if the child moved: the
+    // order of the appends is the log layout.
+    scratchWalk.forget();
+    const BlockAddr child =
+        inode.dindirect == nullAddr
+            ? nullAddr
+            : pointerEntry(pointerBlock(scratchWalk.root, inode.dindirect),
+                           ci);
+    const BlockAddr new_child = setPointer(BlockKind::Ind2Child, inode.ino,
+                                           ci, child, idx, addr);
     if (new_child != child) {
-        inode.dindirect = rewrite(BlockKind::Ind2Root, inode.ino, 0,
-                                  inode.dindirect, ci, new_child);
+        inode.dindirect = setPointer(BlockKind::Ind2Root, inode.ino, 0,
+                                     inode.dindirect, ci, new_child);
     }
 }
 
@@ -272,7 +271,10 @@ Lfs::writeFileBlock(DiskInode &inode, std::uint64_t fbno,
     ensureSpace();
     const BlockAddr old = getFileBlock(inode, fbno);
     if (old != nullAddr && segw->contains(old)) {
-        segw->updateInPlace(old, data);
+        const std::span<std::uint8_t> slot = segw->block(old);
+        if (data.size() != slot.size())
+            sim::panic("Lfs: bad block size %zu", data.size());
+        std::copy(data.begin(), data.end(), slot.begin());
         return;
     }
     const BlockAddr addr =
@@ -301,63 +303,63 @@ Lfs::freeFileBlocks(DiskInode &inode, std::uint64_t first_keep_fbno)
 
     // Clear entries [from, p) of pointer block @p ref (freeing deep
     // children first); returns its new address, nullAddr once empty.
-    // By value: @p ref is often a packed DiskInode field, which a
-    // reference must not bind to.
+    // The open segment's copy is trimmed in place; any other is
+    // trimmed in @c copy and relocated.  An emptied block is dead and
+    // keeps its bytes.  By value: @p ref is often a packed DiskInode
+    // field, which a reference must not bind to.
+    std::vector<std::uint8_t> copy;
     auto clear_tail = [&](BlockAddr ref, std::uint64_t from,
                           bool entries_are_children,
                           auto &&clear_child) -> BlockAddr {
         if (ref == nullAddr)
             return nullAddr;
-        std::vector<std::uint8_t> block(bs);
-        readBlockAny(ref, {block.data(), block.size()});
-        auto *ptrs = reinterpret_cast<BlockAddr *>(block.data());
+        const bool buffered = segw->contains(ref);
+        if (!buffered) {
+            copy.resize(bs);
+            dev.readBlock(ref, {copy.data(), copy.size()});
+        }
+        std::uint8_t *ptrs =
+            buffered ? segw->block(ref).data() : copy.data();
         bool any_live = false;
+        for (std::uint64_t i = 0; i < from; ++i)
+            any_live = any_live || pointerEntry(ptrs, i) != nullAddr;
         bool changed = false;
-        for (std::uint64_t i = 0; i < p; ++i) {
-            if (i < from) {
-                any_live = any_live || ptrs[i] != nullAddr;
-                continue;
-            }
-            if (ptrs[i] == nullAddr)
+        for (std::uint64_t i = from; i < p; ++i) {
+            const BlockAddr entry = pointerEntry(ptrs, i);
+            if (entry == nullAddr)
                 continue;
             if (entries_are_children) {
-                clear_child(ptrs[i]);
+                clear_child(entry);
             } else {
-                usageSub(ptrs[i], bs);
+                usageSub(entry, bs);
             }
-            ptrs[i] = nullAddr;
+            if (any_live)
+                setPointerEntry(ptrs, i, nullAddr);
             changed = true;
         }
         if (!any_live) {
             usageSub(ref, bs);
             return nullAddr;
         }
-        if (changed) {
-            if (segw->contains(ref)) {
-                segw->updateInPlace(ref, {block.data(), block.size()});
-            } else {
-                // The trimmed pointer block must be relocated; kind is
-                // approximate (Ind1) — the cleaner re-derives liveness
-                // from the inode, not the summary kind.
-                const BlockAddr naddr =
-                    segw->add(BlockKind::Ind1, inode.ino, 0,
-                              {block.data(), block.size()});
-                usageAdd(naddr, bs);
-                usageSub(ref, bs);
-                return naddr;
-            }
-        }
-        return ref;
+        if (!changed || buffered)
+            return ref;
+        // The trimmed pointer block must be relocated; kind is
+        // approximate (Ind1) — the cleaner re-derives liveness from the
+        // inode, not the summary kind.
+        const BlockAddr naddr = segw->add(BlockKind::Ind1, inode.ino, 0,
+                                          {copy.data(), copy.size()});
+        usageAdd(naddr, bs);
+        usageSub(ref, bs);
+        return naddr;
     };
 
     auto free_whole_child = [&](BlockAddr child) {
-        std::vector<std::uint8_t> block(bs);
-        readBlockAny(child, {block.data(), block.size()});
-        const auto *ptrs =
-            reinterpret_cast<const BlockAddr *>(block.data());
+        scratchWalk.forget();
+        const std::uint8_t *ptrs = pointerBlock(scratchWalk.child, child);
         for (std::uint64_t i = 0; i < p; ++i) {
-            if (ptrs[i] != nullAddr)
-                usageSub(ptrs[i], bs);
+            const BlockAddr entry = pointerEntry(ptrs, i);
+            if (entry != nullAddr)
+                usageSub(entry, bs);
         }
         usageSub(child, bs);
     };
@@ -381,24 +383,25 @@ Lfs::freeFileBlocks(DiskInode &inode, std::uint64_t first_keep_fbno)
         const std::uint64_t first_child = from_rel / p;
         const std::uint64_t within = from_rel % p;
 
+        // The root as it stands now: the trim below can close the
+        // segment it sits in, and then this copy is what relocates.
         std::vector<std::uint8_t> root(bs);
         readBlockAny(inode.dindirect, {root.data(), root.size()});
-        auto *ptrs = reinterpret_cast<BlockAddr *>(root.data());
+        const BlockAddr old_child = first_child < p
+                                        ? pointerEntry(root.data(), first_child)
+                                        : nullAddr;
 
         // Partially trim the boundary child.
-        if (within != 0 && first_child < p &&
-            ptrs[first_child] != nullAddr) {
+        if (within != 0 && old_child != nullAddr) {
             ensureSpace();
-            const BlockAddr child = clear_tail(ptrs[first_child], within,
-                                               false, free_whole_child);
-            if (child != ptrs[first_child]) {
-                ptrs[first_child] = child;
-                // Root content changed; fold into the rewrite below by
-                // writing it back through setFileBlock-style path.
+            const BlockAddr child = clear_tail(old_child, within, false,
+                                               free_whole_child);
+            if (child != old_child) {
                 if (segw->contains(inode.dindirect)) {
-                    segw->updateInPlace(inode.dindirect,
-                                        {root.data(), root.size()});
+                    setPointerEntry(segw->block(inode.dindirect).data(),
+                                    first_child, child);
                 } else {
+                    setPointerEntry(root.data(), first_child, child);
                     ensureSpace();
                     const BlockAddr naddr = segw->add(
                         BlockKind::Ind2Root, inode.ino, 0,

@@ -136,6 +136,7 @@ Lfs::Lfs(fs::BlockDevice &dev_) : dev(dev_)
     prm.blockSize = sb.blockSize;
     prm.segBlocks = sb.segBlocks;
     prm.maxInodes = sb.maxInodes;
+    mergeBuf.resize(sb.blockSize);
 
     imap.assign(sb.maxInodes, ImapEntry{});
     imapChunkAddr.assign(sb.numImapChunks(), nullAddr);
@@ -171,7 +172,10 @@ Lfs::readBlockAny(BlockAddr addr, std::span<std::uint8_t> out) const
     if (addr == nullAddr)
         sim::panic("Lfs: read of null block address");
     if (segw->contains(addr)) {
-        segw->readBuffered(addr, out);
+        const std::span<const std::uint8_t> buffered = segw->block(addr);
+        if (out.size() != buffered.size())
+            sim::panic("Lfs: bad block size %zu", out.size());
+        std::copy(buffered.begin(), buffered.end(), out.begin());
         return;
     }
     dev.readBlock(addr, out);
@@ -296,7 +300,6 @@ Lfs::writeData(DiskInode &inode, std::uint64_t off,
     const std::uint32_t bs = sb.blockSize;
     std::uint64_t pos = off;
     std::uint64_t left = data.size();
-    std::vector<std::uint8_t> blockbuf(bs);
 
     while (left > 0) {
         const std::uint64_t fbno = pos / bs;
@@ -312,11 +315,11 @@ Lfs::writeData(DiskInode &inode, std::uint64_t off,
             // Partial block: merge with the existing contents.
             const BlockAddr old = getFileBlock(inode, fbno);
             if (old != nullAddr)
-                readBlockAny(old, {blockbuf.data(), bs});
+                readBlockAny(old, {mergeBuf.data(), bs});
             else
-                std::fill(blockbuf.begin(), blockbuf.end(), 0);
-            std::memcpy(blockbuf.data() + in_block, src, take);
-            writeFileBlock(inode, fbno, {blockbuf.data(), bs});
+                std::fill(mergeBuf.begin(), mergeBuf.end(), 0);
+            std::memcpy(mergeBuf.data() + in_block, src, take);
+            writeFileBlock(inode, fbno, {mergeBuf.data(), bs});
         }
         pos += take;
         left -= take;

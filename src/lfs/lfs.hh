@@ -318,10 +318,15 @@ class Lfs
     void freeInode(InodeNum ino);
     void flushInodes();
     /**
-     * Pointer blocks read by one read-only block-map walk (mapFile,
-     * readData), so each is read once per call rather than once per
-     * file block.  A walk lives on its caller's stack and must not
-     * outlive the call: the write path rewrites pointer blocks.
+     * Pointer blocks read by one block-map walk.  A block in the open
+     * segment is read in place, through the segment writer's view of
+     * its slot, and never cached; any other block is read from the
+     * device into its slot once.  A read-only walk (mapFile, readData)
+     * lives on its caller's stack, so each pointer block is read once
+     * per call rather than once per file block.  On the write path no
+     * cached block outlives one lookup: within one long write a
+     * segment can be freed and reused, and a copy of a block that was
+     * in it would be stale.
      */
     struct BlockMapWalk
     {
@@ -331,16 +336,26 @@ class Lfs
             std::vector<std::uint8_t> bytes;
         };
         Slot ind1, root, child;
+        /** Drop the cached blocks; keep their buffers. */
+        void forget() { ind1.addr = root.addr = child.addr = nullAddr; }
     };
-    /** Entry @p idx of pointer block @p blk, read into @p slot unless
-     *  it already holds @p blk. */
-    BlockAddr pointerAt(BlockMapWalk::Slot &slot, BlockAddr blk,
-                        std::uint64_t idx) const;
+    /** Pointer block @p blk's bytes (pointerEntry() reads them): the
+     *  open segment's copy in place, else read into @p slot unless it
+     *  already holds @p blk. */
+    const std::uint8_t *pointerBlock(BlockMapWalk::Slot &slot,
+                                     BlockAddr blk) const;
     BlockAddr getFileBlock(const DiskInode &inode, std::uint64_t fbno,
                            BlockMapWalk &walk) const;
-    /** One lookup with a fresh walk (write path, cleaner). */
+    /** One lookup through scratchWalk, afresh (write path, cleaner). */
     BlockAddr getFileBlock(const DiskInode &inode,
                            std::uint64_t fbno) const;
+    /** Store @p value at entry @p idx of pointer block @p ref, in the
+     *  open segment's copy.  A block outside it is first appended
+     *  there, read once from the device straight into its new slot
+     *  (zero-filled when @p ref is nullAddr), and its usage moves.
+     *  @return the block's address in the open segment. */
+    BlockAddr setPointer(BlockKind kind, InodeNum ino, std::uint64_t aux,
+                         BlockAddr ref, std::uint64_t idx, BlockAddr value);
     void setFileBlock(DiskInode &inode, std::uint64_t fbno,
                       BlockAddr addr);
     void writeFileBlock(DiskInode &inode, std::uint64_t fbno,
@@ -403,6 +418,14 @@ class Lfs
 
     mutable std::map<InodeNum, DiskInode> inodeCache;
     std::set<InodeNum> dirtyInodes;
+
+    /** @{ Write-path scratch, kept across calls so a warm write
+     *  allocates nothing: the buffers for pointer blocks read from the
+     *  device, one lookup at a time, and writeData's partial-block
+     *  merge. */
+    mutable BlockMapWalk scratchWalk;
+    std::vector<std::uint8_t> mergeBuf;
+    /** @} */
 
     std::unique_ptr<SegmentWriter> segw;
     std::uint64_t nextSegSeq = 1;

@@ -9,7 +9,8 @@ namespace raid2::lfs {
 
 SegmentWriter::SegmentWriter(fs::BlockDevice &dev_, const Superblock &sb_)
     : dev(dev_), sb(sb_), summaryBlocks(sb_.summaryBlocksPerSegment()),
-      image(std::size_t(sb_.segBlocks) * sb_.blockSize, 0)
+      image(std::size_t(sb_.segBlocks) * sb_.blockSize, 0),
+      sums(sb_.payloadBlocksPerSegment())
 {
 }
 
@@ -40,17 +41,24 @@ BlockAddr
 SegmentWriter::add(BlockKind kind, InodeNum ino, std::uint64_t aux,
                    std::span<const std::uint8_t> data)
 {
+    if (data.size() != sb.blockSize)
+        sim::panic("SegmentWriter: bad block size %zu", data.size());
+    const BlockAddr addr = append(kind, ino, aux);
+    std::memcpy(slotData(addr - payloadBase()), data.data(), sb.blockSize);
+    return addr;
+}
+
+BlockAddr
+SegmentWriter::append(BlockKind kind, InodeNum ino, std::uint64_t aux)
+{
     if (!opened)
         sim::panic("SegmentWriter: add with no open segment");
     if (!hasSpace())
         sim::panic("SegmentWriter: segment overflow");
-    if (data.size() != sb.blockSize)
-        sim::panic("SegmentWriter: bad block size %zu", data.size());
 
     // csum is filled in by writeOut, once the block's bytes are final.
     const SummaryEntry e{static_cast<std::uint32_t>(kind), ino, aux, 0};
     std::memcpy(entryData(used), &e, sizeof(e));
-    std::memcpy(slotData(used), data.data(), sb.blockSize);
     return payloadBase() + used++;
 }
 
@@ -60,26 +68,12 @@ SegmentWriter::contains(BlockAddr addr) const
     return opened && addr >= payloadBase() && addr < payloadBase() + used;
 }
 
-void
-SegmentWriter::updateInPlace(BlockAddr addr,
-                             std::span<const std::uint8_t> data)
+std::span<std::uint8_t>
+SegmentWriter::block(BlockAddr addr)
 {
     if (!contains(addr))
-        sim::panic("SegmentWriter: update of non-buffered block");
-    if (data.size() != sb.blockSize)
-        sim::panic("SegmentWriter: bad block size %zu", data.size());
-    std::memcpy(slotData(addr - payloadBase()), data.data(), sb.blockSize);
-}
-
-void
-SegmentWriter::readBuffered(BlockAddr addr,
-                            std::span<std::uint8_t> out) const
-{
-    if (!contains(addr))
-        sim::panic("SegmentWriter: read of non-buffered block");
-    if (out.size() != sb.blockSize)
-        sim::panic("SegmentWriter: bad block size %zu", out.size());
-    std::memcpy(out.data(), slotData(addr - payloadBase()), sb.blockSize);
+        sim::panic("SegmentWriter: access to non-buffered block");
+    return {slotData(addr - payloadBase()), sb.blockSize};
 }
 
 void
@@ -91,7 +85,6 @@ SegmentWriter::writeOut(std::uint64_t next_segment)
         sim::panic("SegmentWriter: writeOut of empty segment");
 
     // Every block's SummaryEntry::csum over its final bytes.
-    std::vector<std::uint64_t> sums(used);
     blockChecksums(slotData(0), used, sb.blockSize, sums.data());
     for (unsigned i = 0; i < used; ++i) {
         std::memcpy(entryData(i) + offsetof(SummaryEntry, csum), &sums[i],

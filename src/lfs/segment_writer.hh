@@ -10,6 +10,9 @@
  * to a sequential append-only log", §3.1).  Repeated
  * updates to a block that is still in the open segment are folded in
  * place, so a burst of small writes to one file costs one log slot.
+ * Callers read and edit a buffered block through block(), a view of
+ * its slot in the image: a pointer-block update is an 8-byte store,
+ * not a copy of the block.
  */
 
 #ifndef RAID2_LFS_SEGMENT_WRITER_HH
@@ -59,21 +62,26 @@ class SegmentWriter
     BlockAddr add(BlockKind kind, InodeNum ino, std::uint64_t aux,
                   std::span<const std::uint8_t> data);
 
+    /**
+     * add() without the copy: the new slot holds whatever an earlier
+     * segment left there, and the caller fills block() of the returned
+     * address before anything reads it.
+     * @pre hasSpace()
+     */
+    BlockAddr append(BlockKind kind, InodeNum ino, std::uint64_t aux);
+
     /** True if @p addr is a slot of the open segment. */
     bool contains(BlockAddr addr) const;
 
-    /** Overwrite the buffered copy of @p addr (must be contained). */
-    void updateInPlace(BlockAddr addr,
-                       std::span<const std::uint8_t> data);
-
-    /** Read a buffered block (must be contained). */
-    void readBuffered(BlockAddr addr, std::span<std::uint8_t> out) const;
+    /** The buffered copy of @p addr (must be contained), to read or
+     *  edit in place.  Valid until the segment is written out. */
+    std::span<std::uint8_t> block(BlockAddr addr);
 
     /**
      * Write the segment image to the device and reset.  @p next_segment
      * is recorded in the summary so recovery can follow the chain.
      * Every checksum in the summary is computed here, over the final
-     * bytes: add() and updateInPlace() only copy them into the image.
+     * bytes: add() and edits through block() only change the image.
      */
     void writeOut(std::uint64_t next_segment);
 
@@ -89,10 +97,6 @@ class SegmentWriter
     }
     /** Payload slot @p slot's bytes in the image. */
     std::uint8_t *slotData(std::size_t slot)
-    {
-        return image.data() + (summaryBlocks + slot) * sb.blockSize;
-    }
-    const std::uint8_t *slotData(std::size_t slot) const
     {
         return image.data() + (summaryBlocks + slot) * sb.blockSize;
     }
@@ -113,6 +117,7 @@ class SegmentWriter
     std::uint64_t seq = 0;
     unsigned used = 0; // payload slots filled
     std::vector<std::uint8_t> image; // segBlocks * blockSize
+    std::vector<std::uint64_t> sums; // writeOut's per-slot checksums
     std::uint64_t written = 0;
     std::uint64_t payloadBytes = 0;
 };

@@ -437,18 +437,7 @@ void
 Raid2Server::fileWrite(lfs::InodeNum ino, std::uint64_t off,
                        std::uint64_t len, std::function<void()> done)
 {
-    // Synthesize a deterministic payload for benches that don't care
-    // about the bytes.  payloadByte() repeats every 256 bytes: fill one
-    // period, then double the filled prefix until the buffer is full
-    // (every copy lands on a period boundary).
-    auto data = std::make_shared<std::vector<std::uint8_t>>(len);
-    std::uint8_t *p = data->data();
-    const std::uint64_t period = std::min<std::uint64_t>(len, 256);
-    for (std::uint64_t i = 0; i < period; ++i)
-        p[i] = payloadByte(off + i, ino);
-    for (std::uint64_t n = period; n < len; n *= 2)
-        std::memcpy(p + n, p, std::min(n, len - n));
-    writePayload(ino, off, std::move(data), std::move(done));
+    writePayload(ino, off, len, nullptr, std::move(done));
 }
 
 void
@@ -456,21 +445,39 @@ Raid2Server::fileWriteData(lfs::InodeNum ino, std::uint64_t off,
                            std::span<const std::uint8_t> data,
                            std::function<void()> done)
 {
-    writePayload(ino, off,
+    writePayload(ino, off, data.size(),
                  std::make_shared<const std::vector<std::uint8_t>>(
                      data.begin(), data.end()),
                  std::move(done));
 }
 
+std::span<const std::uint8_t>
+Raid2Server::payloadWindow(lfs::InodeNum ino, std::uint64_t off,
+                           std::uint64_t len)
+{
+    // The table holds payloadByte(j, 0) = j * 131 mod 256.  From
+    // k = 43 * payloadByte(off, ino) mod 256 on, it reads
+    // payloadByte(off + i, ino) (131 * 43 = 1 mod 256), so any write
+    // fits in a table 255 bytes longer than the longest write.
+    if (payloadTable.size() < len + 255) {
+        const std::size_t filled = payloadTable.size();
+        payloadTable.resize(len + 255);
+        for (std::size_t j = filled; j < payloadTable.size(); ++j)
+            payloadTable[j] = payloadByte(j, 0);
+    }
+    const std::size_t k = (43u * payloadByte(off, ino)) % 256;
+    return {payloadTable.data() + k, len};
+}
+
 void
 Raid2Server::writePayload(
-    lfs::InodeNum ino, std::uint64_t off,
+    lfs::InodeNum ino, std::uint64_t off, std::uint64_t len,
     std::shared_ptr<const std::vector<std::uint8_t>> data,
     std::function<void()> done)
 {
     // Per-request file system + network software cost (~3 ms, §3.4),
     // serialized on the server software path.
-    fsCpu->submitBusyTime(cfg.fsWriteOverhead, [this, ino, off, data,
+    fsCpu->submitBusyTime(cfg.fsWriteOverhead, [this, ino, off, len, data,
                                                 done =
                                                     std::move(done)]()
                                                    mutable {
@@ -478,21 +485,26 @@ Raid2Server::writePayload(
         // cached copy (if any) is now stale (§3.2: "The file system
         // keeps the two caches consistent").
         if (_fsOpObserver)
-            _fsOpObserver({FsOp::Kind::Write, {}, ino, off,
-                           data->size()});
+            _fsOpObserver({FsOp::Kind::Write, {}, ino, off, len});
         _hostCache.invalidate(ino);
-        fs().write(ino, off, {data->data(), data->size()});
+        // The window is taken now, not at the call: a longer write
+        // submitted since may have grown (moved) the table.
+        fs().write(ino, off,
+                   data ? std::span<const std::uint8_t>(*data)
+                        : payloadWindow(ino, off, len));
 
         // Copy into the XBUS segment buffer.
-        _board->memory().submit(data->size(), [this,
-                                               done = std::move(done)]()
-                                                  mutable {
+        _board->memory().submit(len, [this, done = std::move(done)]()
+                                         mutable {
             drainPendingWrites(nullptr);
-            if (flushesInFlight >= cfg.maxFlushesInFlight) {
+            // A write nobody waits for (an NVRAM-acknowledged standard
+            // write) never queues behind the flushes.
+            if (!done)
+                return;
+            if (flushesInFlight >= cfg.maxFlushesInFlight)
                 flushWaiters.push_back(std::move(done));
-            } else if (done) {
+            else
                 done();
-            }
         });
     });
 }

@@ -21,7 +21,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "fault/fault_controller.hh"
 #include "fault/recovery_manager.hh"
@@ -58,13 +60,17 @@ const char *statusName(Status st);
 /**
  * Byte @p pos of file @p ino as Raid2Server::fileWrite synthesizes it:
  * (pos * 131 + ino) mod 256, the same whatever the order of the writes.
- * 131 * 256 is 0 mod 256, so the pattern repeats every 256 bytes.
+ * 131 * 256 is 0 mod 256, so the pattern repeats every 256 bytes, and
+ * 131 is odd, so it has an inverse mod 256 (43): file @p ino's bytes
+ * from @p pos on are file 0's bytes from 43 * payloadByte(pos, ino)
+ * on.  fileWrite therefore reads every payload out of one table.
  */
 constexpr std::uint8_t
 payloadByte(std::uint64_t pos, lfs::InodeNum ino)
 {
     return static_cast<std::uint8_t>(pos * 131 + ino);
 }
+static_assert(131 * 43 % 256 == 1, "43 is 131's inverse mod 256");
 
 /** One-XBUS-board RAID-II server. */
 class Raid2Server
@@ -177,7 +183,10 @@ class Raid2Server
     /**
      * Timed + functional file write of payloadByte() bytes.  Completion
      * models LFS write-behind: the request finishes once buffered
-     * (overhead + memory copy) unless segment flushes back up.
+     * (overhead + memory copy) unless segment flushes back up.  The
+     * bytes are a window into one per-server table of payloadByte(j,
+     * 0), taken when the fs CPU step applies the write: no buffer is
+     * built per write.  @p done may be empty.
      */
     void fileWrite(lfs::InodeNum ino, std::uint64_t off,
                    std::uint64_t len, std::function<void()> done);
@@ -316,11 +325,18 @@ class Raid2Server
     /** @} */
 
   private:
-    /** fileWrite() and fileWriteData() once the bytes are in @p data,
-     *  which the server owns until the functional write. */
+    /** fileWrite() and fileWriteData(): @p len bytes from @p data,
+     *  which the server owns until the functional write, or from
+     *  payloadWindow() when @p data is null. */
     void writePayload(lfs::InodeNum ino, std::uint64_t off,
+                      std::uint64_t len,
                       std::shared_ptr<const std::vector<std::uint8_t>> data,
                       std::function<void()> done);
+    /** payloadByte(off + i, ino) for i in [0, len), as a window into
+     *  payloadTable (grown as needed; valid until it next grows). */
+    std::span<const std::uint8_t> payloadWindow(lfs::InodeNum ino,
+                                                std::uint64_t off,
+                                                std::uint64_t len);
     /** Collect LFS device writes and issue them to the timed array. */
     void drainPendingWrites(std::function<void()> per_batch_done);
     void noteDeviceWrite(std::uint64_t off, std::uint64_t len);
@@ -384,6 +400,9 @@ class Raid2Server
     std::deque<std::function<void()>> flushWaiters;
 
     host::LruCache _hostCache;
+
+    /** payloadByte(j, 0) for j below the longest write + 255. */
+    std::vector<std::uint8_t> payloadTable;
 
     std::uint64_t _segmentFlushes = 0;
     std::uint64_t _flushedBytes = 0;

@@ -13,10 +13,12 @@
  * (tick, sequence); the wide fanout halves the sift depth of a binary
  * heap and keeps siblings on adjacent cache lines.  In front of the
  * heap sits a monotone ring: an event scheduled no earlier than the
- * ring's tail is appended in O(1), so the common simulation patterns —
- * bulk scheduling, arrival generators, trace replay — never touch the
- * heap at all, and popping compares the ring head with the heap top to
- * preserve the exact global (tick, sequence) order.  Scheduling is
+ * ring's tail is appended in O(1), so bulk scheduling, arrival
+ * generators and trace replay never touch the heap, and popping
+ * compares the ring head with the heap top to preserve the exact
+ * global (tick, sequence) order.  Interleaved service completions are
+ * not monotone, and on the repository benchmark most events go to the
+ * heap (docs/PERFORMANCE.md, kernel mechanism 1).  Scheduling is
  * O(log n) worst case with no per-node allocations: entries are
  * 16-byte trivially-copyable (id, tick) pairs so sifts are plain
  * loads/stores, and the closures — sim::Event values (small-buffer

@@ -174,8 +174,8 @@ TEST(ChecksumMap, RecordsAnExtentInOnePass)
 
 TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
 {
-    // add() and updateInPlace() only copy bytes; writeOut() computes
-    // every checksum.  A rewritten slot must be summarised with its
+    // add() and edits through block() only change bytes; writeOut()
+    // computes every checksum.  A rewritten slot must be summarised with its
     // final bytes, and the image must be one that roll-forward and the
     // integrity re-seed both accept.
     fs::MemBlockDevice dev(kBs, 4096);
@@ -200,7 +200,8 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
                               {final_blocks[i].data(), kBs}));
     }
     final_blocks[2] = patternBlock(999);
-    w.updateInPlace(addrs[2], {final_blocks[2].data(), kBs});
+    std::copy(final_blocks[2].begin(), final_blocks[2].end(),
+              w.block(addrs[2]).begin());
     w.writeOut(1);
 
     const std::uint32_t summary_blocks = sb.summaryBlocksPerSegment();

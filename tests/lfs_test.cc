@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "fs/mem_block_device.hh"
@@ -462,6 +463,84 @@ TEST_F(LfsFixture, LogFullThrowsNoSpace)
         EXPECT_EQ(e.code(), Errno::NoSpace);
     }
     EXPECT_TRUE(threw);
+}
+
+/**
+ * Pins the log layout: which slot each block lands in, every pointer
+ * value, every summary and checkpoint byte.  A seeded workload runs
+ * six files out to 6 MB (direct, single- and double-indirect blocks)
+ * with writes from 1 B to 600 KB, periodic sync / truncate /
+ * checkpoint and the cleaner on; the device image after a remount
+ * must hash to the value the layout had when this test was written.
+ * A change that only makes the write path cheaper leaves it alone; a
+ * change that moves a byte on the media updates the constant and says
+ * why.
+ */
+TEST(LfsGolden, DeviceImageDigest)
+{
+    constexpr std::uint64_t goldenDigest = 0x951253f99c486ff3;
+    constexpr unsigned files = 6;
+    constexpr std::uint64_t fileMax = 6 * 1024 * 1024;
+    constexpr std::uint64_t maxWrite = 600 * 1024;
+    constexpr unsigned ops = 2000;
+
+    fs::MemBlockDevice dev(4096, 24576); // 96 MB, 960 KB segments
+    Lfs::format(dev);
+    sim::Random rng(2024);
+    std::vector<std::uint8_t> pool(1024 * 1024);
+    for (auto &b : pool)
+        b = static_cast<std::uint8_t>(rng.next());
+    std::vector<std::vector<std::uint8_t>> shadow(files);
+    {
+        Lfs fs(dev);
+        fs.setAutoClean(true);
+        std::vector<lfs::InodeNum> inos;
+        for (unsigned f = 0; f < files; ++f)
+            inos.push_back(fs.create("/f" + std::to_string(f)));
+        for (unsigned op = 1; op <= ops; ++op) {
+            const unsigned f = static_cast<unsigned>(rng.below(files));
+            std::vector<std::uint8_t> &ref = shadow[f];
+            if (op % 41 == 0) {
+                const std::uint64_t size = rng.below(fileMax);
+                fs.truncate(inos[f], size);
+                ref.resize(size, 0);
+            } else {
+                // Half the writes stay under a block, half reach 600 KB.
+                const std::uint64_t len =
+                    1 + rng.below(rng.chance(0.5) ? 4096 : maxWrite);
+                const std::uint64_t off = rng.below(fileMax - len + 1);
+                const std::uint64_t src = rng.below(pool.size() - len + 1);
+                fs.write(inos[f], off, {pool.data() + src, len});
+                if (ref.size() < off + len)
+                    ref.resize(off + len, 0);
+                std::copy_n(pool.begin() + static_cast<std::ptrdiff_t>(src),
+                            len, ref.begin() + static_cast<std::ptrdiff_t>(off));
+            }
+            if (op % 16 == 0)
+                fs.sync();
+            if (op % 97 == 0)
+                fs.checkpoint();
+        }
+        fs.sync(); // the remount rolls forward past the last checkpoint
+        EXPECT_GT(fs.stats().cleanerSegmentsCleaned, 100u);
+    }
+
+    Lfs fs(dev);
+    const auto report = fs.fsck();
+    EXPECT_TRUE(report.ok);
+    for (const auto &p : report.problems())
+        ADD_FAILURE() << "fsck: " << p;
+    for (unsigned f = 0; f < files; ++f) {
+        const auto st = fs.stat("/f" + std::to_string(f));
+        ASSERT_EQ(st.size, shadow[f].size());
+        std::vector<std::uint8_t> back(shadow[f].size());
+        fs.read(st.ino, 0, {back.data(), back.size()});
+        ASSERT_EQ(back, shadow[f]) << "file " << f;
+    }
+
+    std::vector<std::uint8_t> image(dev.capacityBytes());
+    dev.readRange(0, dev.numBlocks(), {image.data(), image.size()});
+    EXPECT_EQ(lfs::blockChecksum(image), goldenDigest);
 }
 
 } // namespace

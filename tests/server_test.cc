@@ -155,6 +155,64 @@ TEST(Raid2Server, FileWritePayloadAtRaggedOffsets)
     }
 }
 
+TEST(Raid2Server, FileWritePayloadEveryPhase)
+{
+    // fileWrite reads each payload out of one table of payloadByte(j,
+    // 0), from k = 43 * payloadByte(off, ino) mod 256 on.  Offsets
+    // o * 4097 start at phase o, so o = 0..255 takes every k, for two
+    // inode numbers; no two writes overlap.
+    static_assert(131 * 43 % 256 == 1);
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", smallConfig(true));
+    constexpr std::uint64_t len = 3000;
+    auto read_back = [&](lfs::InodeNum ino, std::uint64_t off,
+                         std::uint64_t n) {
+        std::vector<std::uint8_t> got(n);
+        EXPECT_EQ(srv.fs().read(ino, off, {got.data(), got.size()}), n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (got[i] != server::payloadByte(off + i, ino)) {
+                ADD_FAILURE() << "ino " << ino << " off " << off
+                              << " byte " << i;
+                return;
+            }
+        }
+    };
+    for (const char *name : {"/a", "/b"}) {
+        const auto ino = srv.createFile(name);
+        int done = 0;
+        for (std::uint64_t o = 0; o < 256; ++o)
+            srv.fileWrite(ino, o * 4097, len, [&] { ++done; });
+        eq.run();
+        EXPECT_EQ(done, 256);
+        for (std::uint64_t o = 0; o < 256; ++o)
+            read_back(ino, o * 4097, len);
+    }
+
+    // A longer write arrives while a shorter one still waits in the
+    // fs CPU step, so the table grows (and moves) between the two.
+    // Then 1 MB of other bytes is allocated and filled: the memory the
+    // 1 MB table left is unmapped or holds them, so a window taken
+    // before the move reads wrong bytes (or faults).
+    const auto ino = srv.createFile("/c");
+    const auto other = srv.createFile("/d");
+    int done = 0;
+    srv.fileWrite(ino, 0, sim::MiB, [&] { ++done; });
+    eq.run();
+    srv.fileWrite(ino, sim::MiB + 77, len, [&] { ++done; });
+    srv.fileWrite(ino, 3 * sim::MiB + 5, 4 * sim::MiB, [&] { ++done; });
+    const std::vector<std::uint8_t> fill(sim::MiB, 0xee);
+    srv.fileWriteData(other, 0, fill, [&] { ++done; });
+    eq.run();
+    EXPECT_EQ(done, 4);
+    read_back(ino, 0, sim::MiB);
+    read_back(ino, sim::MiB + 77, len);
+    read_back(ino, 3 * sim::MiB + 5, 4 * sim::MiB);
+    std::vector<std::uint8_t> got(sim::MiB);
+    EXPECT_EQ(srv.fs().read(other, 0, {got.data(), got.size()}), sim::MiB);
+    EXPECT_EQ(got, fill);
+    EXPECT_TRUE(srv.fs().fsck().ok);
+}
+
 TEST(Raid2Server, FileReadUsesMappedExtents)
 {
     sim::EventQueue eq;
@@ -308,6 +366,34 @@ TEST(Raid2Server, NvramMakesStandardWritesFast)
     // §4.1: NVRAM exists precisely because stable NFS writes must
     // otherwise wait for the disks.
     EXPECT_LT(nvram, stable / 2);
+}
+
+TEST(Raid2Server, NvramWritesNeverWaitOnFlushes)
+{
+    // An NVRAM-acknowledged standard write hands fileWrite no
+    // completion; with the flush window full it must not queue an
+    // empty waiter that flushCompleted() would call.
+    sim::EventQueue eq;
+    auto cfg = smallConfig(true);
+    cfg.nvramBytes = 16 * sim::MiB;
+    cfg.maxFlushesInFlight = 1;
+    Raid2Server srv(eq, "s", cfg);
+    const auto small = srv.createFile("/small");
+    const auto bulk = srv.createFile("/bulk");
+    int replies = 0;
+    for (std::uint64_t i = 0; i < 64; ++i)
+        srv.standardWrite(small, i * 8192, 8192, [&] { ++replies; });
+    int bulk_done = 0;
+    eq.schedule(sim::msToTicks(50), [&] {
+        for (std::uint64_t i = 0; i < 16; ++i)
+            srv.fileWrite(bulk, i * 2 * sim::MiB, 2 * sim::MiB,
+                          [&] { ++bulk_done; });
+    });
+    eq.run();
+    EXPECT_EQ(replies, 64);
+    EXPECT_EQ(bulk_done, 16);
+    EXPECT_EQ(srv.fs().statIno(small).size, 64u * 8192);
+    EXPECT_TRUE(srv.fs().fsck().ok);
 }
 
 TEST(Raid1Server, LargeReadIsCopyBound)
