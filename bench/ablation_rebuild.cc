@@ -43,12 +43,11 @@ randomReadMBs(sim::EventQueue &eq, raid::SimArray &array,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Ablation F: degraded reads and rebuild-window "
-                       "sweep",
-                       "mechanism study; the paper defers the policy "
-                       "(§2.3)");
+    bench::Reporter rep("ablation_rebuild", argc, argv);
+    rep.header("Ablation F: degraded reads and rebuild-window sweep",
+               "mechanism study; the paper defers the policy (§2.3)");
 
     // Healthy vs degraded service level.
     {
@@ -59,10 +58,9 @@ main()
         const double healthy = randomReadMBs(eq, srv.array(), 100);
         srv.array().failDisk(3);
         const double degraded = randomReadMBs(eq, srv.array(), 100);
-        bench::printRow("Healthy 512 KB random reads", healthy, "MB/s",
-                        "-");
-        bench::printRow("Degraded (1 of 16 disks dead)", degraded,
-                        "MB/s", "slower: survivor fan-out");
+        rep.row("Healthy 512 KB random reads", healthy, "MB/s", "-");
+        rep.row("Degraded (1 of 16 disks dead)", degraded, "MB/s",
+                "slower: survivor fan-out");
     }
 
     // Rebuild time vs window (concurrent stripes in flight); one
@@ -87,9 +85,9 @@ main()
         });
 
     std::printf("\n");
-    bench::printSeriesHeader({"window", "rebuild min", "stripes/s"});
+    rep.seriesHeader({"window", "rebuild min", "stripes/s"});
     for (const auto &row : rows)
-        bench::printSeriesRow(row);
+        rep.seriesRow(row);
 
     std::printf("\n  Expected shape: degraded reads lose ~30-40%%; "
                 "rebuild time drops\n  steeply from window 1 and "

@@ -102,7 +102,7 @@ runPoint(const Point &p)
     mgr.create("bench");
 
     fault::FaultController ctl(eq, "faults",
-                               {&src.array(), nullptr, &eng.channel()});
+                               {&src.array(), &eng.channel()});
     if (p.dropPct > 0) {
         fault::FaultPlan plan;
         const double down_ms = kDropPeriodMs * p.dropPct / 100.0;

@@ -172,9 +172,9 @@ runTrial(const Setting &st, std::uint64_t seed)
         static_cast<double>(srv.faults().latentsWhileDegraded());
     r.doubleFails = static_cast<double>(srv.faults().doubleFailures());
     r.scrubRepaired =
-        static_cast<double>(srv.faults().scrubRepairedRanges());
+        static_cast<double>(srv.array().scrubRepairedRanges());
     r.readRepaired =
-        static_cast<double>(srv.faults().readRepairedRanges());
+        static_cast<double>(srv.array().readRepairedRanges());
     const auto &mttr = srv.recovery().mttrMs();
     r.rebuilds = static_cast<double>(mttr.count());
     r.mttrMs = mttr.count() ? mttr.mean() * mttr.count() : 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "raid/raid_array.hh"
 #include "scsi/cougar_controller.hh"
 #include "sim/logging.hh"
 #include "sim/trace_sink.hh"
@@ -14,27 +15,6 @@ FaultController::FaultController(sim::EventQueue &eq_, std::string name,
 {
     if (!hooks.array)
         sim::panic("FaultController %s: no array", _name.c_str());
-    const unsigned n = hooks.array->numDisks();
-    _latents.resize(n);
-    // Latents land inside the space the layout actually stripes (and,
-    // when a functional twin is attached, inside its member disks).
-    const auto &layout = hooks.array->layout();
-    _diskSpan = layout.numStripes() * layout.unitBytes();
-    if (hooks.functional) {
-        if (hooks.functional->numDisks() != n)
-            sim::panic("FaultController %s: functional twin has %u "
-                       "disks, timed array %u", _name.c_str(),
-                       hooks.functional->numDisks(), n);
-        _diskSpan =
-            std::min<std::uint64_t>(_diskSpan,
-                                    hooks.functional->diskData(0).size());
-    }
-    hooks.array->setFaultOracle(this);
-}
-
-FaultController::~FaultController()
-{
-    hooks.array->setFaultOracle(nullptr);
 }
 
 void
@@ -124,14 +104,14 @@ void
 FaultController::injectSilentCorruption(const FaultEvent &e)
 {
     if (e.surface == CorruptionSurface::Media) {
-        raid::RaidArray *fn = hooks.functional;
+        raid::RaidArray *fn = hooks.array->twin();
+        const std::uint64_t span = hooks.array->mediaSpan();
         if (!fn || e.target >= fn->numDisks() ||
-            fn->isFailed(e.target) || e.bytes == 0 ||
-            e.offset >= _diskSpan) {
+            fn->isFailed(e.target) || e.bytes == 0 || e.offset >= span) {
             ++_suppressed;
             return;
         }
-        const std::uint64_t n = std::min(e.bytes, _diskSpan - e.offset);
+        const std::uint64_t n = std::min(e.bytes, span - e.offset);
         auto disk = fn->diskData(e.target);
         for (std::uint64_t i = 0; i < n; ++i)
             disk[e.offset + i] ^= 0xa5;
@@ -186,31 +166,15 @@ FaultController::injectDiskFail(unsigned d)
     // unreconstructable stripes: each is a data-loss event.  The
     // defects are consumed here (media reallocation on the failed
     // array) so both planes stay recoverable.
-    const unsigned half = array.layout().numDisks() / 2;
-    for (unsigned o = 0; o < _latents.size(); ++o) {
-        if (o == d || _latents[o].empty())
+    for (unsigned o = 0; o < array.numDisks(); ++o) {
+        // RAID-1 rebuilds from the mirror partner alone.
+        if (o == d || (level == raid::RaidLevel::Raid1 &&
+                       o != array.layout().mirrorPartner(d)))
             continue;
-        if (level == raid::RaidLevel::Raid1) {
-            // Only the mirror partner participates in this rebuild.
-            const unsigned partner = d < half
-                                         ? array.layout().mirrorDisk(d)
-                                         : d - half;
-            if (o != partner)
-                continue;
-        }
-        const std::uint64_t n = _latents[o].size();
+        const std::uint64_t n = array.dropLatents(o);
         _rebuildExposed += n;
         _dataLossEvents += n;
-        if (hooks.functional) {
-            for (const auto &[s, len] : _latents[o])
-                hooks.functional->repairLatent(o, s, len);
-        }
-        _latents[o].clear();
     }
-    _latents[d].clear();
-
-    if (hooks.functional)
-        hooks.functional->failDisk(d);
     array.failDisk(d);
     ++_injected[static_cast<std::size_t>(FaultKind::DiskFail)];
     if (auto *t = eq.tracer())
@@ -224,11 +188,12 @@ FaultController::injectLatent(unsigned d, std::uint64_t off,
                               std::uint64_t bytes)
 {
     raid::SimArray &array = *hooks.array;
-    if (d >= array.numDisks() || bytes == 0 || off >= _diskSpan) {
+    const std::uint64_t span = array.mediaSpan();
+    if (d >= array.numDisks() || bytes == 0 || off >= span) {
         ++_suppressed;
         return;
     }
-    bytes = std::min(bytes, _diskSpan - off);
+    bytes = std::min(bytes, span - off);
     if (array.isFailed(d)) {
         ++_suppressed;
         return;
@@ -240,8 +205,8 @@ FaultController::injectLatent(unsigned d, std::uint64_t off,
         ++_dataLossEvents;
         return;
     }
-    for (unsigned o = 0; o < _latents.size(); ++o) {
-        if (o != d && overlaps(_latents[o], off, bytes)) {
+    for (unsigned o = 0; o < array.numDisks(); ++o) {
+        if (o != d && array.hasLatent(o, off, bytes)) {
             // Overlapping defects on two disks of one stripe row:
             // neither side can reconstruct the other.
             ++_latentCollisions;
@@ -249,78 +214,10 @@ FaultController::injectLatent(unsigned d, std::uint64_t off,
             return;
         }
     }
-    insertInterval(_latents[d], off, bytes);
-    if (hooks.functional)
-        hooks.functional->injectLatent(d, off, bytes);
+    array.injectLatent(d, off, bytes);
     ++_injected[static_cast<std::size_t>(FaultKind::LatentError)];
     if (auto *t = eq.tracer())
         t->complete(_name, "latent_error", eq.now(), eq.now(), bytes);
-}
-
-void
-FaultController::noteDiskRestored(unsigned d)
-{
-    if (hooks.functional && hooks.functional->isFailed(d))
-        hooks.functional->rebuildDisk(d);
-}
-
-bool
-FaultController::hasLatent(unsigned d, std::uint64_t off,
-                           std::uint64_t bytes) const
-{
-    return overlaps(_latents.at(d), off, bytes);
-}
-
-void
-FaultController::repairedLatent(unsigned d, std::uint64_t off,
-                                std::uint64_t bytes, bool by_scrub)
-{
-    // The datapath reports the whole transfer it verified (a scrub
-    // chunk, a read extent); only the defective subranges inside it
-    // are repaired in the functional plane.  Repairing the full span
-    // would reconstruct bytes that are latent on *other* disks —
-    // a false unrecoverable-range error.
-    IntervalMap &m = _latents.at(d);
-    const std::uint64_t end = off + bytes;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> touched;
-    for (const auto &[s, len] : m) {
-        const std::uint64_t e = s + len;
-        if (e <= off || s >= end)
-            continue;
-        const std::uint64_t cs = std::max(s, off);
-        touched.emplace_back(cs, std::min(e, end) - cs);
-    }
-    if (touched.empty())
-        return;
-    std::uint64_t repaired_bytes = 0;
-    for (const auto &[s, len] : touched) {
-        if (hooks.functional &&
-            hooks.functional->latentOverlaps(d, s, len))
-            hooks.functional->repairLatent(d, s, len);
-        repaired_bytes += len;
-    }
-    const std::uint64_t ranges = eraseInterval(m, off, bytes);
-    (by_scrub ? _scrubRepairs : _readRepairs) += ranges;
-    _repairedBytes += repaired_bytes;
-}
-
-std::uint64_t
-FaultController::latentRangesOutstanding() const
-{
-    std::uint64_t n = 0;
-    for (const auto &m : _latents)
-        n += m.size();
-    return n;
-}
-
-std::uint64_t
-FaultController::latentBytesOutstanding() const
-{
-    std::uint64_t n = 0;
-    for (const auto &m : _latents)
-        for (const auto &[s, len] : m)
-            n += len;
-    return n;
 }
 
 std::uint64_t
@@ -330,70 +227,6 @@ FaultController::injectedTotal() const
     for (const auto v : _injected)
         n += v;
     return n;
-}
-
-bool
-FaultController::overlaps(const IntervalMap &m, std::uint64_t off,
-                          std::uint64_t bytes) const
-{
-    if (m.empty() || bytes == 0)
-        return false;
-    auto it = m.upper_bound(off);
-    if (it != m.begin()) {
-        const auto prev = std::prev(it);
-        if (prev->first + prev->second > off)
-            return true;
-    }
-    return it != m.end() && it->first < off + bytes;
-}
-
-void
-FaultController::insertInterval(IntervalMap &m, std::uint64_t off,
-                                std::uint64_t bytes)
-{
-    std::uint64_t s = off, e = off + bytes;
-    auto it = m.upper_bound(s);
-    if (it != m.begin())
-        --it;
-    while (it != m.end() && it->first <= e) {
-        const std::uint64_t iend = it->first + it->second;
-        if (iend < s) {
-            ++it;
-            continue;
-        }
-        s = std::min(s, it->first);
-        e = std::max(e, iend);
-        it = m.erase(it);
-    }
-    m.emplace(s, e - s);
-}
-
-std::uint64_t
-FaultController::eraseInterval(IntervalMap &m, std::uint64_t off,
-                               std::uint64_t bytes)
-{
-    if (bytes == 0)
-        return 0;
-    std::uint64_t ranges = 0;
-    const std::uint64_t end = off + bytes;
-    auto it = m.upper_bound(off);
-    if (it != m.begin())
-        --it;
-    while (it != m.end() && it->first < end) {
-        const std::uint64_t istart = it->first;
-        const std::uint64_t iend = it->first + it->second;
-        if (iend <= off) {
-            ++it;
-            continue;
-        }
-        ++ranges;
-        it = m.erase(it);
-        if (istart < off)
-            m.emplace(istart, off - istart);
-        if (iend > end)
-            it = m.emplace(end, iend - end).first;
-    }
-    return ranges;
 }
 
 void
@@ -428,25 +261,22 @@ FaultController::registerStats(sim::StatsRegistry &reg,
     reg.addGauge(prefix + ".latent_collisions", [this] {
         return static_cast<double>(_latentCollisions);
     });
-    reg.addGauge(prefix + ".latent_ranges_outstanding", [this] {
-        return static_cast<double>(latentRangesOutstanding());
+    const raid::SimArray *array = hooks.array;
+    reg.addGauge(prefix + ".latent_ranges_outstanding", [array] {
+        return static_cast<double>(array->latentRangesOutstanding());
     });
-    reg.addGauge(prefix + ".latent_bytes_outstanding", [this] {
-        return static_cast<double>(latentBytesOutstanding());
+    reg.addGauge(prefix + ".latent_bytes_outstanding", [array] {
+        return static_cast<double>(array->latentBytesOutstanding());
     });
-    reg.addGauge(prefix + ".read_repaired_ranges", [this] {
-        return static_cast<double>(_readRepairs);
+    reg.addGauge(prefix + ".read_repaired_ranges", [array] {
+        return static_cast<double>(array->readRepairedRanges());
     });
-    reg.addGauge(prefix + ".scrub_repaired_ranges", [this] {
-        return static_cast<double>(_scrubRepairs);
+    reg.addGauge(prefix + ".scrub_repaired_ranges", [array] {
+        return static_cast<double>(array->scrubRepairedRanges());
     });
-    reg.addGauge(prefix + ".repaired_bytes", [this] {
-        return static_cast<double>(_repairedBytes);
+    reg.addGauge(prefix + ".repaired_bytes", [array] {
+        return static_cast<double>(array->latentRepairedBytes());
     });
-    // Parity-work counters of the functional array this controller
-    // fronts (full-stripe vs read-modify-write split).
-    if (hooks.functional)
-        hooks.functional->registerStats(reg, prefix + ".array");
 }
 
 } // namespace raid2::fault

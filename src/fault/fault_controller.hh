@@ -5,13 +5,10 @@
  * The FaultController replays a FaultPlan into a running system
  * through the small hook points the layers expose: DiskModel::stall,
  * ScsiString::injectHang, XbusBoard::injectPortError,
- * HippiChannel::injectLinkDown, and SimArray::failDisk.  It also owns
- * the latent-media-defect map and implements raid::MediaFaultOracle,
- * so a timed read that lands on a defective range triggers the array's
- * reconstruct-and-rewrite sequence; when a functional RaidArray twin
- * is attached, every fault and repair is mirrored into it so the byte
- * plane and the timing plane stay consistent (the property tests
- * compare the functional plane against a fault-free shadow).
+ * HippiChannel::injectLinkDown, and SimArray's failDisk and
+ * injectLatent.  It only injects and counts: the SimArray owns the
+ * media state (failed disks, the latent-defect map) and carries every
+ * change into its functional twin, if one is attached.
  *
  * Injection preserves the recoverability invariant documented in
  * RaidArray: events that *would* destroy data — a second disk death
@@ -29,35 +26,29 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "fault/fault_plan.hh"
 #include "net/hippi.hh"
-#include "raid/raid_array.hh"
 #include "raid/sim_array.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats_registry.hh"
 
 namespace raid2::fault {
 
-/** Deterministic fault injector + latent-defect oracle. */
-class FaultController : public raid::MediaFaultOracle
+/** Deterministic fault injector. */
+class FaultController
 {
   public:
-    /** Injection targets.  @c array is required; the rest optional. */
+    /** Injection targets.  @c array is required; @c hippi optional. */
     struct Hooks
     {
         raid::SimArray *array = nullptr;
-        /** Functional twin; faults/repairs are mirrored into it. */
-        raid::RaidArray *functional = nullptr;
         /** HIPPI channel for link-drop events. */
         net::HippiChannel *hippi = nullptr;
     };
 
     FaultController(sim::EventQueue &eq, std::string name, Hooks hooks);
-    ~FaultController() override;
 
     /** @{ The plan.  start() schedules every event; call once. */
     void setPlan(FaultPlan plan);
@@ -72,34 +63,15 @@ class FaultController : public raid::MediaFaultOracle
         _onDiskFail = std::move(cb);
     }
 
-    /** A rebuild finished: mirror the restore into the functional
-     *  plane. */
-    void noteDiskRestored(unsigned d);
-
     /** Transfer/network SilentCorruption events are delivered here
      *  (the server arms one-shot flips in its integrity layer); media
-     *  events are applied to the functional twin directly.  Without a
-     *  listener, non-media corruption events are suppressed. */
+     *  events are applied to the array's functional twin directly.
+     *  Without a listener, non-media corruption events are
+     *  suppressed. */
     void onSilentCorruption(std::function<void(const FaultEvent &)> cb)
     {
         _onCorruption = std::move(cb);
     }
-
-    /** @{ raid::MediaFaultOracle. */
-    bool hasLatent(unsigned d, std::uint64_t off,
-                   std::uint64_t bytes) const override;
-    void repairedLatent(unsigned d, std::uint64_t off,
-                        std::uint64_t bytes, bool by_scrub) override;
-    /** @} */
-
-    /** @{ Latent-map queries (scrubber, tests). */
-    std::uint64_t latentRangesOutstanding() const;
-    std::uint64_t latentBytesOutstanding() const;
-    bool diskHasLatents(unsigned d) const
-    {
-        return !_latents.at(d).empty();
-    }
-    /** @} */
 
     /** @{ Campaign accounting. */
     std::uint64_t injected(FaultKind k) const
@@ -120,44 +92,27 @@ class FaultController : public raid::MediaFaultOracle
     {
         return _latentWhileDegraded;
     }
-    /** Repairs reported back by the datapath / scrubber. */
-    std::uint64_t readRepairedRanges() const { return _readRepairs; }
-    std::uint64_t scrubRepairedRanges() const { return _scrubRepairs; }
     /** @} */
 
-    /** Register campaign stats under @p prefix ("fault.*"). */
+    /** Register campaign stats under @p prefix ("fault.*"), including
+     *  the array's latent-map and repair counters. */
     void registerStats(sim::StatsRegistry &reg,
                        const std::string &prefix = "fault") const;
 
     const std::string &name() const { return _name; }
 
   private:
-    using IntervalMap = std::map<std::uint64_t, std::uint64_t>;
-
     void handleEvent(const FaultEvent &e);
     void injectDiskFail(unsigned d);
     void injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
     void injectSilentCorruption(const FaultEvent &e);
     void trace(const FaultEvent &e, const char *label) const;
 
-    bool overlaps(const IntervalMap &m, std::uint64_t off,
-                  std::uint64_t bytes) const;
-    void insertInterval(IntervalMap &m, std::uint64_t off,
-                        std::uint64_t bytes);
-    /** Remove overlap with [off, off+bytes); @return ranges touched. */
-    std::uint64_t eraseInterval(IntervalMap &m, std::uint64_t off,
-                                std::uint64_t bytes);
-
     sim::EventQueue &eq;
     std::string _name;
     Hooks hooks;
     FaultPlan _plan;
     bool _started = false;
-
-    /** Per-disk latent ranges (offset -> length, non-overlapping). */
-    std::vector<IntervalMap> _latents;
-    /** Per-disk span usable for latent placement. */
-    std::uint64_t _diskSpan = 0;
 
     std::function<void(unsigned)> _onDiskFail;
     std::function<void(const FaultEvent &)> _onCorruption;
@@ -169,9 +124,6 @@ class FaultController : public raid::MediaFaultOracle
     std::uint64_t _rebuildExposed = 0;
     std::uint64_t _latentWhileDegraded = 0;
     std::uint64_t _latentCollisions = 0;
-    std::uint64_t _readRepairs = 0;
-    std::uint64_t _scrubRepairs = 0;
-    std::uint64_t _repairedBytes = 0;
 };
 
 } // namespace raid2::fault

@@ -7,10 +7,10 @@ namespace raid2::fault {
 
 RecoveryManager::RecoveryManager(sim::EventQueue &eq_, std::string name,
                                  raid::SimArray &array_,
-                                 FaultController &faults_,
+                                 FaultController &faults,
                                  const Config &cfg_)
-    : eq(eq_), _name(std::move(name)), array(array_), faults(faults_),
-      cfg(cfg_), _spares(cfg_.spares)
+    : eq(eq_), _name(std::move(name)), array(array_), cfg(cfg_),
+      _spares(cfg_.spares)
 {
     faults.onDiskFail([this](unsigned d) { diskFailed(d); });
 }
@@ -53,9 +53,6 @@ RecoveryManager::startRebuild(unsigned disk, sim::Tick failed_at)
         _mttrMs.sample(mttr);
         if (auto *t = eq.tracer())
             t->complete(_name, "rebuild", failed_at, eq.now(), 0);
-        // The timed plane is already restored (RebuildJob does it);
-        // mirror into the functional plane.
-        faults.noteDiskRestored(disk);
         if (cfg.replacementDelay > 0) {
             eq.scheduleIn(cfg.replacementDelay, [this] {
                 ++_spares;

@@ -11,7 +11,9 @@
  * trade that dominates MTTR (Thomasian, arXiv:1801.08873).  Failures
  * that arrive while the pool is empty queue until a replacement drive
  * restocks it.  MTTR is measured from the failure to the rebuild's
- * completion, including any time spent waiting for a spare.
+ * completion, including any time spent waiting for a spare.  The
+ * finished RebuildJob brings the disk back with SimArray::restoreDisk,
+ * which also rebuilds the functional twin's copy.
  */
 
 #ifndef RAID2_FAULT_RECOVERY_MANAGER_HH
@@ -89,7 +91,6 @@ class RecoveryManager
     sim::EventQueue &eq;
     std::string _name;
     raid::SimArray &array;
-    FaultController &faults;
     Config cfg;
 
     struct PendingFailure

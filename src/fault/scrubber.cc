@@ -1,19 +1,15 @@
 #include "fault/scrubber.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "sim/logging.hh"
 #include "sim/trace_sink.hh"
-#include "xbus/parity_engine.hh"
 
 namespace raid2::fault {
 
 Scrubber::Scrubber(sim::EventQueue &eq_, std::string name,
-                   raid::SimArray &array_, FaultController &faults_,
-                   const Config &cfg_)
-    : eq(eq_), _name(std::move(name)), array(array_), faults(faults_),
-      cfg(cfg_)
+                   raid::SimArray &array_, const Config &cfg_)
+    : eq(eq_), _name(std::move(name)), array(array_), cfg(cfg_)
 {
     const auto &layout = array.layout();
     sweepBytes = layout.numStripes() * layout.unitBytes();
@@ -106,29 +102,24 @@ Scrubber::finishChunk(unsigned d, std::uint64_t off, std::uint64_t len)
         verifyHook(d, off, len);
     }
 
-    const bool damaged = faults.hasLatent(d, off, len);
     // Repair needs full redundancy: skip while degraded (the latent
     // stays in the map; a later sweep retries) and on RAID-0 (nothing
-    // to repair from).
-    const bool repairable =
-        damaged && !array.degraded() && !array.isFailed(d) &&
-        array.layout().level() != raid::RaidLevel::Raid0;
-    if (repairable) {
-        repairChunk(d, off, len);
+    // to repair from, so repairChunk issues nothing).
+    if (array.hasLatent(d, off, len) && !array.degraded() &&
+        repairChunk(d, off, len))
         return;
-    }
     chunkInFlight = false;
     if (_running)
         scheduleNext(cfg.interChunkDelay);
 }
 
-void
+bool
 Scrubber::repairChunk(unsigned d, std::uint64_t off, std::uint64_t len)
 {
     const sim::Tick started = eq.now();
-    auto writeback = [this, d, off, len, started] {
+    return array.reconstruct(d, off, len, [this, d, off, len, started] {
         array.rawDiskWrite(d, off, len, [this, d, off, len, started] {
-            faults.repairedLatent(d, off, len, true);
+            array.noteRepaired(d, off, len, true);
             ++_rangesRepaired;
             _repairedBytes += len;
             if (auto *t = eq.tracer())
@@ -138,32 +129,7 @@ Scrubber::repairChunk(unsigned d, std::uint64_t off, std::uint64_t len)
             if (_running)
                 scheduleNext(cfg.interChunkDelay);
         });
-    };
-
-    const raid::RaidLevel level = array.layout().level();
-    if (level == raid::RaidLevel::Raid1) {
-        const unsigned half = array.layout().numDisks() / 2;
-        const unsigned partner =
-            d < half ? array.layout().mirrorDisk(d) : d - half;
-        array.rawDiskRead(partner, off, len, std::move(writeback));
-        return;
-    }
-    // Parity levels: the chunk is reconstructed from every survivor
-    // plus an XOR pass through the board's parity engine.
-    const unsigned n = array.numDisks();
-    auto remaining = std::make_shared<unsigned>(n - 1);
-    auto wb = std::make_shared<std::function<void()>>(
-        std::move(writeback));
-    for (unsigned s = 0; s < n; ++s) {
-        if (s == d)
-            continue;
-        array.rawDiskRead(s, off, len, [this, remaining, wb, len, n] {
-            if (--*remaining > 0)
-                return;
-            array.board().parity().pass(len * (n - 1), len,
-                                        [wb] { (*wb)(); });
-        });
-    }
+    });
 }
 
 void

@@ -8,10 +8,10 @@
  * past a handful of drives — Thomasian, arXiv:1801.08873).  The
  * scrubber sweeps every member disk chunk by chunk through the real
  * timed datapath (so it competes with foreground traffic for the
- * drives, strings and XBUS ports), asks the FaultController's defect
- * map whether the chunk is damaged, and repairs damage from redundancy
- * with a timed reconstruct-and-rewrite.  The inter-chunk delay is the
- * scrub-rate knob an MTTDL campaign sweeps.
+ * drives, strings and XBUS ports), asks the array's defect map whether
+ * the chunk is damaged, and repairs damage from redundancy with a
+ * timed SimArray::reconstruct and a rewrite.  The inter-chunk delay is
+ * the scrub-rate knob an MTTDL campaign sweeps.
  */
 
 #ifndef RAID2_FAULT_SCRUBBER_HH
@@ -21,7 +21,6 @@
 #include <functional>
 #include <string>
 
-#include "fault/fault_controller.hh"
 #include "raid/sim_array.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats_registry.hh"
@@ -45,8 +44,7 @@ class Scrubber
     };
 
     Scrubber(sim::EventQueue &eq, std::string name,
-             raid::SimArray &array, FaultController &faults,
-             const Config &cfg);
+             raid::SimArray &array, const Config &cfg);
 
     /** Begin (or resume) the cyclic sweep. */
     void start();
@@ -83,14 +81,14 @@ class Scrubber
   private:
     void step();
     void finishChunk(unsigned d, std::uint64_t off, std::uint64_t len);
-    void repairChunk(unsigned d, std::uint64_t off, std::uint64_t len);
+    /** @return false, issuing nothing, if no redundancy is left. */
+    bool repairChunk(unsigned d, std::uint64_t off, std::uint64_t len);
     void scheduleNext(sim::Tick delay);
     void advanceCursor(std::uint64_t len);
 
     sim::EventQueue &eq;
     std::string _name;
     raid::SimArray &array;
-    FaultController &faults;
     Config cfg;
     VerifyHook verifyHook;
 

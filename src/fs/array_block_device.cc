@@ -18,8 +18,6 @@ ArrayBlockDevice::readBlock(std::uint64_t bno, std::span<std::uint8_t> out)
     checkAccess(bno, out.size());
     noteRead();
     _array.read(bno * bs, out);
-    if (ioHook)
-        ioHook(bno * bs, bs, false);
 }
 
 void
@@ -29,8 +27,6 @@ ArrayBlockDevice::writeBlock(std::uint64_t bno,
     checkAccess(bno, data.size());
     noteWrite();
     _array.write(bno * bs, data);
-    if (ioHook)
-        ioHook(bno * bs, bs, true);
 }
 
 void
@@ -42,8 +38,6 @@ ArrayBlockDevice::readRange(std::uint64_t bno, std::uint64_t count,
     checkExtent(bno, count, out.size());
     noteRead(count);
     _array.read(bno * bs, out);
-    if (ioHook)
-        ioHook(bno * bs, count * std::uint64_t(bs), false);
 }
 
 void
@@ -55,8 +49,6 @@ ArrayBlockDevice::writeRange(std::uint64_t bno, std::uint64_t count,
     checkExtent(bno, count, data.size());
     noteWrite(count);
     _array.write(bno * bs, data);
-    if (ioHook)
-        ioHook(bno * bs, count * std::uint64_t(bs), true);
 }
 
 } // namespace raid2::fs

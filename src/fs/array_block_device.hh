@@ -3,16 +3,14 @@
  * Block device backed by a functional RAID array.
  *
  * Runs a file system on real RAID bytes (parity maintained, degraded
- * reads work), and exposes an I/O hook so a bench can mirror each
- * block access into the timing plane (SimArray) — the glue between
- * the functional and timed halves of the reproduction.
+ * reads work).  The server keeps the timing plane in step above this
+ * device, through its HookBlockDevice.
  */
 
 #ifndef RAID2_FS_ARRAY_BLOCK_DEVICE_HH
 #define RAID2_FS_ARRAY_BLOCK_DEVICE_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "fs/block_device.hh"
 #include "raid/raid_array.hh"
@@ -23,10 +21,6 @@ namespace raid2::fs {
 class ArrayBlockDevice : public BlockDevice
 {
   public:
-    /** Observer invoked for every block access. */
-    using IoHook = std::function<void(std::uint64_t offset_bytes,
-                                      std::uint64_t len_bytes, bool write)>;
-
     /** @p max_blocks caps the exposed geometry (0 = the array's full
      *  data capacity); the array is usually stripe-rounded and callers
      *  may need the device to match an exact byte budget. */
@@ -46,15 +40,12 @@ class ArrayBlockDevice : public BlockDevice
     void writeRange(std::uint64_t bno, std::uint64_t count,
                     std::span<const std::uint8_t> data) override;
 
-    void setIoHook(IoHook hook) { ioHook = std::move(hook); }
-
     raid::RaidArray &array() { return _array; }
 
   private:
     raid::RaidArray &_array;
     std::uint32_t bs;
     std::uint64_t blocks;
-    IoHook ioHook;
 };
 
 } // namespace raid2::fs

@@ -22,14 +22,6 @@ RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
         disks.emplace_back(static_cast<std::size_t>(disk_bytes));
 }
 
-/** Mirror partner of @p d, valid for either half of the array. */
-static unsigned
-mirrorPartnerOf(const RaidLayout &layout, unsigned d)
-{
-    const unsigned half = layout.numDisks() / 2;
-    return d < half ? layout.mirrorDisk(d) : d - half;
-}
-
 unsigned
 RaidArray::failedCount() const
 {
@@ -108,12 +100,12 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
             std::memcpy(disks[e.disk].data() + e.diskOffset, src,
                         static_cast<std::size_t>(e.bytes));
             // Overwriting a latent sector rewrites (remaps) it.
-            eraseLatentRange(e.disk, e.diskOffset, e.bytes);
+            latents[e.disk].erase(e.diskOffset, e.bytes);
             if (level == RaidLevel::Raid1) {
                 const unsigned m = _layout.mirrorDisk(e.disk);
                 std::memcpy(disks[m].data() + e.diskOffset, src,
                             static_cast<std::size_t>(e.bytes));
-                eraseLatentRange(m, e.diskOffset, e.bytes);
+                latents[m].erase(e.diskOffset, e.bytes);
             }
         }
         return;
@@ -146,12 +138,12 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
                 srcs[k] = src + k * unit;
                 std::memcpy(disks[d].data() + base, srcs[k],
                             static_cast<std::size_t>(unit));
-                eraseLatentRange(d, base, unit);
+                latents[d].erase(base, unit);
             }
             const unsigned pd = _layout.parityDisk(s);
             xorFold(disks[pd].data() + base, srcs, K,
                     static_cast<std::size_t>(unit));
-            eraseLatentRange(pd, base, unit);
+            latents[pd].erase(base, unit);
             _parityRecomputes.inc();
             _parityFullStripes.inc();
         } else {
@@ -179,7 +171,7 @@ RaidArray::prepareStripeForUpdate(std::uint64_t s)
     const std::uint64_t base = s * unit;
     // Parity is rewritten wholesale by recomputeParity, which heals
     // any latent defect there without reconstruction.
-    eraseLatentRange(_layout.parityDisk(s), base, unit);
+    latents[_layout.parityDisk(s)].erase(base, unit);
     for (unsigned k = 0; k < _layout.dataUnitsPerStripe(); ++k) {
         const unsigned d = _layout.dataDisk(s, k);
         if (failed[d]) {
@@ -234,7 +226,7 @@ RaidArray::tryReconstructRange(unsigned dead, std::uint64_t disk_off,
         return false;
 
     if (level == RaidLevel::Raid1) {
-        const unsigned m = mirrorPartnerOf(_layout, dead);
+        const unsigned m = _layout.mirrorPartner(dead);
         if (failed[m] || latentOverlaps(m, disk_off, out.size()))
             return false;
         std::memcpy(out.data(), disks[m].data() + disk_off, out.size());
@@ -273,7 +265,7 @@ RaidArray::patchDiskRange(unsigned d, std::uint64_t off,
     if (data.empty())
         return;
     std::memcpy(disks[d].data() + off, data.data(), data.size());
-    eraseLatentRange(d, off, data.size());
+    latents[d].erase(off, data.size());
 }
 
 bool
@@ -299,7 +291,7 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
         repairLatentIn(p, off, end - off);
         std::memcpy(disks[m].data() + off, disks[p].data() + off,
                     static_cast<std::size_t>(end - off));
-        eraseLatentRange(m, off, end - off);
+        latents[m].erase(off, end - off);
         return true;
     }
 
@@ -320,50 +312,39 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
 }
 
 void
+RaidArray::recoverRange(unsigned d, std::uint64_t off,
+                        std::span<std::uint8_t> out) const
+{
+    const RaidLevel level = _layout.level();
+    if (level == RaidLevel::Raid0)
+        sim::fatal("RaidArray: RAID-0 cannot recover disk %u", d);
+    if (level == RaidLevel::Raid1) {
+        const unsigned m = _layout.mirrorPartner(d);
+        if (failed[m] || latentOverlaps(m, off, out.size()))
+            sim::fatal("RaidArray: range on disk %u unrecoverable "
+                       "(mirror %u unusable)", d, m);
+        std::memcpy(out.data(), disks[m].data() + off, out.size());
+        return;
+    }
+    reconstructRange(d, off, out);
+}
+
+void
 RaidArray::readDiskRange(unsigned d, std::uint64_t off,
                          std::span<std::uint8_t> out) const
 {
-    const auto &lm = latents[d];
-    const std::uint64_t end = off + out.size();
+    // Clean bytes come off the disk; latent parts from redundancy.
     std::uint64_t pos = off;
-    while (pos < end) {
-        // Does a latent interval cover pos?
-        std::uint64_t lat_until = 0;
-        auto it = lm.upper_bound(pos);
-        if (it != lm.begin()) {
-            const auto prev = std::prev(it);
-            if (prev->first + prev->second > pos)
-                lat_until = std::min(end, prev->first + prev->second);
-        }
-        if (lat_until > pos) {
-            const std::size_t n =
-                static_cast<std::size_t>(lat_until - pos);
-            std::span<std::uint8_t> sub{out.data() + (pos - off), n};
-            const RaidLevel level = _layout.level();
-            if (level == RaidLevel::Raid1) {
-                const unsigned m = mirrorPartnerOf(_layout, d);
-                if (failed[m] || latentOverlaps(m, pos, n))
-                    sim::fatal("RaidArray: latent range on disk %u "
-                               "unrecoverable (mirror %u unusable)", d, m);
-                std::memcpy(sub.data(), disks[m].data() + pos, n);
-            } else if (level == RaidLevel::Raid0) {
-                sim::fatal("RaidArray: RAID-0 cannot recover latent range "
-                           "on disk %u", d);
-            } else {
-                reconstructRange(d, pos, sub);
-            }
-            _latentReconstructedBytes += n;
-            pos = lat_until;
-            continue;
-        }
-        // Clean up to the next latent interval (or the end).
-        std::uint64_t clean_until = end;
-        if (it != lm.end() && it->first < end)
-            clean_until = it->first;
+    auto copyUpTo = [&](std::uint64_t until) {
         std::memcpy(out.data() + (pos - off), disks[d].data() + pos,
-                    static_cast<std::size_t>(clean_until - pos));
-        pos = clean_until;
+                    static_cast<std::size_t>(until - pos));
+    };
+    for (const auto &[s, len] : latents[d].within(off, out.size())) {
+        copyUpTo(s);
+        recoverRange(d, s, out.subspan(s - off, len));
+        pos = s + len;
     }
+    copyUpTo(off + out.size());
 }
 
 void
@@ -446,51 +427,14 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
         disks[d].data()[p] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
     }
 
-    // Merge into the interval map.
-    std::uint64_t s = off, e = off + bytes;
-    auto &lm = latents[d];
-    auto it = lm.upper_bound(s);
-    if (it != lm.begin())
-        --it;
-    while (it != lm.end() && it->first <= e) {
-        const std::uint64_t iend = it->first + it->second;
-        if (iend < s) {
-            ++it;
-            continue;
-        }
-        s = std::min(s, it->first);
-        e = std::max(e, iend);
-        it = lm.erase(it);
-    }
-    lm.emplace(s, e - s);
-    ++_latentsInjected;
+    latents[d].insert(off, bytes);
 }
 
 bool
 RaidArray::latentOverlaps(unsigned d, std::uint64_t off,
                           std::uint64_t bytes) const
 {
-    const auto &lm = latents.at(d);
-    if (lm.empty() || bytes == 0)
-        return false;
-    auto it = lm.upper_bound(off);
-    if (it != lm.begin()) {
-        const auto prev = std::prev(it);
-        if (prev->first + prev->second > off)
-            return true;
-    }
-    return it != lm.end() && it->first < off + bytes;
-}
-
-bool
-RaidArray::latentCollision(unsigned d, std::uint64_t off,
-                           std::uint64_t bytes) const
-{
-    for (unsigned o = 0; o < disks.size(); ++o) {
-        if (o != d && latentOverlaps(o, off, bytes))
-            return true;
-    }
-    return false;
+    return latents.at(d).overlaps(off, bytes);
 }
 
 void
@@ -503,64 +447,17 @@ RaidArray::repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
     if (failed[d])
         sim::panic("repairLatent: disk %u is failed", d);
 
-    std::vector<std::uint8_t> buf(static_cast<std::size_t>(bytes));
-    const RaidLevel level = _layout.level();
-    if (level == RaidLevel::Raid1) {
-        const unsigned m = mirrorPartnerOf(_layout, d);
-        if (failed[m] || latentOverlaps(m, off, bytes))
-            sim::fatal("repairLatent: latent range on disk %u "
-                       "unrecoverable (mirror %u unusable)", d, m);
-        std::memcpy(buf.data(), disks[m].data() + off, buf.size());
-    } else if (level == RaidLevel::Raid0) {
-        sim::fatal("repairLatent: RAID-0 has no redundancy");
-    } else {
-        reconstructRange(d, off, {buf.data(), buf.size()});
-    }
-    std::memcpy(disks[d].data() + off, buf.data(), buf.size());
-    eraseLatentRange(d, off, bytes);
-    ++_latentRepairs;
+    // The sources exclude disk d, so recover straight into its buffer.
+    recoverRange(d, off,
+                 {disks[d].data() + off, static_cast<std::size_t>(bytes)});
+    latents[d].erase(off, bytes);
 }
 
 void
 RaidArray::repairLatentIn(unsigned d, std::uint64_t off, std::uint64_t bytes)
 {
-    const std::uint64_t end = off + bytes;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> todo;
-    for (const auto &[s, len] : latents[d]) {
-        const std::uint64_t e = s + len;
-        if (e <= off || s >= end)
-            continue;
-        const std::uint64_t cs = std::max(s, off);
-        todo.emplace_back(cs, std::min(e, end) - cs);
-    }
-    for (const auto &[s, len] : todo)
+    for (const auto &[s, len] : latents[d].within(off, bytes))
         repairLatent(d, s, len);
-}
-
-void
-RaidArray::eraseLatentRange(unsigned d, std::uint64_t off,
-                            std::uint64_t bytes)
-{
-    if (bytes == 0)
-        return;
-    auto &lm = latents[d];
-    const std::uint64_t end = off + bytes;
-    auto it = lm.upper_bound(off);
-    if (it != lm.begin())
-        --it;
-    while (it != lm.end() && it->first < end) {
-        const std::uint64_t istart = it->first;
-        const std::uint64_t iend = it->first + it->second;
-        if (iend <= off) {
-            ++it;
-            continue;
-        }
-        it = lm.erase(it);
-        if (istart < off)
-            lm.emplace(istart, off - istart);
-        if (iend > end)
-            it = lm.emplace(end, iend - end).first;
-    }
 }
 
 std::uint64_t
@@ -593,8 +490,7 @@ RaidArray::latentBytes() const
 {
     std::uint64_t n = 0;
     for (const auto &lm : latents)
-        for (const auto &[s, len] : lm)
-            n += len;
+        n += lm.bytes();
     return n;
 }
 
@@ -609,9 +505,7 @@ RaidArray::rebuildDisk(unsigned d)
 
     const RaidLevel level = _layout.level();
     if (level == RaidLevel::Raid1) {
-        const unsigned half = _layout.numDisks() / 2;
-        const unsigned partner =
-            d < half ? _layout.mirrorDisk(d) : d - half;
+        const unsigned partner = _layout.mirrorPartner(d);
         if (failed[partner])
             sim::fatal("rebuildDisk: mirror partner %u also failed",
                        partner);

@@ -13,11 +13,11 @@
 #define RAID2_RAID_RAID_ARRAY_HH
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "raid/interval_set.hh"
 #include "raid/raid_layout.hh"
 #include "sim/byte_store.hh"
 #include "sim/stats.hh"
@@ -60,21 +60,17 @@ class RaidArray
      * defect, which is what the scrubber does in bulk.
      *
      * Recoverability invariant (enforced with fatal errors, maintained
-     * by fault::FaultController): latent ranges on different disks
-     * never overlap in disk-offset space, and no latents exist while a
-     * disk is failed.  Either condition would make the range
-     * unrecoverable — a data-loss event, which the controller accounts
-     * for instead of injecting.
+     * by fault::FaultController through SimArray): latent ranges on
+     * different disks never overlap in disk-offset space, and no
+     * latents exist while a disk is failed.  Either condition would
+     * make the range unrecoverable — a data-loss event, which the
+     * controller accounts for instead of injecting.
      */
     /** Garble @p bytes at disk offset @p off of disk @p d. */
     void injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
     /** True if disk @p d has a latent range intersecting [off, off+bytes). */
     bool latentOverlaps(unsigned d, std::uint64_t off,
                         std::uint64_t bytes) const;
-    /** True if any disk other than @p d has a latent range intersecting
-     *  [off, off+bytes) — i.e. reconstructing @p d there would fail. */
-    bool latentCollision(unsigned d, std::uint64_t off,
-                         std::uint64_t bytes) const;
     /** Reconstruct the latent range from redundancy, write it back, and
      *  clear the defect. */
     void repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
@@ -83,19 +79,10 @@ class RaidArray
     /** Outstanding latent ranges / bytes across all disks. */
     std::uint64_t latentCount() const;
     std::uint64_t latentBytes() const;
-    const std::map<std::uint64_t, std::uint64_t> &
-    latentIntervals(unsigned d) const
+    const IntervalSet &latentIntervals(unsigned d) const
     {
         return latents.at(d);
     }
-    /** @{ Cumulative counters (reads served via reconstruction, repairs). */
-    std::uint64_t latentReconstructedBytes() const
-    {
-        return _latentReconstructedBytes;
-    }
-    std::uint64_t latentRepairs() const { return _latentRepairs; }
-    std::uint64_t latentsInjected() const { return _latentsInjected; }
-    /** @} */
     /** @} */
 
     /** @{ Parity-work counters (levels 3/5).
@@ -159,6 +146,11 @@ class RaidArray
     void recomputeParity(std::uint64_t stripe);
     void reconstructRange(unsigned dead, std::uint64_t disk_off,
                           std::span<std::uint8_t> out) const;
+    /** Recover what disk @p d holds at [off, off+out.size()) from
+     *  redundancy: the mirror partner for level 1, the survivors' XOR
+     *  for levels 3/5.  Fatal when none is left. */
+    void recoverRange(unsigned d, std::uint64_t off,
+                      std::span<std::uint8_t> out) const;
     /** Copy [off, off+out.size()) of disk @p d into @p out, routing
      *  latent subranges through reconstruction. */
     void readDiskRange(unsigned d, std::uint64_t off,
@@ -169,19 +161,13 @@ class RaidArray
     void prepareStripeForUpdate(std::uint64_t s);
     /** Repair the portions of d's latent ranges inside [off, off+bytes). */
     void repairLatentIn(unsigned d, std::uint64_t off, std::uint64_t bytes);
-    /** Forget (without repairing) latent state in [off, off+bytes). */
-    void eraseLatentRange(unsigned d, std::uint64_t off,
-                          std::uint64_t bytes);
 
     RaidLayout _layout;
     std::uint64_t diskBytes;
     std::vector<sim::ByteStore> disks;
     std::vector<bool> failed;
-    /** Per-disk latent ranges: start offset -> length, non-overlapping. */
-    std::vector<std::map<std::uint64_t, std::uint64_t>> latents;
-    mutable std::uint64_t _latentReconstructedBytes = 0;
-    std::uint64_t _latentRepairs = 0;
-    std::uint64_t _latentsInjected = 0;
+    /** Per-disk garbled ranges. */
+    std::vector<IntervalSet> latents;
     sim::Scalar _parityRecomputes;
     sim::Scalar _parityFullStripes;
 };

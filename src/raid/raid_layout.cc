@@ -113,6 +113,13 @@ RaidLayout::mirrorDisk(unsigned primary) const
     return primary + cfg.numDisks / 2;
 }
 
+unsigned
+RaidLayout::mirrorPartner(unsigned d) const
+{
+    const unsigned half = cfg.numDisks / 2;
+    return d < half ? mirrorDisk(d) : d - half;
+}
+
 DiskExtent
 RaidLayout::dataExtent(std::uint64_t stripe, unsigned k,
                        std::uint64_t off_in_unit, std::uint64_t bytes) const

@@ -100,6 +100,10 @@ class RaidLayout
     /** Mirror partner of a Level 1 primary disk. */
     unsigned mirrorDisk(unsigned primary) const;
 
+    /** The other disk of @p d's Level 1 mirror pair, for a disk in
+     *  either half of the array. */
+    unsigned mirrorPartner(unsigned d) const;
+
     /** Extent of data unit @p k of @p stripe, restricted to
      *  [@p off_in_unit, @p off_in_unit + @p bytes). */
     DiskExtent dataExtent(std::uint64_t stripe, unsigned k,

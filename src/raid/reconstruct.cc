@@ -76,28 +76,17 @@ RebuildJob::rebuildStripe(std::uint64_t stripe)
     ++inFlight;
     const std::uint64_t unit = array.layout().unitBytes();
     const std::uint64_t base = stripe * unit;
-    const unsigned n = array.layout().numDisks();
-
-    auto remaining = std::make_shared<unsigned>(n - 1);
-    auto on_read = [this, remaining, base, unit, n] {
-        if (--*remaining > 0)
-            return;
-        array.board().parity().pass(
-            unit * (n - 1), unit, [this, base, unit] {
-                array.rawDiskWrite(dead, base, unit, [this] {
-                    ++_stripesDone;
-                    --inFlight;
-                    pump();
-                });
+    const bool issued =
+        array.reconstruct(dead, base, unit, [this, base, unit] {
+            array.rawDiskWrite(dead, base, unit, [this] {
+                ++_stripesDone;
+                --inFlight;
+                pump();
             });
-    };
-    for (unsigned d = 0; d < n; ++d) {
-        if (d == dead)
-            continue;
-        if (array.isFailed(d))
-            sim::fatal("RebuildJob: second failure on disk %u", d);
-        array.rawDiskRead(d, base, unit, on_read);
-    }
+        });
+    if (!issued)
+        sim::fatal("RebuildJob: nothing left to rebuild disk %u from",
+                   dead);
 }
 
 void

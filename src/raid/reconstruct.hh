@@ -2,12 +2,14 @@
  * @file
  * Timed on-line reconstruction of a failed member disk.
  *
- * Sweeps the array stripe by stripe: read the surviving units, run a
- * parity pass, write the result to the replacement drive.  A window of
- * concurrent stripes keeps the datapath busy while bounding XBUS
- * buffer use, and an optional inter-stripe delay throttles the sweep
- * so foreground traffic keeps a share of the datapath — the classic
- * rebuild-rate vs. MTTR trade (Thomasian, arXiv:1801.08873).
+ * Sweeps the array stripe by stripe: reconstruct the dead unit
+ * (SimArray::reconstruct — the mirror partner's copy for RAID-1, every
+ * survivor plus a parity pass for RAID-3/5) and write it to the
+ * replacement drive.  A window of concurrent stripes keeps the
+ * datapath busy while bounding XBUS buffer use, and an optional
+ * inter-stripe delay throttles the sweep so foreground traffic keeps
+ * a share of the datapath — the classic rebuild-rate vs. MTTR trade
+ * (Thomasian, arXiv:1801.08873).
  * (Reliability policy itself is out of the paper's scope —
  * "Techniques for maximizing reliability are beyond the scope of
  * this paper" §2.3 — but degraded operation is needed by the examples

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "config/calibration.hh"
+#include "raid/raid_array.hh"
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
 #include "sim/trace_sink.hh"
@@ -43,6 +44,7 @@ SimArray::SimArray(sim::EventQueue &eq_, xbus::XbusBoard &board,
             eq, *disks.back(), str, ctrl));
     }
     failedDisks.assign(n, false);
+    latents.resize(n);
 }
 
 SimArray::~SimArray() = default;
@@ -72,12 +74,131 @@ void
 SimArray::failDisk(unsigned d)
 {
     failedDisks.at(d) = true;
+    latents[d].clear();
+    if (_twin)
+        _twin->failDisk(d);
 }
 
 void
 SimArray::restoreDisk(unsigned d)
 {
     failedDisks.at(d) = false;
+    if (_twin)
+        _twin->rebuildDisk(d);
+}
+
+void
+SimArray::attachTwin(RaidArray &twin)
+{
+    if (_twin)
+        sim::panic("SimArray %s: twin attached twice", _name.c_str());
+    if (twin.numDisks() != numDisks())
+        sim::panic("SimArray %s: twin has %u disks, array %u",
+                   _name.c_str(), twin.numDisks(), numDisks());
+    _twin = &twin;
+}
+
+std::uint64_t
+SimArray::mediaSpan() const
+{
+    const std::uint64_t striped =
+        _layout->numStripes() * _layout->unitBytes();
+    if (!_twin)
+        return striped;
+    return std::min<std::uint64_t>(striped, _twin->diskData(0).size());
+}
+
+void
+SimArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
+{
+    latents.at(d).insert(off, bytes);
+    if (_twin)
+        _twin->injectLatent(d, off, bytes);
+}
+
+std::uint64_t
+SimArray::dropLatents(unsigned d)
+{
+    IntervalSet &m = latents.at(d);
+    if (_twin) {
+        for (const auto &[s, len] : m)
+            _twin->repairLatent(d, s, len);
+    }
+    const std::uint64_t n = m.size();
+    m.clear();
+    return n;
+}
+
+void
+SimArray::noteRepaired(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                       bool by_scrub)
+{
+    // The caller reports the whole transfer it rewrote (a scrub chunk,
+    // a read extent); only the defective parts inside it are repaired
+    // in the twin.  Repairing the full span would reconstruct bytes
+    // that are latent on *other* disks — a false unrecoverable-range
+    // error.
+    IntervalSet &m = latents.at(d);
+    for (const auto &[s, len] : m.within(off, bytes)) {
+        if (_twin && _twin->latentOverlaps(d, s, len))
+            _twin->repairLatent(d, s, len);
+        _repairedBytes += len;
+    }
+    (by_scrub ? _scrubRepairs : _readRepairs) += m.erase(off, bytes);
+}
+
+std::uint64_t
+SimArray::latentRangesOutstanding() const
+{
+    std::uint64_t n = 0;
+    for (const auto &m : latents)
+        n += m.size();
+    return n;
+}
+
+std::uint64_t
+SimArray::latentBytesOutstanding() const
+{
+    std::uint64_t n = 0;
+    for (const auto &m : latents)
+        n += m.bytes();
+    return n;
+}
+
+bool
+SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                      std::function<void()> done)
+{
+    const RaidLevel level = _layout->level();
+    if (level == RaidLevel::Raid0)
+        return false;
+    if (level == RaidLevel::Raid1) {
+        const unsigned m = _layout->mirrorPartner(d);
+        if (failedDisks[m])
+            return false;
+        rawDiskRead(m, off, bytes, std::move(done));
+        return true;
+    }
+    const unsigned n = numDisks();
+    for (unsigned s = 0; s < n; ++s) {
+        if (s != d && failedDisks[s])
+            return false;
+    }
+    // Parity levels: XOR the same range of every survivor.
+    auto remaining = std::make_shared<unsigned>(n - 1);
+    auto done_ptr =
+        std::make_shared<std::function<void()>>(std::move(done));
+    auto on_read = [this, remaining, done_ptr, bytes, n] {
+        if (--*remaining > 0)
+            return;
+        _board.parity().pass(bytes * (n - 1), bytes,
+                             [done_ptr] { (*done_ptr)(); });
+    };
+    for (unsigned s = 0; s < n; ++s) {
+        if (s != d)
+            rawDiskRead(s, off, bytes, on_read);
+    }
+    return true;
 }
 
 std::vector<sim::Stage>
@@ -130,8 +251,7 @@ SimArray::issueExtentRead(const DiskExtent &e, std::function<void()> done)
     }
     if (failedDisks[d]) {
         if (_layout->level() == RaidLevel::Raid1) {
-            const unsigned half = _layout->numDisks() / 2;
-            d = d < half ? _layout->mirrorDisk(d) : d - half;
+            d = _layout->mirrorPartner(d);
             if (failedDisks[d])
                 sim::fatal("SimArray %s: mirror pair both failed",
                            _name.c_str());
@@ -140,7 +260,7 @@ SimArray::issueExtentRead(const DiskExtent &e, std::function<void()> done)
             return;
         }
     }
-    if (oracle && oracle->hasLatent(d, e.diskOffset, e.bytes)) {
+    if (hasLatent(d, e.diskOffset, e.bytes)) {
         issueLatentRepairRead(e, d, std::move(done));
         return;
     }
@@ -152,11 +272,10 @@ void
 SimArray::issueLatentRepairRead(const DiskExtent &e, unsigned d,
                                 std::function<void()> done)
 {
-    const RaidLevel level = _layout->level();
     const std::uint64_t off = e.diskOffset;
     const std::uint64_t bytes = e.bytes;
 
-    if (level == RaidLevel::Raid0) {
+    if (_layout->level() == RaidLevel::Raid0) {
         // No redundancy: the error is reported, not repaired.  Account
         // for it and complete (the request "fails fast").
         ++_unrecoverableReads;
@@ -169,55 +288,24 @@ SimArray::issueLatentRepairRead(const DiskExtent &e, unsigned d,
 
     auto done_ptr =
         std::make_shared<std::function<void()>>(std::move(done));
-    auto writeback = [this, d, off, bytes, done_ptr] {
-        // Rewrite the reconstructed range in place, clearing the
-        // defect, then report the repair.
-        rawDiskWrite(d, off, bytes, [this, d, off, bytes, done_ptr] {
-            if (oracle)
-                oracle->repairedLatent(d, off, bytes, false);
-            if (*done_ptr)
-                (*done_ptr)();
-        });
-    };
-
     // The drive itself spends a media pass discovering the error
     // (retries, then reports unrecoverable) before recovery starts.
-    auto after_attempt = [this, d, off, bytes, level, done_ptr,
-                          writeback = std::move(writeback)]() mutable {
+    auto after_attempt = [this, d, off, bytes, done_ptr] {
         if (auto *t = eq.tracer())
             t->complete(_name, "latent_repair", eq.now(), eq.now(), bytes);
-        if (level == RaidLevel::Raid1) {
-            const unsigned half = _layout->numDisks() / 2;
-            const unsigned m =
-                d < half ? _layout->mirrorDisk(d) : d - half;
-            if (failedDisks[m]) {
-                ++_unrecoverableReads;
+        // Rewrite the reconstructed range in place, clearing the
+        // defect, then note the repair.
+        auto writeback = [this, d, off, bytes, done_ptr] {
+            rawDiskWrite(d, off, bytes, [this, d, off, bytes, done_ptr] {
+                noteRepaired(d, off, bytes, false);
                 if (*done_ptr)
                     (*done_ptr)();
-                return;
-            }
-            channels[m]->read(off, bytes, readStages(m),
-                              std::move(writeback));
-            return;
-        }
-        // Parity levels: read the range from every survivor + XOR.
-        const unsigned n = _layout->numDisks();
-        auto remaining = std::make_shared<unsigned>(n - 1);
-        auto wb_ptr = std::make_shared<std::function<void()>>(
-            std::move(writeback));
-        auto on_read = [this, remaining, wb_ptr, bytes, n] {
-            if (--*remaining > 0)
-                return;
-            _board.parity().pass(bytes * (n - 1), bytes,
-                                 [wb_ptr] { (*wb_ptr)(); });
+            });
         };
-        for (unsigned s = 0; s < n; ++s) {
-            if (s == d)
-                continue;
-            if (failedDisks[s])
-                sim::fatal("SimArray %s: latent repair on disk %u with "
-                           "disk %u failed", _name.c_str(), d, s);
-            channels[s]->read(off, bytes, readStages(s), on_read);
+        if (!reconstruct(d, off, bytes, std::move(writeback))) {
+            ++_unrecoverableReads;
+            if (*done_ptr)
+                (*done_ptr)();
         }
     };
     disks[d]->submitBytes(off, bytes, false, std::move(after_attempt));
@@ -241,35 +329,12 @@ void
 SimArray::issueDegradedRead(const DiskExtent &e,
                             std::function<void()> done)
 {
-    if (_layout->level() != RaidLevel::Raid5 &&
-        _layout->level() != RaidLevel::Raid3) {
-        sim::fatal("SimArray %s: disk %u failed and %s has no parity",
-                   _name.c_str(), e.disk,
-                   raidLevelName(_layout->level()));
-    }
     ++_degradedReads;
     _degradedBytes += e.bytes;
-    // Read the same disk-offset range from every survivor, then XOR.
-    const unsigned n = _layout->numDisks();
-    auto remaining = std::make_shared<unsigned>(n - 1);
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    const std::uint64_t bytes = e.bytes;
-    auto on_read = [this, remaining, done_ptr, bytes, n] {
-        if (--*remaining > 0)
-            return;
-        _board.parity().pass(bytes * (n - 1), bytes, [done_ptr] {
-            if (*done_ptr)
-                (*done_ptr)();
-        });
-    };
-    for (unsigned d = 0; d < n; ++d) {
-        if (d == e.disk)
-            continue;
-        if (failedDisks[d])
-            sim::fatal("SimArray %s: double disk failure", _name.c_str());
-        channels[d]->read(e.diskOffset, e.bytes, readStages(d), on_read);
-    }
+    if (!reconstruct(e.disk, e.diskOffset, e.bytes, std::move(done)))
+        sim::fatal("SimArray %s: disk %u failed and %s has nothing left "
+                   "to rebuild it from", _name.c_str(), e.disk,
+                   raidLevelName(_layout->level()));
 }
 
 void

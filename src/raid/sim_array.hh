@@ -15,6 +15,15 @@
  * 64 KB units) spans exactly the first strings, and slightly larger or
  * unaligned requests spill onto "a second string on one of the
  * controllers" — the cause of Fig 5's dip.
+ *
+ * The array also owns the media state: which disks have failed and
+ * where latent defects lie.  SimArray moves no real bytes, so it keeps
+ * the defect map itself; a timed read that lands on a defect runs the
+ * reconstruct-and-rewrite sequence.  When a functional twin
+ * (RaidArray) is attached, every change of media state reaches it in
+ * the same call, so the byte plane and the timing plane stay
+ * consistent.  Degraded reads, latent repairs, rebuild stripes and
+ * scrub repairs all run through one timed reconstruct().
  */
 
 #ifndef RAID2_RAID_SIM_ARRAY_HH
@@ -29,6 +38,7 @@
 #include <vector>
 
 #include "disk/disk_model.hh"
+#include "raid/interval_set.hh"
 #include "raid/raid_layout.hh"
 #include "scsi/cougar_controller.hh"
 #include "sim/stats.hh"
@@ -63,27 +73,7 @@ struct ArrayTopology
     }
 };
 
-/**
- * Where the timing plane learns about media defects.
- *
- * SimArray moves no real bytes, so it cannot discover a latent sector
- * error by reading; the fault subsystem (fault::FaultController) keeps
- * the defect map and implements this interface.  When a timed read
- * lands on a defective range the array runs the timed
- * reconstruct-and-rewrite sequence and reports the repair back, which
- * the controller mirrors into the functional plane.
- */
-class MediaFaultOracle
-{
-  public:
-    virtual ~MediaFaultOracle() = default;
-    /** Is any byte of [off, off+bytes) on disk @p d unreadable? */
-    virtual bool hasLatent(unsigned d, std::uint64_t off,
-                           std::uint64_t bytes) const = 0;
-    /** The range was reconstructed and rewritten in place. */
-    virtual void repairedLatent(unsigned d, std::uint64_t off,
-                                std::uint64_t bytes, bool by_scrub) = 0;
-};
+class RaidArray;
 
 /** Timed disk array attached to one XBUS board. */
 class SimArray
@@ -110,18 +100,65 @@ class SimArray
     void write(std::uint64_t off, std::uint64_t len,
                std::function<void()> done);
 
-    /** Take a disk offline; subsequent reads reconstruct on the fly. */
+    /** Take a disk offline; subsequent reads reconstruct on the fly.
+     *  Its latent defects go with it. */
     void failDisk(unsigned d);
-    /** Bring a (rebuilt) disk back online. */
+    /** Bring a (rebuilt) disk back online; the twin rebuilds its copy. */
     void restoreDisk(unsigned d);
     bool isFailed(unsigned d) const { return failedDisks.at(d); }
     bool degraded() const;
 
-    /** Attach (or detach with nullptr) the media-defect oracle. */
-    void setFaultOracle(MediaFaultOracle *o) { oracle = o; }
+    /** Attach the functional twin, once.  failDisk, restoreDisk,
+     *  injectLatent, dropLatents and noteRepaired then change its
+     *  media state too. */
+    void attachTwin(RaidArray &twin);
+    RaidArray *twin() const { return _twin; }
+
+    /** @{ Latent media defects. */
+    /** Per-disk bytes a media fault can land in: the striped region,
+     *  clipped to the twin's disks. */
+    std::uint64_t mediaSpan() const;
+    /** Mark [off, off+bytes) of disk @p d unreadable (the twin garbles
+     *  its copy). */
+    void injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
+    /** Is any byte of [off, off+bytes) on disk @p d unreadable? */
+    bool hasLatent(unsigned d, std::uint64_t off,
+                   std::uint64_t bytes) const
+    {
+        return latents.at(d).overlaps(off, bytes);
+    }
+    /** Consume every defect of disk @p d without a timed repair (media
+     *  reallocation; the twin repairs its copy).  @return ranges
+     *  dropped. */
+    std::uint64_t dropLatents(unsigned d);
+    /** A timed repair rewrote [off, off+bytes) of disk @p d: clear the
+     *  defects inside it, in the twin too, and count the repair. */
+    void noteRepaired(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                      bool by_scrub);
+    std::uint64_t latentRangesOutstanding() const;
+    std::uint64_t latentBytesOutstanding() const;
+    /** Ranges repaired by foreground reads / by the scrubber, and the
+     *  defective bytes those repairs cleared. */
+    std::uint64_t readRepairedRanges() const { return _readRepairs; }
+    std::uint64_t scrubRepairedRanges() const { return _scrubRepairs; }
+    std::uint64_t latentRepairedBytes() const { return _repairedBytes; }
+    /** @} */
+
+    /**
+     * Timed reconstruction of [off, off+bytes) of disk @p d from
+     * redundancy into XBUS memory.  RAID-1 reads the mirror partner;
+     * RAID-3/5 read every survivor in ascending disk order, then run
+     * one parity pass of (bytes * (n-1), bytes).
+     * @return false, issuing nothing (@p done never fires), when no
+     * redundancy is left to read: RAID-0, or a failed partner or
+     * survivor.
+     */
+    bool reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                     std::function<void()> done);
 
     /** @{ Raw per-disk transfers through the full bus chain (used by
-     *  rebuild and by benches that bypass the RAID mapping). */
+     *  rebuild, the scrubber and benches that bypass the RAID
+     *  mapping). */
     void rawDiskRead(unsigned d, std::uint64_t disk_offset,
                      std::uint64_t bytes, std::function<void()> done);
     void rawDiskWrite(unsigned d, std::uint64_t disk_offset,
@@ -186,12 +223,12 @@ class SimArray
     void issueExtentWrite(const DiskExtent &e,
                           std::function<void()> done);
 
-    /** Degraded read: rebuild @p e from the survivors + parity pass. */
+    /** Degraded read: reconstruct @p e from the survivors. */
     void issueDegradedRead(const DiskExtent &e,
                            std::function<void()> done);
 
     /** A read of disk @p d hit a latent defect: run the timed
-     *  reconstruct-and-rewrite sequence, then notify the oracle. */
+     *  reconstruct-and-rewrite sequence, then note the repair. */
     void issueLatentRepairRead(const DiskExtent &e, unsigned d,
                                std::function<void()> done);
 
@@ -222,7 +259,9 @@ class SimArray
     std::vector<std::unique_ptr<scsi::CougarController>> cougars;
     std::vector<std::unique_ptr<scsi::DiskChannel>> channels;
     std::vector<bool> failedDisks;
-    MediaFaultOracle *oracle = nullptr;
+    /** Per-disk latent defects. */
+    std::vector<IntervalSet> latents;
+    RaidArray *_twin = nullptr;
 
     /** Stripes with a write in flight -> queued waiters. */
     std::unordered_map<std::uint64_t,
@@ -238,6 +277,11 @@ class SimArray
     std::uint64_t _latentRepairReads = 0;
     std::uint64_t _latentRepairBytes = 0;
     std::uint64_t _unrecoverableReads = 0;
+    /** @{ Media-state counters (resetStats keeps them). */
+    std::uint64_t _readRepairs = 0;
+    std::uint64_t _scrubRepairs = 0;
+    std::uint64_t _repairedBytes = 0;
+    /** @} */
     std::uint64_t _stripeLockWaits = 0;
     std::uint64_t _rwStripes = 0;
     std::uint64_t _fullStripes = 0;

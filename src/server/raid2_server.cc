@@ -59,19 +59,18 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
             (cfg.fsDeviceBytes + sdb - 1) / sdb;
         _functional = std::make_unique<raid::RaidArray>(
             lcfg, stripes * probe.unitBytes());
+        _array->attachTwin(*_functional);
     }
 
     if (cfg.withReliability) {
-        fault::FaultController::Hooks hooks;
-        hooks.array = _array.get();
-        hooks.functional = _functional.get();
-        hooks.hippi = &_loop->channel();
         _faults = std::make_unique<fault::FaultController>(
-            eq, _name + ".fault", hooks);
+            eq, _name + ".fault",
+            fault::FaultController::Hooks{_array.get(),
+                                          &_loop->channel()});
         _recovery = std::make_unique<fault::RecoveryManager>(
             eq, _name + ".recovery", *_array, *_faults, cfg.recovery);
         _scrubber = std::make_unique<fault::Scrubber>(
-            eq, _name + ".scrub", *_array, *_faults, cfg.scrub);
+            eq, _name + ".scrub", *_array, cfg.scrub);
     }
 
     if (cfg.withFs) {

@@ -369,14 +369,12 @@ class Raid2Server
     std::unique_ptr<net::EthernetLink> _ethernet;
     std::unique_ptr<net::HippiLoopback> _loop;
 
-    /** Functional RAID twin; null unless Config::withIntegrity.
-     *  Declared before the FaultController (which mirrors faults into
-     *  it) and before the device chain built on top of it. */
+    /** Functional RAID twin; null unless Config::withIntegrity.  The
+     *  timed array carries its media faults into it.  Declared before
+     *  the device chain built on top of it. */
     std::unique_ptr<raid::RaidArray> _functional;
 
-    /** @{ Reliability subsystem; null unless Config::withReliability.
-     *  Declared after the array so the controller detaches its oracle
-     *  before the array dies. */
+    /** @{ Reliability subsystem; null unless Config::withReliability. */
     std::unique_ptr<fault::FaultController> _faults;
     std::unique_ptr<fault::RecoveryManager> _recovery;
     std::unique_ptr<fault::Scrubber> _scrubber;

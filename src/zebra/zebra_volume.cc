@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "raid/parity.hh"
 #include "sim/logging.hh"
@@ -248,8 +249,11 @@ ZebraVolume::rebuildServer(unsigned s, std::function<void()> done)
     const std::uint64_t frag = cfg.fragmentBytes;
     auto done_ptr =
         std::make_shared<std::function<void()>>(std::move(done));
+    // The step holds itself only weakly; the I/O in flight keeps it
+    // alive, so it is freed once the last stripe is written.
     auto step = std::make_shared<std::function<void(std::uint64_t)>>();
-    *step = [this, s, frag, done_ptr, step](std::uint64_t stripe) {
+    *step = [this, s, frag, done_ptr,
+             weak = std::weak_ptr(step)](std::uint64_t stripe) {
         if (stripe >= flushedStripes) {
             ++_rebuilds;
             if (*done_ptr)
@@ -269,7 +273,7 @@ ZebraVolume::rebuildServer(unsigned s, std::function<void()> done)
         // Timed: read the survivors, write the rebuilt fragment.
         auto remaining =
             std::make_shared<unsigned>(numServers() - 1);
-        auto cont = [this, s, stripe, frag, step,
+        auto cont = [this, s, stripe, frag, step = weak.lock(),
                      rebuilt = std::move(rebuilt),
                      remaining](server::Status) mutable {
             if (--*remaining > 0)

@@ -193,7 +193,7 @@ TEST(BackupEngine, SurvivesInjectedHippiLinkDrops)
     // stream runs; backoff must absorb them.
     fault::FaultController ctl(
         rig.eq, "faults",
-        {&rig.src.array(), nullptr, &rig.eng.channel()});
+        {&rig.src.array(), &rig.eng.channel()});
     fault::FaultPlan plan;
     // An outage spanning most of the stream: reading one segment from
     // the array takes ~100ms of simulated time, so the first segment
@@ -230,7 +230,7 @@ TEST(BackupDemo, OnlineIncrementalBackupUnderFleetLoad)
 
     fault::FaultController ctl(
         rig.eq, "faults",
-        {&rig.src.array(), nullptr, &rig.eng.channel()});
+        {&rig.src.array(), &rig.eng.channel()});
     fault::FaultPlan plan;
     // The delta segment's array read contends with the fleet, so the
     // outage has to span well past the stream's first send probe.

@@ -69,9 +69,9 @@ struct Rig
     explicit Rig(raid::RaidLevel level = raid::RaidLevel::Raid5)
         : timed(eq, board, "a", layoutCfg(level), topo()),
           functional(layoutCfg(level), kDiskBytes),
-          faults(eq, "fault",
-                 {&timed, &functional, &loop.channel()})
+          faults(eq, "fault", {&timed, &loop.channel()})
     {
+        timed.attachTwin(functional);
     }
 
     static raid::ArrayTopology
@@ -249,8 +249,8 @@ TEST(FaultController, ForegroundReadRepairsLatentError)
     // sequence; the functional plane was repaired in lockstep.
     EXPECT_EQ(rig.timed.latentRepairReads(), 1u);
     EXPECT_GE(rig.timed.latentRepairBytes(), 8192u);
-    EXPECT_EQ(rig.faults.readRepairedRanges(), 1u);
-    EXPECT_EQ(rig.faults.latentBytesOutstanding(), 0u);
+    EXPECT_EQ(rig.timed.readRepairedRanges(), 1u);
+    EXPECT_EQ(rig.timed.latentBytesOutstanding(), 0u);
     EXPECT_EQ(rig.functional.latentCount(), 0u);
     EXPECT_TRUE(rig.functional.redundancyConsistent());
 
@@ -275,21 +275,21 @@ TEST(Scrubber, RepairsLatentsWithoutForegroundReads)
     // Land the latents before the sweep starts, or the wait predicate
     // below is satisfied trivially at t=0.
     rig.eq.runUntil(sim::msToTicks(2));
-    ASSERT_EQ(rig.faults.latentRangesOutstanding(), 2u);
+    ASSERT_EQ(rig.timed.latentRangesOutstanding(), 2u);
 
     fault::Scrubber::Config scfg;
     scfg.chunkBytes = 256 * 1024;
     scfg.interChunkDelay = sim::msToTicks(1);
-    fault::Scrubber scrub(rig.eq, "scrub", rig.timed, rig.faults, scfg);
+    fault::Scrubber scrub(rig.eq, "scrub", rig.timed, scfg);
     scrub.start();
     const bool repaired = rig.eq.runUntilDone(
-        [&] { return rig.faults.latentBytesOutstanding() == 0; });
+        [&] { return rig.timed.latentBytesOutstanding() == 0; });
     scrub.stop();
     rig.eq.run();
 
     EXPECT_TRUE(repaired);
-    EXPECT_EQ(rig.faults.scrubRepairedRanges(), 2u);
-    EXPECT_EQ(rig.faults.readRepairedRanges(), 0u);
+    EXPECT_EQ(rig.timed.scrubRepairedRanges(), 2u);
+    EXPECT_EQ(rig.timed.readRepairedRanges(), 0u);
     EXPECT_GE(scrub.rangesRepaired(), 2u);
     EXPECT_GT(scrub.bytesScanned(), 0u);
     EXPECT_EQ(rig.functional.latentCount(), 0u);
@@ -399,7 +399,7 @@ TEST(FaultController, SurvivorLatentsAtFailureAreRebuildExposure)
     // so both planes stay recoverable.
     EXPECT_EQ(rig.faults.rebuildExposedRanges(), 1u);
     EXPECT_EQ(rig.faults.dataLossEvents(), 1u);
-    EXPECT_EQ(rig.faults.latentBytesOutstanding(), 0u);
+    EXPECT_EQ(rig.timed.latentBytesOutstanding(), 0u);
     EXPECT_EQ(rig.functional.latentCount(), 0u);
 }
 
@@ -415,7 +415,7 @@ TEST(FaultController, LatentWhileDegradedIsDataLoss)
 
     EXPECT_EQ(rig.faults.latentsWhileDegraded(), 1u);
     EXPECT_EQ(rig.faults.dataLossEvents(), 1u);
-    EXPECT_EQ(rig.faults.latentBytesOutstanding(), 0u);
+    EXPECT_EQ(rig.timed.latentBytesOutstanding(), 0u);
 }
 
 // ---------------------------------------------------------------------

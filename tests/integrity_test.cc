@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstring>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -687,8 +688,8 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
     raid::RaidArray functional(
         raid::LayoutConfig{raid::RaidLevel::Raid1, 16, 64 * 1024},
         4ull * 1024 * 1024);
-    fault::FaultController faults(
-        eq, "fault", {&timed, &functional, &loop.channel()});
+    timed.attachTwin(functional);
+    fault::FaultController faults(eq, "fault", {&timed, &loop.channel()});
 
     fault::RecoveryManager::Config rcfg;
     rcfg.spares = 1;
@@ -700,7 +701,7 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
     scfg.chunkBytes = 1024 * 1024;
     scfg.interChunkDelay = 0;
     scfg.pauseWhileDegraded = false; // keep discovering while degraded
-    fault::Scrubber scrub(eq, "scrub", timed, faults, scfg);
+    fault::Scrubber scrub(eq, "scrub", timed, scfg);
 
     std::vector<std::uint8_t> shadow(2ull * 1024 * 1024);
     for (std::size_t i = 0; i < shadow.size(); ++i)
@@ -724,12 +725,12 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
     EXPECT_TRUE(recovery.rebuildActive() ||
                 recovery.failuresWaiting() > 0 ||
                 recovery.sparesUsed() == 1);
-    EXPECT_EQ(faults.latentRangesOutstanding(), 1u);
+    EXPECT_EQ(timed.latentRangesOutstanding(), 1u);
     EXPECT_EQ(scrub.rangesRepaired(), 0u);
     EXPECT_EQ(faults.rebuildExposedRanges(), 0u);
 
     const bool settled = eq.runUntilDone([&] {
-        return faults.latentBytesOutstanding() == 0 &&
+        return timed.latentBytesOutstanding() == 0 &&
                !recovery.rebuildActive() &&
                recovery.failuresWaiting() == 0;
     });
@@ -739,8 +740,8 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
 
     // Exactly one repair, by the scrubber, and no loss accounting.
     EXPECT_EQ(scrub.rangesRepaired(), 1u);
-    EXPECT_EQ(faults.scrubRepairedRanges(), 1u);
-    EXPECT_EQ(faults.readRepairedRanges(), 0u);
+    EXPECT_EQ(timed.scrubRepairedRanges(), 1u);
+    EXPECT_EQ(timed.readRepairedRanges(), 0u);
     EXPECT_EQ(faults.dataLossEvents(), 0u);
     EXPECT_EQ(faults.latentsWhileDegraded(), 0u);
     EXPECT_EQ(functional.latentCount(), 0u);
@@ -992,6 +993,20 @@ TEST(ServerIntegrity, StatsRegisterUnderIntegrityPrefix)
     sim::StatsRegistry reg2;
     srv2.registerStats(reg2);
     EXPECT_FALSE(reg2.contains("integrity.verified_blocks"));
+}
+
+TEST(ServerIntegrity, TwinParityCountersRegisterOnce)
+{
+    // With reliability on as well, the twin's parity counters appear
+    // once, under integrity.array, and nothing under fault.array.
+    ServerRig rig{serverCfg(true)};
+    sim::StatsRegistry reg;
+    rig.srv.registerStats(reg);
+    EXPECT_TRUE(reg.contains("integrity.array.parity.recomputes"));
+    EXPECT_TRUE(reg.contains("integrity.array.parity.fullStripeWrites"));
+    std::ostringstream names;
+    reg.dump(names);
+    EXPECT_EQ(names.str().find("fault.array."), std::string::npos);
 }
 
 TEST(ServerIntegrity, TwinDisksHoldOneLayoutUnitPerStripe)

@@ -73,11 +73,12 @@ struct Campaign
     Campaign(raid::RaidLevel level, std::uint64_t seed)
         : timed(eq, board, "a", layoutCfg(level), topo()),
           functional(layoutCfg(level), kDiskBytes),
-          faults(eq, "fault", {&timed, &functional, &loop.channel()}),
+          faults(eq, "fault", {&timed, &loop.channel()}),
           recovery(eq, "rec", timed, faults, recoveryCfg()),
-          scrubber(eq, "scrub", timed, faults, scrubCfg()),
+          scrubber(eq, "scrub", timed, scrubCfg()),
           shadow(kWorkingSet)
     {
+        timed.attachTwin(functional);
         // Seeded fill of the working set, identical in both copies.
         sim::Random rng(seed * 977 + 5);
         for (auto &b : shadow)
@@ -190,7 +191,7 @@ runProperty(raid::RaidLevel level, std::uint64_t seed)
         return c.eq.now() >= pc.horizon && ops >= 120 &&
                !c.recovery.rebuildActive() &&
                c.recovery.failuresWaiting() == 0 &&
-               c.faults.latentBytesOutstanding() == 0;
+               c.timed.latentBytesOutstanding() == 0;
     });
     c.scrubber.stop();
     c.eq.run();

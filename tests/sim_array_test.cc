@@ -9,6 +9,7 @@
 
 #include <functional>
 
+#include "disk/disk_profile.hh"
 #include "raid/reconstruct.hh"
 #include "raid/sim_array.hh"
 #include "sim/event_queue.hh"
@@ -298,6 +299,43 @@ TEST(RebuildJob, RebuildsAllStripesAndRestoresDisk)
     EXPECT_FALSE(array.isFailed(3));
     EXPECT_EQ(job.stripesDone(), array.layout().numStripes());
     EXPECT_GT(array.disk(3).sectorsWritten(), 0u);
+}
+
+TEST(RebuildJob, Raid1CopiesTheMirror)
+{
+    // A mirror is rebuilt by copying its partner: no other survivor is
+    // read and the parity engine stays idle.
+    sim::EventQueue eq;
+    xbus::XbusBoard board(eq, "x");
+    disk::DiskProfile small = disk::ibm0661();
+    small.cylinders /= 40; // a short sweep
+    raid::ArrayTopology topo;
+    topo.disksPerString = 2; // 16 disks
+    topo.profile = &small;
+    raid::LayoutConfig lcfg;
+    lcfg.level = raid::RaidLevel::Raid1;
+    lcfg.stripeUnitBytes = 64 * 1024;
+    raid::SimArray array(eq, board, "a", lcfg, topo);
+
+    const unsigned dead = 3;
+    const unsigned partner = array.layout().mirrorPartner(dead);
+    array.failDisk(dead);
+    raid::RebuildJob job(eq, array, dead, 4);
+    bool done = false;
+    job.start([&] { done = true; });
+    eq.run();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(job.stripesDone(), array.layout().numStripes());
+
+    EXPECT_GT(array.disk(dead).sectorsWritten(), 0u);
+    EXPECT_EQ(array.disk(partner).sectorsRead(),
+              array.disk(dead).sectorsWritten());
+    for (unsigned d = 0; d < array.numDisks(); ++d) {
+        if (d != partner) {
+            EXPECT_EQ(array.disk(d).sectorsRead(), 0u) << "disk " << d;
+        }
+    }
+    EXPECT_EQ(board.parity().passes(), 0u);
 }
 
 } // namespace

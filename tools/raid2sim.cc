@@ -294,7 +294,7 @@ cmdBackup(const SnapOptions &opt)
     mgr.create("base");
 
     fault::FaultController ctl(eq, "faults",
-                               {&src.array(), nullptr, &eng.channel()});
+                               {&src.array(), &eng.channel()});
     if (opt.dropMs > 0) {
         fault::FaultPlan plan;
         plan.hippiLinkDrop(sim::usToTicks(10),
