@@ -7,8 +7,8 @@
 # The committed reports use each bench's defaults, so the variables
 # that change a bench's output are cleared first.
 
-foreach(var RAID2_MTTDL_TRIALS RAID2_FAULT_SEED RAID2_BENCH_JSON
-            RAID2_TRACE)
+foreach(var RAID2_MTTDL_TRIALS RAID2_FAULT_SEED RAID2_BACKUP_QUICK
+            RAID2_BENCH_JSON RAID2_TRACE)
     unset(ENV{${var}})
 endforeach()
 

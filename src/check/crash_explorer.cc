@@ -124,19 +124,12 @@ Tree
 recoverTree(const lfs::Lfs &fs)
 {
     Tree out;
-    std::vector<std::string> stack{"/"};
-    while (!stack.empty()) {
-        const std::string path = std::move(stack.back());
-        stack.pop_back();
-        const auto st = fs.stat(path);
+    fs.walk([&](const std::string &path, const lfs::Stat &st) {
         TreeNode node;
         if (st.type == lfs::FileType::Directory) {
             node.isDir = true;
-            for (const auto &e : fs.readdir(path)) {
+            for (const auto &e : fs.readdir(path))
                 node.entries.insert(e.name);
-                stack.push_back(path == "/" ? "/" + e.name
-                                            : path + "/" + e.name);
-            }
         } else {
             auto bytes =
                 std::make_shared<std::vector<std::uint8_t>>(st.size);
@@ -145,7 +138,7 @@ recoverTree(const lfs::Lfs &fs)
             node.bytes = std::move(bytes);
         }
         out.emplace(path, std::move(node));
-    }
+    });
     return out;
 }
 

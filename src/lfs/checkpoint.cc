@@ -10,6 +10,7 @@
  * the current state of the file system").
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include "lfs/lfs.hh"
@@ -17,37 +18,41 @@
 
 namespace raid2::lfs {
 
-void
-Lfs::writeCheckpoint()
+std::vector<std::uint8_t>
+Lfs::encodeCheckpoint(const Superblock &sb, CheckpointHeader hdr,
+                      std::span<const BlockAddr> chunk_addrs,
+                      std::span<const Usage> usage,
+                      std::span<const SnapshotRecord> snaps)
 {
-    CheckpointHeader hdr{};
     hdr.magic = checkpointMagic;
-    hdr.seqno = ++cpSeqno;
-    hdr.logHeadSegment = segw->currentSegment();
-    hdr.nextSegSeq = segw->segSeq();
-    hdr.nextIno = nextIno;
-    hdr.rootIno = root;
-    hdr.numImapChunks =
-        static_cast<std::uint32_t>(imapChunkAddr.size());
-    hdr.numSegments = static_cast<std::uint32_t>(sb.numSegments);
     hdr.numSnapshots = static_cast<std::uint32_t>(snaps.size());
+    hdr.numImapChunks = static_cast<std::uint32_t>(chunk_addrs.size());
+    hdr.numSegments = static_cast<std::uint32_t>(usage.size());
 
-    std::vector<std::uint8_t> body;
-    body.resize(8ull * imapChunkAddr.size() +
-                sizeof(UsageEntry) * usage.size());
-    std::memcpy(body.data(), imapChunkAddr.data(),
-                8ull * imapChunkAddr.size());
-    auto *ue = reinterpret_cast<UsageEntry *>(
-        body.data() + 8ull * imapChunkAddr.size());
-    for (std::size_t s = 0; s < usage.size(); ++s) {
-        ue[s].liveBytes = usage[s].liveBytes;
-        ue[s].pad = 0;
-        ue[s].writeSeq = usage[s].writeSeq;
+    // Body: imap chunk addresses, usage table, then the snapshot table
+    // (fixed record + name + imap addrs + pin bitmap per snapshot), all
+    // inside the body checksum so a torn checkpoint can never surface
+    // a half-updated table.
+    std::uint64_t body_size = 8ull * chunk_addrs.size() +
+                              sizeof(UsageEntry) * usage.size();
+    for (const SnapshotRecord &r : snaps)
+        body_size += snapshotRecordBytes(r.name.size(),
+                                         r.imapChunkAddr.size(),
+                                         sb.numSegments);
+    std::vector<std::uint8_t> region(
+        std::size_t(sb.cpBlocks) * sb.blockSize, 0);
+    if (sizeof(hdr) + body_size > region.size())
+        sim::panic("Lfs: checkpoint body exceeds region size");
+
+    std::uint8_t *const body = region.data() + sizeof(hdr);
+    std::uint8_t *p = body;
+    std::memcpy(p, chunk_addrs.data(), 8ull * chunk_addrs.size());
+    p += 8ull * chunk_addrs.size();
+    for (const Usage &u : usage) {
+        const UsageEntry ue{u.liveBytes, 0, u.writeSeq};
+        std::memcpy(p, &ue, sizeof(ue));
+        p += sizeof(ue);
     }
-
-    // Snapshot table: fixed record + name + imap addrs + pin bitmap
-    // per snapshot, all inside the body checksum so a torn checkpoint
-    // can never surface a half-updated table.
     for (const SnapshotRecord &r : snaps) {
         SnapshotDiskRecord sr{};
         sr.id = r.id;
@@ -59,12 +64,6 @@ Lfs::writeCheckpoint()
         sr.numImapChunks =
             static_cast<std::uint32_t>(r.imapChunkAddr.size());
         sr.numSegments = static_cast<std::uint32_t>(sb.numSegments);
-
-        const std::size_t base = body.size();
-        body.resize(base + snapshotRecordBytes(sr.nameLen,
-                                               sr.numImapChunks,
-                                               sr.numSegments));
-        std::uint8_t *p = body.data() + base;
         std::memcpy(p, &sr, sizeof(sr));
         p += sizeof(sr);
         std::memcpy(p, r.name.data(), r.name.size());
@@ -76,26 +75,76 @@ Lfs::writeCheckpoint()
             if (r.pinned[s])
                 p[s / 8] |= std::uint8_t(1u << (s % 8));
         }
-    }
-    hdr.bodyChecksum = fnv1a({body.data(), body.size()});
-    {
-        CheckpointHeader tmp = hdr;
-        tmp.checksum = 0;
-        hdr.checksum = fnv1a(
-            {reinterpret_cast<const std::uint8_t *>(&tmp), sizeof(tmp)});
+        p += (sb.numSegments + 7) / 8;
     }
 
-    std::vector<std::uint8_t> region(
-        std::size_t(sb.cpBlocks) * sb.blockSize, 0);
-    if (sizeof(hdr) + body.size() > region.size())
-        sim::panic("Lfs: checkpoint body exceeds region size");
+    hdr.bodyChecksum = fnv1a({body, body_size});
+    hdr.checksum = 0;
+    hdr.checksum =
+        fnv1a({reinterpret_cast<const std::uint8_t *>(&hdr), sizeof(hdr)});
     std::memcpy(region.data(), &hdr, sizeof(hdr));
-    std::memcpy(region.data() + sizeof(hdr), body.data(), body.size());
+    return region;
+}
+
+void
+Lfs::writeCheckpoint()
+{
+    CheckpointHeader hdr{};
+    hdr.seqno = ++cpSeqno;
+    hdr.logHeadSegment = segw->currentSegment();
+    hdr.nextSegSeq = segw->segSeq();
+    hdr.nextIno = nextIno;
+    hdr.rootIno = root;
+    const std::vector<std::uint8_t> region =
+        encodeCheckpoint(sb, hdr, imapChunkAddr, usage, snaps);
 
     const std::uint64_t base =
         (cpSeqno % 2 == 0) ? sb.cp0Block : sb.cp1Block;
     dev.writeBlocks(base, sb.cpBlocks, {region.data(), region.size()});
     dev.flush();
+}
+
+std::vector<std::uint8_t>
+Lfs::restoreCheckpoint(fs::BlockDevice &dev, const SnapshotRecord &rec)
+{
+    const Superblock sb = loadSuperblock(dev);
+    CheckpointHeader hdr{};
+    hdr.seqno = std::max<std::uint64_t>(rec.createSeq, 1);
+    hdr.nextSegSeq = rec.nextSegSeq;
+    hdr.nextIno = rec.nextIno;
+    hdr.rootIno = rec.root;
+
+    // Log head: the first segment the snapshot does not pin.  It was
+    // never shipped, so roll-forward finds no matching summary there
+    // and mount opens it fresh.
+    while (hdr.logHeadSegment < sb.numSegments &&
+           rec.pinned[hdr.logHeadSegment])
+        ++hdr.logHeadSegment;
+    if (hdr.logHeadSegment == sb.numSegments)
+        sim::panic("Lfs: snapshot %s pins every segment", rec.name.c_str());
+
+    // Usage table: a pinned segment gets its summary's block count — a
+    // safe superset of the live bytes, which is all the allocator and
+    // cleaner need to stay away; everything else is clean.
+    std::vector<Usage> usage(sb.numSegments);
+    const std::uint32_t summary_blocks = sb.summaryBlocksPerSegment();
+    std::vector<std::uint8_t> summary(std::size_t(summary_blocks) *
+                                      sb.blockSize);
+    for (std::uint64_t s = 0; s < sb.numSegments; ++s) {
+        if (!rec.pinned[s])
+            continue;
+        dev.readBlocks(sb.segmentStartBlock(s), summary_blocks,
+                       {summary.data(), summary.size()});
+        SummaryHeader sh;
+        if (!readSummary(summary, sb, sh))
+            sim::panic("Lfs: pinned segment %llu has no valid summary",
+                       (unsigned long long)s);
+        usage[s].liveBytes = sh.count * sb.blockSize;
+        usage[s].writeSeq = sh.segSeq;
+    }
+    // The record is the snapshot table, so the restored file system
+    // keeps the pins and the snapshot stays mountable on the target.
+    return encodeCheckpoint(sb, hdr, rec.imapChunkAddr, usage, {&rec, 1});
 }
 
 bool

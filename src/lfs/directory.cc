@@ -1,6 +1,7 @@
 /**
  * @file
- * Directory layer: entry serialization and path resolution.
+ * Directory layer: entry serialization, path resolution and the tree
+ * walk.
  *
  * Directories are ordinary log files holding a packed list of
  * (inode, name) records; "." and ".." are implicit in path logic.
@@ -187,6 +188,27 @@ Lfs::resolveParent(const std::string &path, std::string &leaf) const
     if (getInodeConst(cur).fileType() != FileType::Directory)
         throw LfsError(Errno::NotDirectory, path);
     return cur;
+}
+
+void
+Lfs::walk(const std::function<void(const std::string &, const Stat &)> &fn)
+    const
+{
+    walkFrom("/", root, fn);
+}
+
+void
+Lfs::walkFrom(const std::string &path, InodeNum ino,
+              const std::function<void(const std::string &, const Stat &)>
+                  &fn) const
+{
+    const Stat st = statIno(ino);
+    fn(path, st);
+    if (st.type != FileType::Directory)
+        return;
+    const std::string prefix = path == "/" ? "" : path;
+    for (const DirEntry &e : readDirEntries(getInodeConst(ino)))
+        walkFrom(prefix + "/" + e.name, e.ino, fn);
 }
 
 } // namespace raid2::lfs

@@ -79,7 +79,7 @@ Lfs::loadImapChunks()
     for (std::uint32_t c = 0; c < imapChunkAddr.size(); ++c) {
         if (imapChunkAddr[c] == nullAddr)
             continue;
-        dev.readBlock(imapChunkAddr[c], {block.data(), block.size()});
+        readMedia(imapChunkAddr[c], {block.data(), block.size()});
         const std::uint32_t first = c * per_chunk;
         const std::uint32_t count =
             std::min(per_chunk, sb.maxInodes - first);

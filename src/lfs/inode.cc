@@ -49,11 +49,6 @@ Lfs::getInodeConst(InodeNum ino) const
     const ImapEntry &e = imapEntryConst(ino);
     if (!e.allocated())
         throw LfsError(Errno::NoEntry, "inode not allocated");
-    if (e.blockAddr >= dev.numBlocks()) {
-        throw LfsError(Errno::Invalid,
-                       "imap block address out of range for inode " +
-                           std::to_string(ino));
-    }
 
     std::vector<std::uint8_t> block(sb.blockSize);
     readBlockAny(e.blockAddr, {block.data(), block.size()});
@@ -167,7 +162,7 @@ Lfs::pointerBlock(BlockMapWalk::Slot &slot, BlockAddr blk) const
         return segw->block(blk).data();
     if (slot.addr != blk) {
         slot.bytes.resize(sb.blockSize);
-        dev.readBlock(blk, {slot.bytes.data(), slot.bytes.size()});
+        readMedia(blk, {slot.bytes.data(), slot.bytes.size()});
         slot.addr = blk;
     }
     return slot.bytes.data();
@@ -219,7 +214,7 @@ Lfs::setPointer(BlockKind kind, InodeNum ino, std::uint64_t aux,
         if (ref == nullAddr) {
             std::fill(slot.begin(), slot.end(), 0);
         } else {
-            dev.readBlock(ref, slot);
+            readMedia(ref, slot);
             usageSub(ref, sb.blockSize);
         }
     }
@@ -316,7 +311,7 @@ Lfs::freeFileBlocks(DiskInode &inode, std::uint64_t first_keep_fbno)
         const bool buffered = segw->contains(ref);
         if (!buffered) {
             copy.resize(bs);
-            dev.readBlock(ref, {copy.data(), copy.size()});
+            readMedia(ref, {copy.data(), copy.size()});
         }
         std::uint8_t *ptrs =
             buffered ? segw->block(ref).data() : copy.data();

@@ -80,33 +80,12 @@ Lfs::format(fs::BlockDevice &dev, const Params &params)
     // Fresh checkpoint: empty imap, empty usage table, no root yet
     // (the first mount creates it).
     CheckpointHeader hdr{};
-    hdr.magic = checkpointMagic;
     hdr.seqno = 1;
-    hdr.logHeadSegment = 0;
     hdr.nextSegSeq = 1;
     hdr.nextIno = 1;
-    hdr.rootIno = nullIno;
-    hdr.numImapChunks = sb.numImapChunks();
-    hdr.numSegments = static_cast<std::uint32_t>(sb.numSegments);
-
-    std::vector<std::uint8_t> body(8ull * hdr.numImapChunks +
-                                       sizeof(UsageEntry) *
-                                           sb.numSegments,
-                                   0);
-    hdr.bodyChecksum = fnv1a({body.data(), body.size()});
-    hdr.checksum = 0;
-    {
-        CheckpointHeader tmp = hdr;
-        tmp.checksum = 0;
-        hdr.checksum =
-            fnv1a({reinterpret_cast<const std::uint8_t *>(&tmp),
-                   sizeof(tmp)});
-    }
-
-    std::vector<std::uint8_t> region(
-        std::size_t(sb.cpBlocks) * params.blockSize, 0);
-    std::memcpy(region.data(), &hdr, sizeof(hdr));
-    std::memcpy(region.data() + sizeof(hdr), body.data(), body.size());
+    std::vector<std::uint8_t> region = encodeCheckpoint(
+        sb, hdr, std::vector<BlockAddr>(sb.numImapChunks(), nullAddr),
+        std::vector<Usage>(sb.numSegments), {});
     dev.writeBlocks(sb.cp0Block, sb.cpBlocks,
                     {region.data(), region.size()});
     // Region 1 is deliberately left invalid (zeroed).
@@ -120,10 +99,12 @@ Lfs::format(fs::BlockDevice &dev, const Params &params)
 // Mount / teardown
 // ---------------------------------------------------------------------
 
-Lfs::Lfs(fs::BlockDevice &dev_) : dev(dev_)
+Superblock
+Lfs::loadSuperblock(fs::BlockDevice &dev)
 {
     std::vector<std::uint8_t> block(dev.blockSize(), 0);
     dev.readBlock(0, {block.data(), block.size()});
+    Superblock sb;
     std::memcpy(&sb, block.data(), sizeof(sb));
     if (sb.magic == superMagic && sb.version != formatVersion) {
         throw LfsError(Errno::Invalid,
@@ -133,6 +114,11 @@ Lfs::Lfs(fs::BlockDevice &dev_) : dev(dev_)
     }
     if (!sb.valid())
         throw LfsError(Errno::Invalid, "not an LFS device (bad superblock)");
+    return sb;
+}
+
+Lfs::Lfs(fs::BlockDevice &dev_, const Superblock &sb_) : dev(dev_), sb(sb_)
+{
     prm.blockSize = sb.blockSize;
     prm.segBlocks = sb.segBlocks;
     prm.maxInodes = sb.maxInodes;
@@ -147,7 +133,10 @@ Lfs::Lfs(fs::BlockDevice &dev_) : dev(dev_)
     segw->setReuseGuard([this](std::uint64_t seg) {
         return segPinCount[seg] == 0;
     });
+}
 
+Lfs::Lfs(fs::BlockDevice &dev_) : Lfs(dev_, loadSuperblock(dev_))
+{
     mount();
 
     if (root == nullIno) {
@@ -160,11 +149,38 @@ Lfs::Lfs(fs::BlockDevice &dev_) : dev(dev_)
     }
 }
 
+std::unique_ptr<const Lfs>
+Lfs::mountSnapshot(fs::BlockDevice &dev, const SnapshotRecord &rec)
+{
+    std::unique_ptr<Lfs> fs(new Lfs(dev, loadSuperblock(dev)));
+    if (rec.imapChunkAddr.size() != fs->imapChunkAddr.size())
+        throw LfsError(Errno::Invalid,
+                       "snapshot " + rec.name +
+                           ": imap chunk count differs from the superblock");
+    fs->imapChunkAddr = rec.imapChunkAddr;
+    fs->root = rec.root;
+    fs->nextIno = rec.nextIno;
+    fs->loadImapChunks();
+    return fs;
+}
+
 Lfs::~Lfs() = default;
 
 // ---------------------------------------------------------------------
 // Block helpers
 // ---------------------------------------------------------------------
+
+void
+Lfs::readMedia(BlockAddr addr, std::span<std::uint8_t> out) const
+{
+    // A garbled pointer or imap entry, not a program bug.
+    if (addr >= dev.numBlocks()) {
+        throw LfsError(Errno::Invalid,
+                       "block address " + std::to_string(addr) +
+                           " beyond the device");
+    }
+    dev.readBlock(addr, out);
+}
 
 void
 Lfs::readBlockAny(BlockAddr addr, std::span<std::uint8_t> out) const
@@ -178,7 +194,7 @@ Lfs::readBlockAny(BlockAddr addr, std::span<std::uint8_t> out) const
         std::copy(buffered.begin(), buffered.end(), out.begin());
         return;
     }
-    dev.readBlock(addr, out);
+    readMedia(addr, out);
 }
 
 std::uint64_t
@@ -338,7 +354,10 @@ std::uint64_t
 Lfs::read(InodeNum ino, std::uint64_t off,
           std::span<std::uint8_t> out) const
 {
-    return readData(getInodeConst(ino), off, out);
+    const DiskInode &inode = getInodeConst(ino);
+    if (inode.fileType() == FileType::Directory)
+        throw LfsError(Errno::IsDirectory, "read of a directory");
+    return readData(inode, off, out);
 }
 
 std::uint64_t

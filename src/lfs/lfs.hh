@@ -13,12 +13,18 @@
  * (server/) uses mapFile() to learn where a file's bytes live and
  * drives the simulated array with that layout, exactly as the paper's
  * host software directed the XBUS board.
+ *
+ * src/lfs is the only code that encodes or decodes the on-media format.
+ * A snapshot is read through a read-only mount of this class
+ * (mountSnapshot), so snapshot reads run through the same inode,
+ * block-map, directory and path code as live reads.
  */
 
 #ifndef RAID2_LFS_LFS_HH
 #define RAID2_LFS_LFS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -201,6 +207,31 @@ class Lfs
     explicit Lfs(fs::BlockDevice &dev);
     ~Lfs();
 
+    /**
+     * Mount snapshot @p rec of the file system on @p dev read-only: the
+     * record's imap chunk addresses, root and next inode number stand in
+     * for a checkpoint.  No checkpoint is read, nothing rolls forward
+     * and no segment opens.  The record's imap chunks lie in segments
+     * it pins, so the mount sees exactly the bytes the snapshot froze
+     * while the live file system keeps writing and cleaning.  @p dev
+     * must outlive the mount.
+     * @throw LfsError(Invalid) if @p dev holds no LFS or the record's
+     *        imap chunk count differs from the superblock's.
+     */
+    static std::unique_ptr<const Lfs>
+    mountSnapshot(fs::BlockDevice &dev, const SnapshotRecord &rec);
+
+    /**
+     * The checkpoint region that mounts the file system on @p dev as
+     * snapshot @p rec, once every segment the record pins holds its
+     * image there (a restore from backup): the log head at the first
+     * unpinned segment, each pinned segment's usage from its summary,
+     * and the record as the snapshot table.  A pinned segment without
+     * a valid summary is a hard error.
+     */
+    static std::vector<std::uint8_t>
+    restoreCheckpoint(fs::BlockDevice &dev, const SnapshotRecord &rec);
+
     Lfs(const Lfs &) = delete;
     Lfs &operator=(const Lfs &) = delete;
 
@@ -217,9 +248,16 @@ class Lfs
     std::vector<DirEntry> readdir(const std::string &path) const;
     Stat stat(const std::string &path) const;
     Stat statIno(InodeNum ino) const;
+    /**
+     * Visit the whole tree depth first, in pre-order and directory
+     * entry order: @p fn gets each node's absolute path ("/" for the
+     * root) and stat.
+     */
+    void walk(const std::function<void(const std::string &, const Stat &)>
+                  &fn) const;
     /** @} */
 
-    /** @{ File I/O. */
+    /** @{ File I/O.  read() of a directory raises IsDirectory. */
     std::uint64_t write(InodeNum ino, std::uint64_t off,
                         std::span<const std::uint8_t> data);
     std::uint64_t read(InodeNum ino, std::uint64_t off,
@@ -273,6 +311,7 @@ class Lfs
     const Params &params() const { return prm; }
     const Stats &stats() const { return _stats; }
     std::uint32_t blockSize() const { return sb.blockSize; }
+    const Superblock &superblock() const { return sb; }
     /** @} */
 
     /** Device byte extents of [off, off+len) of a file (for the timed
@@ -292,7 +331,18 @@ class Lfs
         std::uint64_t writeSeq = 0;
     };
 
+    /** @p dev's superblock.
+     *  @throw LfsError(Invalid) if it is not a readable LFS one. */
+    static Superblock loadSuperblock(fs::BlockDevice &dev);
+    /** The part of a mount both kinds share: @p sb and tables sized
+     *  for it, all empty, and a segment writer with no segment open. */
+    Lfs(fs::BlockDevice &dev, const Superblock &sb);
+
     /** @{ Block-level helpers (lfs.cc). */
+    /** Read block @p addr, an address taken from the media, from the
+     *  device.  @throw LfsError(Invalid) if it lies beyond the device. */
+    void readMedia(BlockAddr addr, std::span<std::uint8_t> out) const;
+    /** readMedia(), or the open segment's copy of a buffered block. */
     void readBlockAny(BlockAddr addr, std::span<std::uint8_t> out) const;
     std::uint64_t segOfAddr(BlockAddr addr) const;
     void usageAdd(BlockAddr addr, std::uint32_t bytes);
@@ -384,9 +434,25 @@ class Lfs
     InodeNum resolveParent(const std::string &path,
                            std::string &leaf) const;
     InodeNum resolve(const std::string &path) const;
+    void walkFrom(const std::string &path, InodeNum ino,
+                  const std::function<void(const std::string &,
+                                           const Stat &)> &fn) const;
     /** @} */
 
     /** @{ Checkpoint (checkpoint.cc). */
+    /**
+     * The one checkpoint encoder: a region of @p sb's checkpoint size
+     * holding @p hdr, whose log position (seqno, logHeadSegment,
+     * nextSegSeq) and roots (nextIno, rootIno) the caller sets, then
+     * the imap chunk addresses, the usage table and the snapshot
+     * table.  Fills in the magic, the counts, both checksums and the
+     * zero padding.  readCheckpoint() is its decoder.
+     */
+    static std::vector<std::uint8_t>
+    encodeCheckpoint(const Superblock &sb, CheckpointHeader hdr,
+                     std::span<const BlockAddr> chunk_addrs,
+                     std::span<const Usage> usage,
+                     std::span<const SnapshotRecord> snaps);
     void writeCheckpoint();
     bool readCheckpoint(std::uint64_t region_block,
                         CheckpointHeader &hdr,

@@ -1,7 +1,6 @@
 #include "snap/backup_engine.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
@@ -23,20 +22,11 @@ BackupEngine::BackupEngine(sim::EventQueue &eq_,
     if (!src.config().withFs || !dst.config().withFs)
         sim::panic("BackupEngine: both servers need a file system");
 
-    std::vector<std::uint8_t> block(src.rawFsDevice().blockSize());
-    src.rawFsDevice().readBlock(0, {block.data(), block.size()});
-    std::memcpy(&sb, block.data(), sizeof(sb));
-    if (!sb.valid())
-        sim::panic("BackupEngine: bad source superblock");
-
     // The stream rewrites target segments in place, so the two file
     // systems must share a geometry.
-    std::vector<std::uint8_t> dblock(dst.rawFsDevice().blockSize());
-    dst.rawFsDevice().readBlock(0, {dblock.data(), dblock.size()});
-    lfs::Superblock dsb;
-    std::memcpy(&dsb, dblock.data(), sizeof(dsb));
-    if (!dsb.valid() || dsb.blockSize != sb.blockSize ||
-        dsb.segBlocks != sb.segBlocks ||
+    sb = src.fs().superblock();
+    const lfs::Superblock &dsb = dst.fs().superblock();
+    if (dsb.blockSize != sb.blockSize || dsb.segBlocks != sb.segBlocks ||
         dsb.numSegments != sb.numSegments ||
         dsb.firstSegBlock != sb.firstSegBlock ||
         dsb.maxInodes != sb.maxInodes) {
@@ -244,109 +234,6 @@ BackupEngine::finishStream()
         done();
 }
 
-std::vector<std::uint8_t>
-BackupEngine::synthesizeCheckpoint(const lfs::SnapshotRecord &rec) const
-{
-    lfs::CheckpointHeader hdr{};
-    hdr.magic = lfs::checkpointMagic;
-    hdr.numSnapshots = 1;
-    hdr.seqno = std::max<std::uint64_t>(rec.createSeq, 1);
-    hdr.nextSegSeq = rec.nextSegSeq;
-    hdr.nextIno = rec.nextIno;
-    hdr.rootIno = rec.root;
-    hdr.numImapChunks =
-        static_cast<std::uint32_t>(rec.imapChunkAddr.size());
-    hdr.numSegments = static_cast<std::uint32_t>(sb.numSegments);
-
-    // Log head: the first segment the snapshot does not pin.  It was
-    // never shipped, so roll-forward finds no matching summary there
-    // and mount opens it fresh.
-    std::uint64_t head = 0;
-    while (head < sb.numSegments && rec.pinned[head])
-        ++head;
-    if (head == sb.numSegments)
-        sim::panic("BackupEngine: snapshot pins every segment");
-    hdr.logHeadSegment = head;
-
-    // Usage table: shipped (pinned) segments get their summary's
-    // block count — a safe superset of the live bytes, which is all
-    // the allocator and cleaner need to stay away; everything else is
-    // clean.
-    std::vector<std::uint8_t> body;
-    body.resize(8ull * rec.imapChunkAddr.size() +
-                sizeof(lfs::UsageEntry) * sb.numSegments);
-    std::memcpy(body.data(), rec.imapChunkAddr.data(),
-                8ull * rec.imapChunkAddr.size());
-    auto *ue = reinterpret_cast<lfs::UsageEntry *>(
-        body.data() + 8ull * rec.imapChunkAddr.size());
-    std::vector<std::uint8_t> sum(sb.blockSize);
-    for (std::uint64_t s = 0; s < sb.numSegments; ++s) {
-        ue[s] = lfs::UsageEntry{};
-        if (!rec.pinned[s])
-            continue;
-        dst.rawFsDevice().readBlock(sb.segmentStartBlock(s),
-                                    {sum.data(), sum.size()});
-        lfs::SummaryHeader sh;
-        std::memcpy(&sh, sum.data(), sizeof(sh));
-        if (sh.magic != lfs::summaryMagic) {
-            sim::panic("BackupEngine: shipped segment %llu has no "
-                       "valid summary",
-                       (unsigned long long)s);
-        }
-        ue[s].liveBytes = sh.count * sb.blockSize;
-        ue[s].writeSeq = sh.segSeq;
-    }
-
-    // The snapshot record itself rides in the checkpoint, so the
-    // restored file system keeps the pins (and the snapshot remains
-    // openable on the target).
-    {
-        lfs::SnapshotDiskRecord sr{};
-        sr.id = rec.id;
-        sr.nameLen = static_cast<std::uint32_t>(rec.name.size());
-        sr.createSeq = rec.createSeq;
-        sr.nextSegSeq = rec.nextSegSeq;
-        sr.root = rec.root;
-        sr.nextIno = rec.nextIno;
-        sr.numImapChunks =
-            static_cast<std::uint32_t>(rec.imapChunkAddr.size());
-        sr.numSegments = static_cast<std::uint32_t>(sb.numSegments);
-
-        const std::size_t base = body.size();
-        body.resize(base + lfs::snapshotRecordBytes(sr.nameLen,
-                                                    sr.numImapChunks,
-                                                    sr.numSegments));
-        std::uint8_t *p = body.data() + base;
-        std::memcpy(p, &sr, sizeof(sr));
-        p += sizeof(sr);
-        std::memcpy(p, rec.name.data(), rec.name.size());
-        p += rec.name.size();
-        std::memcpy(p, rec.imapChunkAddr.data(),
-                    8ull * rec.imapChunkAddr.size());
-        p += 8ull * rec.imapChunkAddr.size();
-        for (std::uint64_t s = 0; s < sb.numSegments; ++s) {
-            if (rec.pinned[s])
-                p[s / 8] |= std::uint8_t(1u << (s % 8));
-        }
-    }
-
-    hdr.bodyChecksum = lfs::fnv1a({body.data(), body.size()});
-    {
-        lfs::CheckpointHeader tmp = hdr;
-        tmp.checksum = 0;
-        hdr.checksum = lfs::fnv1a(
-            {reinterpret_cast<const std::uint8_t *>(&tmp), sizeof(tmp)});
-    }
-
-    std::vector<std::uint8_t> region(
-        std::size_t(sb.cpBlocks) * sb.blockSize, 0);
-    if (sizeof(hdr) + body.size() > region.size())
-        sim::panic("BackupEngine: checkpoint body exceeds region size");
-    std::memcpy(region.data(), &hdr, sizeof(hdr));
-    std::memcpy(region.data() + sizeof(hdr), body.data(), body.size());
-    return region;
-}
-
 void
 BackupEngine::restore(const std::string &snap_name,
                       std::function<void(const lfs::FsckReport &)> done)
@@ -366,9 +253,10 @@ BackupEngine::restore(const std::string &snap_name,
     dst.beginRestore();
     const sim::Tick began = eq.now();
 
-    // Write the synthesized checkpoint to both regions so mount picks
-    // it regardless of which one the target's old state favored.
-    const std::vector<std::uint8_t> region = synthesizeCheckpoint(rec);
+    // Write the restore checkpoint to both regions so mount picks it
+    // regardless of which one the target's old state favored.
+    const std::vector<std::uint8_t> region =
+        lfs::Lfs::restoreCheckpoint(dst.rawFsDevice(), rec);
     dst.rawFsDevice().writeRange(sb.cp0Block, sb.cpBlocks,
                                  {region.data(), region.size()});
     dst.rawFsDevice().writeRange(sb.cp1Block, sb.cpBlocks,
@@ -398,14 +286,15 @@ BackupEngine::VerifyReport
 BackupEngine::verify(const std::string &snap_name) const
 {
     VerifyReport vr;
-    const SnapshotView view(src.rawFsDevice(), findSnap(snap_name));
-    lfs::Lfs &tfs = dst.fs();
+    const auto snap =
+        lfs::Lfs::mountSnapshot(src.rawFsDevice(), findSnap(snap_name));
+    const lfs::Lfs &tfs = dst.fs();
 
     // Snapshot -> target: every node exists with identical type, size
     // and contents.
-    std::vector<std::string> snap_paths;
-    view.walk([&](const std::string &path, const lfs::Stat &st) {
-        snap_paths.push_back(path);
+    std::set<std::string> snap_paths;
+    snap->walk([&](const std::string &path, const lfs::Stat &st) {
+        snap_paths.insert(path);
         if (st.type == lfs::FileType::Directory) {
             ++vr.directories;
             if (!tfs.exists(path) ||
@@ -428,7 +317,7 @@ BackupEngine::verify(const std::string &snap_name) const
             return;
         }
         std::vector<std::uint8_t> want(st.size), got(st.size);
-        view.read(st.ino, 0, {want.data(), want.size()});
+        snap->read(st.ino, 0, {want.data(), want.size()});
         tfs.read(tst.ino, 0, {got.data(), got.size()});
         vr.bytes += st.size;
         if (want != got) {
@@ -438,21 +327,12 @@ BackupEngine::verify(const std::string &snap_name) const
     });
 
     // Target -> snapshot: no extra nodes appeared.
-    std::set<std::string> in_snap(snap_paths.begin(), snap_paths.end());
-    std::function<void(const std::string &)> sweep =
-        [&](const std::string &path) {
-            if (in_snap.count(path.empty() ? "/" : path) == 0) {
-                vr.ok = false;
-                vr.mismatches.push_back("unexpected node " +
-                                        (path.empty() ? "/" : path));
-            }
-            const std::string dir = path.empty() ? "/" : path;
-            if (tfs.stat(dir).type != lfs::FileType::Directory)
-                return;
-            for (const lfs::DirEntry &e : tfs.readdir(dir))
-                sweep(path + "/" + e.name);
-        };
-    sweep("");
+    tfs.walk([&](const std::string &path, const lfs::Stat &) {
+        if (snap_paths.count(path) == 0) {
+            vr.ok = false;
+            vr.mismatches.push_back("unexpected node " + path);
+        }
+    });
     return vr;
 }
 

@@ -20,11 +20,11 @@
  * by deterministic exponential backoff before each send.
  *
  * restore() rebuilds a mountable file system on the (empty) target
- * from previously shipped segments by synthesizing a checkpoint from
- * the snapshot record — imap chunk addresses, a usage table derived
- * from the shipped segment summaries, and the snapshot record itself
- * so the restored file system keeps the pins — then remounts and
- * fscks the target.
+ * from previously shipped segments: it writes the checkpoint
+ * lfs::Lfs::restoreCheckpoint builds from the snapshot record (imap
+ * chunk addresses, a usage table from the shipped segment summaries,
+ * and the record itself so the restored file system keeps the pins),
+ * then remounts and fscks the target.
  */
 
 #ifndef RAID2_SNAP_BACKUP_ENGINE_HH
@@ -38,7 +38,6 @@
 
 #include "net/hippi.hh"
 #include "server/raid2_server.hh"
-#include "snap/snapshot_view.hh"
 
 namespace raid2::snap {
 
@@ -89,15 +88,16 @@ class BackupEngine
 
     /**
      * Rebuild the target file system at snapshot @p snap_name from
-     * shipped segments: synthesize + write the checkpoint, remount,
-     * fsck.  The target rejects scheduler traffic (Status::Busy)
-     * while the rewrite is in progress.
+     * shipped segments: write the restore checkpoint, remount, fsck.
+     * The target rejects scheduler traffic (Status::Busy) while the
+     * rewrite is in progress.
      */
     void restore(const std::string &snap_name,
                  std::function<void(const lfs::FsckReport &)> done);
 
-    /** Byte-compare the restored target tree against the source
-     *  snapshot (both directions; functional, off the clock). */
+    /** Byte-compare the restored target tree against a read-only
+     *  mount of the source snapshot (both directions; functional, off
+     *  the clock). */
     VerifyReport verify(const std::string &snap_name) const;
 
     /** The backup HIPPI channel (fault injection hooks here). */
@@ -136,8 +136,6 @@ class BackupEngine
     std::uint64_t segmentBytes() const;
     std::uint64_t segmentByteOffset(std::uint64_t seg) const;
     const lfs::SnapshotRecord &findSnap(const std::string &name) const;
-    std::vector<std::uint8_t>
-    synthesizeCheckpoint(const lfs::SnapshotRecord &rec) const;
 
     sim::EventQueue &eq;
     server::Raid2Server &src;

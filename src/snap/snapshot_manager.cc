@@ -63,7 +63,7 @@ SnapshotManager::find(const std::string &name) const
     return srv.fs().findSnapshot(name);
 }
 
-SnapshotView
+std::unique_ptr<const lfs::Lfs>
 SnapshotManager::open(const std::string &name) const
 {
     const lfs::SnapshotRecord *rec = srv.fs().findSnapshot(name);
@@ -71,9 +71,7 @@ SnapshotManager::open(const std::string &name) const
         throw lfs::LfsError(lfs::Errno::NoEntry,
                             "no snapshot named " + name);
     ++_views;
-    // The raw device: view reads are functional and must not perturb
-    // the timed plane.
-    return SnapshotView(srv.rawFsDevice(), *rec);
+    return lfs::Lfs::mountSnapshot(srv.rawFsDevice(), *rec);
 }
 
 std::uint64_t

@@ -5,9 +5,9 @@
  * SnapshotManager fronts lfs::Lfs's snapshot table with server-level
  * concerns: per-operation trace spans, the "snap.*" stats tree, a
  * timed variant of create that drains the mirrored checkpoint writes
- * through the simulated array, and SnapshotView construction for
- * reading files as of a snapshot while the live file system keeps
- * moving.
+ * through the simulated array, and read-only snapshot mounts
+ * (lfs::Lfs::mountSnapshot) for reading files as of a snapshot while
+ * the live file system keeps moving.
  */
 
 #ifndef RAID2_SNAP_SNAPSHOT_MANAGER_HH
@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "server/raid2_server.hh"
-#include "snap/snapshot_view.hh"
 
 namespace raid2::snap {
 
@@ -44,9 +44,10 @@ class SnapshotManager
     const std::vector<lfs::SnapshotRecord> &list() const;
     const lfs::SnapshotRecord *find(const std::string &name) const;
 
-    /** Open a read-only view of @p name.
+    /** Mount @p name read-only on the server's raw device, so its
+     *  reads stay off the timed plane.
      *  @throw lfs::LfsError(NoEntry) if it does not exist. */
-    SnapshotView open(const std::string &name) const;
+    std::unique_ptr<const lfs::Lfs> open(const std::string &name) const;
 
     /** Segments currently pinned by at least one snapshot. */
     std::uint64_t pinnedSegments() const;

@@ -1,12 +1,13 @@
 /**
  * @file
  * Backup/restore subsystem tests: full backup + restore + two-way
- * byte verification between two servers over HIPPI, incremental
- * delta-since-base streams, retry/backoff across injected link drops,
- * and the end-to-end online-backup demo — an incremental stream with
- * injected drops while a client fleet hammers the source through the
- * request scheduler, restored onto a fresh array, fsck-clean and
- * byte-identical.
+ * byte verification between two servers over HIPPI (and the verdict
+ * when the target differs), incremental delta-since-base streams,
+ * retry/backoff across injected link drops, a digest pin of the bytes
+ * a restore leaves on the target, and the end-to-end online-backup
+ * demo — an incremental stream with injected drops while a client
+ * fleet hammers the source through the request scheduler, restored
+ * onto a fresh array, fsck-clean and byte-identical.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 
 #include "fault/fault_controller.hh"
 #include "fault/fault_plan.hh"
+#include "lfs/format.hh"
 #include "server/raid2_server.hh"
 #include "server/request_scheduler.hh"
 #include "sim/event_queue.hh"
@@ -88,6 +90,15 @@ struct Rig
         ASSERT_TRUE(done);
     }
 
+    void
+    backupIncremental(const std::string &name, const std::string &base)
+    {
+        bool done = false;
+        eng.backupIncremental(name, base, [&] { done = true; });
+        eq.runUntilDone([&] { return done; });
+        ASSERT_TRUE(done);
+    }
+
     lfs::FsckReport
     restore(const std::string &name)
     {
@@ -139,6 +150,66 @@ TEST(BackupEngine, FullBackupRestoreVerifiesByteIdentical)
           "backup.hippi.packets"}) {
         EXPECT_TRUE(reg.contains(key)) << key;
     }
+}
+
+// verify() reads the snapshot and the target through one decoder, so
+// it must still tell them apart.
+TEST(BackupEngine, VerifyReportsABadRestore)
+{
+    Rig rig;
+    rig.populate(2, 64 * 1024, 21);
+    rig.mgr.create("s1");
+    rig.backupFull("s1");
+    ASSERT_TRUE(rig.restore("s1").ok);
+    ASSERT_TRUE(rig.eng.verify("s1").ok);
+
+    // One rewritten byte in a restored file, one node the snapshot
+    // never had.
+    lfs::Lfs &tfs = rig.dst.fs();
+    const std::uint8_t flipped = rig.content[0][100] ^ 0xff;
+    tfs.write(tfs.lookup("/demo0"), 100, {&flipped, 1});
+    tfs.create("/extra");
+
+    const auto verdict = rig.eng.verify("s1");
+    EXPECT_FALSE(verdict.ok);
+    EXPECT_EQ(verdict.mismatches,
+              (std::vector<std::string>{"content mismatch /demo0",
+                                        "unexpected node /extra"}));
+}
+
+/**
+ * Pins the bytes a restore leaves on the target: a full backup, an
+ * incremental one, and a restore of the incremental snapshot; the
+ * XXH64 of the whole target device must hash to the value it had when
+ * this test was written.  A change that only moves code leaves it
+ * alone; a change that moves a byte on the media updates the constant
+ * and says why.
+ */
+TEST(BackupGolden, RestoredDeviceDigest)
+{
+    constexpr std::uint64_t goldenDigest = 0x0541228718a895e6;
+    Rig rig;
+    rig.populate(4, 96 * 1024, 31);
+    rig.src.fs().mkdir("/dir");
+    const auto nested = fill(40 * 1024, 99);
+    rig.src.fs().write(rig.src.createFile("/dir/nested"), 0,
+                       {nested.data(), nested.size()});
+    rig.mgr.create("base");
+    rig.backupFull("base");
+    rig.populate(2, 160 * 1024, 61);
+    rig.mgr.create("delta");
+    rig.backupIncremental("delta", "base");
+
+    ASSERT_TRUE(rig.restore("delta").ok);
+    const auto verdict = rig.eng.verify("delta");
+    EXPECT_TRUE(verdict.ok);
+    EXPECT_EQ(verdict.files, 7u);
+    EXPECT_EQ(verdict.directories, 2u);
+
+    fs::BlockDevice &dev = rig.dst.rawFsDevice();
+    std::vector<std::uint8_t> image(dev.numBlocks() * dev.blockSize());
+    dev.readRange(0, dev.numBlocks(), {image.data(), image.size()});
+    EXPECT_EQ(lfs::blockChecksum(image), goldenDigest);
 }
 
 TEST(BackupEngine, IncrementalShipsOnlyTheDelta)

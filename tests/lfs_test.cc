@@ -169,6 +169,23 @@ TEST_F(LfsFixture, NamespaceErrors)
     expectClean();
 }
 
+TEST_F(LfsFixture, ReadOfADirectoryRaisesIsDirectory)
+{
+    fs->mkdir("/d");
+    fs->create("/d/x");
+    const auto ino = fs->lookup("/d");
+    std::vector<std::uint8_t> out(64);
+    bool threw = false;
+    try {
+        fs->read(ino, 0, {out.data(), out.size()});
+    } catch (const LfsError &e) {
+        threw = true;
+        EXPECT_EQ(e.code(), Errno::IsDirectory);
+    }
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(fs->readdir("/d").size(), 1u);
+}
+
 TEST_F(LfsFixture, UnlinkFreesSpace)
 {
     const auto before = fs->freeSegments();

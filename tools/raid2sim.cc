@@ -36,7 +36,6 @@
 #include "sim/event_queue.hh"
 #include "snap/backup_engine.hh"
 #include "snap/snapshot_manager.hh"
-#include "snap/snapshot_view.hh"
 #include "workload/generators.hh"
 
 using namespace raid2;
@@ -261,9 +260,9 @@ cmdSnapshot(const SnapOptions &opt)
                     6});
     srv.fs().sync();
 
-    const snap::SnapshotView view = mgr.open("demo");
+    const auto view = mgr.open("demo");
     std::uint64_t nodes = 0, bytes = 0;
-    view.walk([&](const std::string &, const lfs::Stat &st) {
+    view->walk([&](const std::string &, const lfs::Stat &st) {
         ++nodes;
         if (st.type != lfs::FileType::Directory)
             bytes += st.size;
