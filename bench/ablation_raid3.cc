@@ -80,12 +80,13 @@ run(raid::RaidLevel level)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Ablation E: RAID Level 3 vs Level 5 (§4.2, the "
-                       "HPDS comparison)",
-                       "paper: Level 3 supports only one small I/O at "
-                       "a time; Level 5 runs them in parallel");
+    bench::Reporter rep("ablation_raid3", argc, argv);
+    rep.header("Ablation E: RAID Level 3 vs Level 5 (§4.2, the "
+               "HPDS comparison)",
+               "paper: Level 3 supports only one small I/O at "
+               "a time; Level 5 runs them in parallel");
 
     const auto r3 = run(raid::RaidLevel::Raid3);
     const auto r5 = run(raid::RaidLevel::Raid5);
@@ -96,8 +97,14 @@ main()
                 r3.large_mbs);
     std::printf("  %-10s %20.1f %20.2f\n", "RAID-5", r5.small_iops,
                 r5.large_mbs);
-    bench::printRow("Level 5 small-I/O advantage",
-                    r5.small_iops / r3.small_iops, "x", ">> 1");
+    rep.record("RAID-3 8 KB reads", r3.small_iops, "ops/s",
+               "one small I/O at a time");
+    rep.record("RAID-3 2 MB seq", r3.large_mbs, "MB/s", "all spindles");
+    rep.record("RAID-5 8 KB reads", r5.small_iops, "ops/s",
+               "small I/Os in parallel");
+    rep.record("RAID-5 2 MB seq", r5.large_mbs, "MB/s", "all spindles");
+    rep.row("Level 5 small-I/O advantage", r5.small_iops / r3.small_iops,
+            "x", ">> 1");
     std::printf("\n  Expected shape: comparable large-transfer "
                 "bandwidth, but Level 3\n  serializes small requests "
                 "across all spindles while Level 5 serves\n  them from "

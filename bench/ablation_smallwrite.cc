@@ -146,33 +146,31 @@ lfsCost()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Ablation A: the small-write problem",
-                       "paper §3.1: Level 5 small writes need 4 disk "
-                       "accesses; LFS groups them");
+    bench::Reporter rep("ablation_smallwrite", argc, argv);
+    rep.header("Ablation A: the small-write problem",
+               "paper §3.1: Level 5 small writes need 4 disk "
+               "accesses; LFS groups them");
 
     std::printf("  Raw array, 4 KB random writes:\n");
-    bench::printRow("RAID-0 write rate", rawLevelWriteIops(
-                        raid::RaidLevel::Raid0), "ops/s", "1 access/op");
-    bench::printRow("RAID-1 write rate", rawLevelWriteIops(
-                        raid::RaidLevel::Raid1), "ops/s", "2 accesses/op");
-    bench::printRow("RAID-5 write rate", rawLevelWriteIops(
-                        raid::RaidLevel::Raid5), "ops/s",
-                    "4 accesses/op (RMW)");
+    rep.row("RAID-0 write rate", rawLevelWriteIops(raid::RaidLevel::Raid0),
+            "ops/s", "1 access/op");
+    rep.row("RAID-1 write rate", rawLevelWriteIops(raid::RaidLevel::Raid1),
+            "ops/s", "2 accesses/op");
+    rep.row("RAID-5 write rate", rawLevelWriteIops(raid::RaidLevel::Raid5),
+            "ops/s", "4 accesses/op (RMW)");
 
     std::printf("\n  4 KB random overwrites through a file system on "
                 "RAID-5:\n");
     const auto ffs = ffsCost();
     const auto lfs = lfsCost();
-    bench::printRow("FFS device writes per op", ffs.device_writes_per_op,
-                    "writes", ">= 1 in place");
-    bench::printRow("FFS throughput", ffs.mbs, "MB/s", "low");
-    bench::printRow("LFS segment flushes per op",
-                    lfs.device_writes_per_op, "flushes",
-                    "<< 1 (batched)");
-    bench::printRow("LFS throughput", lfs.mbs, "MB/s",
-                    "much higher than FFS");
+    rep.row("FFS device writes per op", ffs.device_writes_per_op,
+            "writes", ">= 1 in place");
+    rep.row("FFS throughput", ffs.mbs, "MB/s", "low");
+    rep.row("LFS segment flushes per op", lfs.device_writes_per_op,
+            "flushes", "<< 1 (batched)");
+    rep.row("LFS throughput", lfs.mbs, "MB/s", "much higher than FFS");
 
     std::printf("\n  Expected shape: RAID-5 raw small writes are the "
                 "slowest level; LFS\n  recovers the loss by turning "

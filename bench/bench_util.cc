@@ -182,8 +182,15 @@ void
 Reporter::row(const std::string &name, double value,
               const std::string &unit, const std::string &paper)
 {
-    _points.push_back(Point{name, value, unit, paper});
+    record(name, value, unit, paper);
     printRow(name, value, unit, paper);
+}
+
+void
+Reporter::record(const std::string &name, double value,
+                 const std::string &unit, const std::string &paper)
+{
+    _points.push_back(Point{name, value, unit, paper});
 }
 
 void

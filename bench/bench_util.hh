@@ -102,6 +102,11 @@ class Reporter
     void seriesRow(const std::vector<double> &vals);
     /** @} */
 
+    /** Record a point without printing it (for a bench that prints
+     *  its own table). */
+    void record(const std::string &name, double value,
+                const std::string &unit, const std::string &paper);
+
     /**
      * Serialize @p reg into the report now (benches tear their
      * simulated systems down per measurement, so the snapshot cannot

@@ -59,9 +59,10 @@ measure(bool writes, std::uint64_t req_bytes)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader(
+    bench::Reporter rep("fig5_hw_random", argc, argv);
+    rep.header(
         "Figure 5: hardware system level random read/write vs request "
         "size",
         "paper: ~20 MB/s plateau for both; read dip at 768 KB; writes "
@@ -81,9 +82,9 @@ main()
             return {static_cast<double>(kb), r, w};
         });
 
-    bench::printSeriesHeader({"req KB", "read MB/s", "write MB/s"});
+    rep.seriesHeader({"req KB", "read MB/s", "write MB/s"});
     for (const auto &row : rows)
-        bench::printSeriesRow(row);
+        rep.seriesRow(row);
 
     std::printf("\n  Paper reference points: reads and writes reach "
                 "about 20 MB/s at the\n  largest sizes; the read curve "

@@ -107,7 +107,12 @@ measureWrites(std::uint64_t req_bytes)
                   std::function<void()> done) {
         srv.fileWrite(ino, off, len, std::move(done));
     };
-    return workload::ClosedLoopRunner::run(eq, wcfg, op).throughputMBs();
+    const double mbs =
+        workload::ClosedLoopRunner::run(eq, wcfg, op).throughputMBs();
+    // Let the segment flushes still in flight finish before the world
+    // is torn down: a pipeline frees itself only when it completes.
+    eq.run();
+    return mbs;
 }
 
 } // namespace

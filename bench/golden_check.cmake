@@ -8,7 +8,8 @@
 # that change a bench's output are cleared first.
 
 foreach(var RAID2_MTTDL_TRIALS RAID2_FAULT_SEED RAID2_BACKUP_QUICK
-            RAID2_BENCH_JSON RAID2_TRACE)
+            RAID2_LOAD_QUICK RAID2_INTEGRITY_QUICK RAID2_BENCH_JSON
+            RAID2_TRACE)
     unset(ENV{${var}})
 endforeach()
 

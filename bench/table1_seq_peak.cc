@@ -115,23 +115,27 @@ measure(bool writes)
     // Attribute the aux stream's bytes over the same wall-clock span.
     const double aux_mbs =
         sim::mbPerSec(aux.bytesMoved, eq.now() - t0);
+    // Let the aux transfers still in flight finish before the world
+    // is torn down: a pipeline frees itself only when it completes.
+    eq.run();
     return res.throughputMBs() + aux_mbs;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Table 1: peak sequential performance (one XBUS "
-                       "board, 4+1 controllers)",
-                       "paper: sequential reads 31 MB/s, sequential "
-                       "writes 23 MB/s");
+    bench::Reporter rep("table1_seq_peak", argc, argv);
+    rep.header("Table 1: peak sequential performance (one XBUS "
+               "board, 4+1 controllers)",
+               "paper: sequential reads 31 MB/s, sequential "
+               "writes 23 MB/s");
 
     const double rd = measure(false);
     const double wr = measure(true);
-    bench::printRow("Sequential reads", rd, "MB/s", "31");
-    bench::printRow("Sequential writes", wr, "MB/s", "23");
+    rep.row("Sequential reads", rd, "MB/s", "31");
+    rep.row("Sequential writes", wr, "MB/s", "23");
     std::printf("\n  Expected shape: reads beat writes (parity traffic "
                 "+ slower VME write\n  direction); reads gain ~3 MB/s "
                 "from the fifth controller, writes almost\n  nothing "

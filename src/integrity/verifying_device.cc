@@ -135,26 +135,6 @@ VerifyingDevice::verifyOneBlock(std::uint64_t bno,
     return false;
 }
 
-template <typename Fn>
-void
-VerifyingDevice::forEachDiskPiece(std::uint64_t byte_off,
-                                  std::uint64_t len, Fn &&fn) const
-{
-    const raid::RaidLayout &layout = array->layout();
-    const std::uint64_t unit = layout.unitBytes();
-    std::uint64_t pos = byte_off;
-    const std::uint64_t end = byte_off + len;
-    while (pos < end) {
-        unsigned d = 0;
-        std::uint64_t doff = 0;
-        layout.mapByte(pos, d, doff);
-        const std::uint64_t n =
-            std::min(end - pos, unit - (doff % unit));
-        fn(d, doff, pos - byte_off, n);
-        pos += n;
-    }
-}
-
 bool
 VerifyingDevice::repairBlock(std::uint64_t bno,
                              std::span<std::uint8_t> blk)
@@ -181,40 +161,36 @@ VerifyingDevice::repairBlock(std::uint64_t bno,
     // checksum vouches for.
     if (!array)
         return false;
-    struct Piece
-    {
-        unsigned d;
-        std::uint64_t doff;
-        std::uint64_t rel;
-        std::uint64_t n;
-    };
-    std::vector<Piece> pieces;
-    forEachDiskPiece(std::uint64_t(bno) * bs, bs,
-                     [&](unsigned d, std::uint64_t doff,
-                         std::uint64_t rel, std::uint64_t n) {
-                         pieces.push_back({d, doff, rel, n});
-                     });
+    const std::uint64_t base = bno * bs;
+    std::vector<raid::DiskExtent> pieces;
+    array->layout().forEachPiece(
+        base, bs, [&](unsigned, const raid::DiskExtent &e) {
+            pieces.push_back(e);
+        });
+    // The candidate bytes a piece of the block occupies.
     std::vector<std::uint8_t> cand(bs);
+    auto candBytes = [&](const raid::DiskExtent &e) {
+        return std::span<std::uint8_t>{
+            cand.data() + (e.logicalOffset - base),
+            static_cast<std::size_t>(e.bytes)};
+    };
     std::vector<bool> tried(array->numDisks(), false);
     unsigned suspect = 0;
     bool repaired = false;
-    for (const Piece &lead : pieces) {
-        if (tried[lead.d])
+    for (const raid::DiskExtent &lead : pieces) {
+        if (tried[lead.disk])
             continue; // each disk suspected once
-        tried[lead.d] = true;
+        tried[lead.disk] = true;
         std::memcpy(cand.data(), scratch.data(), bs);
         bool reconstructed = true;
-        for (const Piece &p : pieces) {
-            if (p.d != lead.d)
-                continue;
-            if (!array->tryReconstructRange(
-                    p.d, p.doff,
-                    {cand.data() + p.rel,
-                     static_cast<std::size_t>(p.n)}))
+        for (const raid::DiskExtent &e : pieces) {
+            if (e.disk == lead.disk &&
+                !array->tryReconstructRange(e.disk, e.diskOffset,
+                                            candBytes(e)))
                 reconstructed = false;
         }
         if (reconstructed && map.matches(bno, {cand.data(), bs})) {
-            suspect = lead.d;
+            suspect = lead.disk;
             repaired = true;
             break;
         }
@@ -226,11 +202,9 @@ VerifyingDevice::repairBlock(std::uint64_t bno,
     // NOT recomputed — it already encodes the bytes the candidate was
     // reconstructed from; folding the corrupt copy into a parity
     // update is exactly the laundering this layer exists to prevent.
-    for (const Piece &p : pieces)
-        if (p.d == suspect)
-            array->patchDiskRange(p.d, p.doff,
-                                  {cand.data() + p.rel,
-                                   static_cast<std::size_t>(p.n)});
+    for (const raid::DiskExtent &e : pieces)
+        if (e.disk == suspect)
+            array->patchDiskRange(e.disk, e.diskOffset, candBytes(e));
     inner.readRange(bno, 1, {scratch.data(), bs});
     if (!map.matches(bno, {scratch.data(), bs}))
         return false;

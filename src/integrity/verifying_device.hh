@@ -127,12 +127,6 @@ class VerifyingDevice : public fs::BlockDevice
                         std::uint64_t csum);
     /** The repair ladder (steps 1 and 2 above). */
     bool repairBlock(std::uint64_t bno, std::span<std::uint8_t> blk);
-    /** Map [byte_off, byte_off+len) of the logical space onto member
-     *  disks at stripe-unit granularity (byte-exact for all levels,
-     *  unlike RaidLayout::mapRange's RAID-3 timing view). */
-    template <typename Fn>
-    void forEachDiskPiece(std::uint64_t byte_off, std::uint64_t len,
-                          Fn &&fn) const;
     std::uint64_t nextFlipPos(std::uint64_t space);
     void applyArmedWriteFlip(std::uint64_t bno, std::uint64_t count);
     void applyArmedReadFlips(std::span<std::uint8_t> out);

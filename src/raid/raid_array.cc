@@ -58,109 +58,57 @@ RaidArray::recomputeParity(std::uint64_t stripe)
     _parityRecomputes.inc();
 }
 
-/**
- * Walk the data units a logical range touches, in logical order:
- * fn(stripe, disk, disk_offset, logical_offset, bytes) per piece.
- * Valid for levels 3 and 5 — Level 3's constructor pins the unit to
- * the sector and its rows are logically contiguous, so the same
- * stripe arithmetic covers both.
- */
-template <typename Fn>
-static void
-forEachDataUnit(const RaidLayout &layout, std::uint64_t off,
-                std::uint64_t len, Fn &&fn)
-{
-    const std::uint64_t unit = layout.unitBytes();
-    const std::uint64_t sdb = layout.stripeDataBytes();
-    std::uint64_t pos = off;
-    const std::uint64_t end = off + len;
-    while (pos < end) {
-        const std::uint64_t s = pos / sdb;
-        const std::uint64_t in_stripe = pos % sdb;
-        const unsigned k = static_cast<unsigned>(in_stripe / unit);
-        const std::uint64_t in_unit = in_stripe % unit;
-        const std::uint64_t n = std::min(end - pos, unit - in_unit);
-        fn(s, layout.dataDisk(s, k), s * unit + in_unit, pos, n);
-        pos += n;
-    }
-}
-
 void
 RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
 {
     if (data.empty())
         return;
     const RaidLevel level = _layout.level();
-
-    if (level == RaidLevel::Raid0 || level == RaidLevel::Raid1) {
-        for (const DiskExtent &e :
-             _layout.mapRange(off, data.size(), false)) {
-            const std::uint8_t *src =
-                data.data() + (e.logicalOffset - off);
-            std::memcpy(disks[e.disk].data() + e.diskOffset, src,
-                        static_cast<std::size_t>(e.bytes));
-            // Overwriting a latent sector rewrites (remaps) it.
-            latents[e.disk].erase(e.diskOffset, e.bytes);
-            if (level == RaidLevel::Raid1) {
-                const unsigned m = _layout.mirrorDisk(e.disk);
-                std::memcpy(disks[m].data() + e.diskOffset, src,
-                            static_cast<std::size_t>(e.bytes));
-                latents[m].erase(e.diskOffset, e.bytes);
-            }
-        }
-        return;
-    }
-
-    // Levels 3/5: stripe-aware.  Whole stripes take the single-pass
-    // path — every data unit comes from the caller's buffer, so parity
-    // is one k-way XOR fold straight from the source, with no pre-read
-    // of the old contents.  Only the ragged edges (first/last partial
-    // stripe) pay the read-modify-write.
-    const std::uint64_t unit = _layout.unitBytes();
-    const std::uint64_t sdb = _layout.stripeDataBytes();
-    const unsigned K = _layout.dataUnitsPerStripe();
-    std::uint64_t pos = off;
-    const std::uint64_t end = off + data.size();
+    const bool parity =
+        level == RaidLevel::Raid3 || level == RaidLevel::Raid5;
     const std::uint8_t *srcs[kMaxFoldSources];
-    while (pos < end) {
-        const std::uint64_t s = pos / sdb;
-        const std::uint64_t in_stripe = pos % sdb;
-        const std::uint64_t take = std::min(end - pos, sdb - in_stripe);
-        const std::uint64_t base = s * unit;
-        const std::uint8_t *src = data.data() + (pos - off);
+    auto store = [this](unsigned d, std::uint64_t doff,
+                        const std::uint8_t *src, std::uint64_t n) {
+        std::memcpy(disks[d].data() + doff, src,
+                    static_cast<std::size_t>(n));
+        // Overwriting a latent sector rewrites (remaps) it.
+        latents[d].erase(doff, n);
+    };
 
-        if (take == sdb) {
-            // Full stripe.  New data lands in every buffer (including
-            // a failed disk's — kept logically true by convention) and
-            // fully overwrites any latent defect.
-            for (unsigned k = 0; k < K; ++k) {
-                const unsigned d = _layout.dataDisk(s, k);
-                srcs[k] = src + k * unit;
-                std::memcpy(disks[d].data() + base, srcs[k],
-                            static_cast<std::size_t>(unit));
-                latents[d].erase(base, unit);
-            }
-            const unsigned pd = _layout.parityDisk(s);
-            xorFold(disks[pd].data() + base, srcs, K,
-                    static_cast<std::size_t>(unit));
-            latents[pd].erase(base, unit);
-            _parityRecomputes.inc();
-            _parityFullStripes.inc();
-        } else {
-            // Ragged edge: bring the stripe to a known-good state,
-            // overlay the new bytes, recompute parity once.
-            prepareStripeForUpdate(s);
-            forEachDataUnit(
-                _layout, pos, take,
-                [&](std::uint64_t, unsigned d, std::uint64_t doff,
-                    std::uint64_t lpos, std::uint64_t n) {
-                    std::memcpy(disks[d].data() + doff,
-                                data.data() + (lpos - off),
-                                static_cast<std::size_t>(n));
-                });
-            recomputeParity(s);
+    for (const StripeSpan &s : _layout.mapStripes(off, data.size())) {
+        // A partial stripe is brought to a known-good state first, so
+        // the parity recompute re-encodes the bytes it does not touch.
+        // Both partial updates store the same bytes; they differ only
+        // in what the timed plan pre-reads.
+        if (parity && s.update != StripeUpdate::Full)
+            prepareStripeForUpdate(s.stripe);
+        // New data lands in every buffer, a failed disk's included
+        // (kept logically true by convention).
+        _layout.forEachPiece(
+            s.logicalOffset, s.bytes,
+            [&](unsigned k, const DiskExtent &e) {
+                srcs[k] = data.data() + (e.logicalOffset - off);
+                store(e.disk, e.diskOffset, srcs[k], e.bytes);
+                if (level == RaidLevel::Raid1)
+                    store(_layout.mirrorDisk(e.disk), e.diskOffset,
+                          srcs[k], e.bytes);
+            });
+        if (!parity)
+            continue;
+        if (s.update != StripeUpdate::Full) {
+            recomputeParity(s.stripe);
+            continue;
         }
-        pos += take;
+        // Full stripe: parity is one k-way XOR fold straight from the
+        // caller's buffer, with no pre-read of the old contents.
+        const std::uint64_t unit = _layout.unitBytes();
+        const std::uint64_t base = s.stripe * unit;
+        const unsigned pd = _layout.parityDisk(s.stripe);
+        xorFold(disks[pd].data() + base, srcs, _layout.dataUnitsPerStripe(),
+                static_cast<std::size_t>(unit));
+        latents[pd].erase(base, unit);
+        _parityRecomputes.inc();
+        _parityFullStripes.inc();
     }
 }
 
@@ -180,37 +128,13 @@ RaidArray::prepareStripeForUpdate(std::uint64_t s)
             // write does not touch.  Without this, a degraded
             // partial-stripe write would fold the destroyed buffer
             // into parity and lose the untouched region of the unit.
-            reconstructRange(d, base,
-                             {disks[d].data() + base,
-                              static_cast<std::size_t>(unit)});
+            recoverRange(d, base,
+                         {disks[d].data() + base,
+                          static_cast<std::size_t>(unit)});
         } else {
             repairLatentIn(d, base, unit);
         }
     }
-}
-
-void
-RaidArray::reconstructRange(unsigned dead, std::uint64_t disk_off,
-                            std::span<std::uint8_t> out) const
-{
-    // Every aligned byte position forms a parity group across all
-    // disks, so the missing disk's bytes are the XOR fold of the
-    // others (one pass over out instead of numDisks-1).
-    const std::uint8_t *srcs[kMaxFoldSources];
-    std::size_t k = 0;
-    for (unsigned d = 0; d < disks.size(); ++d) {
-        if (d == dead)
-            continue;
-        if (failed[d])
-            sim::fatal("RaidArray: double failure (disks %u and %u)", dead,
-                       d);
-        if (latentOverlaps(d, disk_off, out.size()))
-            sim::fatal("RaidArray: range [%llu, +%zu) of disk %u is "
-                       "unrecoverable: survivor %u has a latent error there",
-                       (unsigned long long)disk_off, out.size(), dead, d);
-        srcs[k++] = disks[d].data() + disk_off;
-    }
-    xorFold(out.data(), srcs, k, out.size());
 }
 
 bool
@@ -315,18 +239,11 @@ void
 RaidArray::recoverRange(unsigned d, std::uint64_t off,
                         std::span<std::uint8_t> out) const
 {
-    const RaidLevel level = _layout.level();
-    if (level == RaidLevel::Raid0)
-        sim::fatal("RaidArray: RAID-0 cannot recover disk %u", d);
-    if (level == RaidLevel::Raid1) {
-        const unsigned m = _layout.mirrorPartner(d);
-        if (failed[m] || latentOverlaps(m, off, out.size()))
-            sim::fatal("RaidArray: range on disk %u unrecoverable "
-                       "(mirror %u unusable)", d, m);
-        std::memcpy(out.data(), disks[m].data() + off, out.size());
-        return;
-    }
-    reconstructRange(d, off, out);
+    if (!tryReconstructRange(d, off, out))
+        sim::fatal("RaidArray: range [%llu, +%zu) of disk %u is "
+                   "unrecoverable: %s has no usable redundancy there",
+                   (unsigned long long)off, out.size(), d,
+                   raidLevelName(_layout.level()));
 }
 
 void
@@ -352,49 +269,15 @@ RaidArray::read(std::uint64_t off, std::span<std::uint8_t> out) const
 {
     if (out.empty())
         return;
-    const RaidLevel level = _layout.level();
-
-    if (level == RaidLevel::Raid3) {
-        // Unit-at-a-time (unit == sector): each row's data is
-        // logically contiguous, so this is straight memcpy except
-        // where a failed disk or latent range forces reconstruction.
-        forEachDataUnit(
-            _layout, off, out.size(),
-            [&](std::uint64_t, unsigned d, std::uint64_t doff,
-                std::uint64_t lpos, std::uint64_t n) {
-                std::span<std::uint8_t> dst{
-                    out.data() + (lpos - off),
-                    static_cast<std::size_t>(n)};
-                if (failed[d])
-                    reconstructRange(d, doff, dst);
-                else
-                    readDiskRange(d, doff, dst);
-            });
-        return;
-    }
-
-    for (const DiskExtent &e :
-         _layout.mapRange(off, out.size(), false)) {
-        std::uint8_t *dst = out.data() + (e.logicalOffset - off);
-        unsigned src_disk = e.disk;
-        if (failed[src_disk]) {
-            if (level == RaidLevel::Raid1) {
-                src_disk = _layout.mirrorDisk(e.disk);
-                if (failed[src_disk])
-                    sim::fatal("RaidArray: mirror pair %u/%u both failed",
-                               e.disk, src_disk);
-            } else if (level == RaidLevel::Raid5) {
-                reconstructRange(e.disk, e.diskOffset,
-                                 {dst, static_cast<std::size_t>(e.bytes)});
-                continue;
-            } else {
-                sim::fatal("RaidArray: RAID-0 cannot survive disk %u",
-                           e.disk);
-            }
-        }
-        readDiskRange(src_disk, e.diskOffset,
-                      {dst, static_cast<std::size_t>(e.bytes)});
-    }
+    _layout.forEachPiece(
+        off, out.size(), [&](unsigned, const DiskExtent &e) {
+            std::span<std::uint8_t> dst{out.data() + (e.logicalOffset - off),
+                                        static_cast<std::size_t>(e.bytes)};
+            if (failed[e.disk])
+                recoverRange(e.disk, e.diskOffset, dst);
+            else
+                readDiskRange(e.disk, e.diskOffset, dst);
+        });
 }
 
 void
@@ -485,15 +368,6 @@ RaidArray::latentCount() const
     return n;
 }
 
-std::uint64_t
-RaidArray::latentBytes() const
-{
-    std::uint64_t n = 0;
-    for (const auto &lm : latents)
-        n += lm.bytes();
-    return n;
-}
-
 void
 RaidArray::rebuildDisk(unsigned d)
 {
@@ -502,27 +376,13 @@ RaidArray::rebuildDisk(unsigned d)
     if (!failed[d])
         return;
     failed[d] = false;
-
-    const RaidLevel level = _layout.level();
-    if (level == RaidLevel::Raid1) {
-        const unsigned partner = _layout.mirrorPartner(d);
-        if (failed[partner])
-            sim::fatal("rebuildDisk: mirror partner %u also failed",
-                       partner);
-        std::memcpy(disks[d].data(), disks[partner].data(),
-                    disks[d].size());
-        return;
-    }
-    if (level == RaidLevel::Raid0)
-        sim::fatal("rebuildDisk: RAID-0 has no redundancy");
-
-    // Levels 3/5: the whole disk is the XOR of the survivors over the
-    // parity-covered region.
-    const std::uint64_t covered =
-        _layout.numStripes() * _layout.unitBytes();
+    // The striped region comes back from redundancy; the tail beyond
+    // it holds no data.
     std::memset(disks[d].data(), 0, disks[d].size());
-    reconstructRange(d, 0, {disks[d].data(),
-                            static_cast<std::size_t>(covered)});
+    recoverRange(d, 0,
+                 {disks[d].data(), static_cast<std::size_t>(
+                                       _layout.numStripes() *
+                                       _layout.unitBytes())});
 }
 
 bool

@@ -76,9 +76,8 @@ class RaidArray
     void repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
     /** Repair every outstanding latent range.  @return ranges repaired. */
     std::uint64_t scrub();
-    /** Outstanding latent ranges / bytes across all disks. */
+    /** Outstanding latent ranges across all disks. */
     std::uint64_t latentCount() const;
-    std::uint64_t latentBytes() const;
     const IntervalSet &latentIntervals(unsigned d) const
     {
         return latents.at(d);
@@ -110,14 +109,16 @@ class RaidArray
 
     /** @{ Integrity-repair primitives (see src/integrity/).
      *
-     * tryReconstructRange() is the non-fatal sibling of the internal
-     * reconstruction path: it recovers what disk @p dead should hold at
+     * tryReconstructRange() is the array's one recovery routine: it
+     * recovers what disk @p dead should hold at
      * [disk_off, disk_off+out.size()) from redundancy (the mirror for
      * level 1, the XOR of the survivors for levels 3/5) and reports
      * failure — RAID-0, a second failed disk, a survivor latent range
      * overlapping the request, or a range beyond the parity-covered
      * region — by returning false with @p out untouched.  It never
-     * returns stale or partially reconstructed bytes.
+     * returns stale or partially reconstructed bytes.  Degraded reads,
+     * latent repairs and rebuilds use it through recoverRange(), which
+     * makes a failure fatal.
      */
     bool tryReconstructRange(unsigned dead, std::uint64_t disk_off,
                              std::span<std::uint8_t> out) const;
@@ -144,11 +145,8 @@ class RaidArray
 
   private:
     void recomputeParity(std::uint64_t stripe);
-    void reconstructRange(unsigned dead, std::uint64_t disk_off,
-                          std::span<std::uint8_t> out) const;
-    /** Recover what disk @p d holds at [off, off+out.size()) from
-     *  redundancy: the mirror partner for level 1, the survivors' XOR
-     *  for levels 3/5.  Fatal when none is left. */
+    /** tryReconstructRange(), fatal when no redundancy is left: a
+     *  range the recoverability invariant says cannot be lost. */
     void recoverRange(unsigned d, std::uint64_t off,
                       std::span<std::uint8_t> out) const;
     /** Copy [off, off+out.size()) of disk @p d into @p out, routing

@@ -66,12 +66,6 @@ RaidLayout::dataCapacity() const
     return numStripes() * stripeDataBytes();
 }
 
-std::uint64_t
-RaidLayout::stripeOf(std::uint64_t off) const
-{
-    return off / stripeDataBytes();
-}
-
 unsigned
 RaidLayout::parityDisk(std::uint64_t stripe) const
 {
@@ -160,38 +154,39 @@ std::vector<StripeSpan>
 RaidLayout::mapStripes(std::uint64_t off, std::uint64_t len) const
 {
     checkRange(off, len);
-    if (cfg.level == RaidLevel::Raid3)
-        sim::panic("mapStripes is not defined for RAID-3");
 
     std::vector<StripeSpan> spans;
+    const std::uint64_t unit = cfg.stripeUnitBytes;
     const std::uint64_t sdb = stripeDataBytes();
-    std::uint64_t pos = off;
-    std::uint64_t end = off + len;
-    while (pos < end) {
-        const std::uint64_t stripe = pos / sdb;
-        const std::uint64_t in_stripe = pos % sdb;
-        const std::uint64_t take =
-            std::min(end - pos, sdb - in_stripe);
-
+    const std::uint64_t data_units = dataUnitsPerStripe();
+    for (std::uint64_t pos = off, end = off + len; pos < end;) {
+        // The span covers [a, b) of its stripe's data bytes.
+        const std::uint64_t a = pos % sdb;
+        const std::uint64_t b = std::min(a + (end - pos), sdb);
         StripeSpan s;
-        s.stripe = stripe;
-        s.firstUnit = static_cast<unsigned>(in_stripe /
-                                            cfg.stripeUnitBytes);
-        s.offsetInUnit = in_stripe % cfg.stripeUnitBytes;
-        const std::uint64_t last = in_stripe + take - 1;
-        s.unitCount = static_cast<unsigned>(last / cfg.stripeUnitBytes) -
-                      s.firstUnit + 1;
-        s.bytes = take;
+        s.stripe = pos / sdb;
         s.logicalOffset = pos;
+        s.bytes = b - a;
+        if (s.bytes < sdb) {
+            // Read-modify-write pre-reads the touched units and the
+            // parity unit; reconstruct-write pre-reads the units not
+            // wholly rewritten.  A tie goes to read-modify-write.
+            const std::uint64_t touched = (b + unit - 1) / unit - a / unit;
+            const std::uint64_t first_whole = (a + unit - 1) / unit;
+            const std::uint64_t whole =
+                b / unit > first_whole ? b / unit - first_whole : 0;
+            s.update = touched + 1 <= data_units - whole
+                           ? StripeUpdate::ReadModifyWrite
+                           : StripeUpdate::ReconstructWrite;
+        }
         spans.push_back(s);
-        pos += take;
+        pos += s.bytes;
     }
     return spans;
 }
 
 std::vector<DiskExtent>
-RaidLayout::mapRange(std::uint64_t off, std::uint64_t len,
-                     bool coalesce) const
+RaidLayout::mapRange(std::uint64_t off, std::uint64_t len) const
 {
     checkRange(off, len);
 
@@ -217,32 +212,16 @@ RaidLayout::mapRange(std::uint64_t off, std::uint64_t len,
         return extents;
     }
 
-    for (const StripeSpan &s : mapStripes(off, len)) {
-        std::uint64_t in_unit = s.offsetInUnit;
-        std::uint64_t left = s.bytes;
-        for (unsigned k = s.firstUnit; left > 0; ++k) {
-            const std::uint64_t take =
-                std::min(left, cfg.stripeUnitBytes - in_unit);
-            DiskExtent e = dataExtent(s.stripe, k, in_unit, take);
-            // Coalesce with a previous physically-contiguous extent on
-            // the same disk (timing view only; see header).
-            bool merged = false;
-            if (coalesce) {
-                for (auto &prev : extents) {
-                    if (prev.disk == e.disk &&
-                        prev.diskOffset + prev.bytes == e.diskOffset) {
-                        prev.bytes += e.bytes;
-                        merged = true;
-                        break;
-                    }
-                }
+    forEachPiece(off, len, [&](unsigned, const DiskExtent &e) {
+        for (DiskExtent &prev : extents) {
+            if (prev.disk == e.disk &&
+                prev.diskOffset + prev.bytes == e.diskOffset) {
+                prev.bytes += e.bytes;
+                return;
             }
-            if (!merged)
-                extents.push_back(e);
-            left -= take;
-            in_unit = 0;
         }
-    }
+        extents.push_back(e);
+    });
     return extents;
 }
 

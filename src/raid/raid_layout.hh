@@ -14,6 +14,7 @@
 #ifndef RAID2_RAID_RAID_LAYOUT_HH
 #define RAID2_RAID_RAID_LAYOUT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -52,15 +53,29 @@ struct DiskExtent
     }
 };
 
+/** How a write updates the parity of one stripe it touches. */
+enum class StripeUpdate
+{
+    /** Every data unit is rewritten: parity folds from the new data
+     *  alone, with no pre-read. */
+    Full,
+    /** Pre-read the bytes the write replaces and the parity unit; new
+     *  parity = old parity ^ old data ^ new data. */
+    ReadModifyWrite,
+    /** Pre-read the data units the write does not wholly rewrite; new
+     *  parity folds from them and the new data. */
+    ReconstructWrite,
+};
+
 /** The slice of one stripe touched by a logical range. */
 struct StripeSpan
 {
     std::uint64_t stripe = 0;
-    unsigned firstUnit = 0;       // first data unit index touched
-    unsigned unitCount = 0;       // number of data units touched
-    std::uint64_t offsetInUnit = 0; // byte offset within the first unit
-    std::uint64_t bytes = 0;      // data bytes in this stripe
     std::uint64_t logicalOffset = 0;
+    std::uint64_t bytes = 0; // data bytes in this stripe
+    /** The parity update with the fewest pre-reads (Levels 0/1 have
+     *  no parity and ignore it). */
+    StripeUpdate update = StripeUpdate::Full;
 };
 
 /** Logical-to-physical mapping for one array geometry. */
@@ -84,9 +99,6 @@ class RaidLayout
 
     /** Usable logical capacity in bytes. */
     std::uint64_t dataCapacity() const;
-
-    /** Stripe index containing logical byte @p off. */
-    std::uint64_t stripeOf(std::uint64_t off) const;
 
     /**
      * Disk holding parity for @p stripe (Levels 3 and 5 only;
@@ -114,21 +126,31 @@ class RaidLayout
     DiskExtent parityExtent(std::uint64_t stripe) const;
 
     /**
-     * Decompose [off, off+len) into per-disk data extents.  Level 3
-     * spreads every range across all data disks at sector grain.
-     *
-     * With @p coalesce, physically contiguous runs on the same disk
-     * merge into one extent — the left-symmetric layout makes
-     * sequential ranges one command per disk.  Merged extents are
-     * correct for *timing* but their bytes are logically strided, so
-     * functional copies must use @p coalesce = false (each returned
-     * extent then maps one logically contiguous piece).
+     * Walk [off, off+len) in logical order: fn(k, piece) for each part
+     * of data unit k of one stripe that the range covers.  Exact to
+     * the byte at every level (Level 3 stripes are sector rows, and
+     * Level 1 yields the primary), so byte copies run over it.
+     */
+    template <typename Fn>
+    void forEachPiece(std::uint64_t off, std::uint64_t len, Fn &&fn) const;
+
+    /**
+     * Decompose [off, off+len) into per-disk data extents for timing.
+     * The walk's pieces merge into physically contiguous runs on each
+     * disk: the left-symmetric layout makes a sequential range one
+     * command per disk, though a merged extent's bytes are logically
+     * strided.  Level 3 spreads every range across all data disks,
+     * one extent of the sector rows touched per disk.
      */
     std::vector<DiskExtent> mapRange(std::uint64_t off,
-                                     std::uint64_t len,
-                                     bool coalesce = true) const;
+                                     std::uint64_t len) const;
 
-    /** Decompose [off, off+len) into per-stripe spans (Levels 0/1/5). */
+    /**
+     * Decompose [off, off+len) into per-stripe spans, each with its
+     * parity update: Full for a whole stripe, else read-modify-write
+     * when its pre-reads (the touched units plus parity) are no more
+     * than reconstruct-write's (the units not wholly rewritten).
+     */
     std::vector<StripeSpan> mapStripes(std::uint64_t off,
                                        std::uint64_t len) const;
 
@@ -145,6 +167,26 @@ class RaidLayout
     LayoutConfig cfg;
     std::uint64_t diskCapacity;
 };
+
+template <typename Fn>
+void
+RaidLayout::forEachPiece(std::uint64_t off, std::uint64_t len,
+                         Fn &&fn) const
+{
+    checkRange(off, len);
+    const std::uint64_t unit = cfg.stripeUnitBytes;
+    const std::uint64_t sdb = stripeDataBytes();
+    for (std::uint64_t pos = off, end = off + len; pos < end;) {
+        const std::uint64_t stripe = pos / sdb;
+        const std::uint64_t in_stripe = pos % sdb;
+        const unsigned k = static_cast<unsigned>(in_stripe / unit);
+        const std::uint64_t in_unit = in_stripe % unit;
+        const DiskExtent piece = dataExtent(
+            stripe, k, in_unit, std::min(end - pos, unit - in_unit));
+        fn(k, piece);
+        pos += piece.bytes;
+    }
+}
 
 } // namespace raid2::raid
 

@@ -394,131 +394,99 @@ SimArray::unlockStripe(std::uint64_t stripe)
     next();
 }
 
-void
-SimArray::writeStripeRaid5(const StripeSpan &s, std::function<void()> done)
+SimArray::WritePlan
+SimArray::rangePlan(std::uint64_t off, std::uint64_t len) const
 {
-    // Serialize on the stripe: the RMW / reconstruct sequences below
-    // must see a stable parity unit.
-    lockStripe(s.stripe, [this, s, done = std::move(done)]() mutable {
-        writeStripeRaid5Locked(
-            s, [this, stripe = s.stripe,
-                done = std::move(done)]() mutable {
-                unlockStripe(stripe);
-                if (done)
-                    done();
-            });
-    });
+    WritePlan plan;
+    const RaidLevel level = _layout->level();
+    for (const DiskExtent &e : _layout->mapRange(off, len)) {
+        plan.writes.push_back(e);
+        if (level == RaidLevel::Raid1) {
+            DiskExtent m = e;
+            m.disk = _layout->mirrorDisk(e.disk);
+            plan.writes.push_back(m);
+        }
+    }
+    if (level == RaidLevel::Raid3) {
+        // The parity disk takes the data disks' row extent; parity is
+        // computed on the fly as the data streams through the engine.
+        const DiskExtent &row = plan.writes.front();
+        plan.passIn = len;
+        plan.passOut = row.bytes;
+        plan.writes.push_back(
+            DiskExtent{_layout->parityDisk(0), row.diskOffset, row.bytes});
+    }
+    return plan;
+}
+
+SimArray::WritePlan
+SimArray::stripePlan(const StripeSpan &s) const
+{
+    const std::uint64_t unit = _layout->unitBytes();
+    WritePlan plan;
+    std::vector<bool> rewritten(_layout->dataUnitsPerStripe(), false);
+    _layout->forEachPiece(s.logicalOffset, s.bytes,
+                          [&](unsigned k, const DiskExtent &e) {
+                              plan.writes.push_back(e);
+                              rewritten[k] = e.bytes == unit;
+                          });
+    plan.passOut = unit;
+    switch (s.update) {
+      case StripeUpdate::Full:
+        plan.passIn = s.bytes;
+        break;
+      case StripeUpdate::ReadModifyWrite:
+        plan.reads = plan.writes;
+        plan.reads.push_back(_layout->parityExtent(s.stripe));
+        plan.passIn = 2 * s.bytes + unit;
+        break;
+      case StripeUpdate::ReconstructWrite:
+        for (unsigned k = 0; k < rewritten.size(); ++k) {
+            if (!rewritten[k])
+                plan.reads.push_back(
+                    _layout->dataExtent(s.stripe, k, 0, unit));
+        }
+        plan.passIn = _layout->stripeDataBytes();
+        break;
+    }
+    plan.writes.push_back(_layout->parityExtent(s.stripe));
+    return plan;
 }
 
 void
-SimArray::writeStripeRaid5Locked(const StripeSpan &s,
-                                 std::function<void()> done)
+SimArray::runWrite(WritePlan plan, std::function<void()> done)
 {
-    const std::uint64_t unit = _layout->unitBytes();
-    const unsigned data_units = _layout->dataUnitsPerStripe();
-
-    // Slice the span into per-unit (offset, length) pieces.
-    struct UnitPiece
-    {
-        unsigned k;
-        std::uint64_t off;
-        std::uint64_t len;
-    };
-    std::vector<UnitPiece> pieces;
-    {
-        std::uint64_t in_unit = s.offsetInUnit;
-        std::uint64_t left = s.bytes;
-        for (unsigned k = s.firstUnit; left > 0; ++k) {
-            const std::uint64_t take = std::min(left, unit - in_unit);
-            pieces.push_back({k, in_unit, take});
-            left -= take;
-            in_unit = 0;
-        }
-    }
-
-    const bool full_stripe =
-        s.offsetInUnit == 0 && s.bytes == _layout->stripeDataBytes();
-
-    unsigned fully_touched = 0;
-    for (const auto &p : pieces)
-        fully_touched += (p.off == 0 && p.len == unit) ? 1 : 0;
-
-    // Read cost of the two partial-stripe algorithms, in units.
-    const unsigned rmw_reads =
-        static_cast<unsigned>(pieces.size()) + 1;
-    const unsigned recon_reads = data_units - fully_touched;
-    const bool use_rmw = !full_stripe && rmw_reads <= recon_reads;
-
-    if (full_stripe)
-        ++_fullStripes;
-    else if (use_rmw)
-        ++_rmwStripes;
-    else
-        ++_rwStripes;
-
-    // Collect the extents of each phase.
-    std::vector<DiskExtent> read_extents;
-    std::uint64_t pass_in = 0;
-    std::uint64_t pass_out = unit;
-
-    if (full_stripe) {
-        pass_in = s.bytes;
-    } else if (use_rmw) {
-        for (const auto &p : pieces)
-            read_extents.push_back(
-                _layout->dataExtent(s.stripe, p.k, p.off, p.len));
-        read_extents.push_back(_layout->parityExtent(s.stripe));
-        pass_in = 2 * s.bytes + unit;
-    } else {
-        for (unsigned k = 0; k < data_units; ++k) {
-            const auto it = std::find_if(
-                pieces.begin(), pieces.end(),
-                [k, unit](const UnitPiece &p) {
-                    return p.k == k && p.off == 0 && p.len == unit;
-                });
-            if (it == pieces.end()) {
-                read_extents.push_back(
-                    _layout->dataExtent(s.stripe, k, 0, unit));
-            }
-        }
-        pass_in = _layout->stripeDataBytes();
-    }
-
-    std::vector<DiskExtent> write_extents;
-    for (const auto &p : pieces)
-        write_extents.push_back(
-            _layout->dataExtent(s.stripe, p.k, p.off, p.len));
-    write_extents.push_back(_layout->parityExtent(s.stripe));
-
+    auto p = std::make_shared<const WritePlan>(std::move(plan));
     auto done_ptr =
         std::make_shared<std::function<void()>>(std::move(done));
 
-    auto do_writes = [this, write_extents, done_ptr] {
-        auto remaining =
-            std::make_shared<std::size_t>(write_extents.size());
+    auto do_writes = [this, p, done_ptr] {
+        auto remaining = std::make_shared<std::size_t>(p->writes.size());
         auto finish = [remaining, done_ptr] {
             if (--*remaining == 0 && *done_ptr)
                 (*done_ptr)();
         };
-        for (const auto &e : write_extents)
+        for (const auto &e : p->writes)
             issueExtentWrite(e, finish);
     };
 
-    auto do_pass = [this, pass_in, pass_out,
-                    do_writes = std::move(do_writes)] {
-        _board.parity().pass(pass_in, pass_out, do_writes);
+    auto do_pass = [this, p, do_writes = std::move(do_writes)] {
+        if (p->passIn == 0)
+            do_writes();
+        else
+            _board.parity().pass(p->passIn, p->passOut, do_writes);
     };
 
-    if (read_extents.empty()) {
+    if (p->reads.empty()) {
         do_pass();
         return;
     }
-    auto remaining = std::make_shared<std::size_t>(read_extents.size());
+    auto remaining = std::make_shared<std::size_t>(p->reads.size());
     auto on_read = [remaining, do_pass = std::move(do_pass)] {
         if (--*remaining == 0)
             do_pass();
     };
-    for (const auto &e : read_extents)
+    for (const auto &e : p->reads)
         issueExtentRead(e, on_read);
 }
 
@@ -540,63 +508,33 @@ SimArray::write(std::uint64_t off, std::uint64_t len,
             (*done_ptr)();
     };
 
-    const RaidLevel level = _layout->level();
-
-    if (level == RaidLevel::Raid0 || level == RaidLevel::Raid1) {
-        auto extents = _layout->mapRange(off, len);
-        const std::size_t writes_per_extent =
-            level == RaidLevel::Raid1 ? 2 : 1;
-        auto remaining = std::make_shared<std::size_t>(
-            extents.size() * writes_per_extent);
-        auto finish = [remaining, record] {
-            if (--*remaining == 0)
-                record();
-        };
-        for (const auto &e : extents) {
-            issueExtentWrite(e, finish);
-            if (level == RaidLevel::Raid1) {
-                DiskExtent m = e;
-                m.disk = _layout->mirrorDisk(e.disk);
-                issueExtentWrite(m, finish);
-            }
-        }
+    // No Level 0/1/3 write pre-reads parity, so none takes a lock.
+    if (_layout->level() != RaidLevel::Raid5) {
+        runWrite(rangePlan(off, len), std::move(record));
         return;
     }
 
-    if (level == RaidLevel::Raid3) {
-        // All data disks plus the parity disk participate; parity is
-        // computed on the fly as the data streams through the engine.
-        auto extents = _layout->mapRange(off, len);
-        const std::uint64_t parity_bytes =
-            extents.empty() ? 0 : extents.front().bytes;
-        auto remaining =
-            std::make_shared<std::size_t>(extents.size() + 1);
-        auto finish = [remaining, record] {
-            if (--*remaining == 0)
-                record();
-        };
-        _board.parity().pass(len, parity_bytes, [this, extents, finish,
-                                                 parity_bytes] {
-            for (const auto &e : extents)
-                issueExtentWrite(e, finish);
-            DiskExtent p;
-            p.disk = _layout->numDisks() - 1;
-            p.diskOffset = extents.front().diskOffset;
-            p.bytes = parity_bytes;
-            issueExtentWrite(p, finish);
-        });
-        return;
-    }
-
-    // RAID-5: plan per stripe.
     auto spans = _layout->mapStripes(off, len);
     auto remaining = std::make_shared<std::size_t>(spans.size());
     auto finish = [remaining, record] {
         if (--*remaining == 0)
             record();
     };
-    for (const auto &s : spans)
-        writeStripeRaid5(s, finish);
+    for (const StripeSpan &s : spans) {
+        // Serialize on the stripe: the read-modify-write and
+        // reconstruct-write sequences must see a stable parity unit.
+        lockStripe(s.stripe, [this, s, finish] {
+            switch (s.update) {
+              case StripeUpdate::Full: ++_fullStripes; break;
+              case StripeUpdate::ReadModifyWrite: ++_rmwStripes; break;
+              case StripeUpdate::ReconstructWrite: ++_rwStripes; break;
+            }
+            runWrite(stripePlan(s), [this, stripe = s.stripe, finish] {
+                unlockStripe(stripe);
+                finish();
+            });
+        });
+    }
 }
 
 void

@@ -5,9 +5,11 @@
  * SimArray owns the member disks, SCSI strings and Cougar controllers
  * of one XBUS board's array and maps logical array operations onto
  * timed per-disk commands flowing disk <-> string <-> controller <->
- * VME port <-> XBUS memory.  RAID-5 writes pick between read-modify-
- * write and reconstruct-write per stripe and charge the parity engine
- * for XOR passes — the machinery behind Fig 5, Table 1 and Fig 8.
+ * VME port <-> XBUS memory.  Every write runs one plan: pre-reads,
+ * then at most one parity-engine pass, then writes.  A RAID-5 plan is
+ * built per stripe from the parity update RaidLayout::mapStripes picks
+ * for it (full-stripe, read-modify-write or reconstruct-write), under
+ * the stripe lock — the machinery behind Fig 5, Table 1 and Fig 8.
  *
  * Disk numbering is string-major: disks 0..(S-1) sit on the *first*
  * string of each controller in round-robin, then the second strings.
@@ -232,12 +234,25 @@ class SimArray
     void issueLatentRepairRead(const DiskExtent &e, unsigned d,
                                std::function<void()> done);
 
-    /** Plan and run the write of one stripe span (RAID-5), holding
-     *  the stripe lock. */
-    void writeStripeRaid5(const StripeSpan &s,
-                          std::function<void()> done);
-    void writeStripeRaid5Locked(const StripeSpan &s,
-                                std::function<void()> done);
+    /** One timed write: its pre-reads, then at most one parity-engine
+     *  pass, then its writes. */
+    struct WritePlan
+    {
+        std::vector<DiskExtent> reads;
+        /** Parity-engine pass of (passIn, passOut) bytes; none when
+         *  passIn is 0. */
+        std::uint64_t passIn = 0;
+        std::uint64_t passOut = 0;
+        std::vector<DiskExtent> writes;
+    };
+    /** Plan a Level 0/1/3 write of [off, off+len) as a whole: the
+     *  mapped extents, each mirror write right after its primary,
+     *  and Level 3's on-the-fly parity. */
+    WritePlan rangePlan(std::uint64_t off, std::uint64_t len) const;
+    /** Plan the Level 5 write of one stripe span from its update. */
+    WritePlan stripePlan(const StripeSpan &s) const;
+    /** Issue @p plan; @p done fires when its last write completes. */
+    void runWrite(WritePlan plan, std::function<void()> done);
 
     /** @{ Per-stripe write serialization: concurrent updates to one
      *  stripe's parity must not interleave (the classic RAID-5 stripe

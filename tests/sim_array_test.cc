@@ -8,11 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "disk/disk_profile.hh"
+#include "lfs/format.hh"
 #include "raid/reconstruct.hh"
 #include "raid/sim_array.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "xbus/xbus_board.hh"
 
 namespace {
@@ -277,6 +282,75 @@ TEST(SimArray, DegradedWriteSkipsDeadDisk)
     rig.eq.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(rig.array.disk(0).sectorsWritten(), 0u);
+}
+
+/**
+ * Pins the timed write path at every level, healthy and with disk 3
+ * failed.  Fixed writes cover each parity update: a full stripe, a
+ * 4 KB read-modify-write, a 20-unit reconstruct-write, two writes to
+ * one stripe, an unaligned multi-stripe range and the tie (11 whole
+ * units of a 23-unit stripe: both updates pre-read 12 units, and the
+ * rule picks read-modify-write); seeded ragged writes follow.  All are
+ * issued at once.  Each write's completion tick, the three stripe
+ * counters, every disk's sectors read and written and the parity
+ * engine's passes and bytes must hash to the value they had when this
+ * test was written.  A change that only restructures the write path
+ * leaves the digest alone; a change that moves an event updates the
+ * constant and says why.
+ */
+TEST(SimArrayGolden, WriteTimeline)
+{
+    constexpr std::uint64_t goldenDigest = 0x077f31df2d54fc47;
+    std::vector<std::uint64_t> trace;
+    for (auto level : {raid::RaidLevel::Raid0, raid::RaidLevel::Raid1,
+                       raid::RaidLevel::Raid3, raid::RaidLevel::Raid5}) {
+        for (bool degraded : {false, true}) {
+            Rig rig(level);
+            if (degraded)
+                rig.array.failDisk(3);
+            const raid::RaidLayout &layout = rig.array.layout();
+            const std::uint64_t unit = layout.unitBytes();
+            const std::uint64_t sdb = layout.stripeDataBytes();
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> writes = {
+                {0, sdb},
+                {sdb + 4096, 4096},
+                {2 * sdb, 20 * unit},
+                {3 * sdb + 8192, 4096},
+                {3 * sdb + 5 * unit, 4096},
+                {4 * sdb + 12345, 2 * sdb + 54321},
+                {7 * sdb + 3 * unit, 11 * unit},
+            };
+            sim::Random rng(17);
+            for (int i = 0; i < 12; ++i) {
+                const std::uint64_t len = 1 + rng.below(3 * sdb);
+                writes.emplace_back(rng.below(64 * sdb), len);
+            }
+            std::vector<Tick> doneAt(writes.size(), 0);
+            for (std::size_t i = 0; i < writes.size(); ++i)
+                rig.array.write(writes[i].first, writes[i].second,
+                                [&doneAt, &rig, i] {
+                                    doneAt[i] = rig.eq.now();
+                                });
+            rig.eq.run();
+            for (Tick t : doneAt) {
+                ASSERT_GT(t, 0u);
+                trace.push_back(t);
+            }
+            trace.push_back(rig.array.fullStripeWrites());
+            trace.push_back(rig.array.rmwStripes());
+            trace.push_back(rig.array.reconstructWriteStripes());
+            for (unsigned d = 0; d < rig.array.numDisks(); ++d) {
+                trace.push_back(rig.array.disk(d).sectorsRead());
+                trace.push_back(rig.array.disk(d).sectorsWritten());
+            }
+            trace.push_back(rig.board.parity().passes());
+            trace.push_back(rig.board.parity().bytesProcessed());
+        }
+    }
+    const std::span<const std::uint8_t> bytes{
+        reinterpret_cast<const std::uint8_t *>(trace.data()),
+        trace.size() * sizeof(std::uint64_t)};
+    EXPECT_EQ(lfs::blockChecksum(bytes), goldenDigest);
 }
 
 TEST(RebuildJob, RebuildsAllStripesAndRestoresDisk)
