@@ -19,6 +19,7 @@
 #include "net/client_model.hh"
 #include "net/ultranet.hh"
 #include "server/file_protocol.hh"
+#include "server/request_scheduler.hh"
 #include "sim/event_queue.hh"
 
 using namespace raid2;
@@ -38,10 +39,11 @@ run(bool reads, bool polling_driver, bench::Reporter *rep = nullptr)
     auto cfg = bench::lfsConfig();
     server::Raid2Server srv(eq, "srv", cfg);
     net::UltranetFabric ultranet(eq, "ultra");
+    server::RequestScheduler sched(eq, srv);
     net::ClientModel client(eq, "sparc10");
     server::RaidFileClient::Config pcfg;
     pcfg.pollingDriver = polling_driver;
-    server::RaidFileClient lib(eq, srv, client, ultranet, pcfg);
+    server::RaidFileClient lib(eq, sched, client, ultranet, pcfg);
 
     sim::StatsRegistry reg;
     if (rep) {

@@ -17,6 +17,7 @@
 #include "net/ultranet.hh"
 #include "server/file_protocol.hh"
 #include "server/raid2_server.hh"
+#include "server/request_scheduler.hh"
 #include "sim/event_queue.hh"
 
 using namespace raid2;
@@ -45,10 +46,12 @@ main()
                 server.array().capacity() / 1e9);
 
     // 3. A client workstation on the Ultranet ring, using the RAID
-    //    file library (raid_open / raid_read / raid_write, §3.3).
+    //    file library (raid_open / raid_read / raid_write, §3.3)
+    //    through the server's front end.
+    server::RequestScheduler sched(eq, server);
     net::UltranetFabric ultranet(eq, "ultranet");
     net::ClientModel client(eq, "client");
-    server::RaidFileClient lib(eq, server, client, ultranet);
+    server::RaidFileClient lib(eq, sched, client, ultranet);
 
     const std::uint64_t file_bytes = 16 * sim::MB;
     const std::uint64_t req = 1 * sim::MB;

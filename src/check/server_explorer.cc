@@ -258,10 +258,8 @@ struct Runner
         for (unsigned c = 1; c <= hist.clients; ++c) {
             nics.push_back(std::make_unique<net::ClientModel>(
                 eq, "check.c" + std::to_string(c)));
-            server::RaidFileClient::Config ccfg;
-            ccfg.scheduler = sched.get();
             libs.push_back(std::make_unique<server::RaidFileClient>(
-                eq, *srv, *nics.back(), *ring, ccfg));
+                eq, *sched, *nics.back(), *ring));
         }
     }
 

@@ -9,7 +9,7 @@ HostWorkstation::HostWorkstation(sim::EventQueue &eq, std::string name,
       _memory(eq, _name + ".memcpy",
               sim::Service::Config{cfg_.copyMBs, 0, 1}),
       _backplane(eq, _name + ".vme",
-                 sim::Service::Config{cfg_.backplaneMBs, 0, 1})
+                 sim::Service::Config{cal::hostBackplaneMBs, 0, 1})
 {
 }
 
@@ -17,9 +17,9 @@ void
 HostWorkstation::chargeIoCompletion(bool through_host_memory,
                                     std::function<void()> done)
 {
-    sim::Tick cost = cfg.perIoCpu;
+    sim::Tick cost = cal::hostPerIoCpu;
     if (through_host_memory)
-        cost += cfg.raid1ExtraPerIo;
+        cost += cal::hostRaid1ExtraPerIo;
     _cpu.submitBusyTime(cost, std::move(done));
 }
 
@@ -27,18 +27,18 @@ void
 HostWorkstation::copyThroughMemory(std::uint64_t bytes,
                                    std::function<void()> done)
 {
-    // Each byte crosses the memory system copiesPerByte times.
-    _memory.submit(bytes * cfg.copiesPerByte, std::move(done));
+    // Each byte crosses the memory system hostCopiesPerByte times.
+    _memory.submit(bytes * cal::hostCopiesPerByte, std::move(done));
 }
 
 std::vector<sim::Stage>
 HostWorkstation::dataPathStages()
 {
     // Bulk data: backplane DMA, then the copy passes.  The copy stage
-    // sees each byte copiesPerByte times, which we express as a rate
-    // reduction so chunk accounting stays in payload bytes.
+    // sees each byte hostCopiesPerByte times, which we express as a
+    // rate reduction so chunk accounting stays in payload bytes.
     const double eff_copy =
-        cfg.copyMBs / static_cast<double>(cfg.copiesPerByte);
+        cfg.copyMBs / static_cast<double>(cal::hostCopiesPerByte);
     return {sim::Stage(_backplane), sim::Stage(_memory, eff_copy)};
 }
 

@@ -29,20 +29,10 @@ class HostWorkstation
   public:
     struct Config
     {
+        /** Rate of one pass through the memory system. */
         double copyMBs;
-        unsigned copiesPerByte;
-        double backplaneMBs;
-        sim::Tick perIoCpu;
-        sim::Tick raid1ExtraPerIo;
 
-        Config()
-            : copyMBs(cal::hostCopyMBs),
-              copiesPerByte(cal::hostCopiesPerByte),
-              backplaneMBs(cal::hostBackplaneMBs),
-              perIoCpu(cal::hostPerIoCpu),
-              raid1ExtraPerIo(cal::hostRaid1ExtraPerIo)
-        {
-        }
+        Config() : copyMBs(cal::hostCopyMBs) {}
     };
 
     HostWorkstation(sim::EventQueue &eq, std::string name,
@@ -64,7 +54,8 @@ class HostWorkstation
     void chargeIoCompletion(bool through_host_memory,
                             std::function<void()> done);
 
-    /** Move @p bytes through host memory (copiesPerByte passes). */
+    /** Move @p bytes through host memory (cal::hostCopiesPerByte
+     *  passes). */
     void copyThroughMemory(std::uint64_t bytes,
                            std::function<void()> done);
 

@@ -6,16 +6,10 @@
 
 namespace raid2::net {
 
-ClientModel::ClientModel(sim::EventQueue &eq, std::string name,
-                         const Config &cfg_)
-    : _name(std::move(name)), cfg(cfg_),
-      _nic(eq, _name + ".nic",
-           sim::Service::Config{cfg_.readMBs, 0, 1})
-{
-}
-
 ClientModel::ClientModel(sim::EventQueue &eq, std::string name)
-    : ClientModel(eq, std::move(name), Config{})
+    : _name(std::move(name)),
+      _nic(eq, _name + ".nic",
+           sim::Service::Config{cal::clientReadMBs, 0, 1})
 {
 }
 

@@ -25,27 +25,15 @@ namespace raid2::net {
 class ClientModel
 {
   public:
-    struct Config
-    {
-        /** Client-side receive path rate (server reads -> client). */
-        double readMBs = cal::clientReadMBs;
-        /** Client-side transmit path rate (client writes -> server). */
-        double writeMBs = cal::clientWriteMBs;
-        /** Per-request library/socket software cost. */
-        sim::Tick perRequestCost = sim::msToTicks(0.3);
-    };
-
-    ClientModel(sim::EventQueue &eq, std::string name, const Config &cfg);
     ClientModel(sim::EventQueue &eq, std::string name);
 
     /** NIC stage for data arriving at the client. */
-    sim::Stage rxStage() { return sim::Stage(_nic, cfg.readMBs); }
+    sim::Stage rxStage() { return sim::Stage(_nic, cal::clientReadMBs); }
     /** NIC stage for data leaving the client. */
-    sim::Stage txStage() { return sim::Stage(_nic, cfg.writeMBs); }
+    sim::Stage txStage() { return sim::Stage(_nic, cal::clientWriteMBs); }
 
     /** Charge the per-request socket/library cost on the client CPU. */
-    void chargeRequestCost() { _nic.submitBusyTime(cfg.perRequestCost,
-                                                   nullptr); }
+    void chargeRequestCost() { _nic.submitBusyTime(perRequestCost, nullptr); }
 
     sim::Service &nic() { return _nic; }
     const std::string &name() const { return _name; }
@@ -55,8 +43,10 @@ class ClientModel
                        const std::string &prefix) const;
 
   private:
+    /** Per-request library/socket software cost. */
+    static constexpr sim::Tick perRequestCost = sim::msToTicks(0.3);
+
     std::string _name;
-    Config cfg;
     sim::Service _nic;
 };
 

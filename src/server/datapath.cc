@@ -1,70 +1,69 @@
 #include "server/datapath.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "sim/logging.hh"
 #include "sim/trace_sink.hh"
 
 namespace raid2::server {
 
-void
-PipelinedReader::start(sim::EventQueue &eq, raid::SimArray &array,
-                       std::vector<Range> ranges, Config cfg,
-                       std::function<void()> done)
+namespace {
+
+/** One PipelinedReader run, shared by its completions in flight. */
+struct Reader : std::enable_shared_from_this<Reader>
 {
-    new PipelinedReader(eq, array, std::move(ranges), std::move(cfg),
-                        std::move(done));
-}
+    struct Chunk
+    {
+        std::uint64_t off;
+        std::uint64_t len;
+        bool ready = false; // read complete, waiting to send
+        bool sent = false;  // left the out stages
+        sim::Tick issueTick = 0;
+        sim::Tick sendTick = 0;
+    };
 
-PipelinedReader::PipelinedReader(sim::EventQueue &eq_,
-                                 raid::SimArray &array_,
-                                 std::vector<Range> ranges, Config cfg_,
-                                 std::function<void()> done_)
-    : eq(eq_), array(array_), cfg(std::move(cfg_)), done(std::move(done_))
-{
-    if (cfg.depth == 0)
-        sim::panic("PipelinedReader: zero depth");
-    if (cfg.bufferBytes == 0)
-        sim::panic("PipelinedReader: zero buffer size");
+    Reader(sim::EventQueue &eq_, raid::SimArray &array_,
+           PipelinedReader::Config cfg_, std::function<void()> done_)
+        : eq(eq_), array(array_), cfg(std::move(cfg_)),
+          done(std::move(done_))
+    {
+    }
+    Reader(const Reader &) = delete;
+    Reader &operator=(const Reader &) = delete;
 
-    for (const Range &r : ranges) {
-        std::uint64_t pos = r.off;
-        std::uint64_t left = r.len;
-        while (left > 0) {
-            const std::uint64_t take =
-                std::min(left, cfg.bufferBytes);
-            chunks.push_back(Chunk{pos, take});
-            pos += take;
-            left -= take;
-        }
-    }
-    if (chunks.empty()) {
-        // Nothing to read (e.g. an all-hole range).
-        eq.scheduleIn(0, [this] {
-            if (done)
-                done();
-            delete this;
-        });
-        return;
-    }
-    pump();
-}
+    void pump();
+    void readDone(std::size_t idx);
+    void drainInOrder();
+    void chunkSent(std::size_t idx);
+
+    sim::EventQueue &eq;
+    raid::SimArray &array;
+    PipelinedReader::Config cfg;
+    std::function<void()> done;
+
+    std::vector<Chunk> chunks;
+    std::size_t nextIssue = 0;
+    std::size_t nextSend = 0;
+    std::size_t completed = 0;
+    unsigned inFlight = 0;
+    bool setupCharged = false;
+};
 
 void
-PipelinedReader::pump()
+Reader::pump()
 {
     while (inFlight < cfg.depth && nextIssue < chunks.size()) {
         const std::size_t idx = nextIssue++;
-        Chunk &c = chunks[idx];
-        c.issued = true;
         ++inFlight;
-        auto issue = [this, idx] {
-            chunks[idx].issueTick = eq.now();
-            array.read(chunks[idx].off, chunks[idx].len,
-                       [this, idx] { readDone(idx); });
+        auto issue = [self = shared_from_this(), idx] {
+            self->chunks[idx].issueTick = self->eq.now();
+            self->array.read(self->chunks[idx].off,
+                             self->chunks[idx].len,
+                             [self, idx] { self->readDone(idx); });
         };
         if (cfg.buffers) {
-            cfg.buffers->alloc(c.len, issue);
+            cfg.buffers->alloc(chunks[idx].len, std::move(issue));
         } else {
             issue();
         }
@@ -72,7 +71,7 @@ PipelinedReader::pump()
 }
 
 void
-PipelinedReader::readDone(std::size_t idx)
+Reader::readDone(std::size_t idx)
 {
     chunks[idx].ready = true;
     if (auto *t = eq.tracer())
@@ -82,7 +81,7 @@ PipelinedReader::readDone(std::size_t idx)
 }
 
 void
-PipelinedReader::drainInOrder()
+Reader::drainInOrder()
 {
     // Deliver strictly in file order so the receiver sees a stream.
     while (nextSend < chunks.size() && chunks[nextSend].ready &&
@@ -91,13 +90,7 @@ PipelinedReader::drainInOrder()
         chunks[idx].sent = true;
         chunks[idx].sendTick = eq.now();
         if (cfg.outStages.empty()) {
-            // Every earlier chunk was sent synchronously too, so
-            // sending the last one finishes and deletes this reader:
-            // touch no member after it.
-            const bool last = idx + 1 == chunks.size();
             chunkSent(idx);
-            if (last)
-                return;
             continue;
         }
         if (!setupCharged && cfg.outSetup > 0) {
@@ -107,12 +100,14 @@ PipelinedReader::drainInOrder()
         }
         sim::Pipeline::start(eq, cfg.outStages, chunks[idx].len,
                              cal::xbusChunkBytes,
-                             [this, idx] { chunkSent(idx); });
+                             [self = shared_from_this(), idx] {
+                                 self->chunkSent(idx);
+                             });
     }
 }
 
 void
-PipelinedReader::chunkSent(std::size_t idx)
+Reader::chunkSent(std::size_t idx)
 {
     if (auto *t = eq.tracer())
         t->complete("pipeline", "send", chunks[idx].sendTick, eq.now(),
@@ -122,17 +117,44 @@ PipelinedReader::chunkSent(std::size_t idx)
     --inFlight;
     ++completed;
     pump();
-    maybeFinish();
+    if (completed == chunks.size() && done)
+        done();
 }
 
+} // namespace
+
 void
-PipelinedReader::maybeFinish()
+PipelinedReader::start(sim::EventQueue &eq, raid::SimArray &array,
+                       std::vector<Range> ranges, Config cfg,
+                       std::function<void()> done)
 {
-    if (completed < chunks.size())
+    if (cfg.depth == 0)
+        sim::panic("PipelinedReader: zero depth");
+    if (cfg.bufferBytes == 0)
+        sim::panic("PipelinedReader: zero buffer size");
+
+    const auto r = std::make_shared<Reader>(eq, array, std::move(cfg),
+                                            std::move(done));
+    for (const Range &rg : ranges) {
+        std::uint64_t pos = rg.off;
+        std::uint64_t left = rg.len;
+        while (left > 0) {
+            const std::uint64_t take =
+                std::min(left, r->cfg.bufferBytes);
+            r->chunks.push_back(Reader::Chunk{pos, take});
+            pos += take;
+            left -= take;
+        }
+    }
+    if (r->chunks.empty()) {
+        // Nothing to read (e.g. an all-hole range).
+        eq.scheduleIn(0, [r] {
+            if (r->done)
+                r->done();
+        });
         return;
-    if (done)
-        done();
-    delete this;
+    }
+    r->pump();
 }
 
 } // namespace raid2::server

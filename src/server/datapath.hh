@@ -53,43 +53,12 @@ class PipelinedReader
         xbus::BufferPool *buffers = nullptr;
     };
 
-    /** Run the pipeline over @p ranges; self-deletes after @p done. */
+    /** Run the pipeline over @p ranges and call @p done.  The
+     *  completions in flight share the reader's state, so it is freed
+     *  with the last of them, or with the event queue. */
     static void start(sim::EventQueue &eq, raid::SimArray &array,
                       std::vector<Range> ranges, Config cfg,
                       std::function<void()> done);
-
-  private:
-    PipelinedReader(sim::EventQueue &eq, raid::SimArray &array,
-                    std::vector<Range> ranges, Config cfg,
-                    std::function<void()> done);
-
-    void pump();
-    void readDone(std::size_t idx);
-    void drainInOrder();
-    void chunkSent(std::size_t idx);
-    void maybeFinish();
-
-    sim::EventQueue &eq;
-    raid::SimArray &array;
-    Config cfg;
-    std::function<void()> done;
-
-    struct Chunk
-    {
-        std::uint64_t off;
-        std::uint64_t len;
-        bool issued = false;
-        bool ready = false;  // read complete, waiting to send
-        bool sent = false;   // left the out stages
-        sim::Tick issueTick = 0;
-        sim::Tick sendTick = 0;
-    };
-    std::vector<Chunk> chunks;
-    std::size_t nextIssue = 0;
-    std::size_t nextSend = 0;
-    std::size_t completed = 0;
-    unsigned inFlight = 0;
-    bool setupCharged = false;
 };
 
 } // namespace raid2::server

@@ -11,14 +11,13 @@
  * through server HIPPI -> Ultranet ring -> client NIC.
  *
  * Every operation completes with a single Result record (status,
- * bytes, handle, issue/complete ticks).  When a RequestScheduler is
- * attached (Config::scheduler) operations flow through the server
- * front end — bounded admission queues, per-session fairness, and the
- * §2.1.1 class split (bulk ops over the HIPPI fast path, metadata and
- * small ops over the Ethernet standard path) — and may complete with
- * Status::Busy or Status::Throttled, which the caller should retry
- * after a backoff.  Without a scheduler, operations hit the datapath
- * directly, as a lone client on an idle server would.
+ * bytes, handle, issue/complete ticks).  Every operation the client
+ * sends goes through the server front end, the RequestScheduler:
+ * bounded admission queues, per-session fairness, and the §2.1.1
+ * class split (bulk ops over the HIPPI fast path, metadata and small
+ * ops over the Ethernet standard path).  An operation may therefore
+ * complete with Status::Busy or Status::Throttled, which the caller
+ * should retry after a backoff.
  */
 
 #ifndef RAID2_SERVER_FILE_PROTOCOL_HH
@@ -32,7 +31,6 @@
 
 #include "net/client_model.hh"
 #include "net/ultranet.hh"
-#include "server/raid2_server.hh"
 #include "server/request_scheduler.hh"
 
 namespace raid2::server {
@@ -73,24 +71,26 @@ class RaidFileClient
 
     using Completion = std::function<void(const Result &)>;
 
+    /** Round-trip command latency for open/close and per-request
+     *  command exchange (socket + Sprite-RPC on the host). */
+    static constexpr sim::Tick commandRtt = sim::msToTicks(1.0);
+
     struct Config
     {
-        /** Round-trip command latency for open/close and per-request
-         *  command exchange (socket + Sprite-RPC on the host). */
-        sim::Tick commandRtt = sim::msToTicks(1.0);
         /** Host CPU polls during sends with the initial network driver
          *  (§3.4) instead of taking interrupts. */
         bool pollingDriver = false;
-        /** Route operations through the server front end.  The client
-         *  allocates its scheduler session in the constructor. */
-        RequestScheduler *scheduler = nullptr;
     };
 
-    RaidFileClient(sim::EventQueue &eq, Raid2Server &server,
+    /** The client allocates its scheduler session here. */
+    RaidFileClient(sim::EventQueue &eq, RequestScheduler &sched,
                    net::ClientModel &client, net::UltranetFabric &net,
                    const Config &cfg);
-    RaidFileClient(sim::EventQueue &eq, Raid2Server &server,
+    RaidFileClient(sim::EventQueue &eq, RequestScheduler &sched,
                    net::ClientModel &client, net::UltranetFabric &net);
+    /** Ops in flight hold the client's address. */
+    RaidFileClient(const RaidFileClient &) = delete;
+    RaidFileClient &operator=(const RaidFileClient &) = delete;
 
     /**
      * Open (or create) a file.  Completes with Result::handle set on
@@ -128,7 +128,7 @@ class RaidFileClient
      *  never-opened handle (the Status::BadHandle case). */
     std::optional<std::uint64_t> position(Handle h) const;
 
-    /** The scheduler session this client was assigned (0 if direct). */
+    /** The scheduler session this client was assigned. */
     std::uint32_t session() const { return _session; }
 
   private:
@@ -138,32 +138,26 @@ class RaidFileClient
         std::uint64_t pos = 0;
     };
 
+    using OpKind = RequestScheduler::OpKind;
+
     /** Complete locally (bad handle, EOF) after the command RTT. */
     void completeLocal(Result res, Completion done);
 
-    /** Issue a read/write; when @p advance_from points at an open
-     *  file, the cursor advances on successful completion. */
-    void issueRead(Handle h, lfs::InodeNum ino, std::uint64_t off,
-                   std::uint64_t len, bool advance, Completion done);
-    void issueWrite(Handle h, lfs::InodeNum ino, std::uint64_t off,
-                    std::uint64_t len, bool advance, Completion done);
+    /** Issue a read or write of @p len bytes on @p h at @p at, or at
+     *  the handle's position (which then advances on success) when
+     *  @p at is empty. */
+    void transfer(OpKind kind, Handle h, std::optional<std::uint64_t> at,
+                  std::uint64_t len, Completion done);
 
-    /** @{ Direct (scheduler-less) datapath issue, post-RTT. */
-    void directRead(lfs::InodeNum ino, std::uint64_t off,
-                    std::uint64_t n, Raid2Server::ReadDone done);
-    void directWrite(lfs::InodeNum ino, std::uint64_t off,
-                     std::uint64_t len, std::function<void()> done);
-    /** @} */
-
-    std::vector<sim::Stage> readOutStages();
-    std::vector<sim::Stage> writeInStages();
+    /** Send @p r to the front end after the command RTT. */
+    void submit(RequestScheduler::Request r);
 
     sim::EventQueue &eq;
-    Raid2Server &server;
+    RequestScheduler &sched;
     net::ClientModel &client;
     net::UltranetFabric &net;
     Config cfg;
-    std::uint32_t _session = 0;
+    std::uint32_t _session;
 
     std::map<Handle, OpenFile> open;
     Handle nextHandle = 1;

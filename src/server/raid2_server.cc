@@ -30,10 +30,19 @@ statusName(Status st)
     return "?";
 }
 
+namespace {
+
+/** Host file-cache budget for standard-mode reads (§3.2: "The host
+ *  memory cache contains metadata as well as files that have been read
+ *  into workstation memory for transfer over the Ethernet"). */
+constexpr std::uint64_t hostCacheBytes = 64ull * 1024 * 1024;
+
+} // namespace
+
 Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
                          const Config &cfg_)
     : eq(eq_), _name(std::move(name)), cfg(cfg_),
-      _hostCache(cfg_.hostCacheBytes)
+      _hostCache(hostCacheBytes)
 {
     _board = std::make_unique<xbus::XbusBoard>(eq, _name + ".xbus");
     _array = std::make_unique<raid::SimArray>(eq, *_board,
@@ -476,10 +485,9 @@ Raid2Server::writePayload(
 {
     // Per-request file system + network software cost (~3 ms, §3.4),
     // serialized on the server software path.
-    fsCpu->submitBusyTime(cfg.fsWriteOverhead, [this, ino, off, len, data,
-                                                done =
-                                                    std::move(done)]()
-                                                   mutable {
+    fsCpu->submitBusyTime(cal::lfsWriteOpOverhead,
+                          [this, ino, off, len, data,
+                           done = std::move(done)]() mutable {
         // Functional write: real bytes into the log; the host's
         // cached copy (if any) is now stale (§3.2: "The file system
         // keeps the two caches consistent").
@@ -554,12 +562,10 @@ Raid2Server::fileRead(lfs::InodeNum ino, std::uint64_t off,
                       std::vector<sim::Stage> extra_out,
                       sim::Tick out_setup)
 {
-    fsCpu->submitBusyTime(cfg.fsReadOverhead, [this, ino, off, len,
-                                               extra_out =
-                                                   std::move(extra_out),
-                                               out_setup,
-                                               done = std::move(done)]()
-                                                  mutable {
+    fsCpu->submitBusyTime(cal::lfsReadOpOverhead,
+                          [this, ino, off, len,
+                           extra_out = std::move(extra_out), out_setup,
+                           done = std::move(done)]() mutable {
         // Verify-on-read with read-repair on the functional plane; the
         // timed transfer below ships whatever survived.
         std::vector<Range> ranges = mapRanges(ino, off, len);
@@ -647,7 +653,7 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
     // memory — no XBUS or disk traffic at all.
     if (_hostCache.lookup(ino)) {
         fsCpu->submitBusyTime(
-            cfg.fsReadOverhead,
+            cal::lfsReadOpOverhead,
             [this, len, st, done = std::move(done)]() mutable {
                 _host->copyThroughMemory(
                     len, [this, len, st, done = std::move(done)]() mutable {
@@ -665,9 +671,9 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
     if (file_size > 0 && file_size <= _hostCache.capacity())
         _hostCache.insert(ino, file_size);
 
-    fsCpu->submitBusyTime(cfg.fsReadOverhead, [this, ino, off, len, st,
-                                               done = std::move(done)]()
-                                                  mutable {
+    fsCpu->submitBusyTime(cal::lfsReadOpOverhead,
+                          [this, ino, off, len, st,
+                           done = std::move(done)]() mutable {
         const std::vector<Range> ranges = mapRanges(ino, off, len);
         auto remaining = std::make_shared<std::size_t>(ranges.size());
         auto done_ptr = std::make_shared<ReadDone>(std::move(done));

@@ -92,15 +92,8 @@ class Raid2Server
 
         unsigned pipelineDepth = cal::defaultPipelineDepth;
         std::uint64_t pipelineBufferBytes = 256 * 1024;
-        sim::Tick fsReadOverhead = cal::lfsReadOpOverhead;
-        sim::Tick fsWriteOverhead = cal::lfsWriteOpOverhead;
         /** Write-behind bound on outstanding segment flushes. */
         unsigned maxFlushesInFlight = 2;
-        /** Host file-cache budget for standard-mode reads (§3.2: "The
-         *  host memory cache contains metadata as well as files that
-         *  have been read into workstation memory for transfer over
-         *  the Ethernet"). */
-        std::uint64_t hostCacheBytes = 64ull * 1024 * 1024;
         /** NVRAM write buffer on the host for standard-mode (NFS-
          *  style) writes; §4.1: NFS servers add "possibly non-volatile
          *  memory to speed up NFS writes".  0 = none: standard-mode

@@ -9,6 +9,20 @@
 
 namespace raid2::server {
 
+namespace {
+
+/** Deficit round robin quantum added per scheduling visit. */
+constexpr std::uint64_t quantumBytes = 256 * 1024;
+/** @{ A metadata batch costs metaOpCpu for the first op plus
+ *  metaBatchedOpCpu for each further one. */
+constexpr sim::Tick metaOpCpu = sim::usToTicks(500);
+constexpr sim::Tick metaBatchedOpCpu = sim::usToTicks(100);
+/** @} */
+/** Server-side turnaround of a rejected request. */
+constexpr sim::Tick rejectLatency = sim::usToTicks(100);
+
+} // namespace
+
 const char *
 RequestScheduler::className(ServiceClass c)
 {
@@ -59,12 +73,11 @@ RequestScheduler::state(ServiceClass c) const
 }
 
 RequestScheduler::ServiceClass
-RequestScheduler::classify(const Request &r) const
+RequestScheduler::classify(OpKind kind, std::uint64_t len)
 {
-    if (r.kind == OpKind::Open)
+    if (kind == OpKind::Open || len <= smallOpBytes)
         return ServiceClass::Standard;
-    return r.len <= cfg.smallOpBytes ? ServiceClass::Standard
-                                     : ServiceClass::FastPath;
+    return ServiceClass::FastPath;
 }
 
 std::uint64_t
@@ -79,7 +92,7 @@ void
 RequestScheduler::reject(ClassState &cs, Request &&r, Status st)
 {
     cs.rejected.inc();
-    eq.scheduleIn(cfg.rejectLatency,
+    eq.scheduleIn(rejectLatency,
                   [done = std::move(r.done), st]() mutable {
                       if (done)
                           done(st, 0);
@@ -129,7 +142,7 @@ RequestScheduler::pump(ClassState &cs)
     while (cs.inflight < cs.inflightCap && !cs.active.empty()) {
         SessionQueue *s = cs.active.front();
         cs.active.pop_front();
-        s->deficit += cfg.quantumBytes;
+        s->deficit += quantumBytes;
         while (!s->q.empty() && cs.inflight < cs.inflightCap) {
             const std::uint64_t cost = costOf(s->q.front());
             if (s->deficit < cost)
@@ -235,7 +248,7 @@ RequestScheduler::enqueueOpen(Request &&r, sim::Tick granted_at,
                               std::uint64_t span)
 {
     batch.push_back(BatchedOpen{std::move(r), granted_at, span});
-    if (batch.size() >= cfg.metaBatchMax) {
+    if (batch.size() >= metaBatchMax) {
         if (batchTimer != sim::EventQueue::invalidEvent) {
             eq.cancel(batchTimer);
             batchTimer = sim::EventQueue::invalidEvent;
@@ -244,7 +257,7 @@ RequestScheduler::enqueueOpen(Request &&r, sim::Tick granted_at,
         return;
     }
     if (batch.size() == 1)
-        batchTimer = eq.scheduleIn(cfg.metaBatchWindow, [this] {
+        batchTimer = eq.scheduleIn(metaBatchWindow, [this] {
             batchTimer = sim::EventQueue::invalidEvent;
             flushBatch();
         });
@@ -264,8 +277,8 @@ RequestScheduler::flushBatch()
     // One kernel entry per batch: full per-op cost for the first,
     // amortized cost for the rest.
     const sim::Tick cpu =
-        cfg.metaOpCpu +
-        cfg.metaBatchedOpCpu * static_cast<sim::Tick>(ops->size() - 1);
+        metaOpCpu +
+        metaBatchedOpCpu * static_cast<sim::Tick>(ops->size() - 1);
     srv.host().cpu().submitBusyTime(cpu, [this, ops] {
         for (BatchedOpen &b : *ops) {
             Status st = Status::Ok;

@@ -105,23 +105,18 @@ class RequestScheduler
         unsigned fastInFlight = 16;
         unsigned stdInFlight = 8;
         /** @} */
-        /** Deficit round robin quantum added per scheduling visit. */
-        std::uint64_t quantumBytes = 256 * 1024;
-        /** Reads/writes of at most this many bytes are standard-mode
-         *  ops (§2.1.1: small requests go over the Ethernet). */
-        std::uint64_t smallOpBytes = 64 * 1024;
-        /** @{ Host-CPU batching of metadata ops: a batch flushes when
-         *  it reaches metaBatchMax ops or metaBatchWindow after its
-         *  first op; the batch costs metaOpCpu for the first op plus
-         *  metaBatchedOpCpu for each further one. */
-        unsigned metaBatchMax = 8;
-        sim::Tick metaBatchWindow = sim::usToTicks(500);
-        sim::Tick metaOpCpu = sim::usToTicks(500);
-        sim::Tick metaBatchedOpCpu = sim::usToTicks(100);
-        /** @} */
-        /** Server-side turnaround of a rejected request. */
-        sim::Tick rejectLatency = sim::usToTicks(100);
     };
+
+    /** Reads/writes of at most this many bytes are standard-mode ops
+     *  (§2.1.1: small requests go over the Ethernet). */
+    static constexpr std::uint64_t smallOpBytes = 64 * 1024;
+
+    /** @{ Host-CPU batching of metadata ops: a batch flushes when it
+     *  reaches metaBatchMax ops or metaBatchWindow after its first
+     *  op. */
+    static constexpr unsigned metaBatchMax = 8;
+    static constexpr sim::Tick metaBatchWindow = sim::usToTicks(500);
+    /** @} */
 
     RequestScheduler(sim::EventQueue &eq, Raid2Server &srv,
                      const Config &cfg);
@@ -130,13 +125,21 @@ class RequestScheduler
     /** Session ids returned are dense and start at 1. */
     std::uint32_t allocSession() { return nextSession++; }
 
+    /** The class an op of @p kind moving @p len bytes is scheduled
+     *  under: opens and ops of at most smallOpBytes are standard
+     *  mode, the rest take the fast path. */
+    static ServiceClass classify(OpKind kind, std::uint64_t len);
     /** The class @p r will be scheduled under. */
-    ServiceClass classify(const Request &r) const;
+    static ServiceClass
+    classify(const Request &r)
+    {
+        return classify(r.kind, r.len);
+    }
 
     /**
      * Submit a request.  Completion is always asynchronous, including
-     * rejections (Status::Busy / Status::Throttled after
-     * Config::rejectLatency), so callers may retry from the completion
+     * rejections (Status::Busy / Status::Throttled after a short
+     * server turnaround), so callers may retry from the completion
      * without reentrancy hazards.
      */
     void submit(Request r);
@@ -165,6 +168,7 @@ class RequestScheduler
                        const std::string &prefix = "server.sched");
 
     const Config &config() const { return cfg; }
+    Raid2Server &server() const { return srv; }
 
   private:
     struct SessionQueue

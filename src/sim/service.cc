@@ -1,6 +1,7 @@
 #include "sim/service.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
@@ -86,59 +87,69 @@ Service::resetStats()
     _queueDelay.reset();
 }
 
-Pipeline::Pipeline(EventQueue &eq_, std::vector<Stage> stages_,
-                   std::uint64_t bytes, std::uint64_t chunk,
-                   Event done_)
-    : eq(eq_), stages(std::move(stages_)), done(std::move(done_)),
-      remainingAtLast(bytes)
+namespace {
+
+/** One Pipeline transfer, shared by its chunks' completions. */
+struct Transfer
+{
+    std::vector<Stage> stages;
+    Event done;
+    std::uint64_t remainingAtLast;
+};
+
+void chunkLeft(std::shared_ptr<Transfer> t, std::size_t stage,
+               std::uint64_t chunk_bytes);
+
+// Each chunk's completion holds one reference and hands it on from
+// stage to stage, so a hop costs no reference-count update.
+void
+submitChunk(std::shared_ptr<Transfer> t, std::size_t stage,
+            std::uint64_t chunk_bytes)
+{
+    const Stage st = t->stages[stage];
+    st.svc->submitAtRate(chunk_bytes, st.mbPerSec,
+                         [t = std::move(t), stage, chunk_bytes]() mutable {
+                             chunkLeft(std::move(t), stage, chunk_bytes);
+                         });
+}
+
+void
+chunkLeft(std::shared_ptr<Transfer> t, std::size_t stage,
+          std::uint64_t chunk_bytes)
+{
+    if (stage + 1 < t->stages.size()) {
+        submitChunk(std::move(t), stage + 1, chunk_bytes);
+        return;
+    }
+    t->remainingAtLast -= std::min(t->remainingAtLast, chunk_bytes);
+    if (t->remainingAtLast == 0 && t->done)
+        t->done();
+}
+
+} // namespace
+
+void
+Pipeline::start(EventQueue &, const std::vector<Stage> &stages,
+                std::uint64_t bytes, std::uint64_t chunk_bytes,
+                Event done)
 {
     if (stages.empty())
         panic("Pipeline with no stages");
-    if (chunk == 0)
+    if (chunk_bytes == 0)
         panic("Pipeline with zero chunk size");
     for (const auto &st : stages) {
         if (!st.svc)
             panic("Pipeline with null stage");
     }
-    // Feed every chunk into stage 0; the Service itself serializes.
-    std::uint64_t left = bytes;
-    while (left > 0) {
-        const std::uint64_t this_chunk = std::min(left, chunk);
-        submitChunk(0, this_chunk);
-        left -= this_chunk;
-    }
-}
-
-void
-Pipeline::start(EventQueue &eq, const std::vector<Stage> &stages,
-                std::uint64_t bytes, std::uint64_t chunk_bytes,
-                Event done)
-{
     if (bytes == 0)
         bytes = 1; // still pay each stage's fixed overhead
-    new Pipeline(eq, stages, bytes, chunk_bytes, std::move(done));
-}
-
-void
-Pipeline::submitChunk(std::size_t stage, std::uint64_t chunk_bytes)
-{
-    stages[stage].svc->submitAtRate(
-        chunk_bytes, stages[stage].mbPerSec,
-        [this, stage, chunk_bytes] { chunkLeft(stage, chunk_bytes); });
-}
-
-void
-Pipeline::chunkLeft(std::size_t stage, std::uint64_t chunk_bytes)
-{
-    if (stage + 1 < stages.size()) {
-        submitChunk(stage + 1, chunk_bytes);
-        return;
-    }
-    remainingAtLast -= std::min(remainingAtLast, chunk_bytes);
-    if (remainingAtLast == 0) {
-        if (done)
-            done();
-        delete this;
+    const auto t = std::make_shared<Transfer>(
+        Transfer{stages, std::move(done), bytes});
+    // Feed every chunk into stage 0; the Service itself serializes.
+    for (std::uint64_t left = bytes; left > 0;) {
+        const std::uint64_t this_chunk = std::min(left, chunk_bytes);
+        submitChunk(t, 0, this_chunk);
+        left -= this_chunk;
     }
 }
 

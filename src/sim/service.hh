@@ -132,7 +132,9 @@ struct Stage
  * Chunk i is submitted to stage j+1 as soon as it completes stage j,
  * so stages overlap (store-and-forward pipelining).  The @c done
  * callback fires when the last chunk leaves the last stage.  The
- * Pipeline object owns per-transfer state and deletes itself.
+ * per-transfer state is shared by the chunk completions the event
+ * queue holds, so it is freed with the last of them, or with the
+ * queue if the transfer never finishes.
  */
 class Pipeline
 {
@@ -141,18 +143,6 @@ class Pipeline
     static void start(EventQueue &eq, const std::vector<Stage> &stages,
                       std::uint64_t bytes, std::uint64_t chunk_bytes,
                       Event done);
-
-  private:
-    Pipeline(EventQueue &eq, std::vector<Stage> stages, std::uint64_t bytes,
-             std::uint64_t chunk, Event done);
-
-    void submitChunk(std::size_t stage, std::uint64_t chunk_bytes);
-    void chunkLeft(std::size_t stage, std::uint64_t chunk_bytes);
-
-    EventQueue &eq;
-    std::vector<Stage> stages;
-    Event done;
-    std::uint64_t remainingAtLast;
 };
 
 } // namespace raid2::sim

@@ -7,6 +7,7 @@
 
 #include "net/client_model.hh"
 #include "net/ultranet.hh"
+#include "server/file_protocol.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
@@ -17,6 +18,13 @@ namespace {
 using server::RaidFileClient;
 using server::RequestScheduler;
 using server::Status;
+
+/** Share of ops that are small (ClientFleet::Config::smallBytes). */
+constexpr double smallFraction = 0.25;
+/** Ceiling of the Busy/Throttled retry backoff. */
+constexpr sim::Tick retryBackoffMax = sim::msToTicks(50.0);
+/** Attempts before an op is abandoned (Results::dropped). */
+constexpr unsigned maxRetries = 10000;
 
 /** One drawn operation; a retry reissues the identical spec. */
 struct OpSpec
@@ -40,10 +48,10 @@ struct Session
  * Whole-run state shared by the per-session closures.
  *
  * pendingWork counts everything that still owes the run a completion:
- * un-acknowledged opens, scheduled-but-unfired arrival/think events,
- * and in-flight ops (across all their retries).  The run is over when
- * it reaches zero, which makes the termination predicate immune to
- * momentary quiet spells while a think or arrival event is pending.
+ * un-acknowledged opens, scheduled-but-unfired arrival events, and
+ * in-flight ops (across all their retries).  The run is over when it
+ * reaches zero, which makes the termination predicate immune to
+ * momentary quiet spells while an arrival event is pending.
  */
 struct Fleet
 {
@@ -75,8 +83,8 @@ struct Fleet
     {
         OpSpec op;
         op.read = s.rng.chance(cfg.readFraction);
-        op.len = s.rng.chance(cfg.smallFraction) ? cfg.smallBytes
-                                                 : cfg.bulkBytes;
+        op.len =
+            s.rng.chance(smallFraction) ? cfg.smallBytes : cfg.bulkBytes;
         op.len = std::min(op.len, cfg.fileBytes);
         const std::uint64_t slots = cfg.fileBytes / op.len;
         op.off = s.rng.below(slots) * op.len;
@@ -90,8 +98,7 @@ struct Fleet
     {
         const sim::Tick wait = static_cast<sim::Tick>(
             static_cast<double>(backoff) * (0.5 + s.rng.unit()));
-        backoff = std::min<sim::Tick>(backoff * 2,
-                                      cfg.retryBackoffMax);
+        backoff = std::min<sim::Tick>(backoff * 2, retryBackoffMax);
         return wait;
     }
 
@@ -111,7 +118,7 @@ struct Fleet
             if (r.status == Status::Busy ||
                 r.status == Status::Throttled) {
                 slice(r.cls).rejects++;
-                if (attempt + 1 >= cfg.maxRetries) {
+                if (attempt + 1 >= maxRetries) {
                     results.dropped++;
                     finishOp(s);
                     return;
@@ -169,10 +176,10 @@ struct Fleet
     {
         --pendingWork;
         if (cfg.mode == ClientFleet::Mode::Closed)
-            scheduleThink(s);
+            closedNext(s);
     }
 
-    /** @{ Closed loop: one outstanding op per session. */
+    /** Closed loop: one outstanding op per session. */
     void
     closedNext(Session &s)
     {
@@ -182,23 +189,6 @@ struct Fleet
         ++pendingWork;
         issueOp(s, drawOp(s), eq.now(), 0, 0, cfg.retryBackoff);
     }
-
-    void
-    scheduleThink(Session &s)
-    {
-        if (s.opsIssued >= cfg.opsPerSession)
-            return;
-        if (!cfg.thinkTime) {
-            closedNext(s);
-            return;
-        }
-        ++pendingWork;
-        eq.scheduleIn(cfg.thinkTime, [this, &s] {
-            --pendingWork;
-            closedNext(s);
-        });
-    }
-    /** @} */
 
     /** @{ Open loop: Poisson arrivals, independent of completions. */
     void
@@ -294,10 +284,8 @@ ClientFleet::run(sim::EventQueue &eq, server::Raid2Server &srv,
         s.rng = sim::Random(cfg.seed * 0x9e3779b97f4a7c15ull + i);
         s.nic = std::make_unique<net::ClientModel>(
             eq, "fleet.c" + std::to_string(i));
-        auto ccfg = cfg.clientCfg;
-        ccfg.scheduler = &sched;
-        s.lib = std::make_unique<RaidFileClient>(eq, srv, *s.nic,
-                                                 fleet->ring, ccfg);
+        s.lib = std::make_unique<RaidFileClient>(eq, sched, *s.nic,
+                                                 fleet->ring);
         ++fleet->pendingWork; // the open
         eq.schedule(start + cfg.startStagger * i,
                     [f = fleet.get(), &s] {

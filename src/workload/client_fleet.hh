@@ -9,8 +9,8 @@
  * seeded workload mix, and drives them in either of the two classic
  * load-generation shapes:
  *
- *  - closed loop: each session keeps one request outstanding and
- *    thinks between requests — throughput is self-limiting;
+ *  - closed loop: each session keeps one request outstanding —
+ *    throughput is self-limiting;
  *  - open loop: arrivals are a Poisson process at a configured offered
  *    rate, independent of completions — the shape used to sweep a
  *    server from underload through saturation (Gug's iSCSI disk-server
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "server/file_protocol.hh"
 #include "server/request_scheduler.hh"
 #include "sim/event_queue.hh"
 
@@ -53,19 +52,17 @@ class ClientFleet
         /** @} */
 
         /** @{ Per-op mix, drawn per arrival from the session's RNG:
-         *  read with readFraction, small with smallFraction; small ops
+         *  read with readFraction, small one time in four; small ops
          *  ride the Ethernet standard path, bulk ops the HIPPI fast
          *  path (the scheduler's §2.1.1 split). */
         double readFraction = 0.8;
-        double smallFraction = 0.25;
         std::uint64_t bulkBytes = 512 * 1024;
         std::uint64_t smallBytes = 8 * 1024;
         /** @} */
 
-        /** @{ Closed loop. */
+        /** Closed loop: each session issues its next op as soon as
+         *  the last one completes. */
         std::uint64_t opsPerSession = 32;
-        sim::Tick thinkTime = 0;
-        /** @} */
 
         /** @{ Open loop: aggregate Poisson arrival rate, sustained for
          *  @c duration after the fleet's sessions are open. */
@@ -73,11 +70,9 @@ class ClientFleet
         sim::Tick duration = sim::secToTicks(10.0);
         /** @} */
 
-        /** @{ Busy/Throttled retry: jittered exponential backoff. */
+        /** Busy/Throttled retry: jittered exponential backoff,
+         *  starting here. */
         sim::Tick retryBackoff = sim::msToTicks(1.0);
-        sim::Tick retryBackoffMax = sim::msToTicks(50.0);
-        unsigned maxRetries = 10000;
-        /** @} */
 
         /** DataCorrupt retry bound: a read that hit unrepairable
          *  corruption is retried with the same backoff (a scrub or a
@@ -90,10 +85,6 @@ class ClientFleet
         sim::Tick startStagger = sim::usToTicks(100);
 
         std::uint64_t seed = 0x524149;
-
-        /** Per-client library settings; the scheduler field is
-         *  overridden with the scheduler passed to run(). */
-        server::RaidFileClient::Config clientCfg;
     };
 
     /** Per-service-class slice of the results. */
@@ -113,7 +104,7 @@ class ClientFleet
         std::uint64_t ops = 0;
         std::uint64_t bytes = 0;
         std::uint64_t retries = 0;
-        /** Ops abandoned after maxRetries (should stay 0). */
+        /** Ops abandoned after 10000 attempts (should stay 0). */
         std::uint64_t dropped = 0;
         /** DataCorrupt completions that led to a retry. */
         std::uint64_t corruptRetries = 0;

@@ -169,8 +169,8 @@ TEST(ClientFleet, CloseDuringInFlightPositionalOpKeepsCompletion)
     Raid2Server srv(eq, "s", smallConfig());
     net::UltranetFabric ring(eq, "ring");
     net::ClientModel nic(eq, "c0");
-    RaidFileClient lib(eq, srv, nic, ring,
-                       RaidFileClient::Config{});
+    server::RequestScheduler sched(eq, srv);
+    RaidFileClient lib(eq, sched, nic, ring, RaidFileClient::Config{});
 
     RaidFileClient::Handle h = RaidFileClient::invalidHandle;
     lib.raidOpen("/f", true, [&](const RaidFileClient::Result &r) {

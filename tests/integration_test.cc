@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 
 #include "fs/array_block_device.hh"
 #include "lfs/lfs.hh"
@@ -206,8 +207,9 @@ TEST(Integration, ConcurrentClientsShareTheServer)
     Raid2Server srv(eq, "s", cfg16());
     net::UltranetFabric ring(eq, "u");
     net::ClientModel c1(eq, "c1"), c2(eq, "c2");
-    server::RaidFileClient lib1(eq, srv, c1, ring);
-    server::RaidFileClient lib2(eq, srv, c2, ring);
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient lib1(eq, sched, c1, ring);
+    server::RaidFileClient lib2(eq, sched, c2, ring);
 
     const auto ino = srv.createFile("/shared");
     std::vector<std::uint8_t> data(8 * sim::MB, 0x1);
@@ -222,11 +224,14 @@ TEST(Integration, ConcurrentClientsShareTheServer)
                 ASSERT_EQ(open.status,
                           server::RaidFileClient::Status::Ok);
                 const auto h = open.handle;
+                // The loop holds itself weakly; the read in flight
+                // holds it.
                 auto next = std::make_shared<std::function<void()>>();
-                *next = [&finished, plib, h, next]() {
+                *next = [&finished, plib, h,
+                         weak = std::weak_ptr(next)]() {
                     plib->raidRead(
                         h, sim::MB,
-                        [&finished, next](const Result &r) {
+                        [&finished, next = weak.lock()](const Result &r) {
                             EXPECT_EQ(
                                 r.status,
                                 server::RaidFileClient::Status::Ok);

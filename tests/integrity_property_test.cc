@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -133,7 +134,9 @@ struct World
         auto rng = std::make_shared<sim::Random>(seed);
         auto next = std::make_shared<std::function<void()>>();
         auto remaining = std::make_shared<unsigned>(ops);
-        *next = [this, session, rng, next, remaining] {
+        // The loop holds itself weakly; the op in flight holds it.
+        *next = [this, session, rng, weak = std::weak_ptr(next),
+                 remaining] {
             if (*remaining == 0)
                 return;
             --*remaining;
@@ -161,7 +164,7 @@ struct World
             }
             r.ino = ino;
             const std::uint64_t off = r.off, len = r.len;
-            r.done = [this, next, ino, off, len,
+            r.done = [this, next = weak.lock(), ino, off, len,
                       isWrite](Status st, lfs::InodeNum) {
                 ++opsDone;
                 if (st == Status::Ok && !isWrite) {

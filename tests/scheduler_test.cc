@@ -231,7 +231,7 @@ TEST(RequestScheduler, OpensBatchOnTheHostCpu)
     World w;
     RequestScheduler sched(w.eq, w.srv);
     const auto s = sched.allocSession();
-    const unsigned n = sched.config().metaBatchMax;
+    const unsigned n = RequestScheduler::metaBatchMax;
 
     int ok = 0, missing = 0;
     lfs::InodeNum opened = 0;
@@ -281,7 +281,7 @@ TEST(RequestScheduler, PartialBatchFlushesAfterWindow)
     w.eq.runUntilDone([&] { return done; });
 
     // A lone open waits out the batch window before being served.
-    EXPECT_GE(w.eq.now() - t0, sched.config().metaBatchWindow);
+    EXPECT_GE(w.eq.now() - t0, RequestScheduler::metaBatchWindow);
     EXPECT_EQ(sched.batches(), 1u);
     EXPECT_EQ(sched.batchedOps(), 1u);
 }

@@ -428,7 +428,8 @@ TEST(FileProtocol, OpenReadWriteRoundTrip)
     Raid2Server srv(eq, "s", smallConfig(true));
     net::UltranetFabric ring(eq, "u");
     net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient lib(eq, sched, client, ring);
 
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
@@ -468,7 +469,8 @@ TEST(FileProtocol, PositionalOpsLeaveCursorAlone)
     Raid2Server srv(eq, "s", smallConfig(true));
     net::UltranetFabric ring(eq, "u");
     net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient lib(eq, sched, client, ring);
 
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
@@ -511,7 +513,8 @@ TEST(FileProtocol, ReadPastEofReturnsShort)
     Raid2Server srv(eq, "s", smallConfig(true));
     net::UltranetFabric ring(eq, "u");
     net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient lib(eq, sched, client, ring);
 
     const auto ino = srv.createFile("/tiny");
     std::vector<std::uint8_t> d(100, 1);
@@ -546,7 +549,8 @@ TEST(FileProtocol, OpenMissingFileReportsNotFound)
     Raid2Server srv(eq, "s", smallConfig(true));
     net::UltranetFabric ring(eq, "u");
     net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient lib(eq, sched, client, ring);
 
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
@@ -567,7 +571,8 @@ TEST(FileProtocol, ClosedHandleReportsBadHandle)
     Raid2Server srv(eq, "s", smallConfig(true));
     net::UltranetFabric ring(eq, "u");
     net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient lib(eq, sched, client, ring);
 
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
@@ -598,7 +603,8 @@ TEST(FileProtocol, SeekAndPositionOnBadHandleDontDie)
     Raid2Server srv(eq, "s", smallConfig(true));
     net::UltranetFabric ring(eq, "u");
     net::ClientModel client(eq, "c");
-    server::RaidFileClient lib(eq, srv, client, ring);
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient lib(eq, sched, client, ring);
 
     using Result = server::RaidFileClient::Result;
     using Status = server::RaidFileClient::Status;
