@@ -86,7 +86,7 @@ main()
     const double degraded = randomReadMBs(eq, array);
 
     const sim::Tick rebuild_start = eq.now();
-    raid::RebuildJob job(eq, array, 5, /*window=*/4);
+    raid::RebuildJob job(eq, "srv.rebuild", array, 5, /*window=*/4);
     bool rebuilt = false;
     job.start([&] { rebuilt = true; });
     eq.runUntilDone([&] { return rebuilt; });

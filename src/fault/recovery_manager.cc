@@ -28,7 +28,7 @@ RecoveryManager::tryStart()
     if (attaching || rebuildActive() || pending.empty())
         return;
     if (_spares == 0)
-        return; // a replacement arrival re-triggers
+        return; // the pool never refills
     const PendingFailure f = pending.front();
     pending.pop_front();
     --_spares;
@@ -44,7 +44,7 @@ void
 RecoveryManager::startRebuild(unsigned disk, sim::Tick failed_at)
 {
     ++_rebuildsStarted;
-    _job = std::make_unique<raid::RebuildJob>(eq, array, disk,
+    _job = std::make_unique<raid::RebuildJob>(eq, _name, array, disk,
                                               cfg.rebuildWindow,
                                               cfg.rebuildThrottle);
     _job->start([this, disk, failed_at] {
@@ -53,12 +53,6 @@ RecoveryManager::startRebuild(unsigned disk, sim::Tick failed_at)
         _mttrMs.sample(mttr);
         if (auto *t = eq.tracer())
             t->complete(_name, "rebuild", failed_at, eq.now(), 0);
-        if (cfg.replacementDelay > 0) {
-            eq.scheduleIn(cfg.replacementDelay, [this] {
-                ++_spares;
-                tryStart();
-            });
-        }
         if (_onDone)
             _onDone(disk, mttr);
         tryStart();

@@ -8,12 +8,14 @@
  * FaultController, allocates a drive from a hot-spare pool, and drives
  * a raid::RebuildJob onto it with a configurable window and
  * inter-stripe throttle — the rebuild-rate vs. foreground-interference
- * trade that dominates MTTR (Thomasian, arXiv:1801.08873).  Failures
- * that arrive while the pool is empty queue until a replacement drive
- * restocks it.  MTTR is measured from the failure to the rebuild's
- * completion, including any time spent waiting for a spare.  The
- * finished RebuildJob brings the disk back with SimArray::restoreDisk,
- * which also rebuilds the functional twin's copy.
+ * trade that dominates MTTR (Thomasian, arXiv:1801.08873).  Reads the
+ * rebuild has passed are already served by the spare.  The pool never
+ * refills: failures that arrive while it is empty wait for good.  MTTR
+ * is measured from the failure to the rebuild's completion, including
+ * any time spent waiting for a spare.  The finished RebuildJob brings
+ * the disk back with SimArray::restoreDisk, which also finishes the
+ * functional twin's copy.  The job's per-stripe spans are traced under
+ * this manager's name.
  */
 
 #ifndef RAID2_FAULT_RECOVERY_MANAGER_HH
@@ -34,7 +36,7 @@
 
 namespace raid2::fault {
 
-/** Detect -> allocate spare -> rebuild -> restock. */
+/** Detect -> allocate spare -> rebuild. */
 class RecoveryManager
 {
   public:
@@ -44,9 +46,6 @@ class RecoveryManager
         unsigned spares = 1;
         /** Swap-in time before the rebuild can start. */
         sim::Tick spareAttachDelay = sim::msToTicks(100);
-        /** Time for a replacement drive to restock the pool after a
-         *  rebuild completes (0 = the pool never refills). */
-        sim::Tick replacementDelay = 0;
         /** Concurrent stripes in flight during rebuild. */
         unsigned rebuildWindow = 4;
         /** Minimum tick spacing between rebuild stripe launches

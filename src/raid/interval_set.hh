@@ -2,10 +2,12 @@
  * @file
  * A set of disjoint byte ranges on one member disk.
  *
- * Both RAID planes keep one per disk for latent media defects: SimArray
+ * Both RAID planes keep one per disk for latent media defects (SimArray
  * to know when a timed read needs a repair, RaidArray to know which
- * twin bytes are garbled.  Inserting merges ranges that overlap or
- * touch, so the set stays a sorted list of maximal disjoint ranges.
+ * twin bytes are garbled) and one per disk for the ranges of a failed
+ * disk that the rebuild has already written to its replacement.
+ * Inserting merges ranges that overlap or touch, so the set stays a
+ * sorted list of maximal disjoint ranges.
  */
 
 #ifndef RAID2_RAID_INTERVAL_SET_HH
@@ -65,6 +67,19 @@ class IntervalSet
         return it != ranges.end() && it->first < off + bytes;
     }
 
+    /** Is every byte of [off, off+bytes) in the set? */
+    bool
+    contains(std::uint64_t off, std::uint64_t bytes) const
+    {
+        if (bytes == 0)
+            return true;
+        auto it = ranges.upper_bound(off);
+        if (it == ranges.begin())
+            return false;
+        --it;
+        return it->first + it->second >= off + bytes;
+    }
+
     /** Remove [off, off+bytes), trimming or splitting the ranges it
      *  cuts.  @return the number of ranges it touched. */
     std::uint64_t
@@ -110,6 +125,22 @@ class IntervalSet
                 parts.emplace_back(s, e - s);
         }
         return parts;
+    }
+
+    /** The parts of [off, off+bytes) outside the set, in order. */
+    std::vector<Range>
+    gaps(std::uint64_t off, std::uint64_t bytes) const
+    {
+        std::vector<Range> holes;
+        std::uint64_t pos = off;
+        for (const auto &[s, len] : within(off, bytes)) {
+            if (s > pos)
+                holes.emplace_back(pos, s - pos);
+            pos = s + len;
+        }
+        if (pos < off + bytes)
+            holes.emplace_back(pos, off + bytes - pos);
+        return holes;
     }
 
     void clear() { ranges.clear(); }

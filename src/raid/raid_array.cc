@@ -11,7 +11,8 @@ namespace raid2::raid {
 
 RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
     : _layout(cfg, disk_bytes), diskBytes(disk_bytes),
-      failed(cfg.numDisks, false), latents(cfg.numDisks)
+      failed(cfg.numDisks, false), latents(cfg.numDisks),
+      rebuilt(cfg.numDisks)
 {
     if (cfg.numDisks > kMaxFoldSources)
         sim::fatal("RaidArray: %u disks exceeds the %zu-way parity "
@@ -82,8 +83,9 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
         // in what the timed plan pre-reads.
         if (parity && s.update != StripeUpdate::Full)
             prepareStripeForUpdate(s.stripe);
-        // New data lands in every buffer, a failed disk's included
-        // (kept logically true by convention).
+        // New data lands in every buffer, a failed disk's included:
+        // that buffer is the replacement drive, which must not go
+        // stale behind the rebuild.
         _layout.forEachPiece(
             s.logicalOffset, s.bytes,
             [&](unsigned k, const DiskExtent &e) {
@@ -120,21 +122,13 @@ RaidArray::prepareStripeForUpdate(std::uint64_t s)
     // Parity is rewritten wholesale by recomputeParity, which heals
     // any latent defect there without reconstruction.
     latents[_layout.parityDisk(s)].erase(base, unit);
-    for (unsigned k = 0; k < _layout.dataUnitsPerStripe(); ++k) {
-        const unsigned d = _layout.dataDisk(s, k);
-        if (failed[d]) {
-            // Reconstruct the dead unit's pre-write content into its
-            // buffer so the parity recompute re-encodes the bytes the
-            // write does not touch.  Without this, a degraded
-            // partial-stripe write would fold the destroyed buffer
-            // into parity and lose the untouched region of the unit.
-            recoverRange(d, base,
-                         {disks[d].data() + base,
-                          static_cast<std::size_t>(unit)});
-        } else {
-            repairLatentIn(d, base, unit);
-        }
-    }
+    // A failed disk's unit the rebuild has not reached is reconstructed
+    // into its buffer too, so the parity recompute re-encodes the bytes
+    // the write does not touch.  Without this, a degraded
+    // partial-stripe write would fold the destroyed buffer into parity
+    // and lose the untouched region of the unit.
+    for (unsigned k = 0; k < _layout.dataUnitsPerStripe(); ++k)
+        recoverUnreadable(_layout.dataDisk(s, k), base, unit);
 }
 
 bool
@@ -212,7 +206,7 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
         const unsigned m = _layout.mirrorDisk(p);
         // Heal known-garbled primary bytes from the mirror first, or
         // the copy below would launder them into the good side.
-        repairLatentIn(p, off, end - off);
+        recoverUnreadable(p, off, end - off);
         std::memcpy(disks[m].data() + off, disks[p].data() + off,
                     static_cast<std::size_t>(end - off));
         latents[m].erase(off, end - off);
@@ -246,17 +240,26 @@ RaidArray::recoverRange(unsigned d, std::uint64_t off,
                    raidLevelName(_layout.level()));
 }
 
+std::vector<IntervalSet::Range>
+RaidArray::unreadable(unsigned d, std::uint64_t off,
+                      std::uint64_t bytes) const
+{
+    // A failed disk has no latent ranges: failDisk drops them.
+    return failed[d] ? rebuilt[d].gaps(off, bytes)
+                     : latents[d].within(off, bytes);
+}
+
 void
 RaidArray::readDiskRange(unsigned d, std::uint64_t off,
                          std::span<std::uint8_t> out) const
 {
-    // Clean bytes come off the disk; latent parts from redundancy.
+    // Readable bytes come off the disk; the rest from redundancy.
     std::uint64_t pos = off;
     auto copyUpTo = [&](std::uint64_t until) {
         std::memcpy(out.data() + (pos - off), disks[d].data() + pos,
                     static_cast<std::size_t>(until - pos));
     };
-    for (const auto &[s, len] : latents[d].within(off, out.size())) {
+    for (const auto &[s, len] : unreadable(d, off, out.size())) {
         copyUpTo(s);
         recoverRange(d, s, out.subspan(s - off, len));
         pos = s + len;
@@ -271,12 +274,9 @@ RaidArray::read(std::uint64_t off, std::span<std::uint8_t> out) const
         return;
     _layout.forEachPiece(
         off, out.size(), [&](unsigned, const DiskExtent &e) {
-            std::span<std::uint8_t> dst{out.data() + (e.logicalOffset - off),
-                                        static_cast<std::size_t>(e.bytes)};
-            if (failed[e.disk])
-                recoverRange(e.disk, e.diskOffset, dst);
-            else
-                readDiskRange(e.disk, e.diskOffset, dst);
+            readDiskRange(e.disk, e.diskOffset,
+                          {out.data() + (e.logicalOffset - off),
+                           static_cast<std::size_t>(e.bytes)});
         });
 }
 
@@ -287,8 +287,10 @@ RaidArray::failDisk(unsigned d)
         sim::panic("failDisk: bad disk %u", d);
     failed[d] = true;
     std::memset(disks[d].data(), 0xde, disks[d].size());
-    // The whole disk is gone; its latent defects go with it.
+    // The whole disk is gone; its latent defects go with it, and its
+    // replacement starts empty.
     latents[d].clear();
+    rebuilt[d].clear();
 }
 
 void
@@ -337,10 +339,15 @@ RaidArray::repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
 }
 
 void
-RaidArray::repairLatentIn(unsigned d, std::uint64_t off, std::uint64_t bytes)
+RaidArray::recoverUnreadable(unsigned d, std::uint64_t off,
+                             std::uint64_t bytes)
 {
-    for (const auto &[s, len] : latents[d].within(off, bytes))
-        repairLatent(d, s, len);
+    // The sources exclude disk d, so recover straight into its buffer.
+    for (const auto &[s, len] : unreadable(d, off, bytes)) {
+        recoverRange(d, s,
+                     {disks[d].data() + s, static_cast<std::size_t>(len)});
+        latents[d].erase(s, len);
+    }
 }
 
 std::uint64_t
@@ -369,20 +376,34 @@ RaidArray::latentCount() const
 }
 
 void
+RaidArray::rebuildRange(unsigned d, std::uint64_t off, std::uint64_t bytes)
+{
+    if (d >= disks.size() || !failed[d])
+        sim::panic("rebuildRange: disk %u is not failed", d);
+    // Parity covers whole stripes only; the tail beyond them holds no
+    // data.
+    const std::uint64_t end =
+        std::min(off + bytes, _layout.numStripes() * _layout.unitBytes());
+    if (off >= end)
+        return;
+    recoverUnreadable(d, off, end - off);
+    rebuilt[d].insert(off, end - off);
+}
+
+void
 RaidArray::rebuildDisk(unsigned d)
 {
     if (d >= disks.size())
         sim::panic("rebuildDisk: bad disk %u", d);
     if (!failed[d])
         return;
+    const std::uint64_t covered =
+        _layout.numStripes() * _layout.unitBytes();
+    rebuildRange(d, 0, covered);
+    std::memset(disks[d].data() + covered, 0,
+                static_cast<std::size_t>(diskBytes - covered));
     failed[d] = false;
-    // The striped region comes back from redundancy; the tail beyond
-    // it holds no data.
-    std::memset(disks[d].data(), 0, disks[d].size());
-    recoverRange(d, 0,
-                 {disks[d].data(), static_cast<std::size_t>(
-                                       _layout.numStripes() *
-                                       _layout.unitBytes())});
+    rebuilt[d].clear();
 }
 
 bool

@@ -4,9 +4,14 @@
  *
  * This is the data plane of the reproduction: an in-memory array of
  * member disks with true XOR parity maintenance, mirrored writes,
- * degraded-mode reconstruction and full rebuild.  The timing plane
+ * degraded-mode reconstruction and on-line rebuild.  The timing plane
  * (SimArray) shares the same RaidLayout, so every timed experiment has
  * a functional twin whose correctness the tests assert.
+ *
+ * A failed disk's buffer stands for its replacement drive.  Every write
+ * lands in it, but only the ranges rebuildRange() has reconstructed are
+ * read from it; the rest of the disk is still reconstructed from the
+ * survivors on every read.
  */
 
 #ifndef RAID2_RAID_RAID_ARRAY_HH
@@ -38,13 +43,20 @@ class RaidArray
     void write(std::uint64_t off, std::span<const std::uint8_t> data);
 
     /** Read into @p out from logical byte @p off; reconstructs data
-     *  living on a failed disk from the survivors. */
+     *  a failed disk's rebuild has not reached from the survivors. */
     void read(std::uint64_t off, std::span<std::uint8_t> out) const;
 
     /** Mark a disk failed (its contents are destroyed). */
     void failDisk(unsigned d);
 
-    /** Rebuild a failed disk's contents from the survivors. */
+    /** One on-line rebuild step: reconstruct [off, off+bytes) of failed
+     *  disk @p d from the survivors into its buffer and serve it from
+     *  there from now on.  Bytes beyond the striped region, and bytes
+     *  an earlier step rebuilt, are left alone. */
+    void rebuildRange(unsigned d, std::uint64_t off, std::uint64_t bytes);
+
+    /** Finish a failed disk's rebuild: reconstruct the ranges
+     *  rebuildRange() did not, and bring the disk back online. */
     void rebuildDisk(unsigned d);
 
     bool isFailed(unsigned d) const { return failed.at(d); }
@@ -149,16 +161,24 @@ class RaidArray
      *  range the recoverability invariant says cannot be lost. */
     void recoverRange(unsigned d, std::uint64_t off,
                       std::span<std::uint8_t> out) const;
+    /** The parts of [off, off+bytes) of disk @p d its buffer cannot
+     *  vouch for: latent ranges, or for a failed disk what the rebuild
+     *  has not reached. */
+    std::vector<IntervalSet::Range> unreadable(unsigned d, std::uint64_t off,
+                                               std::uint64_t bytes) const;
     /** Copy [off, off+out.size()) of disk @p d into @p out, routing
-     *  latent subranges through reconstruction. */
+     *  unreadable subranges through reconstruction. */
     void readDiskRange(unsigned d, std::uint64_t off,
                        std::span<std::uint8_t> out) const;
-    /** Make stripe @p s safe to recompute parity over: repair latent
-     *  ranges in its units and, if a data unit sits on a failed disk,
-     *  reconstruct that unit's content into the dead buffer first. */
+    /** Make stripe @p s safe to recompute parity over: bring every
+     *  data unit's buffer to its true content first. */
     void prepareStripeForUpdate(std::uint64_t s);
-    /** Repair the portions of d's latent ranges inside [off, off+bytes). */
-    void repairLatentIn(unsigned d, std::uint64_t off, std::uint64_t bytes);
+    /** Reconstruct the unreadable parts of [off, off+bytes) of disk
+     *  @p d into its buffer, clearing the latent ranges among them.  A
+     *  failed disk's parts stay unreadable: only rebuildRange() marks
+     *  them rebuilt. */
+    void recoverUnreadable(unsigned d, std::uint64_t off,
+                           std::uint64_t bytes);
 
     RaidLayout _layout;
     std::uint64_t diskBytes;
@@ -166,6 +186,8 @@ class RaidArray
     std::vector<bool> failed;
     /** Per-disk garbled ranges. */
     std::vector<IntervalSet> latents;
+    /** Per failed disk, the ranges rebuildRange() has reconstructed. */
+    std::vector<IntervalSet> rebuilt;
     sim::Scalar _parityRecomputes;
     sim::Scalar _parityFullStripes;
 };

@@ -2,14 +2,16 @@
 
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
+#include "sim/trace_sink.hh"
 
 namespace raid2::raid {
 
-RebuildJob::RebuildJob(sim::EventQueue &eq_, SimArray &array_,
-                       unsigned dead_, unsigned window_,
+RebuildJob::RebuildJob(sim::EventQueue &eq_, std::string name,
+                       SimArray &array_, unsigned dead_, unsigned window_,
                        sim::Tick inter_stripe_delay)
-    : eq(eq_), array(array_), dead(dead_), window(window_),
-      delay(inter_stripe_delay), total(array_.layout().numStripes())
+    : eq(eq_), _name(std::move(name)), array(array_), dead(dead_),
+      window(window_), delay(inter_stripe_delay),
+      total(array_.layout().numStripes())
 {
     if (!array.isFailed(dead))
         sim::fatal("RebuildJob: disk %u is not failed", dead);
@@ -74,19 +76,15 @@ void
 RebuildJob::rebuildStripe(std::uint64_t stripe)
 {
     ++inFlight;
-    const std::uint64_t unit = array.layout().unitBytes();
-    const std::uint64_t base = stripe * unit;
-    const bool issued =
-        array.reconstruct(dead, base, unit, [this, base, unit] {
-            array.rawDiskWrite(dead, base, unit, [this] {
-                ++_stripesDone;
-                --inFlight;
-                pump();
-            });
-        });
-    if (!issued)
-        sim::fatal("RebuildJob: nothing left to rebuild disk %u from",
-                   dead);
+    const sim::Tick launched = eq.now();
+    array.rebuildStripe(dead, stripe, [this, launched] {
+        if (auto *t = eq.tracer())
+            t->complete(_name, "rebuild_stripe", launched, eq.now(),
+                        array.layout().unitBytes());
+        ++_stripesDone;
+        --inFlight;
+        pump();
+    });
 }
 
 void

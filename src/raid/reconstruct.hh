@@ -2,14 +2,17 @@
  * @file
  * Timed on-line reconstruction of a failed member disk.
  *
- * Sweeps the array stripe by stripe: reconstruct the dead unit
- * (SimArray::reconstruct — the mirror partner's copy for RAID-1, every
- * survivor plus a parity pass for RAID-3/5) and write it to the
- * replacement drive.  A window of concurrent stripes keeps the
- * datapath busy while bounding XBUS buffer use, and an optional
- * inter-stripe delay throttles the sweep so foreground traffic keeps
- * a share of the datapath — the classic rebuild-rate vs. MTTR trade
- * (Thomasian, arXiv:1801.08873).
+ * Sweeps the array stripe by stripe with SimArray::rebuildStripe:
+ * reconstruct the dead unit (the mirror partner's copy for RAID-1,
+ * every survivor plus a parity pass for RAID-3/5), write it to the
+ * replacement drive, and mark it live, so reads behind the cursor are
+ * served by the replacement instead of the survivors (read redirection,
+ * Holland, Gibson & Siewiorek 1994).  A window of concurrent stripes
+ * keeps the datapath busy while bounding XBUS buffer use, and an
+ * optional inter-stripe delay throttles the sweep so foreground traffic
+ * keeps a share of the datapath — the classic rebuild-rate vs. MTTR
+ * trade (Thomasian, arXiv:1801.08873).  Each stripe is traced as one
+ * "rebuild_stripe" span, from its launch to its replacement write.
  * (Reliability policy itself is out of the paper's scope —
  * "Techniques for maximizing reliability are beyond the scope of
  * this paper" §2.3 — but degraded operation is needed by the examples
@@ -32,14 +35,16 @@ class RebuildJob
 {
   public:
     /**
+     * @param name    trace component of the per-stripe spans
      * @param array   degraded array (disk @p dead must be failed)
      * @param dead    the disk being rebuilt in place
      * @param window  concurrent stripes in flight
      * @param inter_stripe_delay  minimum tick spacing between stripe
      *                launches (0 = rebuild at full datapath speed)
      */
-    RebuildJob(sim::EventQueue &eq, SimArray &array, unsigned dead,
-               unsigned window = 4, sim::Tick inter_stripe_delay = 0);
+    RebuildJob(sim::EventQueue &eq, std::string name, SimArray &array,
+               unsigned dead, unsigned window = 4,
+               sim::Tick inter_stripe_delay = 0);
 
     /** Begin; @p done fires when the last stripe is written. */
     void start(std::function<void()> done);
@@ -69,6 +74,7 @@ class RebuildJob
     void rebuildStripe(std::uint64_t stripe);
 
     sim::EventQueue &eq;
+    std::string _name;
     SimArray &array;
     unsigned dead;
     unsigned window;

@@ -44,6 +44,7 @@ SimArray::SimArray(sim::EventQueue &eq_, xbus::XbusBoard &board,
             eq, *disks.back(), str, ctrl));
     }
     failedDisks.assign(n, false);
+    rebuilt.resize(n);
     latents.resize(n);
 }
 
@@ -74,15 +75,51 @@ void
 SimArray::failDisk(unsigned d)
 {
     failedDisks.at(d) = true;
+    rebuilt[d].clear();
     latents[d].clear();
     if (_twin)
         _twin->failDisk(d);
 }
 
 void
+SimArray::rebuildStripe(unsigned d, std::uint64_t stripe,
+                        std::function<void()> done)
+{
+    if (!failedDisks.at(d))
+        sim::panic("SimArray %s: rebuild of healthy disk %u",
+                   _name.c_str(), d);
+    const std::uint64_t unit = _layout->unitBytes();
+    const std::uint64_t off = stripe * unit;
+    const bool locks = _layout->level() == RaidLevel::Raid5;
+    auto mark_live = [this, d, stripe, off, unit, locks,
+                      done = std::move(done)] {
+        rebuilt[d].insert(off, unit);
+        if (_twin)
+            _twin->rebuildRange(d, off, unit);
+        if (locks)
+            unlockStripe(stripe);
+        done();
+    };
+    auto step = [this, d, off, unit, mark_live = std::move(mark_live)] {
+        const bool issued =
+            reconstruct(d, off, unit, [this, d, off, unit, mark_live] {
+                rawDiskWrite(d, off, unit, mark_live);
+            });
+        if (!issued)
+            sim::fatal("SimArray %s: nothing left to rebuild disk %u from",
+                       _name.c_str(), d);
+    };
+    if (locks)
+        lockStripe(stripe, std::move(step));
+    else
+        step();
+}
+
+void
 SimArray::restoreDisk(unsigned d)
 {
     failedDisks.at(d) = false;
+    rebuilt[d].clear();
     if (_twin)
         _twin->rebuildDisk(d);
 }
@@ -245,14 +282,14 @@ SimArray::issueExtentRead(const DiskExtent &e, std::function<void()> done)
     if (_layout->level() == RaidLevel::Raid1) {
         // Balance mirror reads by alternating stripe rows.
         if ((e.diskOffset / _layout->unitBytes()) % 2 == 1 &&
-            !failedDisks[_layout->mirrorDisk(d)]) {
+            live(_layout->mirrorDisk(d), e.diskOffset, e.bytes)) {
             d = _layout->mirrorDisk(d);
         }
     }
-    if (failedDisks[d]) {
+    if (!live(d, e.diskOffset, e.bytes)) {
         if (_layout->level() == RaidLevel::Raid1) {
             d = _layout->mirrorPartner(d);
-            if (failedDisks[d])
+            if (!live(d, e.diskOffset, e.bytes))
                 sim::fatal("SimArray %s: mirror pair both failed",
                            _name.c_str());
         } else {
@@ -315,9 +352,11 @@ void
 SimArray::issueExtentWrite(const DiskExtent &e, std::function<void()> done)
 {
     const unsigned d = e.disk;
-    if (failedDisks[d]) {
-        // Writing to a dead disk is a no-op in time (the data is
-        // covered by parity / the mirror); complete immediately.
+    if (failedDisks[d] && !rebuilt[d].overlaps(e.diskOffset, e.bytes)) {
+        // Ahead of the rebuild a failed disk takes no write (the data
+        // is covered by parity / the mirror, and the rebuild will
+        // reconstruct it); complete immediately.  Behind it the write
+        // goes to the replacement, which must not go stale.
         eq.scheduleIn(0, std::move(done));
         return;
     }

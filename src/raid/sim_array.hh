@@ -18,14 +18,20 @@
  * unaligned requests spill onto "a second string on one of the
  * controllers" — the cause of Fig 5's dip.
  *
- * The array also owns the media state: which disks have failed and
- * where latent defects lie.  SimArray moves no real bytes, so it keeps
- * the defect map itself; a timed read that lands on a defect runs the
- * reconstruct-and-rewrite sequence.  When a functional twin
- * (RaidArray) is attached, every change of media state reaches it in
- * the same call, so the byte plane and the timing plane stay
- * consistent.  Degraded reads, latent repairs, rebuild stripes and
- * scrub repairs all run through one timed reconstruct().
+ * The array also owns the media state: which disks have failed, how
+ * far each failed disk's rebuild has got, and where latent defects lie.
+ * SimArray moves no real bytes, so it keeps these maps itself; a timed
+ * read that lands on a defect runs the reconstruct-and-rewrite
+ * sequence.  When a functional twin (RaidArray) is attached, every
+ * change of media state reaches it in the same call, so the byte plane
+ * and the timing plane stay consistent.  Degraded reads, latent
+ * repairs, rebuild stripes and scrub repairs all run through one timed
+ * reconstruct().
+ *
+ * A range is live when its disk is healthy or the rebuild has written
+ * it to the replacement.  Reads of a live range go to the disk; only
+ * the rest of a failed disk is reconstructed from the survivors.
+ * Writes reach the replacement once the rebuild has reached them.
  */
 
 #ifndef RAID2_RAID_SIM_ARRAY_HH
@@ -105,14 +111,30 @@ class SimArray
     /** Take a disk offline; subsequent reads reconstruct on the fly.
      *  Its latent defects go with it. */
     void failDisk(unsigned d);
-    /** Bring a (rebuilt) disk back online; the twin rebuilds its copy. */
+    /**
+     * One on-line rebuild step of failed disk @p d: reconstruct its unit
+     * of @p stripe, write it to the replacement, then mark it live (the
+     * twin rebuilds its copy in the same call).  RAID-5 holds the stripe
+     * lock throughout, so a write racing the step waits and then
+     * reaches the replacement.  @p done fires after the mark.
+     */
+    void rebuildStripe(unsigned d, std::uint64_t stripe,
+                       std::function<void()> done);
+    /** Bring a (rebuilt) disk back online; the twin rebuilds the ranges
+     *  rebuildStripe() did not. */
     void restoreDisk(unsigned d);
     bool isFailed(unsigned d) const { return failedDisks.at(d); }
     bool degraded() const;
+    /** Is every byte of [off, off+bytes) of disk @p d live: its disk
+     *  healthy, or written by the rebuild? */
+    bool live(unsigned d, std::uint64_t off, std::uint64_t bytes) const
+    {
+        return !failedDisks.at(d) || rebuilt.at(d).contains(off, bytes);
+    }
 
-    /** Attach the functional twin, once.  failDisk, restoreDisk,
-     *  injectLatent, dropLatents and noteRepaired then change its
-     *  media state too. */
+    /** Attach the functional twin, once.  failDisk, rebuildStripe,
+     *  restoreDisk, injectLatent, dropLatents and noteRepaired then
+     *  change its media state too. */
     void attachTwin(RaidArray &twin);
     RaidArray *twin() const { return _twin; }
 
@@ -150,7 +172,8 @@ class SimArray
      * Timed reconstruction of [off, off+bytes) of disk @p d from
      * redundancy into XBUS memory.  RAID-1 reads the mirror partner;
      * RAID-3/5 read every survivor in ascending disk order, then run
-     * one parity pass of (bytes * (n-1), bytes).
+     * one parity pass of (bytes * (n-1), bytes).  A survivor is a disk
+     * that has not failed: a rebuilt range is never a source.
      * @return false, issuing nothing (@p done never fires), when no
      * redundancy is left to read: RAID-0, or a failed partner or
      * survivor.
@@ -274,6 +297,8 @@ class SimArray
     std::vector<std::unique_ptr<scsi::CougarController>> cougars;
     std::vector<std::unique_ptr<scsi::DiskChannel>> channels;
     std::vector<bool> failedDisks;
+    /** Per failed disk, the ranges the rebuild has written. */
+    std::vector<IntervalSet> rebuilt;
     /** Per-disk latent defects. */
     std::vector<IntervalSet> latents;
     RaidArray *_twin = nullptr;

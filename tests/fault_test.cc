@@ -26,6 +26,7 @@
 #include "server/raid2_server.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats_registry.hh"
+#include "sim/trace_sink.hh"
 #include "xbus/xbus_board.hh"
 
 namespace {
@@ -340,6 +341,38 @@ TEST(RecoveryManager, AllocatesSpareAndRebuilds)
     std::vector<std::uint8_t> back(data.size());
     rig.functional.read(0, {back.data(), back.size()});
     EXPECT_EQ(back, data);
+}
+
+TEST(RecoveryManager, TracesEachRebuildStripe)
+{
+    // One span per stripe under the manager's name, from launch to the
+    // replacement write, so a trace shows the rebuild cursor moving.
+    Rig rig;
+    sim::TraceSink sink(rig.eq);
+    rig.eq.setTracer(&sink);
+    fault::RecoveryManager rec(rig.eq, "srv.recovery", rig.timed,
+                               rig.faults, {});
+    fault::FaultPlan plan;
+    plan.diskFail(0, 2);
+    rig.faults.setPlan(std::move(plan));
+    rig.faults.start();
+    rig.eq.run();
+    ASSERT_EQ(rec.rebuildsCompleted(), 1u);
+
+    std::uint64_t stripes = 0;
+    Tick lastBegin = 0;
+    for (const auto &s : sink.spans()) {
+        if (s.name != "rebuild_stripe")
+            continue;
+        ++stripes;
+        EXPECT_EQ(s.component, "srv.recovery");
+        EXPECT_EQ(s.bytes, kUnit);
+        EXPECT_GT(s.end, s.begin);
+        EXPECT_GE(s.begin, lastBegin);
+        lastBegin = s.begin;
+    }
+    EXPECT_EQ(stripes, rig.timed.layout().numStripes());
+    EXPECT_EQ(stripes, rec.currentJob()->stripesDone());
 }
 
 TEST(RecoveryManager, ThrottledRebuildIsSlower)

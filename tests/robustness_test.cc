@@ -69,7 +69,7 @@ TEST(Robustness, ServerServesThroughFailureAndRebuild)
     srv.array().failDisk(3);
     eq.runUntil(eq.now() + sim::msToTicks(200));
 
-    raid::RebuildJob job(eq, srv.array(), 3, 2);
+    raid::RebuildJob job(eq, "srv.rebuild", srv.array(), 3, 2);
     bool rebuilt = false;
     job.start([&] { rebuilt = true; });
     eq.runUntilDone([&] { return rebuilt; });

@@ -2,12 +2,13 @@
  * @file
  * Timed array tests: topology wiring, read/write completion, the
  * RAID-5 write-algorithm choice (RMW vs reconstruct vs full-stripe),
- * degraded timing and rebuild.
+ * degraded timing, rebuild, and service while the rebuild runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -365,7 +366,7 @@ TEST(RebuildJob, RebuildsAllStripesAndRestoresDisk)
     raid::SimArray array(eq, board, "a", lcfg, topo);
 
     array.failDisk(3);
-    raid::RebuildJob job(eq, array, 3, 2);
+    raid::RebuildJob job(eq, "rebuild", array, 3, 2);
     bool done = false;
     job.start([&] { done = true; });
     eq.run();
@@ -394,7 +395,7 @@ TEST(RebuildJob, Raid1CopiesTheMirror)
     const unsigned dead = 3;
     const unsigned partner = array.layout().mirrorPartner(dead);
     array.failDisk(dead);
-    raid::RebuildJob job(eq, array, dead, 4);
+    raid::RebuildJob job(eq, "rebuild", array, dead, 4);
     bool done = false;
     job.start([&] { done = true; });
     eq.run();
@@ -410,6 +411,194 @@ TEST(RebuildJob, Raid1CopiesTheMirror)
         }
     }
     EXPECT_EQ(board.parity().passes(), 0u);
+}
+
+/**
+ * A 16-disk array of small drives (RAID-5 unless given) with one disk
+ * failed (disk 3 unless given) and a rebuild of it running, one stripe
+ * at a time at full speed.
+ */
+struct RebuildRig
+{
+    static constexpr std::uint64_t unit = 64 * 1024;
+
+    const unsigned dead;
+    disk::DiskProfile small = smallProfile();
+    sim::EventQueue eq;
+    xbus::XbusBoard board{eq, "x"};
+    raid::SimArray array;
+    std::unique_ptr<raid::RebuildJob> job;
+    bool rebuilt = false;
+
+    explicit RebuildRig(raid::RaidLevel level = raid::RaidLevel::Raid5,
+                        unsigned dead_disk = 3)
+        : dead(dead_disk),
+          array(eq, board, "a", Rig::makeLayout(level, unit),
+                topology(small))
+    {
+        array.failDisk(dead);
+        job = std::make_unique<raid::RebuildJob>(eq, "rebuild", array,
+                                                 dead, 1);
+        job->start([this] { rebuilt = true; });
+    }
+
+    static disk::DiskProfile
+    smallProfile()
+    {
+        disk::DiskProfile p = disk::ibm0661();
+        p.cylinders /= 40; // a short sweep
+        return p;
+    }
+
+    static raid::ArrayTopology
+    topology(const disk::DiskProfile &p)
+    {
+        raid::ArrayTopology topo;
+        topo.disksPerString = 2; // 16 disks
+        topo.profile = &p;
+        return topo;
+    }
+
+    /** Run until @p n stripes are rebuilt.  The job then has just
+     *  launched stripe n, which holds its stripe lock. */
+    void
+    runTo(std::uint64_t n)
+    {
+        eq.runUntilDone([this, n] { return job->stripesDone() >= n; });
+    }
+
+    /** Logical offset of the start of the dead disk's RAID-5 data unit
+     *  in @p stripe. */
+    std::uint64_t
+    deadUnit(std::uint64_t stripe) const
+    {
+        const raid::RaidLayout &layout = array.layout();
+        for (unsigned k = 0; k < layout.dataUnitsPerStripe(); ++k) {
+            if (layout.dataDisk(stripe, k) == dead)
+                return stripe * layout.stripeDataBytes() + k * unit;
+        }
+        ADD_FAILURE() << "disk " << dead << " holds parity in stripe "
+                      << stripe;
+        return 0;
+    }
+
+    /** Issue op(done) and run until it completes. */
+    void
+    complete(const std::function<void(std::function<void()>)> &op)
+    {
+        bool done = false;
+        op([&done] { done = true; });
+        ASSERT_TRUE(eq.runUntilDone([&done] { return done; }));
+    }
+
+    /** Sectors the rebuild itself writes to the dead disk. */
+    std::uint64_t
+    rebuildSectors() const
+    {
+        return array.layout().numStripes() * unit / 512;
+    }
+};
+
+TEST(RebuildJob, ReadsBehindTheCursorGoToTheReplacement)
+{
+    RebuildRig rig;
+    rig.runTo(8);
+    ASSERT_TRUE(rig.array.live(rig.dead, 0, 8 * rig.unit));
+    // The rebuild only writes the dead disk, so its reads are ours.
+    const std::uint64_t degraded = rig.array.degradedReads();
+    ASSERT_EQ(rig.array.disk(rig.dead).sectorsRead(), 0u);
+
+    rig.complete([&](auto done) {
+        rig.array.read(rig.deadUnit(2), 4096, std::move(done));
+    });
+    EXPECT_EQ(rig.array.degradedReads(), degraded);
+    EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
+
+    // Ahead of the cursor the survivors still reconstruct the unit.
+    rig.complete([&](auto done) {
+        rig.array.read(rig.deadUnit(40), 4096, std::move(done));
+    });
+    EXPECT_FALSE(rig.array.live(rig.dead, 40 * rig.unit, rig.unit));
+    EXPECT_EQ(rig.array.degradedReads(), degraded + 1);
+    EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
+
+    rig.eq.run();
+    EXPECT_TRUE(rig.rebuilt);
+    EXPECT_FALSE(rig.array.isFailed(rig.dead));
+}
+
+TEST(RebuildJob, WritesBehindTheCursorReachTheReplacement)
+{
+    // Each write is a 4 KB read-modify-write of the dead disk's unit.
+    // Behind the cursor it pre-reads and rewrites the replacement;
+    // ahead of it the dead unit is reconstructed and not written (the
+    // rebuild writes it later, with the new bytes).
+    RebuildRig rig;
+    rig.runTo(8);
+    rig.complete([&](auto done) {
+        rig.array.write(rig.deadUnit(2), 4096, std::move(done));
+    });
+    EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
+    const std::uint64_t degraded = rig.array.degradedReads();
+    rig.complete([&](auto done) {
+        rig.array.write(rig.deadUnit(40), 4096, std::move(done));
+    });
+    EXPECT_FALSE(rig.array.live(rig.dead, 40 * rig.unit, rig.unit));
+    EXPECT_EQ(rig.array.degradedReads(), degraded + 1);
+
+    rig.eq.run();
+    ASSERT_TRUE(rig.rebuilt);
+    EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
+    EXPECT_EQ(rig.array.disk(rig.dead).sectorsWritten(),
+              rig.rebuildSectors() + 8);
+    EXPECT_EQ(rig.array.disk(rig.dead).requests(),
+              rig.array.layout().numStripes() + 2);
+}
+
+TEST(RebuildJob, WriteRacingItsStripeWaitsForTheRebuild)
+{
+    // The rebuild step holds the stripe lock from reconstruction to
+    // the replacement write, so a write to that stripe queues behind
+    // it and then updates the replacement instead of leaving it stale.
+    RebuildRig rig;
+    rig.runTo(8);
+    ASSERT_FALSE(rig.array.live(rig.dead, 8 * rig.unit, rig.unit));
+    const std::uint64_t waits = rig.array.stripeLockWaits();
+    const std::uint64_t degraded = rig.array.degradedReads();
+    rig.complete([&](auto done) {
+        rig.array.write(rig.deadUnit(8), 4096, std::move(done));
+    });
+    EXPECT_EQ(rig.array.stripeLockWaits(), waits + 1);
+    EXPECT_GT(rig.array.stripeLockWaitMs().mean(), 0.0);
+    EXPECT_EQ(rig.array.degradedReads(), degraded);
+
+    rig.eq.run();
+    ASSERT_TRUE(rig.rebuilt);
+    EXPECT_EQ(rig.array.disk(rig.dead).sectorsWritten(),
+              rig.rebuildSectors() + 8);
+}
+
+TEST(RebuildJob, Raid1RebuiltMirrorTakesItsRowsBack)
+{
+    // RAID-1 reads alternate stripe rows between a pair.  With mirror 11
+    // (of primary 3) failed, its odd rows go to the primary; once the
+    // rebuild has passed a row, the replacement serves it again.
+    RebuildRig rig(raid::RaidLevel::Raid1, 11);
+    ASSERT_EQ(rig.array.layout().mirrorPartner(rig.dead), 3u);
+    rig.runTo(8);
+    auto readRow = [&](std::uint64_t row) {
+        rig.complete([&](auto done) {
+            rig.array.read(row * rig.array.layout().stripeDataBytes() +
+                               3 * rig.unit,
+                           4096, std::move(done));
+        });
+    };
+    readRow(5);
+    EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
+    readRow(41);
+    EXPECT_FALSE(rig.array.live(rig.dead, 41 * rig.unit, rig.unit));
+    EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
+    EXPECT_EQ(rig.array.degradedReads(), 0u);
 }
 
 } // namespace
