@@ -75,9 +75,8 @@ ffsCost()
                  {prefill.data(), prefill.size()});
 
     std::vector<std::pair<std::uint64_t, std::uint64_t>> writes;
-    hook.setHook([&](std::uint64_t off, std::uint64_t len, bool is_write) {
-        if (is_write)
-            writes.emplace_back(off, len);
+    hook.setWriteHook([&](std::uint64_t off, std::uint64_t len) {
+        writes.emplace_back(off, len);
     });
 
     sim::Random rng(3);

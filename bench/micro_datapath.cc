@@ -104,7 +104,7 @@ counterRow(raid::RaidLevel level)
 
     Rig loop(level);
     for (std::uint64_t b = 0; b < kSegBlocks; ++b)
-        loop.dev.writeBlock(b, {seg.data() + b * kBs, kBs});
+        loop.dev.writeRange(b, 1, {seg.data() + b * kBs, kBs});
 
     Rig extent(level);
     extent.dev.writeRange(0, kSegBlocks, {seg.data(), seg.size()});
@@ -154,14 +154,14 @@ timeLevel(raid::RaidLevel level)
     Timings t;
     t.segWriteLoop = measureMBs(seg.size(), [&] {
         for (std::uint64_t b = 0; b < kSegBlocks; ++b)
-            rig.dev.writeBlock(b, {seg.data() + b * kBs, kBs});
+            rig.dev.writeRange(b, 1, {seg.data() + b * kBs, kBs});
     });
     t.segWriteExtent = measureMBs(seg.size(), [&] {
         rig.dev.writeRange(0, kSegBlocks, {seg.data(), seg.size()});
     });
     t.raggedWriteLoop = measureMBs(ragged.size(), [&] {
         for (std::uint64_t b = 0; b < kRaggedBlocks; ++b)
-            rig.dev.writeBlock(kRaggedStart + b,
+            rig.dev.writeRange(kRaggedStart + b, 1,
                                {ragged.data() + b * kBs, kBs});
     });
     t.raggedWriteExtent = measureMBs(ragged.size(), [&] {
@@ -170,7 +170,7 @@ timeLevel(raid::RaidLevel level)
     });
     t.segReadLoop = measureMBs(seg.size(), [&] {
         for (std::uint64_t b = 0; b < kSegBlocks; ++b)
-            rig.dev.readBlock(b, {seg.data() + b * kBs, kBs});
+            rig.dev.readRange(b, 1, {seg.data() + b * kBs, kBs});
     });
     t.segReadExtent = measureMBs(seg.size(), [&] {
         rig.dev.readRange(0, kSegBlocks, {seg.data(), seg.size()});

@@ -33,24 +33,34 @@ class OverlayDevice : public fs::BlockDevice
     }
 
     void
-    readBlock(std::uint64_t bno, std::span<std::uint8_t> out) override
+    readRange(std::uint64_t bno, std::uint64_t count,
+              std::span<std::uint8_t> out) override
     {
-        checkAccess(bno, out.size());
-        noteRead();
-        auto it = dirty.find(bno);
-        const std::uint8_t *src = it != dirty.end()
-                                      ? it->second.data()
-                                      : base.data() + bno * bs;
-        std::copy(src, src + bs, out.begin());
+        if (count == 0)
+            return;
+        checkExtent(bno, count, out.size());
+        noteRead(count);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            auto it = dirty.find(bno + i);
+            const std::uint8_t *src = it != dirty.end()
+                                          ? it->second.data()
+                                          : base.data() + (bno + i) * bs;
+            std::copy(src, src + bs, out.begin() + i * bs);
+        }
     }
 
     void
-    writeBlock(std::uint64_t bno,
+    writeRange(std::uint64_t bno, std::uint64_t count,
                std::span<const std::uint8_t> data) override
     {
-        checkAccess(bno, data.size());
-        noteWrite();
-        dirty[bno].assign(data.begin(), data.end());
+        if (count == 0)
+            return;
+        checkExtent(bno, count, data.size());
+        noteWrite(count);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            auto blk = data.subspan(i * bs, bs);
+            dirty[bno + i].assign(blk.begin(), blk.end());
+        }
     }
 
   private:
@@ -405,13 +415,13 @@ runTrialFrom(const Capture &cap, const TrialSpec &spec,
                   case TrialSpec::Mode::Torn:
                     dev.setWriteLimit(0);
                     dev.setTearOnCrash(true);
-                    dev.writeBlock(bno, data);
+                    dev.writeRange(bno, 1, data);
                     dev.heal();
                     dev.setTearOnCrash(false);
                     break;
                   case TrialSpec::Mode::Dropped:
                     dev.setWriteLimit(0);
-                    dev.writeBlock(bno, data);
+                    dev.writeRange(bno, 1, data);
                     dev.heal();
                     break;
                   case TrialSpec::Mode::Corrupt: {
@@ -421,7 +431,7 @@ runTrialFrom(const Capture &cap, const TrialSpec &spec,
                         std::min<std::size_t>(64, bad.size());
                     for (std::size_t k = 0; k < n; ++k)
                         bad[k] ^= spec.xorMask;
-                    dev.writeBlock(bno, {bad.data(), bad.size()});
+                    dev.writeRange(bno, 1, {bad.data(), bad.size()});
                     break;
                   }
                   case TrialSpec::Mode::Cut:
@@ -429,7 +439,7 @@ runTrialFrom(const Capture &cap, const TrialSpec &spec,
                 }
                 return;
             }
-            dev.writeBlock(bno, data);
+            dev.writeRange(bno, 1, data);
         });
 
     // Remount: checkpoint load + roll-forward recovery.

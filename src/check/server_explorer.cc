@@ -556,6 +556,20 @@ struct Runner
 // History generation
 // ---------------------------------------------------------------------
 
+namespace {
+
+constexpr unsigned filePool = 4; // names /f0../f{n-1}, shared by clients
+/** Write offsets stay under this (bounds live bytes per file). */
+constexpr std::uint64_t maxOffset = 24 * 1024;
+constexpr std::uint64_t maxWrite = 12 * 1024;
+/** Odds a write is bulk-sized (> smallOpBytes: rides the HIPPI fast
+ *  path, so its completion is write-behind, not synced). */
+constexpr double pBulkWrite = 0.10;
+constexpr std::uint64_t bulkWrite = 96 * 1024;
+constexpr unsigned maxLiveSnapshots = 2;
+
+} // namespace
+
 ServerHistory
 generateServerHistory(std::uint64_t seed, const ServerGenConfig &cfg)
 {
@@ -568,8 +582,7 @@ generateServerHistory(std::uint64_t seed, const ServerGenConfig &cfg)
     std::set<std::string> live;
 
     auto fileName = [&] {
-        return "/f" + std::to_string(rng.below(
-                          std::max(1u, cfg.filePool)));
+        return "/f" + std::to_string(rng.below(filePool));
     };
 
     // Every client opens a file up front so handles exist early.
@@ -591,7 +604,7 @@ generateServerHistory(std::uint64_t seed, const ServerGenConfig &cfg)
             if (a < 55) {
                 op.kind = SessionOp::Kind::Sync;
             } else if (a < 80) {
-                if (live.size() >= cfg.maxLiveSnapshots)
+                if (live.size() >= maxLiveSnapshots)
                     continue;
                 op.kind = SessionOp::Kind::SnapCreate;
                 op.path = "s" + std::to_string(snapCounter++);
@@ -615,26 +628,25 @@ generateServerHistory(std::uint64_t seed, const ServerGenConfig &cfg)
                 open[op.client] = true;
             } else if (a < 40) {
                 op.kind = SessionOp::Kind::PWrite;
-                if (rng.chance(cfg.pBulkWrite)) {
+                if (rng.chance(pBulkWrite)) {
                     // Fast-path sized: completion is write-behind.
                     op.off = rng.below(8 * 1024);
-                    op.len = cfg.bulkWrite;
+                    op.len = bulkWrite;
                 } else {
-                    op.off = rng.below(cfg.maxOffset);
-                    op.len = 1 + rng.below(cfg.maxWrite);
+                    op.off = rng.below(maxOffset);
+                    op.len = 1 + rng.below(maxWrite);
                 }
             } else if (a < 52) {
                 op.kind = SessionOp::Kind::BurstWrite;
-                op.off = rng.below(cfg.maxOffset);
-                op.len = 1 + rng.below(std::max<std::uint64_t>(
-                                 1, cfg.maxWrite / 2));
+                op.off = rng.below(maxOffset);
+                op.len = 1 + rng.below(maxWrite / 2);
             } else if (a < 72) {
                 op.kind = SessionOp::Kind::PRead;
-                op.off = rng.below(cfg.maxOffset + 16 * 1024);
-                op.len = 1 + rng.below(cfg.maxWrite);
+                op.off = rng.below(maxOffset + 16 * 1024);
+                op.len = 1 + rng.below(maxWrite);
             } else if (a < 80) {
                 op.kind = SessionOp::Kind::Seek;
-                op.off = rng.below(cfg.maxOffset);
+                op.off = rng.below(maxOffset);
             } else if (a < 88) {
                 op.kind = SessionOp::Kind::Close;
                 open[op.client] = false;

@@ -45,20 +45,11 @@ class StatsRegistry;
 
 namespace raid2::check {
 
-/** Distribution knobs for generateServerHistory(). */
+/** Shape knobs for generateServerHistory() (the op mix is fixed). */
 struct ServerGenConfig
 {
     unsigned numOps = 48;
     unsigned clients = 3;
-    unsigned filePool = 4; // names /f0../f{n-1}, shared across clients
-    /** Write offsets stay under this (bounds live bytes per file). */
-    std::uint64_t maxOffset = 24 * 1024;
-    std::uint64_t maxWrite = 12 * 1024;
-    /** Odds a write is bulk-sized (> smallOpBytes: rides the HIPPI
-     *  fast path, so its completion is write-behind, not synced). */
-    double pBulkWrite = 0.10;
-    std::uint64_t bulkWrite = 96 * 1024;
-    unsigned maxLiveSnapshots = 2;
     /** Emit a scripted fault schedule alongside the ops. */
     bool withFaults = true;
 };

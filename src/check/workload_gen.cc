@@ -6,6 +6,17 @@ namespace raid2::check {
 
 namespace {
 
+constexpr unsigned filePool = 8; // names f0..f{n-1}
+constexpr unsigned dirPool = 3;  // names d0..d{n-1}
+constexpr std::uint64_t maxSmallWrite = 6 * 1024;
+constexpr std::uint64_t maxBigWrite = 150 * 1024; // reaches dindirect @1KB
+constexpr double pBigWrite = 0.02;
+/** Soft cap on total live bytes (stay well under the device). */
+constexpr std::uint64_t liveByteBudget = 1200 * 1024;
+/** Concurrent snapshots (each pins its live segment set, so keep well
+ *  under the segment budget of the small test geometry). */
+constexpr unsigned maxLiveSnapshots = 2;
+
 /** Pick a random element of a non-empty vector. */
 template <typename T>
 const T &
@@ -51,10 +62,10 @@ generateWorkload(std::uint64_t seed, const GenConfig &cfg)
 
         if (roll < 12) {
             op.kind = Op::Kind::Create;
-            op.path = somePath("f", cfg.filePool);
+            op.path = somePath("f", filePool);
         } else if (roll < 17) {
             op.kind = Op::Kind::Mkdir;
-            op.path = somePath("d", cfg.dirPool);
+            op.path = somePath("d", dirPool);
         } else if (roll < 47) {
             if (files.empty())
                 continue;
@@ -76,16 +87,14 @@ generateWorkload(std::uint64_t seed, const GenConfig &cfg)
                 op.off = size + rng.below(8 * 1024);
                 break;
             }
-            const bool big = model.totalBytes() <
-                                 cfg.liveByteBudget / 2 &&
-                             rng.chance(cfg.pBigWrite);
-            const std::uint64_t cap =
-                big ? cfg.maxBigWrite : cfg.maxSmallWrite;
+            const bool big = model.totalBytes() < liveByteBudget / 2 &&
+                             rng.chance(pBigWrite);
+            const std::uint64_t cap = big ? maxBigWrite : maxSmallWrite;
             // Bias small: square a unit draw.
             const double u = rng.unit();
             op.len = 1 + static_cast<std::uint64_t>(u * u *
                                                     double(cap - 1));
-            if (model.totalBytes() + op.len > cfg.liveByteBudget)
+            if (model.totalBytes() + op.len > liveByteBudget)
                 continue; // over budget; try another op kind
             op.dataSeed = rng.next();
         } else if (roll < 55) {
@@ -102,20 +111,20 @@ generateWorkload(std::uint64_t seed, const GenConfig &cfg)
                 op.path = pick(rng, files);
                 op.path2 = rng.chance(0.3) && files.size() > 1
                                ? pick(rng, files) // rename-over
-                               : somePath("f", cfg.filePool);
+                               : somePath("f", filePool);
             } else {
                 const auto dirs = model.allDirs();
                 op.path = pick(rng, dirs);
                 if (op.path == "/")
                     continue;
-                op.path2 = somePath("d", cfg.dirPool);
+                op.path2 = somePath("d", dirPool);
             }
         } else if (roll < 67) {
             if (files.empty())
                 continue;
             op.kind = Op::Kind::Link;
             op.path = pick(rng, files);
-            op.path2 = somePath("f", cfg.filePool);
+            op.path2 = somePath("f", filePool);
         } else if (roll < 74) {
             if (files.empty())
                 continue;
@@ -133,7 +142,7 @@ generateWorkload(std::uint64_t seed, const GenConfig &cfg)
             // Names are globally unique so an op sequence never
             // recreates a deleted snapshot under the same name — the
             // post-crash table oracle stays per-name unambiguous.
-            if (model.snapshots().size() >= cfg.maxLiveSnapshots)
+            if (model.snapshots().size() >= maxLiveSnapshots)
                 continue;
             op.kind = Op::Kind::SnapCreate;
             op.path = "s" + std::to_string(snapCounter++);

@@ -24,20 +24,11 @@
 
 namespace raid2::check {
 
-/** Distribution knobs (defaults match the ctest sweep). */
+/** Workload length (the op mix is fixed; default matches the ctest
+ *  sweep). */
 struct GenConfig
 {
     unsigned numOps = 110;
-    unsigned filePool = 8;      // names f0..f{n-1}
-    unsigned dirPool = 3;       // names d0..d{n-1}
-    std::uint64_t maxSmallWrite = 6 * 1024;
-    std::uint64_t maxBigWrite = 150 * 1024; // reaches dindirect @1KB
-    double pBigWrite = 0.02;
-    /** Soft cap on total live bytes (stay well under the device). */
-    std::uint64_t liveByteBudget = 1200 * 1024;
-    /** Concurrent snapshots (each pins its live segment set, so keep
-     *  well under the segment budget of the small test geometry). */
-    unsigned maxLiveSnapshots = 2;
 };
 
 /** Generate @p cfg.numOps valid ops, deterministically from @p seed. */

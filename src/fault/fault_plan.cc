@@ -5,6 +5,7 @@
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "xbus/xbus_board.hh"
 
 namespace raid2::fault {
 
@@ -127,6 +128,12 @@ namespace {
 
 constexpr double ticksPerHour = 3600.0 * 1e9;
 
+/** Shortest latent defect (one sector). */
+constexpr std::uint64_t latentBytesMin = 512;
+/** Uniform transient-outage durations (stalls, hangs, drops). */
+constexpr sim::Tick stallMin = sim::msToTicks(50);
+constexpr sim::Tick stallMax = sim::msToTicks(500);
+
 /** Exponential inter-arrival times at @p per_hour events per hour,
  *  clipped to the horizon; one call per (class, instance) stream. */
 template <typename Emit>
@@ -179,7 +186,7 @@ FaultPlan::generate(const CampaignConfig &cfg, std::uint64_t seed)
             [&](sim::Tick at, sim::Random &r) {
                 if (cfg.diskBytes == 0)
                     return;
-                std::uint64_t len = r.inRange(cfg.latentBytesMin,
+                std::uint64_t len = r.inRange(latentBytesMin,
                                               cfg.latentBytesMax);
                 len = std::max<std::uint64_t>(512, (len / 512) * 512);
                 len = std::min(len, cfg.diskBytes);
@@ -193,7 +200,7 @@ FaultPlan::generate(const CampaignConfig &cfg, std::uint64_t seed)
         poissonStream(rng, cfg.stallsPerHour, cfg.horizon,
                       [&](sim::Tick at, sim::Random &r) {
                           plan.diskStall(
-                              at, d, r.inRange(cfg.stallMin, cfg.stallMax));
+                              at, d, r.inRange(stallMin, stallMax));
                       });
     }
     for (unsigned s = 0; s < cfg.numStrings; ++s) {
@@ -201,15 +208,15 @@ FaultPlan::generate(const CampaignConfig &cfg, std::uint64_t seed)
         poissonStream(rng, cfg.scsiHangsPerHour, cfg.horizon,
                       [&](sim::Tick at, sim::Random &r) {
                           plan.scsiHang(
-                              at, s, r.inRange(cfg.stallMin, cfg.stallMax));
+                              at, s, r.inRange(stallMin, stallMax));
                       });
     }
-    for (unsigned p = 0; p < cfg.numXbusPorts; ++p) {
+    for (unsigned p = 0; p < xbus::XbusBoard::numVmePorts; ++p) {
         auto rng = rngFor(p);
         poissonStream(rng, cfg.xbusErrorsPerHour, cfg.horizon,
                       [&](sim::Tick at, sim::Random &r) {
                           plan.xbusPortError(
-                              at, p, r.inRange(cfg.stallMin, cfg.stallMax));
+                              at, p, r.inRange(stallMin, stallMax));
                       });
     }
     {
@@ -217,7 +224,7 @@ FaultPlan::generate(const CampaignConfig &cfg, std::uint64_t seed)
         poissonStream(rng, cfg.hippiDropsPerHour, cfg.horizon,
                       [&](sim::Tick at, sim::Random &r) {
                           plan.hippiLinkDrop(
-                              at, r.inRange(cfg.stallMin, cfg.stallMax));
+                              at, r.inRange(stallMin, stallMax));
                       });
     }
     {

@@ -108,7 +108,6 @@ struct FaultPlan
         unsigned numDisks = 0;           ///< required
         std::uint64_t diskBytes = 0;     ///< latent placement space
         unsigned numStrings = 0;         ///< global string count
-        unsigned numXbusPorts = 4;
 
         double diskFailsPerHour = 0.0;   ///< per disk
         double latentsPerHour = 0.0;     ///< per disk
@@ -118,12 +117,8 @@ struct FaultPlan
         double hippiDropsPerHour = 0.0;
         double silentCorruptionsPerHour = 0.0; ///< per array
 
-        /** Latent defects cover [min, max] bytes, 512-aligned. */
-        std::uint64_t latentBytesMin = 512;
+        /** Latent defects cover [512, max] bytes, 512-aligned. */
         std::uint64_t latentBytesMax = 8 * 1024;
-        /** Uniform transient-outage durations. */
-        sim::Tick stallMin = sim::msToTicks(50);
-        sim::Tick stallMax = sim::msToTicks(500);
         /** Media corruption runs cover [1, corruptionBytesMax] bytes. */
         std::uint64_t corruptionBytesMax = 64;
         /** Surface mix for generated corruption: media at rest vs

@@ -54,12 +54,12 @@ Ffs::format(fs::BlockDevice &dev, const Params &params)
 
     std::vector<std::uint8_t> block(bs, 0);
     std::memcpy(block.data(), &sb, sizeof(sb));
-    dev.writeBlock(0, {block.data(), block.size()});
+    dev.writeRange(0, 1, {block.data(), block.size()});
 
     // Zero the inode table and bitmap.
     std::fill(block.begin(), block.end(), 0);
     for (std::uint32_t b = sb.inodeTableBlock; b < sb.dataStartBlock; ++b)
-        dev.writeBlock(b, {block.data(), block.size()});
+        dev.writeRange(b, 1, {block.data(), block.size()});
 
     // Root inode.
     Inode ri{};
@@ -70,21 +70,21 @@ Ffs::format(fs::BlockDevice &dev, const Params &params)
     // Root is inode #1 -> slot 1 in the table.
     std::vector<std::uint8_t> itable(bs, 0);
     std::memcpy(itable.data() + inodeSize, &ri, sizeof(ri));
-    dev.writeBlock(sb.inodeTableBlock, {itable.data(), itable.size()});
+    dev.writeRange(sb.inodeTableBlock, 1, {itable.data(), itable.size()});
     dev.flush();
 }
 
 Ffs::Ffs(fs::BlockDevice &dev_) : dev(dev_)
 {
     std::vector<std::uint8_t> block(dev.blockSize());
-    dev.readBlock(0, {block.data(), block.size()});
+    dev.readRange(0, 1, {block.data(), block.size()});
     std::memcpy(&sb, block.data(), sizeof(sb));
     if (sb.magic != magicValue)
         throw LfsError(Errno::Invalid, "not an FFS device");
     root = sb.rootIno;
     bitmap.resize(std::size_t(sb.bitmapBlocks) * sb.blockSize);
-    dev.readBlocks(sb.bitmapBlock, sb.bitmapBlocks,
-                   {bitmap.data(), bitmap.size()});
+    dev.readRange(sb.bitmapBlock, sb.bitmapBlocks,
+                  {bitmap.data(), bitmap.size()});
 }
 
 Ffs::Inode
@@ -94,7 +94,7 @@ Ffs::loadInode(InodeNum ino) const
         throw LfsError(Errno::Invalid, "bad inode number");
     const std::uint32_t per = sb.blockSize / inodeSize;
     std::vector<std::uint8_t> block(sb.blockSize);
-    dev.readBlock(sb.inodeTableBlock + ino / per,
+    dev.readRange(sb.inodeTableBlock + ino / per, 1,
                   {block.data(), block.size()});
     Inode inode;
     std::memcpy(&inode, block.data() + (ino % per) * inodeSize,
@@ -110,10 +110,10 @@ Ffs::storeInode(const Inode &inode)
     const std::uint32_t per = sb.blockSize / inodeSize;
     std::vector<std::uint8_t> block(sb.blockSize);
     const std::uint64_t bno = sb.inodeTableBlock + inode.ino / per;
-    dev.readBlock(bno, {block.data(), block.size()});
+    dev.readRange(bno, 1, {block.data(), block.size()});
     std::memcpy(block.data() + (inode.ino % per) * inodeSize, &inode,
                 sizeof(inode));
-    dev.writeBlock(bno, {block.data(), block.size()});
+    dev.writeRange(bno, 1, {block.data(), block.size()});
 }
 
 InodeNum
@@ -122,7 +122,7 @@ Ffs::allocInode(FileType type)
     const std::uint32_t per = sb.blockSize / inodeSize;
     std::vector<std::uint8_t> block(sb.blockSize);
     for (InodeNum ino = 1; ino < sb.maxInodes; ++ino) {
-        dev.readBlock(sb.inodeTableBlock + ino / per,
+        dev.readRange(sb.inodeTableBlock + ino / per, 1,
                       {block.data(), block.size()});
         Inode inode;
         std::memcpy(&inode, block.data() + (ino % per) * inodeSize,
@@ -154,7 +154,7 @@ Ffs::bitSet(std::uint64_t bno, bool v)
         bitmap[bno / 8] &= std::uint8_t(~(1u << (bno % 8)));
     // Write-through the affected bitmap block.
     const std::uint64_t which = (bno / 8) / sb.blockSize;
-    dev.writeBlock(sb.bitmapBlock + which,
+    dev.writeRange(sb.bitmapBlock + which, 1,
                    {bitmap.data() + which * sb.blockSize, sb.blockSize});
 }
 
@@ -195,7 +195,7 @@ Ffs::getFileBlock(const Inode &inode, std::uint64_t fbno) const
         if (inode.indirect == 0)
             return 0;
         std::vector<std::uint8_t> block(sb.blockSize);
-        dev.readBlock(inode.indirect, {block.data(), block.size()});
+        dev.readRange(inode.indirect, 1, {block.data(), block.size()});
         std::uint64_t addr;
         std::memcpy(&addr, block.data() + (fbno - numDirect) * 8,
                     sizeof(addr));
@@ -217,10 +217,10 @@ Ffs::setFileBlock(Inode &inode, std::uint64_t fbno, std::uint64_t addr)
     if (inode.indirect == 0)
         inode.indirect = allocBlock();
     std::vector<std::uint8_t> block(sb.blockSize);
-    dev.readBlock(inode.indirect, {block.data(), block.size()});
+    dev.readRange(inode.indirect, 1, {block.data(), block.size()});
     std::memcpy(block.data() + (fbno - numDirect) * 8, &addr,
                 sizeof(addr));
-    dev.writeBlock(inode.indirect, {block.data(), block.size()});
+    dev.writeRange(inode.indirect, 1, {block.data(), block.size()});
 }
 
 std::uint64_t
@@ -244,12 +244,12 @@ Ffs::writeData(Inode &inode, std::uint64_t off,
             setFileBlock(inode, fbno, addr);
         }
         if (take == bs) {
-            dev.writeBlock(addr, {data.data() + (pos - off), bs});
+            dev.writeRange(addr, 1, {data.data() + (pos - off), bs});
         } else {
-            dev.readBlock(addr, {buf.data(), bs});
+            dev.readRange(addr, 1, {buf.data(), bs});
             std::memcpy(buf.data() + in_block, data.data() + (pos - off),
                         take);
-            dev.writeBlock(addr, {buf.data(), bs});
+            dev.writeRange(addr, 1, {buf.data(), bs});
         }
         pos += take;
         left -= take;
@@ -285,9 +285,9 @@ Ffs::readData(const Inode &inode, std::uint64_t off,
         if (addr == 0) {
             std::memset(dst, 0, take);
         } else if (take == bs) {
-            dev.readBlock(addr, {dst, bs});
+            dev.readRange(addr, 1, {dst, bs});
         } else {
-            dev.readBlock(addr, {buf.data(), bs});
+            dev.readRange(addr, 1, {buf.data(), bs});
             std::memcpy(dst, buf.data() + in_block, take);
         }
         pos += take;
@@ -510,10 +510,10 @@ Ffs::unlink(const std::string &path)
         const std::uint32_t per = sb.blockSize / inodeSize;
         std::vector<std::uint8_t> block(sb.blockSize);
         const std::uint64_t bno = sb.inodeTableBlock + dead / per;
-        dev.readBlock(bno, {block.data(), block.size()});
+        dev.readRange(bno, 1, {block.data(), block.size()});
         std::memset(block.data() + (dead % per) * inodeSize, 0,
                     inodeSize);
-        dev.writeBlock(bno, {block.data(), block.size()});
+        dev.writeRange(bno, 1, {block.data(), block.size()});
         return;
     }
     throw LfsError(Errno::NoEntry, path + " not found");

@@ -13,23 +13,6 @@ ArrayBlockDevice::ArrayBlockDevice(raid::RaidArray &array,
 }
 
 void
-ArrayBlockDevice::readBlock(std::uint64_t bno, std::span<std::uint8_t> out)
-{
-    checkAccess(bno, out.size());
-    noteRead();
-    _array.read(bno * bs, out);
-}
-
-void
-ArrayBlockDevice::writeBlock(std::uint64_t bno,
-                             std::span<const std::uint8_t> data)
-{
-    checkAccess(bno, data.size());
-    noteWrite();
-    _array.write(bno * bs, data);
-}
-
-void
 ArrayBlockDevice::readRange(std::uint64_t bno, std::uint64_t count,
                             std::span<std::uint8_t> out)
 {

@@ -29,28 +29,4 @@ BlockDevice::checkExtent(std::uint64_t bno, std::uint64_t count,
                    len, (unsigned long long)count, blockSize());
 }
 
-void
-BlockDevice::readRange(std::uint64_t bno, std::uint64_t count,
-                       std::span<std::uint8_t> out)
-{
-    if (count == 0)
-        return;
-    checkExtent(bno, count, out.size());
-    const std::uint32_t bs = blockSize();
-    for (std::uint64_t i = 0; i < count; ++i)
-        readBlock(bno + i, out.subspan(i * bs, bs));
-}
-
-void
-BlockDevice::writeRange(std::uint64_t bno, std::uint64_t count,
-                        std::span<const std::uint8_t> data)
-{
-    if (count == 0)
-        return;
-    checkExtent(bno, count, data.size());
-    const std::uint32_t bs = blockSize();
-    for (std::uint64_t i = 0; i < count; ++i)
-        writeBlock(bno + i, data.subspan(i * bs, bs));
-}
-
 } // namespace raid2::fs

@@ -3,10 +3,12 @@
  * Synchronous block-device interface for the file systems.
  *
  * The functional plane of LFS and FFS runs against this interface:
- * real bytes in, real bytes out.  MemBlockDevice backs tests,
- * ArrayBlockDevice runs the file system on a functional RAID array
- * (with an I/O hook benches use to drive the timing plane), and
- * FaultDevice injects crashes for recovery testing.
+ * real bytes in, real bytes out.  Every transfer is an extent of
+ * consecutive blocks (one block is count = 1), so each device has one
+ * read and one write.  MemBlockDevice backs tests, ArrayBlockDevice
+ * runs the file system on a functional RAID array, HookBlockDevice
+ * reports every write to an observer (the server mirrors them into the
+ * timing plane), and FaultDevice injects crashes for recovery testing.
  */
 
 #ifndef RAID2_FS_BLOCK_DEVICE_HH
@@ -16,7 +18,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "fs/write_log.hh"
 #include "sim/stats.hh"
@@ -32,50 +33,26 @@ class BlockDevice
     virtual std::uint32_t blockSize() const = 0;
     virtual std::uint64_t numBlocks() const = 0;
 
-    /** Read block @p bno into @p out (out.size() == blockSize()). */
-    virtual void readBlock(std::uint64_t bno,
+    /** @{ Read or write @p count consecutive blocks starting at @p bno;
+     *  the buffer holds exactly count * blockSize() bytes.  Zero-length
+     *  extents return before they count or check bounds; an extent
+     *  beyond the device or a mis-sized buffer panics. */
+    virtual void readRange(std::uint64_t bno, std::uint64_t count,
                            std::span<std::uint8_t> out) = 0;
-
-    /** Write @p data (data.size() == blockSize()) to block @p bno. */
-    virtual void writeBlock(std::uint64_t bno,
+    virtual void writeRange(std::uint64_t bno, std::uint64_t count,
                             std::span<const std::uint8_t> data) = 0;
+    /** @} */
 
     /** Barrier: all previous writes are durable afterwards. */
     virtual void flush() {}
-
-    /** @{ Extent (vectored) I/O: @p count consecutive blocks starting
-     *  at @p bno, in one call.  The base implementation loops over
-     *  readBlock/writeBlock; devices override with a native
-     *  single-pass path (MemBlockDevice: one memcpy, ArrayBlockDevice:
-     *  one RaidArray call with stripe-aware parity).  Zero-length
-     *  extents return immediately. */
-    virtual void readRange(std::uint64_t bno, std::uint64_t count,
-                           std::span<std::uint8_t> out);
-    virtual void writeRange(std::uint64_t bno, std::uint64_t count,
-                            std::span<const std::uint8_t> data);
-    /** @} */
 
     std::uint64_t capacityBytes() const
     {
         return std::uint64_t(blockSize()) * numBlocks();
     }
 
-    /** @{ Multi-block helpers (delegate to readRange/writeRange). */
-    void
-    readBlocks(std::uint64_t bno, std::uint64_t count,
-               std::span<std::uint8_t> out)
-    {
-        readRange(bno, count, out);
-    }
-    void
-    writeBlocks(std::uint64_t bno, std::uint64_t count,
-                std::span<const std::uint8_t> data)
-    {
-        writeRange(bno, count, data);
-    }
-    /** @} */
-
-    /** @{ Statistics (maintained by implementations via note*()). */
+    /** @{ Statistics in blocks (maintained by implementations via
+     *  note*()). */
     const sim::Scalar &readsStat() const { return _reads; }
     const sim::Scalar &writesStat() const { return _writes; }
     void
@@ -91,16 +68,12 @@ class BlockDevice
     /** @} */
 
   protected:
-    void checkAccess(std::uint64_t bno, std::size_t len) const
-    {
-        checkExtent(bno, 1, len);
-    }
     /** Validate an extent: in-bounds (overflow-safe) and the buffer
      *  exactly count * blockSize() bytes. */
     void checkExtent(std::uint64_t bno, std::uint64_t count,
                      std::size_t len) const;
-    void noteRead(std::uint64_t n = 1) { _reads.inc(n); }
-    void noteWrite(std::uint64_t n = 1) { _writes.inc(n); }
+    void noteRead(std::uint64_t n) { _reads.inc(n); }
+    void noteWrite(std::uint64_t n) { _writes.inc(n); }
 
   private:
     mutable sim::Scalar _reads;
@@ -108,15 +81,15 @@ class BlockDevice
 };
 
 /**
- * Pass-through wrapper that reports every access to an observer.
- * The timed server uses it to mirror the file system's device traffic
+ * Pass-through wrapper that reports every write to an observer.
+ * The timed server uses it to mirror the file system's device writes
  * into the simulation plane.
  */
 class HookBlockDevice : public BlockDevice
 {
   public:
-    /** (byte offset, byte length, is_write) per block access. */
-    using Hook = std::function<void(std::uint64_t, std::uint64_t, bool)>;
+    /** (byte offset, byte length) of each write, after it lands. */
+    using WriteHook = std::function<void(std::uint64_t, std::uint64_t)>;
 
     explicit HookBlockDevice(BlockDevice &inner) : inner(inner) {}
 
@@ -130,27 +103,6 @@ class HookBlockDevice : public BlockDevice
     }
 
     void
-    readBlock(std::uint64_t bno, std::span<std::uint8_t> out) override
-    {
-        noteRead();
-        inner.readBlock(bno, out);
-        if (hook)
-            hook(bno * blockSize(), blockSize(), false);
-    }
-
-    void
-    writeBlock(std::uint64_t bno,
-               std::span<const std::uint8_t> data) override
-    {
-        noteWrite();
-        inner.writeBlock(bno, data);
-        if (wlog)
-            wlog->noteWrite(bno, data);
-        if (hook)
-            hook(bno * blockSize(), blockSize(), true);
-    }
-
-    void
     readRange(std::uint64_t bno, std::uint64_t count,
               std::span<std::uint8_t> out) override
     {
@@ -158,9 +110,6 @@ class HookBlockDevice : public BlockDevice
             return;
         noteRead(count);
         inner.readRange(bno, count, out);
-        if (hook)
-            hook(bno * blockSize(),
-                 count * std::uint64_t(blockSize()), false);
     }
 
     void
@@ -174,8 +123,7 @@ class HookBlockDevice : public BlockDevice
         if (wlog)
             wlog->noteWrite(bno, data, std::uint32_t(count));
         if (hook)
-            hook(bno * blockSize(),
-                 count * std::uint64_t(blockSize()), true);
+            hook(bno * blockSize(), count * std::uint64_t(blockSize()));
     }
 
     void
@@ -186,16 +134,15 @@ class HookBlockDevice : public BlockDevice
             wlog->noteBarrier();
     }
 
-    /** Observe every access; the is_write argument tells reads from
-     *  writes. */
-    void setHook(Hook h) { hook = std::move(h); }
+    /** Observe every write (one call per writeRange). */
+    void setWriteHook(WriteHook h) { hook = std::move(h); }
 
     /** Record every write + barrier into @p log (nullptr detaches). */
     void attachWriteLog(WriteLog *log) { wlog = log; }
 
   private:
     BlockDevice &inner;
-    Hook hook;
+    WriteHook hook;
     WriteLog *wlog = nullptr;
 };
 

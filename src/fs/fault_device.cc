@@ -7,38 +7,6 @@ namespace raid2::fs {
 FaultDevice::FaultDevice(BlockDevice &inner_) : inner(inner_) {}
 
 void
-FaultDevice::readBlock(std::uint64_t bno, std::span<std::uint8_t> out)
-{
-    noteRead();
-    inner.readBlock(bno, out);
-}
-
-void
-FaultDevice::writeBlock(std::uint64_t bno,
-                        std::span<const std::uint8_t> data)
-{
-    noteWrite();
-    if (limit > 0) {
-        --limit;
-        inner.writeBlock(bno, data);
-        if (wlog)
-            wlog->noteWrite(bno, data);
-        return;
-    }
-    ++dropped;
-    if (tearOnCrash && !tearDone) {
-        tearDone = true;
-        // Half the new data lands, the rest is garbage.
-        std::vector<std::uint8_t> torn(data.begin(), data.end());
-        for (std::size_t i = torn.size() / 2; i < torn.size(); ++i)
-            torn[i] = 0xbd;
-        inner.writeBlock(bno, torn);
-        if (wlog)
-            wlog->noteWrite(bno, {torn.data(), torn.size()});
-    }
-}
-
-void
 FaultDevice::readRange(std::uint64_t bno, std::uint64_t count,
                        std::span<std::uint8_t> out)
 {
@@ -54,6 +22,7 @@ FaultDevice::writeRange(std::uint64_t bno, std::uint64_t count,
 {
     if (count == 0)
         return;
+    checkExtent(bno, count, data.size());
     noteWrite(count);
     const std::uint32_t bs = blockSize();
     if (limit >= count) {
@@ -76,11 +45,12 @@ FaultDevice::writeRange(std::uint64_t bno, std::uint64_t count,
     dropped += count - landed;
     if (tearOnCrash && !tearDone) {
         tearDone = true;
+        // Half the new data lands, the rest is garbage.
         auto block = data.subspan(landed * bs, bs);
         std::vector<std::uint8_t> torn(block.begin(), block.end());
         for (std::size_t i = torn.size() / 2; i < torn.size(); ++i)
             torn[i] = 0xbd;
-        inner.writeBlock(bno + landed, torn);
+        inner.writeRange(bno + landed, 1, torn);
         if (wlog)
             wlog->noteWrite(bno + landed, {torn.data(), torn.size()});
     }

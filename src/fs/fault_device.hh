@@ -3,10 +3,11 @@
  * Fault-injecting block device wrapper for crash-recovery testing.
  *
  * The LFS recovery tests need to "pull the plug" at an arbitrary point
- * in a write stream: after a configurable number of writes the device
- * silently drops everything (as a losing-power disk does), and the
- * test then remounts from whatever made it to the media.  A torn-write
- * mode garbles the first post-limit write instead of dropping it.
+ * in a write stream: after a configurable number of block writes the
+ * device silently drops everything (as a losing-power disk does), and
+ * the test then remounts from whatever made it to the media.  A
+ * torn-write mode garbles the first post-limit block instead of
+ * dropping it.
  */
 
 #ifndef RAID2_FS_FAULT_DEVICE_HH
@@ -34,26 +35,21 @@ class FaultDevice : public BlockDevice
         return inner.numBlocks();
     }
 
-    void readBlock(std::uint64_t bno,
-                   std::span<std::uint8_t> out) override;
-    void writeBlock(std::uint64_t bno,
-                    std::span<const std::uint8_t> data) override;
-    void flush() override;
-
     void readRange(std::uint64_t bno, std::uint64_t count,
                    std::span<std::uint8_t> out) override;
     /** The write limit counts blocks, so a limit landing inside an
      *  extent crashes mid-extent: the leading blocks land, the rest
-     *  drop (or the first dropped block tears).  Crash-point coverage
-     *  is therefore identical to the per-block path. */
+     *  drop (or the first dropped block tears).  An extent is checked
+     *  before any of it lands or drops, crashed or not. */
     void writeRange(std::uint64_t bno, std::uint64_t count,
                     std::span<const std::uint8_t> data) override;
+    void flush() override;
 
-    /** Allow @p n more writes, then drop everything ("crash"). */
+    /** Allow @p n more block writes, then drop everything ("crash"). */
     void setWriteLimit(std::uint64_t n) { limit = n; }
 
-    /** If set, the first dropped write is instead written torn (half
-     *  old, half new garbage). */
+    /** If set, the first dropped block is instead written torn (half
+     *  new data, half garbage). */
     void setTearOnCrash(bool tear) { tearOnCrash = tear; }
 
     /** Clear the fault: writes flow again (a "repaired" device).  All

@@ -12,23 +12,6 @@ MemBlockDevice::MemBlockDevice(std::uint32_t block_size,
 }
 
 void
-MemBlockDevice::readBlock(std::uint64_t bno, std::span<std::uint8_t> out)
-{
-    checkAccess(bno, out.size());
-    noteRead();
-    std::memcpy(out.data(), data.data() + bno * bs, bs);
-}
-
-void
-MemBlockDevice::writeBlock(std::uint64_t bno,
-                           std::span<const std::uint8_t> in)
-{
-    checkAccess(bno, in.size());
-    noteWrite();
-    std::memcpy(data.data() + bno * bs, in.data(), bs);
-}
-
-void
 MemBlockDevice::readRange(std::uint64_t bno, std::uint64_t count,
                           std::span<std::uint8_t> out)
 {
@@ -53,7 +36,7 @@ MemBlockDevice::writeRange(std::uint64_t bno, std::uint64_t count,
 std::span<std::uint8_t>
 MemBlockDevice::raw(std::uint64_t bno)
 {
-    checkAccess(bno, bs);
+    checkExtent(bno, 1, bs);
     return {data.data() + bno * bs, bs};
 }
 

@@ -22,11 +22,6 @@ class MemBlockDevice : public BlockDevice
     std::uint32_t blockSize() const override { return bs; }
     std::uint64_t numBlocks() const override { return blocks; }
 
-    void readBlock(std::uint64_t bno,
-                   std::span<std::uint8_t> out) override;
-    void writeBlock(std::uint64_t bno,
-                    std::span<const std::uint8_t> data) override;
-
     void readRange(std::uint64_t bno, std::uint64_t count,
                    std::span<std::uint8_t> out) override;
     void writeRange(std::uint64_t bno, std::uint64_t count,

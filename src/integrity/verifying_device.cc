@@ -36,19 +36,6 @@ VerifyingDevice::numBlocks() const
 }
 
 void
-VerifyingDevice::readBlock(std::uint64_t bno, std::span<std::uint8_t> out)
-{
-    readRange(bno, 1, out);
-}
-
-void
-VerifyingDevice::writeBlock(std::uint64_t bno,
-                            std::span<const std::uint8_t> data)
-{
-    writeRange(bno, 1, data);
-}
-
-void
 VerifyingDevice::writeRange(std::uint64_t bno, std::uint64_t count,
                             std::span<const std::uint8_t> data)
 {

@@ -59,9 +59,6 @@ class VerifyingDevice : public fs::BlockDevice
 
     std::uint32_t blockSize() const override;
     std::uint64_t numBlocks() const override;
-    void readBlock(std::uint64_t bno, std::span<std::uint8_t> out) override;
-    void writeBlock(std::uint64_t bno,
-                    std::span<const std::uint8_t> data) override;
     void readRange(std::uint64_t bno, std::uint64_t count,
                    std::span<std::uint8_t> out) override;
     void writeRange(std::uint64_t bno, std::uint64_t count,

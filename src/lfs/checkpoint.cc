@@ -100,7 +100,7 @@ Lfs::writeCheckpoint()
 
     const std::uint64_t base =
         (cpSeqno % 2 == 0) ? sb.cp0Block : sb.cp1Block;
-    dev.writeBlocks(base, sb.cpBlocks, {region.data(), region.size()});
+    dev.writeRange(base, sb.cpBlocks, {region.data(), region.size()});
     dev.flush();
 }
 
@@ -133,8 +133,8 @@ Lfs::restoreCheckpoint(fs::BlockDevice &dev, const SnapshotRecord &rec)
     for (std::uint64_t s = 0; s < sb.numSegments; ++s) {
         if (!rec.pinned[s])
             continue;
-        dev.readBlocks(sb.segmentStartBlock(s), summary_blocks,
-                       {summary.data(), summary.size()});
+        dev.readRange(sb.segmentStartBlock(s), summary_blocks,
+                      {summary.data(), summary.size()});
         SummaryHeader sh;
         if (!readSummary(summary, sb, sh))
             sim::panic("Lfs: pinned segment %llu has no valid summary",
@@ -155,8 +155,8 @@ Lfs::readCheckpoint(std::uint64_t region_block, CheckpointHeader &hdr,
 {
     std::vector<std::uint8_t> region(
         std::size_t(sb.cpBlocks) * sb.blockSize);
-    dev.readBlocks(region_block, sb.cpBlocks,
-                   {region.data(), region.size()});
+    dev.readRange(region_block, sb.cpBlocks,
+                  {region.data(), region.size()});
 
     std::memcpy(&hdr, region.data(), sizeof(hdr));
     if (hdr.magic != checkpointMagic)

@@ -111,8 +111,8 @@ Lfs::clean(unsigned target_free)
             sb.summaryBlocksPerSegment();
         std::vector<std::uint8_t> summary(
             std::size_t(summary_blocks) * bs);
-        dev.readBlocks(sb.segmentStartBlock(victim), summary_blocks,
-                       {summary.data(), summary.size()});
+        dev.readRange(sb.segmentStartBlock(victim), summary_blocks,
+                      {summary.data(), summary.size()});
         SummaryHeader hdr;
         std::memcpy(&hdr, summary.data(), sizeof(hdr));
         if (hdr.magic != summaryMagic ||
@@ -141,7 +141,7 @@ Lfs::clean(unsigned target_free)
             }
 
             if (kind == BlockKind::InodeBlock) {
-                dev.readBlock(addr, {content.data(), content.size()});
+                dev.readRange(addr, 1, {content.data(), content.size()});
                 const std::uint32_t per = sb.inodesPerBlock();
                 for (std::uint32_t s = 0; s < per; ++s) {
                     DiskInode di;

@@ -75,7 +75,7 @@ Lfs::format(fs::BlockDevice &dev, const Params &params)
 
     std::vector<std::uint8_t> block(params.blockSize, 0);
     std::memcpy(block.data(), &sb, sizeof(sb));
-    dev.writeBlock(0, {block.data(), block.size()});
+    dev.writeRange(0, 1, {block.data(), block.size()});
 
     // Fresh checkpoint: empty imap, empty usage table, no root yet
     // (the first mount creates it).
@@ -86,12 +86,12 @@ Lfs::format(fs::BlockDevice &dev, const Params &params)
     std::vector<std::uint8_t> region = encodeCheckpoint(
         sb, hdr, std::vector<BlockAddr>(sb.numImapChunks(), nullAddr),
         std::vector<Usage>(sb.numSegments), {});
-    dev.writeBlocks(sb.cp0Block, sb.cpBlocks,
-                    {region.data(), region.size()});
+    dev.writeRange(sb.cp0Block, sb.cpBlocks,
+                   {region.data(), region.size()});
     // Region 1 is deliberately left invalid (zeroed).
     std::fill(region.begin(), region.end(), 0);
-    dev.writeBlocks(sb.cp1Block, sb.cpBlocks,
-                    {region.data(), region.size()});
+    dev.writeRange(sb.cp1Block, sb.cpBlocks,
+                   {region.data(), region.size()});
     dev.flush();
 }
 
@@ -103,7 +103,7 @@ Superblock
 Lfs::loadSuperblock(fs::BlockDevice &dev)
 {
     std::vector<std::uint8_t> block(dev.blockSize(), 0);
-    dev.readBlock(0, {block.data(), block.size()});
+    dev.readRange(0, 1, {block.data(), block.size()});
     Superblock sb;
     std::memcpy(&sb, block.data(), sizeof(sb));
     if (sb.magic == superMagic && sb.version != formatVersion) {
@@ -179,7 +179,7 @@ Lfs::readMedia(BlockAddr addr, std::span<std::uint8_t> out) const
                        "block address " + std::to_string(addr) +
                            " beyond the device");
     }
-    dev.readBlock(addr, out);
+    dev.readRange(addr, 1, out);
 }
 
 void

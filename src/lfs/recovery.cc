@@ -78,16 +78,16 @@ Lfs::rollForward(std::uint64_t start_seg, std::uint64_t start_seq)
     for (std::uint64_t hops = 0; hops <= sb.numSegments; ++hops) {
         if (seg >= sb.numSegments)
             break;
-        dev.readBlocks(sb.segmentStartBlock(seg), summary_blocks,
-                       {summary.data(), summary.size()});
+        dev.readRange(sb.segmentStartBlock(seg), summary_blocks,
+                      {summary.data(), summary.size()});
         SummaryHeader hdr;
         if (!readSummary(region, sb, hdr) || hdr.segSeq != expect_seq)
             break;
         // Check every payload block against its own checksum: a torn
         // segment write ends recovery.
         payload.resize(std::size_t(hdr.count) * sb.blockSize);
-        dev.readBlocks(sb.segmentStartBlock(seg) + summary_blocks,
-                       hdr.count, {payload.data(), payload.size()});
+        dev.readRange(sb.segmentStartBlock(seg) + summary_blocks,
+                      hdr.count, {payload.data(), payload.size()});
         sums.resize(hdr.count);
         blockChecksums(payload.data(), hdr.count, sb.blockSize, sums.data());
         std::uint32_t intact = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "config/calibration.hh"
 #include "raid/raid_array.hh"
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
@@ -26,7 +25,7 @@ SimArray::SimArray(sim::EventQueue &eq_, xbus::XbusBoard &board,
     _layout = std::make_unique<RaidLayout>(layout_cfg,
                                            topo.profile->capacityBytes());
 
-    for (unsigned c = 0; c < topo.totalControllers(); ++c) {
+    for (unsigned c = 0; c < topo.numCougars; ++c) {
         cougars.push_back(std::make_unique<scsi::CougarController>(
             eq, _name + ".cougar" + std::to_string(c)));
     }
@@ -54,14 +53,14 @@ unsigned
 SimArray::cougarOf(unsigned d) const
 {
     const unsigned g = d / topo.disksPerString;
-    return g % topo.totalControllers();
+    return g % topo.numCougars;
 }
 
 unsigned
 SimArray::stringOf(unsigned d) const
 {
     const unsigned g = d / topo.disksPerString;
-    return g / topo.totalControllers();
+    return g / topo.numCougars;
 }
 
 bool
@@ -238,41 +237,20 @@ SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
     return true;
 }
 
-std::vector<sim::Stage>
-SimArray::readStages(unsigned d)
-{
-    const unsigned c = cougarOf(d);
-    if (c < topo.numCougars)
-        return _board.diskToMemory(c);
-    // Fifth controller hangs off the slow control-bus link (Table 1).
-    return {sim::Stage(_board.hostLink(), cal::controlLinkReadMBs),
-            sim::Stage(_board.memory())};
-}
-
-std::vector<sim::Stage>
-SimArray::writeStages(unsigned d)
-{
-    const unsigned c = cougarOf(d);
-    if (c < topo.numCougars)
-        return _board.memoryToDisk(c);
-    return {sim::Stage(_board.memory()),
-            sim::Stage(_board.hostLink(), cal::controlLinkWriteMBs)};
-}
-
 void
 SimArray::rawDiskRead(unsigned d, std::uint64_t disk_offset,
                       std::uint64_t bytes, std::function<void()> done)
 {
-    channels.at(d)->read(disk_offset, bytes, readStages(d),
-                         std::move(done));
+    channels.at(d)->read(disk_offset, bytes,
+                         _board.diskToMemory(cougarOf(d)), std::move(done));
 }
 
 void
 SimArray::rawDiskWrite(unsigned d, std::uint64_t disk_offset,
                        std::uint64_t bytes, std::function<void()> done)
 {
-    channels.at(d)->write(disk_offset, bytes, writeStages(d),
-                          std::move(done));
+    channels.at(d)->write(disk_offset, bytes,
+                          _board.memoryToDisk(cougarOf(d)), std::move(done));
 }
 
 void
@@ -301,8 +279,8 @@ SimArray::issueExtentRead(const DiskExtent &e, std::function<void()> done)
         issueLatentRepairRead(e, d, std::move(done));
         return;
     }
-    channels[d]->read(e.diskOffset, e.bytes, readStages(d),
-                      std::move(done));
+    channels[d]->read(e.diskOffset, e.bytes,
+                      _board.diskToMemory(cougarOf(d)), std::move(done));
 }
 
 void
@@ -360,8 +338,8 @@ SimArray::issueExtentWrite(const DiskExtent &e, std::function<void()> done)
         eq.scheduleIn(0, std::move(done));
         return;
     }
-    channels[d]->write(e.diskOffset, e.bytes, writeStages(d),
-                       std::move(done));
+    channels[d]->write(e.diskOffset, e.bytes,
+                       _board.memoryToDisk(cougarOf(d)), std::move(done));
 }
 
 void

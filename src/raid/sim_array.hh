@@ -61,22 +61,15 @@ struct ArrayTopology
     unsigned numCougars = 4;
     /** Drives per SCSI string (2 strings per controller). */
     unsigned disksPerString = 3;
-    /** Table 1 configuration: one extra controller on the XBUS
-     *  control-bus (host VME) link. */
-    bool fifthControllerOnHostLink = false;
     /** Drive model for every member disk. */
     const disk::DiskProfile *profile = &disk::ibm0661();
     /** Use C-SCAN elevator queues in the drives instead of FCFS (the
      *  prototype's policy); an ablation knob. */
     bool elevatorScheduling = false;
 
-    unsigned totalControllers() const
-    {
-        return numCougars + (fifthControllerOnHostLink ? 1 : 0);
-    }
     unsigned numDisks() const
     {
-        return totalControllers() * scsi::CougarController::numStrings *
+        return numCougars * scsi::CougarController::numStrings *
                disksPerString;
     }
 };
@@ -283,9 +276,6 @@ class SimArray
     void lockStripe(std::uint64_t stripe, std::function<void()> run);
     void unlockStripe(std::uint64_t stripe);
     /** @} */
-
-    std::vector<sim::Stage> readStages(unsigned d);
-    std::vector<sim::Stage> writeStages(unsigned d);
 
     sim::EventQueue &eq;
     xbus::XbusBoard &_board;

@@ -8,26 +8,33 @@
 
 namespace raid2::server {
 
+namespace {
+
+/** SCSI controllers in the RAID-I host's VME backplane. */
+constexpr unsigned numControllers = 4;
+
+} // namespace
+
 Raid1Server::Raid1Server(sim::EventQueue &eq_, std::string name,
                          const Config &cfg_)
     : eq(eq_), _name(std::move(name)), cfg(cfg_)
 {
     _host = std::make_unique<host::HostWorkstation>(eq, _name + ".host",
                                                     cfg.hostCfg);
-    for (unsigned c = 0; c < cfg.numControllers; ++c) {
+    for (unsigned c = 0; c < numControllers; ++c) {
         cougars.push_back(std::make_unique<scsi::CougarController>(
             eq, _name + ".ctrl" + std::to_string(c)));
     }
     const unsigned strings =
-        cfg.numControllers * scsi::CougarController::numStrings;
+        numControllers * scsi::CougarController::numStrings;
     for (unsigned i = 0; i < cfg.numDisks; ++i) {
         disks.push_back(std::make_unique<disk::DiskModel>(
             eq, _name + ".disk" + std::to_string(i), *cfg.profile));
         // Round-robin across strings so load spreads like the
         // prototype's.
         const unsigned g = i % strings;
-        auto &ctrl = *cougars[g % cfg.numControllers];
-        auto &str = ctrl.string(g / cfg.numControllers);
+        auto &ctrl = *cougars[g % numControllers];
+        auto &str = ctrl.string(g / numControllers);
         str.attach(disks.back().get());
         channels.push_back(std::make_unique<scsi::DiskChannel>(
             eq, *disks.back(), str, ctrl));

@@ -31,7 +31,6 @@ class Raid1Server
   public:
     struct Config
     {
-        unsigned numControllers = 4;
         unsigned numDisks = 28;
         std::uint64_t stripeUnitBytes = 32 * 1024;
         const disk::DiskProfile *profile = &disk::wrenIV();

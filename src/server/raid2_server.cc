@@ -109,11 +109,9 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
             base = fsDev.get();
         }
         hookDev = std::make_unique<fs::HookBlockDevice>(*base);
-        hookDev->setHook(
-            [this](std::uint64_t off, std::uint64_t len, bool is_write) {
-                if (is_write)
-                    noteDeviceWrite(off, len);
-            });
+        hookDev->setWriteHook([this](std::uint64_t off, std::uint64_t len) {
+            noteDeviceWrite(off, len);
+        });
         lfs::Lfs::format(*hookDev, cfg.fsParams);
         _fs = std::make_unique<lfs::Lfs>(*hookDev);
         _fs->setAutoClean(true);

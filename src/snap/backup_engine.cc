@@ -12,6 +12,18 @@ using lfs::BlockAddr;
 using lfs::Errno;
 using lfs::LfsError;
 
+namespace {
+
+/** Exponential backoff when the link is down at send time: starts at
+ *  retryBackoff and doubles per attempt up to retryBackoffMax. */
+constexpr sim::Tick retryBackoff = sim::msToTicks(1.0);
+constexpr sim::Tick retryBackoffMax = sim::msToTicks(64.0);
+/** After this many backoffs the packet is handed to the channel anyway
+ *  (it defers internally until link-up). */
+constexpr unsigned maxRetries = 16;
+
+} // namespace
+
 BackupEngine::BackupEngine(sim::EventQueue &eq_,
                            server::Raid2Server &src_,
                            server::Raid2Server &dst_, const Config &cfg_)
@@ -74,16 +86,15 @@ void
 BackupEngine::sendWithRetry(std::uint64_t bytes, unsigned attempt,
                             std::function<void()> done)
 {
-    if (chan.linkDown() && attempt < cfg.maxRetries) {
+    if (chan.linkDown() && attempt < maxRetries) {
         // Deterministic exponential backoff: the link is down right
         // now, so burning a send on it would only defer inside the
         // channel; back off and probe again.
         ++_retries;
-        sim::Tick delay = cfg.retryBackoff;
-        for (unsigned i = 0; i < attempt && delay < cfg.retryBackoffMax;
-             ++i)
+        sim::Tick delay = retryBackoff;
+        for (unsigned i = 0; i < attempt && delay < retryBackoffMax; ++i)
             delay *= 2;
-        delay = std::min(delay, cfg.retryBackoffMax);
+        delay = std::min(delay, retryBackoffMax);
         eq.scheduleIn(delay, [this, bytes, attempt,
                               done = std::move(done)]() mutable {
             sendWithRetry(bytes, attempt + 1, std::move(done));

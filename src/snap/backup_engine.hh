@@ -50,13 +50,6 @@ class BackupEngine
         /** Segments in flight at once; each holds one segment-sized
          *  XBUS buffer on the source board. */
         unsigned windowSegments = 4;
-        /** Exponential backoff base when the link is down at send
-         *  time; doubles per attempt up to retryBackoffMax. */
-        sim::Tick retryBackoff = sim::msToTicks(1.0);
-        sim::Tick retryBackoffMax = sim::msToTicks(64.0);
-        /** After this many backoffs the packet is handed to the
-         *  channel anyway (it defers internally until link-up). */
-        unsigned maxRetries = 16;
     };
 
     /** restore() + verify() outcome against the source snapshot. */

@@ -10,6 +10,13 @@
 
 namespace raid2::zebra {
 
+namespace {
+
+/** Path of the dumb fragment file on each server. */
+constexpr const char *fragmentPath = "/zebra-frag";
+
+} // namespace
+
 ZebraVolume::ZebraVolume(sim::EventQueue &eq_,
                          std::vector<server::Raid2Server *> servers_,
                          const Config &cfg_)
@@ -22,7 +29,7 @@ ZebraVolume::ZebraVolume(sim::EventQueue &eq_,
     for (auto *srv : servers) {
         if (!srv)
             sim::fatal("ZebraVolume: null server");
-        fragIno.push_back(srv->createFile(cfg.fragmentPath));
+        fragIno.push_back(srv->createFile(fragmentPath));
     }
     failed.assign(servers.size(), false);
 }

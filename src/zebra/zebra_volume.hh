@@ -42,8 +42,6 @@ class ZebraVolume
     {
         /** Per-server fragment size (the striping unit). */
         std::uint64_t fragmentBytes = 512 * 1024;
-        /** Path of the dumb fragment file on each server. */
-        std::string fragmentPath = "/zebra-frag";
     };
 
     ZebraVolume(sim::EventQueue &eq,

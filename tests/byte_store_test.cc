@@ -185,7 +185,7 @@ TEST(ByteStore, RecycledMemBlockDeviceReadsAllZeros)
         fs::MemBlockDevice dev(bs, blocks);
         std::vector<std::uint8_t> ones(bs, 0xff);
         for (std::uint64_t b = 0; b < blocks; ++b)
-            dev.writeBlock(b, ones);
+            dev.writeRange(b, 1, ones);
         first = dev.raw(0).data();
     }
     fs::MemBlockDevice dev(bs, blocks);

@@ -4,23 +4,24 @@
  *
  * The extent path must be an *optimization only*: for every RAID
  * level, in degraded mode, and with latent media errors injected, a
- * writeRange must leave bit-identical member-disk state (and latent
- * maps) to the per-block loop it replaces, and redundancy must hold.
- * On top of that, the stripe-aware write path is counter-verified: a
- * stripe-aligned full-segment write computes each touched stripe's
- * parity exactly once, via the single-pass full-stripe fold.
+ * multi-block writeRange must leave bit-identical member-disk state
+ * (and latent maps) to a loop of one-block writes, and redundancy must
+ * hold.  On top of that, the stripe-aware write path is
+ * counter-verified: a stripe-aligned full-segment write computes each
+ * touched stripe's parity exactly once, via the single-pass
+ * full-stripe fold.
  *
- * Also covers the satellite hardening (zero-length extents, overflow
- * bounds) and the WriteLog extent-coalescing regression (per-block
- * replay of a coalesced log stays byte-identical, including at every
- * barrier prefix).
+ * Also covers FaultDevice crashes inside an extent and the WriteLog
+ * extent-coalescing regression (per-block replay of a coalesced log
+ * stays byte-identical, including at every barrier prefix).  The
+ * device contract itself (bounds, zero-length extents, counters) is
+ * tested over every device in fs_device_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -84,7 +85,7 @@ struct PairRig
               const std::vector<std::uint8_t> &data)
     {
         for (std::uint64_t i = 0; i < count; ++i)
-            blockDev.writeBlock(bno + i,
+            blockDev.writeRange(bno + i, 1,
                                 {data.data() + i * kBs, kBs});
         extentDev.writeRange(bno, count, {data.data(), data.size()});
         std::memcpy(shadow.data() + bno * kBs, data.data(),
@@ -115,7 +116,7 @@ struct PairRig
         EXPECT_EQ(viaExtent, shadow) << where << ": extent read";
         std::vector<std::uint8_t> blk(kBs);
         for (std::uint64_t b = 0; b < blockDev.numBlocks(); ++b) {
-            blockDev.readBlock(b, {blk.data(), blk.size()});
+            blockDev.readRange(b, 1, {blk.data(), blk.size()});
             ASSERT_EQ(0, std::memcmp(blk.data(),
                                      shadow.data() + b * kBs, kBs))
                 << where << ": per-block read, block " << b;
@@ -228,7 +229,7 @@ TEST(ParityCounters, FullSegmentWriteRecomputesOncePerStripe)
 
     lfs::Superblock sb;
     std::vector<std::uint8_t> block0(kBs);
-    dev.readBlock(0, {block0.data(), block0.size()});
+    dev.readRange(0, 1, {block0.data(), block0.size()});
     std::memcpy(&sb, block0.data(), sizeof(sb));
     ASSERT_TRUE(sb.valid());
     ASSERT_EQ(sb.segmentStartBlock(0) * std::uint64_t(kBs) %
@@ -280,50 +281,6 @@ TEST(ParityCounters, RaggedExtentPaysRmwOnlyOnTheEdges)
 }
 
 // ---------------------------------------------------------------------
-// Hardening: zero-length extents and overflow bounds
-// ---------------------------------------------------------------------
-
-TEST(ExtentHardening, ZeroLengthExtentsReturnEarly)
-{
-    fs::MemBlockDevice dev(kBs, 16);
-    // Zero-length never validates bounds or touches counters — even
-    // with a wild bno.
-    dev.readRange(1000, 0, {});
-    dev.writeRange(1000, 0, {});
-    dev.readBlocks(3, 0, {});
-    dev.writeBlocks(3, 0, {});
-    EXPECT_EQ(dev.readsStat().value(), 0u);
-    EXPECT_EQ(dev.writesStat().value(), 0u);
-}
-
-TEST(ExtentHardeningDeathTest, OverflowingExtentsAreRejected)
-{
-    fs::MemBlockDevice dev(kBs, 16);
-    std::vector<std::uint8_t> buf(kBs);
-    // bno + count would wrap a naive "off + len" check.
-    EXPECT_DEATH(dev.readRange(8,
-                               std::numeric_limits<std::uint64_t>::max() -
-                                   3,
-                               {buf.data(), buf.size()}),
-                 "beyond device");
-    EXPECT_DEATH(dev.writeRange(20, 1, {buf.data(), buf.size()}),
-                 "beyond device");
-    // In-bounds extent, wrong buffer size.
-    EXPECT_DEATH(dev.readRange(0, 4, {buf.data(), buf.size()}),
-                 "buffer size");
-}
-
-TEST(ExtentStats, RangeOpsCountPerBlock)
-{
-    fs::MemBlockDevice dev(kBs, 64);
-    std::vector<std::uint8_t> buf(5 * kBs);
-    dev.writeRange(3, 5, {buf.data(), buf.size()});
-    dev.readRange(3, 5, {buf.data(), buf.size()});
-    EXPECT_EQ(dev.writesStat().value(), 5u);
-    EXPECT_EQ(dev.readsStat().value(), 5u);
-}
-
-// ---------------------------------------------------------------------
 // FaultDevice: crash point lands inside an extent
 // ---------------------------------------------------------------------
 
@@ -343,11 +300,11 @@ TEST(FaultDeviceExtent, CrashLandsMidExtent)
     // Blocks 4..6 landed, 7..11 never arrived.
     std::vector<std::uint8_t> out(kBs);
     for (std::uint64_t b = 0; b < 3; ++b) {
-        mem.readBlock(4 + b, {out.data(), out.size()});
+        mem.readRange(4 + b, 1, {out.data(), out.size()});
         EXPECT_EQ(0, std::memcmp(out.data(), data.data() + b * kBs,
                                  kBs));
     }
-    mem.readBlock(7, {out.data(), out.size()});
+    mem.readRange(7, 1, {out.data(), out.size()});
     EXPECT_EQ(out, std::vector<std::uint8_t>(kBs, 0));
     // The log records exactly the blocks that reached the media.
     EXPECT_EQ(log.numBlocks(), 3u);
@@ -365,12 +322,12 @@ TEST(FaultDeviceExtent, TearHitsTheFirstDroppedBlockOfTheExtent)
     std::vector<std::uint8_t> out(kBs);
     // Block 12 (third of the extent) is the torn one: first half new
     // data, second half garbage.
-    mem.readBlock(12, {out.data(), out.size()});
+    mem.readRange(12, 1, {out.data(), out.size()});
     EXPECT_EQ(0, std::memcmp(out.data(), data.data() + 2 * kBs,
                              kBs / 2));
     EXPECT_NE(0, std::memcmp(out.data(), data.data() + 2 * kBs, kBs));
     // Block 13 onward never arrived.
-    mem.readBlock(13, {out.data(), out.size()});
+    mem.readRange(13, 1, {out.data(), out.size()});
     EXPECT_EQ(out, std::vector<std::uint8_t>(kBs, 0));
 }
 
@@ -403,7 +360,7 @@ TEST(WriteLogCoalescing, ReplayStaysByteIdentical)
         const auto data = pattern(count * kBs, 500 + tag);
         if (tag % 3 == 0) {
             for (std::uint64_t i = 0; i < count; ++i)
-                dev.writeBlock(bno + i,
+                dev.writeRange(bno + i, 1,
                                {data.data() + i * kBs, kBs});
         } else {
             dev.writeRange(bno, count, {data.data(), data.size()});
@@ -418,7 +375,7 @@ TEST(WriteLogCoalescing, ReplayStaysByteIdentical)
     // back-to-back barrier (those dedup).
     log.setTag(99);
     const auto tail = pattern(kBs, 999);
-    dev.writeBlock(0, {tail.data(), tail.size()});
+    dev.writeRange(0, 1, {tail.data(), tail.size()});
     ++blockWrites;
     dev.flush();
     flushImages.push_back(snapshot());
@@ -441,7 +398,7 @@ TEST(WriteLogCoalescing, ReplayStaysByteIdentical)
             0, log.barriers()[k].at,
             [&](std::size_t, std::uint64_t bno,
                 std::span<const std::uint8_t> d) {
-                replay.writeBlock(bno, d);
+                replay.writeRange(bno, 1, d);
             });
         std::vector<std::uint8_t> img(replay.numBlocks() * kBs);
         replay.readRange(0, replay.numBlocks(),

@@ -184,7 +184,7 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
     params.segBlocks = 32;
     lfs::Lfs::format(dev, params);
     std::vector<std::uint8_t> blk(kBs);
-    dev.readBlock(0, {blk.data(), blk.size()});
+    dev.readRange(0, 1, {blk.data(), blk.size()});
     lfs::Superblock sb{};
     std::memcpy(&sb, blk.data(), sizeof(sb));
     ASSERT_TRUE(sb.valid());
@@ -207,8 +207,8 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
 
     const std::uint32_t summary_blocks = sb.summaryBlocksPerSegment();
     std::vector<std::uint8_t> summary(std::size_t(summary_blocks) * kBs);
-    dev.readBlocks(sb.segmentStartBlock(0), summary_blocks,
-                   {summary.data(), summary.size()});
+    dev.readRange(sb.segmentStartBlock(0), summary_blocks,
+                  {summary.data(), summary.size()});
     lfs::SummaryHeader hdr{};
     std::memcpy(&hdr, summary.data(), sizeof(hdr));
     ASSERT_EQ(hdr.count, 6u);
@@ -236,8 +236,8 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
                           summary.size() - sizeof(hdr)},
                          head));
     std::vector<std::uint8_t> on_media(payload.size());
-    dev.readBlocks(sb.segmentStartBlock(0) + summary_blocks, 6,
-                   {on_media.data(), on_media.size()});
+    dev.readRange(sb.segmentStartBlock(0) + summary_blocks, 6,
+                  {on_media.data(), on_media.size()});
     EXPECT_EQ(on_media, payload);
 
     integrity::ChecksumMap map(dev.numBlocks(), kBs);
@@ -284,8 +284,8 @@ TEST(SegmentFormat, ReusedImageZeroesEveryTail)
     EXPECT_EQ(w.payloadBytesWritten(), 23u * kBs);
 
     std::vector<std::uint8_t> seg(std::size_t(sb.segBlocks) * kBs);
-    dev.readBlocks(sb.segmentStartBlock(1), sb.segBlocks,
-                   {seg.data(), seg.size()});
+    dev.readRange(sb.segmentStartBlock(1), sb.segBlocks,
+                  {seg.data(), seg.size()});
     const std::size_t summary_bytes =
         std::size_t(sb.summaryBlocksPerSegment()) * kBs;
     lfs::SummaryHeader hdr{};
@@ -328,12 +328,13 @@ struct DevRig
     {
     }
 
+    /** Write patternBlock() to each of @p count blocks from @p bno. */
     void
-    writeBlocks(std::uint64_t bno, std::uint64_t count)
+    writePattern(std::uint64_t bno, std::uint64_t count)
     {
         for (std::uint64_t i = 0; i < count; ++i) {
             const auto b = patternBlock(bno + i);
-            dev.writeBlock(bno + i, {b.data(), b.size()});
+            dev.writeRange(bno + i, 1, {b.data(), b.size()});
         }
     }
 
@@ -356,7 +357,7 @@ TEST(VerifyingDevice, TransferFlipIsRepairedByReRead)
     integrity::VerifyingDevice dev(mem, nullptr);
 
     const auto blk = patternBlock(5);
-    dev.writeBlock(5, {blk.data(), blk.size()});
+    dev.writeRange(5, 1, {blk.data(), blk.size()});
 
     dev.armReadCorruption();
     std::vector<std::uint8_t> out(kBs);
@@ -372,7 +373,7 @@ TEST(VerifyingDevice, TransferFlipIsRepairedByReRead)
 TEST(VerifyingDevice, MediaCorruptionIsRepairedFromParity)
 {
     DevRig rig;
-    rig.writeBlocks(0, 8);
+    rig.writePattern(0, 8);
     rig.corruptMedia(2, 17);
 
     std::vector<std::uint8_t> out(kBs);
@@ -393,7 +394,7 @@ TEST(VerifyingDevice, MediaCorruptionIsRepairedFromParity)
 TEST(VerifyingDevice, MirrorRepairsMediaCorruption)
 {
     DevRig rig(raid::RaidLevel::Raid1);
-    rig.writeBlocks(0, 4);
+    rig.writePattern(0, 4);
     rig.corruptMedia(1);
 
     std::vector<std::uint8_t> out(4 * kBs);
@@ -418,7 +419,7 @@ TEST(VerifyingDevice, Raid3MultiPieceBlockRepairsFromParity)
     // healthy RAID-3 used to report media corruption unrepairable).
     DevRig rig(raid::RaidLevel::Raid3);
     ASSERT_LT(rig.array.layout().unitBytes(), kBs);
-    rig.writeBlocks(0, 8);
+    rig.writePattern(0, 8);
     rig.corruptMedia(2, 100);
 
     std::vector<std::uint8_t> out(kBs);
@@ -482,10 +483,10 @@ TEST(VerifyingDevice, ExtentReadRepairsOnlyTheMismatchedBlock)
 TEST(VerifyingDevice, WriteFlipLandsOnMediaAndIsRepairedOnRead)
 {
     DevRig rig;
-    rig.writeBlocks(0, 4);
+    rig.writePattern(0, 4);
     rig.dev.armWriteCorruption();
     const auto blk = patternBlock(9);
-    rig.dev.writeBlock(3, {blk.data(), blk.size()});
+    rig.dev.writeRange(3, 1, {blk.data(), blk.size()});
     EXPECT_EQ(rig.dev.writeFlipsApplied(), 1u);
 
     // The landed copy is wrong but parity encodes the writer's bytes:
@@ -501,7 +502,7 @@ TEST(VerifyingDevice, WriteFlipLandsOnMediaAndIsRepairedOnRead)
 TEST(VerifyingDevice, UnrepairableCorruptionIsPoisonedUntilRewritten)
 {
     DevRig rig;
-    rig.writeBlocks(0, 8);
+    rig.writePattern(0, 8);
     rig.array.failDisk(6); // degraded: reconstruction has no spare leg
     rig.corruptMedia(4);
 
@@ -514,7 +515,7 @@ TEST(VerifyingDevice, UnrepairableCorruptionIsPoisonedUntilRewritten)
 
     // Fresh data clears the poison: a rewrite re-records the checksum.
     const auto fresh = patternBlock(40);
-    rig.dev.writeBlock(4, {fresh.data(), fresh.size()});
+    rig.dev.writeRange(4, 1, {fresh.data(), fresh.size()});
     EXPECT_FALSE(rig.dev.isPoisoned(4));
     EXPECT_TRUE(
         rig.dev.verifiedReadRange(4, 1, {out.data(), out.size()}));
@@ -524,7 +525,7 @@ TEST(VerifyingDevice, UnrepairableCorruptionIsPoisonedUntilRewritten)
 TEST(VerifyingDevice, ScrubVerifyCommitsRepairsToMedia)
 {
     DevRig rig;
-    rig.writeBlocks(0, 8);
+    rig.writePattern(0, 8);
     rig.corruptMedia(1, 5);
     rig.corruptMedia(6, 9);
 
@@ -556,7 +557,7 @@ TEST(VerifyingDevice, DisabledVerificationPassesCorruptionThrough)
     integrity::VerifyingDevice dev(inner, &array, cfg);
 
     const auto blk = patternBlock(2);
-    dev.writeBlock(2, {blk.data(), blk.size()});
+    dev.writeRange(2, 1, {blk.data(), blk.size()});
     unsigned d = 0;
     std::uint64_t doff = 0;
     array.layout().mapByte(2 * kBs + 11, d, doff);

@@ -148,9 +148,9 @@ newestSegment(fs::MemBlockDevice &dev, const lfs::Superblock &sb)
     std::vector<std::uint8_t> summary(summary_bytes);
     std::uint64_t best = 0, best_seq = 0;
     for (std::uint64_t s = 0; s < sb.numSegments; ++s) {
-        dev.readBlocks(sb.segmentStartBlock(s),
-                       sb.summaryBlocksPerSegment(),
-                       {summary.data(), summary.size()});
+        dev.readRange(sb.segmentStartBlock(s),
+                      sb.summaryBlocksPerSegment(),
+                      {summary.data(), summary.size()});
         lfs::SummaryHeader hdr{};
         if (lfs::readSummary({summary.data(), summary.size()}, sb, hdr) &&
             hdr.segSeq > best_seq) {

@@ -73,20 +73,6 @@ TEST(SimArray, TopologyWiring)
     EXPECT_EQ(rig.array.cougarOf(12), 0u);
 }
 
-TEST(SimArray, FifthControllerTopology)
-{
-    sim::EventQueue eq;
-    xbus::XbusBoard board(eq, "x");
-    raid::ArrayTopology topo;
-    topo.fifthControllerOnHostLink = true;
-    raid::SimArray array(eq, board, "a",
-                         Rig::makeLayout(raid::RaidLevel::Raid5,
-                                         64 * 1024),
-                         topo);
-    EXPECT_EQ(array.numDisks(), 30u);
-    EXPECT_EQ(array.numCougarControllers(), 5u);
-}
-
 TEST(SimArray, ReadCompletesAndRecordsStats)
 {
     Rig rig;

@@ -140,7 +140,7 @@ garbleIndirectBlocks(fs::BlockDevice &dev, const lfs::Superblock &sb,
     unsigned n = 0;
     for (std::uint64_t seg = 0; seg < sb.numSegments; ++seg) {
         const std::uint64_t start = sb.segmentStartBlock(seg);
-        dev.readBlocks(start, sum_blocks, {region.data(), region.size()});
+        dev.readRange(start, sum_blocks, {region.data(), region.size()});
         lfs::SummaryHeader hdr;
         if (!lfs::readSummary(region, sb, hdr))
             continue;
@@ -148,7 +148,7 @@ garbleIndirectBlocks(fs::BlockDevice &dev, const lfs::Superblock &sb,
             const lfs::SummaryEntry e = lfs::summaryEntry(region, i);
             if (e.kind == std::uint32_t(lfs::BlockKind::Ind1) &&
                 e.ino == ino) {
-                dev.writeBlock(start + sum_blocks + i,
+                dev.writeRange(start + sum_blocks + i, 1,
                                {junk.data(), junk.size()});
                 ++n;
             }
