@@ -7,40 +7,21 @@ namespace raid2::check {
 
 namespace {
 
-const char *
-modeName(TrialSpec::Mode m)
+[[noreturn]] void
+malformed(const std::string &what)
 {
-    switch (m) {
-      case TrialSpec::Mode::Cut:
-        return "cut";
-      case TrialSpec::Mode::Torn:
-        return "torn";
-      case TrialSpec::Mode::Dropped:
-        return "dropped";
-      case TrialSpec::Mode::Corrupt:
-        return "corrupt";
-    }
-    return "?";
+    throw std::runtime_error("artifact: " + what);
 }
 
 TrialSpec::Mode
 modeFromName(const std::string &name)
 {
-    if (name == "cut")
-        return TrialSpec::Mode::Cut;
-    if (name == "torn")
-        return TrialSpec::Mode::Torn;
-    if (name == "dropped")
-        return TrialSpec::Mode::Dropped;
-    if (name == "corrupt")
-        return TrialSpec::Mode::Corrupt;
-    throw std::runtime_error("artifact: bad trial mode '" + name + "'");
-}
-
-[[noreturn]] void
-malformed(const std::string &what)
-{
-    throw std::runtime_error("artifact: " + what);
+    using M = TrialSpec::Mode;
+    for (M m : {M::Cut, M::Torn, M::Dropped, M::Corrupt}) {
+        if (name == TrialSpec::modeName(m))
+            return m;
+    }
+    malformed("bad trial mode '" + name + "'");
 }
 
 std::string
@@ -210,36 +191,42 @@ parseTrialLine(std::istringstream &in)
     return trial;
 }
 
-void
-serializeTail(std::ostringstream &out, const CheckConfig &,
-              const TrialSpec &trial,
-              const std::vector<std::string> &diffs)
-{
-    out << "trial " << modeName(trial.mode) << " " << trial.cut << " "
-        << trial.target << " " << unsigned(trial.xorMask) << " "
-        << trial.forceBarrier << "\n";
-    out << "diffs " << diffs.size() << "\n";
-    for (const std::string &d : diffs)
-        out << d << "\n";
-    out << "end\n";
-}
-
 } // namespace
 
 std::string
 Artifact::serialize() const
 {
     std::ostringstream out;
-    out << "raid2-check v1\n";
+    const auto *hist = std::get_if<ServerHistory>(&program);
+    out << (hist ? "raid2-check v2\n" : "raid2-check v1\n");
     out << "config " << cfg.blockSize << " " << cfg.numBlocks << " "
         << cfg.segBlocks << " " << cfg.maxInodes << " "
         << (cfg.autoClean ? 1 : 0) << "\n";
-    out << "ops " << ops.size() << "\n";
-    for (const Op &op : ops)
-        out << op.str() << "\n";
-    out << "trial " << modeName(trial.mode) << " " << trial.cut << " "
-        << trial.target << " " << unsigned(trial.xorMask) << " "
-        << trial.forceBarrier << "\n";
+    if (!hist) {
+        const auto &ops = std::get<std::vector<Op>>(program);
+        out << "ops " << ops.size() << "\n";
+        for (const Op &op : ops)
+            out << op.str() << "\n";
+    } else {
+        out << "clients " << hist->clients << "\n";
+        out << "history " << hist->ops.size() << "\n";
+        for (const SessionOp &op : hist->ops)
+            out << op.str() << "\n";
+        out << "faults " << hist->faults.events.size() << "\n";
+        for (const fault::FaultEvent &e : hist->faults.events) {
+            out << e.at << " " << fault::faultKindName(e.kind) << " "
+                << e.target << " " << e.offset << " " << e.bytes << " "
+                << e.duration;
+            // The corruption surface rides as an optional trailing
+            // column so pre-integrity artifacts stay parseable.
+            if (e.kind == fault::FaultKind::SilentCorruption)
+                out << " " << fault::corruptionSurfaceName(e.surface);
+            out << "\n";
+        }
+    }
+    out << "trial " << TrialSpec::modeName(trial.mode) << " "
+        << trial.cut << " " << trial.target << " "
+        << unsigned(trial.xorMask) << " " << trial.forceBarrier << "\n";
     out << "diffs " << diffs.size() << "\n";
     for (const std::string &d : diffs)
         out << d << "\n";
@@ -253,147 +240,52 @@ Artifact::parse(const std::string &text)
     std::istringstream in(text);
     Artifact art;
 
-    if (nextLine(in, "header") != "raid2-check v1")
-        malformed("bad header (want 'raid2-check v1')");
-
-    {
-        std::istringstream ln(nextLine(in, "config"));
-        std::string tag;
-        unsigned autoclean = 0;
-        ln >> tag >> art.cfg.blockSize >> art.cfg.numBlocks >>
-            art.cfg.segBlocks >> art.cfg.maxInodes >> autoclean;
-        if (ln.fail() || tag != "config")
-            malformed("bad config line");
-        art.cfg.autoClean = autoclean != 0;
-    }
-
-    {
-        std::istringstream ln(nextLine(in, "ops"));
-        std::string tag;
-        std::size_t n = 0;
-        ln >> tag >> n;
-        if (ln.fail() || tag != "ops")
-            malformed("bad ops line");
-        art.ops.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            art.ops.push_back(parseOp(nextLine(in, "op")));
-    }
-
-    {
-        std::istringstream ln(nextLine(in, "trial"));
-        std::string tag, mode;
-        unsigned mask = 0;
-        ln >> tag >> mode >> art.trial.cut >> art.trial.target >>
-            mask >> art.trial.forceBarrier;
-        if (ln.fail() || tag != "trial")
-            malformed("bad trial line");
-        art.trial.mode = modeFromName(mode);
-        art.trial.xorMask = static_cast<std::uint8_t>(mask);
-    }
-
-    {
-        std::istringstream ln(nextLine(in, "diffs"));
-        std::string tag;
-        std::size_t n = 0;
-        ln >> tag >> n;
-        if (ln.fail() || tag != "diffs")
-            malformed("bad diffs line");
-        art.diffs.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            art.diffs.push_back(nextLine(in, "diff"));
-    }
-
-    if (nextLine(in, "end") != "end")
-        malformed("missing end marker");
-    return art;
-}
-
-// ---------------------------------------------------------------------
-// Format v2: whole-server histories
-// ---------------------------------------------------------------------
-
-bool
-isServerArtifact(const std::string &text)
-{
-    const std::string header = "raid2-check v2";
-    return text.compare(0, header.size(), header) == 0 &&
-           (text.size() == header.size() ||
-            text[header.size()] == '\n' ||
-            text[header.size()] == '\r');
-}
-
-std::string
-ServerArtifact::serialize() const
-{
-    std::ostringstream out;
-    out << "raid2-check v2\n";
-    out << "config " << cfg.blockSize << " " << cfg.numBlocks << " "
-        << cfg.segBlocks << " " << cfg.maxInodes << " "
-        << (cfg.autoClean ? 1 : 0) << "\n";
-    out << "clients " << hist.clients << "\n";
-    out << "history " << hist.ops.size() << "\n";
-    for (const SessionOp &op : hist.ops)
-        out << op.str() << "\n";
-    out << "faults " << hist.faults.events.size() << "\n";
-    for (const fault::FaultEvent &e : hist.faults.events) {
-        out << e.at << " " << fault::faultKindName(e.kind) << " "
-            << e.target << " " << e.offset << " " << e.bytes << " "
-            << e.duration;
-        // The corruption surface rides as an optional trailing column
-        // so pre-integrity artifacts stay parseable.
-        if (e.kind == fault::FaultKind::SilentCorruption)
-            out << " " << fault::corruptionSurfaceName(e.surface);
-        out << "\n";
-    }
-    serializeTail(out, cfg, trial, diffs);
-    return out.str();
-}
-
-ServerArtifact
-ServerArtifact::parse(const std::string &text)
-{
-    std::istringstream in(text);
-    ServerArtifact art;
-
-    if (nextLine(in, "header") != "raid2-check v2")
-        malformed("bad header (want 'raid2-check v2')");
+    const std::string header = nextLine(in, "header");
+    if (header != "raid2-check v1" && header != "raid2-check v2")
+        malformed("bad header (want 'raid2-check v1' or 'raid2-check "
+                  "v2')");
 
     art.cfg = parseConfigLine(in);
 
-    {
-        std::istringstream ln(nextLine(in, "clients"));
-        std::string tag;
-        ln >> tag >> art.hist.clients;
-        if (ln.fail() || tag != "clients")
-            malformed("bad clients line");
-    }
+    if (header == "raid2-check v1") {
+        const std::size_t nops = parseCountLine(in, "ops");
+        std::vector<Op> ops;
+        ops.reserve(nops);
+        for (std::size_t i = 0; i < nops; ++i)
+            ops.push_back(parseOp(nextLine(in, "op")));
+        art.program = std::move(ops);
+    } else {
+        ServerHistory hist;
+        hist.clients =
+            static_cast<unsigned>(parseCountLine(in, "clients"));
+        const std::size_t nops = parseCountLine(in, "history");
+        hist.ops.reserve(nops);
+        for (std::size_t i = 0; i < nops; ++i)
+            hist.ops.push_back(
+                parseSessionOp(nextLine(in, "history op")));
 
-    const std::size_t nops = parseCountLine(in, "history");
-    art.hist.ops.reserve(nops);
-    for (std::size_t i = 0; i < nops; ++i)
-        art.hist.ops.push_back(
-            parseSessionOp(nextLine(in, "history op")));
-
-    const std::size_t nfaults = parseCountLine(in, "faults");
-    for (std::size_t i = 0; i < nfaults; ++i) {
-        std::istringstream ln(nextLine(in, "fault"));
-        fault::FaultEvent e;
-        std::string kind;
-        ln >> e.at >> kind >> e.target >> e.offset >> e.bytes >>
-            e.duration;
-        if (ln.fail())
-            malformed("bad fault line");
-        e.kind = faultKindFromName(kind);
-        if (e.kind == fault::FaultKind::SilentCorruption) {
-            std::string surface;
-            // Tolerate an absent column (older artifacts): Media.
-            if (ln >> surface &&
-                !fault::corruptionSurfaceFromName(surface.c_str(),
-                                                  e.surface))
-                malformed("unknown corruption surface '" + surface +
-                          "'");
+        const std::size_t nfaults = parseCountLine(in, "faults");
+        for (std::size_t i = 0; i < nfaults; ++i) {
+            std::istringstream ln(nextLine(in, "fault"));
+            fault::FaultEvent e;
+            std::string kind;
+            ln >> e.at >> kind >> e.target >> e.offset >> e.bytes >>
+                e.duration;
+            if (ln.fail())
+                malformed("bad fault line");
+            e.kind = faultKindFromName(kind);
+            if (e.kind == fault::FaultKind::SilentCorruption) {
+                std::string surface;
+                // Tolerate an absent column (older artifacts): Media.
+                if (ln >> surface &&
+                    !fault::corruptionSurfaceFromName(surface.c_str(),
+                                                      e.surface))
+                    malformed("unknown corruption surface '" + surface +
+                              "'");
+            }
+            hist.faults.events.push_back(e);
         }
-        art.hist.faults.events.push_back(e);
+        art.program = std::move(hist);
     }
 
     art.trial = parseTrialLine(in);

@@ -2,7 +2,7 @@
  * @file
  * Replayable text artifact for a failing checker trial.
  *
- * Everything a trial needs is (config, ops, spec): trials are pure
+ * Everything a trial needs is (config, program, spec): trials are pure
  * functions of those, so an artifact replays byte-for-byte on any
  * build of the same source.  The expected diffs are stored too, which
  * lets tools/check_replay verify an exact reproduction rather than
@@ -34,8 +34,8 @@
  *     <one diff line per entry>
  *     end
  *
- * v1 artifacts keep replaying unchanged; consumers dispatch on the
- * header line (see isServerArtifact()).
+ * One Artifact type holds either: the program's kind picks the header
+ * it writes, and the header line picks the kind parse() reads.
  */
 
 #ifndef RAID2_CHECK_ARTIFACT_HH
@@ -44,8 +44,7 @@
 #include <string>
 #include <vector>
 
-#include "check/crash_explorer.hh"
-#include "check/server_history.hh"
+#include "check/server_explorer.hh"
 
 namespace raid2::check {
 
@@ -53,33 +52,16 @@ namespace raid2::check {
 struct Artifact
 {
     CheckConfig cfg;
-    std::vector<Op> ops;
+    Program program; // an op list (v1) or a server history (v2)
     TrialSpec trial;
     std::vector<std::string> diffs; // expected verdict
 
     std::string serialize() const;
 
-    /** Parse @p text; throws std::runtime_error on malformed input. */
+    /** Parse @p text of either version; throws std::runtime_error on
+     *  malformed input. */
     static Artifact parse(const std::string &text);
 };
-
-/** A self-contained failing server-level trial (format v2). */
-struct ServerArtifact
-{
-    CheckConfig cfg;
-    ServerHistory hist;
-    TrialSpec trial;
-    std::vector<std::string> diffs; // expected verdict
-
-    std::string serialize() const;
-
-    /** Parse @p text; throws std::runtime_error on malformed input
-     *  (including a v1 header — check isServerArtifact() first). */
-    static ServerArtifact parse(const std::string &text);
-};
-
-/** True if @p text leads with the v2 header (a server artifact). */
-bool isServerArtifact(const std::string &text);
 
 } // namespace raid2::check
 

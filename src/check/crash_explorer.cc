@@ -1,7 +1,6 @@
 #include "check/crash_explorer.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -10,7 +9,6 @@
 #include "fs/mem_block_device.hh"
 #include "lfs/format.hh"
 #include "lfs/lfs.hh"
-#include "sim/logging.hh"
 
 namespace raid2::check {
 
@@ -290,14 +288,26 @@ compareSnapshotTable(const std::set<std::string> &recovered,
 
 } // namespace
 
+const char *
+TrialSpec::modeName(Mode m)
+{
+    switch (m) {
+      case Mode::Cut:
+        return "cut";
+      case Mode::Torn:
+        return "torn";
+      case Mode::Dropped:
+        return "dropped";
+      case Mode::Corrupt:
+        return "corrupt";
+    }
+    return "?";
+}
+
 std::string
 TrialSpec::str() const
 {
-    const char *m = mode == Mode::Cut       ? "cut"
-                    : mode == Mode::Torn    ? "torn"
-                    : mode == Mode::Dropped ? "dropped"
-                                            : "corrupt";
-    return std::string(m) + " cut=" + std::to_string(cut) +
+    return std::string(modeName(mode)) + " cut=" + std::to_string(cut) +
            " target=" + std::to_string(target) +
            " xor=" + std::to_string(xorMask) +
            " barrier=" + std::to_string(forceBarrier);
@@ -512,11 +522,8 @@ CrashExplorer::explore(const Capture &cap, const ExploreOptions &opt)
         bounds.push_back(n);
 
     // The empty prefix: crash before anything after the mount landed.
-    if (opt.legalTrials &&
-        run(TrialSpec{TrialSpec::Mode::Cut, 0, 0, 0xff, -1}, cap.base,
-            0)) {
+    if (run(TrialSpec{TrialSpec::Mode::Cut, 0, 0, 0xff, -1}, cap.base, 0))
         return report;
-    }
 
     // Advance a shared base image window by window so each trial only
     // replays writes from its own window.
@@ -525,7 +532,7 @@ CrashExplorer::explore(const Capture &cap, const ExploreOptions &opt)
         const std::size_t start = bounds[w];
         const std::size_t end = bounds[w + 1];
 
-        for (std::size_t i = start; opt.legalTrials && i < end; ++i) {
+        for (std::size_t i = start; i < end; ++i) {
             // Crash point after write i: either write i+1 never
             // starts (Cut — also the "dropped in flight" variant of
             // crash point i+1 under ordered writes) ...
@@ -538,28 +545,6 @@ CrashExplorer::explore(const Capture &cap, const ExploreOptions &opt)
                               -1},
                     base, start)) {
                 return report;
-            }
-        }
-
-        // Self-test: drop an *acknowledged* summary write from before
-        // the barrier that ends this window — must be flagged.
-        if (opt.dropAckedWrites && end < n) {
-            std::size_t bidx = npos;
-            for (std::size_t k = 0; k < barriers.size(); ++k) {
-                if (barriers[k].at == end)
-                    bidx = k;
-            }
-            if (bidx != npos) {
-                const std::size_t target =
-                    ackedSummaryWriteBefore(cap, bidx);
-                if (target != npos) {
-                    if (run(TrialSpec{TrialSpec::Mode::Dropped, end,
-                                      target,
-                                      0xff, static_cast<int>(bidx)},
-                            cap.base, 0)) {
-                        return report;
-                    }
-                }
             }
         }
 
@@ -576,35 +561,34 @@ CrashExplorer::explore(const Capture &cap, const ExploreOptions &opt)
     return report;
 }
 
-std::size_t
-CrashExplorer::ackedSummaryWriteBefore(const Capture &cap,
-                                       std::size_t barrier)
+std::optional<Failure>
+CrashExplorer::findAckedDrop(const Capture &cap)
 {
+    OverlayDevice image(cap.cfg.blockSize, cap.base);
+    const lfs::Superblock sb = lfs::Lfs::loadSuperblock(image);
     const auto &barriers = cap.log.barriers();
-    if (barrier >= barriers.size())
-        return npos;
-
-    lfs::Superblock sb;
-    std::memcpy(&sb, cap.base.data(), sizeof(sb));
-    if (!sb.valid())
-        sim::panic("ackedSummaryWriteBefore: bad base superblock");
-
-    const std::size_t end = barriers[barrier].at;
-    const std::size_t start =
-        barrier > 0 ? barriers[barrier - 1].at : 0;
-    std::size_t found = npos;
-    cap.log.forEachBlockIn(
-        start, end,
-        [&](std::size_t i, std::uint64_t bno,
-            std::span<const std::uint8_t>) {
-            if (bno >= sb.firstSegBlock &&
-                bno < sb.firstSegBlock +
-                          sb.numSegments * sb.segBlocks &&
-                (bno - sb.firstSegBlock) % sb.segBlocks == 0) {
-                found = i; // last match in the window wins
-            }
-        });
-    return found;
+    for (std::size_t k = barriers.size(); k-- > 0;) {
+        // The last summary write since the barrier before this one.
+        std::optional<std::size_t> target;
+        cap.log.forEachBlockIn(
+            k > 0 ? barriers[k - 1].at : 0, barriers[k].at,
+            [&](std::size_t i, std::uint64_t bno,
+                std::span<const std::uint8_t>) {
+                if (bno >= sb.firstSegBlock &&
+                    bno < sb.firstSegBlock +
+                              sb.numSegments * sb.segBlocks &&
+                    (bno - sb.firstSegBlock) % sb.segBlocks == 0)
+                    target = i;
+            });
+        if (!target)
+            continue;
+        const TrialSpec spec{TrialSpec::Mode::Dropped, barriers[k].at,
+                             *target, 0xff, static_cast<int>(k)};
+        const TrialResult r = runTrial(cap, spec);
+        if (!r.ok)
+            return Failure{spec, r.diffs};
+    }
+    return std::nullopt;
 }
 
 } // namespace raid2::check

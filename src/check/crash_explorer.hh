@@ -20,9 +20,9 @@
  * prefixes, with the final in-flight write either absent (Cut) or
  * landing torn (Torn).  Dropping an *earlier* write while later ones
  * land (Dropped) or silently flipping bits (Corrupt) is a device
- * violating its contract — the enumerator uses those modes as
+ * violating its contract — the checker uses those modes as
  * self-tests proving the oracle detects real durability violations
- * (see ExploreOptions::dropAckedWrites and tools/check_replay --demo).
+ * (see CrashExplorer::findAckedDrop and tools/check_replay --demo).
  *
  * Trials are pure functions of (ops, config, spec), which is what
  * makes shrunk artifacts replayable byte-for-byte by check_replay.
@@ -32,6 +32,7 @@
 #define RAID2_CHECK_CRASH_EXPLORER_HH
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -74,6 +75,9 @@ struct TrialSpec
      *  (-1 = derive). */
     int forceBarrier = -1;
 
+    /** Stable lower-case token for @p m (also the artifact's tag). */
+    static const char *modeName(Mode m);
+
     std::string str() const;
 };
 
@@ -104,13 +108,6 @@ struct Failure
 struct ExploreOptions
 {
     bool stopAtFirst = false;
-    /** Enumerate the legal crash states (Cut + Torn at every write).
-     *  Disable to run only the self-test trials below. */
-    bool legalTrials = true;
-    /** Self-test mode: for each barrier also drop an acknowledged
-     *  segment-summary write from before it (cutting there) — an
-     *  illegal device behavior the oracle must flag. */
-    bool dropAckedWrites = false;
 };
 
 struct ExploreReport
@@ -122,8 +119,6 @@ struct ExploreReport
 class CrashExplorer
 {
   public:
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
     /** Run @p ops live, recording the write log and oracle
      *  snapshots.  Deterministic: equal inputs give equal captures. */
     static Capture capture(const std::vector<Op> &ops,
@@ -134,15 +129,19 @@ class CrashExplorer
     static TrialResult runTrial(const Capture &cap,
                                 const TrialSpec &spec);
 
-    /** Full crash-point enumeration over every barrier window. */
+    /** Full crash-point enumeration over every barrier window: the
+     *  legal crash states, Cut and Torn at every write. */
     static ExploreReport explore(const Capture &cap,
                                  const ExploreOptions &opt = {});
 
-    /** Index of the last segment-summary write at or before recorded
-     *  barrier @p barrier (npos if none).  Dropping it severs the
-     *  roll-forward chain — the canonical deliberate violation. */
-    static std::size_t ackedSummaryWriteBefore(const Capture &cap,
-                                               std::size_t barrier);
+    /**
+     * The oracle self-test: for each recorded barrier, newest first,
+     * drop the last acknowledged segment-summary write before it and
+     * cut there.  Dropping it severs the roll-forward chain, an
+     * illegal device behavior the oracle must flag.
+     * @return the first flagged trial, or nullopt if no drop was.
+     */
+    static std::optional<Failure> findAckedDrop(const Capture &cap);
 
     /** Legal oracle version range [lo, hi] for @p spec. */
     static std::pair<std::size_t, std::size_t>

@@ -134,7 +134,7 @@ struct Runner
     using Handle = server::RaidFileClient::Handle;
     using Status = server::Status;
 
-    const ServerExplorer::Options &opt;
+    const CheckConfig &cfg;
     ServerHistory hist; // sanitized
     Capture cap;
 
@@ -168,8 +168,8 @@ struct Runner
 
     static constexpr sim::Tick opGap = sim::usToTicks(50);
 
-    Runner(ServerHistory h, const ServerExplorer::Options &o)
-        : opt(o), hist(std::move(h))
+    Runner(ServerHistory h, const CheckConfig &c)
+        : cfg(c), hist(std::move(h))
     {
     }
 
@@ -177,12 +177,10 @@ struct Runner
     run()
     {
         build();
-        cap.cfg = opt.cfg;
-        cap.base.resize(std::size_t(opt.cfg.numBlocks) *
-                        opt.cfg.blockSize);
-        srv->rawFsDevice().readRange(0, opt.cfg.numBlocks,
-                                     {cap.base.data(),
-                                      cap.base.size()});
+        cap.cfg = cfg;
+        cap.base.resize(std::size_t(cfg.numBlocks) * cfg.blockSize);
+        srv->rawFsDevice().readRange(0, cfg.numBlocks,
+                                     {cap.base.data(), cap.base.size()});
 
         TreeNode root;
         root.isDir = true;
@@ -225,19 +223,19 @@ struct Runner
         server::Raid2Server::Config scfg;
         scfg.topo.disksPerString = 2; // 16 disks
         scfg.topo.profile = &checkProfile();
-        scfg.fsParams.blockSize = opt.cfg.blockSize;
-        scfg.fsParams.segBlocks = opt.cfg.segBlocks;
-        scfg.fsParams.maxInodes = opt.cfg.maxInodes;
+        scfg.fsParams.blockSize = cfg.blockSize;
+        scfg.fsParams.segBlocks = cfg.segBlocks;
+        scfg.fsParams.maxInodes = cfg.maxInodes;
         // Explicit: the server defaults 0 to the stripe width, which
         // would blow the small checker geometry up.
-        scfg.fsParams.alignSegmentsTo = opt.cfg.blockSize;
+        scfg.fsParams.alignSegmentsTo = cfg.blockSize;
         scfg.fsDeviceBytes =
-            std::uint64_t(opt.cfg.numBlocks) * opt.cfg.blockSize;
+            std::uint64_t(cfg.numBlocks) * cfg.blockSize;
         scfg.withReliability = true;
         scfg.withIntegrity = true;
         srv = std::make_unique<server::Raid2Server>(eq, "check",
                                                     scfg);
-        srv->fs().setAutoClean(opt.cfg.autoClean);
+        srv->fs().setAutoClean(cfg.autoClean);
 
         // Tiny admission caps: Busy/Throttled rejections on every
         // seeded run, so the retry paths are checked surface.
@@ -776,23 +774,10 @@ ServerExplorer::sanitize(const ServerHistory &hist)
 }
 
 Capture
-ServerExplorer::capture(const ServerHistory &hist, const Options &opt)
+ServerExplorer::capture(const ServerHistory &hist, const CheckConfig &cfg)
 {
-    Runner r(sanitize(hist), opt);
+    Runner r(sanitize(hist), cfg);
     return r.run();
-}
-
-ExploreReport
-ServerExplorer::explore(const ServerHistory &hist, const Options &opt)
-{
-    const Capture cap = capture(hist, opt);
-    ExploreOptions eo;
-    eo.stopAtFirst = opt.stopAtFirst;
-    eo.legalTrials = opt.legalTrials;
-    eo.dropAckedWrites = opt.dropAckedWrites;
-    const ExploreReport rep = CrashExplorer::explore(cap, eo);
-    mutableStats().crashPoints += rep.trials;
-    return rep;
 }
 
 const ServerCheckStats &
@@ -834,6 +819,29 @@ ServerExplorer::registerStats(sim::StatsRegistry &reg)
                 sessionOpKindName(static_cast<SessionOp::Kind>(k)),
             [k] { return double(mutableStats().opMix[k]); });
     }
+}
+
+// ---------------------------------------------------------------------
+// The front end both checkers share
+// ---------------------------------------------------------------------
+
+Capture
+capture(const Program &prog, const CheckConfig &cfg)
+{
+    if (const auto *hist = std::get_if<ServerHistory>(&prog))
+        return ServerExplorer::capture(*hist, cfg);
+    return CrashExplorer::capture(std::get<std::vector<Op>>(prog), cfg);
+}
+
+ExploreReport
+explore(const Program &prog, const CheckConfig &cfg,
+        const ExploreOptions &opt)
+{
+    const ExploreReport rep =
+        CrashExplorer::explore(capture(prog, cfg), opt);
+    if (std::holds_alternative<ServerHistory>(prog))
+        mutableStats().crashPoints += rep.trials;
+    return rep;
 }
 
 } // namespace raid2::check

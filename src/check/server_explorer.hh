@@ -29,12 +29,20 @@
  * (prefix consistency).  That is a restricted linearizability
  * condition over the observed-completion order, and it is precisely
  * what CrashExplorer::versionRange + the tree comparison check.
+ *
+ * The two checkers share one front end.  A Program is either kind of
+ * run, a bare-Lfs op list or a server history; capture() and explore()
+ * hand it to its own capture runner, and everything after capture —
+ * the crash-point trials, CrashExplorer::findAckedDrop, the Shrinker,
+ * the Artifact and tools/check_replay — is the same code for both.
  */
 
 #ifndef RAID2_CHECK_SERVER_EXPLORER_HH
 #define RAID2_CHECK_SERVER_EXPLORER_HH
 
 #include <cstdint>
+#include <variant>
+#include <vector>
 
 #include "check/crash_explorer.hh"
 #include "check/server_history.hh"
@@ -74,20 +82,6 @@ struct ServerCheckStats
 class ServerExplorer
 {
   public:
-    struct Options
-    {
-        /** File-system geometry; mirrored into the server's fsParams
-         *  (alignSegmentsTo is pinned to blockSize so the tiny test
-         *  geometry survives the server's stripe-width default). */
-        CheckConfig cfg;
-        bool stopAtFirst = false;
-        /** @{ Forwarded to ExploreOptions (the Dropped-mode self-test
-         *  doubles as the server-level mutation check). */
-        bool legalTrials = true;
-        bool dropAckedWrites = false;
-        /** @} */
-    };
-
     /** Canonical form of a history: exactly the ops capture() will
      *  execute (handle-less ops dropped, duplicate or over-budget
      *  snapshot ops dropped, out-of-range clients dropped).  capture()
@@ -96,22 +90,13 @@ class ServerExplorer
 
     /** Run @p hist live against a full Raid2Server — scheduler, fault
      *  controller, snapshot manager — recording the write log, apply-
-     *  order op list, and oracle trees.  Deterministic: equal
-     *  (history, options) give equal captures. */
+     *  order op list, and oracle trees.  @p cfg is mirrored into the
+     *  server's fsParams (alignSegmentsTo is pinned to blockSize so
+     *  the tiny test geometry survives the server's stripe-width
+     *  default).  Deterministic: equal (history, cfg) give equal
+     *  captures. */
     static Capture capture(const ServerHistory &hist,
-                           const Options &opt);
-    static Capture capture(const ServerHistory &hist)
-    {
-        return capture(hist, Options{});
-    }
-
-    /** capture() + CrashExplorer::explore over every crash point. */
-    static ExploreReport explore(const ServerHistory &hist,
-                                 const Options &opt);
-    static ExploreReport explore(const ServerHistory &hist)
-    {
-        return explore(hist, Options{});
-    }
+                           const CheckConfig &cfg = {});
 
     /** @{ Coverage counters, accumulated process-wide across runs
      *  ("check.server.*" once registered). */
@@ -120,6 +105,19 @@ class ServerExplorer
     static void registerStats(sim::StatsRegistry &reg);
     /** @} */
 };
+
+/** What a crash checker runs: a bare-Lfs op list (CrashExplorer,
+ *  artifact format v1) or a concurrent server history
+ *  (ServerExplorer, v2). */
+using Program = std::variant<std::vector<Op>, ServerHistory>;
+
+/** Run @p prog live under its own kind's capture runner. */
+Capture capture(const Program &prog, const CheckConfig &cfg = {});
+
+/** capture() + CrashExplorer::explore over every crash point; a
+ *  server history's trials count as check.server.crash_points. */
+ExploreReport explore(const Program &prog, const CheckConfig &cfg = {},
+                      const ExploreOptions &opt = {});
 
 } // namespace raid2::check
 

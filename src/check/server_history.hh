@@ -47,7 +47,7 @@ struct SessionOp
     std::uint64_t off = 0; // PWrite / BurstWrite / PRead / Seek
     std::uint64_t len = 0; // PWrite / BurstWrite / PRead
 
-    /** One-line rendering, parseable by ServerArtifact. */
+    /** One-line rendering, parseable by Artifact. */
     std::string str() const;
 };
 

@@ -2,10 +2,121 @@
 
 #include <algorithm>
 
-#include "check/server_explorer.hh"
 #include "sim/logging.hh"
 
 namespace raid2::check {
+
+namespace {
+
+/** @{ Where the two program kinds differ: where their ops live, how a
+ *  candidate is made valid, and which ops carry a write length. */
+std::vector<Op> &
+opsOf(std::vector<Op> &ops)
+{
+    return ops;
+}
+
+std::vector<SessionOp> &
+opsOf(ServerHistory &hist)
+{
+    return hist.ops;
+}
+
+std::vector<Op>
+sanitized(const std::vector<Op> &ops)
+{
+    return Shrinker::sanitize(ops);
+}
+
+ServerHistory
+sanitized(const ServerHistory &hist)
+{
+    return ServerExplorer::sanitize(hist);
+}
+
+bool
+writes(const Op &op)
+{
+    return op.kind == Op::Kind::Write;
+}
+
+bool
+writes(const SessionOp &op)
+{
+    return op.kind == SessionOp::Kind::PWrite ||
+           op.kind == SessionOp::Kind::BurstWrite;
+}
+/** @} */
+
+template <class P>
+Shrinker::Result
+ddmin(const P &seed, const Shrinker::Predicate &pred)
+{
+    Shrinker::Result res;
+    P cur = sanitized(seed);
+
+    auto check = [&](const P &cand) -> std::optional<Failure> {
+        ++res.attempts;
+        return pred(Program(cand));
+    };
+
+    auto witness = check(cur);
+    if (!witness)
+        sim::panic("Shrinker::shrink: seed program does not fail");
+    res.witness = *witness;
+
+    // Pass 1: remove chunks, halving the chunk size down to one op.
+    for (std::size_t chunk = std::max<std::size_t>(opsOf(cur).size() / 2,
+                                                   1);
+         ;) {
+        bool removed = false;
+        for (std::size_t at = 0; at < opsOf(cur).size();) {
+            P cand = cur;
+            auto &ops = opsOf(cand);
+            ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(at),
+                      ops.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(at + chunk, ops.size())));
+            cand = sanitized(cand);
+            if (opsOf(cand).size() < opsOf(cur).size()) {
+                if (auto w = check(cand)) {
+                    cur = std::move(cand);
+                    res.witness = *w;
+                    removed = true;
+                    continue; // same position, next chunk slid in
+                }
+            }
+            at += chunk;
+        }
+        if (chunk == 1 && !removed)
+            break;
+        if (chunk > 1)
+            chunk = std::max<std::size_t>(chunk / 2, 1);
+    }
+
+    // Pass 2: halve write lengths.  The bytes a write stores have the
+    // prefix property in both kinds (patternBytes; the server payload
+    // byte depends only on position and inode), so a halved write
+    // keeps its first half identical.
+    for (std::size_t i = 0; i < opsOf(cur).size(); ++i) {
+        if (!writes(opsOf(cur)[i]))
+            continue;
+        while (opsOf(cur)[i].len > 1) {
+            P cand = cur;
+            opsOf(cand)[i].len /= 2;
+            if (auto w = check(cand)) {
+                cur = std::move(cand);
+                res.witness = *w;
+            } else {
+                break;
+            }
+        }
+    }
+
+    res.program = std::move(cur);
+    return res;
+}
+
+} // namespace
 
 std::vector<Op>
 Shrinker::sanitize(const std::vector<Op> &ops)
@@ -23,156 +134,10 @@ Shrinker::sanitize(const std::vector<Op> &ops)
 }
 
 Shrinker::Result
-Shrinker::shrink(const std::vector<Op> &ops, const Predicate &pred)
+Shrinker::shrink(const Program &prog, const Predicate &pred)
 {
-    Result res;
-    res.ops = sanitize(ops);
-
-    auto check = [&](const std::vector<Op> &cand)
-        -> std::optional<Failure> {
-        ++res.attempts;
-        return pred(cand);
-    };
-
-    auto witness = check(res.ops);
-    if (!witness)
-        sim::panic("Shrinker::shrink: seed sequence does not fail");
-    res.witness = *witness;
-
-    // Pass 1: remove chunks, halving the chunk size down to one op.
-    for (std::size_t chunk = std::max<std::size_t>(res.ops.size() / 2,
-                                                   1);
-         ;) {
-        bool removed = false;
-        for (std::size_t at = 0; at < res.ops.size();) {
-            std::vector<Op> cand;
-            cand.reserve(res.ops.size());
-            cand.insert(cand.end(), res.ops.begin(),
-                        res.ops.begin() + static_cast<std::ptrdiff_t>(
-                                              at));
-            cand.insert(cand.end(),
-                        res.ops.begin() +
-                            static_cast<std::ptrdiff_t>(std::min(
-                                at + chunk, res.ops.size())),
-                        res.ops.end());
-            cand = sanitize(cand);
-            if (cand.size() < res.ops.size()) {
-                if (auto w = check(cand)) {
-                    res.ops = std::move(cand);
-                    res.witness = *w;
-                    removed = true;
-                    continue; // same position, next chunk slid in
-                }
-            }
-            at += chunk;
-        }
-        if (chunk == 1 && !removed)
-            break;
-        if (chunk > 1)
-            chunk = std::max<std::size_t>(chunk / 2, 1);
-    }
-
-    // Pass 2: shrink write lengths (patternBytes has the prefix
-    // property: halving a write keeps its first half identical).
-    for (std::size_t i = 0; i < res.ops.size(); ++i) {
-        if (res.ops[i].kind != Op::Kind::Write)
-            continue;
-        while (res.ops[i].len > 1) {
-            std::vector<Op> cand = res.ops;
-            cand[i].len /= 2;
-            if (auto w = check(cand)) {
-                res.ops = std::move(cand);
-                res.witness = *w;
-            } else {
-                break;
-            }
-        }
-    }
-
-    return res;
-}
-
-Shrinker::ServerResult
-Shrinker::shrinkHistory(const ServerHistory &hist,
-                        const ServerPredicate &pred)
-{
-    ServerResult res;
-    res.hist = ServerExplorer::sanitize(hist);
-
-    auto check = [&](const ServerHistory &cand)
-        -> std::optional<Failure> {
-        ++res.attempts;
-        return pred(cand);
-    };
-
-    auto witness = check(res.hist);
-    if (!witness)
-        sim::panic("Shrinker::shrinkHistory: seed history does not "
-                   "fail");
-    res.witness = *witness;
-
-    auto withOps = [&](std::vector<SessionOp> ops) {
-        ServerHistory h;
-        h.clients = res.hist.clients;
-        h.faults = res.hist.faults;
-        h.ops = std::move(ops);
-        return ServerExplorer::sanitize(h);
-    };
-
-    // Pass 1: ddmin chunk removal over the interleaved history.
-    for (std::size_t chunk =
-             std::max<std::size_t>(res.hist.ops.size() / 2, 1);
-         ;) {
-        bool removed = false;
-        for (std::size_t at = 0; at < res.hist.ops.size();) {
-            const auto &cur = res.hist.ops;
-            std::vector<SessionOp> ops;
-            ops.reserve(cur.size());
-            ops.insert(ops.end(), cur.begin(),
-                       cur.begin() + static_cast<std::ptrdiff_t>(at));
-            ops.insert(ops.end(),
-                       cur.begin() + static_cast<std::ptrdiff_t>(
-                                         std::min(at + chunk,
-                                                  cur.size())),
-                       cur.end());
-            ServerHistory cand = withOps(std::move(ops));
-            if (cand.ops.size() < res.hist.ops.size()) {
-                if (auto w = check(cand)) {
-                    res.hist = std::move(cand);
-                    res.witness = *w;
-                    removed = true;
-                    continue; // same position, next chunk slid in
-                }
-            }
-            at += chunk;
-        }
-        if (chunk == 1 && !removed)
-            break;
-        if (chunk > 1)
-            chunk = std::max<std::size_t>(chunk / 2, 1);
-    }
-
-    // Pass 2: halve write lengths (the synthesized payload byte at a
-    // position depends only on (position, inode), so a shorter write
-    // keeps its surviving prefix identical).
-    for (std::size_t i = 0; i < res.hist.ops.size(); ++i) {
-        const auto k = res.hist.ops[i].kind;
-        if (k != SessionOp::Kind::PWrite &&
-            k != SessionOp::Kind::BurstWrite)
-            continue;
-        while (res.hist.ops[i].len > 1) {
-            ServerHistory cand = res.hist;
-            cand.ops[i].len /= 2;
-            if (auto w = check(cand)) {
-                res.hist = std::move(cand);
-                res.witness = *w;
-            } else {
-                break;
-            }
-        }
-    }
-
-    return res;
+    return std::visit([&](const auto &p) { return ddmin(p, pred); },
+                      prog);
 }
 
 } // namespace raid2::check

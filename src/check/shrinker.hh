@@ -1,16 +1,19 @@
 /**
  * @file
- * Greedy workload minimization for failing checker trials.
+ * Greedy program minimization for failing checker trials.
  *
- * Given an op sequence and a predicate that re-runs the checker and
- * reports whether a failure (any failure) still reproduces, the
- * shrinker removes chunks of ops (ddmin-style, halving chunk sizes
- * down to single ops) and then halves write lengths, keeping every
- * change that preserves the failure.  Removing ops can invalidate
- * later ones (unlink of a never-created file); candidates are passed
- * through sanitize(), which cascade-drops ops a RefFs replay rejects,
- * so the predicate only ever sees valid sequences.  The shrunk
- * sequence plus the surviving trial forms the replayable artifact.
+ * Given a program (either kind: a bare-Lfs op list or a server
+ * history) and a predicate that re-runs the checker and reports
+ * whether a failure (any failure) still reproduces, the shrinker
+ * removes chunks of ops (ddmin-style, halving chunk sizes down to
+ * single ops) and then halves write lengths, keeping every change that
+ * preserves the failure.  Removing ops can invalidate later ones
+ * (unlink of a never-created file, a write after its handle's open
+ * went); candidates pass through their kind's sanitizer (sanitize()
+ * below, or ServerExplorer::sanitize, which keeps a history's clients
+ * and fault schedule), which cascade-drops the invalid ops, so the
+ * predicate only ever sees valid programs.  The shrunk program plus
+ * the surviving trial forms the replayable artifact.
  */
 
 #ifndef RAID2_CHECK_SHRINKER_HH
@@ -20,55 +23,33 @@
 #include <optional>
 #include <vector>
 
-#include "check/crash_explorer.hh"
-#include "check/server_history.hh"
+#include "check/server_explorer.hh"
 
 namespace raid2::check {
 
 class Shrinker
 {
   public:
-    /** Re-run the checker over a candidate sequence; return the
+    /** Re-run the checker over a candidate program; return the
      *  failure it still provokes, or nullopt if it passes. */
     using Predicate =
-        std::function<std::optional<Failure>(const std::vector<Op> &)>;
+        std::function<std::optional<Failure>(const Program &)>;
 
     struct Result
     {
-        std::vector<Op> ops; // minimized sequence
-        Failure witness;     // the failure the final sequence provokes
+        Program program; // minimized, of the seed's kind
+        Failure witness; // the failure the final program provokes
         std::size_t attempts = 0; // predicate invocations
-    };
-
-    /** Server-history variant: candidates carry the whole history
-     *  (ops swapped; clients and fault schedule preserved). */
-    using ServerPredicate = std::function<std::optional<Failure>(
-        const ServerHistory &)>;
-
-    struct ServerResult
-    {
-        ServerHistory hist; // minimized history
-        Failure witness;
-        std::size_t attempts = 0;
     };
 
     /** Drop every op a sequential RefFs replay rejects (cascading:
      *  a drop can invalidate later ops, which are dropped too). */
     static std::vector<Op> sanitize(const std::vector<Op> &ops);
 
-    /** Minimize @p ops, preserving failure per @p pred.  @p seed must
-     *  already fail (the predicate is consulted first; panics
-     *  otherwise). */
-    static Result shrink(const std::vector<Op> &ops,
-                         const Predicate &pred);
-
-    /** Minimize a concurrent server history: ddmin chunk removal over
-     *  the interleaved op list (candidates pass through
-     *  ServerExplorer::sanitize, which cascade-drops handle-less and
-     *  invalid snapshot ops) followed by write-length halving.  The
-     *  seed history must already fail. */
-    static ServerResult shrinkHistory(const ServerHistory &hist,
-                                      const ServerPredicate &pred);
+    /** Minimize @p prog, preserving failure per @p pred.  @p prog
+     *  must already fail once sanitized (the predicate is consulted
+     *  first; panics otherwise). */
+    static Result shrink(const Program &prog, const Predicate &pred);
 };
 
 } // namespace raid2::check

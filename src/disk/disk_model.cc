@@ -203,19 +203,4 @@ DiskModel::registerStats(sim::StatsRegistry &reg,
     reg.add(prefix + ".busy", busyTime);
 }
 
-void
-DiskModel::resetStats()
-{
-    _requests = 0;
-    _sectorsRead = 0;
-    _sectorsWritten = 0;
-    _readAheadHits = 0;
-    _stalls = 0;
-    _stallTicks = 0;
-    _serviceMs.reset();
-    _positionMs.reset();
-    _queueDepth.reset();
-    busyTime.reset();
-}
-
 } // namespace raid2::disk

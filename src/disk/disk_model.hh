@@ -68,23 +68,16 @@ class DiskModel
      */
     void stall(Tick duration);
 
-    /** True while a stall is pending or in effect. */
-    bool stalled() const { return eq.now() < stallUntil; }
-
     /** @{ Statistics. */
     std::uint64_t requests() const { return _requests; }
     std::uint64_t sectorsRead() const { return _sectorsRead; }
     std::uint64_t sectorsWritten() const { return _sectorsWritten; }
     std::uint64_t readAheadHits() const { return _readAheadHits; }
     std::uint64_t stalls() const { return _stalls; }
-    Tick stallTicks() const { return _stallTicks; }
     /** Per-command service time in ms (positioning + transfer). */
     const sim::Distribution &serviceMs() const { return _serviceMs; }
-    /** Per-command positioning (seek + rotation) time in ms. */
-    const sim::Distribution &positionMs() const { return _positionMs; }
     const sim::Distribution &queueDepth() const { return _queueDepth; }
     sim::Tick busyTicks() const { return busyTime.busy(); }
-    void resetStats();
     /** Register all drive stats under @p prefix (e.g. "disk.0"). */
     void registerStats(sim::StatsRegistry &reg,
                        const std::string &prefix) const;

@@ -79,8 +79,6 @@ class FaultController
         return _injected[static_cast<std::size_t>(k)];
     }
     std::uint64_t injectedTotal() const;
-    /** Events skipped (bad target, already-failed disk, ...). */
-    std::uint64_t suppressed() const { return _suppressed; }
     /** Would-be unrecoverable situations, by cause. */
     std::uint64_t dataLossEvents() const { return _dataLossEvents; }
     std::uint64_t doubleFailures() const { return _doubleFailures; }

@@ -72,7 +72,6 @@ class RecoveryManager
     const raid::RebuildJob *currentJob() const { return _job.get(); }
     unsigned sparesAvailable() const { return _spares; }
     std::uint64_t sparesUsed() const { return _sparesUsed; }
-    std::uint64_t rebuildsStarted() const { return _rebuildsStarted; }
     std::uint64_t rebuildsCompleted() const { return _rebuildsCompleted; }
     std::size_t failuresWaiting() const { return pending.size(); }
     /** Failure -> rebuild-complete, includes spare wait + attach. */

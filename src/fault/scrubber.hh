@@ -50,7 +50,6 @@ class Scrubber
     void start();
     /** Stop; pending wakeups are cancelled so the queue can drain. */
     void stop();
-    bool running() const { return _running; }
 
     /**
      * Full-verify upgrade: invoked once per scanned chunk with the
@@ -66,12 +65,8 @@ class Scrubber
     void setVerifyHook(VerifyHook hook) { verifyHook = std::move(hook); }
 
     /** @{ Statistics. */
-    std::uint64_t sweepsCompleted() const { return _sweeps; }
-    std::uint64_t chunksScanned() const { return _chunksScanned; }
     std::uint64_t bytesScanned() const { return _bytesScanned; }
     std::uint64_t rangesRepaired() const { return _rangesRepaired; }
-    std::uint64_t repairedBytes() const { return _repairedBytes; }
-    std::uint64_t verifyCalls() const { return _verifyCalls; }
     /** @} */
 
     /** Register scrub stats under @p prefix ("scrub.*"). */

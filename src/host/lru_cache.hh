@@ -42,7 +42,6 @@ class LruCache
 
     /** @{ Statistics. */
     std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
     std::uint64_t evictions() const { return _evictions; }
     double
     hitRate() const

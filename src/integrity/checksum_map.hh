@@ -10,7 +10,7 @@
  * back against what was written.  The same checksum is persisted in
  * each segment summary's SummaryEntry::csum (since format v2; XXH64
  * since v4), so the map can be re-seeded from the log after a crash
- * (integrity::seedFromSegments).
+ * (lfs::Lfs::forEachLoggedBlock).
  *
  * Blocks never written have no expectation and verify trivially — the
  * map answers "does this match what the server last wrote", not "is

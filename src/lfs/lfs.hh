@@ -232,6 +232,23 @@ class Lfs
     static std::vector<std::uint8_t>
     restoreCheckpoint(fs::BlockDevice &dev, const SnapshotRecord &rec);
 
+    /** @p dev's superblock.
+     *  @throw LfsError(Invalid) if it is not a readable LFS one. */
+    static Superblock loadSuperblock(fs::BlockDevice &dev);
+
+    /**
+     * Visit every payload block that a valid segment summary on @p dev
+     * logs, with the checksum the summary records for it, in segment
+     * order.  Unlike roll-forward this follows no chain: a stale
+     * (cleaned, not yet reused) segment still describes its payload,
+     * because a segment is only ever rewritten whole.
+     * @return the blocks visited.
+     * @throw LfsError(Invalid) if @p dev holds no LFS.
+     */
+    static std::uint64_t forEachLoggedBlock(
+        fs::BlockDevice &dev,
+        const std::function<void(BlockAddr, std::uint64_t)> &fn);
+
     Lfs(const Lfs &) = delete;
     Lfs &operator=(const Lfs &) = delete;
 
@@ -331,9 +348,6 @@ class Lfs
         std::uint64_t writeSeq = 0;
     };
 
-    /** @p dev's superblock.
-     *  @throw LfsError(Invalid) if it is not a readable LFS one. */
-    static Superblock loadSuperblock(fs::BlockDevice &dev);
     /** The part of a mount both kinds share: @p sb and tables sized
      *  for it, all empty, and a segment writer with no segment open. */
     Lfs(fs::BlockDevice &dev, const Superblock &sb);

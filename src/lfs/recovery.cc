@@ -12,6 +12,9 @@
  * perform an LFS file system check" — the work here is proportional to
  * the log written since the last checkpoint, not to the file system
  * size.
+ *
+ * forEachLoggedBlock() reads the same summaries for the integrity
+ * layer, which re-seeds its checksum map from them after a restart.
  */
 
 #include "lfs/lfs.hh"
@@ -138,6 +141,34 @@ Lfs::rollForward(std::uint64_t start_seg, std::uint64_t start_seq)
     usage[seg].liveBytes = 0;
     nextSegSeq = expect_seq + 1;
     segw->open(seg, expect_seq);
+}
+
+std::uint64_t
+Lfs::forEachLoggedBlock(
+    fs::BlockDevice &dev,
+    const std::function<void(BlockAddr, std::uint64_t)> &fn)
+{
+    const Superblock sb = loadSuperblock(dev);
+    const std::uint32_t summary_blocks = sb.summaryBlocksPerSegment();
+    std::vector<std::uint8_t> summary(
+        std::size_t(summary_blocks) * sb.blockSize);
+    const std::span<const std::uint8_t> region{summary.data(),
+                                               summary.size()};
+    std::uint64_t visited = 0;
+    for (std::uint64_t seg = 0; seg < sb.numSegments; ++seg) {
+        const std::uint64_t start = sb.segmentStartBlock(seg);
+        if (start + sb.segBlocks > dev.numBlocks())
+            break;
+        dev.readRange(start, summary_blocks,
+                      {summary.data(), summary.size()});
+        SummaryHeader hdr;
+        if (!readSummary(region, sb, hdr))
+            continue;
+        for (std::uint32_t i = 0; i < hdr.count; ++i)
+            fn(start + summary_blocks + i, summaryEntry(region, i).csum);
+        visited += hdr.count;
+    }
+    return visited;
 }
 
 } // namespace raid2::lfs

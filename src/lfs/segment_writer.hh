@@ -51,7 +51,6 @@ class SegmentWriter
     bool isOpen() const { return opened; }
     std::uint64_t currentSegment() const { return segIdx; }
     std::uint64_t segSeq() const { return seq; }
-    unsigned usedSlots() const { return used; }
     bool hasSpace(unsigned blocks = 1) const;
     bool dirty() const { return used != 0; }
 

@@ -60,7 +60,6 @@ class HippiChannel
     std::uint64_t bytesSent() const { return _bytes; }
     std::uint64_t linkDrops() const { return _linkDrops; }
     std::uint64_t deferredSends() const { return _deferredSends; }
-    sim::Tick downTicks() const { return _downTicks; }
 
     const std::string &name() const { return _name; }
 

@@ -45,12 +45,6 @@ struct DiskExtent
     /** Logical byte this extent's first byte corresponds to (data
      *  extents only; parity extents use ~0). */
     std::uint64_t logicalOffset = ~std::uint64_t(0);
-
-    bool
-    isParity() const
-    {
-        return logicalOffset == ~std::uint64_t(0);
-    }
 };
 
 /** How a write updates the parity of one stripe it touches. */

@@ -52,13 +52,9 @@ class RebuildJob
     std::uint64_t stripesDone() const { return _stripesDone; }
     std::uint64_t stripesTotal() const { return total; }
     bool finished() const { return _finished; }
-    unsigned deadDisk() const { return dead; }
-    sim::Tick interStripeDelay() const { return delay; }
 
     /** @{ Timing, valid once start() has run (live values while the
      *  rebuild is still in flight). */
-    sim::Tick startTick() const { return _startTick; }
-    sim::Tick endTick() const { return _endTick; }
     /** Wall-clock of the rebuild so far (total once finished), ms. */
     double durationMs() const;
     /** Average rebuild rate in stripes per simulated second. */

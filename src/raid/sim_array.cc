@@ -601,21 +601,4 @@ SimArray::registerStats(sim::StatsRegistry &reg,
             reg, scsi_prefix + ".cougar" + std::to_string(c));
 }
 
-void
-SimArray::resetStats()
-{
-    _reads = _writes = 0;
-    _bytesRead = _bytesWritten = 0;
-    _rmwStripes = _rwStripes = _fullStripes = 0;
-    _degradedReads = _degradedBytes = 0;
-    _latentRepairReads = _latentRepairBytes = 0;
-    _unrecoverableReads = 0;
-    _stripeLockWaits = 0;
-    _readMs.reset();
-    _writeMs.reset();
-    _stripeLockWaitMs.reset();
-    for (auto &d : disks)
-        d->resetStats();
-}
-
 } // namespace raid2::raid

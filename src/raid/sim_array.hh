@@ -211,8 +211,6 @@ class SimArray
     /** Reads that hit a latent defect and triggered a timed repair. */
     std::uint64_t latentRepairReads() const { return _latentRepairReads; }
     std::uint64_t latentRepairBytes() const { return _latentRepairBytes; }
-    /** Latent hits with no redundancy left to repair from. */
-    std::uint64_t unrecoverableReads() const { return _unrecoverableReads; }
     /** Writes that had to queue behind a stripe lock. */
     std::uint64_t stripeLockWaits() const { return _stripeLockWaits; }
     /** Time writes spent queued behind stripe locks (ms). */
@@ -220,7 +218,6 @@ class SimArray
     {
         return _stripeLockWaitMs;
     }
-    void resetStats();
 
     /**
      * Register array-level stats under @p array_prefix plus the member
@@ -307,7 +304,7 @@ class SimArray
     std::uint64_t _latentRepairReads = 0;
     std::uint64_t _latentRepairBytes = 0;
     std::uint64_t _unrecoverableReads = 0;
-    /** @{ Media-state counters (resetStats keeps them). */
+    /** @{ Media-state counters. */
     std::uint64_t _readRepairs = 0;
     std::uint64_t _scrubRepairs = 0;
     std::uint64_t _repairedBytes = 0;

@@ -53,7 +53,6 @@ class ScsiString
     void injectHang(sim::Tick duration);
 
     std::uint64_t hangs() const { return _hangs; }
-    sim::Tick hangTicks() const { return _hangTicks; }
 
     const std::vector<disk::DiskModel *> &disks() const { return _disks; }
     const std::string &name() const { return _name; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "integrity/log_seed.hh"
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
 #include "sim/trace_sink.hh"
@@ -188,8 +187,12 @@ Raid2Server::remountFs()
         // gone, so re-seed them from the checksums persisted in the
         // segment summaries (reads go to the inner device — the map
         // being rebuilt must not be consulted).
-        verifyDev->checksums().reset();
-        integrity::seedFromSegments(*arrayDev, verifyDev->checksums());
+        auto &map = verifyDev->checksums();
+        map.reset();
+        lfs::Lfs::forEachLoggedBlock(
+            *arrayDev, [&map](lfs::BlockAddr bno, std::uint64_t csum) {
+                map.set(bno, csum);
+            });
     }
     _fs = std::make_unique<lfs::Lfs>(*hookDev);
     _fs->setAutoClean(true);

@@ -1,13 +1,12 @@
 #include "sim/logging.hh"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 namespace raid2::sim {
 
 namespace {
-LogLevel global_level = LogLevel::Warn;
-
 void
 vreport(const char *tag, const char *fmt, va_list ap)
 {
@@ -16,18 +15,6 @@ vreport(const char *tag, const char *fmt, va_list ap)
     std::fputc('\n', stderr);
 }
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    global_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return global_level;
-}
 
 void
 panic(const char *fmt, ...)
@@ -47,39 +34,6 @@ fatal(const char *fmt, ...)
     vreport("fatal", fmt, ap);
     va_end(ap);
     std::exit(1);
-}
-
-void
-warn(const char *fmt, ...)
-{
-    if (global_level < LogLevel::Warn)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (global_level < LogLevel::Info)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    if (global_level < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("debug", fmt, ap);
-    va_end(ap);
 }
 
 } // namespace raid2::sim

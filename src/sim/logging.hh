@@ -1,29 +1,17 @@
 /**
  * @file
- * Status and error reporting helpers, following the gem5 convention:
+ * Error reporting helpers, following the gem5 convention:
  *
  *  - panic():  something happened that should never happen regardless
  *              of user input (a simulator bug).  Aborts.
  *  - fatal():  the simulation cannot continue because of a user error
  *              (bad configuration, invalid arguments).  Exits with 1.
- *  - warn():   functionality may be incorrect but probably works.
- *  - inform(): normal operating status messages.
  */
 
 #ifndef RAID2_SIM_LOGGING_HH
 #define RAID2_SIM_LOGGING_HH
 
-#include <cstdarg>
-#include <string>
-
 namespace raid2::sim {
-
-/** Verbosity filter applied to inform()/warn() output. */
-enum class LogLevel { Quiet, Warn, Info, Debug };
-
-/** Set the global verbosity level (defaults to Warn). */
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
 
 /** Abort with a message: simulator bug, never the user's fault. */
 [[noreturn]] void panic(const char *fmt, ...)
@@ -32,15 +20,6 @@ LogLevel logLevel();
 /** Exit(1) with a message: user/configuration error. */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Warn about suspicious but survivable conditions. */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Informative status output. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Debug-level trace output. */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace raid2::sim
 

@@ -81,7 +81,6 @@ class Service
     bool idle() const { return nextFree() <= eq.now(); }
 
     const std::string &name() const { return _name; }
-    double rateMBs() const { return cfg.mbPerSec; }
 
     /** @{ Statistics. */
     std::uint64_t bytesServed() const { return _bytesServed; }

@@ -121,16 +121,4 @@ exactQuantile(std::vector<double> &samples, double q)
     return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
 }
 
-void
-Histogram::print(std::ostream &os, const std::string &label) const
-{
-    os << label << " (n=" << n << ")\n";
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        if (counts[i] == 0)
-            continue;
-        os << "  [" << bucketLo(i) << ", " << bucketHi(i)
-           << "): " << counts[i] << "\n";
-    }
-}
-
 } // namespace raid2::sim

@@ -78,8 +78,6 @@ class Histogram
     /** Approximate p-quantile (q in [0,1]) from bucket midpoints. */
     double quantile(double q) const;
 
-    void print(std::ostream &os, const std::string &label) const;
-
   private:
     double lo, hi, width;
     std::vector<std::uint64_t> counts;

@@ -69,7 +69,6 @@ class XbusBoard
     void injectPortError(unsigned vme_idx, sim::Tick stall);
 
     std::uint64_t portErrors() const { return _portErrors; }
-    sim::Tick portErrorTicks() const { return _portErrorTicks; }
 
     /** Register every port, the parity engine and the buffer pool
      *  under @p prefix ("<prefix>.port.hippi_src.bytes", ...). */

@@ -98,10 +98,8 @@ class ZebraVolume
 
     /** @{ Statistics. */
     std::uint64_t stripesWritten() const { return _stripesWritten; }
-    std::uint64_t bytesAppended() const { return logicalSize; }
     std::uint64_t degradedReads() const { return _degradedReads; }
     std::uint64_t rebuilds() const { return _rebuilds; }
-    std::uint64_t parityBytesWritten() const { return _parityBytes; }
 
     /** Register "zebra.*": appended_bytes, stripes, degraded_reads,
      *  rebuilds, parity_bytes. */

@@ -22,6 +22,7 @@
 #include "check/shrinker.hh"
 #include "check/workload_gen.hh"
 #include "fs/mem_block_device.hh"
+#include "lfs/format.hh"
 #include "lfs/lfs.hh"
 
 namespace {
@@ -121,20 +122,6 @@ lfsTree(const lfs::Lfs &fs)
         out.emplace(path, std::move(node));
     }
     return out;
-}
-
-/** Targeted illegal-device search used by the self-tests. */
-std::optional<Failure>
-findAckedDropFailure(const Capture &cap)
-{
-    ExploreOptions opt;
-    opt.stopAtFirst = true;
-    opt.legalTrials = false;
-    opt.dropAckedWrites = true;
-    ExploreReport rep = CrashExplorer::explore(cap, opt);
-    if (rep.failures.empty())
-        return std::nullopt;
-    return rep.failures.front();
 }
 
 // ---------------------------------------------------------------------
@@ -393,19 +380,16 @@ TEST(OracleSelfTest, FlagsDroppedAcknowledgedSummaryWrite)
     const auto ops = generateWorkload(7, gcfg);
     const Capture cap = CrashExplorer::capture(ops, CheckConfig{});
 
-    ExploreOptions opt;
-    opt.legalTrials = false;
-    opt.dropAckedWrites = true;
-    const ExploreReport rep = CrashExplorer::explore(cap, opt);
-    EXPECT_FALSE(rep.failures.empty())
+    const auto f = CrashExplorer::findAckedDrop(cap);
+    ASSERT_TRUE(f.has_value())
         << "acked-write drops went unnoticed by the oracle";
-    for (const Failure &f : rep.failures)
-        EXPECT_EQ(f.spec.mode, TrialSpec::Mode::Dropped);
+    EXPECT_EQ(f->spec.mode, TrialSpec::Mode::Dropped);
 }
 
-// Mutation self-test for the whole-server checker: run ServerExplorer
-// with a deliberately illegal device (acknowledged writes dropped) and
-// require the oracle to flag a violation within a handful of seeds.
+// Mutation self-test for the whole-server checker: replay captured
+// server histories on a deliberately illegal device (findAckedDrop
+// drops acknowledged writes) and require the oracle to flag a
+// violation within a handful of seeds.
 // If this goes green-to-red-free, the server checker has lost its
 // teeth.
 TEST(OracleSelfTest, ServerCheckerFlagsDroppedAckedWrites)
@@ -414,15 +398,12 @@ TEST(OracleSelfTest, ServerCheckerFlagsDroppedAckedWrites)
     gcfg.withFaults = false; // the oracle alone must catch it
     bool caught = false;
     for (std::uint64_t seed = 1; seed <= 4 && !caught; ++seed) {
-        ServerExplorer::Options opt;
-        opt.stopAtFirst = true;
-        opt.legalTrials = false;
-        opt.dropAckedWrites = true;
-        const ExploreReport rep = ServerExplorer::explore(
-            generateServerHistory(seed, gcfg), opt);
-        for (const Failure &f : rep.failures)
-            EXPECT_EQ(f.spec.mode, TrialSpec::Mode::Dropped);
-        caught = !rep.failures.empty();
+        const auto f = CrashExplorer::findAckedDrop(
+            ServerExplorer::capture(generateServerHistory(seed, gcfg)));
+        caught = f.has_value();
+        if (caught) {
+            EXPECT_EQ(f->spec.mode, TrialSpec::Mode::Dropped);
+        }
     }
     EXPECT_TRUE(caught)
         << "server-level acked-write drops went unnoticed within 4 "
@@ -481,29 +462,32 @@ TEST(Shrinker, MinimizesInjectedViolationAndArtifactRoundTrips)
     const auto ops = generateWorkload(7, gcfg);
     const CheckConfig cfg;
 
-    auto pred =
-        [&](const std::vector<Op> &cand) -> std::optional<Failure> {
-        return findAckedDropFailure(CrashExplorer::capture(cand, cfg));
+    auto pred = [&](const Program &cand) {
+        return CrashExplorer::findAckedDrop(capture(cand, cfg));
     };
     ASSERT_TRUE(pred(ops).has_value());
 
     const Shrinker::Result res = Shrinker::shrink(ops, pred);
-    EXPECT_LT(res.ops.size(), ops.size());
+    EXPECT_LT(std::get<std::vector<Op>>(res.program).size(), ops.size());
     EXPECT_FALSE(res.witness.diffs.empty());
 
     // Serialize, parse, serialize again: byte-identical.
-    Artifact art;
-    art.cfg = cfg;
-    art.ops = res.ops;
-    art.trial = res.witness.spec;
-    art.diffs = res.witness.diffs;
+    const Artifact art{cfg, res.program, res.witness.spec,
+                       res.witness.diffs};
     const std::string text = art.serialize();
     const Artifact back = Artifact::parse(text);
     EXPECT_EQ(back.serialize(), text);
 
+    // The same shrink as `check_replay --demo`: the artifact file that command
+    // writes has this XXH64 (lfs::blockChecksum).
+    EXPECT_EQ(lfs::blockChecksum({reinterpret_cast<const std::uint8_t *>(
+                                      text.data()),
+                                  text.size()}),
+              0xec1581a434cea55aull);
+
     // Replaying the parsed artifact reproduces the exact verdict.
-    const Capture cap = CrashExplorer::capture(back.ops, back.cfg);
-    const TrialResult r = CrashExplorer::runTrial(cap, back.trial);
+    const TrialResult r = CrashExplorer::runTrial(
+        capture(back.program, back.cfg), back.trial);
     EXPECT_EQ(r.diffs, back.diffs);
 }
 
@@ -513,7 +497,7 @@ TEST(Artifact, RejectsMalformedInput)
     EXPECT_THROW(Artifact::parse("raid2-check v1\nconfig oops\n"),
                  std::runtime_error);
     Artifact art;
-    art.ops.push_back(op(Op::Kind::Sync));
+    art.program = std::vector<Op>{op(Op::Kind::Sync)};
     const std::string text = art.serialize();
     EXPECT_THROW(
         Artifact::parse(text.substr(0, text.size() - 5)),

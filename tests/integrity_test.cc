@@ -27,7 +27,6 @@
 #include "fs/array_block_device.hh"
 #include "fs/mem_block_device.hh"
 #include "integrity/checksum_map.hh"
-#include "integrity/log_seed.hh"
 #include "integrity/verifying_device.hh"
 #include "lfs/lfs.hh"
 #include "lfs/segment_writer.hh"
@@ -241,7 +240,11 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
     EXPECT_EQ(on_media, payload);
 
     integrity::ChecksumMap map(dev.numBlocks(), kBs);
-    EXPECT_EQ(integrity::seedFromSegments(dev, map), 6u);
+    EXPECT_EQ(lfs::Lfs::forEachLoggedBlock(
+                  dev, [&map](lfs::BlockAddr bno, std::uint64_t csum) {
+                      map.set(bno, csum);
+                  }),
+              6u);
     for (std::size_t i = 0; i < 6; ++i) {
         EXPECT_EQ(map.expected(addrs[i]),
                   lfs::blockChecksum({final_blocks[i].data(), kBs}))

@@ -5,7 +5,7 @@
  * determinism, the 8-seed full crash-point enumeration of concurrent
  * fault-injected histories, retry/fault coverage assertions, the
  * "raid2-check v2" artifact round trip with byte-for-byte replay, the
- * history shrinker, and the check.server.* counter registration.
+ * shrinker on a history, and the check.server.* counter registration.
  *
  * Set RAID2_CHECK_SEEDS=N for the extended server sweep (N extra
  * seeds); unset it runs the standard 8-seed enumeration only.
@@ -22,6 +22,7 @@
 #include "check/artifact.hh"
 #include "check/server_explorer.hh"
 #include "check/shrinker.hh"
+#include "lfs/format.hh"
 #include "sim/stats_registry.hh"
 
 namespace {
@@ -74,28 +75,6 @@ captureFingerprint(const Capture &cap)
         out << blk.bno << ":" << blk.tag << ":" << sum << "\n";
     }
     return out.str();
-}
-
-/** Targeted illegal-device search (mirrors tools/check_replay). */
-std::optional<Failure>
-findAckedDropFailure(const Capture &cap)
-{
-    const auto &barriers = cap.log.barriers();
-    for (std::size_t k = barriers.size(); k-- > 0;) {
-        const std::size_t target =
-            CrashExplorer::ackedSummaryWriteBefore(cap, k);
-        if (target == CrashExplorer::npos)
-            continue;
-        TrialSpec spec;
-        spec.mode = TrialSpec::Mode::Dropped;
-        spec.cut = barriers[k].at;
-        spec.target = target;
-        spec.forceBarrier = static_cast<int>(k);
-        const TrialResult r = CrashExplorer::runTrial(cap, spec);
-        if (!r.ok)
-            return Failure{spec, r.diffs};
-    }
-    return std::nullopt;
 }
 
 // ---------------------------------------------------------------------
@@ -186,7 +165,7 @@ TEST(ServerSweep, EightSeedsEnumerateCleanWithFaults)
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         const ServerHistory h = generateServerHistory(seed);
         EXPECT_FALSE(h.faults.events.empty()) << "seed " << seed;
-        const ExploreReport rep = ServerExplorer::explore(h);
+        const ExploreReport rep = explore(h);
         trials += rep.trials;
         EXPECT_GT(rep.trials, 0u) << "seed " << seed;
         EXPECT_TRUE(rep.failures.empty()) << "seed " << seed;
@@ -219,8 +198,7 @@ TEST(ServerSweep, ExtendedRunsWhenRequestedViaEnv)
     const unsigned extra =
         static_cast<unsigned>(std::strtoul(env, nullptr, 0));
     for (std::uint64_t seed = 201; seed < 201 + extra; ++seed) {
-        const ServerHistory h = generateServerHistory(seed);
-        const ExploreReport rep = ServerExplorer::explore(h);
+        const ExploreReport rep = explore(generateServerHistory(seed));
         EXPECT_TRUE(rep.failures.empty()) << "seed " << seed;
         for (const Failure &f : rep.failures) {
             ADD_FAILURE() << "seed " << seed << " " << f.spec.str()
@@ -241,68 +219,82 @@ TEST(ServerShrinker, MinimizesInjectedViolationAndArtifactReplays)
     ServerGenConfig gcfg;
     gcfg.withFaults = false;
     const ServerHistory hist = generateServerHistory(7, gcfg);
-    ServerExplorer::Options opt;
+    const CheckConfig cfg;
 
-    auto pred =
-        [&](const ServerHistory &cand) -> std::optional<Failure> {
-        return findAckedDropFailure(ServerExplorer::capture(cand, opt));
+    auto pred = [&](const Program &cand) {
+        return CrashExplorer::findAckedDrop(capture(cand, cfg));
     };
     ASSERT_TRUE(pred(hist).has_value())
         << "injected acked-drop not flagged at server level";
 
-    const Shrinker::ServerResult res =
-        Shrinker::shrinkHistory(hist, pred);
-    EXPECT_LT(res.hist.ops.size(), hist.ops.size());
+    const Shrinker::Result res = Shrinker::shrink(hist, pred);
+    EXPECT_LT(std::get<ServerHistory>(res.program).ops.size(),
+              hist.ops.size());
     EXPECT_GT(res.attempts, 0u);
 
-    ServerArtifact art;
-    art.cfg = opt.cfg;
-    art.hist = res.hist;
-    art.trial = res.witness.spec;
-    art.diffs = res.witness.diffs;
-
     // Serialize -> parse -> serialize is the identity.
+    const Artifact art{cfg, res.program, res.witness.spec,
+                       res.witness.diffs};
     const std::string text = art.serialize();
-    EXPECT_TRUE(isServerArtifact(text));
-    const ServerArtifact back = ServerArtifact::parse(text);
+    const Artifact back = Artifact::parse(text);
+    EXPECT_TRUE(std::holds_alternative<ServerHistory>(back.program));
     EXPECT_EQ(back.serialize(), text);
 
+    // The same shrink as `check_replay --server --demo`: the artifact
+    // file that command writes has this XXH64 (lfs::blockChecksum).
+    EXPECT_EQ(lfs::blockChecksum({reinterpret_cast<const std::uint8_t *>(
+                                      text.data()),
+                                  text.size()}),
+              0x9c486c877b695e81ull);
+
     // And the parsed artifact replays byte-for-byte.
-    ServerExplorer::Options ropt;
-    ropt.cfg = back.cfg;
-    const Capture cap = ServerExplorer::capture(back.hist, ropt);
-    const TrialResult r = CrashExplorer::runTrial(cap, back.trial);
+    const TrialResult r = CrashExplorer::runTrial(
+        capture(back.program, back.cfg), back.trial);
     EXPECT_EQ(r.diffs, art.diffs);
 }
 
-TEST(ServerArtifactFormat, V1HeaderIsNotAServerArtifact)
+TEST(HistoryArtifact, HeaderPicksTheProgramKind)
 {
+    // The header line picks the program kind: a v1 artifact parses
+    // back to an op list, a v2 one to a server history.
     Artifact v1;
     v1.trial.mode = TrialSpec::Mode::Cut;
     const std::string text = v1.serialize();
-    EXPECT_FALSE(isServerArtifact(text));
-    EXPECT_THROW(ServerArtifact::parse(text), std::runtime_error);
-    // v1 still parses through the v1 reader.
-    EXPECT_EQ(Artifact::parse(text).serialize(), text);
+    EXPECT_EQ(text.rfind("raid2-check v1\n", 0), 0u);
+    const Artifact back = Artifact::parse(text);
+    EXPECT_TRUE(std::holds_alternative<std::vector<Op>>(back.program));
+    EXPECT_EQ(back.serialize(), text);
+
+    Artifact v2 = v1;
+    v2.program = ServerHistory{};
+    const std::string text2 = v2.serialize();
+    EXPECT_EQ(text2.rfind("raid2-check v2\n", 0), 0u);
+    EXPECT_TRUE(std::holds_alternative<ServerHistory>(
+        Artifact::parse(text2).program));
+
+    // A v1 body under a v2 header is malformed.
+    EXPECT_THROW(Artifact::parse("raid2-check v2" +
+                                 text.substr(text.find('\n'))),
+                 std::runtime_error);
 }
 
-TEST(ServerArtifactFormat, RejectsMalformedInput)
+TEST(HistoryArtifact, RejectsMalformedInput)
 {
-    EXPECT_THROW(ServerArtifact::parse(""), std::runtime_error);
-    EXPECT_THROW(ServerArtifact::parse("raid2-check v2\n"),
+    EXPECT_THROW(Artifact::parse(""), std::runtime_error);
+    EXPECT_THROW(Artifact::parse("raid2-check v2\n"),
                  std::runtime_error);
-    EXPECT_THROW(ServerArtifact::parse("raid2-check v2\n"
-                                       "config 1024 4096 16 256 1\n"
-                                       "clients 2\n"
-                                       "history 1\n"
-                                       "warble 1 /f0\n"),
+    EXPECT_THROW(Artifact::parse("raid2-check v2\n"
+                                 "config 1024 4096 16 256 1\n"
+                                 "clients 2\n"
+                                 "history 1\n"
+                                 "warble 1 /f0\n"),
                  std::runtime_error);
-    EXPECT_THROW(ServerArtifact::parse("raid2-check v2\n"
-                                       "config 1024 4096 16 256 1\n"
-                                       "clients 2\n"
-                                       "history 0\n"
-                                       "faults 1\n"
-                                       "5 not_a_fault 0 0 0 0\n"),
+    EXPECT_THROW(Artifact::parse("raid2-check v2\n"
+                                 "config 1024 4096 16 256 1\n"
+                                 "clients 2\n"
+                                 "history 0\n"
+                                 "faults 1\n"
+                                 "5 not_a_fault 0 0 0 0\n"),
                  std::runtime_error);
 }
 

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "check/artifact.hh"
-#include "check/server_explorer.hh"
 #include "check/shrinker.hh"
 #include "check/workload_gen.hh"
 #include "sim/stats_registry.hh"
@@ -89,51 +88,47 @@ finish(int code)
     return code;
 }
 
-/** Targeted illegal-device search: for each barrier (newest first),
- *  drop the acknowledged summary write before it and cut there. */
-std::optional<Failure>
-findAckedDropFailure(const Capture &cap)
+std::size_t
+numOps(const Program &prog)
 {
-    const auto &barriers = cap.log.barriers();
-    for (std::size_t k = barriers.size(); k-- > 0;) {
-        const std::size_t target =
-            CrashExplorer::ackedSummaryWriteBefore(cap, k);
-        if (target == CrashExplorer::npos)
-            continue;
-        TrialSpec spec;
-        spec.mode = TrialSpec::Mode::Dropped;
-        spec.cut = barriers[k].at;
-        spec.target = target;
-        spec.forceBarrier = static_cast<int>(k);
-        const TrialResult r = CrashExplorer::runTrial(cap, spec);
-        if (!r.ok)
-            return Failure{spec, r.diffs};
-    }
-    return std::nullopt;
+    if (const auto *hist = std::get_if<ServerHistory>(&prog))
+        return hist->ops.size();
+    return std::get<std::vector<Op>>(prog).size();
 }
 
-/** Replay a trial against @p cap and compare with recorded diffs. */
+/** Seeded program of the chosen kind; @p num_ops = 0 keeps the
+ *  generator's default length. */
+Program
+generate(bool server, std::uint64_t seed, unsigned num_ops,
+         bool faults = true)
+{
+    if (server) {
+        ServerGenConfig gcfg;
+        if (num_ops > 0)
+            gcfg.numOps = num_ops;
+        gcfg.withFaults = faults;
+        return generateServerHistory(seed, gcfg);
+    }
+    GenConfig gcfg;
+    if (num_ops > 0)
+        gcfg.numOps = num_ops;
+    return generateWorkload(seed, gcfg);
+}
+
 int
-replayTrial(const Capture &cap, const TrialSpec &trial,
-            const std::vector<std::string> &expected)
+writeArtifact(const Artifact &art, const std::string &path)
 {
-    const TrialResult r = CrashExplorer::runTrial(cap, trial);
-
-    std::printf("replayed verdict (%zu diffs):\n", r.diffs.size());
-    for (const auto &d : r.diffs)
-        std::printf("  %s\n", d.c_str());
-
-    if (r.diffs == expected) {
-        std::printf("reproduced byte-for-byte: OK\n");
-        return 0;
+    std::ofstream out(path);
+    if (!out) {
+        std::fprintf(stderr, "check_replay: cannot write %s\n",
+                     path.c_str());
+        return 2;
     }
-    std::printf("MISMATCH vs artifact (expected %zu diffs):\n",
-                expected.size());
-    for (const auto &d : expected)
-        std::printf("  %s\n", d.c_str());
-    return 1;
+    out << art.serialize();
+    return 0;
 }
 
+/** Replay @p path's trial and compare with its recorded diffs. */
 int
 replayFile(const std::string &path)
 {
@@ -145,91 +140,95 @@ replayFile(const std::string &path)
     }
     std::stringstream buf;
     buf << in.rdbuf();
+    const Artifact art = Artifact::parse(buf.str());
 
-    if (isServerArtifact(buf.str())) {
-        const ServerArtifact art = ServerArtifact::parse(buf.str());
+    if (const auto *hist = std::get_if<ServerHistory>(&art.program)) {
         std::printf("server artifact: %u clients, %zu history ops, "
                     "%zu faults, trial %s\n",
-                    art.hist.clients, art.hist.ops.size(),
-                    art.hist.faults.events.size(),
-                    art.trial.str().c_str());
-        ServerExplorer::Options opt;
-        opt.cfg = art.cfg;
-        return replayTrial(ServerExplorer::capture(art.hist, opt),
-                           art.trial, art.diffs);
+                    hist->clients, hist->ops.size(),
+                    hist->faults.events.size(), art.trial.str().c_str());
+    } else {
+        std::printf("artifact: %zu ops, trial %s\n",
+                    numOps(art.program), art.trial.str().c_str());
     }
+    const TrialResult r =
+        CrashExplorer::runTrial(capture(art.program, art.cfg), art.trial);
 
-    const Artifact art = Artifact::parse(buf.str());
-    std::printf("artifact: %zu ops, trial %s\n", art.ops.size(),
-                art.trial.str().c_str());
-    return replayTrial(CrashExplorer::capture(art.ops, art.cfg),
-                       art.trial, art.diffs);
+    std::printf("replayed verdict (%zu diffs):\n", r.diffs.size());
+    for (const auto &d : r.diffs)
+        std::printf("  %s\n", d.c_str());
+
+    if (r.diffs == art.diffs) {
+        std::printf("reproduced byte-for-byte: OK\n");
+        return 0;
+    }
+    std::printf("MISMATCH vs artifact (expected %zu diffs):\n",
+                art.diffs.size());
+    for (const auto &d : art.diffs)
+        std::printf("  %s\n", d.c_str());
+    return 1;
 }
 
 int
-demo(const std::string &out_path)
+demo(bool server, const std::string &out_path)
 {
-    // A workload with enough synced data that severing the roll-forward
-    // chain provably loses acknowledged state.
-    GenConfig gcfg;
-    gcfg.numOps = 40;
-    const std::vector<Op> ops = generateWorkload(7, gcfg);
+    // Seed 7 has enough synced data that severing the roll-forward
+    // chain provably loses acknowledged state.  The server history
+    // runs with faults off: the injected drop must be flagged by the
+    // durability oracle alone, not masked by scripted device trouble.
+    const Program prog = generate(server, 7, server ? 0 : 40, false);
     const CheckConfig cfg;
 
-    auto pred =
-        [&](const std::vector<Op> &cand) -> std::optional<Failure> {
-        return findAckedDropFailure(CrashExplorer::capture(cand, cfg));
+    auto pred = [&](const Program &cand) {
+        return CrashExplorer::findAckedDrop(capture(cand, cfg));
     };
 
-    if (!pred(ops)) {
+    if (!pred(prog)) {
         std::fprintf(stderr,
                      "demo: injected drop not flagged — oracle or "
-                     "workload regression\n");
+                     "generator regression\n");
         return 1;
     }
 
     std::printf("injected violation: dropping an acknowledged "
-                "segment-summary write\n");
-    const Shrinker::Result res = Shrinker::shrink(ops, pred);
+                "segment-summary write%s\n",
+                server ? " under a concurrent history" : "");
+    const Shrinker::Result res = Shrinker::shrink(prog, pred);
     std::printf("shrunk %zu ops -> %zu ops in %zu attempts\n",
-                ops.size(), res.ops.size(), res.attempts);
+                numOps(prog), numOps(res.program), res.attempts);
 
-    Artifact art;
-    art.cfg = cfg;
-    art.ops = res.ops;
-    art.trial = res.witness.spec;
-    art.diffs = res.witness.diffs;
-
-    {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::fprintf(stderr, "check_replay: cannot write %s\n",
-                         out_path.c_str());
-            return 2;
-        }
-        out << art.serialize();
-    }
+    const Artifact art{cfg, res.program, res.witness.spec,
+                       res.witness.diffs};
+    if (const int rc = writeArtifact(art, out_path))
+        return rc;
     std::printf("artifact written to %s\n", out_path.c_str());
 
     return replayFile(out_path);
 }
 
 int
-sweep(std::uint64_t seed, unsigned num_ops)
+sweep(bool server, std::uint64_t seed, unsigned num_ops)
 {
-    GenConfig gcfg;
-    if (num_ops > 0)
-        gcfg.numOps = num_ops;
-    const std::vector<Op> ops = generateWorkload(seed, gcfg);
+    const Program prog = generate(server, seed, num_ops);
     const CheckConfig cfg;
-    const Capture cap = CrashExplorer::capture(ops, cfg);
-    std::printf("seed %llu: %zu ops, %zu blocks written "
-                "(%zu extents), %zu barriers\n",
-                static_cast<unsigned long long>(seed), ops.size(),
-                cap.log.numBlocks(), cap.log.entries().size(),
-                cap.log.barriers().size());
+    const Capture cap = capture(prog, cfg);
+    const auto seedNum = static_cast<unsigned long long>(seed);
+    if (const auto *hist = std::get_if<ServerHistory>(&prog)) {
+        std::printf("seed %llu: %u clients, %zu history ops -> %zu "
+                    "applied ops, %zu blocks written, %zu barriers, "
+                    "%zu faults\n",
+                    seedNum, hist->clients, hist->ops.size(),
+                    cap.ops.size(), cap.log.numBlocks(),
+                    cap.log.barriers().size(),
+                    hist->faults.events.size());
+    } else {
+        std::printf("seed %llu: %zu ops, %zu blocks written "
+                    "(%zu extents), %zu barriers\n",
+                    seedNum, cap.ops.size(), cap.log.numBlocks(),
+                    cap.log.entries().size(), cap.log.barriers().size());
+    }
 
-    const ExploreReport rep = CrashExplorer::explore(cap);
+    const ExploreReport rep = explore(prog, cfg);
     std::printf("%zu trials, %zu violations\n", rep.trials,
                 rep.failures.size());
     if (rep.failures.empty())
@@ -241,134 +240,22 @@ sweep(std::uint64_t seed, unsigned num_ops)
         std::printf("  %s\n", d.c_str());
 
     // Shrink against "any legal-enumeration failure" and save it.
-    auto pred =
-        [&](const std::vector<Op> &cand) -> std::optional<Failure> {
-        ExploreOptions opt;
-        opt.stopAtFirst = true;
-        const Capture c = CrashExplorer::capture(cand, cfg);
-        ExploreReport r = CrashExplorer::explore(c, opt);
+    auto pred = [&](const Program &cand) -> std::optional<Failure> {
+        ExploreReport r = explore(cand, cfg, {.stopAtFirst = true});
         if (r.failures.empty())
             return std::nullopt;
         return r.failures.front();
     };
-    const Shrinker::Result res = Shrinker::shrink(ops, pred);
+    const Shrinker::Result res = Shrinker::shrink(prog, pred);
 
-    Artifact art;
-    art.cfg = cfg;
-    art.ops = res.ops;
-    art.trial = res.witness.spec;
-    art.diffs = res.witness.diffs;
     const std::string out_path =
-        "check-seed" + std::to_string(seed) + ".artifact";
-    std::ofstream(out_path) << art.serialize();
-    std::printf("shrunk to %zu ops; artifact: %s\n", res.ops.size(),
-                out_path.c_str());
-    return 1;
-}
-
-// ---------------------------------------------------------------------
-// Server-level ("raid2-check v2") commands
-// ---------------------------------------------------------------------
-
-int
-serverDemo(const std::string &out_path)
-{
-    // A history with faults disabled: the injected acked-drop must be
-    // flagged by the durability oracle alone, not masked by scripted
-    // device trouble.
-    ServerGenConfig gcfg;
-    gcfg.withFaults = false;
-    const ServerHistory hist = generateServerHistory(7, gcfg);
-    ServerExplorer::Options opt;
-
-    auto pred =
-        [&](const ServerHistory &cand) -> std::optional<Failure> {
-        return findAckedDropFailure(ServerExplorer::capture(cand, opt));
-    };
-
-    if (!pred(hist)) {
-        std::fprintf(stderr,
-                     "server demo: injected drop not flagged — oracle "
-                     "or history regression\n");
-        return 1;
-    }
-
-    std::printf("injected violation: dropping an acknowledged "
-                "segment-summary write under a concurrent history\n");
-    const Shrinker::ServerResult res =
-        Shrinker::shrinkHistory(hist, pred);
-    std::printf("shrunk %zu ops -> %zu ops in %zu attempts\n",
-                hist.ops.size(), res.hist.ops.size(), res.attempts);
-
-    ServerArtifact art;
-    art.cfg = opt.cfg;
-    art.hist = res.hist;
-    art.trial = res.witness.spec;
-    art.diffs = res.witness.diffs;
-
-    {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::fprintf(stderr, "check_replay: cannot write %s\n",
-                         out_path.c_str());
-            return 2;
-        }
-        out << art.serialize();
-    }
-    std::printf("artifact written to %s\n", out_path.c_str());
-
-    return replayFile(out_path);
-}
-
-int
-serverSweep(std::uint64_t seed, unsigned num_ops)
-{
-    ServerGenConfig gcfg;
-    if (num_ops > 0)
-        gcfg.numOps = num_ops;
-    const ServerHistory hist = generateServerHistory(seed, gcfg);
-    ServerExplorer::Options opt;
-    const Capture cap = ServerExplorer::capture(hist, opt);
-    std::printf("seed %llu: %u clients, %zu history ops -> %zu applied "
-                "ops, %zu blocks written, %zu barriers, %zu faults\n",
-                static_cast<unsigned long long>(seed), hist.clients,
-                hist.ops.size(), cap.ops.size(), cap.log.numBlocks(),
-                cap.log.barriers().size(),
-                hist.faults.events.size());
-
-    const ExploreReport rep = ServerExplorer::explore(hist, opt);
-    std::printf("%zu trials, %zu violations\n", rep.trials,
-                rep.failures.size());
-    if (rep.failures.empty())
-        return 0;
-
-    const Failure &f = rep.failures.front();
-    std::printf("first failure: %s\n", f.spec.str().c_str());
-    for (const auto &d : f.diffs)
-        std::printf("  %s\n", d.c_str());
-
-    auto pred =
-        [&](const ServerHistory &cand) -> std::optional<Failure> {
-        ServerExplorer::Options sopt = opt;
-        sopt.stopAtFirst = true;
-        ExploreReport r = ServerExplorer::explore(cand, sopt);
-        if (r.failures.empty())
-            return std::nullopt;
-        return r.failures.front();
-    };
-    const Shrinker::ServerResult res =
-        Shrinker::shrinkHistory(hist, pred);
-
-    ServerArtifact art;
-    art.cfg = opt.cfg;
-    art.hist = res.hist;
-    art.trial = res.witness.spec;
-    art.diffs = res.witness.diffs;
-    const std::string out_path =
-        "servercheck-seed" + std::to_string(seed) + ".artifact";
-    std::ofstream(out_path) << art.serialize();
+        std::string(server ? "servercheck" : "check") + "-seed" +
+        std::to_string(seed) + ".artifact";
+    writeArtifact(Artifact{cfg, res.program, res.witness.spec,
+                           res.witness.diffs},
+                  out_path);
     std::printf("shrunk to %zu ops; artifact: %s\n",
-                res.hist.ops.size(), out_path.c_str());
+                numOps(res.program), out_path.c_str());
     return 1;
 }
 
@@ -409,7 +296,7 @@ main(int argc, char **argv)
                 args.size() > 1 ? args[1]
                 : server        ? "servercheck-demo.artifact"
                                 : "check-demo.artifact";
-            return finish(server ? serverDemo(out) : demo(out));
+            return finish(demo(server, out));
         }
         if (cmd == "--sweep") {
             if (args.size() < 2)
@@ -420,8 +307,7 @@ main(int argc, char **argv)
                 args.size() > 2 ? static_cast<unsigned>(std::strtoul(
                                       args[2].c_str(), nullptr, 0))
                                 : 0;
-            return finish(server ? serverSweep(seed, n)
-                                 : sweep(seed, n));
+            return finish(sweep(server, seed, n));
         }
         if (cmd[0] == '-' || server)
             return usage();
