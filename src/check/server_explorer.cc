@@ -834,14 +834,19 @@ capture(const Program &prog, const CheckConfig &cfg)
 }
 
 ExploreReport
-explore(const Program &prog, const CheckConfig &cfg,
-        const ExploreOptions &opt)
+explore(const Program &prog, const Capture &cap, const ExploreOptions &opt)
 {
-    const ExploreReport rep =
-        CrashExplorer::explore(capture(prog, cfg), opt);
+    const ExploreReport rep = CrashExplorer::explore(cap, opt);
     if (std::holds_alternative<ServerHistory>(prog))
         mutableStats().crashPoints += rep.trials;
     return rep;
+}
+
+ExploreReport
+explore(const Program &prog, const CheckConfig &cfg,
+        const ExploreOptions &opt)
+{
+    return explore(prog, capture(prog, cfg), opt);
 }
 
 } // namespace raid2::check

@@ -114,8 +114,13 @@ using Program = std::variant<std::vector<Op>, ServerHistory>;
 /** Run @p prog live under its own kind's capture runner. */
 Capture capture(const Program &prog, const CheckConfig &cfg = {});
 
-/** capture() + CrashExplorer::explore over every crash point; a
- *  server history's trials count as check.server.crash_points. */
+/** CrashExplorer::explore over every crash point of @p cap, a capture
+ *  of @p prog; a server history's trials count as
+ *  check.server.crash_points. */
+ExploreReport explore(const Program &prog, const Capture &cap,
+                      const ExploreOptions &opt = {});
+
+/** capture() + the explore() above. */
 ExploreReport explore(const Program &prog, const CheckConfig &cfg = {},
                       const ExploreOptions &opt = {});
 

@@ -1,7 +1,5 @@
 #include "fs/mem_block_device.hh"
 
-#include <cstring>
-
 namespace raid2::fs {
 
 MemBlockDevice::MemBlockDevice(std::uint32_t block_size,
@@ -19,7 +17,7 @@ MemBlockDevice::readRange(std::uint64_t bno, std::uint64_t count,
         return;
     checkExtent(bno, count, out.size());
     noteRead(count);
-    std::memcpy(out.data(), data.data() + bno * bs, count * bs);
+    data.read(bno * bs, out);
 }
 
 void
@@ -30,14 +28,14 @@ MemBlockDevice::writeRange(std::uint64_t bno, std::uint64_t count,
         return;
     checkExtent(bno, count, in.size());
     noteWrite(count);
-    std::memcpy(data.data() + bno * bs, in.data(), count * bs);
+    data.write(bno * bs, in);
 }
 
 std::span<std::uint8_t>
 MemBlockDevice::raw(std::uint64_t bno)
 {
     checkExtent(bno, 1, bs);
-    return {data.data() + bno * bs, bs};
+    return data.span(bno * bs, bs);
 }
 
 } // namespace raid2::fs

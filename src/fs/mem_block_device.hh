@@ -1,6 +1,12 @@
 /**
  * @file
- * In-memory block device for functional tests.
+ * In-memory block device: the file system's media when the server runs
+ * without the RAID twin, and a plain device for functional tests.
+ *
+ * Its bytes are one sim::ByteStore, so a new device reads all zeros
+ * without being zeroed: reads of never-written blocks return zeros, and
+ * a write zeroes only what it leaves of a 64 KB granule it is the first
+ * to touch.  A segment write of whole granules writes no zeros at all.
  */
 
 #ifndef RAID2_FS_MEM_BLOCK_DEVICE_HH
@@ -27,7 +33,8 @@ class MemBlockDevice : public BlockDevice
     void writeRange(std::uint64_t bno, std::uint64_t count,
                     std::span<const std::uint8_t> data) override;
 
-    /** Direct access for tests (e.g. corrupting a block). */
+    /** Direct access for tests (e.g. corrupting a block); zeroes the
+     *  block's granule first if nothing has touched it. */
     std::span<std::uint8_t> raw(std::uint64_t bno);
 
   private:

@@ -18,9 +18,12 @@ RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
         sim::fatal("RaidArray: %u disks exceeds the %zu-way parity "
                    "fold limit",
                    cfg.numDisks, kMaxFoldSources);
+    // data() zeroes each disk here rather than on first touch: the code
+    // below addresses whole disks through data(), and a rebuild over
+    // never-written stripes would otherwise zero them mid-run.
     disks.reserve(cfg.numDisks);
     for (unsigned d = 0; d < cfg.numDisks; ++d)
-        disks.emplace_back(static_cast<std::size_t>(disk_bytes));
+        disks.emplace_back(static_cast<std::size_t>(disk_bytes)).data();
 }
 
 unsigned

@@ -543,10 +543,13 @@ Raid2Server::verifyRanges(const std::vector<Range> &ranges,
                                           verifyDev->numBlocks());
         if (r.len == 0 || b0 >= b1)
             continue;
-        _verifyScratch.resize((b1 - b0) * bs);
+        // The scratch stays at its high-water size: growing it again
+        // after a shorter range would zero bytes the read overwrites.
+        const std::size_t bytes = (b1 - b0) * bs;
+        if (_verifyScratch.size() < bytes)
+            _verifyScratch.resize(bytes);
         if (!verifyDev->verifiedReadRange(
-                b0, b1 - b0,
-                {_verifyScratch.data(), _verifyScratch.size()}))
+                b0, b1 - b0, std::span(_verifyScratch).first(bytes)))
             ok = false;
     }
     if (ok)

@@ -1,5 +1,6 @@
 #include "sim/byte_store.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -19,11 +20,27 @@ namespace raid2::sim {
 
 namespace {
 
+constexpr std::size_t G = ByteStore::granuleBytes;
+
+/** @{ One allocation holds a store's bytes, then its granule map. */
+std::size_t
+mapBytes(std::size_t bytes)
+{
+    return ((bytes + G - 1) / G + 7) / 8;
+}
+
+std::size_t
+allocBytes(std::size_t bytes)
+{
+    return bytes + mapBytes(bytes);
+}
+/** @} */
+
 /** Buffers of destroyed stores, kept for the next store of their size
  *  on this thread.  Each is poisoned while it sits here. */
 struct Pool
 {
-    std::size_t bytes = 0; ///< size of every pooled buffer
+    std::size_t bytes = 0; ///< size of every pooled store
     std::vector<std::uint8_t *> buffers;
 
     ~Pool() { clear(); }
@@ -32,7 +49,7 @@ struct Pool
     clear()
     {
         for (std::uint8_t *p : buffers) {
-            ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+            ASAN_UNPOISON_MEMORY_REGION(p, allocBytes(bytes));
             delete[] p;
         }
         buffers.clear();
@@ -50,25 +67,30 @@ pool()
 
 ByteStore::ByteStore(std::size_t bytes) : n(bytes)
 {
-    if (n == 0)
+    if (n == 0) {
+        whole = true;
         return;
+    }
     Pool &p = pool();
     if (p.bytes == n && !p.buffers.empty()) {
         buf = p.buffers.back();
         p.buffers.pop_back();
-        ASAN_UNPOISON_MEMORY_REGION(buf, n);
+        ASAN_UNPOISON_MEMORY_REGION(buf, allocBytes(n));
     } else {
         p.clear();
-        buf = new std::uint8_t[n];
+        buf = new std::uint8_t[allocBytes(n)];
     }
-    std::memset(buf, 0, n);
+    map = buf + n;
+    std::memset(map, 0, mapBytes(n));
 }
 
 ByteStore::ByteStore(ByteStore &&other) noexcept
-    : buf(other.buf), n(other.n)
+    : buf(other.buf), n(other.n), map(other.map), whole(other.whole)
 {
     other.buf = nullptr;
     other.n = 0;
+    other.map = nullptr;
+    other.whole = true;
 }
 
 ByteStore::~ByteStore()
@@ -80,8 +102,73 @@ ByteStore::~ByteStore()
         p.clear();
         p.bytes = n;
     }
-    ASAN_POISON_MEMORY_REGION(buf, n);
+    ASAN_POISON_MEMORY_REGION(buf, allocBytes(n));
     p.buffers.push_back(buf);
+}
+
+void
+ByteStore::touch(std::size_t g) const
+{
+    if (touched(g))
+        return;
+    const std::size_t g0 = g * G;
+    std::memset(buf + g0, 0, std::min(G, n - g0));
+    mark(g);
+}
+
+void
+ByteStore::touchAll() const
+{
+    for (std::size_t g = 0; g * G < n; ++g)
+        touch(g);
+    whole = true;
+}
+
+void
+ByteStore::read(std::size_t off, std::span<std::uint8_t> out) const
+{
+    std::uint8_t *dst = out.data();
+    const std::size_t end = off + out.size();
+    for (std::size_t pos = off; pos < end;) {
+        const std::size_t g = pos / G;
+        const std::size_t stop = std::min(end, (g + 1) * G);
+        if (touched(g))
+            std::memcpy(dst, buf + pos, stop - pos);
+        else
+            std::memset(dst, 0, stop - pos);
+        dst += stop - pos;
+        pos = stop;
+    }
+}
+
+void
+ByteStore::write(std::size_t off, std::span<const std::uint8_t> in)
+{
+    const std::uint8_t *src = in.data();
+    const std::size_t end = off + in.size();
+    for (std::size_t pos = off; pos < end;) {
+        const std::size_t g = pos / G;
+        const std::size_t g0 = g * G;
+        const std::size_t g1 = std::min(g0 + G, n);
+        const std::size_t stop = std::min(end, g1);
+        if (!touched(g)) {
+            // Zero what this write leaves of the granule, then mark it.
+            std::memset(buf + g0, 0, pos - g0);
+            std::memset(buf + stop, 0, g1 - stop);
+            mark(g);
+        }
+        std::memcpy(buf + pos, src, stop - pos);
+        src += stop - pos;
+        pos = stop;
+    }
+}
+
+std::span<std::uint8_t>
+ByteStore::span(std::size_t off, std::size_t len)
+{
+    for (std::size_t g = off / G; g * G < off + len; ++g)
+        touch(g);
+    return {buf + off, len};
 }
 
 } // namespace raid2::sim

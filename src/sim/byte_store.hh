@@ -1,15 +1,26 @@
 /**
  * @file
- * Large zero-filled byte stores, recycled per thread.
+ * Large byte stores that read as zeros until written, recycled per
+ * thread.
  *
  * The functional plane keeps its media in memory: a file-system device
  * or a RAID member disk is one buffer of tens to hundreds of MB.  Sweeps,
  * tests and the benchmark build one world after another, and a fresh
- * buffer costs a page fault per 4 KB page — far more than zeroing memory
- * that is already mapped.  A ByteStore therefore gives its buffer to a
- * thread-local pool when it is destroyed, and the next store of the
- * same size on that thread adopts it and zeroes it with one memset.
- * Either way a new store reads all zeros.
+ * buffer costs a page fault per 4 KB page.  A ByteStore therefore gives
+ * its buffer to a thread-local pool when it is destroyed, and the next
+ * store of the same size on that thread adopts it.
+ *
+ * No buffer is zeroed when it is handed out, fresh or adopted.  The
+ * store keeps one bit per 64 KB granule, in the same allocation after
+ * its bytes, and zeroes a granule the first time it is touched:
+ *   - read() returns zeros for an untouched granule and leaves it so;
+ *   - write() zero-fills only the part of an untouched granule that it
+ *     leaves uncovered, so a write of whole granules writes no zeros;
+ *   - span() zeroes the untouched granules it covers before handing
+ *     them out for in-place access; data() and bytes() do the same for
+ *     the whole store.
+ * Either way a new store reads all zeros, and a world never writes
+ * zeros it does not read.
  *
  * The pool holds buffers of one size only.  A request for any other
  * size empties it and allocates fresh, so pooled plus live buffers never
@@ -27,10 +38,13 @@
 
 namespace raid2::sim {
 
-/** Fixed-size byte buffer, zero-filled when built. */
+/** Fixed-size byte buffer that reads all zeros when built. */
 class ByteStore
 {
   public:
+    /** The unit of first-touch zeroing. */
+    static constexpr std::size_t granuleBytes = 64 * 1024;
+
     explicit ByteStore(std::size_t bytes);
     ~ByteStore();
 
@@ -39,15 +53,54 @@ class ByteStore
     ByteStore(const ByteStore &) = delete;
     ByteStore &operator=(const ByteStore &) = delete;
 
-    std::uint8_t *data() { return buf; }
-    const std::uint8_t *data() const { return buf; }
     std::size_t size() const { return n; }
-    std::span<std::uint8_t> bytes() { return {buf, n}; }
-    std::span<const std::uint8_t> bytes() const { return {buf, n}; }
+
+    /** Copy [off, off + out.size()) into @p out. */
+    void read(std::size_t off, std::span<std::uint8_t> out) const;
+    /** Copy @p in over [off, off + in.size()). */
+    void write(std::size_t off, std::span<const std::uint8_t> in);
+    /** [off, off + len), zeroed where untouched, for in-place access. */
+    std::span<std::uint8_t> span(std::size_t off, std::size_t len);
+
+    /** @{ The whole store for in-place access; the first call zeroes
+     *  every untouched granule. */
+    std::uint8_t *
+    data()
+    {
+        if (!whole)
+            touchAll();
+        return buf;
+    }
+    const std::uint8_t *
+    data() const
+    {
+        if (!whole)
+            touchAll();
+        return buf;
+    }
+    std::span<std::uint8_t> bytes() { return {data(), n}; }
+    std::span<const std::uint8_t> bytes() const { return {data(), n}; }
+    /** @} */
 
   private:
+    bool
+    touched(std::size_t g) const
+    {
+        return map[g / 8] >> (g % 8) & 1;
+    }
+    void mark(std::size_t g) const { map[g / 8] |= 1 << (g % 8); }
+    /** Zero granule @p g if it is untouched, and mark it touched. */
+    void touch(std::size_t g) const;
+    void touchAll() const;
+
     std::uint8_t *buf = nullptr;
     std::size_t n = 0;
+    /** One bit per granule, set once it holds the store's bytes; it
+     *  lives in buf's allocation, after the bytes. */
+    std::uint8_t *map = nullptr;
+    /** Every granule is touched.  data() const sets it: zeroing an
+     *  untouched granule does not change what the store reads. */
+    mutable bool whole = false;
 };
 
 } // namespace raid2::sim

@@ -1,10 +1,11 @@
 /**
  * @file
- * sim::ByteStore recycling: a recycled store reads all zeros, a second
- * store of one size allocates nothing, another size empties the pool,
- * pools are per thread, a world built on recycled stores simulates
- * exactly as on fresh ones, and under AddressSanitizer a pooled buffer
- * is poisoned.
+ * sim::ByteStore recycling and first-touch zeroing: a recycled store
+ * reads all zeros through read(), partial writes, span() and a ragged
+ * MemBlockDevice, a second store of one size allocates nothing, another
+ * size empties the pool, pools are per thread, a world built on
+ * recycled stores simulates exactly as on fresh ones, and under
+ * AddressSanitizer a pooled buffer is poisoned.
  *
  * Global operator new/delete are replaced with counting versions, as in
  * event_alloc_test.cc.
@@ -44,7 +45,8 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
-/** Allocations of exactly g_watchBytes bytes. */
+/** Allocations of one store of g_watchBytes bytes: its bytes plus its
+ *  granule map, which is far under 4 KB. */
 std::atomic<std::size_t> g_watchBytes{0};
 std::atomic<std::uint64_t> g_watchHits{0};
 
@@ -52,7 +54,8 @@ void *
 countedAlloc(std::size_t n)
 {
     ++g_allocs;
-    if (n == g_watchBytes.load())
+    const std::size_t w = g_watchBytes.load();
+    if (w > 0 && n >= w && n - w < 4096)
         ++g_watchHits;
     if (void *p = std::malloc(n))
         return p;
@@ -193,6 +196,135 @@ TEST(ByteStore, RecycledMemBlockDeviceReadsAllZeros)
     std::vector<std::uint8_t> all(bs * blocks, 0xaa);
     dev.readRange(0, blocks, all);
     EXPECT_TRUE(allZero(all));
+}
+
+constexpr std::size_t G = sim::ByteStore::granuleBytes;
+
+/** Index of the first byte where @p a and @p b differ, or a.size(). */
+std::size_t
+firstMismatch(std::span<const std::uint8_t> a,
+              std::span<const std::uint8_t> b)
+{
+    return std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+           a.begin();
+}
+
+/** Leave a store of @p n bytes, 0xff everywhere, in this thread's pool,
+ *  so that the next store of that size adopts dirty bytes. */
+void
+poolDirtyStore(std::size_t n)
+{
+    sim::ByteStore s(n);
+    std::fill_n(s.data(), n, 0xff);
+}
+
+TEST(ByteStore, RecycledStoreReadsZerosThroughRead)
+{
+    constexpr std::size_t n = 4 * G + 1000; // a partial last granule
+
+    // A store of another size empties the pool, so the next store is
+    // allocated fresh, and the fleet test's watch must see it.
+    { sim::ByteStore other(G); }
+    g_watchBytes = n;
+    const std::uint64_t hits = g_watchHits.load();
+    poolDirtyStore(n);
+    EXPECT_EQ(g_watchHits.load() - hits, 1u)
+        << "the watch does not see a store's allocation";
+    g_watchBytes = 0;
+
+    const std::uint64_t before = g_allocs.load();
+    sim::ByteStore s(n);
+    ASSERT_EQ(g_allocs.load() - before, 0u) << "the store was not recycled";
+
+    std::vector<std::uint8_t> all(n, 0xaa);
+    s.read(0, all);
+    EXPECT_TRUE(allZero(all));
+    for (const std::size_t off : {G - 3, 2 * G + 17, 4 * G + 1}) {
+        std::vector<std::uint8_t> part(300, 0xaa);
+        s.read(off, part);
+        EXPECT_TRUE(allZero(part)) << "at " << off;
+    }
+}
+
+TEST(ByteStore, PartialWriteLeavesTheRestOfItsGranuleZero)
+{
+    constexpr std::size_t n = 3 * G;
+    poolDirtyStore(n);
+    sim::ByteStore s(n);
+
+    const std::size_t off = G + G / 2; // the middle of granule 1
+    const std::vector<std::uint8_t> in(512, 0x5c);
+    s.write(off, in);
+    std::vector<std::uint8_t> want(n, 0);
+    std::copy(in.begin(), in.end(), want.begin() + off);
+
+    std::vector<std::uint8_t> got(n, 0xaa);
+    s.read(0, got);
+    EXPECT_EQ(firstMismatch(got, want), n) << "through read()";
+    // In place, which zeroes the untouched neighbours.
+    EXPECT_EQ(firstMismatch(s.bytes(), want), n) << "through bytes()";
+}
+
+TEST(ByteStore, SpanOfAnUntouchedGranuleIsZeroAndWritesThrough)
+{
+    constexpr std::size_t n = 3 * G;
+    poolDirtyStore(n);
+    sim::ByteStore s(n);
+
+    const std::size_t off = 2 * G + 100, len = 4096;
+    const std::span<std::uint8_t> in = s.span(off, len);
+    EXPECT_TRUE(allZero(in));
+    for (std::size_t i = 0; i < len; ++i)
+        in[i] = static_cast<std::uint8_t>(i * 13 + 7);
+
+    std::vector<std::uint8_t> want(n, 0);
+    std::copy(in.begin(), in.end(), want.begin() + off);
+    std::vector<std::uint8_t> got(n, 0xaa);
+    s.read(0, got);
+    EXPECT_EQ(firstMismatch(got, want), n);
+}
+
+TEST(ByteStore, RecycledMemBlockDeviceReadsRaggedExtentsBack)
+{
+    constexpr std::uint32_t bs = 512;
+    constexpr std::uint64_t gb = G / bs;        // blocks per granule
+    constexpr std::uint64_t blocks = 4 * gb + 7; // a partial last granule
+    const std::uint8_t *first = nullptr;
+    {
+        fs::MemBlockDevice dirty(bs, blocks);
+        const std::vector<std::uint8_t> ones(bs * blocks, 0xff);
+        dirty.writeRange(0, blocks, ones);
+        first = dirty.raw(0).data();
+    }
+    fs::MemBlockDevice dev(bs, blocks);
+
+    // Extents that start and end inside granules and cross their
+    // boundaries, one of them into the partial last granule.
+    const std::pair<std::uint64_t, std::uint64_t> extents[] = {
+        {gb - 3, 5}, {2 * gb + 1, 1}, {3 * gb - 1, gb + 2}};
+    std::vector<std::uint8_t> want(bs * blocks, 0);
+    for (const auto &[bno, count] : extents) {
+        std::vector<std::uint8_t> in(bs * count);
+        for (std::size_t i = 0; i < in.size(); ++i)
+            in[i] = static_cast<std::uint8_t>(bno * 31 + i * 7 + 1);
+        dev.writeRange(bno, count, in);
+        std::copy(in.begin(), in.end(), want.begin() + bno * bs);
+    }
+
+    std::vector<std::uint8_t> all(bs * blocks, 0xaa);
+    dev.readRange(0, blocks, all);
+    EXPECT_EQ(firstMismatch(all, want), all.size());
+    const std::pair<std::uint64_t, std::uint64_t> reads[] = {
+        {gb - 4, 9}, {2 * gb - 2, 4}, {4 * gb, 7}, {gb + 2, 2 * gb}};
+    for (const auto &[bno, count] : reads) {
+        std::vector<std::uint8_t> got(bs * count, 0xaa);
+        dev.readRange(bno, count, got);
+        EXPECT_EQ(firstMismatch(got, std::span(want).subspan(bno * bs,
+                                                             got.size())),
+                  got.size())
+            << "blocks [" << bno << ", +" << count << ")";
+    }
+    EXPECT_EQ(dev.raw(0).data(), first) << "the store was not recycled";
 }
 
 class RecycledRaidArray : public ::testing::TestWithParam<raid::RaidLevel>

@@ -228,7 +228,7 @@ sweep(bool server, std::uint64_t seed, unsigned num_ops)
                     cap.log.entries().size(), cap.log.barriers().size());
     }
 
-    const ExploreReport rep = explore(prog, cfg);
+    const ExploreReport rep = explore(prog, cap);
     std::printf("%zu trials, %zu violations\n", rep.trials,
                 rep.failures.size());
     if (rep.failures.empty())
