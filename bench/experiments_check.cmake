@@ -15,6 +15,10 @@ cmake_minimum_required(VERSION 3.19) # string(JSON)
 set(pinned
     "Table 1 sequential reads (4+1 controllers)|table1_seq_peak|Sequential reads"
     "Table 1 sequential writes|table1_seq_peak|Sequential writes"
+    "Table 2 RAID-I 15-disk 4 KB read rate|table2_iops|RAID-I 15-disk read rate"
+    "Table 2 RAID-II 15-disk 4 KB read rate|table2_iops|RAID-II 15-disk read rate"
+    "Table 2 RAID-I scaling efficiency|table2_iops|RAID-I scaling efficiency"
+    "Table 2 RAID-II scaling efficiency|table2_iops|RAID-II scaling efficiency"
     "§3.4 client write over Ultranet|net_client|Client write to RAID-II"
     "§3.4 client read, polling driver|net_client|Client read, polling driver"
     "§3.4 host utilization, client writes|net_client|Host CPU utilization (writes)")

@@ -73,7 +73,7 @@ corruptUnderFile(server::Raid2Server &srv, lfs::InodeNum ino,
     std::uint64_t doff = 0;
     srv.functionalArray().layout().mapByte(extents[0].deviceOffset, d,
                                            doff);
-    srv.functionalArray().diskData(d)[doff] ^= 0xa5;
+    srv.functionalArray().diskRange(d, doff, 1)[0] ^= 0xa5;
 }
 
 /**

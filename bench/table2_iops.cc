@@ -96,11 +96,12 @@ raid1Iops(unsigned ndisks, std::uint64_t ops_per_disk)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Table 2: random 4 KB read I/O rates",
-                       "paper: RAID-I ~275/s at 15 disks (67% of "
-                       "potential); RAID-II 400+/s (78%)");
+    bench::Reporter rep("table2_iops", argc, argv);
+    rep.header("Table 2: random 4 KB read I/O rates",
+               "paper: RAID-I ~275/s at 15 disks (67% of "
+               "potential); RAID-II 400+/s (78%)");
 
     // The four cells are independent simulations; run them across the
     // bench thread pool (RAID2_BENCH_THREADS=1 restores serial).
@@ -124,14 +125,18 @@ main()
                 r1_fifteen.iops);
     std::printf("  %-10s %18.1f %18.1f\n", "RAID-II", r2_single.iops,
                 r2_fifteen.iops);
+    rep.record("RAID-I 1-disk read rate", r1_single.iops, "I/Os/s", "");
+    rep.record("RAID-I 15-disk read rate", r1_fifteen.iops, "I/Os/s",
+               "~275");
+    rep.record("RAID-II 1-disk read rate", r2_single.iops, "I/Os/s", "");
+    rep.record("RAID-II 15-disk read rate", r2_fifteen.iops, "I/Os/s",
+               "400+");
 
     const double r1_eff = r1_fifteen.iops / (15.0 * r1_single.iops);
     const double r2_eff = r2_fifteen.iops / (15.0 * r2_single.iops);
     std::printf("\n");
-    bench::printRow("RAID-I scaling efficiency", 100.0 * r1_eff, "%",
-                    "~67%");
-    bench::printRow("RAID-II scaling efficiency", 100.0 * r2_eff, "%",
-                    "~78%");
+    rep.row("RAID-I scaling efficiency", 100.0 * r1_eff, "%", "~67%");
+    rep.row("RAID-II scaling efficiency", 100.0 * r2_eff, "%", "~78%");
     std::printf("\n  Expected shape: RAID-II beats RAID-I per disk "
                 "(faster IBM drives) and\n  in scaling (no data through "
                 "host memory); both capped by host CPU.\n");

@@ -112,9 +112,8 @@ FaultController::injectSilentCorruption(const FaultEvent &e)
             return;
         }
         const std::uint64_t n = std::min(e.bytes, span - e.offset);
-        auto disk = fn->diskData(e.target);
-        for (std::uint64_t i = 0; i < n; ++i)
-            disk[e.offset + i] ^= 0xa5;
+        for (std::uint8_t &b : fn->diskRange(e.target, e.offset, n))
+            b ^= 0xa5;
         // Deliberately NOT entered in the latent map: the drive
         // reports nothing.  Only checksums (src/integrity/) can tell
         // this copy no longer holds what was written.

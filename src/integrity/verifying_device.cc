@@ -254,7 +254,7 @@ VerifyingDevice::applyArmedWriteFlip(std::uint64_t bno,
     std::uint64_t doff = 0;
     array->layout().mapByte(abs, d, doff);
     if (!array->isFailed(d)) {
-        array->diskData(d)[doff] ^= 0x4a;
+        array->diskRange(d, doff, 1)[0] ^= 0x4a;
         ++_writeFlipsApplied;
     }
     --_armedWriteFlips;

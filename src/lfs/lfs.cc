@@ -371,7 +371,7 @@ Lfs::readData(const DiskInode &inode, std::uint64_t off,
 
     const std::uint32_t bs = sb.blockSize;
     std::vector<std::uint8_t> blockbuf(bs);
-    BlockMapWalk walk;
+    readWalk.forget();
     std::uint64_t pos = off;
     std::uint64_t left = n;
     while (left > 0) {
@@ -382,7 +382,7 @@ Lfs::readData(const DiskInode &inode, std::uint64_t off,
             std::min<std::uint64_t>(left, bs - in_block));
         std::uint8_t *dst = out.data() + (pos - off);
 
-        const BlockAddr addr = getFileBlock(inode, fbno, walk);
+        const BlockAddr addr = getFileBlock(inode, fbno, readWalk);
         if (addr == nullAddr) {
             std::memset(dst, 0, take);
         } else if (take == bs) {
@@ -560,7 +560,7 @@ Lfs::mapFile(InodeNum ino, std::uint64_t off, std::uint64_t len) const
     len = std::min<std::uint64_t>(len, inode.size - off);
 
     const std::uint32_t bs = sb.blockSize;
-    BlockMapWalk walk;
+    readWalk.forget();
     std::uint64_t pos = off;
     std::uint64_t left = len;
     while (left > 0) {
@@ -569,7 +569,7 @@ Lfs::mapFile(InodeNum ino, std::uint64_t off, std::uint64_t len) const
             static_cast<std::uint32_t>(pos % bs);
         const std::uint32_t take = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(left, bs - in_block));
-        const BlockAddr addr = getFileBlock(inode, fbno, walk);
+        const BlockAddr addr = getFileBlock(inode, fbno, readWalk);
 
         const bool hole = addr == nullAddr;
         const std::uint64_t dev_off =

@@ -386,11 +386,12 @@ class Lfs
      * segment is read in place, through the segment writer's view of
      * its slot, and never cached; any other block is read from the
      * device into its slot once.  A read-only walk (mapFile, readData)
-     * lives on its caller's stack, so each pointer block is read once
-     * per call rather than once per file block.  On the write path no
-     * cached block outlives one lookup: within one long write a
-     * segment can be freed and reused, and a copy of a block that was
-     * in it would be stale.
+     * goes through readWalk, forgotten at the start of each call, so
+     * each pointer block is read once per call rather than once per
+     * file block, no block is trusted across calls, and a warm call
+     * allocates nothing.  On the write path no cached block outlives
+     * one lookup: within one long write a segment can be freed and
+     * reused, and a copy of a block that was in it would be stale.
      */
     struct BlockMapWalk
     {
@@ -499,11 +500,12 @@ class Lfs
     mutable std::map<InodeNum, DiskInode> inodeCache;
     std::set<InodeNum> dirtyInodes;
 
-    /** @{ Write-path scratch, kept across calls so a warm write
-     *  allocates nothing: the buffers for pointer blocks read from the
-     *  device, one lookup at a time, and writeData's partial-block
-     *  merge. */
+    /** @{ Scratch kept across calls so a warm call allocates nothing:
+     *  the buffers for pointer blocks read from the device, one lookup
+     *  at a time (write path, cleaner) or one call at a time (mapFile,
+     *  readData), and writeData's partial-block merge. */
     mutable BlockMapWalk scratchWalk;
+    mutable BlockMapWalk readWalk;
     std::vector<std::uint8_t> mergeBuf;
     /** @} */
 

@@ -10,7 +10,7 @@
 namespace raid2::raid {
 
 RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
-    : _layout(cfg, disk_bytes), diskBytes(disk_bytes),
+    : _layout(cfg, disk_bytes), _diskBytes(disk_bytes),
       failed(cfg.numDisks, false), latents(cfg.numDisks),
       rebuilt(cfg.numDisks)
 {
@@ -18,12 +18,9 @@ RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
         sim::fatal("RaidArray: %u disks exceeds the %zu-way parity "
                    "fold limit",
                    cfg.numDisks, kMaxFoldSources);
-    // data() zeroes each disk here rather than on first touch: the code
-    // below addresses whole disks through data(), and a rebuild over
-    // never-written stripes would otherwise zero them mid-run.
     disks.reserve(cfg.numDisks);
     for (unsigned d = 0; d < cfg.numDisks; ++d)
-        disks.emplace_back(static_cast<std::size_t>(disk_bytes)).data();
+        disks.emplace_back(static_cast<std::size_t>(disk_bytes));
 }
 
 unsigned
@@ -47,18 +44,99 @@ RaidArray::diskData(unsigned d)
     return disks.at(d).bytes();
 }
 
+std::span<std::uint8_t>
+RaidArray::diskRange(unsigned d, std::uint64_t off, std::uint64_t bytes)
+{
+    if (off + bytes > _diskBytes)
+        sim::panic("diskRange: range [%llu, +%llu) beyond disk",
+                   (unsigned long long)off, (unsigned long long)bytes);
+    return disks.at(d).span(static_cast<std::size_t>(off),
+                            static_cast<std::size_t>(bytes));
+}
+
+bool
+RaidArray::untouched(unsigned d, std::uint64_t off,
+                     std::uint64_t bytes) const
+{
+    return disks.at(d).untouched(static_cast<std::size_t>(off),
+                                 static_cast<std::size_t>(bytes));
+}
+
+bool
+RaidArray::redundant(unsigned dead, std::uint64_t off,
+                     std::uint64_t bytes) const
+{
+    if (dead >= disks.size() || off + bytes > _diskBytes)
+        return false;
+    auto usable = [&](unsigned d) {
+        return !failed[d] && !latentOverlaps(d, off, bytes);
+    };
+    switch (_layout.level()) {
+      case RaidLevel::Raid0:
+        return false;
+      case RaidLevel::Raid1:
+        return usable(_layout.mirrorPartner(dead));
+      default:
+        // Levels 3/5: parity only covers whole stripes.
+        if (off + bytes > _layout.numStripes() * _layout.unitBytes())
+            return false;
+        for (unsigned d = 0; d < disks.size(); ++d)
+            if (d != dead && !usable(d))
+                return false;
+        return true;
+    }
+}
+
+template <typename Fn>
+void
+RaidArray::foldSurvivors(unsigned dead, std::uint64_t off,
+                         std::uint64_t bytes, Fn &&fn) const
+{
+    constexpr std::uint64_t G = sim::ByteStore::granuleBytes;
+    const std::uint8_t *srcs[kMaxFoldSources];
+    for (std::uint64_t pos = off; pos < off + bytes;) {
+        const std::uint64_t stop = std::min(off + bytes, (pos / G + 1) * G);
+        const std::size_t n = static_cast<std::size_t>(stop - pos);
+        std::size_t k = 0;
+        auto take = [&](unsigned d) {
+            if (!disks[d].untouched(pos, n))
+                srcs[k++] = disks[d].span(pos, n).data();
+        };
+        if (_layout.level() == RaidLevel::Raid1) {
+            take(_layout.mirrorPartner(dead));
+        } else {
+            for (unsigned d = 0; d < disks.size(); ++d)
+                if (d != dead)
+                    take(d);
+        }
+        fn(pos, srcs, k, n);
+        pos = stop;
+    }
+}
+
+void
+RaidArray::storeFold(unsigned d, std::uint64_t off,
+                     const std::uint8_t *const *srcs, std::size_t k,
+                     std::size_t n)
+{
+    if (k == 0 && disks[d].untouched(off, n))
+        return;
+    xorFold(disks[d].span(off, n).data(), srcs, k, n);
+}
+
 void
 RaidArray::recomputeParity(std::uint64_t stripe)
 {
+    // A stripe's parity unit is the fold of every other disk's unit at
+    // the same offset; a failed disk's buffer counts, for
+    // prepareStripeForUpdate() has brought it to its true content.
     const std::uint64_t unit = _layout.unitBytes();
-    const std::uint64_t base = stripe * unit;
     const unsigned pd = _layout.parityDisk(stripe);
-    const unsigned K = _layout.dataUnitsPerStripe();
-    const std::uint8_t *srcs[kMaxFoldSources];
-    for (unsigned k = 0; k < K; ++k)
-        srcs[k] = disks[_layout.dataDisk(stripe, k)].data() + base;
-    xorFold(disks[pd].data() + base, srcs, K,
-            static_cast<std::size_t>(unit));
+    foldSurvivors(pd, stripe * unit, unit,
+                  [&](std::uint64_t pos, const std::uint8_t *const *srcs,
+                      std::size_t k, std::size_t n) {
+                      storeFold(pd, pos, srcs, k, n);
+                  });
     _parityRecomputes.inc();
 }
 
@@ -73,8 +151,7 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
     const std::uint8_t *srcs[kMaxFoldSources];
     auto store = [this](unsigned d, std::uint64_t doff,
                         const std::uint8_t *src, std::uint64_t n) {
-        std::memcpy(disks[d].data() + doff, src,
-                    static_cast<std::size_t>(n));
+        disks[d].write(doff, {src, static_cast<std::size_t>(n)});
         // Overwriting a latent sector rewrites (remaps) it.
         latents[d].erase(doff, n);
     };
@@ -109,8 +186,8 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
         const std::uint64_t unit = _layout.unitBytes();
         const std::uint64_t base = s.stripe * unit;
         const unsigned pd = _layout.parityDisk(s.stripe);
-        xorFold(disks[pd].data() + base, srcs, _layout.dataUnitsPerStripe(),
-                static_cast<std::size_t>(unit));
+        storeFold(pd, base, srcs, _layout.dataUnitsPerStripe(),
+                  static_cast<std::size_t>(unit));
         latents[pd].erase(base, unit);
         _parityRecomputes.inc();
         _parityFullStripes.inc();
@@ -140,35 +217,15 @@ RaidArray::tryReconstructRange(unsigned dead, std::uint64_t disk_off,
 {
     if (out.empty())
         return true;
-    if (dead >= disks.size() || disk_off + out.size() > diskBytes)
-        return false;
-    const RaidLevel level = _layout.level();
-    if (level == RaidLevel::Raid0)
-        return false;
-
-    if (level == RaidLevel::Raid1) {
-        const unsigned m = _layout.mirrorPartner(dead);
-        if (failed[m] || latentOverlaps(m, disk_off, out.size()))
-            return false;
-        std::memcpy(out.data(), disks[m].data() + disk_off, out.size());
-        return true;
-    }
-
-    // Levels 3/5: parity only covers whole stripes.
-    if (disk_off + out.size() > _layout.numStripes() * _layout.unitBytes())
-        return false;
     // Vet every survivor before touching out: a second failure or a
     // survivor latent range means the fold would produce garbage.
-    const std::uint8_t *srcs[kMaxFoldSources];
-    std::size_t k = 0;
-    for (unsigned d = 0; d < disks.size(); ++d) {
-        if (d == dead)
-            continue;
-        if (failed[d] || latentOverlaps(d, disk_off, out.size()))
-            return false;
-        srcs[k++] = disks[d].data() + disk_off;
-    }
-    xorFold(out.data(), srcs, k, out.size());
+    if (!redundant(dead, disk_off, out.size()))
+        return false;
+    foldSurvivors(dead, disk_off, out.size(),
+                  [&](std::uint64_t pos, const std::uint8_t *const *srcs,
+                      std::size_t k, std::size_t n) {
+                      xorFold(out.data() + (pos - disk_off), srcs, k, n);
+                  });
     return true;
 }
 
@@ -178,14 +235,14 @@ RaidArray::patchDiskRange(unsigned d, std::uint64_t off,
 {
     if (d >= disks.size())
         sim::panic("patchDiskRange: bad disk %u", d);
-    if (off + data.size() > diskBytes)
+    if (off + data.size() > _diskBytes)
         sim::panic("patchDiskRange: range [%llu, +%zu) beyond disk",
                    (unsigned long long)off, data.size());
     if (failed[d])
         sim::panic("patchDiskRange: disk %u is failed", d);
     if (data.empty())
         return;
-    std::memcpy(disks[d].data() + off, data.data(), data.size());
+    disks[d].write(off, data);
     latents[d].erase(off, data.size());
 }
 
@@ -197,7 +254,7 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
         return true;
     if (d >= disks.size() || failedCount() > 0)
         return false;
-    const std::uint64_t end = std::min(off + len, diskBytes);
+    const std::uint64_t end = std::min(off + len, _diskBytes);
     if (off >= end)
         return true;
 
@@ -210,8 +267,7 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
         // Heal known-garbled primary bytes from the mirror first, or
         // the copy below would launder them into the good side.
         recoverUnreadable(p, off, end - off);
-        std::memcpy(disks[m].data() + off, disks[p].data() + off,
-                    static_cast<std::size_t>(end - off));
+        recoverInPlace(m, off, end - off);
         latents[m].erase(off, end - off);
         return true;
     }
@@ -233,14 +289,25 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
 }
 
 void
-RaidArray::recoverRange(unsigned d, std::uint64_t off,
-                        std::span<std::uint8_t> out) const
+RaidArray::lost(unsigned d, std::uint64_t off, std::uint64_t bytes) const
 {
-    if (!tryReconstructRange(d, off, out))
-        sim::fatal("RaidArray: range [%llu, +%zu) of disk %u is "
-                   "unrecoverable: %s has no usable redundancy there",
-                   (unsigned long long)off, out.size(), d,
-                   raidLevelName(_layout.level()));
+    sim::fatal("RaidArray: range [%llu, +%llu) of disk %u is "
+               "unrecoverable: %s has no usable redundancy there",
+               (unsigned long long)off, (unsigned long long)bytes, d,
+               raidLevelName(_layout.level()));
+}
+
+void
+RaidArray::recoverInPlace(unsigned d, std::uint64_t off,
+                          std::uint64_t bytes)
+{
+    if (!redundant(d, off, bytes))
+        lost(d, off, bytes);
+    foldSurvivors(d, off, bytes,
+                  [&](std::uint64_t pos, const std::uint8_t *const *srcs,
+                      std::size_t k, std::size_t n) {
+                      storeFold(d, pos, srcs, k, n);
+                  });
 }
 
 std::vector<IntervalSet::Range>
@@ -259,12 +326,12 @@ RaidArray::readDiskRange(unsigned d, std::uint64_t off,
     // Readable bytes come off the disk; the rest from redundancy.
     std::uint64_t pos = off;
     auto copyUpTo = [&](std::uint64_t until) {
-        std::memcpy(out.data() + (pos - off), disks[d].data() + pos,
-                    static_cast<std::size_t>(until - pos));
+        disks[d].read(pos, out.subspan(pos - off, until - pos));
     };
     for (const auto &[s, len] : unreadable(d, off, out.size())) {
         copyUpTo(s);
-        recoverRange(d, s, out.subspan(s - off, len));
+        if (!tryReconstructRange(d, s, out.subspan(s - off, len)))
+            lost(d, s, len);
         pos = s + len;
     }
     copyUpTo(off + out.size());
@@ -289,9 +356,10 @@ RaidArray::failDisk(unsigned d)
     if (d >= disks.size())
         sim::panic("failDisk: bad disk %u", d);
     failed[d] = true;
-    std::memset(disks[d].data(), 0xde, disks[d].size());
-    // The whole disk is gone; its latent defects go with it, and its
-    // replacement starts empty.
+    // The whole disk is gone, and its latent defects with it.  Its
+    // buffer, the replacement, starts empty and reads zeros; what the
+    // rebuild has not reached is never read from it.
+    disks[d].forget();
     latents[d].clear();
     rebuilt[d].clear();
 }
@@ -301,7 +369,7 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
 {
     if (d >= disks.size())
         sim::panic("injectLatent: bad disk %u", d);
-    if (off + bytes > diskBytes)
+    if (off + bytes > _diskBytes)
         sim::panic("injectLatent: range [%llu, +%llu) beyond disk",
                    (unsigned long long)off, (unsigned long long)bytes);
     if (bytes == 0 || failed[d])
@@ -310,9 +378,10 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
     // Garble in place with a position-based pattern (idempotent, so
     // re-injecting an overlapping range is harmless).  The redundancy
     // still encodes the original bytes; only this copy is damaged.
+    const std::span<std::uint8_t> media = disks[d].span(off, bytes);
     for (std::uint64_t i = 0; i < bytes; ++i) {
         const std::uint64_t p = off + i;
-        disks[d].data()[p] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
+        media[i] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
     }
 
     latents[d].insert(off, bytes);
@@ -335,9 +404,7 @@ RaidArray::repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
     if (failed[d])
         sim::panic("repairLatent: disk %u is failed", d);
 
-    // The sources exclude disk d, so recover straight into its buffer.
-    recoverRange(d, off,
-                 {disks[d].data() + off, static_cast<std::size_t>(bytes)});
+    recoverInPlace(d, off, bytes);
     latents[d].erase(off, bytes);
 }
 
@@ -345,10 +412,8 @@ void
 RaidArray::recoverUnreadable(unsigned d, std::uint64_t off,
                              std::uint64_t bytes)
 {
-    // The sources exclude disk d, so recover straight into its buffer.
     for (const auto &[s, len] : unreadable(d, off, bytes)) {
-        recoverRange(d, s,
-                     {disks[d].data() + s, static_cast<std::size_t>(len)});
+        recoverInPlace(d, s, len);
         latents[d].erase(s, len);
     }
 }
@@ -402,9 +467,9 @@ RaidArray::rebuildDisk(unsigned d)
         return;
     const std::uint64_t covered =
         _layout.numStripes() * _layout.unitBytes();
+    // The tail beyond the stripes has read zeros since failDisk(): no
+    // write reaches it.
     rebuildRange(d, 0, covered);
-    std::memset(disks[d].data() + covered, 0,
-                static_cast<std::size_t>(diskBytes - covered));
     failed[d] = false;
     rebuilt[d].clear();
 }

@@ -8,10 +8,17 @@
  * (SimArray) shares the same RaidLayout, so every timed experiment has
  * a functional twin whose correctness the tests assert.
  *
- * A failed disk's buffer stands for its replacement drive.  Every write
- * lands in it, but only the ranges rebuildRange() has reconstructed are
- * read from it; the rest of the disk is still reconstructed from the
- * survivors on every read.
+ * Member disks are sim::ByteStore buffers, which read zeros until
+ * written, so an array costs only the bytes its writes store.  Work
+ * over never-written ranges is skipped, not done on zeros: parity and
+ * reconstruction fold only the survivors' written granules, and
+ * rebuilding a range no survivor has written leaves the replacement
+ * unwritten.
+ *
+ * A failed disk's buffer stands for its replacement drive, which starts
+ * empty.  Every write lands in it, but only the ranges rebuildRange()
+ * has reconstructed are read from it; the rest of the disk is still
+ * reconstructed from the survivors on every read.
  */
 
 #ifndef RAID2_RAID_RAID_ARRAY_HH
@@ -46,7 +53,8 @@ class RaidArray
      *  a failed disk's rebuild has not reached from the survivors. */
     void read(std::uint64_t off, std::span<std::uint8_t> out) const;
 
-    /** Mark a disk failed (its contents are destroyed). */
+    /** Mark a disk failed: its contents are destroyed, and its
+     *  buffer, now the empty replacement, reads zeros. */
     void failDisk(unsigned d);
 
     /** One on-line rebuild step: reconstruct [off, off+bytes) of failed
@@ -128,9 +136,10 @@ class RaidArray
      * failure — RAID-0, a second failed disk, a survivor latent range
      * overlapping the request, or a range beyond the parity-covered
      * region — by returning false with @p out untouched.  It never
-     * returns stale or partially reconstructed bytes.  Degraded reads,
-     * latent repairs and rebuilds use it through recoverRange(), which
-     * makes a failure fatal.
+     * returns stale or partially reconstructed bytes, and where no
+     * survivor has been written it returns zeros without reading any.
+     * Degraded reads call it directly, and latent repairs and rebuilds
+     * through recoverInPlace(); both make a failure fatal.
      */
     bool tryReconstructRange(unsigned dead, std::uint64_t disk_off,
                              std::span<std::uint8_t> out) const;
@@ -151,16 +160,51 @@ class RaidArray
      *  every mirror pair matches).  Levels 0 trivially true. */
     bool redundancyConsistent() const;
 
-    /** Raw member-disk bytes (tests / fault injection). */
+    /** Bytes per member disk. */
+    std::uint64_t diskBytes() const { return _diskBytes; }
+
+    /** @{ Raw member-disk bytes, for tests.  The first call zeroes
+     *  the never-written rest of the disk. */
     std::span<const std::uint8_t> diskData(unsigned d) const;
     std::span<std::uint8_t> diskData(unsigned d);
+    /** @} */
+    /** Raw bytes [off, off+bytes) of disk @p d, for fault injection;
+     *  only this range is zeroed where never written. */
+    std::span<std::uint8_t> diskRange(unsigned d, std::uint64_t off,
+                                      std::uint64_t bytes);
+    /** True if nothing has been stored in the granules that
+     *  [off, off+bytes) of disk @p d overlaps since the array was built
+     *  or the disk failed: the range reads zeros (tests). */
+    bool untouched(unsigned d, std::uint64_t off,
+                   std::uint64_t bytes) const;
 
   private:
     void recomputeParity(std::uint64_t stripe);
-    /** tryReconstructRange(), fatal when no redundancy is left: a
-     *  range the recoverability invariant says cannot be lost. */
-    void recoverRange(unsigned d, std::uint64_t off,
-                      std::span<std::uint8_t> out) const;
+    /** True if redundancy covers [off, off+bytes) of disk @p dead:
+     *  every survivor it is folded from is online and has no latent
+     *  range there (tryReconstructRange()'s vetting). */
+    bool redundant(unsigned dead, std::uint64_t off,
+                   std::uint64_t bytes) const;
+    /** Fold [off, off+bytes) of disk @p dead from the disks that hold
+     *  its redundancy, one granule at a time: fn(pos, srcs, k, n) gets
+     *  the k of them written in [pos, pos+n) (a never-written one holds
+     *  zeros, which fold to nothing). */
+    template <typename Fn>
+    void foldSurvivors(unsigned dead, std::uint64_t off,
+                       std::uint64_t bytes, Fn &&fn) const;
+    /** Store the XOR of @p srcs over [off, off+n) of disk @p d; with no
+     *  sources a never-written range is left so. */
+    void storeFold(unsigned d, std::uint64_t off,
+                   const std::uint8_t *const *srcs, std::size_t k,
+                   std::size_t n);
+    /** Fatal: no redundancy is left for a range the recoverability
+     *  invariant says cannot be lost. */
+    [[noreturn]] void lost(unsigned d, std::uint64_t off,
+                           std::uint64_t bytes) const;
+    /** Reconstruct [off, off+bytes) of disk @p d into its own buffer
+     *  (the sources exclude it); lost() if there is no redundancy. */
+    void recoverInPlace(unsigned d, std::uint64_t off,
+                        std::uint64_t bytes);
     /** The parts of [off, off+bytes) of disk @p d its buffer cannot
      *  vouch for: latent ranges, or for a failed disk what the rebuild
      *  has not reached. */
@@ -181,7 +225,7 @@ class RaidArray
                            std::uint64_t bytes);
 
     RaidLayout _layout;
-    std::uint64_t diskBytes;
+    std::uint64_t _diskBytes;
     std::vector<sim::ByteStore> disks;
     std::vector<bool> failed;
     /** Per-disk garbled ranges. */

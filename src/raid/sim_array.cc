@@ -141,7 +141,7 @@ SimArray::mediaSpan() const
         _layout->numStripes() * _layout->unitBytes();
     if (!_twin)
         return striped;
-    return std::min<std::uint64_t>(striped, _twin->diskData(0).size());
+    return std::min<std::uint64_t>(striped, _twin->diskBytes());
 }
 
 void

@@ -604,7 +604,7 @@ Raid2Server::scrubVerifyChunk(unsigned d, std::uint64_t off,
     if (!verifyDev)
         return;
     const raid::RaidLayout &lay = _functional->layout();
-    const std::uint64_t span = _functional->diskData(0).size();
+    const std::uint64_t span = _functional->diskBytes();
     if (off >= span)
         return; // timed array extends past the functional twin
     len = std::min(len, span - off);

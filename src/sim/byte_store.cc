@@ -117,6 +117,13 @@ ByteStore::touch(std::size_t g) const
 }
 
 void
+ByteStore::touchRange(std::size_t off, std::size_t len) const
+{
+    for (std::size_t g = off / G; g * G < off + len; ++g)
+        touch(g);
+}
+
+void
 ByteStore::touchAll() const
 {
     for (std::size_t g = 0; g * G < n; ++g)
@@ -163,12 +170,22 @@ ByteStore::write(std::size_t off, std::span<const std::uint8_t> in)
     }
 }
 
-std::span<std::uint8_t>
-ByteStore::span(std::size_t off, std::size_t len)
+bool
+ByteStore::untouched(std::size_t off, std::size_t len) const
 {
     for (std::size_t g = off / G; g * G < off + len; ++g)
-        touch(g);
-    return {buf + off, len};
+        if (touched(g))
+            return false;
+    return true;
+}
+
+void
+ByteStore::forget()
+{
+    if (n == 0)
+        return;
+    std::memset(map, 0, mapBytes(n));
+    whole = false;
 }
 
 } // namespace raid2::sim

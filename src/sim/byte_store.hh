@@ -20,7 +20,10 @@
  *     them out for in-place access; data() and bytes() do the same for
  *     the whole store.
  * Either way a new store reads all zeros, and a world never writes
- * zeros it does not read.
+ * zeros it does not read.  untouched() tells a caller that a range
+ * holds only those zeros, so it can skip work on it (a RAID array
+ * folds no parity from never-written units), and forget() makes the
+ * whole store read zeros again (a failed disk's replacement).
  *
  * The pool holds buffers of one size only.  A request for any other
  * size empties it and allocates fresh, so pooled plus live buffers never
@@ -59,8 +62,28 @@ class ByteStore
     void read(std::size_t off, std::span<std::uint8_t> out) const;
     /** Copy @p in over [off, off + in.size()). */
     void write(std::size_t off, std::span<const std::uint8_t> in);
-    /** [off, off + len), zeroed where untouched, for in-place access. */
-    std::span<std::uint8_t> span(std::size_t off, std::size_t len);
+    /** @{ [off, off + len), zeroed where untouched, for in-place
+     *  access. */
+    std::span<std::uint8_t>
+    span(std::size_t off, std::size_t len)
+    {
+        touchRange(off, len);
+        return {buf + off, len};
+    }
+    std::span<const std::uint8_t>
+    span(std::size_t off, std::size_t len) const
+    {
+        touchRange(off, len);
+        return {buf + off, len};
+    }
+    /** @} */
+
+    /** True if no granule that [off, off + len) overlaps has been
+     *  touched: the range holds only the zeros a new store reads. */
+    bool untouched(std::size_t off, std::size_t len) const;
+    /** Drop every byte: the store reads all zeros again, and zeroes
+     *  nothing now. */
+    void forget();
 
     /** @{ The whole store for in-place access; the first call zeroes
      *  every untouched granule. */
@@ -91,6 +114,7 @@ class ByteStore
     void mark(std::size_t g) const { map[g / 8] |= 1 << (g % 8); }
     /** Zero granule @p g if it is untouched, and mark it touched. */
     void touch(std::size_t g) const;
+    void touchRange(std::size_t off, std::size_t len) const;
     void touchAll() const;
 
     std::uint8_t *buf = nullptr;
@@ -98,8 +122,9 @@ class ByteStore
     /** One bit per granule, set once it holds the store's bytes; it
      *  lives in buf's allocation, after the bytes. */
     std::uint8_t *map = nullptr;
-    /** Every granule is touched.  data() const sets it: zeroing an
-     *  untouched granule does not change what the store reads. */
+    /** Every granule is touched.  The const data() and span() zero
+     *  and mark granules too: zeroing an untouched granule does not
+     *  change what the store reads. */
     mutable bool whole = false;
 };
 

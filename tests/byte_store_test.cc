@@ -4,8 +4,9 @@
  * reads all zeros through read(), partial writes, span() and a ragged
  * MemBlockDevice, a second store of one size allocates nothing, another
  * size empties the pool, pools are per thread, a world built on
- * recycled stores simulates exactly as on fresh ones, and under
- * AddressSanitizer a pooled buffer is poisoned.
+ * recycled stores simulates exactly as on fresh ones, an integrity
+ * twin's fault injection and scrub touch only the granules they
+ * change, and under AddressSanitizer a pooled buffer is poisoned.
  *
  * Global operator new/delete are replaced with counting versions, as in
  * event_alloc_test.cc.
@@ -22,8 +23,13 @@
 #include <thread>
 #include <vector>
 
+#include "disk/disk_profile.hh"
+#include "fault/fault_controller.hh"
+#include "fault/scrubber.hh"
 #include "fs/mem_block_device.hh"
+#include "integrity/verifying_device.hh"
 #include "raid/raid_array.hh"
+#include "raid/sim_array.hh"
 #include "server/raid2_server.hh"
 #include "server/request_scheduler.hh"
 #include "sim/byte_store.hh"
@@ -74,6 +80,28 @@ void *
 operator new[](std::size_t n)
 {
     return countedAlloc(n);
+}
+
+// The nothrow forms too (std::stable_sort's buffer), so that every
+// allocation the replaced operator delete frees came from malloc.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(n);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(n);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
 }
 
 void
@@ -380,7 +408,7 @@ fleetWorld(bool integrity, std::size_t &storeBytes)
     cfg.withIntegrity = integrity;
     sim::EventQueue eq;
     Raid2Server srv(eq, "s", cfg);
-    storeBytes = integrity ? srv.functionalArray().diskData(0).size()
+    storeBytes = integrity ? srv.functionalArray().diskBytes()
                            : cfg.fsDeviceBytes;
     RequestScheduler sched(eq, srv);
     ClientFleet::Config fc;
@@ -435,6 +463,109 @@ TEST(ByteStore, FleetOnRecycledStoresMatchesFreshThread)
         expectSameClass(recycled.fast, fresh.fast);
         expectSameClass(recycled.standard, fresh.standard);
     }
+}
+
+/** Granules of the integrity twin's disks written since it was built,
+ *  disk by disk. */
+std::vector<bool>
+touchedGranules(const raid::RaidArray &a)
+{
+    std::vector<bool> out;
+    for (unsigned d = 0; d < a.numDisks(); ++d)
+        for (std::uint64_t off = 0; off < a.diskBytes(); off += G)
+            out.push_back(!a.untouched(
+                d, off, std::min<std::uint64_t>(G, a.diskBytes() - off)));
+    return out;
+}
+
+/** A 16-disk integrity world on drives small enough to scrub whole. */
+Raid2Server::Config
+twinConfig()
+{
+    static const disk::DiskProfile small = [] {
+        disk::DiskProfile p = disk::ibm0661();
+        p.cylinders /= 40;
+        return p;
+    }();
+    Raid2Server::Config cfg;
+    cfg.topo.disksPerString = 2;
+    cfg.topo.profile = &small;
+    cfg.fsDeviceBytes = 16ull * 1024 * 1024;
+    cfg.withIntegrity = true;
+    cfg.withReliability = true;
+    return cfg;
+}
+
+TEST(FirstTouchTwin, MediaSpanAndScrubTouchNoGranule)
+{
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", twinConfig());
+    const raid::RaidArray &twin = srv.functionalArray();
+    const std::vector<bool> before = touchedGranules(twin);
+    ASSERT_GT(std::ranges::count(before, false), 0);
+
+    EXPECT_EQ(srv.array().mediaSpan(), twin.diskBytes());
+    EXPECT_EQ(touchedGranules(twin), before) << "mediaSpan()";
+
+    // One sweep of every disk: each chunk checksum-verifies the blocks
+    // it covers and recomputes the parity units its disk holds.
+    const raid::RaidLayout &timed = srv.array().layout();
+    const std::uint64_t sweep =
+        timed.numDisks() * timed.numStripes() * timed.unitBytes();
+    srv.scrubber().start();
+    ASSERT_TRUE(eq.runUntilDone(
+        [&] { return srv.scrubber().bytesScanned() >= sweep; }));
+    srv.scrubber().stop();
+    eq.run();
+    EXPECT_EQ(touchedGranules(twin), before) << "a scrub chunk";
+}
+
+TEST(FirstTouchTwin, InjectedCorruptionTouchesOnlyTheGranulesItHits)
+{
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", twinConfig());
+    raid::RaidArray &twin = srv.functionalArray();
+    const raid::RaidLayout &lay = twin.layout();
+    const std::uint64_t granules = (twin.diskBytes() + G - 1) / G;
+    std::vector<bool> want = touchedGranules(twin);
+
+    // A media flip across the boundary of two never-written granules.
+    const unsigned d = 5;
+    std::uint64_t g = granules - 2;
+    while (g > 0 && (want[d * granules + g] || want[d * granules + g + 1]))
+        --g;
+    ASSERT_FALSE(want[d * granules + g] || want[d * granules + g + 1]);
+    const std::uint64_t off = (g + 1) * G - 5;
+    fault::FaultPlan plan;
+    plan.silentCorruption(sim::msToTicks(1), fault::CorruptionSurface::Media,
+                          d, off, 10);
+    srv.faults().setPlan(std::move(plan));
+    srv.faults().start();
+    eq.runUntil(sim::msToTicks(2));
+    ASSERT_EQ(srv.faults().injected(fault::FaultKind::SilentCorruption), 1u);
+    want[d * granules + g] = want[d * granules + g + 1] = true;
+    EXPECT_EQ(touchedGranules(twin), want) << "media corruption";
+    const std::span<const std::uint8_t> hit = twin.diskRange(d, off, 10);
+    EXPECT_TRUE(std::ranges::all_of(hit, [](std::uint8_t b) {
+        return b == 0xa5;
+    }));
+
+    // A flip armed on the write path lands in the block written, whose
+    // data and parity units are the only granules the write touches.
+    integrity::VerifyingDevice &dev = srv.integrity();
+    const std::uint64_t bno = dev.numBlocks() - 1;
+    unsigned dd = 0;
+    std::uint64_t doff = 0;
+    lay.mapByte(bno * dev.blockSize(), dd, doff);
+    const unsigned pd = lay.parityDisk(doff / lay.unitBytes());
+    ASSERT_FALSE(want[dd * granules + doff / G]);
+    ASSERT_FALSE(want[pd * granules + doff / G]);
+    dev.armWriteCorruption();
+    const std::vector<std::uint8_t> block(dev.blockSize(), 0x3c);
+    dev.writeRange(bno, 1, block);
+    EXPECT_EQ(dev.writeFlipsApplied(), 1u);
+    want[dd * granules + doff / G] = want[pd * granules + doff / G] = true;
+    EXPECT_EQ(touchedGranules(twin), want) << "write flip";
 }
 
 #ifdef RAID2_TEST_ASAN

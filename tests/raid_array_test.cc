@@ -3,7 +3,9 @@
  * Functional RAID array tests: write/read round trips, true parity
  * maintenance, degraded reads, rebuilds (whole-disk and range by
  * range) and mirror semantics — as property sweeps across levels and
- * random operation sequences.
+ * random operation sequences — and first-touch media: an array over
+ * recycled disks touches no granule it does not write, and degraded
+ * reads and rebuilds of never-written ranges touch none either.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "raid/interval_set.hh"
 #include "raid/parity.hh"
 #include "raid/raid_array.hh"
+#include "sim/byte_store.hh"
 #include "sim/random.hh"
 
 namespace {
@@ -363,6 +366,179 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RaidLevel::Raid1, RaidLevel::Raid3, RaidLevel::Raid5),
     [](const ::testing::TestParamInfo<RaidLevel> &info) {
         return "Raid" + std::string(raid::raidLevelName(info.param) + 5);
+    });
+
+constexpr std::uint64_t G = sim::ByteStore::granuleBytes;
+
+/**
+ * First-touch member disks.  Each array is built over disks this thread
+ * last left holding 0xff, so a granule the array reads as stored bytes
+ * without having written it shows up as 0xff.
+ */
+class FirstTouchArray : public ::testing::TestWithParam<ArrayParam>
+{
+  protected:
+    static constexpr std::uint64_t diskBytes = 4 * G;
+    static constexpr unsigned dead = 0;
+
+    RaidArray
+    make()
+    {
+        const LayoutConfig cfg =
+            makeCfg(GetParam().level, GetParam().disks);
+        {
+            RaidArray dirty(cfg, diskBytes);
+            for (unsigned d = 0; d < dirty.numDisks(); ++d)
+                std::ranges::fill(dirty.diskData(d), 0xff);
+        }
+        return RaidArray(cfg, diskBytes);
+    }
+
+    /** Granules written since @p a was built, disk by disk. */
+    static std::vector<bool>
+    touched(const RaidArray &a)
+    {
+        std::vector<bool> out;
+        for (unsigned d = 0; d < a.numDisks(); ++d)
+            for (std::uint64_t off = 0; off < diskBytes; off += G)
+                out.push_back(!a.untouched(d, off, G));
+        return out;
+    }
+
+    static std::size_t
+    count(const std::vector<bool> &v)
+    {
+        return std::ranges::count(v, true);
+    }
+
+    /** Logical bytes of the stripes that lie in disk granule 0. */
+    static std::uint64_t
+    firstGranuleBytes(const RaidArray &a)
+    {
+        return G / a.layout().unitBytes() * a.layout().stripeDataBytes();
+    }
+
+    /** Logical offset of the first piece on disk @p d at or after disk
+     *  offset @p disk_off (a stripe whose parity @p d holds is
+     *  skipped). */
+    static std::uint64_t
+    logicalOn(const RaidArray &a, unsigned d, std::uint64_t disk_off)
+    {
+        const raid::RaidLayout &lay = a.layout();
+        for (std::uint64_t s = disk_off / lay.unitBytes();
+             s < lay.numStripes(); ++s) {
+            std::uint64_t at = ~0ull;
+            lay.forEachPiece(s * lay.stripeDataBytes(), lay.stripeDataBytes(),
+                             [&](unsigned, const raid::DiskExtent &e) {
+                                 if (e.disk == d && at == ~0ull)
+                                     at = e.logicalOffset;
+                             });
+            if (at != ~0ull)
+                return at;
+        }
+        ADD_FAILURE() << "no piece on disk " << d;
+        return 0;
+    }
+};
+
+TEST_P(FirstTouchArray, BuiltOnADirtyPoolTouchesNothingUntilWritten)
+{
+    auto a = make();
+    EXPECT_EQ(count(touched(a)), 0u) << "construction touched a granule";
+    std::vector<std::uint8_t> back(a.capacity(), 0xaa);
+    a.read(0, back);
+    EXPECT_TRUE(raid::allZero(back));
+    EXPECT_EQ(count(touched(a)), 0u) << "a read touched a granule";
+
+    // A write inside one unit lands in one granule of its data disk and
+    // one of its parity or mirror disk.
+    std::vector<std::uint8_t> ref(a.capacity(), 0);
+    const std::uint64_t off = logicalOn(a, dead, 2 * G) + 10;
+    const auto data = pattern(100, 3);
+    a.write(off, data);
+    std::ranges::copy(data, ref.begin() + off);
+    const auto t = touched(a);
+    EXPECT_EQ(count(t), 2u);
+    EXPECT_TRUE(t[dead * (diskBytes / G) + 2]);
+    a.read(0, back);
+    EXPECT_EQ(back, ref);
+}
+
+TEST_P(FirstTouchArray, RebuildOfANeverWrittenRangeLeavesItUntouched)
+{
+    auto a = make();
+    const std::uint64_t written = firstGranuleBytes(a);
+    std::vector<std::uint8_t> ref(a.capacity(), 0);
+    const auto data = pattern(written, 61);
+    a.write(0, data);
+    std::ranges::copy(data, ref.begin());
+    const std::span<const std::uint8_t> g0 = a.diskRange(dead, 0, G);
+    const std::vector<std::uint8_t> image(g0.begin(), g0.end());
+
+    a.failDisk(dead);
+    EXPECT_TRUE(a.untouched(dead, 0, diskBytes))
+        << "the failed disk's buffer kept its bytes";
+    a.rebuildRange(dead, G, diskBytes - G);
+    for (unsigned d = 0; d < a.numDisks(); ++d)
+        EXPECT_TRUE(a.untouched(d, G, diskBytes - G))
+            << "rebuilding never-written stripes touched disk " << d;
+    std::vector<std::uint8_t> back(a.capacity(), 0xaa);
+    a.read(0, back);
+    EXPECT_EQ(back, ref);
+
+    // A written range is rebuilt byte-exact.
+    a.rebuildRange(dead, 0, G);
+    const std::span<const std::uint8_t> rebuilt = a.diskRange(dead, 0, G);
+    EXPECT_TRUE(std::ranges::equal(rebuilt, image));
+
+    a.rebuildDisk(dead);
+    EXPECT_FALSE(a.isFailed(dead));
+    EXPECT_TRUE(a.untouched(dead, G, diskBytes - G));
+    a.read(0, back);
+    EXPECT_EQ(back, ref);
+    EXPECT_TRUE(a.redundancyConsistent());
+}
+
+TEST_P(FirstTouchArray, DegradedReadOfANeverWrittenRangeTouchesNoSurvivor)
+{
+    auto a = make();
+    std::vector<std::uint8_t> ref(a.capacity(), 0);
+    const std::uint64_t written = firstGranuleBytes(a);
+    const auto full = pattern(written, 71);
+    a.write(0, full);
+    std::ranges::copy(full, ref.begin());
+    // In granule 2 only the failed disk's unit is written, so its
+    // parity or mirror is the one survivor written there.
+    const std::uint64_t lone = logicalOn(a, dead, 2 * G);
+    const auto part = pattern(300, 72);
+    a.write(lone, part);
+    std::ranges::copy(part, ref.begin() + lone);
+
+    a.failDisk(dead);
+    const auto before = touched(a);
+    std::vector<std::uint8_t> back(a.capacity() - written, 0xaa);
+    a.read(written, back);
+    EXPECT_TRUE(std::ranges::equal(back, std::span(ref).subspan(written)));
+    EXPECT_EQ(touched(a), before) << "a degraded read touched a granule";
+    for (unsigned d = 0; d < a.numDisks(); ++d) {
+        EXPECT_TRUE(a.untouched(d, G, G)) << "disk " << d;
+        EXPECT_TRUE(a.untouched(d, 3 * G, G)) << "disk " << d;
+    }
+
+    // Reconstruction of written ranges folds every written survivor.
+    std::vector<std::uint8_t> front(written, 0xaa);
+    a.read(0, front);
+    EXPECT_TRUE(std::ranges::equal(front, full));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, FirstTouchArray,
+    ::testing::Values(ArrayParam{RaidLevel::Raid1, 4},
+                      ArrayParam{RaidLevel::Raid3, 5},
+                      ArrayParam{RaidLevel::Raid5, 5}),
+    [](const ::testing::TestParamInfo<ArrayParam> &info) {
+        return "Raid" +
+               std::string(raid::raidLevelName(info.param.level) + 5);
     });
 
 /**
