@@ -7,8 +7,8 @@
  * functional block on write and verifies every read, repairing from
  * RAID redundancy on a mismatch.  That buys "no silent wrong data"
  * (docs/RELIABILITY.md) — this bench prices it: server read
- * throughput with the VerifyingDevice in the chain against the plain
- * MemBlockDevice baseline, and the marginal cost of actually hitting
+ * throughput with the VerifyingDevice in the chain against the same
+ * RAID twin read unverified, and the marginal cost of actually hitting
  * corrupt blocks (detection + parity reconstruction + writeback).
  *
  * Every row is pure simulated time and simulated work counters, so

@@ -89,6 +89,11 @@ struct Rig
     explicit Rig(raid::RaidLevel level)
         : array(levelConfig(level), 4 * 1024 * 1024), dev(array, kBs)
     {
+        // A fault-free array stores no parity; store it now, so every
+        // write below pays the parity work this bench prices, and count
+        // only that work.
+        array.storeParity();
+        array.resetStats();
     }
 };
 

@@ -54,6 +54,9 @@ main()
     lcfg.numDisks = 8;
     lcfg.stripeUnitBytes = 64 * 1024;
     raid::RaidArray farray(lcfg, 8 * sim::MB);
+    // Keep parity from the first write, not the first fault, so the
+    // check below has parity to check.
+    farray.storeParity();
 
     sim::Random rng(17);
     std::vector<std::uint8_t> blob(3 * sim::MB);

@@ -2,8 +2,9 @@
  * @file
  * Block device backed by a functional RAID array.
  *
- * Runs a file system on real RAID bytes (parity maintained, degraded
- * reads work).  The server keeps the timing plane in step above this
+ * Runs a file system on real RAID bytes (degraded reads work); every
+ * Raid2Server with a file system keeps LFS on one, over the twin of its
+ * timed array.  The server keeps the timing plane in step above this
  * device, through its HookBlockDevice.
  */
 

@@ -6,9 +6,10 @@
  * real bytes in, real bytes out.  Every transfer is an extent of
  * consecutive blocks (one block is count = 1), so each device has one
  * read and one write.  MemBlockDevice backs tests, ArrayBlockDevice
- * runs the file system on a functional RAID array, HookBlockDevice
- * reports every write to an observer (the server mirrors them into the
- * timing plane), and FaultDevice injects crashes for recovery testing.
+ * runs the file system on a functional RAID array (every server's
+ * twin), HookBlockDevice reports every write to an observer (the
+ * server mirrors them into the timing plane), and FaultDevice injects
+ * crashes for recovery testing.
  */
 
 #ifndef RAID2_FS_BLOCK_DEVICE_HH

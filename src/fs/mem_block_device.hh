@@ -1,7 +1,7 @@
 /**
  * @file
- * In-memory block device: the file system's media when the server runs
- * without the RAID twin, and a plain device for functional tests.
+ * In-memory block device: a plain device for functional tests, the
+ * crash checker and the LFS tools.
  *
  * Its bytes are one sim::ByteStore, so a new device reads all zeros
  * without being zeroed: reads of never-written blocks return zeros, and

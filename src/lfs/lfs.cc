@@ -370,7 +370,6 @@ Lfs::readData(const DiskInode &inode, std::uint64_t off,
         std::min<std::uint64_t>(out.size(), inode.size - off);
 
     const std::uint32_t bs = sb.blockSize;
-    std::vector<std::uint8_t> blockbuf(bs);
     readWalk.forget();
     std::uint64_t pos = off;
     std::uint64_t left = n;
@@ -388,8 +387,10 @@ Lfs::readData(const DiskInode &inode, std::uint64_t off,
         } else if (take == bs) {
             readBlockAny(addr, {dst, bs});
         } else {
-            readBlockAny(addr, {blockbuf.data(), bs});
-            std::memcpy(dst, blockbuf.data() + in_block, take);
+            // Only a partial first or last block bounces.
+            readBuf.resize(bs);
+            readBlockAny(addr, {readBuf.data(), bs});
+            std::memcpy(dst, readBuf.data() + in_block, take);
         }
         pos += take;
         left -= take;

@@ -503,9 +503,11 @@ class Lfs
     /** @{ Scratch kept across calls so a warm call allocates nothing:
      *  the buffers for pointer blocks read from the device, one lookup
      *  at a time (write path, cleaner) or one call at a time (mapFile,
-     *  readData), and writeData's partial-block merge. */
+     *  readData), readData's partial-block bounce, and writeData's
+     *  partial-block merge. */
     mutable BlockMapWalk scratchWalk;
     mutable BlockMapWalk readWalk;
+    mutable std::vector<std::uint8_t> readBuf;
     std::vector<std::uint8_t> mergeBuf;
     /** @} */
 

@@ -41,6 +41,7 @@ RaidArray::diskData(unsigned d) const
 std::span<std::uint8_t>
 RaidArray::diskData(unsigned d)
 {
+    storeParity();
     return disks.at(d).bytes();
 }
 
@@ -50,6 +51,7 @@ RaidArray::diskRange(unsigned d, std::uint64_t off, std::uint64_t bytes)
     if (off + bytes > _diskBytes)
         sim::panic("diskRange: range [%llu, +%llu) beyond disk",
                    (unsigned long long)off, (unsigned long long)bytes);
+    storeParity();
     return disks.at(d).span(static_cast<std::size_t>(off),
                             static_cast<std::size_t>(bytes));
 }
@@ -77,8 +79,9 @@ RaidArray::redundant(unsigned dead, std::uint64_t off,
       case RaidLevel::Raid1:
         return usable(_layout.mirrorPartner(dead));
       default:
-        // Levels 3/5: parity only covers whole stripes.
-        if (off + bytes > _layout.numStripes() * _layout.unitBytes())
+        // Levels 3/5: parity covers whole stripes, once it is stored.
+        if (!parityStored ||
+            off + bytes > _layout.numStripes() * _layout.unitBytes())
             return false;
         for (unsigned d = 0; d < disks.size(); ++d)
             if (d != dead && !usable(d))
@@ -141,13 +144,27 @@ RaidArray::recomputeParity(std::uint64_t stripe)
 }
 
 void
+RaidArray::storeParity()
+{
+    const RaidLevel level = _layout.level();
+    if (parityStored ||
+        (level != RaidLevel::Raid3 && level != RaidLevel::Raid5))
+        return;
+    parityStored = true;
+    // No disk has failed or holds a latent range yet (either would have
+    // stored parity first), so every stripe folds from intact data.
+    for (std::uint64_t s = 0; s < _layout.numStripes(); ++s)
+        recomputeParity(s);
+}
+
+void
 RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
 {
     if (data.empty())
         return;
     const RaidLevel level = _layout.level();
-    const bool parity =
-        level == RaidLevel::Raid3 || level == RaidLevel::Raid5;
+    // Until storeParity() has run, levels 3/5 store data only.
+    const bool parity = parityStored;
     const std::uint8_t *srcs[kMaxFoldSources];
     auto store = [this](unsigned d, std::uint64_t doff,
                         const std::uint8_t *src, std::uint64_t n) {
@@ -274,6 +291,8 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
 
     // Levels 3/5: re-derive parity for every stripe in the range where
     // @p d holds the parity unit (data units were verified upstream).
+    if (!parityStored)
+        return true;
     const std::uint64_t unit = _layout.unitBytes();
     const std::uint64_t covered = _layout.numStripes() * unit;
     for (std::uint64_t s = off / unit;
@@ -355,6 +374,8 @@ RaidArray::failDisk(unsigned d)
 {
     if (d >= disks.size())
         sim::panic("failDisk: bad disk %u", d);
+    // Parity is folded from the disk before its bytes are lost.
+    storeParity();
     failed[d] = true;
     // The whole disk is gone, and its latent defects with it.  Its
     // buffer, the replacement, starts empty and reads zeros; what the
@@ -374,6 +395,7 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
                    (unsigned long long)off, (unsigned long long)bytes);
     if (bytes == 0 || failed[d])
         return;
+    storeParity();
 
     // Garble in place with a position-based pattern (idempotent, so
     // re-injecting an overlapping range is harmless).  The redundancy
@@ -519,6 +541,13 @@ RaidArray::registerStats(sim::StatsRegistry &reg,
 {
     reg.add(prefix + ".parity.recomputes", _parityRecomputes);
     reg.add(prefix + ".parity.fullStripeWrites", _parityFullStripes);
+}
+
+void
+RaidArray::resetStats()
+{
+    _parityRecomputes.reset();
+    _parityFullStripes.reset();
 }
 
 } // namespace raid2::raid

@@ -15,6 +15,14 @@
  * rebuilding a range no survivor has written leaves the replacement
  * unwritten.
  *
+ * Parity (levels 3/5) is stored only from storeParity() on, which the
+ * first call that can destroy a data byte or hands out raw bytes makes:
+ * failDisk(), injectLatent(), diskRange() and the mutable diskData().
+ * It folds every stripe's parity from the still-intact data in one
+ * pass; until then writes store data only, for parity serves only to
+ * rebuild what a failure or defect destroys.  Mirrors (level 1) are
+ * written with their data from the start.
+ *
  * A failed disk's buffer stands for its replacement drive, which starts
  * empty.  Every write lands in it, but only the ranges rebuildRange()
  * has reconstructed are read from it; the rest of the disk is still
@@ -53,8 +61,9 @@ class RaidArray
      *  a failed disk's rebuild has not reached from the survivors. */
     void read(std::uint64_t off, std::span<std::uint8_t> out) const;
 
-    /** Mark a disk failed: its contents are destroyed, and its
-     *  buffer, now the empty replacement, reads zeros. */
+    /** Mark a disk failed: its contents are destroyed (after parity
+     *  is stored from them), and its buffer, now the empty
+     *  replacement, reads zeros. */
     void failDisk(unsigned d);
 
     /** One on-line rebuild step: reconstruct [off, off+bytes) of failed
@@ -86,7 +95,8 @@ class RaidArray
      * make the range unrecoverable — a data-loss event, which the
      * controller accounts for instead of injecting.
      */
-    /** Garble @p bytes at disk offset @p off of disk @p d. */
+    /** Garble @p bytes at disk offset @p off of disk @p d (after
+     *  parity is stored from the intact bytes). */
     void injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
     /** True if disk @p d has a latent range intersecting [off, off+bytes). */
     bool latentOverlaps(unsigned d, std::uint64_t off,
@@ -110,9 +120,11 @@ class RaidArray
      * performs — one per stripe whose parity is (re)generated, by
      * either path.  parity.fullStripeWrites is the subset served by
      * the single-pass full-stripe path (parity folded straight from
-     * the caller's buffer, no pre-read).  A full-segment LFS write
-     * should show recomputes == stripes touched — anything higher is
-     * redundant parity work. */
+     * the caller's buffer, no pre-read).  Once parity is stored, a
+     * full-segment LFS write should show recomputes == stripes
+     * touched — anything higher is redundant parity work.
+     * storeParity() counts one recompute per stripe; writes before it
+     * count nothing. */
     const sim::Scalar &parityRecomputes() const
     {
         return _parityRecomputes;
@@ -125,6 +137,8 @@ class RaidArray
      *  "<prefix>.parity.fullStripeWrites". */
     void registerStats(sim::StatsRegistry &reg,
                        const std::string &prefix) const;
+    /** Zero both counters. */
+    void resetStats();
     /** @} */
 
     /** @{ Integrity-repair primitives (see src/integrity/).
@@ -133,11 +147,12 @@ class RaidArray
      * recovers what disk @p dead should hold at
      * [disk_off, disk_off+out.size()) from redundancy (the mirror for
      * level 1, the XOR of the survivors for levels 3/5) and reports
-     * failure — RAID-0, a second failed disk, a survivor latent range
-     * overlapping the request, or a range beyond the parity-covered
-     * region — by returning false with @p out untouched.  It never
-     * returns stale or partially reconstructed bytes, and where no
-     * survivor has been written it returns zeros without reading any.
+     * failure — RAID-0, parity not stored yet, a second failed disk, a
+     * survivor latent range overlapping the request, or a range beyond
+     * the parity-covered region — by returning false with @p out
+     * untouched.  It never returns stale or partially reconstructed
+     * bytes, and where no survivor has been written it returns zeros
+     * without reading any.
      * Degraded reads call it directly, and latent repairs and rebuilds
      * through recoverInPlace(); both make a failure fatal.
      */
@@ -151,25 +166,36 @@ class RaidArray
     /** Re-derive the redundancy covering [off, off+len) of disk @p d
      *  from (verified) data: recompute parity for stripes where @p d
      *  is the parity disk, or re-copy the mirror pair for level 1.
+     *  Before parity is stored there is none to heal.
      *  @return false if the array is degraded (heal needs all disks). */
     bool healRedundancyRange(unsigned d, std::uint64_t off,
                              std::uint64_t len);
     /** @} */
 
-    /** True if every stripe's parity equals the XOR of its data (and
-     *  every mirror pair matches).  Levels 0 trivially true. */
+    /** True if every stripe's stored parity equals the XOR of its data
+     *  (and every mirror pair matches).  Levels 0 trivially true.
+     *  Before storeParity() levels 3/5 hold data only, so written data
+     *  makes this false: a check of parity upkeep stores it first. */
     bool redundancyConsistent() const;
+
+    /** Levels 3/5: fold every stripe's parity from its data, once;
+     *  from then on writes keep it in step.  The calls that destroy
+     *  bytes or hand them out make it first; a caller that checks or
+     *  prices parity upkeep on a fault-free array makes it up front. */
+    void storeParity();
 
     /** Bytes per member disk. */
     std::uint64_t diskBytes() const { return _diskBytes; }
 
     /** @{ Raw member-disk bytes, for tests.  The first call zeroes
-     *  the never-written rest of the disk. */
+     *  the never-written rest of the disk; the mutable one stores
+     *  parity first. */
     std::span<const std::uint8_t> diskData(unsigned d) const;
     std::span<std::uint8_t> diskData(unsigned d);
     /** @} */
-    /** Raw bytes [off, off+bytes) of disk @p d, for fault injection;
-     *  only this range is zeroed where never written. */
+    /** Raw bytes [off, off+bytes) of disk @p d, for fault injection
+     *  (parity is stored first); only this range is zeroed where never
+     *  written. */
     std::span<std::uint8_t> diskRange(unsigned d, std::uint64_t off,
                                       std::uint64_t bytes);
     /** True if nothing has been stored in the granules that
@@ -232,6 +258,8 @@ class RaidArray
     std::vector<IntervalSet> latents;
     /** Per failed disk, the ranges rebuildRange() has reconstructed. */
     std::vector<IntervalSet> rebuilt;
+    /** storeParity() has run: writes keep parity in step. */
+    bool parityStored = false;
     sim::Scalar _parityRecomputes;
     sim::Scalar _parityFullStripes;
 };

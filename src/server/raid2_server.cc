@@ -53,23 +53,6 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
     fsCpu = std::make_unique<sim::Service>(
         eq, _name + ".fscpu", sim::Service::Config{0.0, 0, 1});
 
-    if (cfg.withFs && cfg.withIntegrity) {
-        // Functional RAID twin sized so its data capacity covers the
-        // file-system device (whole stripes; geometry shared with the
-        // timed array, whose layout carries the disk count the
-        // topology resolved).  Each stripe takes one layout unit per
-        // disk, which RAID-3 pins to the sector.
-        raid::LayoutConfig lcfg = cfg.layout;
-        lcfg.numDisks = _array->layout().numDisks();
-        const raid::RaidLayout probe(lcfg, lcfg.stripeUnitBytes);
-        const std::uint64_t sdb = probe.stripeDataBytes();
-        const std::uint64_t stripes =
-            (cfg.fsDeviceBytes + sdb - 1) / sdb;
-        _functional = std::make_unique<raid::RaidArray>(
-            lcfg, stripes * probe.unitBytes());
-        _array->attachTwin(*_functional);
-    }
-
     if (cfg.withReliability) {
         _faults = std::make_unique<fault::FaultController>(
             eq, _name + ".fault",
@@ -91,21 +74,30 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
             cfg.fsParams.alignSegmentsTo =
                 _array->layout().stripeDataBytes();
         }
-        fs::BlockDevice *base = nullptr;
+        // Functional RAID twin sized so its data capacity covers the
+        // file-system device (whole stripes; geometry shared with the
+        // timed array, whose layout carries the disk count the
+        // topology resolved).  Each stripe takes one layout unit per
+        // disk, which RAID-3 pins to the sector.
+        raid::LayoutConfig lcfg = cfg.layout;
+        lcfg.numDisks = _array->layout().numDisks();
+        const raid::RaidLayout probe(lcfg, lcfg.stripeUnitBytes);
+        const std::uint64_t sdb = probe.stripeDataBytes();
+        const std::uint64_t stripes =
+            (cfg.fsDeviceBytes + sdb - 1) / sdb;
+        _functional = std::make_unique<raid::RaidArray>(
+            lcfg, stripes * probe.unitBytes());
+        _array->attachTwin(*_functional);
+        // Clamp to fsDeviceBytes: the twin is stripe-rounded, but the
+        // file system sees the configured device.
+        arrayDev = std::make_unique<fs::ArrayBlockDevice>(
+            *_functional, cfg.fsParams.blockSize,
+            cfg.fsDeviceBytes / cfg.fsParams.blockSize);
+        fs::BlockDevice *base = arrayDev.get();
         if (cfg.withIntegrity) {
-            // Clamp to fsDeviceBytes: the twin is stripe-rounded, but
-            // the file system must see the same geometry either way.
-            arrayDev = std::make_unique<fs::ArrayBlockDevice>(
-                *_functional, cfg.fsParams.blockSize,
-                cfg.fsDeviceBytes / cfg.fsParams.blockSize);
             verifyDev = std::make_unique<integrity::VerifyingDevice>(
                 *arrayDev, _functional.get(), cfg.integrityCfg);
             base = verifyDev.get();
-        } else {
-            fsDev = std::make_unique<fs::MemBlockDevice>(
-                cfg.fsParams.blockSize,
-                cfg.fsDeviceBytes / cfg.fsParams.blockSize);
-            base = fsDev.get();
         }
         hookDev = std::make_unique<fs::HookBlockDevice>(*base);
         hookDev->setWriteHook([this](std::uint64_t off, std::uint64_t len) {
@@ -167,12 +159,12 @@ Raid2Server::fsHookDevice()
 fs::BlockDevice &
 Raid2Server::rawFsDevice()
 {
-    if (verifyDev)
-        return *verifyDev;
-    if (!fsDev)
+    if (!arrayDev)
         sim::fatal("Raid2Server %s: configured without a file system",
                    _name.c_str());
-    return *fsDev;
+    if (verifyDev)
+        return *verifyDev;
+    return *arrayDev;
 }
 
 void
@@ -256,7 +248,7 @@ raid::RaidArray &
 Raid2Server::functionalArray()
 {
     if (!_functional)
-        sim::fatal("Raid2Server %s: configured without integrity",
+        sim::fatal("Raid2Server %s: configured without a file system",
                    _name.c_str());
     return *_functional;
 }

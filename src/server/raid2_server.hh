@@ -5,8 +5,8 @@
  * Glues the whole prototype together the way Fig 2 draws it: an XBUS
  * board with its disk array (SimArray, timed), the HIPPI pair, the
  * host workstation, and LFS.  The file system runs functionally on a
- * device whose logical space coincides with the timed array's logical
- * space; the server mirrors LFS's device traffic into the timed plane
+ * raid::RaidArray twin whose logical space coincides with the timed
+ * array's logical space; the server mirrors LFS's device traffic into the timed plane
  * (segment flushes become full-stripe array writes, mapFile() extents
  * become pipelined array reads), which is exactly the division of
  * labor between the Sun 4/280 host software and the XBUS hardware in
@@ -30,7 +30,6 @@
 #include "fault/scrubber.hh"
 #include "fs/array_block_device.hh"
 #include "fs/block_device.hh"
-#include "fs/mem_block_device.hh"
 #include "integrity/verifying_device.hh"
 #include "host/host_workstation.hh"
 #include "host/lru_cache.hh"
@@ -81,7 +80,10 @@ class Raid2Server
         raid::LayoutConfig layout;
         raid::ArrayTopology topo;
 
-        /** Mount LFS on the array (off for raw-hardware benches). */
+        /** Mount LFS on the array (off for raw-hardware benches).  The
+         *  file system keeps its bytes on a raid::RaidArray twin of the
+         *  timed array, which carries the timed array's media faults
+         *  into them. */
         bool withFs = true;
         lfs::Lfs::Params fsParams;
         /** Functional device capacity; the timed array's logical space
@@ -110,15 +112,13 @@ class Raid2Server
         fault::Scrubber::Config scrub;
         /** @} */
 
-        /** @{ End-to-end integrity (src/integrity/).  When set, the
-         *  functional device becomes a raid::RaidArray twin (sized to
-         *  cover fsDeviceBytes) wrapped in a VerifyingDevice: every
-         *  write records a per-block checksum, every read is verified
-         *  with read-repair, unrepairable blocks surface as corrupt
-         *  reads, and the scrubber (withReliability) upgrades to a
-         *  full checksum-verify sweep.  Off by default: the functional
-         *  device stays a plain MemBlockDevice and reads cost nothing
-         *  extra. */
+        /** @{ End-to-end integrity (src/integrity/).  When set, a
+         *  VerifyingDevice wraps the functional twin: every write
+         *  records a per-block checksum, every read is verified with
+         *  read-repair, unrepairable blocks surface as corrupt reads,
+         *  and the scrubber (withReliability) upgrades to a full
+         *  checksum-verify sweep.  Off by default: reads return the
+         *  twin's bytes unverified and cost nothing extra. */
         bool withIntegrity = false;
         integrity::VerifyingDevice::Config integrityCfg;
         /** @} */
@@ -150,9 +150,10 @@ class Raid2Server
     /** @{ Integrity subsystem (Config::withIntegrity only). */
     integrity::VerifyingDevice &integrity();
     bool hasIntegrity() const { return verifyDev != nullptr; }
-    /** The functional RAID twin backing the integrity chain. */
-    raid::RaidArray &functionalArray();
     /** @} */
+    /** The functional RAID twin holding the file system's bytes
+     *  (Config::withFs only). */
+    raid::RaidArray &functionalArray();
     /** @} */
 
     // -----------------------------------------------------------------
@@ -263,7 +264,7 @@ class Raid2Server
      *  restore writes whose array timing the BackupEngine models
      *  itself.  With Config::withIntegrity this is the verifying
      *  device (restore writes re-record checksums); otherwise the
-     *  in-memory device. */
+     *  twin's block device. */
     fs::BlockDevice &rawFsDevice();
     /** Tear down and re-mount LFS from the functional device (after a
      *  restore rewrote it). */
@@ -362,9 +363,9 @@ class Raid2Server
     std::unique_ptr<net::EthernetLink> _ethernet;
     std::unique_ptr<net::HippiLoopback> _loop;
 
-    /** Functional RAID twin; null unless Config::withIntegrity.  The
-     *  timed array carries its media faults into it.  Declared before
-     *  the device chain built on top of it. */
+    /** Functional RAID twin; null unless Config::withFs.  The timed
+     *  array carries its media faults into it.  Declared before the
+     *  device chain built on top of it. */
     std::unique_ptr<raid::RaidArray> _functional;
 
     /** @{ Reliability subsystem; null unless Config::withReliability. */
@@ -376,10 +377,9 @@ class Raid2Server
     /** Serializes the per-request file system CPU overheads. */
     std::unique_ptr<sim::Service> fsCpu;
 
-    /** Functional device chain.  Plain: fsDev -> hookDev.  Integrity:
-     *  _functional -> arrayDev -> verifyDev -> hookDev (declaration
+    /** Functional device chain: _functional -> arrayDev ->
+     *  verifyDev (Config::withIntegrity only) -> hookDev (declaration
      *  order matters — wrappers must die before what they wrap). */
-    std::unique_ptr<fs::MemBlockDevice> fsDev;
     std::unique_ptr<fs::ArrayBlockDevice> arrayDev;
     std::unique_ptr<integrity::VerifyingDevice> verifyDev;
     std::unique_ptr<fs::HookBlockDevice> hookDev;

@@ -73,8 +73,9 @@ ByteStore::ByteStore(std::size_t bytes) : n(bytes)
     }
     Pool &p = pool();
     if (p.bytes == n && !p.buffers.empty()) {
-        buf = p.buffers.back();
-        p.buffers.pop_back();
+        // First in, first out (see the file comment).
+        buf = p.buffers.front();
+        p.buffers.erase(p.buffers.begin());
         ASAN_UNPOISON_MEMORY_REGION(buf, allocBytes(n));
     } else {
         p.clear();

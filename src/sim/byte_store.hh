@@ -25,11 +25,15 @@
  * folds no parity from never-written units), and forget() makes the
  * whole store read zeros again (a failed disk's replacement).
  *
- * The pool holds buffers of one size only.  A request for any other
- * size empties it and allocates fresh, so pooled plus live buffers never
- * exceed the most this thread has had alive at once.  Under
- * AddressSanitizer pooled buffers are poisoned, so a span that outlived
- * its store still faults.
+ * The pool holds buffers of one size only and hands them back first in,
+ * first out, so an array rebuilt on the same thread gets each member
+ * disk's own buffer back, its pages resident where that disk wrote.
+ * Last in, first out, disk d of n would get disk n - 1 - d's buffer, and
+ * each world would fault in pages beside those the last one left.  A
+ * request for any other size empties the pool and allocates fresh, so
+ * pooled plus live buffers never exceed the most this thread has had
+ * alive at once.  Under AddressSanitizer pooled buffers are poisoned,
+ * so a span that outlived its store still faults.
  */
 
 #ifndef RAID2_SIM_BYTE_STORE_HH

@@ -5,8 +5,9 @@
  * MemBlockDevice, a second store of one size allocates nothing, another
  * size empties the pool, pools are per thread, a world built on
  * recycled stores simulates exactly as on fresh ones, an integrity
- * twin's fault injection and scrub touch only the granules they
- * change, and under AddressSanitizer a pooled buffer is poisoned.
+ * twin's scrub touches no granule and its fault injection only the
+ * granules it changes and the parity of written stripes, and under
+ * AddressSanitizer a pooled buffer is poisoned.
  *
  * Global operator new/delete are replaced with counting versions, as in
  * event_alloc_test.cc.
@@ -397,8 +398,28 @@ INSTANTIATE_TEST_SUITE_P(Levels, RecycledRaidArray,
                                            raid::RaidLevel::Raid3,
                                            raid::RaidLevel::Raid5));
 
+TEST(ByteStore, RebuiltArrayGetsEachDiskItsOwnBuffer)
+{
+    // A disk size no other test uses, so the pool starts empty of it.
+    raid::LayoutConfig cfg;
+    cfg.level = raid::RaidLevel::Raid5;
+    cfg.numDisks = 6;
+    cfg.stripeUnitBytes = 4096;
+    constexpr std::uint64_t diskBytes = 3 * G + 4096;
+
+    std::vector<const std::uint8_t *> old;
+    {
+        raid::RaidArray a(cfg, diskBytes);
+        for (unsigned d = 0; d < a.numDisks(); ++d)
+            old.push_back(a.diskRange(d, 0, 1).data());
+    }
+    raid::RaidArray b(cfg, diskBytes);
+    for (unsigned d = 0; d < b.numDisks(); ++d)
+        EXPECT_EQ(b.diskRange(d, 0, 1).data(), old[d]) << "disk " << d;
+}
+
 /** One small fleet world; @p storeBytes gets the size of one of its
- *  stores (the file-system device, or one twin disk). */
+ *  stores (one disk of the twin that holds the file system). */
 ClientFleet::Results
 fleetWorld(bool integrity, std::size_t &storeBytes)
 {
@@ -408,8 +429,7 @@ fleetWorld(bool integrity, std::size_t &storeBytes)
     cfg.withIntegrity = integrity;
     sim::EventQueue eq;
     Raid2Server srv(eq, "s", cfg);
-    storeBytes = integrity ? srv.functionalArray().diskBytes()
-                           : cfg.fsDeviceBytes;
+    storeBytes = srv.functionalArray().diskBytes();
     RequestScheduler sched(eq, srv);
     ClientFleet::Config fc;
     fc.sessions = 32;
@@ -543,6 +563,18 @@ TEST(FirstTouchTwin, InjectedCorruptionTouchesOnlyTheGranulesItHits)
     srv.faults().start();
     eq.runUntil(sim::msToTicks(2));
     ASSERT_EQ(srv.faults().injected(fault::FaultKind::SilentCorruption), 1u);
+    // Being the twin's first fault, the injection first stores the
+    // parity unit of every stripe holding written data (one stripe per
+    // granule row here), and no other granule.
+    ASSERT_EQ(lay.unitBytes(), G);
+    for (std::uint64_t r = 0; r < granules; ++r) {
+        for (unsigned e = 0; e < twin.numDisks(); ++e) {
+            if (want[e * granules + r]) {
+                want[lay.parityDisk(r) * granules + r] = true;
+                break;
+            }
+        }
+    }
     want[d * granules + g] = want[d * granules + g + 1] = true;
     EXPECT_EQ(touchedGranules(twin), want) << "media corruption";
     const std::span<const std::uint8_t> hit = twin.diskRange(d, off, 10);

@@ -301,6 +301,7 @@ TEST(HookBlockDevice, ObservesTraffic)
 TEST(ArrayBlockDevice, MaintainsParityUnderneath)
 {
     raid::RaidArray array(raid5Layout(), 1024 * 1024);
+    array.storeParity();
     fs::ArrayBlockDevice dev(array, 4096);
 
     sim::Random rng(1);

@@ -47,6 +47,7 @@ TEST(Integration, LfsOnFunctionalRaidArraySurvivesDiskLoss)
     lcfg.numDisks = 8;
     lcfg.stripeUnitBytes = 64 * 1024;
     raid::RaidArray array(lcfg, 8 * 1024 * 1024);
+    array.storeParity(); // so LFS's writes keep parity in step
     fs::ArrayBlockDevice dev(array, 4096);
 
     lfs::Lfs::Params p;

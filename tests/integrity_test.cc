@@ -597,6 +597,16 @@ TEST(TryReconstructRange, ReportsFailureInsteadOfStaleBytes)
         data[i] = static_cast<std::uint8_t>(i * 3 + 1);
     a.write(0, {data.data(), data.size()});
 
+    // No parity stored yet (no fault has asked for it): nothing to
+    // reconstruct from.
+    {
+        auto out = sentinel;
+        EXPECT_FALSE(
+            a.tryReconstructRange(2, 0, {out.data(), out.size()}));
+        EXPECT_EQ(out, sentinel);
+        a.storeParity();
+    }
+
     // Healthy baseline: reconstruction agrees with the disk copy.
     {
         std::vector<std::uint8_t> out(1024);

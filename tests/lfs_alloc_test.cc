@@ -3,8 +3,8 @@
  * Verifies the functional write path's allocation guarantee: once the
  * file's pointer blocks exist and the scratch buffers are warm, an
  * Lfs::write edits pointer blocks in place in the open segment and
- * allocates nothing per block, and a Raid2Server::fileWrite builds no
- * payload buffer.
+ * allocates nothing per block, a warm Lfs::read allocates nothing, and
+ * a Raid2Server::fileWrite builds no payload buffer.
  *
  * Global operator new/delete are replaced with counting versions, as
  * in event_alloc_test.cc.
@@ -126,6 +126,32 @@ TEST(LfsAlloc, WritePathAllocatesNothingPerBlock)
         EXPECT_LE(c.first, maxAllocsPerWrite) << "round " << round;
     }
     EXPECT_TRUE(fs.fsck().ok);
+}
+
+TEST(LfsAlloc, BlockAlignedReadAllocatesNothing)
+{
+    fs::MemBlockDevice dev(4096, 16384);
+    lfs::Lfs::format(dev);
+    lfs::Lfs fs(dev);
+    const auto ino = fs.create("/f");
+    const std::vector<std::uint8_t> buf(MiB, 0x5a);
+    fs.write(ino, 0, {buf.data(), buf.size()});
+    fs.sync();
+
+    // Warm the read walk's pointer-block buffers, then read again:
+    // whole blocks go straight into the caller's buffer.
+    std::vector<std::uint8_t> out(512 * KiB);
+    fs.read(ino, 64 * KiB, {out.data(), out.size()});
+    const auto aligned = allocationsOf(
+        [&] { fs.read(ino, 64 * KiB, {out.data(), out.size()}); });
+    EXPECT_EQ(aligned.first, 0u) << aligned.second << " bytes";
+    EXPECT_EQ(out, std::vector<std::uint8_t>(out.size(), 0x5a));
+
+    // Partial first and last blocks bounce through one kept buffer.
+    fs.read(ino, 100, {out.data(), 9000});
+    const auto ragged =
+        allocationsOf([&] { fs.read(ino, 100, {out.data(), 9000}); });
+    EXPECT_EQ(ragged.first, 0u) << ragged.second << " bytes";
 }
 
 TEST(LfsAlloc, WarmFileWriteBuildsNoPayload)

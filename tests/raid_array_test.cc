@@ -4,8 +4,9 @@
  * maintenance, degraded reads, rebuilds (whole-disk and range by
  * range) and mirror semantics — as property sweeps across levels and
  * random operation sequences — and first-touch media: an array over
- * recycled disks touches no granule it does not write, and degraded
- * reads and rebuilds of never-written ranges touch none either.
+ * recycled disks touches no granule it does not write, degraded reads
+ * and rebuilds of never-written ranges touch none either, and parity is
+ * stored only from the first call that can destroy a byte on.
  */
 
 #include <gtest/gtest.h>
@@ -114,7 +115,12 @@ TEST_P(ArrayProperty, WriteReadRoundTrip)
 
 TEST_P(ArrayProperty, RandomOverwritesMatchReferenceModel)
 {
+    // One array keeps parity in step from the first write; the other
+    // stores it only after the last, as a first fault would.  Both
+    // must end with the same disks.
     auto array = make();
+    array.storeParity();
+    auto lazy = make();
     std::vector<std::uint8_t> ref(array.capacity(), 0);
     sim::Random rng(7);
     for (int i = 0; i < 60; ++i) {
@@ -122,12 +128,17 @@ TEST_P(ArrayProperty, RandomOverwritesMatchReferenceModel)
         const std::uint64_t off = rng.below(ref.size() - len);
         const auto data = pattern(len, 1000 + i);
         array.write(off, {data.data(), data.size()});
+        lazy.write(off, {data.data(), data.size()});
         std::copy(data.begin(), data.end(), ref.begin() + off);
     }
     std::vector<std::uint8_t> back(ref.size());
     array.read(0, {back.data(), back.size()});
     EXPECT_EQ(back, ref);
     EXPECT_TRUE(array.redundancyConsistent());
+    lazy.storeParity();
+    for (unsigned d = 0; d < array.numDisks(); ++d)
+        EXPECT_TRUE(std::ranges::equal(array.diskData(d), lazy.diskData(d)))
+            << "disk " << d;
 }
 
 TEST_P(ArrayProperty, DegradedReadReturnsCorrectData)
@@ -222,6 +233,7 @@ TEST(RaidArray, ParityIsRealXor)
     // observe the inconsistency; then verify a stripe's parity is the
     // XOR of its data units.
     RaidArray array(makeCfg(RaidLevel::Raid5, 4, 4096), 64 * 1024);
+    array.storeParity();
     const auto data = pattern(3 * 4096, 5);
     array.write(0, {data.data(), data.size()});
     EXPECT_TRUE(array.redundancyConsistent());
@@ -450,15 +462,16 @@ TEST_P(FirstTouchArray, BuiltOnADirtyPoolTouchesNothingUntilWritten)
     EXPECT_TRUE(raid::allZero(back));
     EXPECT_EQ(count(touched(a)), 0u) << "a read touched a granule";
 
-    // A write inside one unit lands in one granule of its data disk and
-    // one of its parity or mirror disk.
+    // A write inside one unit lands in one granule of its data disk,
+    // plus one of its mirror at level 1; levels 3/5 store no parity
+    // before a fault needs it.
     std::vector<std::uint8_t> ref(a.capacity(), 0);
     const std::uint64_t off = logicalOn(a, dead, 2 * G) + 10;
     const auto data = pattern(100, 3);
     a.write(off, data);
     std::ranges::copy(data, ref.begin() + off);
     const auto t = touched(a);
-    EXPECT_EQ(count(t), 2u);
+    EXPECT_EQ(count(t), GetParam().level == RaidLevel::Raid1 ? 2u : 1u);
     EXPECT_TRUE(t[dead * (diskBytes / G) + 2]);
     a.read(0, back);
     EXPECT_EQ(back, ref);
@@ -539,6 +552,156 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ArrayParam> &info) {
         return "Raid" +
                std::string(raid::raidLevelName(info.param.level) + 5);
+    });
+
+/**
+ * Parity stored from the first fault on (levels 3/5).  Fault-free
+ * writes store data only; the first call that can destroy a byte folds
+ * the parity of every written stripe from the intact data, so what it
+ * destroys stays recoverable, and never-written stripes stay untouched.
+ */
+class LazyParity : public ::testing::TestWithParam<RaidLevel>
+{
+  protected:
+    static constexpr std::uint64_t diskBytes = 4 * G;
+
+    /** One 64 KB unit per stripe and granule at level 5 (level 3 pins
+     *  the unit to the sector); the first half written whole, then a
+     *  partial stripe. */
+    LazyParity()
+        : a(makeCfg(GetParam(), 5, G), diskBytes), ref(a.capacity())
+    {
+        write(0, a.capacity() / 2, 41);
+        write(a.capacity() / 2 + 5000, 300, 42);
+        written = a.capacity() / 2 + 5300;
+    }
+
+    void
+    write(std::uint64_t off, std::size_t len, std::uint64_t seed)
+    {
+        const auto data = pattern(len, seed);
+        a.write(off, data);
+        std::ranges::copy(data, ref.begin() + off);
+    }
+
+    /** Stripes holding data; the rest were never written. */
+    std::uint64_t
+    writtenStripes() const
+    {
+        const std::uint64_t sdb = a.layout().stripeDataBytes();
+        return (written + sdb - 1) / sdb;
+    }
+
+    /** Parity units stored. */
+    std::size_t
+    storedParityUnits() const
+    {
+        const raid::RaidLayout &lay = a.layout();
+        const std::uint64_t unit = lay.unitBytes();
+        std::size_t n = 0;
+        for (std::uint64_t s = 0; s < lay.numStripes(); ++s)
+            n += !a.untouched(lay.parityDisk(s), s * unit, unit);
+        return n;
+    }
+
+    /** Every written stripe's parity is stored, and no granule holding
+     *  only never-written stripes' parity is touched (a failed disk's
+     *  units aside). */
+    void
+    expectWrittenParityStored() const
+    {
+        const raid::RaidLayout &lay = a.layout();
+        const std::uint64_t unit = lay.unitBytes();
+        const std::uint64_t last = (writtenStripes() - 1) * unit / G;
+        for (std::uint64_t s = 0; s < lay.numStripes(); ++s) {
+            const unsigned pd = lay.parityDisk(s);
+            if (a.isFailed(pd))
+                continue;
+            const bool stored = !a.untouched(pd, s * unit, unit);
+            if (s < writtenStripes()) {
+                EXPECT_TRUE(stored) << "stripe " << s;
+            } else if (s * unit / G > last) {
+                EXPECT_FALSE(stored) << "stripe " << s;
+            }
+        }
+    }
+
+    void
+    expectReadsBack() const
+    {
+        std::vector<std::uint8_t> back(a.capacity(), 0xaa);
+        a.read(0, back);
+        EXPECT_EQ(back, ref);
+    }
+
+    RaidArray a;
+    std::vector<std::uint8_t> ref;
+    std::uint64_t written = 0;
+};
+
+TEST_P(LazyParity, FaultFreeWritesStoreNoParity)
+{
+    ASSERT_LT(writtenStripes(), a.layout().numStripes());
+    EXPECT_EQ(storedParityUnits(), 0u);
+    expectReadsBack();
+    for (unsigned d = 0; d < a.numDisks(); ++d)
+        EXPECT_TRUE(a.healRedundancyRange(d, 0, diskBytes));
+    EXPECT_EQ(storedParityUnits(), 0u) << "a heal stored parity";
+    // Nor does the consistency check (which reads whole disks): without
+    // stored parity the written data reads inconsistent.
+    EXPECT_FALSE(a.redundancyConsistent());
+}
+
+TEST_P(LazyParity, FailDiskStoresParityFromTheDiskFirst)
+{
+    a.failDisk(1);
+    expectWrittenParityStored();
+    expectReadsBack(); // degraded
+    a.rebuildDisk(1);
+    expectReadsBack();
+    EXPECT_TRUE(a.redundancyConsistent());
+}
+
+TEST_P(LazyParity, InjectLatentStoresParityFromTheIntactBytes)
+{
+    a.injectLatent(2, 100, 2 * G);
+    expectWrittenParityStored();
+    expectReadsBack(); // around the latent range
+    EXPECT_EQ(a.scrub(), 1u);
+    EXPECT_TRUE(a.redundancyConsistent());
+    expectReadsBack();
+}
+
+TEST_P(LazyParity, DiskRangeStoresParityBeforeHandingOutBytes)
+{
+    const std::span<std::uint8_t> hit = a.diskRange(3, 77, 1);
+    expectWrittenParityStored();
+    const std::uint8_t good = hit[0];
+    hit[0] ^= 0xa5;
+    std::uint8_t rebuilt = 0;
+    ASSERT_TRUE(a.tryReconstructRange(3, 77, {&rebuilt, 1}));
+    EXPECT_EQ(rebuilt, good);
+    a.patchDiskRange(3, 77, {&rebuilt, 1});
+    EXPECT_TRUE(a.redundancyConsistent());
+    expectReadsBack();
+}
+
+TEST_P(LazyParity, WritesAfterTheFirstFaultKeepParityInStep)
+{
+    a.failDisk(4);
+    // Across the end of the written stripes, into never-written ones.
+    write(a.capacity() / 2 - G / 2, 3 * G + 99, 43);
+    expectReadsBack();
+    a.rebuildDisk(4);
+    EXPECT_TRUE(a.redundancyConsistent());
+    expectReadsBack();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, LazyParity,
+    ::testing::Values(RaidLevel::Raid3, RaidLevel::Raid5),
+    [](const ::testing::TestParamInfo<RaidLevel> &info) {
+        return "Raid" + std::string(raid::raidLevelName(info.param) + 5);
     });
 
 /**

@@ -7,19 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.hh"
 #include "net/client_model.hh"
 #include "net/ultranet.hh"
+#include "raid/raid_array.hh"
 #include "server/file_protocol.hh"
 #include "server/request_scheduler.hh"
 #include "server/raid1_server.hh"
 #include "server/raid2_server.hh"
 #include "sim/event_queue.hh"
+#include "sim/stats_registry.hh"
 
 namespace {
 
@@ -126,6 +131,98 @@ TEST(Raid2Server, FileWriteIsFunctionalAndTimed)
     EXPECT_GE(srv.flushedBytes(), 4u * sim::MB);
     EXPECT_GT(srv.array().bytesWritten(), 4u * sim::MB);
     EXPECT_TRUE(srv.fs().fsck().ok);
+}
+
+TEST(Raid2Server, PlainServerKeepsLfsOnItsTwin)
+{
+    // Without integrity the file system still lives on the RAID twin
+    // of the timed array; integrity adds only verification, and its
+    // stats with it.
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", smallConfig(true));
+    ASSERT_FALSE(srv.hasIntegrity());
+    raid::RaidArray &twin = srv.functionalArray();
+    EXPECT_EQ(srv.array().twin(), &twin);
+
+    std::vector<std::uint8_t> data(3 * sim::MB + 1234);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 7 + i / 4096);
+    const auto ino = srv.createFile("/f");
+    srv.fs().write(ino, 0, {data.data(), data.size()});
+    srv.fs().sync();
+    std::uint64_t mapped = 0;
+    for (const lfs::FileExtent &e : srv.fs().mapFile(ino, 0, data.size())) {
+        ASSERT_FALSE(e.hole);
+        std::vector<std::uint8_t> got(e.bytes);
+        twin.read(e.deviceOffset, {got.data(), got.size()});
+        EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                               data.begin() + e.fileOffset))
+            << "extent at file offset " << e.fileOffset;
+        mapped += e.bytes;
+    }
+    EXPECT_EQ(mapped, data.size());
+
+    // A timed-array failure reaches the twin; LFS reads reconstruct.
+    srv.array().failDisk(3);
+    EXPECT_TRUE(twin.isFailed(3));
+    std::vector<std::uint8_t> back(data.size());
+    srv.fs().read(ino, 0, {back.data(), back.size()});
+    EXPECT_EQ(back, data);
+
+    sim::StatsRegistry reg;
+    srv.registerStats(reg);
+    std::ostringstream names;
+    reg.dump(names);
+    EXPECT_EQ(names.str().find("integrity"), std::string::npos);
+}
+
+TEST(Raid2Server, PlainServerTakesLatentsOnlyWhereItsTwinReaches)
+{
+    // With reliability on, a plain file-system server's media faults
+    // span the twin's disks, the part of each member that holds file
+    // system bytes.  A latent defect there garbles the twin too and
+    // reads route around it; one beyond the twin is suppressed, as on
+    // an integrity server.
+    sim::EventQueue eq;
+    Raid2Server::Config cfg = smallConfig(true);
+    cfg.withReliability = true;
+    Raid2Server srv(eq, "s", cfg);
+    raid::RaidArray &twin = srv.functionalArray();
+    ASSERT_EQ(srv.array().mediaSpan(), twin.diskBytes());
+
+    std::vector<std::uint8_t> data(256 * 1024);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13 + i / 4096);
+    const auto ino = srv.createFile("/f");
+    srv.fs().write(ino, 0, {data.data(), data.size()});
+    srv.fs().sync();
+    const lfs::FileExtent e = srv.fs().mapFile(ino, 0, 4096).front();
+    ASSERT_FALSE(e.hole);
+    unsigned disk = 0;
+    std::uint64_t doff = 0;
+    twin.layout().forEachPiece(e.deviceOffset, 1,
+                               [&](unsigned, const raid::DiskExtent &x) {
+                                   disk = x.disk;
+                                   doff = x.diskOffset;
+                               });
+    const unsigned other = (disk + 1) % twin.numDisks();
+
+    fault::FaultPlan plan;
+    plan.latent(sim::msToTicks(1), disk, doff, 512)
+        .latent(sim::msToTicks(1), other, twin.diskBytes() + 4096, 512);
+    srv.faults().setPlan(std::move(plan));
+    srv.faults().start();
+    eq.runUntil(sim::msToTicks(2));
+
+    EXPECT_EQ(srv.faults().injected(fault::FaultKind::LatentError), 1u);
+    EXPECT_EQ(srv.faults().dataLossEvents(), 0u);
+    EXPECT_EQ(srv.array().latentRangesOutstanding(), 1u);
+    EXPECT_TRUE(srv.array().hasLatent(disk, doff, 512));
+    EXPECT_TRUE(twin.latentOverlaps(disk, doff, 512));
+    std::vector<std::uint8_t> back(e.bytes);
+    twin.read(e.deviceOffset, {back.data(), back.size()});
+    EXPECT_TRUE(std::equal(back.begin(), back.end(),
+                           data.begin() + e.fileOffset));
 }
 
 TEST(Raid2Server, FileWritePayloadAtRaggedOffsets)
