@@ -14,6 +14,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -155,24 +156,54 @@ BM_ParityXor(benchmark::State &state)
 }
 BENCHMARK(BM_ParityXor);
 
-/** The segment writer's checksum pass: one 960 KB segment of 240
- *  4 KB payload blocks through lfs::blockChecksums. */
+constexpr std::size_t checksumBlockBytes = 4096, checksumBlocks = 240;
+
+/** One 960 KB segment of 240 4 KB payload blocks. */
+std::vector<std::uint8_t>
+checksumSegment()
+{
+    std::vector<std::uint8_t> seg(checksumBlocks * checksumBlockBytes);
+    for (std::size_t i = 0; i < seg.size(); ++i)
+        seg[i] = static_cast<std::uint8_t>(i * 131 + i / checksumBlockBytes);
+    return seg;
+}
+
+/** The segment writer's checksum pass: the segment through
+ *  lfs::blockChecksums (sixteen blocks per pass where the CPU has
+ *  AVX-512). */
 void
 BM_BlockChecksum(benchmark::State &state)
 {
-    constexpr std::size_t bs = 4096, blocks = 240;
-    std::vector<std::uint8_t> seg(blocks * bs);
-    for (std::size_t i = 0; i < seg.size(); ++i)
-        seg[i] = static_cast<std::uint8_t>(i * 131 + i / bs);
-    std::vector<std::uint64_t> sums(blocks);
+    const std::vector<std::uint8_t> seg = checksumSegment();
+    std::vector<std::uint64_t> sums(checksumBlocks);
     for (auto _ : state) {
-        lfs::blockChecksums(seg.data(), blocks, bs, sums.data());
+        lfs::blockChecksums(seg.data(), checksumBlocks, checksumBlockBytes,
+                            sums.data());
         benchmark::DoNotOptimize(sums.data());
         benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(state.iterations() * seg.size());
 }
 BENCHMARK(BM_BlockChecksum);
+
+/** The same segment one block at a time through the scalar
+ *  lfs::blockChecksum, the reference BM_BlockChecksum is measured
+ *  against. */
+void
+BM_BlockChecksumScalar(benchmark::State &state)
+{
+    const std::vector<std::uint8_t> seg = checksumSegment();
+    std::vector<std::uint64_t> sums(checksumBlocks);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < checksumBlocks; ++i)
+            sums[i] = lfs::blockChecksum(
+                {seg.data() + i * checksumBlockBytes, checksumBlockBytes});
+        benchmark::DoNotOptimize(sums.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * seg.size());
+}
+BENCHMARK(BM_BlockChecksumScalar);
 
 /** The functional write path alone: 512 KB Lfs::writes over a mapped
  *  8 MB region of one file, then a sync, with the cleaner on.  The
@@ -280,6 +311,30 @@ kernelEventsPerSec(std::uint64_t n)
     return static_cast<double>(processed) / elapsed.count();
 }
 
+/** The console reporter, keeping the checksum kernels' rates for the
+ *  JSON report. */
+class ChecksumRates : public benchmark::ConsoleReporter
+{
+  public:
+    ChecksumRates() : ConsoleReporter(OO_None) {}
+
+    /** (benchmark name, bytes per second), in the order run. */
+    std::vector<std::pair<std::string, double>> rates;
+
+    void
+    ReportRuns(const std::vector<Run> &runs) override
+    {
+        for (const Run &r : runs) {
+            const auto it = r.counters.find("bytes_per_second");
+            if (r.run_type == Run::RT_Iteration && !r.error_occurred &&
+                r.benchmark_name().rfind("BM_BlockChecksum", 0) == 0 &&
+                it != r.counters.end())
+                rates.emplace_back(r.benchmark_name(), it->second.value);
+        }
+        ConsoleReporter::ReportRuns(runs);
+    }
+};
+
 } // namespace
 
 int
@@ -301,7 +356,8 @@ main(int argc, char **argv)
     benchmark::Initialize(&bargc, bargs.data());
     if (benchmark::ReportUnrecognizedArguments(bargc, bargs.data()))
         return 1;
-    benchmark::RunSpecifiedBenchmarks();
+    ChecksumRates console;
+    benchmark::RunSpecifiedBenchmarks(&console);
     benchmark::Shutdown();
 
     // Wall-clock events/sec at several queue depths; with --json the
@@ -321,6 +377,13 @@ main(int argc, char **argv)
             "heap+ring kernel target: >= 2x");
     rep.row("baseline(map) PipelineChunked", 181.4, "us",
             "lower is better");
+    // The checksum kernels' measured rates, when the filter ran them.
+    for (const auto &[name, bytesPerSec] : console.rates)
+        rep.row(name, bytesPerSec / (1ull << 30), "GiB/s",
+                name == "BM_BlockChecksum"
+                    ? "blockChecksums; vector kernel where the CPU has "
+                      "AVX-512"
+                    : "scalar blockChecksum per block");
 
     rep.seriesHeader({"events", "Mevents/s"});
     for (std::uint64_t n : {1000ull, 10000ull, 100000ull, 1000000ull})

@@ -124,7 +124,7 @@ RaidArray::storeFold(unsigned d, std::uint64_t off,
 {
     if (k == 0 && disks[d].untouched(off, n))
         return;
-    xorFold(disks[d].span(off, n).data(), srcs, k, n);
+    xorFold(disks[d].overwriteSpan(off, n).data(), srcs, k, n);
 }
 
 void

@@ -1,8 +1,14 @@
 #include "sim/byte_store.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#define RAID2_STREAM_STORES 1
+#endif
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -62,6 +68,28 @@ pool()
     thread_local Pool p;
     return p;
 }
+
+#ifdef RAID2_STREAM_STORES
+/** Copy one granule to a 16-byte aligned @p dst with streaming stores,
+ *  which write whole lines without reading them into the cache first.
+ *  The caller fences. */
+void
+streamGranule(std::uint8_t *dst, const std::uint8_t *src)
+{
+    for (std::size_t i = 0; i < G; i += 64) {
+        const auto *s = reinterpret_cast<const __m128i *>(src + i);
+        auto *d = reinterpret_cast<__m128i *>(dst + i);
+        const __m128i a = _mm_loadu_si128(s);
+        const __m128i b = _mm_loadu_si128(s + 1);
+        const __m128i c = _mm_loadu_si128(s + 2);
+        const __m128i e = _mm_loadu_si128(s + 3);
+        _mm_stream_si128(d, a);
+        _mm_stream_si128(d + 1, b);
+        _mm_stream_si128(d + 2, c);
+        _mm_stream_si128(d + 3, e);
+    }
+}
+#endif
 
 } // namespace
 
@@ -150,25 +178,45 @@ ByteStore::read(std::size_t off, std::span<std::uint8_t> out) const
 }
 
 void
-ByteStore::write(std::size_t off, std::span<const std::uint8_t> in)
+ByteStore::claim(std::size_t off, std::size_t len)
 {
-    const std::uint8_t *src = in.data();
-    const std::size_t end = off + in.size();
-    for (std::size_t pos = off; pos < end;) {
-        const std::size_t g = pos / G;
+    const std::size_t end = off + len;
+    for (std::size_t g = off / G; g * G < end; ++g) {
+        if (touched(g))
+            continue;
         const std::size_t g0 = g * G;
         const std::size_t g1 = std::min(g0 + G, n);
+        std::memset(buf + g0, 0, std::max(off, g0) - g0);
         const std::size_t stop = std::min(end, g1);
-        if (!touched(g)) {
-            // Zero what this write leaves of the granule, then mark it.
-            std::memset(buf + g0, 0, pos - g0);
-            std::memset(buf + stop, 0, g1 - stop);
-            mark(g);
-        }
-        std::memcpy(buf + pos, src, stop - pos);
-        src += stop - pos;
-        pos = stop;
+        std::memset(buf + stop, 0, g1 - stop);
+        mark(g);
     }
+}
+
+void
+ByteStore::write(std::size_t off, std::span<const std::uint8_t> in)
+{
+    if (in.empty())
+        return;
+    claim(off, in.size());
+    std::uint8_t *dst = buf + off;
+    const std::uint8_t *src = in.data();
+    std::size_t len = in.size();
+#ifdef RAID2_STREAM_STORES
+    // Whole granules stream; a ragged head and tail are copied.
+    const std::size_t head = std::min(len, (G - off % G) % G);
+    if (len - head >= G &&
+        reinterpret_cast<std::uintptr_t>(dst + head) % 16 == 0) {
+        std::memcpy(dst, src, head);
+        dst += head;
+        src += head;
+        len -= head;
+        for (; len >= G; len -= G, dst += G, src += G)
+            streamGranule(dst, src);
+        _mm_sfence();
+    }
+#endif
+    std::memcpy(dst, src, len);
 }
 
 bool

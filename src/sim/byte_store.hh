@@ -16,6 +16,8 @@
  *   - read() returns zeros for an untouched granule and leaves it so;
  *   - write() zero-fills only the part of an untouched granule that it
  *     leaves uncovered, so a write of whole granules writes no zeros;
+ *     overwriteSpan() does the same for a caller that will store every
+ *     byte of its range in place (a RAID parity fold);
  *   - span() zeroes the untouched granules it covers before handing
  *     them out for in-place access; data() and bytes() do the same for
  *     the whole store.
@@ -34,6 +36,11 @@
  * pooled plus live buffers never exceed the most this thread has had
  * alive at once.  Under AddressSanitizer pooled buffers are poisoned,
  * so a span that outlived its store still faults.
+ *
+ * On x86-64, write() stores each whole granule it covers with
+ * streaming (non-temporal) stores: landing a segment on hundreds of MB
+ * of media then costs no read-for-ownership of lines the simulator
+ * will not read soon.  Partial granules, and other platforms, memcpy.
  */
 
 #ifndef RAID2_SIM_BYTE_STORE_HH
@@ -66,6 +73,17 @@ class ByteStore
     void read(std::size_t off, std::span<std::uint8_t> out) const;
     /** Copy @p in over [off, off + in.size()). */
     void write(std::size_t off, std::span<const std::uint8_t> in);
+    /** [off, off + len) for in-place access by a caller that stores
+     *  every byte of it before reading any: like write(), it zeroes
+     *  only what the range leaves of an untouched granule, and the
+     *  range's own bytes are unspecified until the caller stores
+     *  them. */
+    std::span<std::uint8_t>
+    overwriteSpan(std::size_t off, std::size_t len)
+    {
+        claim(off, len);
+        return {buf + off, len};
+    }
     /** @{ [off, off + len), zeroed where untouched, for in-place
      *  access. */
     std::span<std::uint8_t>
@@ -120,6 +138,9 @@ class ByteStore
     void touch(std::size_t g) const;
     void touchRange(std::size_t off, std::size_t len) const;
     void touchAll() const;
+    /** Mark every granule [off, off + len) overlaps touched, zeroing
+     *  only what lies outside the range of those that were not. */
+    void claim(std::size_t off, std::size_t len);
 
     std::uint8_t *buf = nullptr;
     std::size_t n = 0;

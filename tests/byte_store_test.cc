@@ -2,8 +2,11 @@
  * @file
  * sim::ByteStore recycling and first-touch zeroing: a recycled store
  * reads all zeros through read(), partial writes, span() and a ragged
- * MemBlockDevice, a second store of one size allocates nothing, another
- * size empties the pool, pools are per thread, a world built on
+ * MemBlockDevice, whole-granule (streamed) and ragged writes read back
+ * exactly, overwriteSpan() zeroes only what its range leaves, parity
+ * folded onto dirty recycled buffers is the XOR of the data, a second
+ * store of one size allocates nothing, another size empties the pool,
+ * pools are per thread, a world built on
  * recycled stores simulates exactly as on fresh ones, an integrity
  * twin's scrub touches no granule and its fault injection only the
  * granules it changes and the parity of written stripes, and under
@@ -29,6 +32,7 @@
 #include "fault/scrubber.hh"
 #include "fs/mem_block_device.hh"
 #include "integrity/verifying_device.hh"
+#include "raid/parity.hh"
 #include "raid/raid_array.hh"
 #include "raid/sim_array.hh"
 #include "server/raid2_server.hh"
@@ -312,6 +316,121 @@ TEST(ByteStore, SpanOfAnUntouchedGranuleIsZeroAndWritesThrough)
     s.read(0, got);
     EXPECT_EQ(firstMismatch(got, want), n);
 }
+
+TEST(ByteStore, WholeAndRaggedGranuleWritesReadBackExactly)
+{
+    // Whole granules take the streaming copy, ragged heads and tails
+    // memcpy; each lands on an untouched or a touched granule, from a
+    // source at an odd address.
+    constexpr std::size_t n = 8 * G + 1000; // a partial last granule
+    poolDirtyStore(n);
+    sim::ByteStore s(n);
+    std::vector<std::uint8_t> want(n, 0);
+    s.write(6 * G + 7, std::vector<std::uint8_t>(100, 0x11)); // touch 6
+
+    std::vector<std::uint8_t> src(3 * G + 64);
+    for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = static_cast<std::uint8_t>(i * 29 + i / 251 + 3);
+    std::fill_n(want.begin() + 6 * G + 7, 100, 0x11);
+
+    const std::pair<std::size_t, std::size_t> writes[] = {
+        {G, G},              // one whole untouched granule
+        {3 * G - 5, G + 10}, // ragged head and tail around granule 3
+        {5 * G + 1, 2 * G},  // ragged, over touched granule 6
+        {6 * G, G},          // one whole touched granule
+        {8 * G - 9, 1009},   // into the partial last granule
+        {G, 2 * G + 1},      // whole granules 1 and 2, now touched
+    };
+    for (const auto &[off, len] : writes) {
+        const std::span<const std::uint8_t> in(src.data() + 1, len);
+        s.write(off, in);
+        std::copy(in.begin(), in.end(), want.begin() + off);
+    }
+
+    std::vector<std::uint8_t> got(n, 0xaa);
+    s.read(0, got);
+    EXPECT_EQ(firstMismatch(got, want), n) << "through read()";
+    EXPECT_EQ(firstMismatch(s.bytes(), want), n) << "through bytes()";
+}
+
+TEST(ByteStore, OverwriteSpanZeroesOnlyWhatItLeaves)
+{
+    constexpr std::size_t n = 3 * G;
+    poolDirtyStore(n);
+    sim::ByteStore s(n);
+
+    const std::size_t off = G + 300, len = 5000;
+    const std::span<std::uint8_t> out = s.overwriteSpan(off, len);
+    ASSERT_EQ(out.size(), len);
+    for (std::size_t i = 0; i < len; ++i)
+        out[i] = static_cast<std::uint8_t>(i * 11 + 5);
+    EXPECT_FALSE(s.untouched(off, len));
+    EXPECT_TRUE(s.untouched(0, G));
+    EXPECT_TRUE(s.untouched(2 * G, G));
+
+    std::vector<std::uint8_t> want(n, 0);
+    std::copy(out.begin(), out.end(), want.begin() + off);
+    std::vector<std::uint8_t> got(n, 0xaa);
+    s.read(0, got);
+    EXPECT_EQ(firstMismatch(got, want), n);
+}
+
+class DirtyPoolParity : public ::testing::TestWithParam<raid::RaidLevel>
+{
+};
+
+TEST_P(DirtyPoolParity, ParityIsTheFoldOfTheData)
+{
+    // Parity units folded onto dirty recycled buffers: RAID-5's unit is
+    // one granule, RAID-3's a sector inside one.
+    raid::LayoutConfig cfg;
+    cfg.level = GetParam();
+    cfg.numDisks = 5;
+    cfg.stripeUnitBytes = G;
+    constexpr std::uint64_t diskBytes = 6 * G;
+    {
+        raid::RaidArray dirty(cfg, diskBytes);
+        for (unsigned d = 0; d < dirty.numDisks(); ++d)
+            std::fill_n(dirty.diskRange(d, 0, diskBytes).data(),
+                        diskBytes, 0xff);
+    }
+
+    raid::RaidArray a(cfg, diskBytes);
+    const raid::RaidLayout &lay = a.layout();
+    const std::uint64_t stripeBytes =
+        lay.unitBytes() * lay.dataUnitsPerStripe();
+    auto fill = [&](std::uint64_t off, std::uint64_t len, int salt) {
+        std::vector<std::uint8_t> in(len);
+        for (std::size_t i = 0; i < in.size(); ++i)
+            in[i] = static_cast<std::uint8_t>((off + i) * 7 + salt);
+        a.write(off, in);
+    };
+    // Data before parity is stored, then parity for every stripe, then
+    // a full stripe and a partial one in never-written granules (for
+    // RAID-3, inside one, with never-written stripes on both sides).
+    fill(0, stripeBytes + 100, 1);
+    a.storeParity();
+    const std::uint64_t fresh = lay.numStripes() * 3 / 4 * stripeBytes;
+    fill(fresh, stripeBytes, 2);
+    fill(fresh + stripeBytes + 3, 40, 3);
+
+    ASSERT_TRUE(a.redundancyConsistent());
+    for (std::uint64_t s = 0; s < lay.numStripes(); ++s) {
+        const std::uint64_t base = s * lay.unitBytes();
+        std::vector<std::uint8_t> fold(lay.unitBytes(), 0);
+        for (unsigned k = 0; k < lay.dataUnitsPerStripe(); ++k)
+            raid::xorInto(fold, a.diskRange(lay.dataDisk(s, k), base,
+                                            lay.unitBytes()));
+        const auto parity =
+            a.diskRange(lay.parityDisk(s), base, lay.unitBytes());
+        ASSERT_EQ(firstMismatch(parity, fold), fold.size())
+            << "stripe " << s;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, DirtyPoolParity,
+                         ::testing::Values(raid::RaidLevel::Raid3,
+                                           raid::RaidLevel::Raid5));
 
 TEST(ByteStore, RecycledMemBlockDeviceReadsRaggedExtentsBack)
 {

@@ -115,21 +115,31 @@ TEST(ChecksumKernel, BlockChecksumMatchesPublishedXxh64Vectors)
 
 TEST(ChecksumKernel, BlockChecksumsEqualPerBlockChecksum)
 {
-    for (const std::uint32_t bs : {512u, 4096u}) {
-        sim::Random rng(bs);
-        std::vector<std::uint8_t> data(9 * std::size_t(bs));
-        for (auto &b : data)
-            b = static_cast<std::uint8_t>(rng.next());
-        for (std::size_t n = 0; n <= 9; ++n) {
-            const std::uint64_t sentinel = 0x5a5a5a5a5a5a5a5aull;
-            std::vector<std::uint64_t> out(n + 1, sentinel);
-            lfs::blockChecksums(data.data(), n, bs, out.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                EXPECT_EQ(out[i],
-                          lfs::blockChecksum({data.data() + i * bs, bs}))
-                    << "bs " << bs << " n " << n << " block " << i;
+    // n = 0..40 runs every group the vector kernel takes (16, 8, 2)
+    // and every remainder; a base one byte off alignment and a block
+    // size that is not a multiple of 32 (the scalar path) run too.
+    constexpr std::size_t maxBlocks = 40;
+    for (const std::uint32_t bs : {512u, 4096u, 520u}) {
+        for (const std::size_t skew : {0u, 1u}) {
+            sim::Random rng(bs + skew);
+            std::vector<std::uint8_t> data(maxBlocks * std::size_t(bs) +
+                                           skew);
+            for (auto &b : data)
+                b = static_cast<std::uint8_t>(rng.next());
+            const std::uint8_t *base = data.data() + skew;
+            for (std::size_t n = 0; n <= maxBlocks; ++n) {
+                const std::uint64_t sentinel = 0x5a5a5a5a5a5a5a5aull;
+                std::vector<std::uint64_t> out(n + 1, sentinel);
+                lfs::blockChecksums(base, n, bs, out.data());
+                for (std::size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(out[i],
+                              lfs::blockChecksum({base + i * bs, bs}))
+                        << "bs " << bs << " skew " << skew << " n " << n
+                        << " block " << i;
+                }
+                ASSERT_EQ(out[n], sentinel)
+                    << "bs " << bs << " skew " << skew << " n " << n;
             }
-            EXPECT_EQ(out[n], sentinel) << "bs " << bs << " n " << n;
         }
     }
 }
