@@ -19,6 +19,9 @@ set(pinned
     "Table 2 RAID-II 15-disk 4 KB read rate|table2_iops|RAID-II 15-disk read rate"
     "Table 2 RAID-I scaling efficiency|table2_iops|RAID-I scaling efficiency"
     "Table 2 RAID-II scaling efficiency|table2_iops|RAID-II scaling efficiency"
+    "Fig 6 HIPPI loopback asymptote|fig6_hippi|Loopback asymptote (8192 KB)"
+    "Fig 6 small-packet regime|fig6_hippi|Loopback at 4 KB"
+    "Fig 7 SCSI string saturation|fig7_string|String plateau (6 disks)"
     "§3.4 client write over Ultranet|net_client|Client write to RAID-II"
     "§3.4 client read, polling driver|net_client|Client read, polling driver"
     "§3.4 host utilization, client writes|net_client|Host CPU utilization (writes)")

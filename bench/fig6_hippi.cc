@@ -79,6 +79,11 @@ main(int argc, char **argv)
     rep.seriesHeader({"req KB", "MB/s"});
     for (const auto &row : rows)
         rep.seriesRow(row);
+    // EXPERIMENTS.md's headline cells, pinned by experiments_check.
+    rep.record("Loopback at 4 KB", rows.front()[1], "MB/s",
+               "1.1 ms overhead dominated");
+    rep.record("Loopback asymptote (8192 KB)", rows.back()[1], "MB/s",
+               "38.5 MB/s");
     measure(sizes_kb.back(), /*instrumented=*/true);
 
     std::printf("\n  Expected shape: overhead-dominated at small sizes,"

@@ -56,7 +56,7 @@ main(int argc, char **argv)
                 eq, "d" + std::to_string(i), disk::ibm0661()));
             cougar.string(0).attach(disks.back().get());
             channels.push_back(std::make_unique<scsi::DiskChannel>(
-                eq, *disks.back(), cougar.string(0), cougar));
+                *disks.back(), cougar.string(0), cougar));
             if (ndisks == max_disks)
                 disks.back()->registerStats(reg,
                                             "disk." + std::to_string(i));
@@ -95,8 +95,13 @@ main(int argc, char **argv)
             single_disk_mbs = mbs;
         rep.seriesRow({static_cast<double>(ndisks), mbs,
                        single_disk_mbs * ndisks});
-        if (ndisks == max_disks)
+        if (ndisks == max_disks) {
+            // EXPERIMENTS.md's headline cell, pinned by
+            // experiments_check.
+            rep.record("String plateau (6 disks)", mbs, "MB/s",
+                       "about 3 MB/s");
             rep.snapshotRegistry(reg);
+        }
     }
 
     std::printf("\n  Expected shape: ~1.6 MB/s for one disk, capped "

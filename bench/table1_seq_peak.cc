@@ -47,7 +47,7 @@ struct AuxController
             auto &str = cougar.string(i / 3);
             str.attach(disks.back().get());
             channels.push_back(std::make_unique<scsi::DiskChannel>(
-                eq, *disks.back(), str, cougar));
+                *disks.back(), str, cougar));
         }
         // Keep all six disks streaming sequentially for the whole run.
         for (unsigned i = 0; i < 6; ++i)

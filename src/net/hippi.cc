@@ -62,7 +62,7 @@ HippiChannel::send(std::uint64_t bytes, std::vector<sim::Stage> pre,
     srcPort.submitBusyTime(setup, nullptr);
     if (auto *t = eq.tracer()) {
         const auto span = t->begin(_name, "packet", bytes);
-        sim::Pipeline::start(eq, stages, bytes, cal::xbusChunkBytes,
+        sim::Pipeline::start(stages, bytes, cal::xbusChunkBytes,
                              [t, span, done = std::move(done)] {
                                  t->end(span);
                                  if (done)
@@ -70,7 +70,7 @@ HippiChannel::send(std::uint64_t bytes, std::vector<sim::Stage> pre,
                              });
         return;
     }
-    sim::Pipeline::start(eq, stages, bytes, cal::xbusChunkBytes,
+    sim::Pipeline::start(stages, bytes, cal::xbusChunkBytes,
                          std::move(done));
 }
 

@@ -30,7 +30,7 @@ UltranetFabric::transfer(std::uint64_t bytes,
     auto fire = std::move(done);
     const sim::Tick lat = hopLatency;
     auto &queue = eq;
-    sim::Pipeline::start(eq, stages, bytes, cal::xbusChunkBytes,
+    sim::Pipeline::start(stages, bytes, cal::xbusChunkBytes,
                          [&queue, lat, fire = std::move(fire)]() mutable {
                              queue.scheduleIn(lat, std::move(fire));
                          });

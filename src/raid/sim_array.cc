@@ -40,7 +40,7 @@ SimArray::SimArray(sim::EventQueue &eq_, xbus::XbusBoard &board,
         auto &str = ctrl.string(stringOf(i));
         str.attach(disks.back().get());
         channels.push_back(std::make_unique<scsi::DiskChannel>(
-            eq, *disks.back(), str, ctrl));
+            *disks.back(), str, ctrl));
     }
     failedDisks.assign(n, false);
     rebuilt.resize(n);

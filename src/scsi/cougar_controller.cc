@@ -51,9 +51,9 @@ CougarController::numDisks() const
     return n;
 }
 
-DiskChannel::DiskChannel(sim::EventQueue &eq_, disk::DiskModel &drive,
-                         ScsiString &string, CougarController &cougar)
-    : eq(eq_), _drive(drive), _string(string), _cougar(cougar)
+DiskChannel::DiskChannel(disk::DiskModel &drive, ScsiString &string,
+                         CougarController &cougar)
+    : _drive(drive), _string(string), _cougar(cougar)
 {
 }
 
@@ -83,10 +83,9 @@ DiskChannel::read(std::uint64_t offset, std::uint64_t bytes,
     while (left > 0) {
         const std::uint64_t chunk =
             std::min<std::uint64_t>(left, cal::xbusChunkBytes);
-        _drive.submitBytes(pos, chunk, false, [this, stages, chunk,
-                                               remaining, done_ptr] {
-            sim::Pipeline::start(eq, *stages, chunk,
-                                 cal::xbusChunkBytes,
+        _drive.submitBytes(pos, chunk, false, [stages, chunk, remaining,
+                                               done_ptr] {
+            sim::Pipeline::start(*stages, chunk, cal::xbusChunkBytes,
                                  [remaining, chunk, done_ptr] {
                                      *remaining -= chunk;
                                      if (*remaining == 0 && *done_ptr)
@@ -122,7 +121,7 @@ DiskChannel::write(std::uint64_t offset, std::uint64_t bytes,
     };
 
     _string.chargeCommandOverhead();
-    sim::Pipeline::start(eq, *stages, bytes, cal::xbusChunkBytes, finish);
+    sim::Pipeline::start(*stages, bytes, cal::xbusChunkBytes, finish);
     _drive.submitBytes(offset, bytes, true, finish);
 }
 

@@ -63,8 +63,8 @@ class CougarController
 class DiskChannel
 {
   public:
-    DiskChannel(sim::EventQueue &eq, disk::DiskModel &drive,
-                ScsiString &string, CougarController &cougar);
+    DiskChannel(disk::DiskModel &drive, ScsiString &string,
+                CougarController &cougar);
 
     /**
      * Read @p bytes at @p offset: media phase first (drive buffer),
@@ -88,7 +88,6 @@ class DiskChannel
     CougarController &cougar() { return _cougar; }
 
   private:
-    sim::EventQueue &eq;
     disk::DiskModel &_drive;
     ScsiString &_string;
     CougarController &_cougar;

@@ -98,7 +98,7 @@ Reader::drainInOrder()
             cfg.outStages.front().svc->submitBusyTime(cfg.outSetup,
                                                       nullptr);
         }
-        sim::Pipeline::start(eq, cfg.outStages, chunks[idx].len,
+        sim::Pipeline::start(cfg.outStages, chunks[idx].len,
                              cal::xbusChunkBytes,
                              [self = shared_from_this(), idx] {
                                  self->chunkSent(idx);

@@ -37,7 +37,7 @@ Raid1Server::Raid1Server(sim::EventQueue &eq_, std::string name,
         auto &str = ctrl.string(g / numControllers);
         str.attach(disks.back().get());
         channels.push_back(std::make_unique<scsi::DiskChannel>(
-            eq, *disks.back(), str, ctrl));
+            *disks.back(), str, ctrl));
     }
 
     raid::LayoutConfig lcfg;

@@ -682,7 +682,7 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
             for (auto &stage : _host->dataPathStages())
                 stages.push_back(stage);
             sim::Pipeline::start(
-                eq, stages, len, cal::xbusChunkBytes,
+                stages, len, cal::xbusChunkBytes,
                 [this, done_ptr, len, st] {
                     _ethernet->send(len, [done_ptr, st] {
                         (*done_ptr)(st);
@@ -720,7 +720,7 @@ Raid2Server::standardWrite(lfs::InodeNum ino, std::uint64_t off,
         stages.push_back(
             sim::Stage(_board->hostLink(), cal::controlLinkWriteMBs));
         stages.push_back(sim::Stage(_board->memory()));
-        sim::Pipeline::start(eq, stages, len, cal::xbusChunkBytes,
+        sim::Pipeline::start(stages, len, cal::xbusChunkBytes,
                              [this, ino, off, len, done_ptr] {
             const bool nvram = cfg.nvramBytes > 0;
             if (nvram) {

@@ -211,7 +211,7 @@ RequestScheduler::dispatch(ClassState &cs, Request &&r,
                           std::move(on_done));
         } else {
             sim::Pipeline::start(
-                eq, req->inStages, req->len, cal::xbusChunkBytes,
+                req->inStages, req->len, cal::xbusChunkBytes,
                 [this, req, on_done]() mutable {
                     srv.fileWrite(req->ino, req->off, req->len,
                                   std::move(on_done));

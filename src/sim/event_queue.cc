@@ -14,7 +14,6 @@ struct EventQueue::Recycler
     static constexpr std::size_t maxChunks = 64;
 
     std::vector<std::unique_ptr<Event[]>> chunks;
-    std::vector<Entry> ring;
     std::vector<Entry> heap;
     std::vector<EventId> slotState;
     std::vector<std::uint32_t> freeSlots;
@@ -33,7 +32,6 @@ EventQueue::EventQueue()
     // arena chunks are taken one at a time by acquireSlot() so a small
     // queue does not claim the whole pool.
     Recycler &r = recycler();
-    ring.swap(r.ring);
     heap.swap(r.heap);
     slotState.swap(r.slotState);
     freeSlots.swap(r.freeSlots);
@@ -57,7 +55,6 @@ EventQueue::~EventQueue()
             pooled.swap(mine);
         }
     };
-    keepLarger(ring, r.ring);
     keepLarger(heap, r.heap);
     keepLarger(slotState, r.slotState);
     keepLarger(freeSlots, r.freeSlots);
@@ -80,18 +77,8 @@ EventQueue::schedule(Tick when, Event fn)
     slotState[slot] = id;
 
     const Entry e{id, when};
-    // Monotone fast path: an event no earlier than the ring's tail
-    // appends in O(1).  The sequence grows monotonically, so a fresh
-    // entry never ties with the tail.
-    if (ring.size() == ringHead || !later(ring.back(), e)) {
-        if (ring.size() == ring.capacity())
-            ring.reserve(ring.capacity() < 1024 ? 1024
-                                                : ring.capacity() * 4);
-        ring.push_back(e);
-    } else {
-        heap.push_back(e);
-        siftUp(heap.size() - 1, e);
-    }
+    heap.push_back(e);
+    siftUp(heap.size() - 1, e);
     return id;
 }
 
@@ -153,46 +140,6 @@ EventQueue::siftDown(std::size_t i, const Entry &e)
     heap[i] = e;
 }
 
-void
-EventQueue::popTop()
-{
-    const Entry last = heap.back();
-    heap.pop_back();
-    if (!heap.empty())
-        siftDown(0, last);
-}
-
-const EventQueue::Entry &
-EventQueue::minEntry() const
-{
-    if (heap.empty())
-        return ring[ringHead];
-    if (ring.size() == ringHead)
-        return heap.front();
-    return later(heap.front(), ring[ringHead]) ? ring[ringHead]
-                                               : heap.front();
-}
-
-void
-EventQueue::discardMin()
-{
-    if (!heap.empty() &&
-        (ring.size() == ringHead || later(ring[ringHead], heap.front()))) {
-        popTop();
-        return;
-    }
-    ++ringHead;
-    if (ringHead == ring.size()) {
-        ring.clear();
-        ringHead = 0;
-    } else if (ringHead >= 1024 && ringHead * 2 >= ring.size()) {
-        // Keep a long-lived ring from growing without bound.
-        ring.erase(ring.begin(),
-                   ring.begin() + static_cast<std::ptrdiff_t>(ringHead));
-        ringHead = 0;
-    }
-}
-
 bool
 EventQueue::cancel(EventId id)
 {
@@ -213,70 +160,48 @@ EventQueue::cancel(EventId id)
     return true;
 }
 
-void
-EventQueue::purgeTop()
+bool
+EventQueue::dispatchTop()
 {
-    while (rawSize() != 0) {
-        const std::uint32_t slot = slotOf(minEntry().id);
-        if (slotState[slot] == minEntry().id)
-            return;
+    const Entry top = heap.front();
+    const Entry last = heap.back();
+    heap.pop_back();
+    if (!heap.empty())
+        siftDown(0, last);
+    const std::uint32_t slot = slotOf(top.id);
+    if (slotState[slot] != top.id) {
+        // Cancelled: cancel() already destroyed the closure.
         slotState[slot] = 0;
         freeSlots.push_back(slot);
-        discardMin();
         --numTombstones;
+        return false;
     }
-}
-
-void
-EventQueue::step()
-{
-    const Entry top = minEntry();
     _now = top.when;
-    discardMin();
     // Move the closure out before invoking: it may schedule (reusing
     // the slot, which the move left empty).
-    const std::uint32_t slot = slotOf(top.id);
     Event fn = std::move(slotRef(slot));
     slotState[slot] = 0;
     freeSlots.push_back(slot);
     ++numExecuted;
     fn();
+    return true;
 }
 
 Tick
 EventQueue::run()
 {
-    // The drain loop is the kernel's hottest path; it folds the
-    // tombstone check of purgeTop()/step() into one pass per entry.
-    while (rawSize() != 0) {
-        const Entry top = minEntry();
-        discardMin();
-        const std::uint32_t slot = slotOf(top.id);
-        if (slotState[slot] != top.id) {
-            slotState[slot] = 0;
-            freeSlots.push_back(slot);
-            --numTombstones;
-            continue;
-        }
-        _now = top.when;
-        Event fn = std::move(slotRef(slot));
-        slotState[slot] = 0;
-        freeSlots.push_back(slot);
-        ++numExecuted;
-        fn();
-    }
+    while (!heap.empty())
+        dispatchTop();
     return _now;
 }
 
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    purgeTop();
-    while (rawSize() != 0 && minEntry().when <= limit) {
-        step();
-        purgeTop();
-    }
-    if (_now < limit && rawSize() == 0)
+    while (!heap.empty() && heap.front().when <= limit)
+        dispatchTop();
+    // Cancelled entries past the limit do not hold the clock back.
+    if (_now < limit && pending() == 0)
         return _now;
     _now = limit;
     return _now;
@@ -287,12 +212,9 @@ EventQueue::runUntilDone(const std::function<bool()> &done)
 {
     if (done())
         return true;
-    purgeTop();
-    while (rawSize() != 0) {
-        step();
-        if (done())
+    while (!heap.empty()) {
+        if (dispatchTop() && done())
             return true;
-        purgeTop();
     }
     return false;
 }

@@ -9,29 +9,25 @@
  * global singleton, so tests can run many independent simulations —
  * and bench sweeps can run one simulation per worker thread.
  *
- * The queue is a 4-ary min-heap over a contiguous vector, ordered by
- * (tick, sequence); the wide fanout halves the sift depth of a binary
- * heap and keeps siblings on adjacent cache lines.  In front of the
- * heap sits a monotone ring: an event scheduled no earlier than the
- * ring's tail is appended in O(1), so bulk scheduling, arrival
- * generators and trace replay never touch the heap, and popping
- * compares the ring head with the heap top to preserve the exact
- * global (tick, sequence) order.  Interleaved service completions are
- * not monotone, and on the repository benchmark most events go to the
- * heap (docs/PERFORMANCE.md, kernel mechanism 1).  Scheduling is
- * O(log n) worst case with no per-node allocations: entries are
+ * The queue is one 4-ary min-heap over a contiguous vector, ordered
+ * by (tick, sequence); the wide fanout halves the sift depth of a
+ * binary heap and keeps siblings on adjacent cache lines.  Every event
+ * goes through it: a monotone fast path in front of the heap once took
+ * in-order schedules in O(1), but the repository benchmark sent it
+ * 0.3-17.5 % of its events (interleaved service completions are not
+ * monotone), so it was removed (docs/PERFORMANCE.md, "Kernel design").
+ * Scheduling is O(log n) with no per-node allocations: entries are
  * 16-byte trivially-copyable (id, tick) pairs so sifts are plain
  * loads/stores, and the closures — sim::Event values (small-buffer
  * optimized) — sit still in a chunked slot arena recycled through a
  * free list.  Cancellation is lazy and O(1): cancel() destroys the
  * closure and tombstones the event's slot-state word (the id names its
- * slot directly); the dead entry is discarded when it surfaces.  A
- * destroyed queue donates its storage to a thread-local recycler so
+ * slot directly); the dead entry is reclaimed when it reaches the top.
+ * A destroyed queue donates its storage to a thread-local recycler so
  * back-to-back simulations (bench sweeps, test suites) reuse warm
- * memory instead of page-faulting a fresh working set.  This
- * follows the gem5/FlashSim
- * lesson that the event kernel is the hot path everything else stands
- * on.
+ * memory instead of page-faulting a fresh working set.  This follows
+ * the gem5/FlashSim lesson that the event kernel is the hot path
+ * everything else stands on.
  */
 
 #ifndef RAID2_SIM_EVENT_QUEUE_HH
@@ -87,7 +83,7 @@ class EventQueue
     bool cancel(EventId id);
 
     /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const { return rawSize() - numTombstones; }
+    std::size_t pending() const { return heap.size() - numTombstones; }
 
     /** True if no live events remain. */
     bool empty() const { return pending() == 0; }
@@ -160,9 +156,6 @@ class EventQueue
     void siftDown(std::size_t i, const Entry &e);
     /** @} */
 
-    /** Remove the top entry, restoring the heap property. */
-    void popTop();
-
     /** @{ Closure arena: fixed-size chunks, so growing never moves an
      *  Event and slot references stay stable. */
     static constexpr std::size_t slotChunkShift = 10;
@@ -185,7 +178,7 @@ class EventQueue
     /**
      * Thread-local recycler for kernel storage.  Sweeps and tests
      * build one EventQueue per measurement; without recycling each
-     * queue's ~1 MB working set (ring, arena chunks, slot state) is
+     * queue's ~1 MB working set (heap, arena chunks, slot state) is
      * returned to the OS at destruction and page-faulted back in by
      * the next queue, which dominates short runs.  The destructor
      * donates its storage here and the constructor (or acquireSlot)
@@ -195,23 +188,9 @@ class EventQueue
     struct Recycler;
     static Recycler &recycler();
 
-    /** @{ Two-part priority queue: sorted monotone ring + 4-ary heap.
-     *  The ring is a vector consumed from ringHead; it holds entries
-     *  appended in nondecreasing key order.  The global minimum is the
-     *  smaller of ring[ringHead] and heap[0]. */
-    std::vector<Entry> ring;
-    std::size_t ringHead = 0;
+    /** Every queued entry, tombstones included; heap[0] is the
+     *  earliest. */
     std::vector<Entry> heap;
-
-    /** Raw entry count, tombstones included. */
-    std::size_t rawSize() const { return ring.size() - ringHead + heap.size(); }
-
-    /** Earliest entry (pre: rawSize() != 0). */
-    const Entry &minEntry() const;
-
-    /** Remove the earliest entry (pre: rawSize() != 0). */
-    void discardMin();
-    /** @} */
 
     std::vector<std::unique_ptr<Event[]>> slotChunks;
     std::uint32_t slotCount = 0;
@@ -229,12 +208,9 @@ class EventQueue
     std::uint64_t numExecuted = 0;
     TraceSink *_tracer = nullptr;
 
-    /** Discard tombstoned entries sitting at the front of the queue. */
-    void purgeTop();
-
-    /** Pop and execute the earliest live event (queue must be
-     *  non-empty and purged). */
-    void step();
+    /** Pop the earliest entry (pre: heap non-empty) and run it, or
+     *  reclaim it if it was cancelled.  @return true if it ran. */
+    bool dispatchTop();
 };
 
 } // namespace raid2::sim

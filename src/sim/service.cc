@@ -18,11 +18,12 @@ Service::Service(EventQueue &eq_, std::string name, const Config &cfg_)
 }
 
 Tick
-Service::serviceTime(std::uint64_t bytes) const
+Service::serviceTime(std::uint64_t bytes, double mb_per_sec) const
 {
+    const double rate = mb_per_sec > 0.0 ? mb_per_sec : cfg.mbPerSec;
     Tick t = cfg.overhead;
-    if (cfg.mbPerSec > 0.0)
-        t += transferTicks(bytes, cfg.mbPerSec);
+    if (rate > 0.0)
+        t += transferTicks(bytes, rate);
     return t;
 }
 
@@ -35,19 +36,13 @@ Service::nextFree() const
 void
 Service::submit(std::uint64_t bytes, Event done)
 {
-    submitBusyTime(serviceTime(bytes), std::move(done));
-    _bytesServed += bytes;
+    submitAtRate(bytes, 0.0, std::move(done));
 }
 
 void
 Service::submitAtRate(std::uint64_t bytes, double mb_per_sec, Event done)
 {
-    Tick t = cfg.overhead;
-    if (mb_per_sec > 0.0)
-        t += transferTicks(bytes, mb_per_sec);
-    else if (cfg.mbPerSec > 0.0)
-        t += transferTicks(bytes, cfg.mbPerSec);
-    submitBusyTime(t, std::move(done));
+    submitBusyTime(serviceTime(bytes, mb_per_sec), std::move(done));
     _bytesServed += bytes;
 }
 
@@ -129,9 +124,8 @@ chunkLeft(std::shared_ptr<Transfer> t, std::size_t stage,
 } // namespace
 
 void
-Pipeline::start(EventQueue &, const std::vector<Stage> &stages,
-                std::uint64_t bytes, std::uint64_t chunk_bytes,
-                Event done)
+Pipeline::start(const std::vector<Stage> &stages, std::uint64_t bytes,
+                std::uint64_t chunk_bytes, Event done)
 {
     if (stages.empty())
         panic("Pipeline with no stages");

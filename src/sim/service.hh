@@ -54,8 +54,9 @@ class Service
 
     Service(EventQueue &eq, std::string name, const Config &cfg);
 
-    /** Service time for @p bytes excluding queueing. */
-    Tick serviceTime(std::uint64_t bytes) const;
+    /** Service time for @p bytes excluding queueing, at @p mb_per_sec
+     *  (0 = the configured rate). */
+    Tick serviceTime(std::uint64_t bytes, double mb_per_sec = 0.0) const;
 
     /**
      * Enqueue a request for @p bytes; @p done fires when the request
@@ -67,7 +68,7 @@ class Service
      * Like submit() but at an explicit rate, for stations whose speed
      * is direction-dependent (e.g. the XBUS VME ports: 6.9 MB/s reads
      * vs 5.9 MB/s writes through one physical port).  @p mb_per_sec of
-     * 0 means infinitely fast (only the fixed overhead is charged).
+     * 0 means the configured rate, as in submit().
      */
     void submitAtRate(std::uint64_t bytes, double mb_per_sec, Event done);
 
@@ -139,7 +140,7 @@ class Pipeline
 {
   public:
     /** Begin a pipelined transfer; returns immediately. */
-    static void start(EventQueue &eq, const std::vector<Stage> &stages,
+    static void start(const std::vector<Stage> &stages,
                       std::uint64_t bytes, std::uint64_t chunk_bytes,
                       Event done);
 };

@@ -2,9 +2,8 @@
 
 namespace raid2::xbus {
 
-ParityEngine::ParityEngine(sim::EventQueue &eq_, sim::Service &port_,
-                           sim::Service &memory_)
-    : eq(eq_), port(port_), memory(memory_)
+ParityEngine::ParityEngine(sim::Service &port_, sim::Service &memory_)
+    : port(port_), memory(memory_)
 {
 }
 
@@ -17,7 +16,7 @@ ParityEngine::pass(std::uint64_t input_bytes, std::uint64_t output_bytes,
     _bytes += total;
     // Source blocks stream from memory through the engine's port; the
     // result streams back through the same port into memory.
-    sim::Pipeline::start(eq, {sim::Stage(memory), sim::Stage(port)}, total,
+    sim::Pipeline::start({sim::Stage(memory), sim::Stage(port)}, total,
                          cal::xbusChunkBytes, std::move(done));
 }
 

@@ -25,8 +25,7 @@ namespace raid2::xbus {
 class ParityEngine
 {
   public:
-    ParityEngine(sim::EventQueue &eq, sim::Service &port,
-                 sim::Service &memory);
+    ParityEngine(sim::Service &port, sim::Service &memory);
 
     /**
      * Run a parity pass over @p input_bytes of source data producing
@@ -39,7 +38,6 @@ class ParityEngine
     std::uint64_t bytesProcessed() const { return _bytes; }
 
   private:
-    sim::EventQueue &eq;
     sim::Service &port;
     sim::Service &memory;
     std::uint64_t _passes = 0;

@@ -26,7 +26,7 @@ XbusBoard::XbusBoard(sim::EventQueue &eq, std::string name)
             eq, _name + ".vme" + std::to_string(i),
             sim::Service::Config{cal::vmePortReadMBs, 0, 1});
     }
-    _parity = std::make_unique<ParityEngine>(eq, _parityPort, _memory);
+    _parity = std::make_unique<ParityEngine>(_parityPort, _memory);
 }
 
 sim::Service &

@@ -123,8 +123,8 @@ TEST(EventAlloc, CancelIsAllocationFree)
 
 TEST(EventAlloc, OutOfOrderSchedulingIsAllocationFreeWhenWarm)
 {
-    // Out-of-order schedules land in the heap rather than the monotone
-    // ring; the guarantee must hold for that path too.
+    // Out-of-order schedules sift up through the heap instead of
+    // landing at its end; the guarantee must hold for them too.
     sim::EventQueue eq;
     constexpr int n = 256;
     for (int round = 0; round < 2; ++round) {

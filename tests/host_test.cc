@@ -23,7 +23,7 @@ TEST(Host, DataPathSaturatesNearTwoPointThree)
     HostWorkstation h(eq, "sun4");
     bool done = false;
     const std::uint64_t bytes = 8 * sim::MB;
-    sim::Pipeline::start(eq, h.dataPathStages(), bytes, 16 * 1024,
+    sim::Pipeline::start(h.dataPathStages(), bytes, 16 * 1024,
                          [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
@@ -39,7 +39,7 @@ TEST(Host, BackplaneCapsWhenCopiesAreFree)
     HostWorkstation h(eq, "sun4", cfg);
     bool done = false;
     const std::uint64_t bytes = 18 * sim::MB;
-    sim::Pipeline::start(eq, h.dataPathStages(), bytes, 16 * 1024,
+    sim::Pipeline::start(h.dataPathStages(), bytes, 16 * 1024,
                          [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);

@@ -34,7 +34,7 @@ struct StringRig
                 disk::ibm0661()));
             cougar.string(string_idx).attach(disks.back().get());
             channels.push_back(std::make_unique<scsi::DiskChannel>(
-                eq, *disks.back(), cougar.string(string_idx), cougar));
+                *disks.back(), cougar.string(string_idx), cougar));
         }
     }
 
@@ -129,8 +129,7 @@ TEST(Cougar, ControllerCapBindsWhenStringsAreFast)
     sim::Service src(eq, "src", sim::Service::Config{1000.0, 0, 8});
     bool done = false;
     const std::uint64_t bytes = 16 * sim::MB;
-    sim::Pipeline::start(eq,
-                         {sim::Stage(src), sim::Stage(cougar.svc())},
+    sim::Pipeline::start({sim::Stage(src), sim::Stage(cougar.svc())},
                          bytes, 64 * 1024, [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);

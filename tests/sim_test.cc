@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hh"
@@ -233,13 +238,18 @@ TEST(Service, RateOverride)
 {
     sim::EventQueue eq;
     sim::Service svc(eq, "vme", sim::Service::Config{6.9, 0, 1});
-    Tick read_done = 0, write_done = 0;
+    Tick read_done = 0, write_done = 0, default_done = 0;
     svc.submitAtRate(sim::MB, 6.9, [&] { read_done = eq.now(); });
     svc.submitAtRate(sim::MB, 5.9, [&] { write_done = eq.now(); });
+    // A rate of 0 takes the configured rate, as an un-overridden
+    // Pipeline hop does; it is not infinitely fast.
+    svc.submitAtRate(sim::MB, 0.0, [&] { default_done = eq.now(); });
     eq.run();
     EXPECT_EQ(read_done, sim::transferTicks(sim::MB, 6.9));
     EXPECT_EQ(write_done,
               read_done + sim::transferTicks(sim::MB, 5.9));
+    EXPECT_EQ(default_done,
+              write_done + sim::transferTicks(sim::MB, 6.9));
 }
 
 TEST(Service, UtilizationAndQueueDelayAccounting)
@@ -293,7 +303,7 @@ TEST(Pipeline, ThroughputIsMinStageRate)
     sim::Service fast2(eq, "fast2", sim::Service::Config{40.0, 0, 1});
     bool done = false;
     const std::uint64_t bytes = 10 * sim::MB;
-    sim::Pipeline::start(eq, {&fast, &slow, &fast2}, bytes, 64 * 1024,
+    sim::Pipeline::start({&fast, &slow, &fast2}, bytes, 64 * 1024,
                          [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
@@ -310,7 +320,7 @@ TEST(Pipeline, SmallTransferLatencyIsSumOfStages)
     sim::Service a(eq, "a", sim::Service::Config{10.0, 0, 1});
     sim::Service b(eq, "b", sim::Service::Config{10.0, 0, 1});
     bool done = false;
-    sim::Pipeline::start(eq, {&a, &b}, 64 * 1024, 64 * 1024,
+    sim::Pipeline::start({&a, &b}, 64 * 1024, 64 * 1024,
                          [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
@@ -322,9 +332,9 @@ TEST(Pipeline, SharedStageSerializesTwoTransfers)
     sim::EventQueue eq;
     sim::Service shared(eq, "bus", sim::Service::Config{10.0, 0, 1});
     int done = 0;
-    sim::Pipeline::start(eq, {&shared}, sim::MB, 64 * 1024,
+    sim::Pipeline::start({&shared}, sim::MB, 64 * 1024,
                          [&] { ++done; });
-    sim::Pipeline::start(eq, {&shared}, sim::MB, 64 * 1024,
+    sim::Pipeline::start({&shared}, sim::MB, 64 * 1024,
                          [&] { ++done; });
     eq.run();
     EXPECT_EQ(done, 2);
@@ -337,7 +347,7 @@ TEST(Pipeline, ZeroByteTransferStillCompletes)
     sim::EventQueue eq;
     sim::Service a(eq, "a", sim::Service::Config{10.0, 0, 1});
     bool done = false;
-    sim::Pipeline::start(eq, {&a}, 0, 4096, [&] { done = true; });
+    sim::Pipeline::start({&a}, 0, 4096, [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
 }
@@ -495,6 +505,242 @@ TEST(EventQueueCancel, RunUntilAcrossTombstones)
     EXPECT_EQ(eq.runUntil(35), 35u);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.pending(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Reference model: one EventQueue and a std::set of (tick, schedule
+// order) driven side by side through a seeded mix of schedules,
+// cancels and drains.
+// ---------------------------------------------------------------------
+
+/**
+ * The queue under test and its model.  Each event checks, as it fires,
+ * that it is the model's earliest entry, then schedules and cancels
+ * from inside; every cancel() result, now() and pending() is compared
+ * with the model's.
+ */
+class QueueVsModel
+{
+  public:
+    explicit QueueVsModel(std::uint64_t seed) : rng(seed) {}
+
+    /** One round: a few schedules and cancels, then one of the three
+     *  drains. */
+    void
+    round()
+    {
+        for (auto n = rng.below(8); n > 0; --n)
+            schedule();
+        for (auto n = rng.below(4); n > 0; --n)
+            cancel();
+        expectBookkeeping();
+        switch (rng.below(3)) {
+          case 0:
+            run();
+            break;
+          case 1:
+            runUntil();
+            break;
+          default:
+            runUntilDone();
+            break;
+        }
+        expectBookkeeping();
+    }
+
+    /** Drain everything; every scheduled event fired or was
+     *  cancelled. */
+    void
+    finish()
+    {
+        run();
+        for (const State st : states)
+            EXPECT_NE(st, State::pending);
+    }
+
+    std::size_t firedCount() const { return fired; }
+    std::size_t cancelledCount() const { return cancelled; }
+
+  private:
+    enum class State { pending, fired, cancelled };
+    using Key = std::pair<Tick, std::size_t>; // (tick, schedule order)
+
+    /** Stop scheduling from inside events past this many schedules,
+     *  so every run() ends. */
+    static constexpr std::size_t budget = 3000;
+    static constexpr Tick noLimit = std::numeric_limits<Tick>::max();
+
+    sim::EventQueue eq;
+    sim::Random rng;
+    std::set<Key> live;
+    std::set<Key> dead; // cancelled entries the queue may still hold
+    std::vector<sim::EventQueue::EventId> ids; // by schedule order
+    std::vector<Tick> whens;
+    std::vector<State> states;
+    std::size_t fired = 0, cancelled = 0;
+    Tick modelNow = 0;
+    Tick limit = noLimit; // no event past it may fire
+
+    Key
+    pick(const std::set<Key> &set)
+    {
+        return *std::next(set.begin(),
+                          static_cast<std::ptrdiff_t>(rng.below(set.size())));
+    }
+
+    /** Ties with now or a queued tick, at or after the latest queued
+     *  tick (in order), or anywhere from now on (mostly out of
+     *  order). */
+    Tick
+    pickTick()
+    {
+        switch (rng.below(4)) {
+          case 0:
+            return modelNow;
+          case 1:
+            return live.empty() ? modelNow : pick(live).first;
+          case 2:
+            return (live.empty() ? modelNow : live.rbegin()->first) +
+                   rng.below(3);
+          default:
+            return modelNow + rng.below(40);
+        }
+    }
+
+    void
+    schedule()
+    {
+        const Tick when = pickTick();
+        const std::size_t k = ids.size();
+        ids.push_back(eq.schedule(when, [this, k] { fire(k); }));
+        whens.push_back(when);
+        states.push_back(State::pending);
+        live.emplace(when, k);
+    }
+
+    /** Cancel a pending event, any id ever issued (pending, fired or
+     *  cancelled), or the invalid id. */
+    void
+    cancel()
+    {
+        const auto how = rng.below(4);
+        if (how == 0) {
+            EXPECT_FALSE(eq.cancel(sim::EventQueue::invalidEvent));
+            return;
+        }
+        if (ids.empty() || (how == 1 && live.empty()))
+            return;
+        const std::size_t k = how == 1
+                                  ? pick(live).second
+                                  : static_cast<std::size_t>(
+                                        rng.below(ids.size()));
+        const bool expected = states[k] == State::pending;
+        EXPECT_EQ(eq.cancel(ids[k]), expected) << "event " << k;
+        if (expected) {
+            states[k] = State::cancelled;
+            live.erase({whens[k], k});
+            dead.emplace(whens[k], k);
+            ++cancelled;
+        }
+    }
+
+    void
+    fire(std::size_t k)
+    {
+        ASSERT_FALSE(live.empty()) << "event " << k << " fired unmodelled";
+        EXPECT_EQ(*live.begin(), Key(whens[k], k)) << "out of order";
+        EXPECT_EQ(states[k], State::pending);
+        EXPECT_EQ(eq.now(), whens[k]);
+        EXPECT_LE(whens[k], limit);
+        live.erase({whens[k], k});
+        states[k] = State::fired;
+        modelNow = whens[k];
+        ++fired;
+        EXPECT_EQ(eq.pending(), live.size());
+
+        if (ids.size() < budget) {
+            for (auto n = rng.below(3); n > 0; --n)
+                schedule();
+        }
+        if (rng.chance(0.3))
+            cancel();
+        if (rng.chance(0.1)) {
+            EXPECT_FALSE(eq.cancel(ids[k])) << "cancelled itself";
+        }
+    }
+
+    void
+    run()
+    {
+        limit = noLimit;
+        EXPECT_EQ(eq.run(), modelNow);
+        EXPECT_TRUE(live.empty());
+    }
+
+    /** Up to a random tick ahead, or exactly at a cancelled entry's. */
+    void
+    runUntil()
+    {
+        limit = modelNow + rng.below(60);
+        if (rng.chance(0.5)) {
+            dead.erase(dead.begin(), dead.lower_bound({modelNow, 0}));
+            if (!dead.empty())
+                limit = pick(dead).first;
+        }
+        const Tick got = eq.runUntil(limit);
+        if (!live.empty()) {
+            EXPECT_GT(live.begin()->first, limit);
+        }
+        // The clock stops where the queue drained, if it drained
+        // before the limit, however many cancelled entries remain.
+        const Tick want = live.empty() && modelNow < limit ? modelNow
+                                                           : limit;
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(eq.now(), want);
+        modelNow = want;
+        limit = noLimit;
+    }
+
+    /** Until a few more events have fired, or the queue drains. */
+    void
+    runUntilDone()
+    {
+        const std::size_t target = fired + rng.below(6);
+        const bool done =
+            eq.runUntilDone([this, target] { return fired >= target; });
+        if (done) {
+            EXPECT_EQ(fired, target);
+        } else {
+            EXPECT_LT(fired, target);
+            EXPECT_TRUE(live.empty());
+        }
+        EXPECT_EQ(eq.now(), modelNow);
+    }
+
+    void
+    expectBookkeeping()
+    {
+        EXPECT_EQ(eq.now(), modelNow);
+        EXPECT_EQ(eq.pending(), live.size());
+        EXPECT_EQ(eq.empty(), live.empty());
+        EXPECT_EQ(eq.executed(), fired);
+    }
+};
+
+TEST(EventQueueModel, MatchesSetOfTickAndSequence)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        QueueVsModel m(seed);
+        for (int r = 0; r < 150; ++r)
+            m.round();
+        m.finish();
+        // The mix reached every path it is meant to.
+        EXPECT_GT(m.firedCount(), 500u);
+        EXPECT_GT(m.cancelledCount(), 50u);
+        if (HasFailure())
+            return;
+    }
 }
 
 TEST(Event, MoveOnlyCaptureAndLargeCallable)

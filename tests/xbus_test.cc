@@ -22,7 +22,7 @@ TEST(XbusBoard, MemoryAggregateIs160MBs)
     const std::uint64_t bytes = 16 * sim::MB;
     int done = 0;
     for (int i = 0; i < 4; ++i) {
-        sim::Pipeline::start(eq, {sim::Stage(board.memory())}, bytes,
+        sim::Pipeline::start({sim::Stage(board.memory())}, bytes,
                              16 * 1024, [&] { ++done; });
     }
     eq.run();
@@ -37,7 +37,7 @@ TEST(XbusBoard, SingleStreamMemoryIsOneModule)
     xbus::XbusBoard board(eq, "x");
     bool done = false;
     const std::uint64_t bytes = 16 * sim::MB;
-    sim::Pipeline::start(eq, {sim::Stage(board.memory())}, bytes,
+    sim::Pipeline::start({sim::Stage(board.memory())}, bytes,
                          16 * 1024, [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
