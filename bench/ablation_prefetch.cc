@@ -45,12 +45,13 @@ run(unsigned depth)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Ablation D: pipeline depth on the high-"
-                       "bandwidth read path",
-                       "paper §3.3: pipelining overlaps disk reads with "
-                       "network sends");
+    bench::Reporter rep("ablation_prefetch", argc, argv);
+    rep.header("Ablation D: pipeline depth on the high-bandwidth read "
+               "path",
+               "paper §3.3: pipelining overlaps disk reads with network "
+               "sends");
 
     const std::vector<unsigned> depths = {1, 2, 3, 4, 6, 8};
     const auto rows = bench::runSweepParallel(
@@ -58,9 +59,9 @@ main()
             return {static_cast<double>(depths[i]), run(depths[i])};
         });
 
-    bench::printSeriesHeader({"depth", "read MB/s"});
+    rep.seriesHeader({"depth", "read MB/s"});
     for (const auto &row : rows)
-        bench::printSeriesRow(row);
+        rep.seriesRow(row);
 
     std::printf("\n  Expected shape: depth 1 pays disk+network in "
                 "series; throughput grows\n  with depth and flattens "

@@ -45,12 +45,12 @@ run(bool elevator, unsigned processes)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Ablation G: FCFS vs C-SCAN elevator disk "
-                       "scheduling",
-                       "the prototype queued FCFS; reordering pays "
-                       "only with deep queues");
+    bench::Reporter rep("ablation_scheduler", argc, argv);
+    rep.header("Ablation G: FCFS vs C-SCAN elevator disk scheduling",
+               "the prototype queued FCFS; reordering pays only with "
+               "deep queues");
 
     const std::vector<unsigned> clients = {1, 8, 32, 64, 128, 256};
     const auto rows = bench::runSweepParallel(
@@ -62,10 +62,9 @@ main()
                     100.0 * (scan / fcfs - 1.0)};
         });
 
-    bench::printSeriesHeader({"clients", "FCFS ops/s", "SCAN ops/s",
-                              "gain %"});
+    rep.seriesHeader({"clients", "FCFS ops/s", "SCAN ops/s", "gain %"});
     for (const auto &row : rows)
-        bench::printSeriesRow(row);
+        rep.seriesRow(row);
 
     std::printf("\n  Expected shape: no difference at one outstanding "
                 "request; the elevator\n  pulls ahead as per-disk "

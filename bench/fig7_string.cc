@@ -104,7 +104,7 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("\n  Expected shape: ~1.6 MB/s for one disk, capped "
-                "near 3 MB/s from two disks on\n");
+    std::printf("\n  Expected shape: ~1.4 MB/s for one disk, capped "
+                "near 3.3 MB/s from three disks on\n");
     return 0;
 }

@@ -1,10 +1,11 @@
 /**
  * @file
  * Microbenchmarks of the simulator's own primitives
- * (google-benchmark): event queue throughput, service/pipeline cost,
- * RAID mapping, XOR parity bandwidth, block checksum bandwidth, the
- * functional LFS write path, and building a server world.  These guard
- * the simulator's performance, not the paper's results.
+ * (google-benchmark): event queue throughput, service/pipeline cost, a
+ * disk read through its channel, RAID mapping, XOR parity bandwidth,
+ * block checksum bandwidth, the functional LFS write path, and building
+ * a server world.  These guard the simulator's performance, not the
+ * paper's results.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,9 +26,11 @@
 #include "lfs/lfs.hh"
 #include "raid/parity.hh"
 #include "raid/raid_layout.hh"
+#include "scsi/cougar_controller.hh"
 #include "server/raid2_server.hh"
 #include "sim/event_queue.hh"
 #include "sim/service.hh"
+#include "xbus/xbus_board.hh"
 
 using namespace raid2;
 
@@ -167,6 +170,41 @@ BM_PipelineChunked(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PipelineChunked);
+
+/** One warm 64 KB read per iteration through the path of every server
+ *  world's disk reads: drive -> SCSI string -> Cougar -> VME port ->
+ *  XBUS memory, each 16 KB media chunk fed into one transfer as the
+ *  drive buffers it.  Reports the events each command dispatches. */
+void
+BM_DiskChannelRead(benchmark::State &state)
+{
+    constexpr std::uint64_t bytes = 64 * 1024;
+    sim::EventQueue eq;
+    xbus::XbusBoard board(eq, "xbus");
+    scsi::CougarController cougar(eq, "c0");
+    disk::DiskModel drive(eq, "d0", disk::ibm0661());
+    cougar.string(0).attach(&drive);
+    scsi::DiskChannel channel(drive, cougar.string(0), cougar);
+    const std::vector<sim::Stage> downstream = board.diskToMemory(0);
+    const std::uint64_t span = drive.capacityBytes() / bytes * bytes;
+    std::uint64_t off = 0;
+    bool done = false;
+    const auto read = [&] {
+        done = false;
+        channel.read(off, bytes, downstream, [&done] { done = true; });
+        eq.run();
+        off = (off + bytes) % span;
+    };
+    read();
+    const std::uint64_t before = eq.executed();
+    for (auto _ : state)
+        read();
+    benchmark::DoNotOptimize(done);
+    state.counters["events_per_cmd"] =
+        static_cast<double>(eq.executed() - before) /
+        static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_DiskChannelRead);
 
 void
 BM_RaidMapRange(benchmark::State &state)
@@ -330,10 +368,11 @@ BENCHMARK(BM_ServerBuildFresh)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/** Wall-clock kernel throughput at queue depth @p n: repeat
- *  schedule-then-drain rounds for ~200 ms and report events/sec. */
+/** Wall-clock kernel throughput over @p streams interleaved streams,
+ *  BM_EventQueueInterleaved's shape (the repository benchmark's):
+ *  repeat rounds of ~100k events for ~200 ms and report events/sec. */
 double
-kernelEventsPerSec(std::uint64_t n)
+kernelEventsPerSec(sim::Tick streams)
 {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -341,12 +380,11 @@ kernelEventsPerSec(std::uint64_t n)
     std::chrono::duration<double> elapsed{};
     do {
         sim::EventQueue eq;
-        std::uint64_t sink = 0;
-        for (std::uint64_t i = 0; i < n; ++i)
-            eq.schedule(static_cast<sim::Tick>(i), [&] { ++sink; });
+        std::uint64_t fired = 0;
+        for (sim::Tick i = 0; i < streams; ++i)
+            eq.schedule(i, IntervalStream{&eq, &fired, 1000 + 997 * i});
         eq.run();
-        benchmark::DoNotOptimize(sink);
-        processed += n;
+        processed += fired;
         elapsed = clock::now() - t0;
     } while (elapsed.count() < 0.2);
     return static_cast<double>(processed) / elapsed.count();
@@ -401,8 +439,9 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&console);
     benchmark::Shutdown();
 
-    // Wall-clock events/sec at several queue depths; with --json the
-    // series lands in BENCH_micro_sim.json alongside commit history.
+    // Wall-clock events/sec over several numbers of interleaved
+    // streams (the queue's depth); with --json the series lands in
+    // BENCH_micro_sim.json alongside commit history.
     rep.header("Simulation kernel wall-clock throughput",
                "repo microbenchmark; guards simulator speed, not a "
                "paper figure");
@@ -426,9 +465,9 @@ main(int argc, char **argv)
                       "AVX-512"
                     : "scalar blockChecksum per block");
 
-    rep.seriesHeader({"events", "Mevents/s"});
-    for (std::uint64_t n : {1000ull, 10000ull, 100000ull, 1000000ull})
-        rep.seriesRow({static_cast<double>(n),
-                       kernelEventsPerSec(n) / 1e6});
+    rep.seriesHeader({"streams", "Mevents/s"});
+    for (const sim::Tick streams : {4, 32, 512, 4096})
+        rep.seriesRow({static_cast<double>(streams),
+                       kernelEventsPerSec(streams) / 1e6});
     return 0;
 }

@@ -23,7 +23,7 @@ DiskModel::DiskModel(sim::EventQueue &eq_, std::string name,
 
 void
 DiskModel::submit(std::uint64_t start_sector, std::uint32_t sectors,
-                  bool write, std::function<void()> done)
+                  bool write, sim::Event done)
 {
     if (sectors == 0)
         sim::panic("disk %s: zero-sector request", _name.c_str());
@@ -47,7 +47,7 @@ DiskModel::submit(std::uint64_t start_sector, std::uint32_t sectors,
 
 void
 DiskModel::submitBytes(std::uint64_t offset, std::uint64_t bytes, bool write,
-                       std::function<void()> done)
+                       sim::Event done)
 {
     // Round outward to whole sectors: the drive always transfers full
     // sectors regardless of the caller's byte range.
@@ -93,38 +93,44 @@ DiskModel::startNext()
     }
     busy = true;
 
-    // std::function closures must be copyable; stash the request in a
-    // shared_ptr so its done-callback survives the capture.
-    auto req = std::make_shared<DiskRequest>(sched->pop(headSector));
+    inService = sched->pop(headSector);
+    const DiskRequest &req = inService;
     const Tick start = eq.now();
     Tick positioning = 0;
-    const Tick service = computeService(*req, start, positioning);
+    const Tick service = computeService(req, start, positioning);
     const Tick finish = start + service;
 
     ++_requests;
-    if (req->write)
-        _sectorsWritten += req->sectors;
+    if (req.write)
+        _sectorsWritten += req.sectors;
     else
-        _sectorsRead += req->sectors;
+        _sectorsRead += req.sectors;
     _serviceMs.sample(sim::ticksToMs(service));
     _positionMs.sample(sim::ticksToMs(positioning));
     busyTime.addBusy(start, finish);
     if (auto *t = eq.tracer())
-        t->complete(_name, req->write ? "write" : "read", start, finish,
-                    std::uint64_t(req->sectors) * prof.sectorBytes);
+        t->complete(_name, req.write ? "write" : "read", start, finish,
+                    std::uint64_t(req.sectors) * prof.sectorBytes);
 
-    eq.schedule(finish, [this, req] {
-        if (!req->write) {
-            readAheadPos = req->startSector + req->sectors;
-            lastReadDone = eq.now();
-        } else {
-            // A write invalidates any overlapping read-ahead state.
-            readAheadPos = ~std::uint64_t(0);
-        }
-        if (req->done)
-            req->done();
-        startNext();
-    });
+    eq.schedule(finish, [this] { finishCommand(); });
+}
+
+void
+DiskModel::finishCommand()
+{
+    if (!inService.write) {
+        readAheadPos = inService.startSector + inService.sectors;
+        lastReadDone = eq.now();
+    } else {
+        // A write invalidates any overlapping read-ahead state.
+        readAheadPos = ~std::uint64_t(0);
+    }
+    // The callback may queue more commands on this drive; the next one
+    // takes the in-service slot only after it returns.
+    if (inService.done)
+        inService.done();
+    inService.done.reset();
+    startNext();
 }
 
 Tick

@@ -16,13 +16,16 @@
  * the media phase fills the drive's buffer, after which bytes drain
  * over the bus; for writes the bus fills the buffer and the media
  * phase commits it.
+ *
+ * A drive keeps the command on its media in a member and its callback
+ * is a move-only sim::Event, so a warm drive serves queued commands
+ * without allocating.
  */
 
 #ifndef RAID2_DISK_DISK_MODEL_HH
 #define RAID2_DISK_DISK_MODEL_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -46,11 +49,11 @@ class DiskModel
      * completes (read: data in drive buffer; write: data committed).
      */
     void submit(std::uint64_t start_sector, std::uint32_t sectors,
-                bool write, std::function<void()> done);
+                bool write, sim::Event done);
 
     /** Convenience: byte-addressed submit (must be sector aligned). */
     void submitBytes(std::uint64_t offset, std::uint64_t bytes, bool write,
-                     std::function<void()> done);
+                     sim::Event done);
 
     const DiskProfile &profile() const { return prof; }
     const std::string &name() const { return _name; }
@@ -87,6 +90,10 @@ class DiskModel
     /** Start servicing the head of the queue. */
     void startNext();
 
+    /** The in-service command's media phase is over: update the
+     *  read-ahead state, run its callback, start the next command. */
+    void finishCommand();
+
     /**
      * Compute the media service time of @p req starting at @p start and
      * update head position / read-ahead state.
@@ -101,6 +108,8 @@ class DiskModel
     std::unique_ptr<Scheduler> sched;
 
     bool busy = false;
+    /** The command on the media while busy (and not stalled). */
+    DiskRequest inService;
     std::uint32_t curCylinder = 0;
     std::uint64_t headSector = 0;    // absolute sector under the head
     Tick rotPhase = 0;               // per-drive rotation phase offset

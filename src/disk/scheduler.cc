@@ -15,10 +15,16 @@ FcfsScheduler::push(DiskRequest req)
 DiskRequest
 FcfsScheduler::pop(std::uint64_t)
 {
-    if (queue.empty())
+    if (empty())
         sim::panic("FcfsScheduler::pop on empty queue");
-    DiskRequest req = std::move(queue.front());
-    queue.pop_front();
+    DiskRequest req = std::move(queue[head++]);
+    if (head == queue.size()) {
+        queue.clear();
+        head = 0;
+    } else if (2 * head > queue.size()) {
+        queue.erase(queue.begin(), queue.begin() + head);
+        head = 0;
+    }
     return req;
 }
 

@@ -11,10 +11,10 @@
 #define RAID2_DISK_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
+#include <vector>
 
+#include "sim/event.hh"
 #include "sim/types.hh"
 
 namespace raid2::disk {
@@ -27,11 +27,13 @@ struct DiskRequest
     std::uint64_t startSector = 0;
     std::uint32_t sectors = 0;
     bool write = false;
-    std::function<void()> done;
+    sim::Event done;
     Tick submitTick = 0;
 };
 
-/** Queue-order policy for pending disk commands. */
+/** Queue-order policy for pending disk commands.  Both policies keep
+ *  their queue in a vector that retains its capacity, so a warm drive
+ *  queues commands without allocating. */
 class Scheduler
 {
   public:
@@ -50,11 +52,14 @@ class FcfsScheduler : public Scheduler
   public:
     void push(DiskRequest req) override;
     DiskRequest pop(std::uint64_t current_sector) override;
-    bool empty() const override { return queue.empty(); }
-    std::size_t size() const override { return queue.size(); }
+    bool empty() const override { return head == queue.size(); }
+    std::size_t size() const override { return queue.size() - head; }
 
   private:
-    std::deque<DiskRequest> queue;
+    /** queue[head..] are pending; the popped prefix is dropped when the
+     *  queue drains or grows to more than half of it. */
+    std::vector<DiskRequest> queue;
+    std::size_t head = 0;
 };
 
 /** C-SCAN elevator: service ascending sector order, wrap at the end. */
@@ -67,7 +72,7 @@ class ElevatorScheduler : public Scheduler
     std::size_t size() const override { return queue.size(); }
 
   private:
-    std::deque<DiskRequest> queue;
+    std::vector<DiskRequest> queue;
 };
 
 std::unique_ptr<Scheduler> makeFcfsScheduler();

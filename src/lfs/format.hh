@@ -338,8 +338,27 @@ Superblock::valid() const
 }
 
 /**
+ * fnv1a of @p zeros zero bytes after state @p h: a zero byte leaves the
+ * xor unchanged, so the run is one multiply by fnv32Prime^zeros
+ * (mod 2^32), raised by squaring.
+ */
+inline std::uint32_t
+fnv1aZeros(std::uint64_t zeros, std::uint32_t h)
+{
+    std::uint32_t p = fnv32Prime;
+    for (; zeros != 0; zeros >>= 1, p *= p) {
+        if (zeros & 1)
+            h *= p;
+    }
+    return h;
+}
+
+/**
  * Checksum of a segment's summary region (header, entries, zero tail):
  * fnv1a over @p region with the header's checksum field read as zero.
+ * The zero tail past the last entry, found a word at a time, is folded
+ * by fnv1aZeros() instead of hashed byte by byte; the value is the
+ * byte-serial one.
  */
 inline std::uint32_t
 summaryChecksum(std::span<const std::uint8_t> region)
@@ -347,7 +366,16 @@ summaryChecksum(std::span<const std::uint8_t> region)
     constexpr std::size_t off = offsetof(SummaryHeader, checksum);
     constexpr std::uint8_t zero[sizeof(std::uint32_t)] = {};
     const std::uint32_t h = fnv1a(zero, fnv1a(region.first(off)));
-    return fnv1a(region.subspan(off + sizeof(zero)), h);
+    std::span<const std::uint8_t> rest = region.subspan(off + sizeof(zero));
+    std::size_t end = rest.size();
+    for (std::uint64_t w; end >= sizeof(w); end -= sizeof(w)) {
+        std::memcpy(&w, rest.data() + end - sizeof(w), sizeof(w));
+        if (w != 0)
+            break;
+    }
+    while (end > 0 && rest[end - 1] == 0)
+        --end;
+    return fnv1aZeros(rest.size() - end, fnv1a(rest.first(end), h));
 }
 
 /**

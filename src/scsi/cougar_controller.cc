@@ -62,36 +62,24 @@ DiskChannel::read(std::uint64_t offset, std::uint64_t bytes,
                   std::vector<sim::Stage> downstream,
                   std::function<void()> done)
 {
-    auto stages = std::make_shared<std::vector<sim::Stage>>();
-    stages->push_back(sim::Stage(_string.bus()));
-    stages->push_back(sim::Stage(_cougar.svc()));
-    for (auto &st : downstream)
-        stages->push_back(st);
-
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
+    downstream.insert(downstream.begin(), {sim::Stage(_string.bus()),
+                                           sim::Stage(_cougar.svc())});
+    const sim::Pipeline transfer(downstream, bytes, cal::xbusChunkBytes,
+                                 std::move(done));
 
     // The track buffer lets the bus drain data *while* the media read
     // continues: split the command into media sub-chunks, queued
     // back-to-back on the drive (the read-ahead window makes the
-    // follow-ons positioning-free), each draining through the bus
-    // chain as soon as it is buffered.
+    // follow-ons positioning-free), each fed into the one transfer as
+    // soon as it is buffered.
     _string.chargeCommandOverhead();
-    auto remaining = std::make_shared<std::uint64_t>(bytes);
     std::uint64_t pos = offset;
     std::uint64_t left = bytes;
     while (left > 0) {
         const std::uint64_t chunk =
             std::min<std::uint64_t>(left, cal::xbusChunkBytes);
-        _drive.submitBytes(pos, chunk, false, [stages, chunk, remaining,
-                                               done_ptr] {
-            sim::Pipeline::start(*stages, chunk, cal::xbusChunkBytes,
-                                 [remaining, chunk, done_ptr] {
-                                     *remaining -= chunk;
-                                     if (*remaining == 0 && *done_ptr)
-                                         (*done_ptr)();
-                                 });
-        });
+        _drive.submitBytes(pos, chunk, false,
+                           [transfer, chunk] { transfer.feed(chunk); });
         pos += chunk;
         left -= chunk;
     }

@@ -58,7 +58,9 @@ class CougarController
  * read()/write() run the complete datapath for a single disk command:
  * the drive's media phase overlapped with the chunked bus phase
  * through string -> controller -> caller-supplied downstream stages
- * (VME port, XBUS memory, ...).
+ * (VME port, XBUS memory, ...).  Each command is one sim::Pipeline
+ * transfer: a read feeds it one 16 KB media chunk at a time as the
+ * drive buffers them, a write feeds it every chunk at once.
  */
 class DiskChannel
 {
@@ -68,7 +70,8 @@ class DiskChannel
 
     /**
      * Read @p bytes at @p offset: media phase first (drive buffer),
-     * then bytes drain over [string, controller] + @p downstream.
+     * then bytes drain over [string, controller] + @p downstream, each
+     * media chunk as soon as the drive has buffered it.
      */
     void read(std::uint64_t offset, std::uint64_t bytes,
               std::vector<sim::Stage> downstream,

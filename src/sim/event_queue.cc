@@ -122,19 +122,29 @@ void
 EventQueue::siftDown(std::size_t i, const Entry &e)
 {
     const std::size_t n = heap.size();
+    const Entry *h = heap.data();
     for (;;) {
         const std::size_t first = arity * i + 1;
-        if (first >= n)
-            break;
-        const std::size_t last = std::min(first + arity, n);
-        std::size_t m = first;
-        for (std::size_t j = first + 1; j < last; ++j) {
-            if (later(heap[m], heap[j]))
-                m = j;
+        std::size_t m;
+        if (first + arity <= n) {
+            // A full family: a two-round tournament of selects, so the
+            // least child costs no unpredictable branch.
+            const std::size_t a = first + later(h[first], h[first + 1]);
+            const std::size_t b =
+                first + 2 + later(h[first + 2], h[first + 3]);
+            m = later(h[a], h[b]) ? b : a;
+        } else {
+            if (first >= n)
+                break;
+            m = first;
+            for (std::size_t j = first + 1; j < n; ++j) {
+                if (later(h[m], h[j]))
+                    m = j;
+            }
         }
-        if (!later(e, heap[m]))
+        if (!later(e, h[m]))
             break;
-        heap[i] = heap[m];
+        heap[i] = h[m];
         i = m;
     }
     heap[i] = e;

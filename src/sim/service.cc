@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <new>
 
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
@@ -82,50 +83,37 @@ Service::resetStats()
     _queueDelay.reset();
 }
 
-namespace {
-
-/** One Pipeline transfer, shared by its chunks' completions. */
-struct Transfer
+/**
+ * One Pipeline transfer: its counters, its done callback and, in the
+ * same allocation right behind it, its stages.
+ */
+struct Pipeline::Transfer
 {
-    std::vector<Stage> stages;
+    std::uint32_t refs = 1;
+    std::uint32_t numStages;
+    std::uint64_t totalBytes;
+    std::uint64_t chunkBytes;
+    std::uint64_t chunks;
+    /** Chunks fed to stage 0 and chunks submitted to the last stage. */
+    std::uint64_t fed = 0;
+    std::uint64_t arrived = 0;
+    /** With a short last chunk on a multi-server last station, a short
+     *  chunk may leave before a whole one that arrived earlier, so
+     *  every chunk schedules its completion there and this counts the
+     *  ones still to leave. */
+    bool perChunk;
+    std::uint64_t leftAtLast;
     Event done;
-    std::uint64_t remainingAtLast;
+
+    Stage *
+    stages()
+    {
+        return std::launder(reinterpret_cast<Stage *>(this + 1));
+    }
 };
 
-void chunkLeft(std::shared_ptr<Transfer> t, std::size_t stage,
-               std::uint64_t chunk_bytes);
-
-// Each chunk's completion holds one reference and hands it on from
-// stage to stage, so a hop costs no reference-count update.
-void
-submitChunk(std::shared_ptr<Transfer> t, std::size_t stage,
-            std::uint64_t chunk_bytes)
-{
-    const Stage st = t->stages[stage];
-    st.svc->submitAtRate(chunk_bytes, st.mbPerSec,
-                         [t = std::move(t), stage, chunk_bytes]() mutable {
-                             chunkLeft(std::move(t), stage, chunk_bytes);
-                         });
-}
-
-void
-chunkLeft(std::shared_ptr<Transfer> t, std::size_t stage,
-          std::uint64_t chunk_bytes)
-{
-    if (stage + 1 < t->stages.size()) {
-        submitChunk(std::move(t), stage + 1, chunk_bytes);
-        return;
-    }
-    t->remainingAtLast -= std::min(t->remainingAtLast, chunk_bytes);
-    if (t->remainingAtLast == 0 && t->done)
-        t->done();
-}
-
-} // namespace
-
-void
-Pipeline::start(const std::vector<Stage> &stages, std::uint64_t bytes,
-                std::uint64_t chunk_bytes, Event done)
+Pipeline::Pipeline(const std::vector<Stage> &stages, std::uint64_t bytes,
+                   std::uint64_t chunk_bytes, Event done)
 {
     if (stages.empty())
         panic("Pipeline with no stages");
@@ -137,13 +125,96 @@ Pipeline::start(const std::vector<Stage> &stages, std::uint64_t bytes,
     }
     if (bytes == 0)
         bytes = 1; // still pay each stage's fixed overhead
-    const auto t = std::make_shared<Transfer>(
-        Transfer{stages, std::move(done), bytes});
+    const std::uint64_t chunks = (bytes + chunk_bytes - 1) / chunk_bytes;
+    static_assert(alignof(Stage) <= alignof(Transfer));
+    void *mem =
+        ::operator new(sizeof(Transfer) + stages.size() * sizeof(Stage));
+    t = ::new (mem) Transfer{
+        .numStages = static_cast<std::uint32_t>(stages.size()),
+        .totalBytes = bytes,
+        .chunkBytes = chunk_bytes,
+        .chunks = chunks,
+        .perChunk = chunks > 1 && bytes % chunk_bytes != 0 &&
+                    stages.back().svc->servers() > 1,
+        .leftAtLast = chunks,
+        .done = std::move(done),
+    };
+    std::uninitialized_copy(stages.begin(), stages.end(), t->stages());
+}
+
+Pipeline::Pipeline(const Pipeline &other) noexcept : t(other.t)
+{
+    if (t)
+        ++t->refs;
+}
+
+Pipeline::~Pipeline()
+{
+    if (t && --t->refs == 0) {
+        t->~Transfer();
+        ::operator delete(t);
+    }
+}
+
+void
+Pipeline::feed(std::uint64_t bytes) const
+{
+    Transfer &x = *t;
+    const bool whole = bytes == x.chunkBytes;
+    if (x.fed == x.chunks || bytes == 0 ||
+        (!whole && bytes != x.totalBytes % x.chunkBytes))
+        panic("Pipeline: feed of %llu bytes does not fit a %llu-byte "
+              "transfer in %llu-byte chunks",
+              (unsigned long long)bytes, (unsigned long long)x.totalBytes,
+              (unsigned long long)x.chunkBytes);
+    ++x.fed;
+    hop(*this, 0, bytes);
+}
+
+// Each chunk's completion holds one reference and hands it on from
+// stage to stage, so a hop costs no reference-count update.
+void
+Pipeline::hop(Pipeline ref, std::size_t stage, std::uint64_t bytes)
+{
+    Transfer &x = *ref.t;
+    const Stage st = x.stages()[stage];
+    if (stage + 1 < x.numStages) {
+        st.svc->submitAtRate(bytes, st.mbPerSec,
+                             [ref = std::move(ref), stage, bytes]() mutable {
+                                 hop(std::move(ref), stage + 1, bytes);
+                             });
+        return;
+    }
+    ++x.arrived;
+    if (x.perChunk) {
+        st.svc->submitAtRate(bytes, st.mbPerSec, [ref = std::move(ref)] {
+            Transfer &y = *ref.t;
+            if (--y.leftAtLast == 0 && y.done)
+                y.done();
+        });
+    } else if (x.arrived == x.chunks) {
+        // The last arrival leaves last; it alone schedules, even
+        // without a done callback, so the clock still reaches it.
+        st.svc->submitAtRate(bytes, st.mbPerSec, [ref = std::move(ref)] {
+            if (ref.t->done)
+                ref.t->done();
+        });
+    } else {
+        st.svc->submitAtRate(bytes, st.mbPerSec, nullptr);
+    }
+}
+
+void
+Pipeline::start(const std::vector<Stage> &stages, std::uint64_t bytes,
+                std::uint64_t chunk_bytes, Event done)
+{
+    const Pipeline p(stages, bytes, chunk_bytes, std::move(done));
     // Feed every chunk into stage 0; the Service itself serializes.
-    for (std::uint64_t left = bytes; left > 0;) {
-        const std::uint64_t this_chunk = std::min(left, chunk_bytes);
-        submitChunk(t, 0, this_chunk);
-        left -= this_chunk;
+    const Transfer &x = *p.t;
+    for (std::uint64_t left = x.totalBytes; left > 0;) {
+        const std::uint64_t chunk = std::min(left, x.chunkBytes);
+        p.feed(chunk);
+        left -= chunk;
     }
 }
 

@@ -11,6 +11,15 @@
  * transfer is the minimum stage rate while short transfers are
  * dominated by per-request overheads — the two regimes all of the
  * paper's performance curves live in.
+ *
+ * Every chunk occupies every station, but a transfer dispatches one
+ * completion event at its final station, not one per chunk: the chunk
+ * that reaches the final station last is the one that leaves it last
+ * (exact on a one-server station, and on a multi-server one when the
+ * chunks are of one size), so the earlier chunks' completions there
+ * would change nothing.  A transfer with a short last chunk whose
+ * final station has several servers keeps one event per chunk there
+ * (docs/PERFORMANCE.md, "Transfers: one completion per transfer").
  */
 
 #ifndef RAID2_SIM_SERVICE_HH
@@ -83,6 +92,9 @@ class Service
 
     const std::string &name() const { return _name; }
 
+    /** Number of internal servers. */
+    unsigned servers() const { return cfg.servers; }
+
     /** @{ Statistics. */
     std::uint64_t bytesServed() const { return _bytesServed; }
     std::uint64_t requests() const { return _requests; }
@@ -131,18 +143,52 @@ struct Stage
  *
  * Chunk i is submitted to stage j+1 as soon as it completes stage j,
  * so stages overlap (store-and-forward pipelining).  The @c done
- * callback fires when the last chunk leaves the last stage.  The
- * per-transfer state is shared by the chunk completions the event
- * queue holds, so it is freed with the last of them, or with the
- * queue if the transfer never finishes.
+ * callback fires when the last chunk leaves the last stage.
+ *
+ * start() feeds every chunk into stage 0 at once.  A Pipeline object
+ * is the fed form: its chunks enter stage 0 one at a time through
+ * feed(), as a drive's media phase buffers them.  The object is a
+ * reference to the transfer; copies share it.  The transfer is one
+ * allocation, held by the handles and the chunk completions the event
+ * queue holds, so it is freed with the last of them, or with the queue
+ * if the transfer never finishes.
  */
 class Pipeline
 {
   public:
-    /** Begin a pipelined transfer; returns immediately. */
+    /**
+     * Open a transfer of @p bytes in @p chunk_bytes chunks whose chunks
+     * enter stage 0 through feed(); nothing is submitted yet.
+     */
+    Pipeline(const std::vector<Stage> &stages, std::uint64_t bytes,
+             std::uint64_t chunk_bytes, Event done);
+
+    Pipeline(const Pipeline &other) noexcept;
+    Pipeline(Pipeline &&other) noexcept : t(other.t) { other.t = nullptr; }
+    Pipeline &operator=(const Pipeline &) = delete;
+    ~Pipeline();
+
+    /**
+     * Submit one chunk of @p bytes to stage 0 now.  The feeds partition
+     * the transfer as start() would — whole chunks and at most one short
+     * one, the short one in any position — or the call panics.
+     */
+    void feed(std::uint64_t bytes) const;
+
+    /** Begin a pipelined transfer with every chunk fed now; returns
+     *  immediately. */
     static void start(const std::vector<Stage> &stages,
                       std::uint64_t bytes, std::uint64_t chunk_bytes,
                       Event done);
+
+  private:
+    struct Transfer;
+
+    /** Submit a chunk of @p bytes to @p stage; its completion carries
+     *  @p ref on to the next stage. */
+    static void hop(Pipeline ref, std::size_t stage, std::uint64_t bytes);
+
+    Transfer *t = nullptr;
 };
 
 } // namespace raid2::sim

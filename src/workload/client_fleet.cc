@@ -1,6 +1,7 @@
 #include "workload/client_fleet.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -244,6 +245,21 @@ struct Fleet
 
 } // namespace
 
+std::vector<std::uint8_t>
+ClientFleet::populationBytes(std::size_t bytes)
+{
+    // The pattern repeats every 256 bytes (13 * 256 = 0 mod 256): write
+    // one period, then double the filled prefix with memcpy.
+    std::vector<std::uint8_t> buf(bytes);
+    const std::size_t period = std::min<std::size_t>(bytes, 256);
+    for (std::size_t i = 0; i < period; ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 13 + 7);
+    for (std::size_t have = period; have < bytes; have *= 2)
+        std::memcpy(buf.data() + have, buf.data(),
+                    std::min(have, bytes - have));
+    return buf;
+}
+
 ClientFleet::Results
 ClientFleet::run(sim::EventQueue &eq, server::Raid2Server &srv,
                  server::RequestScheduler &sched, const Config &cfg)
@@ -255,9 +271,8 @@ ClientFleet::run(sim::EventQueue &eq, server::Raid2Server &srv,
 
     // File population, functional-plane only (setup, not measured).
     {
-        std::vector<std::uint8_t> buf(cfg.fileBytes);
-        for (std::size_t i = 0; i < buf.size(); ++i)
-            buf[i] = static_cast<std::uint8_t>(i * 13 + 7);
+        const std::vector<std::uint8_t> buf =
+            populationBytes(cfg.fileBytes);
         for (unsigned f = 0; f < cfg.fileCount; ++f) {
             const std::string path = "/fleet" + std::to_string(f);
             const lfs::InodeNum ino = srv.fs().exists(path)

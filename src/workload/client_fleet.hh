@@ -138,6 +138,10 @@ class ClientFleet
     static Results run(sim::EventQueue &eq, server::Raid2Server &srv,
                        server::RequestScheduler &sched,
                        const Config &cfg);
+
+    /** The @p bytes every population file holds: byte i is
+     *  (i * 13 + 7) mod 256. */
+    static std::vector<std::uint8_t> populationBytes(std::size_t bytes);
 };
 
 } // namespace raid2::workload

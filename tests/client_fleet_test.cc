@@ -260,4 +260,19 @@ TEST(ClientFleet, SeedChangesTheSchedule)
     EXPECT_NE(a.elapsed, b.elapsed);
 }
 
+TEST(ClientFleet, PopulationBytesFollowTheFormula)
+{
+    for (const std::size_t n : {std::size_t(0), std::size_t(1),
+                                std::size_t(255), std::size_t(256),
+                                std::size_t(257),
+                                std::size_t(2 * 1024 * 1024 + 3)}) {
+        const std::vector<std::uint8_t> buf =
+            ClientFleet::populationBytes(n);
+        ASSERT_EQ(buf.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(buf[i], static_cast<std::uint8_t>(i * 13 + 7))
+                << "length " << n << ", byte " << i;
+    }
+}
+
 } // namespace

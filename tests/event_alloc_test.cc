@@ -2,7 +2,9 @@
  * @file
  * Verifies the kernel's zero-allocation scheduling guarantee: once the
  * queue's arena and vectors are warm, scheduling and running small
- * callables performs no heap allocations at all.
+ * callables performs no heap allocations at all.  The same holds for a
+ * warm drive serving queued commands, and a pipelined transfer costs
+ * one allocation however many chunks it has.
  *
  * Global operator new/delete are replaced with counting versions.
  * Sanitizer builds interpose their own allocator around these, but the
@@ -18,7 +20,10 @@
 #include <new>
 #include <vector>
 
+#include "disk/disk_model.hh"
+#include "disk/disk_profile.hh"
 #include "sim/event_queue.hh"
+#include "sim/service.hh"
 
 namespace {
 
@@ -163,6 +168,66 @@ TEST(EventAlloc, LargeCallablesDoAllocate)
     eq.run();
     EXPECT_GT(g_allocs.load() - before, 0u);
     EXPECT_EQ(sink, 200);
+}
+
+/** Queue @p n scattered commands on @p d at once and serve them all. */
+int
+serveBacklog(sim::EventQueue &eq, disk::DiskModel &d, int n)
+{
+    int done = 0;
+    for (int i = 0; i < n; ++i)
+        d.submit(std::uint64_t(i) * 104729 % 500000, 16, i % 3 == 0,
+                 [&done] { ++done; });
+    eq.run();
+    return done;
+}
+
+TEST(EventAlloc, WarmDiskServesQueuedCommandsWithoutAllocating)
+{
+    sim::EventQueue eq;
+    disk::DiskModel d(eq, "d0", disk::ibm0661());
+    constexpr int n = 64;
+    serveBacklog(eq, d, n);
+    serveBacklog(eq, d, n);
+
+    const std::uint64_t before = g_allocs.load();
+    const int done = serveBacklog(eq, d, n);
+    const std::uint64_t after = g_allocs.load();
+
+    EXPECT_EQ(done, n);
+    EXPECT_EQ(after - before, 0u) << "a warm drive allocated per command";
+}
+
+/** Allocations of one Pipeline::start of @p chunks 16 KB chunks
+ *  through @p stages, run to completion. */
+std::uint64_t
+transferAllocs(sim::EventQueue &eq, const std::vector<sim::Stage> &stages,
+               std::uint64_t chunks)
+{
+    bool done = false;
+    const std::uint64_t before = g_allocs.load();
+    sim::Pipeline::start(stages, chunks * 16384, 16384,
+                         [&done] { done = true; });
+    eq.run();
+    const std::uint64_t after = g_allocs.load();
+    EXPECT_TRUE(done);
+    return after - before;
+}
+
+TEST(EventAlloc, TransferAllocatesTheSameForOneChunkAndSixtyFour)
+{
+    sim::EventQueue eq;
+    sim::Service one(eq, "one", sim::Service::Config{10.0, 0, 1});
+    sim::Service four(eq, "four", sim::Service::Config{40.0, 0, 4});
+    const std::vector<sim::Stage> stages = {sim::Stage(one),
+                                            sim::Stage(four)};
+    transferAllocs(eq, stages, 64);
+    transferAllocs(eq, stages, 64);
+
+    const std::uint64_t single = transferAllocs(eq, stages, 1);
+    const std::uint64_t many = transferAllocs(eq, stages, 64);
+    EXPECT_EQ(single, many) << "a transfer allocated per chunk";
+    EXPECT_LE(single, 1u) << "a transfer is one allocation";
 }
 
 } // namespace

@@ -266,6 +266,38 @@ TEST(SegmentFormat, SummaryChecksumsCoverFinalBlockBytes)
     EXPECT_TRUE(fs.fsck().ok);
 }
 
+TEST(SegmentFormat, SummaryChecksumFoldsTheZeroTailExactly)
+{
+    // summaryChecksum() folds the zero run at the end of the region in
+    // one multiply.  For every tail length up to a whole 8 KB summary,
+    // with and without one nonzero byte inside the tail, it must equal
+    // fnv1a over the region byte by byte with the checksum field zeroed.
+    constexpr std::size_t head = 40, maxTail = 8192;
+    const std::size_t field = offsetof(lfs::SummaryHeader, checksum);
+    std::vector<std::uint8_t> region(head + maxTail);
+    const auto reference = [&] {
+        std::vector<std::uint8_t> copy = region;
+        std::fill_n(copy.begin() + field, sizeof(std::uint32_t), 0);
+        return lfs::fnv1a({copy.data(), copy.size()});
+    };
+    for (std::size_t tail = 0; tail <= maxTail; ++tail) {
+        const std::size_t body = region.size() - tail;
+        for (std::size_t i = 0; i < body; ++i)
+            region[i] = static_cast<std::uint8_t>(i * 131 + 1) | 1;
+        std::fill(region.begin() + body, region.end(), 0);
+        ASSERT_EQ(lfs::summaryChecksum({region.data(), region.size()}),
+                  reference())
+            << "zero tail of " << tail << " bytes";
+        if (tail == 0)
+            continue;
+        const std::size_t at = body + (tail * 2654435761u) % tail;
+        region[at] = 0x80;
+        ASSERT_EQ(lfs::summaryChecksum({region.data(), region.size()}),
+                  reference())
+            << "tail of " << tail << " bytes, nonzero at " << at - body;
+    }
+}
+
 TEST(SegmentFormat, ReusedImageZeroesEveryTail)
 {
     // The writer builds every segment in one reused image.  A short

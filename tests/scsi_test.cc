@@ -196,4 +196,26 @@ TEST(DiskChannel, TwoDisksOnOneStringContend)
               sim::transferTicks(1024 * 1024, cal::scsiStringMBs));
 }
 
+TEST(DiskChannel, TeardownWithAFedReadInFlightFreesIt)
+{
+    // A read is one transfer fed a media chunk at a time.  Tear the
+    // world down when some chunks are on the bus and the rest still
+    // queued on the drive: the transfer and its callback must go with
+    // the world (the sanitizer build's leak check sees the rest).
+    auto token = std::make_shared<int>(0);
+    bool fired = false;
+    {
+        StringRig rig;
+        rig.addDisks(1);
+        rig.channels[0]->read(0, 512 * 1024, {sim::Stage(rig.sink)},
+                              [token, &fired] { fired = true; });
+        rig.eq.runUntil(sim::msToTicks(60));
+        EXPECT_FALSE(rig.disks[0]->idle());
+        EXPECT_GT(rig.cougar.svc().requests(), 0u);
+        EXPECT_GT(token.use_count(), 1);
+    }
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
 } // namespace

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -741,6 +744,281 @@ TEST(EventQueueModel, MatchesSetOfTickAndSequence)
         if (HasFailure())
             return;
     }
+}
+
+// ---------------------------------------------------------------------
+// Pipeline against a per-chunk reference: random transfers over shared
+// one- and four-server stations, some fed a chunk at a time, among
+// unrelated events at the same ticks, run once through sim::Pipeline
+// and once through a pipeline that schedules every chunk's completion
+// at every station.  Everything observable must match.
+// ---------------------------------------------------------------------
+
+/** Every chunk schedules its completion at every station, the last one
+ *  included; the transfer completes when the last of them has run. */
+class PerChunkPipeline
+{
+  public:
+    PerChunkPipeline(std::vector<sim::Stage> stages, std::uint64_t bytes,
+                     std::uint64_t chunk_bytes, sim::Event done)
+        : t(std::make_shared<State>())
+    {
+        t->stages = std::move(stages);
+        t->chunkBytes = chunk_bytes;
+        t->remaining = bytes == 0 ? 1 : bytes;
+        t->done = std::move(done);
+    }
+
+    void feed(std::uint64_t bytes) const { hop(t, 0, bytes); }
+
+    static void
+    start(std::vector<sim::Stage> stages, std::uint64_t bytes,
+          std::uint64_t chunk_bytes, sim::Event done)
+    {
+        const PerChunkPipeline p(std::move(stages), bytes, chunk_bytes,
+                                 std::move(done));
+        for (std::uint64_t left = p.t->remaining; left > 0;) {
+            const std::uint64_t chunk = std::min(left, chunk_bytes);
+            p.feed(chunk);
+            left -= chunk;
+        }
+    }
+
+  private:
+    struct State
+    {
+        std::vector<sim::Stage> stages;
+        std::uint64_t chunkBytes = 0;
+        std::uint64_t remaining = 0;
+        sim::Event done;
+    };
+
+    static void
+    hop(std::shared_ptr<State> s, std::size_t stage, std::uint64_t bytes)
+    {
+        const sim::Stage st = s->stages[stage];
+        st.svc->submitAtRate(bytes, st.mbPerSec, [s, stage, bytes] {
+            if (stage + 1 < s->stages.size()) {
+                hop(s, stage + 1, bytes);
+                return;
+            }
+            s->remaining -= bytes;
+            if (s->remaining == 0 && s->done)
+                s->done();
+        });
+    }
+
+    std::shared_ptr<State> t;
+};
+
+struct TransferDraw
+{
+    Tick at = 0;
+    /** (station index, rate override) per stage. */
+    std::vector<std::pair<std::size_t, double>> stages;
+    std::uint64_t bytes = 0;
+    std::uint64_t chunk = 0;
+    /** Empty: start() feeds every chunk at @c at.  Otherwise the tick
+     *  and size of each feed, the short chunk in any position. */
+    std::vector<std::pair<Tick, std::uint64_t>> feeds;
+};
+
+struct PipelineScript
+{
+    std::vector<sim::Service::Config> stations;
+    std::vector<TransferDraw> transfers;
+    std::vector<Tick> markers;
+    /** (tick, target): at tick, schedule a marker for target, so it
+     *  lands among the target tick's events by insertion order. */
+    std::vector<std::pair<Tick, Tick>> relays;
+};
+
+/** Times on a 512 ns grid (the rates take 1-8 ns a byte and sizes are
+ *  multiples of 512 bytes), so completions, feeds and markers share
+ *  ticks often. */
+PipelineScript
+drawPipelineScript(std::uint64_t seed, bool with_feeds)
+{
+    sim::Random rng(seed);
+    constexpr Tick grid = 512;
+    const double rates[] = {1000.0, 500.0, 250.0, 125.0};
+    PipelineScript sc;
+    for (unsigned i = 0; i < 6; ++i)
+        sc.stations.push_back(sim::Service::Config{
+            rates[rng.below(4)], grid * rng.below(3), i % 2 ? 4u : 1u});
+    for (int k = 0; k < 30; ++k) {
+        TransferDraw t;
+        t.at = grid * rng.below(400);
+        for (auto n = 1 + rng.below(5); n > 0; --n)
+            t.stages.emplace_back(rng.below(sc.stations.size()),
+                                  rng.chance(0.3) ? rates[rng.below(4)]
+                                                  : 0.0);
+        t.chunk = rng.chance(0.5) ? 4096 : 16384;
+        const std::uint64_t chunks = 1 + rng.below(80);
+        t.bytes = chunks * t.chunk;
+        if (rng.chance(0.5))
+            t.bytes -= grid * (1 + rng.below(t.chunk / grid - 1));
+        if (with_feeds && rng.chance(0.5)) {
+            const std::uint64_t shortAt = rng.below(chunks);
+            Tick when = t.at;
+            for (std::uint64_t c = 0; c < chunks; ++c) {
+                when += grid * rng.below(12);
+                t.feeds.emplace_back(
+                    when, c == shortAt ? t.bytes - (chunks - 1) * t.chunk
+                                       : t.chunk);
+            }
+        }
+        sc.transfers.push_back(std::move(t));
+    }
+    for (int m = 0; m < 400; ++m)
+        sc.markers.push_back(grid * rng.below(40000));
+    return sc;
+}
+
+struct PipelineRun
+{
+    /** (tick, who) of every callback in the order run: transfer k's
+     *  done is k, the event its done schedules at once is 1000 + k,
+     *  relayed marker m is 2000 + m, marker m is -1 - m. */
+    std::vector<std::pair<Tick, int>> log;
+    /** Per station: busy ticks, requests, bytes, queue-delay count,
+     *  total, min, max. */
+    std::vector<std::tuple<Tick, std::uint64_t, std::uint64_t,
+                           std::uint64_t, double, double, double>>
+        stations;
+    Tick end = 0;
+    std::uint64_t events = 0;
+};
+
+template <typename Impl>
+PipelineRun
+runPipelineScript(const PipelineScript &sc)
+{
+    PipelineRun r;
+    sim::EventQueue eq;
+    std::vector<std::unique_ptr<sim::Service>> svcs;
+    for (std::size_t i = 0; i < sc.stations.size(); ++i)
+        svcs.push_back(std::make_unique<sim::Service>(
+            eq, std::to_string(i), sc.stations[i]));
+    std::vector<std::unique_ptr<Impl>> fed(sc.transfers.size());
+    for (std::size_t k = 0; k < sc.transfers.size(); ++k) {
+        const TransferDraw &t = sc.transfers[k];
+        std::vector<sim::Stage> stages;
+        for (const auto &[i, rate] : t.stages)
+            stages.emplace_back(*svcs[i], rate);
+        const int who = static_cast<int>(k);
+        auto done = [&eq, &r, who] {
+            r.log.emplace_back(eq.now(), who);
+            eq.scheduleIn(0, [&eq, &r, who] {
+                r.log.emplace_back(eq.now(), 1000 + who);
+            });
+        };
+        if (t.feeds.empty()) {
+            eq.schedule(t.at, [stages, &t, done] {
+                Impl::start(stages, t.bytes, t.chunk, done);
+            });
+            continue;
+        }
+        eq.schedule(t.at, [stages, &t, &fed, k, done] {
+            fed[k] = std::make_unique<Impl>(stages, t.bytes, t.chunk,
+                                            done);
+        });
+        for (const auto &[when, bytes] : t.feeds)
+            eq.schedule(when, [&fed, k, bytes = bytes] {
+                fed[k]->feed(bytes);
+            });
+    }
+    for (std::size_t m = 0; m < sc.markers.size(); ++m)
+        eq.schedule(sc.markers[m], [&eq, &r, m] {
+            r.log.emplace_back(eq.now(), -1 - static_cast<int>(m));
+        });
+    for (std::size_t m = 0; m < sc.relays.size(); ++m)
+        eq.schedule(sc.relays[m].first,
+                    [&eq, &r, m, target = sc.relays[m].second] {
+                        eq.schedule(target, [&eq, &r, m] {
+                            r.log.emplace_back(eq.now(),
+                                               2000 + static_cast<int>(m));
+                        });
+                    });
+    r.end = eq.run();
+    r.events = eq.executed();
+    for (const auto &svc : svcs) {
+        const sim::Distribution &q = svc->queueDelay();
+        r.stations.emplace_back(svc->busyTicks(), svc->requests(),
+                                svc->bytesServed(), q.count(), q.total(),
+                                q.min(), q.max());
+    }
+    return r;
+}
+
+/** What a comparison reached: transfers with a short last chunk on a
+ *  multi-server last station, and done callbacks that share their tick
+ *  with an unrelated marker. */
+struct PipelineCoverage
+{
+    std::size_t shortOnMulti = 0;
+    std::size_t tiedDones = 0;
+};
+
+/**
+ * Compare sim::Pipeline with the reference on @p seeds scripts.  A dry
+ * run of the reference finds every done tick, and a relayed marker is
+ * aimed at each, scheduled up to 64 grid steps earlier, so the done
+ * must keep its insertion-order place among that tick's events.
+ */
+PipelineCoverage
+expectPipelineMatchesReference(std::uint64_t seeds, bool with_feeds)
+{
+    PipelineCoverage c;
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        PipelineScript sc = drawPipelineScript(seed, with_feeds);
+        sim::Random rng(seed);
+        for (const auto &[tick, who] :
+             runPipelineScript<PerChunkPipeline>(sc).log)
+            if (who >= 0 && who < 1000)
+                sc.relays.emplace_back(
+                    tick - std::min<Tick>(tick, 512 * rng.below(64)), tick);
+        const PipelineRun got = runPipelineScript<sim::Pipeline>(sc);
+        const PipelineRun want = runPipelineScript<PerChunkPipeline>(sc);
+        EXPECT_EQ(got.log, want.log);
+        EXPECT_EQ(got.stations, want.stations);
+        EXPECT_EQ(got.end, want.end);
+        EXPECT_LE(got.events, want.events);
+        // Every transfer completed exactly once.
+        std::vector<int> dones(sc.transfers.size());
+        std::set<Tick> markerTicks;
+        for (const auto &[tick, who] : got.log) {
+            if (who >= 0 && who < 1000)
+                ++dones[who];
+            else if (who < 0 || who >= 2000)
+                markerTicks.insert(tick);
+        }
+        EXPECT_EQ(dones, std::vector<int>(sc.transfers.size(), 1));
+        for (const auto &[tick, who] : got.log)
+            c.tiedDones += who >= 0 && who < 1000 && markerTicks.count(tick);
+        for (const TransferDraw &t : sc.transfers)
+            c.shortOnMulti += t.bytes % t.chunk != 0 && t.bytes > t.chunk &&
+                              sc.stations[t.stages.back().first].servers > 1;
+        if (testing::Test::HasFailure())
+            break;
+    }
+    return c;
+}
+
+TEST(PipelineModel, StartedTransfersMatchPerChunkReference)
+{
+    const PipelineCoverage c = expectPipelineMatchesReference(40, false);
+    EXPECT_GT(c.shortOnMulti, 200u);
+    // Every one of the 40 x 30 dones shares its tick with a marker.
+    EXPECT_EQ(c.tiedDones, 1200u);
+}
+
+TEST(PipelineModel, FedTransfersMatchPerChunkReference)
+{
+    const PipelineCoverage c = expectPipelineMatchesReference(40, true);
+    EXPECT_GT(c.shortOnMulti, 200u);
+    EXPECT_EQ(c.tiedDones, 1200u);
 }
 
 TEST(Event, MoveOnlyCaptureAndLargeCallable)
