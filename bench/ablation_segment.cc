@@ -64,11 +64,12 @@ run(std::uint32_t seg_blocks)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Ablation C: LFS segment size sweep",
-                       "paper: 960 KB segments over a 16-disk, 64 KB "
-                       "stripe-unit array (stripe = 960 KB)");
+    bench::Reporter rep("ablation_segment", argc, argv);
+    rep.header("Ablation C: LFS segment size sweep",
+               "paper: 960 KB segments over a 16-disk, 64 KB stripe-unit "
+               "array (stripe = 960 KB)");
 
     const std::vector<std::uint32_t> segs = {30, 60, 120, 240, 480};
     const auto rows = bench::runSweepParallel(
@@ -78,9 +79,9 @@ main()
                     100.0 * pt.rmw_fraction};
         });
 
-    bench::printSeriesHeader({"seg KB", "write MB/s", "partial %"});
+    rep.seriesHeader({"seg KB", "write MB/s", "partial %"});
     for (const auto &row : rows)
-        bench::printSeriesRow(row);
+        rep.seriesRow(row);
 
     std::printf("\n  Expected shape: throughput rises with segment size "
                 "as flushes become\n  full-stripe writes; the paper's "

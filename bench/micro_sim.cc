@@ -3,8 +3,9 @@
  * Microbenchmarks of the simulator's own primitives
  * (google-benchmark): event queue throughput, service/pipeline cost, a
  * disk read through its channel, RAID mapping, XOR parity bandwidth,
- * block checksum bandwidth, the functional LFS write path, and building
- * a server world.  These guard the simulator's performance, not the
+ * block checksum bandwidth, landing segments on and reading blocks from
+ * the functional twin, the functional LFS write path, and building a
+ * server world.  These guard the simulator's performance, not the
  * paper's results.
  */
 
@@ -21,10 +22,12 @@
 #include "bench_util.hh"
 #include "config/calibration.hh"
 #include "disk/disk_profile.hh"
+#include "fs/array_block_device.hh"
 #include "fs/mem_block_device.hh"
 #include "lfs/format.hh"
 #include "lfs/lfs.hh"
 #include "raid/parity.hh"
+#include "raid/raid_array.hh"
 #include "raid/raid_layout.hh"
 #include "scsi/cougar_controller.hh"
 #include "server/raid2_server.hh"
@@ -283,6 +286,71 @@ BM_BlockChecksumScalar(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * seg.size());
 }
 BENCHMARK(BM_BlockChecksumScalar);
+
+/** The repository benchmark's functional twin: 16-disk RAID-5, 64 KB
+ *  unit, 274 stripes (17.125 MiB per disk, 256.875 MiB of data). */
+raid::RaidArray
+benchmarkTwin()
+{
+    raid::LayoutConfig cfg;
+    cfg.level = raid::RaidLevel::Raid5;
+    cfg.numDisks = 16;
+    cfg.stripeUnitBytes = cal::lfsStripeUnitBytes;
+    return raid::RaidArray(cfg, 274 * cal::lfsStripeUnitBytes);
+}
+
+/** Land one 960 KB full stripe per iteration on the twin, in a
+ *  scattered stripe order, as LFS lands a segment: every disk's unit
+ *  of it through sim::ByteStore's streaming copy.  An untimed first
+ *  pass writes every stripe, so no iteration pays a first touch. */
+void
+BM_TwinSegmentWrite(benchmark::State &state)
+{
+    raid::RaidArray twin = benchmarkTwin();
+    const std::uint64_t stripe = twin.layout().stripeDataBytes();
+    const std::uint64_t stripes = twin.layout().numStripes();
+    std::vector<std::uint8_t> seg(stripe);
+    for (std::size_t i = 0; i < seg.size(); ++i)
+        seg[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    for (std::uint64_t s = 0; s < stripes; ++s)
+        twin.write(s * stripe, seg);
+    // A stride of 97, coprime to 274, visits every stripe in turn.
+    std::uint64_t i = 0;
+    for (auto _ : state)
+        twin.write(i++ * 97 % stripes * stripe, seg);
+    state.SetBytesProcessed(state.iterations() * stripe);
+}
+BENCHMARK(BM_TwinSegmentWrite);
+
+/** One 4 KB block read per iteration, at a random written block of the
+ *  twin through fs::ArrayBlockDevice (the path LFS reads take); with
+ *  flat:1, the same blocks of a fs::MemBlockDevice of its size. */
+void
+BM_TwinBlockRead(benchmark::State &state)
+{
+    constexpr std::uint32_t bs = 4096;
+    raid::RaidArray twin = benchmarkTwin();
+    fs::ArrayBlockDevice onTwin(twin, bs);
+    fs::MemBlockDevice flat(bs, onTwin.numBlocks());
+    fs::BlockDevice &dev =
+        state.range(0) != 0 ? static_cast<fs::BlockDevice &>(flat) : onTwin;
+    const std::uint64_t blocks = dev.numBlocks();
+    constexpr std::uint64_t chunk = 256; // blocks per untimed write
+    std::vector<std::uint8_t> buf(chunk * bs);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 13 + 7);
+    for (std::uint64_t b = 0; b < blocks; b += chunk)
+        dev.writeRange(b, std::min(chunk, blocks - b),
+                       {buf.data(), std::min(chunk, blocks - b) * bs});
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (auto _ : state) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        dev.readRange((x >> 33) % blocks, 1, {buf.data(), bs});
+        benchmark::DoNotOptimize(buf.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TwinBlockRead)->ArgName("flat")->Arg(0)->Arg(1);
 
 /** The functional write path alone: 512 KB Lfs::writes over a mapped
  *  8 MB region of one file, then a sync, with the cleaner on.  The

@@ -1,7 +1,7 @@
 #include "raid/raid_array.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <memory>
 
 #include "raid/parity.hh"
 #include "sim/logging.hh"
@@ -9,10 +9,18 @@
 
 namespace raid2::raid {
 
+namespace {
+
+constexpr std::uint64_t G = sim::ByteStore::granuleBytes;
+
+} // namespace
+
 RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
     : _layout(cfg, disk_bytes), _diskBytes(disk_bytes),
       failed(cfg.numDisks, false), latents(cfg.numDisks),
-      rebuilt(cfg.numDisks)
+      rebuilt(cfg.numDisks),
+      placed(cfg.level == RaidLevel::Raid5 &&
+             _layout.unitBytes() % G == 0)
 {
     if (cfg.numDisks > kMaxFoldSources)
         sim::fatal("RaidArray: %u disks exceeds the %zu-way parity "
@@ -32,15 +40,85 @@ RaidArray::failedCount() const
     return n;
 }
 
+std::uint64_t
+RaidArray::place(unsigned d, std::uint64_t off) const
+{
+    const std::uint64_t unit = _layout.unitBytes();
+    const std::uint64_t stripes = _layout.numStripes();
+    const std::uint64_t s = off / unit;
+    if (!placed || s >= stripes)
+        return off;
+    // Disk d holds the parity of stripes s with s % n == n - 1 - d
+    // (left-symmetric), (s + d) / n of them below s.
+    const std::uint64_t n = _layout.numDisks();
+    const std::uint64_t below = (s + d) / n;
+    const std::uint64_t slot = (s + d + 1) % n == 0
+                                   ? stripes - (stripes + d) / n + below
+                                   : s - below;
+    return slot * unit + off % unit;
+}
+
+std::uint64_t
+RaidArray::runEnd(std::uint64_t off) const
+{
+    const std::uint64_t unit = _layout.unitBytes();
+    if (!placed || off / unit >= _layout.numStripes())
+        return _diskBytes;
+    return (off / unit + 1) * unit;
+}
+
+template <typename Fn>
+void
+RaidArray::forEachRun(std::uint64_t off, std::uint64_t bytes, Fn &&fn) const
+{
+    for (std::uint64_t pos = off, end = off + bytes; pos < end;) {
+        const std::uint64_t stop = std::min(end, runEnd(pos));
+        fn(pos, static_cast<std::size_t>(stop - pos));
+        pos = stop;
+    }
+}
+
+void
+RaidArray::inDiskOrder() const
+{
+    if (!placed)
+        return;
+    // A unit is whole granules, so moving granule by granule keeps
+    // exactly the touched ones touched.
+    const auto image = std::make_unique_for_overwrite<std::uint8_t[]>(
+        static_cast<std::size_t>(_diskBytes));
+    std::vector<std::uint64_t> kept;
+    for (unsigned d = 0; d < disks.size(); ++d) {
+        kept.clear();
+        for (std::uint64_t off = 0; off < _diskBytes; off += G) {
+            const std::size_t n =
+                static_cast<std::size_t>(std::min(G, _diskBytes - off));
+            const std::uint64_t at = place(d, off);
+            if (disks[d].untouched(at, n))
+                continue;
+            disks[d].read(at, {image.get() + off, n});
+            kept.push_back(off);
+        }
+        disks[d].forget();
+        for (const std::uint64_t off : kept)
+            disks[d].write(off, {image.get() + off,
+                                 static_cast<std::size_t>(
+                                     std::min(G, _diskBytes - off))});
+    }
+    placed = false;
+}
+
 std::span<const std::uint8_t>
 RaidArray::diskData(unsigned d) const
 {
+    inDiskOrder();
     return disks.at(d).bytes();
 }
 
 std::span<std::uint8_t>
 RaidArray::diskData(unsigned d)
 {
+    inDiskOrder();
     storeParity();
     return disks.at(d).bytes();
 }
@@ -51,8 +129,10 @@ RaidArray::diskRange(unsigned d, std::uint64_t off, std::uint64_t bytes)
     if (off + bytes > _diskBytes)
         sim::panic("diskRange: range [%llu, +%llu) beyond disk",
                    (unsigned long long)off, (unsigned long long)bytes);
+    if (off + bytes > runEnd(off))
+        inDiskOrder();
     storeParity();
-    return disks.at(d).span(static_cast<std::size_t>(off),
+    return disks.at(d).span(static_cast<std::size_t>(place(d, off)),
                             static_cast<std::size_t>(bytes));
 }
 
@@ -60,15 +140,20 @@ bool
 RaidArray::untouched(unsigned d, std::uint64_t off,
                      std::uint64_t bytes) const
 {
-    return disks.at(d).untouched(static_cast<std::size_t>(off),
-                                 static_cast<std::size_t>(bytes));
+    const sim::ByteStore &disk = disks.at(d);
+    bool none = true;
+    forEachRun(off, bytes, [&](std::uint64_t pos, std::size_t n) {
+        none = none && disk.untouched(place(d, pos), n);
+    });
+    return none;
 }
 
 bool
 RaidArray::redundant(unsigned dead, std::uint64_t off,
                      std::uint64_t bytes) const
 {
-    if (dead >= disks.size() || off + bytes > _diskBytes)
+    if (!redundancyStored || dead >= disks.size() ||
+        off + bytes > _diskBytes)
         return false;
     auto usable = [&](unsigned d) {
         return !failed[d] && !latentOverlaps(d, off, bytes);
@@ -79,9 +164,8 @@ RaidArray::redundant(unsigned dead, std::uint64_t off,
       case RaidLevel::Raid1:
         return usable(_layout.mirrorPartner(dead));
       default:
-        // Levels 3/5: parity covers whole stripes, once it is stored.
-        if (!parityStored ||
-            off + bytes > _layout.numStripes() * _layout.unitBytes())
+        // Levels 3/5: parity covers whole stripes.
+        if (off + bytes > _layout.numStripes() * _layout.unitBytes())
             return false;
         for (unsigned d = 0; d < disks.size(); ++d)
             if (d != dead && !usable(d))
@@ -95,15 +179,16 @@ void
 RaidArray::foldSurvivors(unsigned dead, std::uint64_t off,
                          std::uint64_t bytes, Fn &&fn) const
 {
-    constexpr std::uint64_t G = sim::ByteStore::granuleBytes;
     const std::uint8_t *srcs[kMaxFoldSources];
+    // A granule never crosses a run: placed units are whole granules.
     for (std::uint64_t pos = off; pos < off + bytes;) {
         const std::uint64_t stop = std::min(off + bytes, (pos / G + 1) * G);
         const std::size_t n = static_cast<std::size_t>(stop - pos);
         std::size_t k = 0;
         auto take = [&](unsigned d) {
-            if (!disks[d].untouched(pos, n))
-                srcs[k++] = disks[d].span(pos, n).data();
+            const std::uint64_t at = place(d, pos);
+            if (!disks[d].untouched(at, n))
+                srcs[k++] = disks[d].span(at, n).data();
         };
         if (_layout.level() == RaidLevel::Raid1) {
             take(_layout.mirrorPartner(dead));
@@ -122,9 +207,10 @@ RaidArray::storeFold(unsigned d, std::uint64_t off,
                      const std::uint8_t *const *srcs, std::size_t k,
                      std::size_t n)
 {
-    if (k == 0 && disks[d].untouched(off, n))
+    const std::uint64_t at = place(d, off);
+    if (k == 0 && disks[d].untouched(at, n))
         return;
-    xorFold(disks[d].overwriteSpan(off, n).data(), srcs, k, n);
+    xorFold(disks[d].overwriteSpan(at, n).data(), srcs, k, n);
 }
 
 void
@@ -147,12 +233,17 @@ void
 RaidArray::storeParity()
 {
     const RaidLevel level = _layout.level();
-    if (parityStored ||
-        (level != RaidLevel::Raid3 && level != RaidLevel::Raid5))
+    if (redundancyStored || level == RaidLevel::Raid0)
         return;
-    parityStored = true;
+    redundancyStored = true;
     // No disk has failed or holds a latent range yet (either would have
-    // stored parity first), so every stripe folds from intact data.
+    // stored redundancy first), so everything folds from intact data.
+    if (level == RaidLevel::Raid1) {
+        // Each mirror takes its primary's written granules.
+        for (unsigned m = numDisks() / 2; m < numDisks(); ++m)
+            recoverInPlace(m, 0, _diskBytes);
+        return;
+    }
     for (std::uint64_t s = 0; s < _layout.numStripes(); ++s)
         recomputeParity(s);
 }
@@ -163,12 +254,14 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
     if (data.empty())
         return;
     const RaidLevel level = _layout.level();
-    // Until storeParity() has run, levels 3/5 store data only.
-    const bool parity = parityStored;
+    // Until storeParity() has run, every level stores data only.
+    const bool mirror = redundancyStored && level == RaidLevel::Raid1;
+    const bool parity = redundancyStored && !mirror;
     const std::uint8_t *srcs[kMaxFoldSources];
+    // A piece lies in one unit, so in one run.
     auto store = [this](unsigned d, std::uint64_t doff,
                         const std::uint8_t *src, std::uint64_t n) {
-        disks[d].write(doff, {src, static_cast<std::size_t>(n)});
+        disks[d].write(place(d, doff), {src, static_cast<std::size_t>(n)});
         // Overwriting a latent sector rewrites (remaps) it.
         latents[d].erase(doff, n);
     };
@@ -188,7 +281,7 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
             [&](unsigned k, const DiskExtent &e) {
                 srcs[k] = data.data() + (e.logicalOffset - off);
                 store(e.disk, e.diskOffset, srcs[k], e.bytes);
-                if (level == RaidLevel::Raid1)
+                if (mirror)
                     store(_layout.mirrorDisk(e.disk), e.diskOffset,
                           srcs[k], e.bytes);
             });
@@ -259,7 +352,9 @@ RaidArray::patchDiskRange(unsigned d, std::uint64_t off,
         sim::panic("patchDiskRange: disk %u is failed", d);
     if (data.empty())
         return;
-    disks[d].write(off, data);
+    forEachRun(off, data.size(), [&](std::uint64_t pos, std::size_t n) {
+        disks[d].write(place(d, pos), data.subspan(pos - off, n));
+    });
     latents[d].erase(off, data.size());
 }
 
@@ -272,7 +367,7 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
     if (d >= disks.size() || failedCount() > 0)
         return false;
     const std::uint64_t end = std::min(off + len, _diskBytes);
-    if (off >= end)
+    if (off >= end || !redundancyStored)
         return true;
 
     if (_layout.level() == RaidLevel::Raid1) {
@@ -291,8 +386,6 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
 
     // Levels 3/5: re-derive parity for every stripe in the range where
     // @p d holds the parity unit (data units were verified upstream).
-    if (!parityStored)
-        return true;
     const std::uint64_t unit = _layout.unitBytes();
     const std::uint64_t covered = _layout.numStripes() * unit;
     for (std::uint64_t s = off / unit;
@@ -345,7 +438,9 @@ RaidArray::readDiskRange(unsigned d, std::uint64_t off,
     // Readable bytes come off the disk; the rest from redundancy.
     std::uint64_t pos = off;
     auto copyUpTo = [&](std::uint64_t until) {
-        disks[d].read(pos, out.subspan(pos - off, until - pos));
+        forEachRun(pos, until - pos, [&](std::uint64_t at, std::size_t n) {
+            disks[d].read(place(d, at), out.subspan(at - off, n));
+        });
     };
     for (const auto &[s, len] : unreadable(d, off, out.size())) {
         copyUpTo(s);
@@ -400,11 +495,13 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
     // Garble in place with a position-based pattern (idempotent, so
     // re-injecting an overlapping range is harmless).  The redundancy
     // still encodes the original bytes; only this copy is damaged.
-    const std::span<std::uint8_t> media = disks[d].span(off, bytes);
-    for (std::uint64_t i = 0; i < bytes; ++i) {
-        const std::uint64_t p = off + i;
-        media[i] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
-    }
+    forEachRun(off, bytes, [&](std::uint64_t pos, std::size_t n) {
+        const std::span<std::uint8_t> media = disks[d].span(place(d, pos), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t p = pos + i;
+            media[i] = static_cast<std::uint8_t>(0xb5 ^ p ^ (p >> 8));
+        }
+    });
 
     latents[d].insert(off, bytes);
 }
@@ -497,6 +594,29 @@ RaidArray::rebuildDisk(unsigned d)
 }
 
 bool
+RaidArray::foldsToZero(std::span<const unsigned> set,
+                       std::uint64_t bytes) const
+{
+    std::vector<std::uint8_t> acc(G);
+    const std::uint8_t *srcs[kMaxFoldSources];
+    for (std::uint64_t pos = 0; pos < bytes;) {
+        const std::uint64_t stop = std::min(bytes, (pos / G + 1) * G);
+        const std::size_t n = static_cast<std::size_t>(stop - pos);
+        std::size_t k = 0;
+        for (const unsigned d : set) {
+            const std::uint64_t at = place(d, pos);
+            if (!disks[d].untouched(at, n))
+                srcs[k++] = disks[d].span(at, n).data();
+        }
+        xorFold(acc.data(), srcs, k, n);
+        if (!allZero({acc.data(), n}))
+            return false;
+        pos = stop;
+    }
+    return true;
+}
+
+bool
 RaidArray::redundancyConsistent() const
 {
     const RaidLevel level = _layout.level();
@@ -506,33 +626,17 @@ RaidArray::redundancyConsistent() const
         return false;
 
     if (level == RaidLevel::Raid1) {
-        const unsigned half = _layout.numDisks() / 2;
-        for (unsigned d = 0; d < half; ++d) {
-            if (std::memcmp(disks[d].data(),
-                            disks[_layout.mirrorDisk(d)].data(),
-                            disks[d].size()) != 0)
+        for (unsigned d = 0; d < numDisks() / 2; ++d) {
+            const unsigned pair[] = {d, _layout.mirrorDisk(d)};
+            if (!foldsToZero(pair, _diskBytes))
                 return false;
         }
         return true;
     }
-
-    const std::uint64_t covered =
-        _layout.numStripes() * _layout.unitBytes();
-    std::vector<std::uint8_t> acc(
-        static_cast<std::size_t>(std::min<std::uint64_t>(covered,
-                                                         1u << 20)));
-    // Check in chunks to bound memory.
-    const std::uint8_t *srcs[kMaxFoldSources];
-    for (std::uint64_t base = 0; base < covered; base += acc.size()) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(acc.size(), covered - base));
-        for (unsigned d = 0; d < disks.size(); ++d)
-            srcs[d] = disks[d].data() + base;
-        xorFold(acc.data(), srcs, disks.size(), n);
-        if (!allZero({acc.data(), n}))
-            return false;
-    }
-    return true;
+    std::vector<unsigned> all(numDisks());
+    for (unsigned d = 0; d < numDisks(); ++d)
+        all[d] = d;
+    return foldsToZero(all, _layout.numStripes() * _layout.unitBytes());
 }
 
 void

@@ -15,13 +15,29 @@
  * rebuilding a range no survivor has written leaves the replacement
  * unwritten.
  *
- * Parity (levels 3/5) is stored only from storeParity() on, which the
- * first call that can destroy a data byte or hands out raw bytes makes:
+ * Redundancy is stored only from storeParity() on, which the first
+ * call that can destroy a data byte or hands out raw bytes makes:
  * failDisk(), injectLatent(), diskRange() and the mutable diskData().
- * It folds every stripe's parity from the still-intact data in one
- * pass; until then writes store data only, for parity serves only to
- * rebuild what a failure or defect destroys.  Mirrors (level 1) are
- * written with their data from the start.
+ * It folds every stripe's parity from the still-intact data in one pass
+ * (levels 3/5), or copies each primary onto its mirror once (level 1);
+ * until then writes store data only, for redundancy serves only to
+ * rebuild what a failure or defect destroys.
+ *
+ * Each RAID-5 member disk stores its parity units after its data units
+ * when the unit is whole 64 KB granules, as the benchmark's twin's is.
+ * One private placement maps (disk, disk offset) to store offset, and
+ * every loop over disk bytes splits at unit boundaries.  The reason is
+ * sim::ByteStore's huge pages, where one byte written makes its whole
+ * 2 MiB page resident: placed so, a fault-free array's data fills whole
+ * huge pages, and its never-written parity, at the end of each store,
+ * stays out of them (in the 4 KB-page tail on the benchmark's twin;
+ * left interleaved, 16.7 MB of it became resident).  Smaller units share
+ * granules with their stripe's data, whose writes zero them anyway;
+ * levels 0, 1 and 3, and the bytes past the last whole stripe, store
+ * every byte at its disk offset.  Every call speaks disk offsets and
+ * disk order.  A call that hands out raw bytes across units
+ * (diskData(), or a diskRange() that crosses one) first moves every
+ * disk's bytes to disk order, where they stay.
  *
  * A failed disk's buffer stands for its replacement drive, which starts
  * empty.  Every write lands in it, but only the ranges rebuildRange()
@@ -147,7 +163,7 @@ class RaidArray
      * recovers what disk @p dead should hold at
      * [disk_off, disk_off+out.size()) from redundancy (the mirror for
      * level 1, the XOR of the survivors for levels 3/5) and reports
-     * failure — RAID-0, parity not stored yet, a second failed disk, a
+     * failure — RAID-0, redundancy not stored yet, a second failed disk, a
      * survivor latent range overlapping the request, or a range beyond
      * the parity-covered region — by returning false with @p out
      * untouched.  It never returns stale or partially reconstructed
@@ -166,7 +182,7 @@ class RaidArray
     /** Re-derive the redundancy covering [off, off+len) of disk @p d
      *  from (verified) data: recompute parity for stripes where @p d
      *  is the parity disk, or re-copy the mirror pair for level 1.
-     *  Before parity is stored there is none to heal.
+     *  Before redundancy is stored there is none to heal.
      *  @return false if the array is degraded (heal needs all disks). */
     bool healRedundancyRange(unsigned d, std::uint64_t off,
                              std::uint64_t len);
@@ -174,28 +190,30 @@ class RaidArray
 
     /** True if every stripe's stored parity equals the XOR of its data
      *  (and every mirror pair matches).  Levels 0 trivially true.
-     *  Before storeParity() levels 3/5 hold data only, so written data
-     *  makes this false: a check of parity upkeep stores it first. */
+     *  Before storeParity() every level holds data only, so written
+     *  data makes this false: a check of redundancy upkeep stores it
+     *  first. */
     bool redundancyConsistent() const;
 
-    /** Levels 3/5: fold every stripe's parity from its data, once;
-     *  from then on writes keep it in step.  The calls that destroy
-     *  bytes or hand them out make it first; a caller that checks or
-     *  prices parity upkeep on a fault-free array makes it up front. */
+    /** Fold every stripe's parity from its data (levels 3/5), or copy
+     *  each primary onto its mirror (level 1), once; from then on
+     *  writes keep it in step.  The calls that destroy bytes or hand
+     *  them out make it first; a caller that checks or prices
+     *  redundancy upkeep on a fault-free array makes it up front. */
     void storeParity();
 
     /** Bytes per member disk. */
     std::uint64_t diskBytes() const { return _diskBytes; }
 
-    /** @{ Raw member-disk bytes, for tests.  The first call zeroes
-     *  the never-written rest of the disk; the mutable one stores
-     *  parity first. */
+    /** @{ Raw member-disk bytes in disk order, for tests.  The first
+     *  call zeroes the never-written rest of the disk; the mutable one
+     *  stores redundancy first. */
     std::span<const std::uint8_t> diskData(unsigned d) const;
     std::span<std::uint8_t> diskData(unsigned d);
     /** @} */
     /** Raw bytes [off, off+bytes) of disk @p d, for fault injection
-     *  (parity is stored first); only this range is zeroed where never
-     *  written. */
+     *  (redundancy is stored first); only this range is zeroed where
+     *  never written. */
     std::span<std::uint8_t> diskRange(unsigned d, std::uint64_t off,
                                       std::uint64_t bytes);
     /** True if nothing has been stored in the granules that
@@ -205,6 +223,24 @@ class RaidArray
                    std::uint64_t bytes) const;
 
   private:
+    /** Store offset of disk @p d's byte at disk offset @p off (see the
+     *  file comment). */
+    std::uint64_t place(unsigned d, std::uint64_t off) const;
+    /** End of the run of disk offsets from @p off that place() keeps
+     *  contiguous: its unit's end while parity is placed after data,
+     *  else the disk's. */
+    std::uint64_t runEnd(std::uint64_t off) const;
+    /** fn(pos, n) for each run of [off, off+bytes). */
+    template <typename Fn>
+    void forEachRun(std::uint64_t off, std::uint64_t bytes, Fn &&fn) const;
+    /** Move every disk's bytes to disk order, once, keeping exactly
+     *  the touched granules touched; no byte the array reads changes. */
+    void inDiskOrder() const;
+    /** True if the written granules of the disks in @p set XOR to zero
+     *  over disk offsets [0, bytes). */
+    bool foldsToZero(std::span<const unsigned> set,
+                     std::uint64_t bytes) const;
+
     void recomputeParity(std::uint64_t stripe);
     /** True if redundancy covers [off, off+bytes) of disk @p dead:
      *  every survivor it is folded from is online and has no latent
@@ -252,14 +288,18 @@ class RaidArray
 
     RaidLayout _layout;
     std::uint64_t _diskBytes;
-    std::vector<sim::ByteStore> disks;
+    /** Mutable as sim::ByteStore's own map is: the const diskData()
+     *  may move the bytes to disk order (inDiskOrder()). */
+    mutable std::vector<sim::ByteStore> disks;
     std::vector<bool> failed;
     /** Per-disk garbled ranges. */
     std::vector<IntervalSet> latents;
     /** Per failed disk, the ranges rebuildRange() has reconstructed. */
     std::vector<IntervalSet> rebuilt;
-    /** storeParity() has run: writes keep parity in step. */
-    bool parityStored = false;
+    /** storeParity() has run: writes keep redundancy in step. */
+    bool redundancyStored = false;
+    /** RAID-5 disks hold their parity units after their data units. */
+    mutable bool placed;
     sim::Scalar _parityRecomputes;
     sim::Scalar _parityFullStripes;
 };

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #if defined(__x86_64__)
 #include <emmintrin.h>
@@ -42,6 +47,38 @@ allocBytes(std::size_t bytes)
 }
 /** @} */
 
+/** @{ A store of a huge page or more is 2 MiB-aligned, and its whole
+ *  2 MiB regions are advised onto huge pages (see the file comment). */
+std::align_val_t
+alignment(std::size_t bytes)
+{
+    return std::align_val_t{bytes >= ByteStore::hugePageBytes
+                                ? ByteStore::hugePageBytes
+                                : __STDCPP_DEFAULT_NEW_ALIGNMENT__};
+}
+
+std::uint8_t *
+allocate(std::size_t bytes)
+{
+    auto *p = static_cast<std::uint8_t *>(
+        ::operator new(allocBytes(bytes), alignment(bytes)));
+#if defined(MADV_HUGEPAGE)
+    // Only a hint: without transparent huge pages it fails, and the
+    // store stays on base pages.
+    constexpr std::size_t H = ByteStore::hugePageBytes;
+    if (bytes >= H)
+        (void)madvise(p, allocBytes(bytes) / H * H, MADV_HUGEPAGE);
+#endif
+    return p;
+}
+
+void
+release(std::uint8_t *p, std::size_t bytes)
+{
+    ::operator delete(p, alignment(bytes));
+}
+/** @} */
+
 /** Buffers of destroyed stores, kept for the next store of their size
  *  on this thread.  Each is poisoned while it sits here. */
 struct Pool
@@ -56,7 +93,7 @@ struct Pool
     {
         for (std::uint8_t *p : buffers) {
             ASAN_UNPOISON_MEMORY_REGION(p, allocBytes(bytes));
-            delete[] p;
+            release(p, bytes);
         }
         buffers.clear();
     }
@@ -107,7 +144,7 @@ ByteStore::ByteStore(std::size_t bytes) : n(bytes)
         ASAN_UNPOISON_MEMORY_REGION(buf, allocBytes(n));
     } else {
         p.clear();
-        buf = new std::uint8_t[allocBytes(n)];
+        buf = allocate(n);
     }
     map = buf + n;
     std::memset(map, 0, mapBytes(n));

@@ -41,6 +41,18 @@
  * streaming (non-temporal) stores: landing a segment on hundreds of MB
  * of media then costs no read-for-ownership of lines the simulator
  * will not read soon.  Partial granules, and other platforms, memcpy.
+ *
+ * A store of 2 MiB or more is 2 MiB-aligned, and every whole 2 MiB
+ * region of its allocation is advised onto transparent huge pages
+ * (madvise(MADV_HUGEPAGE)); the partial tail, which holds the granule
+ * map, stays on 4 KB pages.  Address translation, not DRAM, bounds
+ * those copies: streaming stores into sixteen 18 MiB buffers ran at
+ * 31-35 GB/s on 4 KB pages and 78-81 GB/s on 2 MiB pages.  The first
+ * byte written to a region makes the whole region resident, so a
+ * caller that leaves part of a large store unwritten for good keeps
+ * that part together, at the end (raid::RaidArray stores RAID-5 parity
+ * after each disk's data).  Where the platform or the kernel has no
+ * transparent huge pages the hint does nothing.
  */
 
 #ifndef RAID2_SIM_BYTE_STORE_HH
@@ -58,6 +70,8 @@ class ByteStore
   public:
     /** The unit of first-touch zeroing. */
     static constexpr std::size_t granuleBytes = 64 * 1024;
+    /** The huge page a store of this size or more is aligned to. */
+    static constexpr std::size_t hugePageBytes = 2 * 1024 * 1024;
 
     explicit ByteStore(std::size_t bytes);
     ~ByteStore();

@@ -9,10 +9,13 @@
  * pools are per thread, a world built on
  * recycled stores simulates exactly as on fresh ones, an integrity
  * twin's scrub touches no granule and its fault injection only the
- * granules it changes and the parity of written stripes, and under
- * AddressSanitizer a pooled buffer is poisoned.
+ * granules it changes and the parity of written stripes, a store of
+ * 2 MiB or more is 2 MiB-aligned with the huge-page hint on its whole
+ * 2 MiB regions, and under AddressSanitizer a pooled buffer is
+ * poisoned.
  *
- * Global operator new/delete are replaced with counting versions, as in
+ * Global operator new/delete, the aligned forms a store of 2 MiB or
+ * more comes from included, are replaced with counting versions, as in
  * event_alloc_test.cc.
  */
 
@@ -21,9 +24,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,14 +67,18 @@ std::atomic<std::uint64_t> g_frees{0};
 std::atomic<std::size_t> g_watchBytes{0};
 std::atomic<std::uint64_t> g_watchHits{0};
 
+/** @p align 0 is malloc's own alignment. */
 void *
-countedAlloc(std::size_t n)
+countedAlloc(std::size_t n, std::size_t align = 0)
 {
     ++g_allocs;
     const std::size_t w = g_watchBytes.load();
     if (w > 0 && n >= w && n - w < 4096)
         ++g_watchHits;
-    if (void *p = std::malloc(n))
+    void *p = align == 0 ? std::malloc(n)
+                         : std::aligned_alloc(align, (n + align - 1) /
+                                                         align * align);
+    if (p)
         return p;
     throw std::bad_alloc();
 }
@@ -109,6 +119,41 @@ operator new[](std::size_t n, const std::nothrow_t &) noexcept
     }
 }
 
+// The aligned forms too: a store's buffer comes from them.
+void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+
+void *
+operator new[](std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+
+void *
+operator new(std::size_t n, std::align_val_t a,
+             const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(n, static_cast<std::size_t>(a));
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+
+void *
+operator new[](std::size_t n, std::align_val_t a,
+               const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(n, static_cast<std::size_t>(a));
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+
 void
 operator delete(void *p) noexcept
 {
@@ -132,6 +177,34 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    ++g_frees;
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    ++g_frees;
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    ++g_frees;
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    ++g_frees;
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
     ++g_frees;
     std::free(p);
@@ -179,6 +252,48 @@ TEST(ByteStore, SecondStoreOfOneSizeAllocatesNothing)
         sim::ByteStore s(a);
         EXPECT_EQ(g_allocs.load() - before, 1u)
             << "the pool kept a store of another size";
+    }
+}
+
+/** The VmFlags line of the mapping that holds @p p, from
+ *  /proc/self/smaps, or "" where there is none. */
+std::string
+vmFlags(const void *p)
+{
+    const auto a = reinterpret_cast<std::uintptr_t>(p);
+    std::ifstream smaps("/proc/self/smaps");
+    bool in = false;
+    for (std::string line; std::getline(smaps, line);) {
+        unsigned long lo = 0, hi = 0;
+        if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2)
+            in = lo <= a && a < hi;
+        else if (in && line.rfind("VmFlags:", 0) == 0)
+            return line;
+    }
+    return "";
+}
+
+TEST(ByteStore, StoresOfAHugePageOrMoreAreHugePageAligned)
+{
+    constexpr std::size_t H = sim::ByteStore::hugePageBytes;
+    // Where the kernel has transparent huge pages, the whole 2 MiB
+    // regions carry the hint ("hg") and the tail after them does not.
+    const bool thp = static_cast<bool>(
+        std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled"));
+    for (const std::size_t n : {H, 5 * H + 3}) {
+        { sim::ByteStore other(4096); } // empties the pool
+        sim::ByteStore s(n);
+        const std::uint8_t *p = s.overwriteSpan(0, 1).data();
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % H, 0u) << n;
+        if (thp) {
+            EXPECT_NE(vmFlags(p).find(" hg"), std::string::npos) << n;
+            EXPECT_NE(vmFlags(p + n / H * H - 1).find(" hg"),
+                      std::string::npos)
+                << n;
+            EXPECT_EQ(vmFlags(p + n / H * H).find(" hg"),
+                      std::string::npos)
+                << n;
+        }
     }
 }
 

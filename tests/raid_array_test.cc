@@ -5,13 +5,17 @@
  * range) and mirror semantics — as property sweeps across levels and
  * random operation sequences — and first-touch media: an array over
  * recycled disks touches no granule it does not write, degraded reads
- * and rebuilds of never-written ranges touch none either, and parity is
- * stored only from the first call that can destroy a byte on.
+ * and rebuilds of never-written ranges touch none either, and parity
+ * and mirrors are stored only from the first call that can destroy a
+ * byte on; RAID-5 parity placed after each disk's data reads back in
+ * disk order under random faults and leaves a fault-free array's parity
+ * units untouched.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "lfs/format.hh"
@@ -456,6 +460,10 @@ class FirstTouchArray : public ::testing::TestWithParam<ArrayParam>
 TEST_P(FirstTouchArray, BuiltOnADirtyPoolTouchesNothingUntilWritten)
 {
     auto a = make();
+    // Level 1 keeps its mirrors in step from here on, which stores
+    // nothing yet.
+    if (GetParam().level == RaidLevel::Raid1)
+        a.storeParity();
     EXPECT_EQ(count(touched(a)), 0u) << "construction touched a granule";
     std::vector<std::uint8_t> back(a.capacity(), 0xaa);
     a.read(0, back);
@@ -703,6 +711,212 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RaidLevel> &info) {
         return "Raid" + std::string(raid::raidLevelName(info.param) + 5);
     });
+
+/**
+ * Level 1 stores mirrors from the first fault on, as levels 3/5 store
+ * parity: fault-free writes leave every mirror disk untouched and give
+ * nothing to reconstruct from, and failDisk() copies each primary onto
+ * its mirror before it destroys a byte.
+ */
+TEST(LazyMirror, FaultFreeMirrorsStayUntouchedUntilAFault)
+{
+    for (const unsigned victim : {0u, 1u, 4u}) {
+        SCOPED_TRACE("victim disk " + std::to_string(victim));
+        RaidArray a(makeCfg(RaidLevel::Raid1, 6), 4 * G + 3000);
+        const auto ref = pattern(a.capacity(), 81);
+        a.write(0, ref);
+        for (unsigned m = 3; m < 6; ++m)
+            EXPECT_TRUE(a.untouched(m, 0, a.diskBytes())) << "disk " << m;
+        std::vector<std::uint8_t> out(1000, 0xaa);
+        EXPECT_FALSE(a.tryReconstructRange(0, 0, out));
+        EXPECT_TRUE(std::ranges::all_of(
+            out, [](std::uint8_t b) { return b == 0xaa; }));
+        EXPECT_TRUE(a.healRedundancyRange(4, 0, a.diskBytes()));
+        EXPECT_TRUE(a.untouched(4, 0, a.diskBytes())) << "a heal";
+        EXPECT_FALSE(a.redundancyConsistent());
+
+        a.failDisk(victim);
+        std::vector<std::uint8_t> back(ref.size(), 0xaa);
+        a.read(0, back);
+        EXPECT_EQ(back, ref) << "degraded";
+        a.rebuildDisk(victim);
+        EXPECT_TRUE(a.redundancyConsistent());
+        a.read(0, back);
+        EXPECT_EQ(back, ref) << "rebuilt";
+    }
+}
+
+/**
+ * RAID-5 parity stored after each disk's data.  Disk order is what
+ * every call speaks; these check it against a disk-order image built
+ * from the logical bytes alone, over units smaller than, equal to and
+ * larger than a granule (only whole-granule units are placed) and
+ * disks that end in a partial unit.
+ */
+class PlacedParity : public ::testing::Test
+{
+  protected:
+    /** Disk @p d in disk order as a clean array holding logical bytes
+     *  @p ref keeps it: each piece at its disk offset, each parity
+     *  unit the XOR of its stripe's data, zeros past the last
+     *  stripe. */
+    static std::vector<std::uint8_t>
+    diskImage(const RaidArray &a, const std::vector<std::uint8_t> &ref,
+              unsigned d)
+    {
+        const raid::RaidLayout &lay = a.layout();
+        std::vector<std::uint8_t> img(a.diskBytes(), 0);
+        lay.forEachPiece(
+            0, a.capacity(), [&](unsigned, const raid::DiskExtent &e) {
+                const std::uint64_t s = e.diskOffset / lay.unitBytes();
+                const auto src = ref.begin() + e.logicalOffset;
+                if (e.disk == d)
+                    std::copy_n(src, e.bytes, img.begin() + e.diskOffset);
+                else if (lay.parityDisk(s) == d)
+                    for (std::uint64_t i = 0; i < e.bytes; ++i)
+                        img[e.diskOffset + i] ^= src[i];
+            });
+        return img;
+    }
+
+    static RaidArray
+    make(unsigned disks, std::uint64_t unit, std::uint64_t stripes,
+         std::uint64_t tail)
+    {
+        return RaidArray(makeCfg(RaidLevel::Raid5, disks, unit),
+                         stripes * unit + tail);
+    }
+};
+
+TEST_F(PlacedParity, MatchesADiskOrderImageUnderFaults)
+{
+    const std::uint64_t units[] = {16 * 1024, G, 2 * G, 3 * G};
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        sim::Random rng(seed);
+        const std::uint64_t unit = units[seed % 4];
+        const unsigned n = 3 + static_cast<unsigned>(rng.below(5));
+        RaidArray a = make(n, unit, 3 + rng.below(10),
+                           seed % 3 == 0 ? 0 : 1 + rng.below(unit - 1));
+        const raid::RaidLayout &lay = a.layout();
+        const std::uint64_t striped = lay.numStripes() * unit;
+        std::vector<std::uint8_t> ref(a.capacity(), 0);
+        std::vector<std::uint8_t> back(ref.size());
+        int dead = -1;
+        bool stored = false; // a fault or a raw view stored parity
+
+        // Compare disk @p d's [off, off+len) through diskRange() (which
+        // moves the disks to disk order when it crosses a unit) and,
+        // with no disk failed, tryReconstructRange().
+        auto expectRange = [&](unsigned d, std::uint64_t off,
+                               std::uint64_t len) {
+            const auto img = diskImage(a, ref, d);
+            const auto want = std::span(img).subspan(off, len);
+            if (off + len <= striped) {
+                std::vector<std::uint8_t> rec(len, 0xaa);
+                ASSERT_EQ(a.tryReconstructRange(d, off, rec), stored);
+                if (stored) {
+                    EXPECT_TRUE(std::ranges::equal(rec, want))
+                        << "reconstructed disk " << d << " [" << off
+                        << ", +" << len << ")";
+                }
+            }
+            EXPECT_TRUE(std::ranges::equal(a.diskRange(d, off, len), want))
+                << "disk " << d << " [" << off << ", +" << len << ")";
+            stored = true;
+        };
+
+        for (int op = 0; op < 40; ++op) {
+            const std::uint64_t pick = rng.below(100);
+            if (pick < 50) {
+                const std::uint64_t len =
+                    1 + rng.below(std::min<std::uint64_t>(
+                            ref.size(), 2 * lay.stripeDataBytes()));
+                const std::uint64_t off = rng.below(ref.size() - len + 1);
+                const auto data = pattern(len, rng.next());
+                a.write(off, data);
+                std::ranges::copy(data, ref.begin() + off);
+            } else if (pick < 60 && dead < 0 && a.latentCount() == 0) {
+                const std::uint64_t len = 1 + rng.below(2 * unit);
+                a.injectLatent(static_cast<unsigned>(rng.below(n)),
+                               rng.below(striped - std::min(len, striped)),
+                               std::min(len, striped));
+                stored = true;
+            } else if (pick < 68) {
+                a.scrub();
+            } else if (pick < 76 && dead < 0 && a.latentCount() == 0) {
+                dead = static_cast<int>(rng.below(n));
+                a.failDisk(static_cast<unsigned>(dead));
+                stored = true;
+            } else if (pick < 88 && dead >= 0) {
+                const std::uint64_t off = rng.below(a.diskBytes());
+                a.rebuildRange(static_cast<unsigned>(dead), off,
+                               1 + rng.below(3 * unit));
+                if (rng.chance(0.3)) {
+                    a.rebuildDisk(static_cast<unsigned>(dead));
+                    dead = -1;
+                }
+            } else if (dead < 0 && a.latentCount() == 0) {
+                // A view inside one unit, or (rarely) anywhere.
+                const unsigned d = static_cast<unsigned>(rng.below(n));
+                const bool anywhere = rng.chance(0.1);
+                const std::uint64_t len =
+                    anywhere ? 1 + rng.below(2 * unit)
+                             : 1 + rng.below(unit / 2);
+                const std::uint64_t off =
+                    anywhere ? rng.below(a.diskBytes() - len + 1)
+                             : rng.below(lay.numStripes()) * unit +
+                                   rng.below(unit - len + 1);
+                expectRange(d, off, len);
+            }
+            a.read(0, back);
+            ASSERT_EQ(back, ref) << "after op " << op;
+        }
+
+        if (dead >= 0)
+            a.rebuildDisk(static_cast<unsigned>(dead));
+        a.scrub();
+        for (unsigned d = 0; d < n; ++d)
+            EXPECT_TRUE(std::ranges::equal(a.diskData(d),
+                                           diskImage(a, ref, d)))
+                << "disk " << d;
+        EXPECT_TRUE(a.redundancyConsistent());
+    }
+}
+
+TEST_F(PlacedParity, FaultFreeParityUnitsStayUntouched)
+{
+    for (const std::uint64_t unit : {G, 2 * G}) {
+        for (const unsigned n : {3u, 5u, 16u}) {
+            SCOPED_TRACE("unit " + std::to_string(unit) + ", " +
+                         std::to_string(n) + " disks");
+            RaidArray a = make(n, unit, 2 * n + 3, 5000);
+            const raid::RaidLayout &lay = a.layout();
+            const auto ref = pattern(a.capacity(), n + unit);
+            for (std::uint64_t off = 0; off < ref.size();) {
+                const std::uint64_t len =
+                    std::min<std::uint64_t>(ref.size() - off, 70000);
+                a.write(off, std::span(ref).subspan(off, len));
+                off += len;
+            }
+            for (std::uint64_t s = 0; s < lay.numStripes(); ++s) {
+                EXPECT_TRUE(a.untouched(lay.parityDisk(s), s * unit, unit))
+                    << "stripe " << s;
+                EXPECT_FALSE(a.untouched(lay.dataDisk(s, 0), s * unit, unit))
+                    << "stripe " << s;
+            }
+            std::vector<std::uint8_t> back(ref.size());
+            a.read(0, back);
+            EXPECT_EQ(back, ref);
+            a.storeParity();
+            EXPECT_TRUE(a.redundancyConsistent());
+            for (std::uint64_t s = 0; s < lay.numStripes(); ++s)
+                EXPECT_FALSE(
+                    a.untouched(lay.parityDisk(s), s * unit, unit))
+                    << "stripe " << s;
+        }
+    }
+}
 
 /**
  * Pins the functional array's bytes at every level.  Disks whose size
