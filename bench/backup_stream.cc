@@ -20,13 +20,11 @@
  *
  * Every row is pure simulated time and simulated work counters, so the
  * sweep is bit-identical no matter how many worker threads
- * RAID2_BENCH_THREADS spreads it over — that's what the CI determinism
- * guard cmp's.  RAID2_BACKUP_QUICK=1 shrinks the sweep for smoke runs
- * (still deterministic).
+ * RAID2_BENCH_THREADS spreads it over — that's what its golden test
+ * byte-compares.
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -56,13 +54,6 @@ constexpr unsigned kFiles = 16; // 4 MB working set
 constexpr double kDropPeriodMs = 50.0;
 /** Schedule outages out to here; runs end well before. */
 constexpr double kDropHorizonMs = 4000.0;
-
-bool
-quickMode()
-{
-    const char *q = std::getenv("RAID2_BACKUP_QUICK");
-    return q && q[0] && q[0] != '0';
-}
 
 server::Raid2Server::Config
 serverConfig(std::uint32_t seg_blocks)
@@ -147,15 +138,9 @@ main(int argc, char **argv)
                 "outage period %.0f ms\n\n",
                 kDropPeriodMs);
 
-    const std::vector<unsigned> windows =
-        quickMode() ? std::vector<unsigned>{1, 4}
-                    : std::vector<unsigned>{1, 2, 4, 8};
-    const std::vector<std::uint32_t> segs =
-        quickMode() ? std::vector<std::uint32_t>{240}
-                    : std::vector<std::uint32_t>{64, 240};
-    const std::vector<unsigned> drops =
-        quickMode() ? std::vector<unsigned>{0, 30}
-                    : std::vector<unsigned>{0, 10, 30};
+    const std::vector<unsigned> windows = {1, 2, 4, 8};
+    const std::vector<std::uint32_t> segs = {64, 240};
+    const std::vector<unsigned> drops = {0, 10, 30};
 
     std::vector<Point> points;
     for (std::uint32_t sb : segs)
@@ -172,7 +157,7 @@ main(int argc, char **argv)
         rep.seriesRow(row);
 
     // Registry snapshot from one instrumented stream (deterministic,
-    // so the quick-mode JSON stays cmp-stable for the CI guard).
+    // so the JSON report stays byte-stable for its golden test).
     {
         sim::EventQueue eq;
         server::Raid2Server src(eq, "src", serverConfig(240));

@@ -136,15 +136,6 @@ runSweepParallel(std::size_t n,
 Reporter::Reporter(std::string name, int argc, char **argv)
     : _name(std::move(name))
 {
-    if (const char *env = std::getenv("RAID2_BENCH_JSON");
-        env && *env && std::strcmp(env, "0") != 0)
-        _json = true;
-    if (const char *env = std::getenv("RAID2_TRACE"); env && *env &&
-        std::strcmp(env, "0") != 0)
-        _tracePath = std::strcmp(env, "1") == 0
-                         ? "TRACE_" + _name + ".json"
-                         : env;
-
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {

@@ -69,16 +69,14 @@ std::vector<std::vector<double>> runSweepParallel(
  * Bench result reporter.
  *
  * Wraps the table printers above and records everything they print;
- * when JSON output is enabled (the "--json" flag or a non-empty
- * RAID2_BENCH_JSON environment variable) the destructor writes
- * "BENCH_<name>.json" in the working directory with the recorded
- * points/series plus any registry snapshot taken during the run.
+ * with the "--json" flag the destructor writes "BENCH_<name>.json" in
+ * the working directory with the recorded points/series plus any
+ * registry snapshot taken during the run.
  *
- * Tracing is enabled with "--trace" (default path TRACE_<name>.json),
- * "--trace=<path>", or the RAID2_TRACE environment variable (value =
- * path, or "1" for the default path); attach a sink to the measured
- * run's event queue with makeTracer() and the destructor writes the
- * Chrome trace_event file.
+ * Tracing is enabled with "--trace" (default path TRACE_<name>.json)
+ * or "--trace=<path>"; attach a sink to the measured run's event queue
+ * with makeTracer() and the destructor writes the Chrome trace_event
+ * file.
  */
 class Reporter
 {

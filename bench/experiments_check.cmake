@@ -13,6 +13,9 @@ cmake_minimum_required(VERSION 3.19) # string(JSON)
 
 # <row label>|<report name>|<point name>
 set(pinned
+    "§1 RAID-I large reads to application|raidone_baseline|Large sequential reads, full path"
+    "§1 RAID-I, copies removed (backplane cap)|raidone_baseline|  ...with host copies removed"
+    "§1 single Wren IV disk|raidone_baseline|Single Wren IV disk, sequential"
     "Table 1 sequential reads (4+1 controllers)|table1_seq_peak|Sequential reads"
     "Table 1 sequential writes|table1_seq_peak|Sequential writes"
     "Table 2 RAID-I 15-disk 4 KB read rate|table2_iops|RAID-I 15-disk read rate"

@@ -13,13 +13,11 @@
  *
  * Every row is pure simulated time and simulated work counters, so
  * the sweep is bit-identical no matter how many worker threads
- * RAID2_BENCH_THREADS spreads it over — that's what the CI
- * determinism guard cmp's.  RAID2_INTEGRITY_QUICK=1 shrinks the sweep
- * for smoke runs (still deterministic).
+ * RAID2_BENCH_THREADS spreads it over — that's what its golden test
+ * byte-compares.
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -43,13 +41,6 @@ struct Point
 constexpr std::uint64_t kFileBytes = 512 * 1024;
 constexpr unsigned kFiles = 16; // 8 MB working set
 
-bool
-quickMode()
-{
-    const char *q = std::getenv("RAID2_INTEGRITY_QUICK");
-    return q && q[0] && q[0] != '0';
-}
-
 server::Raid2Server::Config
 serverConfig(bool integrity)
 {
@@ -69,11 +60,12 @@ corruptUnderFile(server::Raid2Server &srv, lfs::InodeNum ino,
     const auto extents = srv.fs().mapFile(ino, foff, 1);
     if (extents.empty() || extents[0].hole)
         return;
-    unsigned d = 0;
-    std::uint64_t doff = 0;
-    srv.functionalArray().layout().mapByte(extents[0].deviceOffset, d,
-                                           doff);
-    srv.functionalArray().diskRange(d, doff, 1)[0] ^= 0xa5;
+    raid::RaidArray &array = srv.functionalArray();
+    array.layout().forEachPiece(
+        extents[0].deviceOffset, 1,
+        [&](unsigned, const raid::DiskExtent &e) {
+            array.corrupt(e.disk, e.diskOffset, 1, 0xa5);
+        });
 }
 
 /**
@@ -170,12 +162,8 @@ main(int argc, char **argv)
     std::printf("  %u files x %llu KB, sequential checked reads\n\n",
                 kFiles, (unsigned long long)(kFileBytes / 1024));
 
-    const std::vector<std::uint64_t> sizes =
-        quickMode() ? std::vector<std::uint64_t>{512 * 1024}
-                    : std::vector<std::uint64_t>{64 * 1024, 512 * 1024};
-    const std::vector<unsigned> corruptions =
-        quickMode() ? std::vector<unsigned>{0, 8}
-                    : std::vector<unsigned>{0, 8, 32};
+    const std::vector<std::uint64_t> sizes = {64 * 1024, 512 * 1024};
+    const std::vector<unsigned> corruptions = {0, 8, 32};
 
     std::vector<Point> points;
     for (std::uint64_t s : sizes) {
@@ -193,7 +181,7 @@ main(int argc, char **argv)
         rep.seriesRow(row);
 
     // Registry snapshot from one instrumented run (deterministic, so
-    // the quick-mode JSON stays cmp-stable for the CI guard).
+    // the JSON report stays byte-stable for its golden test).
     {
         sim::EventQueue eq;
         server::Raid2Server srv(eq, "s", serverConfig(true));

@@ -16,10 +16,9 @@
  *
  * Each sweep point builds its own simulated world, so the sweep is
  * trivially parallel (RAID2_BENCH_THREADS) and bit-identical to a
- * serial run.  RAID2_LOAD_QUICK=1 shrinks the sweep for CI smoke runs.
+ * serial run.
  */
 
-#include <cstdlib>
 #include <vector>
 
 #include "bench_util.hh"
@@ -41,9 +40,6 @@ struct SweepCfg
 SweepCfg
 sweepCfg()
 {
-    const char *quick = std::getenv("RAID2_LOAD_QUICK");
-    if (quick && quick[0] && quick[0] != '0')
-        return {{25, 75, 150, 250}, 64, sim::secToTicks(2.0)};
     return {{25, 50, 75, 100, 125, 150, 200, 250, 300},
             256,
             sim::secToTicks(10.0)};

@@ -75,18 +75,19 @@ singleDiskMBs()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("RAID-I baseline (the problem statement of §1)",
-                       "paper: 2.3 MB/s to the application; 1.3 MB/s "
-                       "single disk; 9 MB/s backplane");
+    bench::Reporter rep("raidone_baseline", argc, argv);
+    rep.header("RAID-I baseline (the problem statement of §1)",
+               "paper: 2.3 MB/s to the application; 1.3 MB/s single "
+               "disk; 9 MB/s backplane");
 
-    bench::printRow("Large sequential reads, full path",
-                    largeReadMBs(false), "MB/s", "2.3");
-    bench::printRow("  ...with host copies removed",
-                    largeReadMBs(true), "MB/s", "<= 9 (backplane)");
-    bench::printRow("Single Wren IV disk, sequential",
-                    singleDiskMBs(), "MB/s", "1.3");
+    rep.row("Large sequential reads, full path", largeReadMBs(false),
+            "MB/s", "2.3");
+    rep.row("  ...with host copies removed", largeReadMBs(true), "MB/s",
+            "<= 9 (backplane)");
+    rep.row("Single Wren IV disk, sequential", singleDiskMBs(), "MB/s",
+            "1.3");
 
     std::printf("\n  Expected shape: the full path is copy-limited near "
                 "2.3 MB/s -- an order\n  of magnitude under the 24+ "

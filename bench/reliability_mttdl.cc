@@ -18,12 +18,8 @@
  * classic result that scrubbing shrinks rebuild exposure and a rebuild
  * throttle trades MTTR for foreground service (Thomasian,
  * arXiv:1801.08873).
- *
- * RAID2_MTTDL_TRIALS overrides the trials per setting (default 6);
- * RAID2_FAULT_SEED offsets the trial seeds.
  */
 
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -184,24 +180,9 @@ runTrial(const Setting &st, std::uint64_t seed)
     return r;
 }
 
-unsigned
-trialsPerSetting()
-{
-    const char *env = std::getenv("RAID2_MTTDL_TRIALS");
-    if (!env || !*env)
-        return 6;
-    const long n = std::strtol(env, nullptr, 10);
-    return n > 0 ? static_cast<unsigned>(n) : 1;
-}
-
-std::uint64_t
-seedBase()
-{
-    const char *env = std::getenv("RAID2_FAULT_SEED");
-    if (!env || !*env)
-        return 1;
-    return std::strtoull(env, nullptr, 10);
-}
+/** Trials per setting, and the first trial's fault seed. */
+constexpr unsigned kTrials = 6;
+constexpr std::uint64_t kSeedBase = 1;
 
 } // namespace
 
@@ -221,8 +202,8 @@ main(int argc, char **argv)
         {"slow", sim::msToTicks(100), true, sim::msToTicks(250)},
         {"fast", 0, true, sim::msToTicks(250)},
     };
-    const unsigned trials = trialsPerSetting();
-    const std::uint64_t base = seedBase();
+    const unsigned trials = kTrials;
+    const std::uint64_t base = kSeedBase;
 
     // One simulation per (setting, trial), swept across the pool.
     // Trial seeds repeat across settings: paired fault histories.

@@ -111,9 +111,8 @@ FaultController::injectSilentCorruption(const FaultEvent &e)
             ++_suppressed;
             return;
         }
-        const std::uint64_t n = std::min(e.bytes, span - e.offset);
-        for (std::uint8_t &b : fn->diskRange(e.target, e.offset, n))
-            b ^= 0xa5;
+        fn->corrupt(e.target, e.offset,
+                    std::min(e.bytes, span - e.offset), 0xa5);
         // Deliberately NOT entered in the latent map: the drive
         // reports nothing.  Only checksums (src/integrity/) can tell
         // this copy no longer holds what was written.
@@ -140,11 +139,12 @@ FaultController::injectDiskFail(unsigned d)
         ++_suppressed;
         return;
     }
-    const raid::RaidLevel level = array.layout().level();
-    if (level == raid::RaidLevel::Raid0) {
-        // No redundancy: the disk's data is simply gone.  Account the
-        // loss; injecting would leave the simulator unable to serve
-        // any read of the dead disk.
+    bool redundant = false;
+    array.layout().forEachSource(d, [&](unsigned) { redundant = true; });
+    if (!redundant) {
+        // No redundancy (RAID-0): the disk's data is simply gone.
+        // Account the loss; injecting would leave the simulator unable
+        // to serve any read of the dead disk.
         ++_dataLossEvents;
         ++_suppressed;
         return;
@@ -165,15 +165,11 @@ FaultController::injectDiskFail(unsigned d)
     // unreconstructable stripes: each is a data-loss event.  The
     // defects are consumed here (media reallocation on the failed
     // array) so both planes stay recoverable.
-    for (unsigned o = 0; o < array.numDisks(); ++o) {
-        // RAID-1 rebuilds from the mirror partner alone.
-        if (o == d || (level == raid::RaidLevel::Raid1 &&
-                       o != array.layout().mirrorPartner(d)))
-            continue;
+    array.layout().forEachSource(d, [&](unsigned o) {
         const std::uint64_t n = array.dropLatents(o);
         _rebuildExposed += n;
         _dataLossEvents += n;
-    }
+    });
     array.failDisk(d);
     ++_injected[static_cast<std::size_t>(FaultKind::DiskFail)];
     if (auto *t = eq.tracer())
@@ -197,21 +193,28 @@ FaultController::injectLatent(unsigned d, std::uint64_t off,
         ++_suppressed;
         return;
     }
-    if (array.degraded()) {
-        // A defect growing on a survivor while the array is degraded
-        // has no redundancy to repair from: data loss.
+    // The defect is data loss when a disk it would be rebuilt from is
+    // failed or defective over the same range.  RAID-0 has no such
+    // disk: its latent is injected, and reads of it are unrecoverable.
+    bool source_failed = false;
+    bool collides = false;
+    array.layout().forEachSource(d, [&](unsigned o) {
+        source_failed = source_failed || array.isFailed(o);
+        collides = collides || array.hasLatent(o, off, bytes);
+    });
+    if (source_failed) {
+        // A defect growing while its redundancy is degraded has
+        // nothing to repair from.
         ++_latentWhileDegraded;
         ++_dataLossEvents;
         return;
     }
-    for (unsigned o = 0; o < array.numDisks(); ++o) {
-        if (o != d && array.hasLatent(o, off, bytes)) {
-            // Overlapping defects on two disks of one stripe row:
-            // neither side can reconstruct the other.
-            ++_latentCollisions;
-            ++_dataLossEvents;
-            return;
-        }
+    if (collides) {
+        // Overlapping defects on a disk and its source: neither side
+        // can reconstruct the other.
+        ++_latentCollisions;
+        ++_dataLossEvents;
+        return;
     }
     array.injectLatent(d, off, bytes);
     ++_injected[static_cast<std::size_t>(FaultKind::LatentError)];

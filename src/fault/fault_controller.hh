@@ -12,12 +12,12 @@
  *
  * Injection preserves the recoverability invariant documented in
  * RaidArray: events that *would* destroy data — a second disk death
- * while degraded, a latent error surfacing while the array is
- * degraded, latent ranges colliding across disks, or latents
- * outstanding on survivors when a disk dies (the rebuild would be
- * unable to reconstruct those stripes) — are accounted as data-loss
- * events instead of being injected, which is exactly the quantity a
- * Monte Carlo MTTDL campaign estimates.
+ * while degraded, a latent error surfacing while a disk it is rebuilt
+ * from (RaidLayout::forEachSource) has failed or is defective over
+ * the same range, or latents outstanding on a dying disk's sources
+ * (the rebuild would be unable to reconstruct those stripes) — are
+ * accounted as data-loss events instead of being injected, which is
+ * exactly the quantity a Monte Carlo MTTDL campaign estimates.
  */
 
 #ifndef RAID2_FAULT_FAULT_CONTROLLER_HH

@@ -117,18 +117,15 @@ bool
 Scrubber::repairChunk(unsigned d, std::uint64_t off, std::uint64_t len)
 {
     const sim::Tick started = eq.now();
-    return array.reconstruct(d, off, len, [this, d, off, len, started] {
-        array.rawDiskWrite(d, off, len, [this, d, off, len, started] {
-            array.noteRepaired(d, off, len, true);
-            ++_rangesRepaired;
-            _repairedBytes += len;
-            if (auto *t = eq.tracer())
-                t->complete(_name, "scrub_repair", started, eq.now(),
-                            len);
-            chunkInFlight = false;
-            if (_running)
-                scheduleNext(cfg.interChunkDelay);
-        });
+    return array.restoreRange(d, off, len, [this, d, off, len, started] {
+        array.noteRepaired(d, off, len, true);
+        ++_rangesRepaired;
+        _repairedBytes += len;
+        if (auto *t = eq.tracer())
+            t->complete(_name, "scrub_repair", started, eq.now(), len);
+        chunkInFlight = false;
+        if (_running)
+            scheduleNext(cfg.interChunkDelay);
     });
 }
 

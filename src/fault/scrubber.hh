@@ -9,9 +9,9 @@
  * scrubber sweeps every member disk chunk by chunk through the real
  * timed datapath (so it competes with foreground traffic for the
  * drives, strings and XBUS ports), asks the array's defect map whether
- * the chunk is damaged, and repairs damage from redundancy with a
- * timed SimArray::reconstruct and a rewrite.  The inter-chunk delay is
- * the scrub-rate knob an MTTDL campaign sweeps.
+ * the chunk is damaged, and repairs damage from redundancy with one
+ * timed SimArray::restoreRange (reconstruct, then rewrite).  The
+ * inter-chunk delay is the scrub-rate knob an MTTDL campaign sweeps.
  */
 
 #ifndef RAID2_FAULT_SCRUBBER_HH

@@ -250,13 +250,13 @@ VerifyingDevice::applyArmedWriteFlip(std::uint64_t bno,
     const std::uint64_t span_bytes = count * std::uint64_t(blockSize());
     const std::uint64_t abs =
         bno * std::uint64_t(blockSize()) + nextFlipPos(span_bytes);
-    unsigned d = 0;
-    std::uint64_t doff = 0;
-    array->layout().mapByte(abs, d, doff);
-    if (!array->isFailed(d)) {
-        array->diskRange(d, doff, 1)[0] ^= 0x4a;
-        ++_writeFlipsApplied;
-    }
+    array->layout().forEachPiece(
+        abs, 1, [&](unsigned, const raid::DiskExtent &e) {
+            if (!array->isFailed(e.disk)) {
+                array->corrupt(e.disk, e.diskOffset, 1, 0x4a);
+                ++_writeFlipsApplied;
+            }
+        });
     --_armedWriteFlips;
 }
 

@@ -1,7 +1,6 @@
 #include "raid/raid_array.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "raid/parity.hh"
 #include "sim/logging.hh"
@@ -79,58 +78,40 @@ RaidArray::forEachRun(std::uint64_t off, std::uint64_t bytes, Fn &&fn) const
 }
 
 void
-RaidArray::inDiskOrder() const
+RaidArray::readRaw(unsigned d, std::uint64_t off,
+                   std::span<std::uint8_t> out) const
 {
-    if (!placed)
-        return;
-    // A unit is whole granules, so moving granule by granule keeps
-    // exactly the touched ones touched.
-    const auto image = std::make_unique_for_overwrite<std::uint8_t[]>(
-        static_cast<std::size_t>(_diskBytes));
-    std::vector<std::uint64_t> kept;
-    for (unsigned d = 0; d < disks.size(); ++d) {
-        kept.clear();
-        for (std::uint64_t off = 0; off < _diskBytes; off += G) {
-            const std::size_t n =
-                static_cast<std::size_t>(std::min(G, _diskBytes - off));
-            const std::uint64_t at = place(d, off);
-            if (disks[d].untouched(at, n))
-                continue;
-            disks[d].read(at, {image.get() + off, n});
-            kept.push_back(off);
-        }
-        disks[d].forget();
-        for (const std::uint64_t off : kept)
-            disks[d].write(off, {image.get() + off,
-                                 static_cast<std::size_t>(
-                                     std::min(G, _diskBytes - off))});
-    }
-    placed = false;
+    if (off + out.size() > _diskBytes)
+        sim::panic("readRaw: range [%llu, +%zu) beyond disk",
+                   (unsigned long long)off, out.size());
+    forEachRun(off, out.size(), [&](std::uint64_t pos, std::size_t n) {
+        disks.at(d).read(place(d, pos), out.subspan(pos - off, n));
+    });
 }
 
-std::span<const std::uint8_t>
-RaidArray::diskData(unsigned d) const
+void
+RaidArray::corrupt(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                   std::uint8_t mask)
 {
-    inDiskOrder();
-    return disks.at(d).bytes();
-}
-
-std::span<std::uint8_t>
-RaidArray::diskData(unsigned d)
-{
-    inDiskOrder();
+    if (off + bytes > _diskBytes)
+        sim::panic("corrupt: range [%llu, +%llu) beyond disk",
+                   (unsigned long long)off, (unsigned long long)bytes);
     storeParity();
-    return disks.at(d).bytes();
+    forEachRun(off, bytes, [&](std::uint64_t pos, std::size_t n) {
+        for (std::uint8_t &b : disks.at(d).span(place(d, pos), n))
+            b ^= mask;
+    });
 }
 
 std::span<std::uint8_t>
 RaidArray::diskRange(unsigned d, std::uint64_t off, std::uint64_t bytes)
 {
-    if (off + bytes > _diskBytes)
-        sim::panic("diskRange: range [%llu, +%llu) beyond disk",
+    const std::uint64_t unit = _layout.unitBytes();
+    if (off + bytes > _diskBytes ||
+        (bytes > 0 && off / unit != (off + bytes - 1) / unit))
+        sim::panic("diskRange: range [%llu, +%llu) is not within one "
+                   "stripe unit of the disk",
                    (unsigned long long)off, (unsigned long long)bytes);
-    if (off + bytes > runEnd(off))
-        inDiskOrder();
     storeParity();
     return disks.at(d).span(static_cast<std::size_t>(place(d, off)),
                             static_cast<std::size_t>(bytes));
@@ -155,23 +136,17 @@ RaidArray::redundant(unsigned dead, std::uint64_t off,
     if (!redundancyStored || dead >= disks.size() ||
         off + bytes > _diskBytes)
         return false;
-    auto usable = [&](unsigned d) {
-        return !failed[d] && !latentOverlaps(d, off, bytes);
-    };
-    switch (_layout.level()) {
-      case RaidLevel::Raid0:
+    // A mirror covers the whole disk, parity only whole stripes.
+    if (_layout.level() != RaidLevel::Raid1 &&
+        off + bytes > _layout.numStripes() * _layout.unitBytes())
         return false;
-      case RaidLevel::Raid1:
-        return usable(_layout.mirrorPartner(dead));
-      default:
-        // Levels 3/5: parity covers whole stripes.
-        if (off + bytes > _layout.numStripes() * _layout.unitBytes())
-            return false;
-        for (unsigned d = 0; d < disks.size(); ++d)
-            if (d != dead && !usable(d))
-                return false;
-        return true;
-    }
+    unsigned sources = 0;
+    bool usable = true;
+    _layout.forEachSource(dead, [&](unsigned d) {
+        ++sources;
+        usable = usable && !failed[d] && !latentOverlaps(d, off, bytes);
+    });
+    return sources > 0 && usable;
 }
 
 template <typename Fn>
@@ -185,18 +160,11 @@ RaidArray::foldSurvivors(unsigned dead, std::uint64_t off,
         const std::uint64_t stop = std::min(off + bytes, (pos / G + 1) * G);
         const std::size_t n = static_cast<std::size_t>(stop - pos);
         std::size_t k = 0;
-        auto take = [&](unsigned d) {
+        _layout.forEachSource(dead, [&](unsigned d) {
             const std::uint64_t at = place(d, pos);
             if (!disks[d].untouched(at, n))
                 srcs[k++] = disks[d].span(at, n).data();
-        };
-        if (_layout.level() == RaidLevel::Raid1) {
-            take(_layout.mirrorPartner(dead));
-        } else {
-            for (unsigned d = 0; d < disks.size(); ++d)
-                if (d != dead)
-                    take(d);
-        }
+        });
         fn(pos, srcs, k, n);
         pos = stop;
     }
@@ -438,9 +406,7 @@ RaidArray::readDiskRange(unsigned d, std::uint64_t off,
     // Readable bytes come off the disk; the rest from redundancy.
     std::uint64_t pos = off;
     auto copyUpTo = [&](std::uint64_t until) {
-        forEachRun(pos, until - pos, [&](std::uint64_t at, std::size_t n) {
-            disks[d].read(place(d, at), out.subspan(at - off, n));
-        });
+        readRaw(d, pos, out.subspan(pos - off, until - pos));
     };
     for (const auto &[s, len] : unreadable(d, off, out.size())) {
         copyUpTo(s);

@@ -17,7 +17,7 @@
  *
  * Redundancy is stored only from storeParity() on, which the first
  * call that can destroy a data byte or hands out raw bytes makes:
- * failDisk(), injectLatent(), diskRange() and the mutable diskData().
+ * failDisk(), injectLatent(), corrupt() and diskRange().
  * It folds every stripe's parity from the still-intact data in one pass
  * (levels 3/5), or copies each primary onto its mirror once (level 1);
  * until then writes store data only, for redundancy serves only to
@@ -35,9 +35,9 @@
  * granules with their stripe's data, whose writes zero them anyway;
  * levels 0, 1 and 3, and the bytes past the last whole stripe, store
  * every byte at its disk offset.  Every call speaks disk offsets and
- * disk order.  A call that hands out raw bytes across units
- * (diskData(), or a diskRange() that crosses one) first moves every
- * disk's bytes to disk order, where they stay.
+ * disk order, and the placement is fixed for the array's life: the raw
+ * calls copy (readRaw()) or flip (corrupt()) a range run by run, and
+ * diskRange() hands out no range that crosses a stripe unit.
  *
  * A failed disk's buffer stands for its replacement drive, which starts
  * empty.  Every write lands in it, but only the ranges rebuildRange()
@@ -105,11 +105,12 @@ class RaidArray
      * defect, which is what the scrubber does in bulk.
      *
      * Recoverability invariant (enforced with fatal errors, maintained
-     * by fault::FaultController through SimArray): latent ranges on
-     * different disks never overlap in disk-offset space, and no
-     * latents exist while a disk is failed.  Either condition would
-     * make the range unrecoverable — a data-loss event, which the
-     * controller accounts for instead of injecting.
+     * by fault::FaultController through SimArray): no latent range
+     * overlaps one on a disk it is rebuilt from
+     * (RaidLayout::forEachSource), and none exists while one of those
+     * disks is failed.  Either condition would make the range
+     * unrecoverable — a data-loss event, which the controller accounts
+     * for instead of injecting.
      */
     /** Garble @p bytes at disk offset @p off of disk @p d (after
      *  parity is stored from the intact bytes). */
@@ -205,15 +206,20 @@ class RaidArray
     /** Bytes per member disk. */
     std::uint64_t diskBytes() const { return _diskBytes; }
 
-    /** @{ Raw member-disk bytes in disk order, for tests.  The first
-     *  call zeroes the never-written rest of the disk; the mutable one
-     *  stores redundancy first. */
-    std::span<const std::uint8_t> diskData(unsigned d) const;
-    std::span<std::uint8_t> diskData(unsigned d);
-    /** @} */
-    /** Raw bytes [off, off+bytes) of disk @p d, for fault injection
-     *  (redundancy is stored first); only this range is zeroed where
-     *  never written. */
+    /** Copy the stored bytes [off, off+out.size()) of disk @p d into
+     *  @p out in disk order: no reconstruction, and nothing is zeroed
+     *  or touched (disk images and digests). */
+    void readRaw(unsigned d, std::uint64_t off,
+                 std::span<std::uint8_t> out) const;
+    /** XOR @p mask into the stored bytes [off, off+bytes) of disk @p d
+     *  behind the array's back (silent media corruption), after
+     *  redundancy is stored from the intact bytes. */
+    void corrupt(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                 std::uint8_t mask);
+    /** Raw bytes [off, off+bytes) of disk @p d for in-place access, after
+     *  redundancy is stored; only this range is zeroed where never
+     *  written.  The range must lie in one stripe unit (panics
+     *  otherwise), where the disk's bytes are contiguous (tests). */
     std::span<std::uint8_t> diskRange(unsigned d, std::uint64_t off,
                                       std::uint64_t bytes);
     /** True if nothing has been stored in the granules that
@@ -233,9 +239,6 @@ class RaidArray
     /** fn(pos, n) for each run of [off, off+bytes). */
     template <typename Fn>
     void forEachRun(std::uint64_t off, std::uint64_t bytes, Fn &&fn) const;
-    /** Move every disk's bytes to disk order, once, keeping exactly
-     *  the touched granules touched; no byte the array reads changes. */
-    void inDiskOrder() const;
     /** True if the written granules of the disks in @p set XOR to zero
      *  over disk offsets [0, bytes). */
     bool foldsToZero(std::span<const unsigned> set,
@@ -247,10 +250,10 @@ class RaidArray
      *  range there (tryReconstructRange()'s vetting). */
     bool redundant(unsigned dead, std::uint64_t off,
                    std::uint64_t bytes) const;
-    /** Fold [off, off+bytes) of disk @p dead from the disks that hold
-     *  its redundancy, one granule at a time: fn(pos, srcs, k, n) gets
-     *  the k of them written in [pos, pos+n) (a never-written one holds
-     *  zeros, which fold to nothing). */
+    /** Fold [off, off+bytes) of disk @p dead from its sources
+     *  (RaidLayout::forEachSource), one granule at a time:
+     *  fn(pos, srcs, k, n) gets the k of them written in [pos, pos+n)
+     *  (a never-written one holds zeros, which fold to nothing). */
     template <typename Fn>
     void foldSurvivors(unsigned dead, std::uint64_t off,
                        std::uint64_t bytes, Fn &&fn) const;
@@ -288,9 +291,7 @@ class RaidArray
 
     RaidLayout _layout;
     std::uint64_t _diskBytes;
-    /** Mutable as sim::ByteStore's own map is: the const diskData()
-     *  may move the bytes to disk order (inDiskOrder()). */
-    mutable std::vector<sim::ByteStore> disks;
+    std::vector<sim::ByteStore> disks;
     std::vector<bool> failed;
     /** Per-disk garbled ranges. */
     std::vector<IntervalSet> latents;
@@ -299,7 +300,7 @@ class RaidArray
     /** storeParity() has run: writes keep redundancy in step. */
     bool redundancyStored = false;
     /** RAID-5 disks hold their parity units after their data units. */
-    mutable bool placed;
+    const bool placed;
     sim::Scalar _parityRecomputes;
     sim::Scalar _parityFullStripes;
 };

@@ -225,29 +225,4 @@ RaidLayout::mapRange(std::uint64_t off, std::uint64_t len) const
     return extents;
 }
 
-void
-RaidLayout::mapByte(std::uint64_t logical, unsigned &disk,
-                    std::uint64_t &disk_byte) const
-{
-    if (logical >= dataCapacity())
-        sim::panic("mapByte beyond capacity");
-    if (cfg.level == RaidLevel::Raid3) {
-        const unsigned data_disks = cfg.numDisks - 1;
-        const std::uint64_t sector = cfg.sectorBytes;
-        const std::uint64_t lsec = logical / sector;
-        const std::uint64_t in_sec = logical % sector;
-        disk = static_cast<unsigned>(lsec % data_disks);
-        disk_byte = (lsec / data_disks) * sector + in_sec;
-        return;
-    }
-    const std::uint64_t sdb = stripeDataBytes();
-    const std::uint64_t stripe = logical / sdb;
-    const std::uint64_t in_stripe = logical % sdb;
-    const unsigned k =
-        static_cast<unsigned>(in_stripe / cfg.stripeUnitBytes);
-    disk = dataDisk(stripe, k);
-    disk_byte =
-        stripe * cfg.stripeUnitBytes + in_stripe % cfg.stripeUnitBytes;
-}
-
 } // namespace raid2::raid

@@ -149,11 +149,13 @@ class RaidLayout
                                        std::uint64_t len) const;
 
     /**
-     * Exact per-byte map for functional I/O: logical byte -> (disk,
-     * disk byte).  Valid for all levels (Level 1 returns the primary).
+     * fn(s) for each disk @p dead is rebuilt from: none at Level 0, the
+     * mirror partner at Level 1, and every other disk in ascending
+     * order at Levels 3/5 (Thomasian, arXiv:1801.08873).  Every choice
+     * of reconstruction sources, timed or functional, asks this.
      */
-    void mapByte(std::uint64_t logical, unsigned &disk,
-                 std::uint64_t &disk_byte) const;
+    template <typename Fn>
+    void forEachSource(unsigned dead, Fn &&fn) const;
 
   private:
     void checkRange(std::uint64_t off, std::uint64_t len) const;
@@ -179,6 +181,23 @@ RaidLayout::forEachPiece(std::uint64_t off, std::uint64_t len,
             stripe, k, in_unit, std::min(end - pos, unit - in_unit));
         fn(k, piece);
         pos += piece.bytes;
+    }
+}
+
+template <typename Fn>
+void
+RaidLayout::forEachSource(unsigned dead, Fn &&fn) const
+{
+    switch (cfg.level) {
+      case RaidLevel::Raid0:
+        return;
+      case RaidLevel::Raid1:
+        fn(mirrorPartner(dead));
+        return;
+      default:
+        for (unsigned d = 0; d < cfg.numDisks; ++d)
+            if (d != dead)
+                fn(d);
     }
 }
 

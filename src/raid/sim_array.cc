@@ -100,11 +100,7 @@ SimArray::rebuildStripe(unsigned d, std::uint64_t stripe,
         done();
     };
     auto step = [this, d, off, unit, mark_live = std::move(mark_live)] {
-        const bool issued =
-            reconstruct(d, off, unit, [this, d, off, unit, mark_live] {
-                rawDiskWrite(d, off, unit, mark_live);
-            });
-        if (!issued)
+        if (!restoreRange(d, off, unit, mark_live))
             sim::fatal("SimArray %s: nothing left to rebuild disk %u from",
                        _name.c_str(), d);
     };
@@ -205,36 +201,41 @@ bool
 SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
                       std::function<void()> done)
 {
-    const RaidLevel level = _layout->level();
-    if (level == RaidLevel::Raid0)
+    unsigned n = 0;
+    bool lost = false;
+    _layout->forEachSource(d, [&](unsigned s) {
+        ++n;
+        lost = lost || failedDisks[s];
+    });
+    if (n == 0 || lost)
         return false;
-    if (level == RaidLevel::Raid1) {
-        const unsigned m = _layout->mirrorPartner(d);
-        if (failedDisks[m])
-            return false;
-        rawDiskRead(m, off, bytes, std::move(done));
-        return true;
+    // A mirror is copied; parity levels XOR the same range of every
+    // source in one pass.
+    std::function<void()> on_read = std::move(done);
+    if (_layout->level() != RaidLevel::Raid1) {
+        auto remaining = std::make_shared<unsigned>(n);
+        auto done_ptr =
+            std::make_shared<std::function<void()>>(std::move(on_read));
+        on_read = [this, remaining, done_ptr, bytes, n] {
+            if (--*remaining > 0)
+                return;
+            _board.parity().pass(bytes * n, bytes,
+                                 [done_ptr] { (*done_ptr)(); });
+        };
     }
-    const unsigned n = numDisks();
-    for (unsigned s = 0; s < n; ++s) {
-        if (s != d && failedDisks[s])
-            return false;
-    }
-    // Parity levels: XOR the same range of every survivor.
-    auto remaining = std::make_shared<unsigned>(n - 1);
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    auto on_read = [this, remaining, done_ptr, bytes, n] {
-        if (--*remaining > 0)
-            return;
-        _board.parity().pass(bytes * (n - 1), bytes,
-                             [done_ptr] { (*done_ptr)(); });
-    };
-    for (unsigned s = 0; s < n; ++s) {
-        if (s != d)
-            rawDiskRead(s, off, bytes, on_read);
-    }
+    _layout->forEachSource(
+        d, [&](unsigned s) { rawDiskRead(s, off, bytes, on_read); });
     return true;
+}
+
+bool
+SimArray::restoreRange(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                       std::function<void()> then)
+{
+    return reconstruct(
+        d, off, bytes, [this, d, off, bytes, then = std::move(then)]() mutable {
+            rawDiskWrite(d, off, bytes, std::move(then));
+        });
 }
 
 void
@@ -257,23 +258,21 @@ void
 SimArray::issueExtentRead(const DiskExtent &e, std::function<void()> done)
 {
     unsigned d = e.disk;
-    if (_layout->level() == RaidLevel::Raid1) {
-        // Balance mirror reads by alternating stripe rows.
-        if ((e.diskOffset / _layout->unitBytes()) % 2 == 1 &&
-            live(_layout->mirrorDisk(d), e.diskOffset, e.bytes)) {
-            d = _layout->mirrorDisk(d);
-        }
-    }
+    const bool mirrored = _layout->level() == RaidLevel::Raid1;
+    // Balance mirror reads by alternating stripe rows.
+    if (mirrored && (e.diskOffset / _layout->unitBytes()) % 2 == 1 &&
+        live(_layout->mirrorDisk(d), e.diskOffset, e.bytes))
+        d = _layout->mirrorDisk(d);
     if (!live(d, e.diskOffset, e.bytes)) {
-        if (_layout->level() == RaidLevel::Raid1) {
-            d = _layout->mirrorPartner(d);
-            if (!live(d, e.diskOffset, e.bytes))
-                sim::fatal("SimArray %s: mirror pair both failed",
-                           _name.c_str());
-        } else {
+        if (!mirrored) {
             issueDegradedRead(e, std::move(done));
             return;
         }
+        // A mirror's one source holds the same bytes: read it in place.
+        _layout->forEachSource(d, [&](unsigned s) { d = s; });
+        if (!live(d, e.diskOffset, e.bytes))
+            sim::fatal("SimArray %s: mirror pair both failed",
+                       _name.c_str());
     }
     if (hasLatent(d, e.diskOffset, e.bytes)) {
         issueLatentRepairRead(e, d, std::move(done));
@@ -310,14 +309,13 @@ SimArray::issueLatentRepairRead(const DiskExtent &e, unsigned d,
             t->complete(_name, "latent_repair", eq.now(), eq.now(), bytes);
         // Rewrite the reconstructed range in place, clearing the
         // defect, then note the repair.
-        auto writeback = [this, d, off, bytes, done_ptr] {
-            rawDiskWrite(d, off, bytes, [this, d, off, bytes, done_ptr] {
+        const bool issued =
+            restoreRange(d, off, bytes, [this, d, off, bytes, done_ptr] {
                 noteRepaired(d, off, bytes, false);
                 if (*done_ptr)
                     (*done_ptr)();
             });
-        };
-        if (!reconstruct(d, off, bytes, std::move(writeback))) {
+        if (!issued) {
             ++_unrecoverableReads;
             if (*done_ptr)
                 (*done_ptr)();

@@ -26,7 +26,8 @@
  * change of media state reaches it in the same call, so the byte plane
  * and the timing plane stay consistent.  Degraded reads, latent
  * repairs, rebuild stripes and scrub repairs all run through one timed
- * reconstruct().
+ * reconstruct(), and the last three write the range back through one
+ * restoreRange().
  *
  * A range is live when its disk is healthy or the rebuild has written
  * it to the replacement.  Reads of a live range go to the disk; only
@@ -163,16 +164,25 @@ class SimArray
 
     /**
      * Timed reconstruction of [off, off+bytes) of disk @p d from
-     * redundancy into XBUS memory.  RAID-1 reads the mirror partner;
-     * RAID-3/5 read every survivor in ascending disk order, then run
-     * one parity pass of (bytes * (n-1), bytes).  A survivor is a disk
-     * that has not failed: a rebuilt range is never a source.
+     * redundancy into XBUS memory.  It reads the range of each of
+     * RaidLayout::forEachSource's disks in that order: RAID-1 copies
+     * the mirror partner, and RAID-3/5 then run one parity pass of
+     * (bytes * (n-1), bytes) over the n-1 others.
      * @return false, issuing nothing (@p done never fires), when no
-     * redundancy is left to read: RAID-0, or a failed partner or
-     * survivor.
+     * redundancy is left to read: RAID-0, or a failed source (even
+     * where its rebuild has written the range).
      */
     bool reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
                      std::function<void()> done);
+    /**
+     * Timed rewrite of [off, off+bytes) of disk @p d from redundancy:
+     * reconstruct() it, write it back to disk @p d, then run @p then.
+     * The latent read repair, the scrubber's repair and the rebuild step
+     * all restore a range through this call.
+     * @return false, issuing nothing, when no redundancy is left.
+     */
+    bool restoreRange(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                      std::function<void()> then);
 
     /** @{ Raw per-disk transfers through the full bus chain (used by
      *  rebuild, the scrubber and benches that bypass the RAID

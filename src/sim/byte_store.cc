@@ -35,7 +35,7 @@ constexpr std::size_t G = ByteStore::granuleBytes;
 
 /** @{ One allocation holds a store's bytes, then its granule map. */
 std::size_t
-mapBytes(std::size_t bytes)
+granuleMapBytes(std::size_t bytes)
 {
     return ((bytes + G - 1) / G + 7) / 8;
 }
@@ -43,7 +43,7 @@ mapBytes(std::size_t bytes)
 std::size_t
 allocBytes(std::size_t bytes)
 {
-    return bytes + mapBytes(bytes);
+    return bytes + granuleMapBytes(bytes);
 }
 /** @} */
 
@@ -132,10 +132,8 @@ streamGranule(std::uint8_t *dst, const std::uint8_t *src)
 
 ByteStore::ByteStore(std::size_t bytes) : n(bytes)
 {
-    if (n == 0) {
-        whole = true;
+    if (n == 0)
         return;
-    }
     Pool &p = pool();
     if (p.bytes == n && !p.buffers.empty()) {
         // First in, first out (see the file comment).
@@ -147,16 +145,15 @@ ByteStore::ByteStore(std::size_t bytes) : n(bytes)
         buf = allocate(n);
     }
     map = buf + n;
-    std::memset(map, 0, mapBytes(n));
+    std::memset(map, 0, granuleMapBytes(n));
 }
 
 ByteStore::ByteStore(ByteStore &&other) noexcept
-    : buf(other.buf), n(other.n), map(other.map), whole(other.whole)
+    : buf(other.buf), n(other.n), map(other.map)
 {
     other.buf = nullptr;
     other.n = 0;
     other.map = nullptr;
-    other.whole = true;
 }
 
 ByteStore::~ByteStore()
@@ -187,14 +184,6 @@ ByteStore::touchRange(std::size_t off, std::size_t len) const
 {
     for (std::size_t g = off / G; g * G < off + len; ++g)
         touch(g);
-}
-
-void
-ByteStore::touchAll() const
-{
-    for (std::size_t g = 0; g * G < n; ++g)
-        touch(g);
-    whole = true;
 }
 
 void
@@ -270,8 +259,7 @@ ByteStore::forget()
 {
     if (n == 0)
         return;
-    std::memset(map, 0, mapBytes(n));
-    whole = false;
+    std::memset(map, 0, granuleMapBytes(n));
 }
 
 } // namespace raid2::sim

@@ -19,8 +19,7 @@
  *     overwriteSpan() does the same for a caller that will store every
  *     byte of its range in place (a RAID parity fold);
  *   - span() zeroes the untouched granules it covers before handing
- *     them out for in-place access; data() and bytes() do the same for
- *     the whole store.
+ *     them out for in-place access.
  * Either way a new store reads all zeros, and a world never writes
  * zeros it does not read.  untouched() tells a caller that a range
  * holds only those zeros, so it can skip work on it (a RAID array
@@ -121,26 +120,6 @@ class ByteStore
      *  nothing now. */
     void forget();
 
-    /** @{ The whole store for in-place access; the first call zeroes
-     *  every untouched granule. */
-    std::uint8_t *
-    data()
-    {
-        if (!whole)
-            touchAll();
-        return buf;
-    }
-    const std::uint8_t *
-    data() const
-    {
-        if (!whole)
-            touchAll();
-        return buf;
-    }
-    std::span<std::uint8_t> bytes() { return {data(), n}; }
-    std::span<const std::uint8_t> bytes() const { return {data(), n}; }
-    /** @} */
-
   private:
     bool
     touched(std::size_t g) const
@@ -151,7 +130,6 @@ class ByteStore
     /** Zero granule @p g if it is untouched, and mark it touched. */
     void touch(std::size_t g) const;
     void touchRange(std::size_t off, std::size_t len) const;
-    void touchAll() const;
     /** Mark every granule [off, off + len) overlaps touched, zeroing
      *  only what lies outside the range of those that were not. */
     void claim(std::size_t off, std::size_t len);
@@ -161,10 +139,6 @@ class ByteStore
     /** One bit per granule, set once it holds the store's bytes; it
      *  lives in buf's allocation, after the bytes. */
     std::uint8_t *map = nullptr;
-    /** Every granule is touched.  The const data() and span() zero
-     *  and mark granules too: zeroing an untouched granule does not
-     *  change what the store reads. */
-    mutable bool whole = false;
 };
 
 } // namespace raid2::sim

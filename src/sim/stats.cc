@@ -85,28 +85,6 @@ Histogram::bucketHi(std::size_t i) const
 }
 
 double
-Histogram::quantile(double q) const
-{
-    if (n == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    std::uint64_t target =
-        static_cast<std::uint64_t>(q * static_cast<double>(n));
-    // q = 1.0 must land on the last sample, not one past it (which
-    // would fall through to the histogram's upper edge regardless of
-    // which buckets are occupied).
-    if (target >= n)
-        target = n - 1;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        seen += counts[i];
-        if (seen > target)
-            return bucketLo(i) + width / 2.0;
-    }
-    return bucketHi(counts.size() - 1);
-}
-
-double
 exactQuantile(std::vector<double> &samples, double q)
 {
     if (samples.empty())

@@ -4,8 +4,9 @@
  *
  * Components expose counters and sample distributions; benches and
  * tests read them back.  Modeled loosely on gem5's stats package but
- * intentionally tiny: a Scalar counter, a sampled Distribution, and a
- * fixed-bucket Histogram, plus a registry for named dumping.
+ * intentionally tiny: a Scalar counter, a sampled Distribution, a
+ * fixed-bucket Histogram and a busy-time Utilization.  StatsRegistry
+ * (stats_registry.hh) names and dumps all but the Histogram.
  */
 
 #ifndef RAID2_SIM_STATS_HH
@@ -75,9 +76,6 @@ class Histogram
     double bucketLo(std::size_t i) const;
     double bucketHi(std::size_t i) const;
 
-    /** Approximate p-quantile (q in [0,1]) from bucket midpoints. */
-    double quantile(double q) const;
-
   private:
     double lo, hi, width;
     std::vector<std::uint64_t> counts;
@@ -87,9 +85,9 @@ class Histogram
 /**
  * Exact q-quantile (q in [0,1]) of a sample set by linear
  * interpolation between order statistics; sorts @p samples in place.
- * Returns 0 for an empty set.  Tail percentiles (p99/p999) from a
- * fixed-bucket Histogram are only as good as the bucket width, so
- * latency-curve benches keep the raw samples and use this instead.
+ * Returns 0 for an empty set.  Tail percentiles (p99/p999) read off
+ * fixed buckets are only as good as the bucket width, so latency-curve
+ * benches keep the raw samples and use this instead.
  */
 double exactQuantile(std::vector<double> &samples, double q);
 

@@ -50,15 +50,6 @@ StatsRegistry::add(const std::string &name, const Distribution &d)
 }
 
 void
-StatsRegistry::add(const std::string &name, const Histogram &h)
-{
-    Entry e;
-    e.kind = Entry::Kind::Hist;
-    e.hist = &h;
-    insert(name, std::move(e));
-}
-
-void
 StatsRegistry::add(const std::string &name, const Utilization &u)
 {
     Entry e;
@@ -111,11 +102,6 @@ StatsRegistry::dumpEntry(std::ostream &os, const std::string &name,
            << ", min=" << e.dist->min() << ", max=" << e.dist->max()
            << ", stddev=" << e.dist->stddev() << ")";
         break;
-      case Entry::Kind::Hist:
-        os << "hist(n=" << e.hist->count()
-           << ", p50=" << e.hist->quantile(0.5)
-           << ", p99=" << e.hist->quantile(0.99) << ")";
-        break;
       case Entry::Kind::Util: {
         os << "busy_ms=" << ticksToMs(e.util->busy());
         if (elapsedFn)
@@ -153,26 +139,6 @@ StatsRegistry::jsonValue(JsonWriter &jw, const Entry &e) const
         jw.kv("max", e.dist->max());
         jw.kv("stddev", e.dist->stddev());
         jw.kv("total", e.dist->total());
-        jw.endObject();
-        break;
-      case Entry::Kind::Hist:
-        jw.beginObject();
-        jw.kv("count", e.hist->count());
-        jw.kv("p50", e.hist->quantile(0.5));
-        jw.kv("p90", e.hist->quantile(0.9));
-        jw.kv("p99", e.hist->quantile(0.99));
-        jw.key("buckets");
-        jw.beginArray();
-        for (std::size_t i = 0; i < e.hist->buckets(); ++i) {
-            if (e.hist->bucketCount(i) == 0)
-                continue;
-            jw.beginObject();
-            jw.kv("lo", e.hist->bucketLo(i));
-            jw.kv("hi", e.hist->bucketHi(i));
-            jw.kv("n", e.hist->bucketCount(i));
-            jw.endObject();
-        }
-        jw.endArray();
         jw.endObject();
         break;
       case Entry::Kind::Util:

@@ -2,8 +2,7 @@
  * @file
  * Hierarchical statistics registry.
  *
- * Components register their Scalar/Distribution/Histogram/Utilization
- * stats (or a Gauge closure over an existing counter) under dotted
+ * Components register their Scalar/Distribution/Utilization stats (or a Gauge closure over an existing counter) under dotted
  * names ("xbus.port.hippi_src.bytes", "disk.0.service_ms"); a bench or
  * tool then dumps the whole tree as text or as nested JSON.  The
  * registry stores non-owning pointers: it must not outlive the
@@ -45,7 +44,6 @@ class StatsRegistry
     /** @{ Register a stat under @p name (panics on duplicates). */
     void add(const std::string &name, const Scalar &s);
     void add(const std::string &name, const Distribution &d);
-    void add(const std::string &name, const Histogram &h);
     void add(const std::string &name, const Utilization &u);
     void addGauge(const std::string &name, Gauge fn);
     /** @} */
@@ -75,11 +73,10 @@ class StatsRegistry
   private:
     struct Entry
     {
-        enum class Kind { ScalarStat, Dist, Hist, Util, GaugeFn };
+        enum class Kind { ScalarStat, Dist, Util, GaugeFn };
         Kind kind;
         const Scalar *scalar = nullptr;
         const Distribution *dist = nullptr;
-        const Histogram *hist = nullptr;
         const Utilization *util = nullptr;
         Gauge gauge;
     };

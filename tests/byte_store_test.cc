@@ -234,7 +234,7 @@ TEST(ByteStore, SecondStoreOfOneSizeAllocatesNothing)
         sim::ByteStore s(a);
         EXPECT_EQ(g_allocs.load() - before, 0u)
             << "a same-size store allocated";
-        EXPECT_TRUE(allZero(s.bytes()));
+        EXPECT_TRUE(allZero(s.span(0, a)));
     }
 
     // Another size empties the pool before it allocates; the first
@@ -308,7 +308,7 @@ TEST(ByteStore, FreedStoreIsNeverHandedToAnotherThread)
         const std::uint8_t *p = nullptr;
         {
             sim::ByteStore s(n);
-            p = s.data();
+            p = s.span(0, n).data();
         }
         // The buffer now sits in this thread's pool; keep the thread
         // (and its pool) alive while the main thread asks for one.
@@ -321,7 +321,7 @@ TEST(ByteStore, FreedStoreIsNeverHandedToAnotherThread)
     {
         sim::ByteStore mine(n);
         EXPECT_EQ(g_allocs.load() - before, 1u);
-        EXPECT_NE(mine.data(), theirs);
+        EXPECT_NE(mine.span(0, n).data(), theirs);
     }
     done.set_value();
     worker.join();
@@ -363,7 +363,7 @@ void
 poolDirtyStore(std::size_t n)
 {
     sim::ByteStore s(n);
-    std::fill_n(s.data(), n, 0xff);
+    std::ranges::fill(s.span(0, n), 0xff);
 }
 
 TEST(ByteStore, RecycledStoreReadsZerosThroughRead)
@@ -410,7 +410,7 @@ TEST(ByteStore, PartialWriteLeavesTheRestOfItsGranuleZero)
     s.read(0, got);
     EXPECT_EQ(firstMismatch(got, want), n) << "through read()";
     // In place, which zeroes the untouched neighbours.
-    EXPECT_EQ(firstMismatch(s.bytes(), want), n) << "through bytes()";
+    EXPECT_EQ(firstMismatch(s.span(0, n), want), n) << "through span()";
 }
 
 TEST(ByteStore, SpanOfAnUntouchedGranuleIsZeroAndWritesThrough)
@@ -465,7 +465,7 @@ TEST(ByteStore, WholeAndRaggedGranuleWritesReadBackExactly)
     std::vector<std::uint8_t> got(n, 0xaa);
     s.read(0, got);
     EXPECT_EQ(firstMismatch(got, want), n) << "through read()";
-    EXPECT_EQ(firstMismatch(s.bytes(), want), n) << "through bytes()";
+    EXPECT_EQ(firstMismatch(s.span(0, n), want), n) << "through span()";
 }
 
 TEST(ByteStore, OverwriteSpanZeroesOnlyWhatItLeaves)
@@ -506,8 +506,7 @@ TEST_P(DirtyPoolParity, ParityIsTheFoldOfTheData)
     {
         raid::RaidArray dirty(cfg, diskBytes);
         for (unsigned d = 0; d < dirty.numDisks(); ++d)
-            std::fill_n(dirty.diskRange(d, 0, diskBytes).data(),
-                        diskBytes, 0xff);
+            dirty.corrupt(d, 0, diskBytes, 0xff);
     }
 
     raid::RaidArray a(cfg, diskBytes);
@@ -613,16 +612,18 @@ TEST_P(RecycledRaidArray, IsZeroAndConsistentAfterFailAndRebuild)
         a.rebuildDisk(1);
         ASSERT_TRUE(a.redundancyConsistent());
         for (unsigned d = 0; d < a.numDisks(); ++d)
-            old.push_back(a.diskData(d).data());
+            old.push_back(a.diskRange(d, 0, 1).data());
     }
 
     raid::RaidArray b(cfg, diskBytes);
+    ASSERT_EQ(b.diskBytes(), diskBytes);
+    std::vector<std::uint8_t> image(diskBytes);
     for (unsigned d = 0; d < b.numDisks(); ++d) {
-        EXPECT_NE(std::find(old.begin(), old.end(), b.diskData(d).data()),
+        b.readRaw(d, 0, image);
+        EXPECT_TRUE(allZero(image)) << "disk " << d;
+        EXPECT_NE(std::find(old.begin(), old.end(), b.diskRange(d, 0, 1).data()),
                   old.end())
             << "disk " << d << " was not recycled";
-        EXPECT_EQ(b.diskData(d).size(), diskBytes);
-        EXPECT_TRUE(allZero(b.diskData(d))) << "disk " << d;
     }
     EXPECT_TRUE(b.redundancyConsistent());
 }
@@ -631,6 +632,54 @@ INSTANTIATE_TEST_SUITE_P(Levels, RecycledRaidArray,
                          ::testing::Values(raid::RaidLevel::Raid1,
                                            raid::RaidLevel::Raid3,
                                            raid::RaidLevel::Raid5));
+
+TEST(ByteStore, CorruptAcrossPlacedUnitsAllocatesNoDiskImage)
+{
+    // 64 KB units: each RAID-5 disk stores its parity units after its
+    // data, so disk 2's unit 6 (data) and unit 7 (parity) lie apart in
+    // its store.  A flip across them is applied run by run, in place.
+    raid::LayoutConfig cfg;
+    cfg.level = raid::RaidLevel::Raid5;
+    cfg.numDisks = 5;
+    cfg.stripeUnitBytes = G;
+    constexpr std::uint64_t diskBytes = 12 * G + 4096; // unused elsewhere
+    raid::RaidArray a(cfg, diskBytes);
+    const raid::RaidLayout &lay = a.layout();
+    constexpr unsigned d = 2;
+    ASSERT_EQ(lay.parityDisk(7), d);
+    ASSERT_NE(lay.parityDisk(6), d);
+    std::vector<std::uint8_t> ref(a.capacity());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ref[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    a.write(0, ref);
+
+    // Disk d in disk order: each piece at its disk offset, each parity
+    // unit the XOR of its stripe's data, zeros past the last stripe.
+    std::vector<std::uint8_t> want(diskBytes, 0);
+    lay.forEachPiece(0, ref.size(), [&](unsigned, const raid::DiskExtent &e) {
+        const std::uint64_t s = e.diskOffset / lay.unitBytes();
+        for (std::uint64_t i = 0; i < e.bytes; ++i)
+            if (e.disk == d || lay.parityDisk(s) == d)
+                want[e.diskOffset + i] ^= ref[e.logicalOffset + i];
+    });
+    const std::uint64_t off = 7 * G - 24, len = 64;
+    for (std::uint64_t i = off; i < off + len; ++i)
+        want[i] ^= 0x5a;
+    std::vector<std::uint8_t> got(diskBytes);
+
+    g_watchBytes = diskBytes;
+    const std::uint64_t hits = g_watchHits.load();
+    a.corrupt(d, off, len, 0x5a);
+    EXPECT_EQ(g_watchHits.load() - hits, 0u)
+        << "the flip allocated a disk-sized buffer";
+    g_watchBytes = 0;
+
+    a.readRaw(d, 0, got);
+    EXPECT_EQ(firstMismatch(got, want), diskBytes);
+    // Parity was stored from the intact bytes, so the flipped disk no
+    // longer folds with it.
+    EXPECT_FALSE(a.redundancyConsistent());
+}
 
 TEST(ByteStore, RebuiltArrayGetsEachDiskItsOwnBuffer)
 {
@@ -811,7 +860,8 @@ TEST(FirstTouchTwin, InjectedCorruptionTouchesOnlyTheGranulesItHits)
     }
     want[d * granules + g] = want[d * granules + g + 1] = true;
     EXPECT_EQ(touchedGranules(twin), want) << "media corruption";
-    const std::span<const std::uint8_t> hit = twin.diskRange(d, off, 10);
+    std::vector<std::uint8_t> hit(10);
+    twin.readRaw(d, off, hit);
     EXPECT_TRUE(std::ranges::all_of(hit, [](std::uint8_t b) {
         return b == 0xa5;
     }));
@@ -822,7 +872,11 @@ TEST(FirstTouchTwin, InjectedCorruptionTouchesOnlyTheGranulesItHits)
     const std::uint64_t bno = dev.numBlocks() - 1;
     unsigned dd = 0;
     std::uint64_t doff = 0;
-    lay.mapByte(bno * dev.blockSize(), dd, doff);
+    lay.forEachPiece(bno * dev.blockSize(), 1,
+                     [&](unsigned, const raid::DiskExtent &e) {
+                         dd = e.disk;
+                         doff = e.diskOffset;
+                     });
     const unsigned pd = lay.parityDisk(doff / lay.unitBytes());
     ASSERT_FALSE(want[dd * granules + doff / G]);
     ASSERT_FALSE(want[pd * granules + doff / G]);

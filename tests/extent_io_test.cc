@@ -39,6 +39,15 @@ using namespace raid2;
 
 constexpr std::uint32_t kBs = 4096;
 
+/** Disk @p d's stored bytes in disk order. */
+std::vector<std::uint8_t>
+diskImage(const raid::RaidArray &a, unsigned d)
+{
+    std::vector<std::uint8_t> out(a.diskBytes());
+    a.readRaw(d, 0, out);
+    return out;
+}
+
 raid::LayoutConfig
 levelConfig(raid::RaidLevel level)
 {
@@ -100,9 +109,7 @@ struct PairRig
     expectIdentical(const char *where)
     {
         for (unsigned d = 0; d < blockArr.numDisks(); ++d) {
-            const auto a = blockArr.diskData(d);
-            const auto b = extentArr.diskData(d);
-            ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+            ASSERT_TRUE(diskImage(blockArr, d) == diskImage(extentArr, d))
                 << where << ": disk " << d
                 << " diverged between block and extent paths";
             EXPECT_EQ(blockArr.latentIntervals(d),

@@ -451,6 +451,53 @@ TEST(FaultController, LatentWhileDegradedIsDataLoss)
     EXPECT_EQ(rig.timed.latentBytesOutstanding(), 0u);
 }
 
+TEST(FaultController, Raid1LatentIsLossOnlyThroughItsMirrorPartner)
+{
+    // RAID-1 rebuilds a disk from its mirror partner alone, so only the
+    // partner decides whether a defect can be repaired: disk 5's is 13.
+    Rig rig(raid::RaidLevel::Raid1);
+    ASSERT_EQ(rig.timed.layout().mirrorPartner(5), 13u);
+    fault::FaultPlan plan;
+    plan.diskFail(sim::msToTicks(1), 2)
+        // Another pair is degraded: injected.
+        .latent(sim::msToTicks(2), 5, 8192, 4096)
+        // Overlaps disk 5's defect, but 5 is not 6's partner: injected.
+        .latent(sim::msToTicks(3), 6, 8192, 4096)
+        // On partner 13, away from disk 5's defect: injected.
+        .latent(sim::msToTicks(4), 13, 65536, 4096)
+        // Overlaps partner 13's defect: neither copy is readable.
+        .latent(sim::msToTicks(5), 5, 65536 + 1024, 4096);
+    rig.faults.setPlan(std::move(plan));
+    rig.faults.start();
+    rig.eq.run();
+
+    EXPECT_EQ(rig.faults.injected(fault::FaultKind::LatentError), 3u);
+    EXPECT_EQ(rig.faults.latentsWhileDegraded(), 0u);
+    EXPECT_EQ(rig.faults.dataLossEvents(), 1u); // the collision
+    EXPECT_EQ(rig.timed.latentRangesOutstanding(), 3u);
+    EXPECT_EQ(rig.functional.latentCount(), 3u);
+    EXPECT_TRUE(rig.timed.hasLatent(5, 8192, 1));
+    EXPECT_TRUE(rig.timed.hasLatent(6, 8192, 1));
+    EXPECT_FALSE(rig.timed.hasLatent(5, 65536 + 1024, 4096));
+}
+
+TEST(FaultController, Raid0LatentsAreInjectedWithoutRedundancy)
+{
+    // RAID-0 holds no redundancy either way: overlapping defects on two
+    // disks are injected, not counted as a collision.
+    Rig rig(raid::RaidLevel::Raid0);
+    fault::FaultPlan plan;
+    plan.latent(sim::msToTicks(1), 0, 8192, 4096)
+        .latent(sim::msToTicks(2), 1, 8192, 4096);
+    rig.faults.setPlan(std::move(plan));
+    rig.faults.start();
+    rig.eq.run();
+
+    EXPECT_EQ(rig.faults.injected(fault::FaultKind::LatentError), 2u);
+    EXPECT_EQ(rig.faults.dataLossEvents(), 0u);
+    EXPECT_EQ(rig.timed.latentRangesOutstanding(), 2u);
+}
+
 // ---------------------------------------------------------------------
 // Whole-server campaigns
 // ---------------------------------------------------------------------

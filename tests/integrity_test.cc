@@ -51,6 +51,17 @@ using server::Status;
 
 constexpr std::uint32_t kBs = 4096;
 
+/** Where logical byte @p logical of @p array lives: the one piece of
+ *  its one-byte walk. */
+raid::DiskExtent
+byteAt(const raid::RaidArray &array, std::uint64_t logical)
+{
+    raid::DiskExtent at;
+    array.layout().forEachPiece(
+        logical, 1, [&](unsigned, const raid::DiskExtent &e) { at = e; });
+    return at;
+}
+
 raid::LayoutConfig
 layoutCfg(raid::RaidLevel level, unsigned disks = 8)
 {
@@ -387,10 +398,8 @@ struct DevRig
     void
     corruptMedia(std::uint64_t bno, std::uint64_t delta = 0)
     {
-        unsigned d = 0;
-        std::uint64_t doff = 0;
-        array.layout().mapByte(bno * kBs + delta, d, doff);
-        array.diskData(d)[doff] ^= 0xa5;
+        const raid::DiskExtent at = byteAt(array, bno * kBs + delta);
+        array.corrupt(at.disk, at.diskOffset, 1, 0xa5);
     }
 };
 
@@ -476,22 +485,21 @@ TEST(VerifyingDevice, Raid3MultiPieceBlockRepairsFromParity)
 
     // A corruption run crossing a stripe boundary on one disk: both
     // of the suspect disk's pieces heal in a single block repair.
-    unsigned d0 = 0;
-    std::uint64_t o0 = 0;
-    rig.array.layout().mapByte(5 * std::uint64_t(kBs) + 10, d0, o0);
+    const raid::DiskExtent first =
+        byteAt(rig.array, 5 * std::uint64_t(kBs) + 10);
     const std::uint64_t unit = rig.array.layout().unitBytes();
     bool second = false;
     for (std::uint64_t i = 0; i < kBs && !second; ++i) {
-        unsigned d = 0;
-        std::uint64_t o = 0;
-        rig.array.layout().mapByte(5 * std::uint64_t(kBs) + i, d, o);
-        if (d == d0 && o / unit != o0 / unit) {
-            rig.array.diskData(d)[o] ^= 0x3c;
+        const raid::DiskExtent e =
+            byteAt(rig.array, 5 * std::uint64_t(kBs) + i);
+        if (e.disk == first.disk &&
+            e.diskOffset / unit != first.diskOffset / unit) {
+            rig.array.corrupt(e.disk, e.diskOffset, 1, 0x3c);
             second = true;
         }
     }
     ASSERT_TRUE(second);
-    rig.array.diskData(d0)[o0] ^= 0x3c;
+    rig.array.corrupt(first.disk, first.diskOffset, 1, 0x3c);
     EXPECT_TRUE(
         rig.dev.verifiedReadRange(5, 1, {out.data(), out.size()}));
     EXPECT_EQ(out, patternBlock(5));
@@ -603,10 +611,8 @@ TEST(VerifyingDevice, DisabledVerificationPassesCorruptionThrough)
 
     const auto blk = patternBlock(2);
     dev.writeRange(2, 1, {blk.data(), blk.size()});
-    unsigned d = 0;
-    std::uint64_t doff = 0;
-    array.layout().mapByte(2 * kBs + 11, d, doff);
-    array.diskData(d)[doff] ^= 0xa5;
+    const raid::DiskExtent at = byteAt(array, 2 * kBs + 11);
+    array.corrupt(at.disk, at.diskOffset, 1, 0xa5);
 
     std::vector<std::uint8_t> out(kBs);
     EXPECT_TRUE(dev.verifiedReadRange(2, 1, {out.data(), out.size()}));
@@ -654,8 +660,9 @@ TEST(TryReconstructRange, ReportsFailureInsteadOfStaleBytes)
         std::vector<std::uint8_t> out(1024);
         ASSERT_TRUE(
             a.tryReconstructRange(2, 0, {out.data(), out.size()}));
-        EXPECT_EQ(0, std::memcmp(out.data(), a.diskData(2).data(),
-                                 out.size()));
+        std::vector<std::uint8_t> stored(out.size());
+        a.readRaw(2, 0, stored);
+        EXPECT_EQ(out, stored);
     }
 
     // A second failed disk poisons every survivor fold.
@@ -852,11 +859,10 @@ struct ServerRig
         const auto extents = srv.fs().mapFile(ino, foff, 1);
         ASSERT_EQ(extents.size(), 1u);
         ASSERT_FALSE(extents[0].hole);
-        unsigned d = 0;
-        std::uint64_t doff = 0;
-        srv.functionalArray().layout().mapByte(
-            extents[0].deviceOffset, d, doff);
-        srv.functionalArray().diskData(d)[doff] ^= 0xa5;
+        raid::RaidArray &array = srv.functionalArray();
+        const raid::DiskExtent at =
+            byteAt(array, extents[0].deviceOffset);
+        array.corrupt(at.disk, at.diskOffset, 1, 0xa5);
     }
 
     bool
@@ -910,14 +916,12 @@ TEST(ServerIntegrity, DegradedCorruptReadSurfacesDataCorrupt)
     ServerRig rig{serverCfg()};
     const auto extents = rig.srv.fs().mapFile(rig.ino, 0, 1);
     ASSERT_FALSE(extents.empty());
-    unsigned cd = 0;
-    std::uint64_t cdoff = 0;
-    rig.srv.functionalArray().layout().mapByte(
-        extents[0].deviceOffset, cd, cdoff);
+    raid::RaidArray &array = rig.srv.functionalArray();
+    const raid::DiskExtent at = byteAt(array, extents[0].deviceOffset);
     // Fail a *different* disk, then corrupt: reconstruction now has a
     // missing leg and the block is unrepairable.
-    rig.srv.functionalArray().failDisk((cd + 1) % 16);
-    rig.srv.functionalArray().diskData(cd)[cdoff] ^= 0xa5;
+    array.failDisk((at.disk + 1) % 16);
+    array.corrupt(at.disk, at.diskOffset, 1, 0xa5);
 
     RequestScheduler sched(rig.eq, rig.srv);
     const auto session = sched.allocSession();
@@ -1086,9 +1090,8 @@ TEST(ServerIntegrity, TwinDisksHoldOneLayoutUnitPerStripe)
         Raid2Server srv(eq, "s", cfg);
         const raid::RaidArray &twin = srv.functionalArray();
         ASSERT_EQ(twin.numDisks(), 16u);
-        for (unsigned d = 0; d < twin.numDisks(); ++d)
-            EXPECT_EQ(twin.diskData(d).size(), c.diskBytes)
-                << "level " << static_cast<int>(c.level) << " disk " << d;
+        EXPECT_EQ(twin.diskBytes(), c.diskBytes)
+            << "level " << static_cast<int>(c.level);
     }
 }
 
@@ -1114,8 +1117,9 @@ TEST(ClientFleetIntegrity, CorruptReadsRetryThenCompleteAsCorrupt)
     // pattern stride 13, fileWrite stride 131), never LFS metadata.
     eq.scheduleIn(sim::msToTicks(3), [&srv] {
         raid::RaidArray &a = srv.functionalArray();
+        std::vector<std::uint8_t> bytes(a.diskBytes());
         for (unsigned d = 0; d < a.numDisks(); ++d) {
-            auto bytes = a.diskData(d);
+            a.readRaw(d, 0, bytes);
             std::size_t run = 1;
             for (std::size_t i = 1; i <= bytes.size(); ++i) {
                 const bool cont =
@@ -1129,8 +1133,7 @@ TEST(ClientFleetIntegrity, CorruptReadsRetryThenCompleteAsCorrupt)
                     continue;
                 }
                 if (run >= 64)
-                    for (std::size_t j = i - run; j < i; ++j)
-                        bytes[j] ^= 0x0f;
+                    a.corrupt(d, i - run, run, 0x0f);
                 run = 1;
             }
         }

@@ -52,6 +52,15 @@ pattern(std::size_t n, std::uint64_t seed)
     return v;
 }
 
+/** Disk @p d's stored bytes in disk order. */
+std::vector<std::uint8_t>
+rawDisk(const RaidArray &a, unsigned d)
+{
+    std::vector<std::uint8_t> out(a.diskBytes());
+    a.readRaw(d, 0, out);
+    return out;
+}
+
 TEST(Parity, XorRoundTrip)
 {
     auto a = pattern(1000, 1);
@@ -141,8 +150,7 @@ TEST_P(ArrayProperty, RandomOverwritesMatchReferenceModel)
     EXPECT_TRUE(array.redundancyConsistent());
     lazy.storeParity();
     for (unsigned d = 0; d < array.numDisks(); ++d)
-        EXPECT_TRUE(std::ranges::equal(array.diskData(d), lazy.diskData(d)))
-            << "disk " << d;
+        EXPECT_TRUE(rawDisk(array, d) == rawDisk(lazy, d)) << "disk " << d;
 }
 
 TEST_P(ArrayProperty, DegradedReadReturnsCorrectData)
@@ -241,7 +249,7 @@ TEST(RaidArray, ParityIsRealXor)
     const auto data = pattern(3 * 4096, 5);
     array.write(0, {data.data(), data.size()});
     EXPECT_TRUE(array.redundancyConsistent());
-    array.diskData(0)[100] ^= 0xff;
+    array.corrupt(0, 100, 1, 0xff);
     EXPECT_FALSE(array.redundancyConsistent());
 }
 
@@ -250,9 +258,9 @@ TEST(RaidArray, MirrorHoldsIdenticalBytes)
     RaidArray array(makeCfg(RaidLevel::Raid1, 4, 4096), 64 * 1024);
     const auto data = pattern(20000, 6);
     array.write(0, {data.data(), data.size()});
-    auto d0 = array.diskData(0);
-    auto d2 = array.diskData(2); // mirror of 0
-    EXPECT_TRUE(std::equal(d0.begin(), d0.end(), d2.begin()));
+    // Mirrors are copied from the first call that needs them on.
+    array.storeParity();
+    EXPECT_TRUE(rawDisk(array, 0) == rawDisk(array, 2)); // 2 mirrors 0
 }
 
 class RebuildDeathTest : public ::testing::TestWithParam<RaidLevel>
@@ -284,6 +292,83 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RaidLevel> &info) {
         return "Raid" + std::string(raid::raidLevelName(info.param) + 5);
     });
+
+TEST(RaidArrayDeathTest, DiskRangeAcrossAStripeUnitDies)
+{
+    // 64 KB units: RAID-5 stores each disk's parity units after its
+    // data, so no in-place view may span two units.
+    constexpr std::uint64_t unit = 64 * 1024;
+    RaidArray array(makeCfg(RaidLevel::Raid5, 5, unit), 8 * unit);
+    EXPECT_EQ(array.diskRange(2, unit - 10, 10).size(), 10u);
+    EXPECT_DEATH(array.diskRange(2, unit - 10, 11), "stripe unit");
+}
+
+/**
+ * Every level rebuilds disk @p dead from RaidLayout::forEachSource's
+ * disks: none at RAID-0, the mirror partner at RAID-1, every other
+ * disk at RAID-3/5.  tryReconstructRange() fails exactly when one of
+ * them has failed or is latent over the range, and otherwise returns
+ * the disk's stored bytes.
+ */
+TEST(RaidArray, ReconstructionFailsExactlyWhenASourceCannotServe)
+{
+    constexpr unsigned n = 6;
+    constexpr std::uint64_t off = 5000, len = 3000;
+    for (const RaidLevel level : {RaidLevel::Raid0, RaidLevel::Raid1,
+                                  RaidLevel::Raid3, RaidLevel::Raid5}) {
+        SCOPED_TRACE(raid::raidLevelName(level));
+        auto source = [&](unsigned dead, unsigned d) {
+            switch (level) {
+              case RaidLevel::Raid0: return false;
+              case RaidLevel::Raid1: return d == (dead + n / 2) % n;
+              default: return d != dead;
+            }
+        };
+        for (unsigned dead = 0; dead < n; ++dead) {
+            std::vector<unsigned> named;
+            RaidArray(makeCfg(level, n), 16 * 4096)
+                .layout()
+                .forEachSource(dead, [&](unsigned d) { named.push_back(d); });
+            std::vector<unsigned> want;
+            for (unsigned d = 0; d < n; ++d)
+                if (source(dead, d))
+                    want.push_back(d);
+            EXPECT_EQ(named, want) << "dead " << dead;
+
+            // faulty == n: no fault; faulty < n: that disk failed, or
+            // latent over the range.
+            for (unsigned faulty = 0; faulty <= n; ++faulty) {
+                for (const bool fail : {true, false}) {
+                    if (faulty == dead || (faulty == n && !fail))
+                        continue;
+                    RaidArray a(makeCfg(level, n), 16 * 4096);
+                    const auto data = pattern(a.capacity(), 40 + dead);
+                    a.write(0, data);
+                    a.storeParity();
+                    const auto image = rawDisk(a, dead);
+                    if (faulty < n && fail)
+                        a.failDisk(faulty);
+                    else if (faulty < n)
+                        a.injectLatent(faulty, off + len - 1, 100);
+                    std::vector<std::uint8_t> out(len, 0xaa);
+                    const bool lost =
+                        level == RaidLevel::Raid0 ||
+                        (faulty < n && source(dead, faulty));
+                    EXPECT_EQ(a.tryReconstructRange(dead, off, out), !lost)
+                        << "dead " << dead << ", disk " << faulty
+                        << (fail ? " failed" : " latent");
+                    if (!lost) {
+                        EXPECT_TRUE(std::ranges::equal(
+                            out, std::span(image).subspan(off, len)));
+                    } else {
+                        EXPECT_TRUE(std::ranges::all_of(
+                            out, [](std::uint8_t b) { return b == 0xaa; }));
+                    }
+                }
+            }
+        }
+    }
+}
 
 class RebuildRangeTest : public ::testing::TestWithParam<RaidLevel>
 {
@@ -329,8 +414,7 @@ TEST_P(RebuildRangeTest, RebuiltRowsAreReadFromTheReplacement)
     const unsigned other = GetParam() == RaidLevel::Raid1
                                ? array.layout().mirrorPartner(dead)
                                : 1;
-    for (std::uint64_t i = 0; i < rows; ++i)
-        array.diskData(other)[i] ^= 0x5a;
+    array.corrupt(other, 0, rows, 0x5a);
 
     const auto pieces = piecesOn(array, dead, rows);
     ASSERT_FALSE(pieces.empty());
@@ -405,7 +489,7 @@ class FirstTouchArray : public ::testing::TestWithParam<ArrayParam>
         {
             RaidArray dirty(cfg, diskBytes);
             for (unsigned d = 0; d < dirty.numDisks(); ++d)
-                std::ranges::fill(dirty.diskData(d), 0xff);
+                dirty.corrupt(d, 0, diskBytes, 0xff);
         }
         return RaidArray(cfg, diskBytes);
     }
@@ -493,8 +577,9 @@ TEST_P(FirstTouchArray, RebuildOfANeverWrittenRangeLeavesItUntouched)
     const auto data = pattern(written, 61);
     a.write(0, data);
     std::ranges::copy(data, ref.begin());
-    const std::span<const std::uint8_t> g0 = a.diskRange(dead, 0, G);
-    const std::vector<std::uint8_t> image(g0.begin(), g0.end());
+    a.storeParity();
+    std::vector<std::uint8_t> image(G);
+    a.readRaw(dead, 0, image);
 
     a.failDisk(dead);
     EXPECT_TRUE(a.untouched(dead, 0, diskBytes))
@@ -509,8 +594,9 @@ TEST_P(FirstTouchArray, RebuildOfANeverWrittenRangeLeavesItUntouched)
 
     // A written range is rebuilt byte-exact.
     a.rebuildRange(dead, 0, G);
-    const std::span<const std::uint8_t> rebuilt = a.diskRange(dead, 0, G);
-    EXPECT_TRUE(std::ranges::equal(rebuilt, image));
+    std::vector<std::uint8_t> rebuilt(G);
+    a.readRaw(dead, 0, rebuilt);
+    EXPECT_EQ(rebuilt, image);
 
     a.rebuildDisk(dead);
     EXPECT_FALSE(a.isFailed(dead));
@@ -805,9 +891,10 @@ TEST_F(PlacedParity, MatchesADiskOrderImageUnderFaults)
         int dead = -1;
         bool stored = false; // a fault or a raw view stored parity
 
-        // Compare disk @p d's [off, off+len) through diskRange() (which
-        // moves the disks to disk order when it crosses a unit) and,
-        // with no disk failed, tryReconstructRange().
+        // Compare disk @p d's [off, off+len) through readRaw() after a
+        // corrupt() flip (flipped back after), through diskRange()
+        // inside one unit and, with no disk failed, through
+        // tryReconstructRange().
         auto expectRange = [&](unsigned d, std::uint64_t off,
                                std::uint64_t len) {
             const auto img = diskImage(a, ref, d);
@@ -821,9 +908,20 @@ TEST_F(PlacedParity, MatchesADiskOrderImageUnderFaults)
                         << ", +" << len << ")";
                 }
             }
-            EXPECT_TRUE(std::ranges::equal(a.diskRange(d, off, len), want))
-                << "disk " << d << " [" << off << ", +" << len << ")";
+            a.corrupt(d, off, len, 0x5a);
             stored = true;
+            std::vector<std::uint8_t> raw(len);
+            a.readRaw(d, off, raw);
+            for (std::uint8_t &b : raw)
+                b ^= 0x5a;
+            EXPECT_TRUE(std::ranges::equal(raw, want))
+                << "disk " << d << " [" << off << ", +" << len << ")";
+            a.corrupt(d, off, len, 0x5a);
+            if (off / unit == (off + len - 1) / unit) {
+                EXPECT_TRUE(
+                    std::ranges::equal(a.diskRange(d, off, len), want))
+                    << "disk " << d << " [" << off << ", +" << len << ")";
+            }
         };
 
         for (int op = 0; op < 40; ++op) {
@@ -876,9 +974,9 @@ TEST_F(PlacedParity, MatchesADiskOrderImageUnderFaults)
         if (dead >= 0)
             a.rebuildDisk(static_cast<unsigned>(dead));
         a.scrub();
+        a.storeParity();
         for (unsigned d = 0; d < n; ++d)
-            EXPECT_TRUE(std::ranges::equal(a.diskData(d),
-                                           diskImage(a, ref, d)))
+            EXPECT_TRUE(rawDisk(a, d) == diskImage(a, ref, d))
                 << "disk " << d;
         EXPECT_TRUE(a.redundancyConsistent());
     }
@@ -975,7 +1073,7 @@ TEST(RaidArrayGolden, DiskImageDigest)
             EXPECT_TRUE(array.redundancyConsistent());
         }
         for (unsigned d = 0; d < array.numDisks(); ++d)
-            sums.push_back(lfs::blockChecksum(array.diskData(d)));
+            sums.push_back(lfs::blockChecksum(rawDisk(array, d)));
     }
     const std::span<const std::uint8_t> bytes{
         reinterpret_cast<const std::uint8_t *>(sums.data()),

@@ -121,17 +121,23 @@ TEST_P(LayoutProperty, MapByteIsABijectionOnDataSpace)
     // Check a prefix byte-by-byte at coarse stride plus block edges.
     const std::uint64_t cap = layout.dataCapacity();
     sim::Random rng(1);
+    // A byte's place is the one piece of its one-byte walk.
     for (int i = 0; i < 2000; ++i) {
         const std::uint64_t logical = rng.below(cap);
-        unsigned d;
-        std::uint64_t off;
-        layout.mapByte(logical, d, off);
-        ASSERT_LT(d, p.disks);
-        auto [it, inserted] = seen.emplace(std::make_pair(d, off),
-                                           logical);
-        if (!inserted)
-            EXPECT_EQ(it->second, logical)
-                << "two logical bytes share a physical byte";
+        unsigned pieces = 0;
+        layout.forEachPiece(logical, 1, [&](unsigned, const DiskExtent &e) {
+            ++pieces;
+            ASSERT_LT(e.disk, p.disks);
+            ASSERT_EQ(e.bytes, 1u);
+            ASSERT_EQ(e.logicalOffset, logical);
+            auto [it, inserted] = seen.emplace(
+                std::make_pair(e.disk, e.diskOffset), logical);
+            if (!inserted) {
+                EXPECT_EQ(it->second, logical)
+                    << "two logical bytes share a physical byte";
+            }
+        });
+        EXPECT_EQ(pieces, 1u);
     }
 }
 
@@ -192,16 +198,21 @@ TEST_P(LayoutProperty, ExtentsAgreeWithMapByte)
     for (int i = 0; i < 50; ++i) {
         const std::uint64_t len = 1 + rng.below(32 * 1024);
         const std::uint64_t off = rng.below(cap - len);
+        // A byte flipped alone (a one-byte walk) lands where its
+        // range's walk put it: spot-check each piece's first and last.
+        auto place = [&](std::uint64_t logical) {
+            DiskExtent at;
+            layout.forEachPiece(logical, 1,
+                                [&](unsigned, const DiskExtent &e) {
+                                    at = e;
+                                });
+            return std::make_pair(at.disk, at.diskOffset);
+        };
         layout.forEachPiece(off, len, [&](unsigned, const DiskExtent &e) {
-            // Spot-check first and last byte of each extent.
-            unsigned d;
-            std::uint64_t db;
-            layout.mapByte(e.logicalOffset, d, db);
-            EXPECT_EQ(d, e.disk);
-            EXPECT_EQ(db, e.diskOffset);
-            layout.mapByte(e.logicalOffset + e.bytes - 1, d, db);
-            EXPECT_EQ(d, e.disk);
-            EXPECT_EQ(db, e.diskOffset + e.bytes - 1);
+            EXPECT_EQ(place(e.logicalOffset),
+                      std::make_pair(e.disk, e.diskOffset));
+            EXPECT_EQ(place(e.logicalOffset + e.bytes - 1),
+                      std::make_pair(e.disk, e.diskOffset + e.bytes - 1));
         });
     }
 }

@@ -210,6 +210,68 @@ TEST(SimArray, DegradedReadTouchesSurvivorsAndParityEngine)
     EXPECT_EQ(rig.array.disk(2).requests(), 0u);
 }
 
+/**
+ * The disks a timed reconstruction reads are exactly
+ * RaidLayout::forEachSource's, at every level and for every dead disk:
+ * none at RAID-0 (nothing is issued), the mirror partner at RAID-1 (a
+ * copy, no parity pass), every other disk at RAID-3/5 (one pass).  With
+ * one of them failed it issues nothing.
+ */
+TEST(SimArray, ReconstructReadsExactlyTheSources)
+{
+    constexpr std::uint64_t bytes = 64 * 1024;
+    for (const raid::RaidLevel level :
+         {raid::RaidLevel::Raid0, raid::RaidLevel::Raid1,
+          raid::RaidLevel::Raid3, raid::RaidLevel::Raid5}) {
+        SCOPED_TRACE(raid::raidLevelName(level));
+        Rig rig(level, 2); // 16 disks
+        const unsigned n = rig.array.numDisks();
+        for (unsigned dead = 0; dead < n; ++dead) {
+            std::vector<bool> source(n, false);
+            rig.array.layout().forEachSource(
+                dead, [&](unsigned d) { source[d] = true; });
+            std::vector<std::uint64_t> before(n);
+            for (unsigned d = 0; d < n; ++d)
+                before[d] = rig.array.disk(d).requests();
+            const std::uint64_t passes = rig.board.parity().passes();
+            bool done = false;
+            const bool issued = rig.array.reconstruct(
+                dead, 8 * bytes, bytes, [&] { done = true; });
+            rig.eq.run();
+            EXPECT_EQ(issued, level != raid::RaidLevel::Raid0);
+            EXPECT_EQ(done, issued);
+            EXPECT_EQ(rig.board.parity().passes() - passes,
+                      issued && level != raid::RaidLevel::Raid1 ? 1u : 0u);
+            // Each source reads the range once (a transfer may take
+            // several drive requests); no other disk reads at all.
+            std::uint64_t per = 0;
+            for (unsigned d = 0; d < n; ++d) {
+                const std::uint64_t reads =
+                    rig.array.disk(d).requests() - before[d];
+                if (source[d] && per == 0)
+                    per = reads;
+                EXPECT_EQ(reads, source[d] ? per : 0u)
+                    << "dead " << dead << ", disk " << d;
+            }
+            EXPECT_EQ(per > 0, issued);
+        }
+
+        rig.array.failDisk(3);
+        for (unsigned dead = 0; dead < n; ++dead) {
+            bool lost = level == raid::RaidLevel::Raid0;
+            rig.array.layout().forEachSource(
+                dead, [&](unsigned d) { lost = lost || d == 3; });
+            bool done = false;
+            EXPECT_EQ(rig.array.reconstruct(dead, 0, bytes,
+                                            [&] { done = true; }),
+                      !lost)
+                << "dead " << dead << " with disk 3 failed";
+            rig.eq.run();
+            EXPECT_EQ(done, !lost) << "dead " << dead;
+        }
+    }
+}
+
 TEST(SimArray, DegradedReadSlowerThanHealthy)
 {
     auto run = [](bool degrade) {

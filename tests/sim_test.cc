@@ -175,14 +175,18 @@ TEST(Stats, Distribution)
     EXPECT_EQ(d.count(), 0u);
 }
 
-TEST(Stats, HistogramQuantiles)
+TEST(Stats, HistogramBuckets)
 {
     sim::Histogram h(0.0, 100.0, 100);
     for (int i = 0; i < 100; ++i)
         h.sample(i + 0.5);
     EXPECT_EQ(h.count(), 100u);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
+    for (std::size_t i = 0; i < h.buckets(); ++i) {
+        EXPECT_EQ(h.bucketCount(i), 1u) << "bucket " << i;
+        EXPECT_DOUBLE_EQ(h.bucketLo(i), static_cast<double>(i));
+        EXPECT_DOUBLE_EQ(h.bucketHi(i), static_cast<double>(i + 1));
+    }
+    // Out-of-range samples saturate into the edge buckets.
     h.sample(-5);
     h.sample(1e9);
     EXPECT_EQ(h.bucketCount(0), 2u);

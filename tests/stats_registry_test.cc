@@ -1,7 +1,6 @@
 /**
  * @file
- * StatsRegistry: registration, hierarchical dump, JSON snapshot, and
- * Histogram::quantile edge cases.
+ * StatsRegistry: registration, hierarchical dump and JSON snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -301,51 +300,6 @@ TEST(StatsRegistry, ZebraVolumeRegistersItsTree)
               std::to_string(vol.stripeDataBytes()));
     EXPECT_EQ(doc.leaves.at("zebra.degraded_reads"), "0");
     EXPECT_EQ(doc.leaves.at("zebra.rebuilds"), "0");
-}
-
-// -----------------------------------------------------------------
-// Histogram::quantile edge cases.
-// -----------------------------------------------------------------
-
-TEST(HistogramQuantile, EmptyHistogramIsZero)
-{
-    sim::Histogram h(0.0, 10.0, 10);
-    EXPECT_EQ(h.quantile(0.0), 0.0);
-    EXPECT_EQ(h.quantile(0.5), 0.0);
-    EXPECT_EQ(h.quantile(1.0), 0.0);
-}
-
-TEST(HistogramQuantile, SingleBucketReturnsItsMidpoint)
-{
-    sim::Histogram h(0.0, 10.0, 10);
-    h.sample(3.2);
-    h.sample(3.9); // both land in [3,4): midpoint 3.5
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 3.5);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.5);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 3.5);
-}
-
-TEST(HistogramQuantile, ExtremeQsHitFirstAndLastOccupiedBuckets)
-{
-    sim::Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        h.sample(1.5); // bucket [1,2)
-    for (int i = 0; i < 10; ++i)
-        h.sample(8.5); // bucket [8,9)
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.5);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 8.5);
-    // Out-of-range q clamps rather than reading out of bounds.
-    EXPECT_DOUBLE_EQ(h.quantile(-0.5), 1.5);
-    EXPECT_DOUBLE_EQ(h.quantile(2.0), 8.5);
-}
-
-TEST(HistogramQuantile, SaturatingEdgeBuckets)
-{
-    sim::Histogram h(0.0, 10.0, 10);
-    h.sample(-5.0);  // below lo -> first bucket
-    h.sample(100.0); // above hi -> last bucket
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.5);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 9.5);
 }
 
 } // namespace
