@@ -47,13 +47,17 @@ run(unsigned boards)
     const std::uint64_t ops_per_board = 300;
     const unsigned procs_per_board = 4;
     sim::Random rng(11);
+    std::uint64_t issued_ops = 0;
     std::uint64_t done_ops = 0;
     const std::uint64_t total_ops = ops_per_board * boards;
     const std::uint64_t region = 1ull * 1024 * 1024 * 1024;
 
+    // Exactly total_ops are issued (and charged to the host), so every
+    // op's host time falls inside the measured window.
     std::function<void(unsigned)> issue = [&](unsigned b) {
-        if (done_ops >= total_ops)
+        if (issued_ops == total_ops)
             return;
+        ++issued_ops;
         const std::uint64_t off =
             rng.below(region / req) * req;
         // The host sets up every transfer (§2.1.2), then the board
@@ -79,11 +83,11 @@ run(unsigned boards)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Ablation B: bandwidth vs number of XBUS boards",
-                       "paper §2.1.2: scales until the host CPU "
-                       "saturates");
+    bench::Reporter rep("ablation_scaling", argc, argv);
+    rep.header("Ablation B: bandwidth vs number of XBUS boards",
+               "paper §2.1.2: scales until the host CPU saturates");
 
     const std::vector<unsigned> boards = {1, 2, 4, 6, 8, 10, 12, 14};
     const auto rows = bench::runSweepParallel(
@@ -93,9 +97,9 @@ main()
                     100.0 * pt.host_util};
         });
 
-    bench::printSeriesHeader({"boards", "MB/s", "host util %"});
+    rep.seriesHeader({"boards", "MB/s", "host util %"});
     for (const auto &row : rows)
-        bench::printSeriesRow(row);
+        rep.seriesRow(row);
 
     std::printf("\n  Expected shape: near-linear growth while host CPU "
                 "utilization is low,\n  flattening as it approaches "

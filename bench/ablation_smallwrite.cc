@@ -21,6 +21,7 @@
 #include "ffs/ffs.hh"
 #include "fs/mem_block_device.hh"
 #include "sim/event_queue.hh"
+#include "sim/join.hh"
 #include "workload/generators.hh"
 
 using namespace raid2;
@@ -93,15 +94,12 @@ ffsCost()
         device_writes += writes.size();
         // Mirror each in-place block write into the timed RAID-5
         // array (each becomes a read-modify-write there).
-        auto remaining = std::make_shared<std::size_t>(writes.size());
-        for (auto [woff, wlen] : writes) {
-            srv.array().write(woff, wlen, [&, remaining] {
-                if (--*remaining == 0) {
-                    ++done;
-                    issue();
-                }
-            });
-        }
+        const sim::Join op_done(writes.size(), [&] {
+            ++done;
+            issue();
+        });
+        for (auto [woff, wlen] : writes)
+            srv.array().write(woff, wlen, op_done);
     };
     issue();
     eq.runUntilDone([&] { return done >= ops; });

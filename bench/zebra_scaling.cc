@@ -87,19 +87,20 @@ run(unsigned nservers)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::printHeader("Zebra: one client's log striped across N "
-                       "RAID-II servers (§5.2)",
-                       "paper: striping across XBUS boards scales "
-                       "client bandwidth; parity survives a loss");
+    bench::Reporter rep("zebra_scaling", argc, argv);
+    rep.header("Zebra: one client's log striped across N "
+               "RAID-II servers (§5.2)",
+               "paper: striping across XBUS boards scales "
+               "client bandwidth; parity survives a loss");
 
-    bench::printSeriesHeader(
+    rep.seriesHeader(
         {"servers", "write MB/s", "read MB/s", "degraded MB/s"});
     for (unsigned n : {2u, 3u, 4u, 6u, 8u}) {
         const auto pt = run(n);
-        bench::printSeriesRow({static_cast<double>(n), pt.write_mbs,
-                               pt.read_mbs, pt.degraded_read_mbs});
+        rep.seriesRow({static_cast<double>(n), pt.write_mbs, pt.read_mbs,
+                       pt.degraded_read_mbs});
     }
 
     std::printf("\n  Expected shape: write bandwidth ~ (N-1)/N of N "

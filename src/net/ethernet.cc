@@ -1,7 +1,6 @@
 #include "net/ethernet.hh"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/stats_registry.hh"
@@ -20,19 +19,17 @@ void
 EthernetLink::send(std::uint64_t bytes, std::function<void()> done)
 {
     std::uint64_t left = std::max<std::uint64_t>(bytes, 1);
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    while (left > 0) {
-        const std::uint64_t pkt = std::min(left, cal::ethernetMTU);
-        left -= pkt;
+    for (; left > cal::ethernetMTU; left -= cal::ethernetMTU) {
         ++_packets;
-        const bool last = left == 0;
-        _wire.submit(pkt, last ? std::function<void()>([done_ptr] {
-            if (*done_ptr)
-                (*done_ptr)();
-        })
-                               : std::function<void()>());
+        _wire.submit(cal::ethernetMTU, nullptr);
     }
+    // The last packet schedules its completion even when @p done is
+    // empty.
+    ++_packets;
+    _wire.submit(left, [done = std::move(done)] {
+        if (done)
+            done();
+    });
 }
 
 void

@@ -1,7 +1,6 @@
 #include "raid/reconstruct.hh"
 
 #include "sim/logging.hh"
-#include "sim/stats_registry.hh"
 #include "sim/trace_sink.hh"
 
 namespace raid2::raid {
@@ -85,22 +84,6 @@ RebuildJob::rebuildStripe(std::uint64_t stripe)
         --inFlight;
         pump();
     });
-}
-
-void
-RebuildJob::registerStats(sim::StatsRegistry &reg,
-                          const std::string &prefix) const
-{
-    reg.addGauge(prefix + ".stripes_done",
-                 [this] { return static_cast<double>(_stripesDone); });
-    reg.addGauge(prefix + ".stripes_total",
-                 [this] { return static_cast<double>(total); });
-    reg.addGauge(prefix + ".finished",
-                 [this] { return _finished ? 1.0 : 0.0; });
-    reg.addGauge(prefix + ".duration_ms",
-                 [this] { return durationMs(); });
-    reg.addGauge(prefix + ".stripes_per_sec",
-                 [this] { return stripesPerSec(); });
 }
 
 } // namespace raid2::raid

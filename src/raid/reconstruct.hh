@@ -61,10 +61,6 @@ class RebuildJob
     double stripesPerSec() const;
     /** @} */
 
-    /** Register progress/timing under @p prefix (e.g. "rebuild"). */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix) const;
-
   private:
     void pump();
     void rebuildStripe(std::uint64_t stripe);

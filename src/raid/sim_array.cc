@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "raid/raid_array.hh"
+#include "sim/join.hh"
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
 #include "sim/trace_sink.hh"
@@ -197,9 +198,8 @@ SimArray::latentBytesOutstanding() const
     return n;
 }
 
-bool
-SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
-                      std::function<void()> done)
+unsigned
+SimArray::sourcesLeft(unsigned d) const
 {
     unsigned n = 0;
     bool lost = false;
@@ -207,24 +207,27 @@ SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
         ++n;
         lost = lost || failedDisks[s];
     });
-    if (n == 0 || lost)
+    return lost ? 0 : n;
+}
+
+bool
+SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
+                      std::function<void()> done)
+{
+    const unsigned n = sourcesLeft(d);
+    if (n == 0)
         return false;
     // A mirror is copied; parity levels XOR the same range of every
     // source in one pass.
-    std::function<void()> on_read = std::move(done);
-    if (_layout->level() != RaidLevel::Raid1) {
-        auto remaining = std::make_shared<unsigned>(n);
-        auto done_ptr =
-            std::make_shared<std::function<void()>>(std::move(on_read));
-        on_read = [this, remaining, done_ptr, bytes, n] {
-            if (--*remaining > 0)
-                return;
-            _board.parity().pass(bytes * n, bytes,
-                                 [done_ptr] { (*done_ptr)(); });
-        };
-    }
+    const sim::Join join(
+        n, _layout->level() == RaidLevel::Raid1
+               ? sim::Event(std::move(done))
+               : sim::Event([this, bytes, n,
+                             done = std::move(done)]() mutable {
+                     _board.parity().pass(bytes * n, bytes, std::move(done));
+                 }));
     _layout->forEachSource(
-        d, [&](unsigned s) { rawDiskRead(s, off, bytes, on_read); });
+        d, [&](unsigned s) { rawDiskRead(s, off, bytes, join); });
     return true;
 }
 
@@ -258,21 +261,16 @@ void
 SimArray::issueExtentRead(const DiskExtent &e, std::function<void()> done)
 {
     unsigned d = e.disk;
-    const bool mirrored = _layout->level() == RaidLevel::Raid1;
     // Balance mirror reads by alternating stripe rows.
-    if (mirrored && (e.diskOffset / _layout->unitBytes()) % 2 == 1 &&
+    if (_layout->level() == RaidLevel::Raid1 &&
+        (e.diskOffset / _layout->unitBytes()) % 2 == 1 &&
         live(_layout->mirrorDisk(d), e.diskOffset, e.bytes))
         d = _layout->mirrorDisk(d);
+    // Only the extent's own disk can be dead here: a mirror is chosen
+    // only while live.
     if (!live(d, e.diskOffset, e.bytes)) {
-        if (!mirrored) {
-            issueDegradedRead(e, std::move(done));
-            return;
-        }
-        // A mirror's one source holds the same bytes: read it in place.
-        _layout->forEachSource(d, [&](unsigned s) { d = s; });
-        if (!live(d, e.diskOffset, e.bytes))
-            sim::fatal("SimArray %s: mirror pair both failed",
-                       _name.c_str());
+        issueDegradedRead(e, std::move(done));
+        return;
     }
     if (hasLatent(d, e.diskOffset, e.bytes)) {
         issueLatentRepairRead(e, d, std::move(done));
@@ -300,26 +298,26 @@ SimArray::issueLatentRepairRead(const DiskExtent &e, unsigned d,
     ++_latentRepairReads;
     _latentRepairBytes += bytes;
 
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
     // The drive itself spends a media pass discovering the error
     // (retries, then reports unrecoverable) before recovery starts.
-    auto after_attempt = [this, d, off, bytes, done_ptr] {
+    auto after_attempt = [this, d, off, bytes,
+                          done = std::move(done)]() mutable {
         if (auto *t = eq.tracer())
             t->complete(_name, "latent_repair", eq.now(), eq.now(), bytes);
+        if (sourcesLeft(d) == 0) {
+            ++_unrecoverableReads;
+            if (done)
+                done();
+            return;
+        }
         // Rewrite the reconstructed range in place, clearing the
         // defect, then note the repair.
-        const bool issued =
-            restoreRange(d, off, bytes, [this, d, off, bytes, done_ptr] {
-                noteRepaired(d, off, bytes, false);
-                if (*done_ptr)
-                    (*done_ptr)();
-            });
-        if (!issued) {
-            ++_unrecoverableReads;
-            if (*done_ptr)
-                (*done_ptr)();
-        }
+        restoreRange(d, off, bytes,
+                     [this, d, off, bytes, done = std::move(done)] {
+                         noteRepaired(d, off, bytes, false);
+                         if (done)
+                             done();
+                     });
     };
     disks[d]->submitBytes(off, bytes, false, std::move(after_attempt));
 }
@@ -360,19 +358,15 @@ SimArray::read(std::uint64_t off, std::uint64_t len,
     _bytesRead += len;
     const sim::Tick start = eq.now();
 
-    auto extents = _layout->mapRange(off, len);
-    auto remaining = std::make_shared<std::size_t>(extents.size());
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    auto finish = [this, remaining, done_ptr, start, len] {
-        if (--*remaining > 0)
-            return;
+    const auto extents = _layout->mapRange(off, len);
+    const sim::Join finish(extents.size(), [this, start, len,
+                                            done = std::move(done)] {
         _readMs.sample(sim::ticksToMs(eq.now() - start));
         if (auto *t = eq.tracer())
             t->complete(_name, "array_read", start, eq.now(), len);
-        if (*done_ptr)
-            (*done_ptr)();
-    };
+        if (done)
+            done();
+    });
     for (const auto &e : extents)
         issueExtentRead(e, finish);
 }
@@ -471,37 +465,27 @@ SimArray::stripePlan(const StripeSpan &s) const
 void
 SimArray::runWrite(WritePlan plan, std::function<void()> done)
 {
-    auto p = std::make_shared<const WritePlan>(std::move(plan));
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-
-    auto do_writes = [this, p, done_ptr] {
-        auto remaining = std::make_shared<std::size_t>(p->writes.size());
-        auto finish = [remaining, done_ptr] {
-            if (--*remaining == 0 && *done_ptr)
-                (*done_ptr)();
-        };
-        for (const auto &e : p->writes)
+    auto do_writes = [this, writes = std::move(plan.writes),
+                      done = std::move(done)]() mutable {
+        const sim::Join finish(writes.size(), std::move(done));
+        for (const auto &e : writes)
             issueExtentWrite(e, finish);
     };
 
-    auto do_pass = [this, p, do_writes = std::move(do_writes)] {
-        if (p->passIn == 0)
+    auto do_pass = [this, in = plan.passIn, out = plan.passOut,
+                    do_writes = std::move(do_writes)]() mutable {
+        if (in == 0)
             do_writes();
         else
-            _board.parity().pass(p->passIn, p->passOut, do_writes);
+            _board.parity().pass(in, out, std::move(do_writes));
     };
 
-    if (p->reads.empty()) {
+    if (plan.reads.empty()) {
         do_pass();
         return;
     }
-    auto remaining = std::make_shared<std::size_t>(p->reads.size());
-    auto on_read = [remaining, do_pass = std::move(do_pass)] {
-        if (--*remaining == 0)
-            do_pass();
-    };
-    for (const auto &e : p->reads)
+    const sim::Join on_read(plan.reads.size(), std::move(do_pass));
+    for (const auto &e : plan.reads)
         issueExtentRead(e, on_read);
 }
 
@@ -513,14 +497,12 @@ SimArray::write(std::uint64_t off, std::uint64_t len,
     _bytesWritten += len;
     const sim::Tick start = eq.now();
 
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    auto record = [this, done_ptr, start, len] {
+    auto record = [this, start, len, done = std::move(done)] {
         _writeMs.sample(sim::ticksToMs(eq.now() - start));
         if (auto *t = eq.tracer())
             t->complete(_name, "array_write", start, eq.now(), len);
-        if (*done_ptr)
-            (*done_ptr)();
+        if (done)
+            done();
     };
 
     // No Level 0/1/3 write pre-reads parity, so none takes a lock.
@@ -529,12 +511,8 @@ SimArray::write(std::uint64_t off, std::uint64_t len,
         return;
     }
 
-    auto spans = _layout->mapStripes(off, len);
-    auto remaining = std::make_shared<std::size_t>(spans.size());
-    auto finish = [remaining, record] {
-        if (--*remaining == 0)
-            record();
-    };
+    const auto spans = _layout->mapStripes(off, len);
+    const sim::Join finish(spans.size(), std::move(record));
     for (const StripeSpan &s : spans) {
         // Serialize on the stripe: the read-modify-write and
         // reconstruct-write sequences must see a stable parity unit.

@@ -248,7 +248,8 @@ class SimArray
     void issueExtentWrite(const DiskExtent &e,
                           std::function<void()> done);
 
-    /** Degraded read: reconstruct @p e from the survivors. */
+    /** Degraded read: reconstruct @p e from the survivors (a mirror
+     *  read of the partner at RAID-1). */
     void issueDegradedRead(const DiskExtent &e,
                            std::function<void()> done);
 
@@ -256,6 +257,10 @@ class SimArray
      *  reconstruct-and-rewrite sequence, then note the repair. */
     void issueLatentRepairRead(const DiskExtent &e, unsigned d,
                                std::function<void()> done);
+
+    /** How many disks reconstruct() reads for disk @p d; 0 when no
+     *  redundancy is left (RAID-0, or a failed source). */
+    unsigned sourcesLeft(unsigned d) const;
 
     /** One timed write: its pre-reads, then at most one parity-engine
      *  pass, then its writes. */

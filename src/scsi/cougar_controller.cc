@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "sim/join.hh"
 #include "sim/logging.hh"
 
 namespace raid2::scsi {
@@ -90,27 +91,18 @@ DiskChannel::write(std::uint64_t offset, std::uint64_t bytes,
                    std::vector<sim::Stage> upstream,
                    std::function<void()> done)
 {
-    auto stages = std::make_shared<std::vector<sim::Stage>>();
-    for (auto &st : upstream)
-        stages->push_back(st);
-    stages->push_back(sim::Stage(_cougar.svc()));
-    stages->push_back(sim::Stage(_string.bus()));
+    upstream.push_back(sim::Stage(_cougar.svc()));
+    upstream.push_back(sim::Stage(_string.bus()));
 
     // Two phases complete independently: the bus phase filling the
     // drive buffer and the media phase committing it.  The drive can
     // position while data streams in, but the command is only done
     // when both have finished.
-    auto pending = std::make_shared<int>(2);
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    auto finish = [pending, done_ptr] {
-        if (--*pending == 0 && *done_ptr)
-            (*done_ptr)();
-    };
+    const sim::Join both(2, std::move(done));
 
     _string.chargeCommandOverhead();
-    sim::Pipeline::start(*stages, bytes, cal::xbusChunkBytes, finish);
-    _drive.submitBytes(offset, bytes, true, finish);
+    sim::Pipeline::start(upstream, bytes, cal::xbusChunkBytes, both);
+    _drive.submitBytes(offset, bytes, true, both);
 }
 
 } // namespace raid2::scsi

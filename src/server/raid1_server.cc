@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "sim/join.hh"
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
 
@@ -50,53 +51,48 @@ Raid1Server::Raid1Server(sim::EventQueue &eq_, std::string name,
 
 Raid1Server::~Raid1Server() = default;
 
-std::vector<sim::Stage>
-Raid1Server::hostStages()
-{
-    return _host->dataPathStages();
-}
-
 void
 Raid1Server::read(std::uint64_t off, std::uint64_t len,
                   std::function<void()> done)
 {
-    auto extents = _layout->mapRange(off, len);
-    auto remaining = std::make_shared<std::size_t>(extents.size());
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    auto finish = [this, remaining, done_ptr] {
-        if (--*remaining > 0)
-            return;
-        // Request completion: context switches + kernel work.
-        _host->chargeIoCompletion(true, [done_ptr] {
-            if (*done_ptr)
-                (*done_ptr)();
-        });
-    };
-    for (const auto &e : extents)
-        channels[e.disk]->read(e.diskOffset, e.bytes, hostStages(),
-                               finish);
+    transfer(&scsi::DiskChannel::read, _layout->mapRange(off, len),
+             std::move(done));
 }
 
 void
 Raid1Server::write(std::uint64_t off, std::uint64_t len,
                    std::function<void()> done)
 {
-    auto extents = _layout->mapRange(off, len);
-    auto remaining = std::make_shared<std::size_t>(extents.size());
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    auto finish = [this, remaining, done_ptr] {
-        if (--*remaining > 0)
-            return;
-        _host->chargeIoCompletion(true, [done_ptr] {
-            if (*done_ptr)
-                (*done_ptr)();
+    transfer(&scsi::DiskChannel::write, _layout->mapRange(off, len),
+             std::move(done));
+}
+
+void
+Raid1Server::diskRead(unsigned d, std::uint64_t disk_off,
+                      std::uint64_t len, std::function<void()> done)
+{
+    transfer(&scsi::DiskChannel::read,
+             {{.disk = d, .diskOffset = disk_off, .bytes = len}},
+             std::move(done));
+}
+
+void
+Raid1Server::transfer(Command cmd,
+                      const std::vector<raid::DiskExtent> &extents,
+                      std::function<void()> done)
+{
+    // Request completion: context switches + kernel work, charged even
+    // when nobody waits.
+    const sim::Join all(extents.size(),
+                        [this, done = std::move(done)]() mutable {
+        _host->chargeIoCompletion(true, [done = std::move(done)] {
+            if (done)
+                done();
         });
-    };
+    });
     for (const auto &e : extents)
-        channels[e.disk]->write(e.diskOffset, e.bytes, hostStages(),
-                                finish);
+        std::invoke(cmd, *channels.at(e.disk), e.diskOffset, e.bytes,
+                    _host->dataPathStages(), all);
 }
 
 void
@@ -108,20 +104,6 @@ Raid1Server::registerStats(sim::StatsRegistry &reg) const
                                   "scsi.cougar" + std::to_string(c));
     for (std::size_t d = 0; d < disks.size(); ++d)
         disks[d]->registerStats(reg, "disk." + std::to_string(d));
-}
-
-void
-Raid1Server::diskRead(unsigned d, std::uint64_t disk_off,
-                      std::uint64_t len, std::function<void()> done)
-{
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    channels.at(d)->read(disk_off, len, hostStages(), [this, done_ptr] {
-        _host->chargeIoCompletion(true, [done_ptr] {
-            if (*done_ptr)
-                (*done_ptr)();
-        });
-    });
 }
 
 } // namespace raid2::server

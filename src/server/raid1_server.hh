@@ -68,7 +68,15 @@ class Raid1Server
     void registerStats(sim::StatsRegistry &reg) const;
 
   private:
-    std::vector<sim::Stage> hostStages();
+    /** A per-disk command: DiskChannel::read or DiskChannel::write. */
+    using Command = void (scsi::DiskChannel::*)(std::uint64_t,
+                                                std::uint64_t,
+                                                std::vector<sim::Stage>,
+                                                std::function<void()>);
+    /** Run @p cmd on every one of @p extents through host memory, then
+     *  charge the host's request completion and run @p done. */
+    void transfer(Command cmd, const std::vector<raid::DiskExtent> &extents,
+                  std::function<void()> done);
 
     sim::EventQueue &eq;
     std::string _name;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/join.hh"
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
 #include "sim/trace_sink.hh"
@@ -291,15 +292,9 @@ Raid2Server::hwWrite(std::uint64_t off, std::uint64_t len,
     // array write (parity passes + disk commands) proceeds; the
     // operation completes when both finish.  The HIPPI path outruns
     // the array, so the overlap approximation is safe.
-    auto pending = std::make_shared<int>(2);
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    auto finish = [pending, done_ptr] {
-        if (--*pending == 0 && *done_ptr)
-            (*done_ptr)();
-    };
-    _loop->transfer(len, finish);
-    _array->write(off, len, finish);
+    const sim::Join both(2, std::move(done));
+    _loop->transfer(len, both);
+    _array->write(off, len, both);
 }
 
 // ---------------------------------------------------------------------
@@ -330,22 +325,18 @@ Raid2Server::drainPendingWrites(std::function<void()> all_done)
     auto batch = std::move(pendingWrites);
     pendingWrites.clear();
 
-    auto remaining = std::make_shared<std::size_t>(batch.size());
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(all_done));
+    const sim::Join all(batch.size(), std::move(all_done));
     for (const auto &[off, len] : batch) {
         ++flushesInFlight;
         ++_segmentFlushes;
         _flushedBytes += len;
         const sim::Tick issued = eq.now();
-        _array->write(off, len,
-                      [this, len = len, issued, remaining, done_ptr] {
+        _array->write(off, len, [this, len = len, issued, all] {
             if (auto *t = eq.tracer())
                 t->complete(_name, "segment_flush", issued, eq.now(),
                             len);
             flushCompleted();
-            if (--*remaining == 0 && *done_ptr)
-                (*done_ptr)();
+            all();
         });
     }
 }
@@ -671,9 +662,8 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
                           [this, ino, off, len, st,
                            done = std::move(done)]() mutable {
         const std::vector<Range> ranges = mapRanges(ino, off, len);
-        auto remaining = std::make_shared<std::size_t>(ranges.size());
-        auto done_ptr = std::make_shared<ReadDone>(std::move(done));
-        auto after_reads = [this, done_ptr, len, st] {
+        auto after_reads = [this, len, st,
+                            done = std::move(done)]() mutable {
             // XBUS -> slow VME link -> host backplane -> host memory
             // copies -> Ethernet to the client.
             std::vector<sim::Stage> stages = {
@@ -683,9 +673,9 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
                 stages.push_back(stage);
             sim::Pipeline::start(
                 stages, len, cal::xbusChunkBytes,
-                [this, done_ptr, len, st] {
-                    _ethernet->send(len, [done_ptr, st] {
-                        (*done_ptr)(st);
+                [this, len, st, done = std::move(done)]() mutable {
+                    _ethernet->send(len, [st, done = std::move(done)] {
+                        done(st);
                     });
                 });
         };
@@ -693,13 +683,9 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
             after_reads();
             return;
         }
-        for (const Range &r : ranges) {
-            _array->read(r.off, r.len,
-                         [remaining, after_reads] {
-                             if (--*remaining == 0)
-                                 after_reads();
-                         });
-        }
+        const sim::Join reads(ranges.size(), std::move(after_reads));
+        for (const Range &r : ranges)
+            _array->read(r.off, r.len, reads);
     });
 }
 
@@ -709,38 +695,37 @@ Raid2Server::standardWrite(lfs::InodeNum ino, std::uint64_t off,
 {
     _host->chargeIoCompletion(true, nullptr);
 
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-
+    // Never empty, so the reply's NVRAM copy and fsSync() schedule
+    // their events even when nobody waits.
+    auto reply = [done = std::move(done)] {
+        if (done)
+            done();
+    };
     // Client data arrives over the Ethernet, crosses host memory, and
     // descends the slow control link into XBUS memory.
-    _ethernet->send(len, [this, ino, off, len, done_ptr] {
+    _ethernet->send(len, [this, ino, off, len,
+                          reply = std::move(reply)]() mutable {
         std::vector<sim::Stage> stages = {_host->dataPathStages()[0],
                                           _host->dataPathStages()[1]};
         stages.push_back(
             sim::Stage(_board->hostLink(), cal::controlLinkWriteMBs));
         stages.push_back(sim::Stage(_board->memory()));
         sim::Pipeline::start(stages, len, cal::xbusChunkBytes,
-                             [this, ino, off, len, done_ptr] {
-            const bool nvram = cfg.nvramBytes > 0;
-            if (nvram) {
+                             [this, ino, off, len,
+                              reply = std::move(reply)]() mutable {
+            if (cfg.nvram) {
                 // The NVRAM copy makes the write stable immediately;
                 // the log flush continues behind the reply.
                 fileWrite(ino, off, len, nullptr);
-                _host->memoryCopy().submit(len, [done_ptr] {
-                    if (*done_ptr)
-                        (*done_ptr)();
-                });
+                _host->memoryCopy().submit(len, std::move(reply));
                 return;
             }
             // NFSv2 stable write: reply only after the data is on the
             // disks.
-            fileWrite(ino, off, len, [this, done_ptr] {
-                fsSync([done_ptr] {
-                    if (*done_ptr)
-                        (*done_ptr)();
-                });
-            });
+            fileWrite(ino, off, len,
+                      [this, reply = std::move(reply)]() mutable {
+                          fsSync(std::move(reply));
+                      });
         });
     });
 }

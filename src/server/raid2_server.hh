@@ -98,9 +98,10 @@ class Raid2Server
         unsigned maxFlushesInFlight = 2;
         /** NVRAM write buffer on the host for standard-mode (NFS-
          *  style) writes; §4.1: NFS servers add "possibly non-volatile
-         *  memory to speed up NFS writes".  0 = none: standard-mode
-         *  writes are stable (ack only after the log reaches disk). */
-        std::uint64_t nvramBytes = 0;
+         *  memory to speed up NFS writes".  Off: standard-mode writes
+         *  are stable (ack only after the log reaches disk).  Its size
+         *  is not modelled; every write fits. */
+        bool nvram = false;
 
         /** @{ Reliability subsystem.  When set, the server owns a
          *  fault::FaultController wired to the array and the HIPPI
@@ -242,7 +243,7 @@ class Raid2Server
      * Standard-mode (NFS-style) write: Ethernet -> host memory ->
      * control link -> LFS.  Without NVRAM the reply waits for the data
      * to be stable on disk (NFSv2 semantics: sync + flush); with
-     * Config::nvramBytes set, the reply returns once the data is in
+     * Config::nvram set, the reply returns once the data is in
      * the host's NVRAM and the log flush proceeds behind it.
      */
     void standardWrite(lfs::InodeNum ino, std::uint64_t off,

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <tuple>
 
 #include "raid/parity.hh"
+#include "sim/join.hh"
 #include "sim/logging.hh"
 #include "sim/stats_registry.hh"
 
@@ -72,30 +74,21 @@ ZebraVolume::emitStripe(std::function<void()> done_one)
                   pending.begin() +
                       static_cast<std::ptrdiff_t>(stripeDataBytes()));
 
-    auto remaining = std::make_shared<unsigned>(0);
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done_one));
-    for (unsigned j = 0; j < n; ++j) {
-        if (failed[j])
-            continue; // the fragment is lost until rebuildServer()
-        ++*remaining;
-    }
-    if (*remaining == 0) {
-        eq.scheduleIn(0, [done_ptr] {
-            if (*done_ptr)
-                (*done_ptr)();
+    // A failed server's fragment is lost until rebuildServer().
+    const std::size_t live = std::count(failed.begin(), failed.end(), false);
+    if (live == 0) {
+        eq.scheduleIn(0, [done = std::move(done_one)] {
+            if (done)
+                done();
         });
         return;
     }
+    const sim::Join stored(live, std::move(done_one));
     for (unsigned j = 0; j < n; ++j) {
-        if (failed[j])
-            continue;
-        servers[j]->fileWriteData(
-            fragIno[j], stripe * frag,
-            {frags[j].data(), frags[j].size()}, [remaining, done_ptr] {
-                if (--*remaining == 0 && *done_ptr)
-                    (*done_ptr)();
-            });
+        if (!failed[j])
+            servers[j]->fileWriteData(fragIno[j], stripe * frag,
+                                      {frags[j].data(), frags[j].size()},
+                                      stored);
     }
 }
 
@@ -113,16 +106,10 @@ ZebraVolume::append(std::span<const std::uint8_t> data,
             eq.scheduleIn(0, std::move(done));
         return;
     }
-    // Recount properly: each emitStripe consumes one stripe of bytes.
-    auto remaining = std::make_shared<unsigned>(stripes);
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    for (unsigned i = 0; i < stripes; ++i) {
-        emitStripe([remaining, done_ptr] {
-            if (--*remaining == 0 && *done_ptr)
-                (*done_ptr)();
-        });
-    }
+    // Each emitStripe consumes one stripe of bytes.
+    const sim::Join emitted(stripes, std::move(done));
+    for (unsigned i = 0; i < stripes; ++i)
+        emitStripe(emitted);
 }
 
 void
@@ -180,15 +167,9 @@ ZebraVolume::read(std::uint64_t off, std::span<std::uint8_t> out,
     const std::uint64_t sdb = stripeDataBytes();
     const std::uint64_t flushed_bytes = flushedStripes * sdb;
 
-    auto remaining = std::make_shared<std::size_t>(1);
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
-    auto finish = [remaining, done_ptr] {
-        if (--*remaining == 0 && *done_ptr)
-            (*done_ptr)();
-    };
-    auto read_done = [finish](server::Status) { finish(); };
-
+    // The functional bytes are copied piece by piece; the timed reads
+    // (server, file offset, bytes) are issued once counted, in order.
+    std::vector<std::tuple<unsigned, std::uint64_t, std::uint64_t>> timed;
     std::uint64_t pos = off;
     std::uint64_t left = out.size();
     while (left > 0) {
@@ -213,26 +194,30 @@ ZebraVolume::read(std::uint64_t off, std::span<std::uint8_t> out,
         readFragment(stripe, k, in_frag,
                      {dst, static_cast<std::size_t>(take)});
 
-        // Timed transfer(s).
+        // Timed transfer(s): the fragment's server, or every survivor.
         const std::uint64_t file_off = stripe * frag + in_frag;
         const unsigned srv = dataServer(stripe, k);
         if (!failed[srv]) {
-            ++*remaining;
-            servers[srv]->fileRead(fragIno[srv], file_off, take,
-                                   read_done);
+            timed.emplace_back(srv, file_off, take);
         } else {
             for (unsigned j = 0; j < numServers(); ++j) {
-                if (j == srv)
-                    continue;
-                ++*remaining;
-                servers[j]->fileRead(fragIno[j], file_off, take,
-                                     read_done);
+                if (j != srv)
+                    timed.emplace_back(j, file_off, take);
             }
         }
         pos += take;
         left -= take;
     }
-    finish(); // drop the guard
+    if (timed.empty()) {
+        if (done)
+            done();
+        return;
+    }
+    const sim::Join all(timed.size(), std::move(done));
+    for (const auto &[srv, file_off, bytes] : timed) {
+        servers[srv]->fileRead(fragIno[srv], file_off, bytes,
+                               [all](server::Status) { all(); });
+    }
 }
 
 void
@@ -254,17 +239,15 @@ ZebraVolume::rebuildServer(unsigned s, std::function<void()> done)
         sim::fatal("ZebraVolume: restoreServer(%u) before rebuild", s);
 
     const std::uint64_t frag = cfg.fragmentBytes;
-    auto done_ptr =
-        std::make_shared<std::function<void()>>(std::move(done));
     // The step holds itself only weakly; the I/O in flight keeps it
     // alive, so it is freed once the last stripe is written.
     auto step = std::make_shared<std::function<void(std::uint64_t)>>();
-    *step = [this, s, frag, done_ptr,
+    *step = [this, s, frag, done = std::move(done),
              weak = std::weak_ptr(step)](std::uint64_t stripe) {
         if (stripe >= flushedStripes) {
             ++_rebuilds;
-            if (*done_ptr)
-                (*done_ptr)();
+            if (done)
+                done();
             return;
         }
         // Functional reconstruction: XOR every other fragment.
@@ -278,22 +261,20 @@ ZebraVolume::rebuildServer(unsigned s, std::function<void()> done)
             raid::xorInto(rebuilt.data(), tmp.data(), frag);
         }
         // Timed: read the survivors, write the rebuilt fragment.
-        auto remaining =
-            std::make_shared<unsigned>(numServers() - 1);
-        auto cont = [this, s, stripe, frag, step = weak.lock(),
-                     rebuilt = std::move(rebuilt),
-                     remaining](server::Status) mutable {
-            if (--*remaining > 0)
-                return;
-            servers[s]->fileWriteData(
-                fragIno[s], stripe * frag,
-                {rebuilt.data(), rebuilt.size()},
-                [step, stripe] { (*step)(stripe + 1); });
-        };
+        const sim::Join survivors(
+            numServers() - 1, [this, s, stripe, frag, step = weak.lock(),
+                               rebuilt = std::move(rebuilt)] {
+                servers[s]->fileWriteData(
+                    fragIno[s], stripe * frag,
+                    {rebuilt.data(), rebuilt.size()},
+                    [step, stripe] { (*step)(stripe + 1); });
+            });
         for (unsigned j = 0; j < numServers(); ++j) {
-            if (j == s)
-                continue;
-            servers[j]->fileRead(fragIno[j], stripe * frag, frag, cont);
+            if (j != s)
+                servers[j]->fileRead(fragIno[j], stripe * frag, frag,
+                                     [survivors](server::Status) {
+                                         survivors();
+                                     });
         }
     };
     (*step)(0);

@@ -439,10 +439,10 @@ TEST(Raid2Server, StandardWriteIsStableByDefault)
 
 TEST(Raid2Server, NvramMakesStandardWritesFast)
 {
-    auto run = [](std::uint64_t nvram) {
+    auto run = [](bool nvram) {
         sim::EventQueue eq;
         auto cfg = smallConfig(true);
-        cfg.nvramBytes = nvram;
+        cfg.nvram = nvram;
         Raid2Server srv(eq, "s", cfg);
         const auto ino = srv.createFile("/f");
         sim::Tick total = 0;
@@ -458,8 +458,8 @@ TEST(Raid2Server, NvramMakesStandardWritesFast)
         EXPECT_TRUE(srv.fs().fsck().ok);
         return total / 5;
     };
-    const sim::Tick stable = run(0);
-    const sim::Tick nvram = run(1 * sim::MiB);
+    const sim::Tick stable = run(false);
+    const sim::Tick nvram = run(true);
     // §4.1: NVRAM exists precisely because stable NFS writes must
     // otherwise wait for the disks.
     EXPECT_LT(nvram, stable / 2);
@@ -472,7 +472,7 @@ TEST(Raid2Server, NvramWritesNeverWaitOnFlushes)
     // empty waiter that flushCompleted() would call.
     sim::EventQueue eq;
     auto cfg = smallConfig(true);
-    cfg.nvramBytes = 16 * sim::MiB;
+    cfg.nvram = true;
     cfg.maxFlushesInFlight = 1;
     Raid2Server srv(eq, "s", cfg);
     const auto small = srv.createFile("/small");
@@ -517,6 +517,29 @@ TEST(Raid1Server, WritesComplete)
     srv.write(0, sim::MB, [&] { done = true; });
     eq.runUntilDone([&] { return done; });
     EXPECT_TRUE(done);
+}
+
+/**
+ * Reads and writes run one transfer path.  Overlapping ones, a write
+ * nobody waits for and a single-disk read each finish at the tick, and
+ * after as many events, as when each had a path of its own.
+ */
+TEST(Raid1Server, TransfersKeepTheirTicks)
+{
+    sim::EventQueue eq;
+    server::Raid1Server srv(eq, "r1", server::Raid1Server::Config{});
+    sim::Tick read_at = 0, write_at = 0, disk_at = 0;
+    srv.read(96 * sim::KiB, sim::MiB, [&] { read_at = eq.now(); });
+    srv.write(5 * sim::MiB + 4096, 256 * sim::KiB,
+              [&] { write_at = eq.now(); });
+    srv.write(9 * sim::MiB, 64 * sim::KiB, nullptr);
+    srv.diskRead(3, 0, 64 * sim::KiB, [&] { disk_at = eq.now(); });
+    eq.run();
+    EXPECT_EQ(read_at, 603892595u);
+    EXPECT_EQ(write_at, 127846046u);
+    EXPECT_EQ(disk_at, 632386507u);
+    EXPECT_EQ(eq.now(), 632386507u);
+    EXPECT_EQ(eq.executed(), 390u);
 }
 
 TEST(FileProtocol, OpenReadWriteRoundTrip)

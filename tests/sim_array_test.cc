@@ -272,6 +272,27 @@ TEST(SimArray, ReconstructReadsExactlyTheSources)
     }
 }
 
+/**
+ * A read of a failed RAID-1 disk is a degraded read: it is counted, and
+ * reconstruct() copies the mirror partner with the timing of a plain
+ * read of the mirror.
+ */
+TEST(SimArray, Raid1ReadOfAFailedDiskIsDegraded)
+{
+    Rig rig(raid::RaidLevel::Raid1);
+    const unsigned mirror = rig.array.layout().mirrorDisk(0);
+    rig.array.failDisk(0);
+    Tick at = 0;
+    // Row 0 is even, so the read goes to the failed primary.
+    rig.array.read(0, 64 * 1024, [&] { at = rig.eq.now(); });
+    rig.eq.run();
+    EXPECT_EQ(rig.array.degradedReads(), 1u);
+    EXPECT_EQ(rig.array.degradedBytes(), 64u * 1024);
+    EXPECT_EQ(at, 56002322u);
+    EXPECT_EQ(rig.array.disk(mirror).sectorsRead(), 128u);
+    EXPECT_EQ(rig.board.parity().passes(), 0u);
+}
+
 TEST(SimArray, DegradedReadSlowerThanHealthy)
 {
     auto run = [](bool degrade) {

@@ -21,6 +21,7 @@
 
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
+#include "sim/join.hh"
 #include "sim/random.hh"
 #include "sim/service.hh"
 #include "sim/stats.hh"
@@ -1023,6 +1024,73 @@ TEST(PipelineModel, FedTransfersMatchPerChunkReference)
     const PipelineCoverage c = expectPipelineMatchesReference(40, true);
     EXPECT_GT(c.shortOnMulti, 200u);
     EXPECT_EQ(c.tiedDones, 1200u);
+}
+
+TEST(Join, RunsOnceAtTheLastArrival)
+{
+    auto token = std::make_shared<int>(0);
+    const sim::Join join(3, [token] { ++*token; });
+    join();
+    join();
+    EXPECT_EQ(*token, 0);
+    join();
+    EXPECT_EQ(*token, 1);
+    // The continuation, and what it captured, is gone once it has run,
+    // though a copy of the join is still alive.
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Join, CopiesShareOneCount)
+{
+    int runs = 0;
+    const sim::Join join(2, [&] { ++runs; });
+    std::function<void()> a = join;
+    sim::Event b = join;
+    a();
+    EXPECT_EQ(runs, 0);
+    b();
+    EXPECT_EQ(runs, 1);
+}
+
+TEST(Join, ArrivalAfterTheLastDies)
+{
+    EXPECT_DEATH(
+        {
+            const sim::Join join(1, [] {});
+            join();
+            join();
+        },
+        "after the last");
+    EXPECT_DEATH(sim::Join(0, [] {})(), "after the last");
+}
+
+TEST(Join, EmptyContinuationRunsNothing)
+{
+    const sim::Join join(2, std::function<void()>());
+    join();
+    join();
+    EXPECT_DEATH(join(), "after the last");
+}
+
+TEST(Join, PendingJoinIsFreedWithItsQueue)
+{
+    // The join's copies live only in the queue's events: destroying
+    // the queue mid-operation frees the count and the continuation
+    // (LeakSanitizer checks the rest).
+    auto token = std::make_shared<int>(0);
+    {
+        sim::EventQueue eq;
+        {
+            const sim::Join join(3, [token] { ++*token; });
+            for (sim::Tick t : {10, 20, 30})
+                eq.schedule(t, join);
+        }
+        eq.runUntil(15);
+        EXPECT_EQ(*token, 0);
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(*token, 0);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Event, MoveOnlyCaptureAndLargeCallable)
