@@ -9,7 +9,6 @@
  * itself is the bottleneck.
  */
 
-#include <functional>
 #include <vector>
 
 #include "bench_util.hh"
@@ -35,8 +34,7 @@ run(unsigned depth)
     wcfg.alignBytes = cal::lfsStripeUnitBytes;
     wcfg.totalOps = 24;
     wcfg.warmupOps = 2;
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         srv.hwRead(off, len, std::move(done));
     };
     return workload::ClosedLoopRunner::run(eq, wcfg, op).throughputMBs();

@@ -10,8 +10,6 @@
  * 3, on the other hand, supports only one small I/O at a time."
  */
 
-#include <functional>
-
 #include "bench_util.hh"
 #include "sim/event_queue.hh"
 #include "workload/generators.hh"
@@ -45,8 +43,7 @@ run(raid::RaidLevel level)
         w.warmupOps = 40;
         auto r = workload::ClosedLoopRunner::run(
             eq, w,
-            [&](std::uint64_t off, std::uint64_t len,
-                std::function<void()> done) {
+            [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
                 srv.array().read(off, len, std::move(done));
             });
         res.small_iops = r.opsPerSec();
@@ -68,8 +65,7 @@ run(raid::RaidLevel level)
         w.warmupOps = 4;
         auto r = workload::ClosedLoopRunner::run(
             eq, w,
-            [&](std::uint64_t off, std::uint64_t len,
-                std::function<void()> done) {
+            [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
                 srv.array().read(off, len, std::move(done));
             });
         res.large_mbs = r.throughputMBs();

@@ -11,7 +11,6 @@
  * trade rebuild time against foreground interference?
  */
 
-#include <functional>
 #include <vector>
 
 #include "bench_util.hh"
@@ -40,8 +39,7 @@ randomReadMBs(sim::EventQueue &eq, raid::SimArray &array,
     w.warmupOps = ops / 10;
     auto r = workload::ClosedLoopRunner::run(
         eq, w,
-        [&](std::uint64_t off, std::uint64_t len,
-            std::function<void()> done) {
+        [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
             array.read(base + off, len, std::move(done));
         });
     return r.throughputMBs();

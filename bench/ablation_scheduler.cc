@@ -8,7 +8,6 @@
  * left on the table for small-I/O server workloads (Table 2's regime).
  */
 
-#include <functional>
 #include <vector>
 
 #include "bench_util.hh"
@@ -35,8 +34,7 @@ run(bool elevator, unsigned processes)
     w.warmupOps = 8 * processes;
     auto res = workload::ClosedLoopRunner::run(
         eq, w,
-        [&](std::uint64_t off, std::uint64_t len,
-            std::function<void()> done) {
+        [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
             srv.array().read(off, len, std::move(done));
         });
     return res.opsPerSec();

@@ -9,7 +9,6 @@
  * add buffering without much additional bandwidth.
  */
 
-#include <functional>
 #include <vector>
 
 #include "bench_util.hh"
@@ -41,8 +40,7 @@ run(std::uint32_t seg_blocks)
     wcfg.regionBytes = 64 * sim::MB;
     wcfg.totalOps = 256;
     wcfg.warmupOps = 16;
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         srv.fileWrite(ino, off, len, std::move(done));
     };
     const auto res = workload::ClosedLoopRunner::run(eq, wcfg, op);

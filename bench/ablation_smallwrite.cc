@@ -42,8 +42,7 @@ rawLevelWriteIops(raid::RaidLevel level)
     wcfg.regionBytes = 1ull * 1024 * 1024 * 1024;
     wcfg.totalOps = 600;
     wcfg.warmupOps = 50;
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         srv.array().write(off, len, std::move(done));
     };
     return workload::ClosedLoopRunner::run(eq, wcfg, op).opsPerSec();
@@ -126,8 +125,7 @@ lfsCost()
     wcfg.regionBytes = 32 * sim::MB;
     wcfg.totalOps = 400;
     wcfg.warmupOps = 20;
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         srv.fileWrite(ino, off, len, std::move(done));
     };
     const auto res = workload::ClosedLoopRunner::run(eq, wcfg, op);

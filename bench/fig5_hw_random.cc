@@ -45,8 +45,7 @@ measure(bool writes, std::uint64_t req_bytes)
     wcfg.totalOps = std::max<std::uint64_t>(16, 48 * sim::MB / req_bytes);
     wcfg.warmupOps = 2;
 
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         if (writes)
             srv.hwWrite(off, len, std::move(done));
         else

@@ -17,7 +17,6 @@
  * small random reads.
  */
 
-#include <functional>
 #include <vector>
 
 #include "bench_util.hh"
@@ -72,10 +71,11 @@ measureReads(std::uint64_t req_bytes, bench::Reporter *rep = nullptr)
         std::max<std::uint64_t>(12, 96 * sim::MB / req_bytes);
     wcfg.warmupOps = 2;
 
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         srv.fileRead(ino, off, len,
-                     [done = std::move(done)](server::Status) { done(); });
+                     [done = std::move(done)](server::Status) mutable {
+                         done();
+                     });
     };
     const double mbs =
         workload::ClosedLoopRunner::run(eq, wcfg, op).throughputMBs();
@@ -103,8 +103,7 @@ measureWrites(std::uint64_t req_bytes)
         std::max<std::uint64_t>(16, 64 * sim::MB / req_bytes);
     wcfg.warmupOps = 2;
 
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         srv.fileWrite(ino, off, len, std::move(done));
     };
     const double mbs =

@@ -41,8 +41,7 @@ largeReadMBs(bool bypass_copies)
     wcfg.sequential = true;
     wcfg.totalOps = 48;
     wcfg.warmupOps = 4;
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         srv.read(off, len, std::move(done));
     };
     return workload::ClosedLoopRunner::run(eq, wcfg, op).throughputMBs();

@@ -17,7 +17,6 @@
  * writes) comes from: 31 = 4 x 6.9 + 3.4, and 23 ~= 4 x 5.9 x 23/24.
  */
 
-#include <functional>
 #include <memory>
 
 #include "bench_util.hh"
@@ -102,8 +101,7 @@ measure(bool writes)
     wcfg.totalOps = 60;
     wcfg.warmupOps = 6;
 
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         if (writes)
             srv.hwWrite(off, len, std::move(done));
         else

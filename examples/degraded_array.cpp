@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "raid/raid_array.hh"
@@ -33,8 +32,7 @@ randomReadMBs(sim::EventQueue &eq, raid::SimArray &array)
     wcfg.regionBytes = 1ull << 30;
     wcfg.totalOps = 80;
     wcfg.warmupOps = 8;
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         array.read(off, len, std::move(done));
     };
     return workload::ClosedLoopRunner::run(eq, wcfg, op).throughputMBs();

@@ -6,6 +6,7 @@
  * cost-benefit cleaner (§3.1's "log" made visible).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "fs/mem_block_device.hh"
 #include "lfs/lfs.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 
 using namespace raid2;
 
@@ -22,27 +22,30 @@ namespace {
 void
 printUtilizationHistogram(const lfs::Lfs &fs, const char *label)
 {
-    sim::Histogram hist(0.0, 1.0001, 10);
+    // Ten buckets of width 0.10001 over (0, 1].
+    constexpr std::size_t buckets = 10;
+    constexpr double width = 1.0001 / buckets;
+    std::uint64_t counts[buckets] = {};
     std::uint64_t free_segs = 0;
     for (std::uint64_t s = 0; s < fs.totalSegments(); ++s) {
         const double u = fs.segmentUtilization(s);
         if (u == 0.0)
             ++free_segs;
         else
-            hist.sample(u);
+            ++counts[std::min(static_cast<std::size_t>(u / width),
+                              buckets - 1)];
     }
     std::printf("%s\n", label);
     std::printf("  free segments: %llu / %llu\n",
                 (unsigned long long)free_segs,
                 (unsigned long long)fs.totalSegments());
-    for (std::size_t b = 0; b < hist.buckets(); ++b) {
-        if (hist.bucketCount(b) == 0)
+    for (std::size_t b = 0; b < buckets; ++b) {
+        if (counts[b] == 0)
             continue;
-        std::printf("  util %3.0f%%-%3.0f%%: %4llu segments  ",
-                    100 * hist.bucketLo(b), 100 * hist.bucketHi(b),
-                    (unsigned long long)hist.bucketCount(b));
-        for (std::uint64_t i = 0; i < hist.bucketCount(b) && i < 48;
-             ++i)
+        const double lo = width * static_cast<double>(b);
+        std::printf("  util %3.0f%%-%3.0f%%: %4llu segments  ", 100 * lo,
+                    100 * (lo + width), (unsigned long long)counts[b]);
+        for (std::uint64_t i = 0; i < counts[b] && i < 48; ++i)
             std::putchar('#');
         std::putchar('\n');
     }

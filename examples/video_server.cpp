@@ -67,13 +67,12 @@ playback(unsigned streams)
     const std::uint64_t clip_bytes = frame * frames_per_clip;
     scfg.streamStrideBytes = clip_bytes;
 
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         // StreamRunner strides each stream by one clip; decode the
         // clip index and position back out of the offset.
         const unsigned s = static_cast<unsigned>(off / clip_bytes);
         server.fileRead(clips[s], off % clip_bytes, len,
-                        [done = std::move(done)](server::Status) {
+                        [done = std::move(done)](server::Status) mutable {
                             done();
                         });
     };

@@ -14,8 +14,7 @@ HostWorkstation::HostWorkstation(sim::EventQueue &eq, std::string name,
 }
 
 void
-HostWorkstation::chargeIoCompletion(bool through_host_memory,
-                                    std::function<void()> done)
+HostWorkstation::chargeIoCompletion(bool through_host_memory, sim::Event done)
 {
     sim::Tick cost = cal::hostPerIoCpu;
     if (through_host_memory)
@@ -24,8 +23,7 @@ HostWorkstation::chargeIoCompletion(bool through_host_memory,
 }
 
 void
-HostWorkstation::copyThroughMemory(std::uint64_t bytes,
-                                   std::function<void()> done)
+HostWorkstation::copyThroughMemory(std::uint64_t bytes, sim::Event done)
 {
     // Each byte crosses the memory system hostCopiesPerByte times.
     _memory.submit(bytes * cal::hostCopiesPerByte, std::move(done));

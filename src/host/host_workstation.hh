@@ -15,7 +15,6 @@
 #define RAID2_HOST_HOST_WORKSTATION_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "config/calibration.hh"
@@ -51,13 +50,11 @@ class HostWorkstation
      * Charge the per-I/O completion cost (context switches + kernel
      * work).  @p through_host_memory adds the RAID-I-style extra cost.
      */
-    void chargeIoCompletion(bool through_host_memory,
-                            std::function<void()> done);
+    void chargeIoCompletion(bool through_host_memory, sim::Event done);
 
     /** Move @p bytes through host memory (cal::hostCopiesPerByte
      *  passes). */
-    void copyThroughMemory(std::uint64_t bytes,
-                           std::function<void()> done);
+    void copyThroughMemory(std::uint64_t bytes, sim::Event done);
 
     /** Stage list for bulk data crossing backplane + memory copies. */
     std::vector<sim::Stage> dataPathStages();

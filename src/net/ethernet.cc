@@ -16,7 +16,7 @@ EthernetLink::EthernetLink(sim::EventQueue &eq_, std::string name)
 }
 
 void
-EthernetLink::send(std::uint64_t bytes, std::function<void()> done)
+EthernetLink::send(std::uint64_t bytes, sim::Event done)
 {
     std::uint64_t left = std::max<std::uint64_t>(bytes, 1);
     for (; left > cal::ethernetMTU; left -= cal::ethernetMTU) {
@@ -26,10 +26,9 @@ EthernetLink::send(std::uint64_t bytes, std::function<void()> done)
     // The last packet schedules its completion even when @p done is
     // empty.
     ++_packets;
-    _wire.submit(left, [done = std::move(done)] {
-        if (done)
-            done();
-    });
+    if (!done)
+        done = [] {};
+    _wire.submit(left, std::move(done));
 }
 
 void

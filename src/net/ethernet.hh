@@ -13,7 +13,6 @@
 #define RAID2_NET_ETHERNET_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "config/calibration.hh"
@@ -28,7 +27,7 @@ class EthernetLink
     EthernetLink(sim::EventQueue &eq, std::string name);
 
     /** Send @p bytes as a train of MTU-sized packets. */
-    void send(std::uint64_t bytes, std::function<void()> done);
+    void send(std::uint64_t bytes, sim::Event done);
 
     sim::Service &wire() { return _wire; }
     std::uint64_t packets() const { return _packets; }

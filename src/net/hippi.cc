@@ -29,8 +29,7 @@ HippiChannel::injectLinkDown(sim::Tick duration)
 
 void
 HippiChannel::send(std::uint64_t bytes, std::vector<sim::Stage> pre,
-                   std::vector<sim::Stage> post,
-                   std::function<void()> done)
+                   std::vector<sim::Stage> post, sim::Event done)
 {
     if (eq.now() < downUntil) {
         // Link is down: hold the packet and retry the connection when
@@ -63,7 +62,7 @@ HippiChannel::send(std::uint64_t bytes, std::vector<sim::Stage> pre,
     if (auto *t = eq.tracer()) {
         const auto span = t->begin(_name, "packet", bytes);
         sim::Pipeline::start(stages, bytes, cal::xbusChunkBytes,
-                             [t, span, done = std::move(done)] {
+                             [t, span, done = std::move(done)]() mutable {
                                  t->end(span);
                                  if (done)
                                      done();
@@ -98,7 +97,7 @@ HippiLoopback::HippiLoopback(sim::EventQueue &eq, xbus::XbusBoard &board_)
 }
 
 void
-HippiLoopback::transfer(std::uint64_t bytes, std::function<void()> done)
+HippiLoopback::transfer(std::uint64_t bytes, sim::Event done)
 {
     _channel.send(bytes, {sim::Stage(board.memory())},
                   {sim::Stage(board.memory())}, std::move(done));

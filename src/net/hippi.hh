@@ -15,7 +15,6 @@
 #define RAID2_NET_HIPPI_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,7 +41,7 @@ class HippiChannel
      * destination port (e.g. XBUS memory write at the receiver).
      */
     void send(std::uint64_t bytes, std::vector<sim::Stage> pre,
-              std::vector<sim::Stage> post, std::function<void()> done);
+              std::vector<sim::Stage> post, sim::Event done);
 
     /**
      * Fault-injection hook: the link drops for @p duration ticks.
@@ -92,7 +91,7 @@ class HippiLoopback
     explicit HippiLoopback(sim::EventQueue &eq, xbus::XbusBoard &board);
 
     /** XBUS memory -> HIPPI src -> HIPPI dst -> XBUS memory. */
-    void transfer(std::uint64_t bytes, std::function<void()> done);
+    void transfer(std::uint64_t bytes, sim::Event done);
 
     /** The underlying channel (e.g. for fault injection). */
     HippiChannel &channel() { return _channel; }

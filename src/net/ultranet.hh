@@ -4,17 +4,15 @@
  *
  * The Ultranet is the 100 MB/s ring that connects XBUS HIPPI
  * interfaces to supercomputer and workstation clients (Fig 1).  We
- * model the ring as a shared service with a fixed propagation latency;
- * endpoints attach with their own NIC stages.
+ * model the ring as one shared service station; a transfer crosses it
+ * as a sim::Pipeline stage between the endpoints' own stages (the
+ * server's HIPPI port, the client's NIC).
  */
 
 #ifndef RAID2_NET_ULTRANET_HH
 #define RAID2_NET_ULTRANET_HH
 
-#include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "sim/service.hh"
 
@@ -24,18 +22,13 @@ namespace raid2::net {
 class UltranetFabric
 {
   public:
-    UltranetFabric(sim::EventQueue &eq, std::string name,
-                   double mb_per_sec = 100.0,
-                   sim::Tick hop_latency = sim::usToTicks(50));
+    /** The ring's byte rate. */
+    static constexpr double ringMBs = 100.0;
 
-    /**
-     * Move @p bytes across the ring between two endpoint stage lists.
-     * The ring segment itself is one shared stage; @p hop_latency is
-     * added once as pure latency.
-     */
-    void transfer(std::uint64_t bytes, std::vector<sim::Stage> src_stages,
-                  std::vector<sim::Stage> dst_stages,
-                  std::function<void()> done);
+    UltranetFabric(sim::EventQueue &eq, const std::string &name)
+        : _ring(eq, name + ".ring", sim::Service::Config{ringMBs, 0, 1})
+    {
+    }
 
     sim::Service &ring() { return _ring; }
 
@@ -47,10 +40,7 @@ class UltranetFabric
     }
 
   private:
-    sim::EventQueue &eq;
-    std::string _name;
     sim::Service _ring;
-    sim::Tick hopLatency;
 };
 
 } // namespace raid2::net

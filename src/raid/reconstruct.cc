@@ -19,7 +19,7 @@ RebuildJob::RebuildJob(sim::EventQueue &eq_, std::string name,
 }
 
 void
-RebuildJob::start(std::function<void()> done_)
+RebuildJob::start(sim::Event done_)
 {
     done = std::move(done_);
     _startTick = eq.now();

@@ -23,7 +23,6 @@
 #define RAID2_RAID_RECONSTRUCT_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "raid/sim_array.hh"
@@ -47,7 +46,7 @@ class RebuildJob
                sim::Tick inter_stripe_delay = 0);
 
     /** Begin; @p done fires when the last stripe is written. */
-    void start(std::function<void()> done);
+    void start(sim::Event done);
 
     std::uint64_t stripesDone() const { return _stripesDone; }
     std::uint64_t stripesTotal() const { return total; }
@@ -82,7 +81,7 @@ class RebuildJob
     /** @} */
     sim::Tick _startTick = 0;
     sim::Tick _endTick = 0;
-    std::function<void()> done;
+    sim::Event done;
 };
 
 } // namespace raid2::raid

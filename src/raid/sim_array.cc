@@ -82,8 +82,7 @@ SimArray::failDisk(unsigned d)
 }
 
 void
-SimArray::rebuildStripe(unsigned d, std::uint64_t stripe,
-                        std::function<void()> done)
+SimArray::rebuildStripe(unsigned d, std::uint64_t stripe, sim::Event done)
 {
     if (!failedDisks.at(d))
         sim::panic("SimArray %s: rebuild of healthy disk %u",
@@ -92,7 +91,7 @@ SimArray::rebuildStripe(unsigned d, std::uint64_t stripe,
     const std::uint64_t off = stripe * unit;
     const bool locks = _layout->level() == RaidLevel::Raid5;
     auto mark_live = [this, d, stripe, off, unit, locks,
-                      done = std::move(done)] {
+                      done = std::move(done)]() mutable {
         rebuilt[d].insert(off, unit);
         if (_twin)
             _twin->rebuildRange(d, off, unit);
@@ -100,8 +99,9 @@ SimArray::rebuildStripe(unsigned d, std::uint64_t stripe,
             unlockStripe(stripe);
         done();
     };
-    auto step = [this, d, off, unit, mark_live = std::move(mark_live)] {
-        if (!restoreRange(d, off, unit, mark_live))
+    auto step = [this, d, off, unit,
+                 mark_live = std::move(mark_live)]() mutable {
+        if (!restoreRange(d, off, unit, std::move(mark_live)))
             sim::fatal("SimArray %s: nothing left to rebuild disk %u from",
                        _name.c_str(), d);
     };
@@ -212,7 +212,7 @@ SimArray::sourcesLeft(unsigned d) const
 
 bool
 SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
-                      std::function<void()> done)
+                      sim::Event done)
 {
     const unsigned n = sourcesLeft(d);
     if (n == 0)
@@ -233,7 +233,7 @@ SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
 
 bool
 SimArray::restoreRange(unsigned d, std::uint64_t off, std::uint64_t bytes,
-                       std::function<void()> then)
+                       sim::Event then)
 {
     return reconstruct(
         d, off, bytes, [this, d, off, bytes, then = std::move(then)]() mutable {
@@ -243,7 +243,7 @@ SimArray::restoreRange(unsigned d, std::uint64_t off, std::uint64_t bytes,
 
 void
 SimArray::rawDiskRead(unsigned d, std::uint64_t disk_offset,
-                      std::uint64_t bytes, std::function<void()> done)
+                      std::uint64_t bytes, sim::Event done)
 {
     channels.at(d)->read(disk_offset, bytes,
                          _board.diskToMemory(cougarOf(d)), std::move(done));
@@ -251,14 +251,14 @@ SimArray::rawDiskRead(unsigned d, std::uint64_t disk_offset,
 
 void
 SimArray::rawDiskWrite(unsigned d, std::uint64_t disk_offset,
-                       std::uint64_t bytes, std::function<void()> done)
+                       std::uint64_t bytes, sim::Event done)
 {
     channels.at(d)->write(disk_offset, bytes,
                           _board.memoryToDisk(cougarOf(d)), std::move(done));
 }
 
 void
-SimArray::issueExtentRead(const DiskExtent &e, std::function<void()> done)
+SimArray::issueExtentRead(const DiskExtent &e, sim::Event done)
 {
     unsigned d = e.disk;
     // Balance mirror reads by alternating stripe rows.
@@ -282,7 +282,7 @@ SimArray::issueExtentRead(const DiskExtent &e, std::function<void()> done)
 
 void
 SimArray::issueLatentRepairRead(const DiskExtent &e, unsigned d,
-                                std::function<void()> done)
+                                sim::Event done)
 {
     const std::uint64_t off = e.diskOffset;
     const std::uint64_t bytes = e.bytes;
@@ -313,7 +313,7 @@ SimArray::issueLatentRepairRead(const DiskExtent &e, unsigned d,
         // Rewrite the reconstructed range in place, clearing the
         // defect, then note the repair.
         restoreRange(d, off, bytes,
-                     [this, d, off, bytes, done = std::move(done)] {
+                     [this, d, off, bytes, done = std::move(done)]() mutable {
                          noteRepaired(d, off, bytes, false);
                          if (done)
                              done();
@@ -323,7 +323,7 @@ SimArray::issueLatentRepairRead(const DiskExtent &e, unsigned d,
 }
 
 void
-SimArray::issueExtentWrite(const DiskExtent &e, std::function<void()> done)
+SimArray::issueExtentWrite(const DiskExtent &e, sim::Event done)
 {
     const unsigned d = e.disk;
     if (failedDisks[d] && !rebuilt[d].overlaps(e.diskOffset, e.bytes)) {
@@ -339,8 +339,7 @@ SimArray::issueExtentWrite(const DiskExtent &e, std::function<void()> done)
 }
 
 void
-SimArray::issueDegradedRead(const DiskExtent &e,
-                            std::function<void()> done)
+SimArray::issueDegradedRead(const DiskExtent &e, sim::Event done)
 {
     ++_degradedReads;
     _degradedBytes += e.bytes;
@@ -351,8 +350,7 @@ SimArray::issueDegradedRead(const DiskExtent &e,
 }
 
 void
-SimArray::read(std::uint64_t off, std::uint64_t len,
-               std::function<void()> done)
+SimArray::read(std::uint64_t off, std::uint64_t len, sim::Event done)
 {
     ++_reads;
     _bytesRead += len;
@@ -360,7 +358,7 @@ SimArray::read(std::uint64_t off, std::uint64_t len,
 
     const auto extents = _layout->mapRange(off, len);
     const sim::Join finish(extents.size(), [this, start, len,
-                                            done = std::move(done)] {
+                                            done = std::move(done)]() mutable {
         _readMs.sample(sim::ticksToMs(eq.now() - start));
         if (auto *t = eq.tracer())
             t->complete(_name, "array_read", start, eq.now(), len);
@@ -372,7 +370,7 @@ SimArray::read(std::uint64_t off, std::uint64_t len,
 }
 
 void
-SimArray::lockStripe(std::uint64_t stripe, std::function<void()> run)
+SimArray::lockStripe(std::uint64_t stripe, sim::Event run)
 {
     auto [it, fresh] = stripeLocks.try_emplace(stripe);
     if (fresh) {
@@ -381,7 +379,7 @@ SimArray::lockStripe(std::uint64_t stripe, std::function<void()> run)
     }
     ++_stripeLockWaits;
     const sim::Tick queued = eq.now();
-    it->second.push_back([this, queued, run = std::move(run)] {
+    it->second.push_back([this, queued, run = std::move(run)]() mutable {
         _stripeLockWaitMs.sample(sim::ticksToMs(eq.now() - queued));
         run();
     });
@@ -463,7 +461,7 @@ SimArray::stripePlan(const StripeSpan &s) const
 }
 
 void
-SimArray::runWrite(WritePlan plan, std::function<void()> done)
+SimArray::runWrite(WritePlan plan, sim::Event done)
 {
     auto do_writes = [this, writes = std::move(plan.writes),
                       done = std::move(done)]() mutable {
@@ -490,14 +488,13 @@ SimArray::runWrite(WritePlan plan, std::function<void()> done)
 }
 
 void
-SimArray::write(std::uint64_t off, std::uint64_t len,
-                std::function<void()> done)
+SimArray::write(std::uint64_t off, std::uint64_t len, sim::Event done)
 {
     ++_writes;
     _bytesWritten += len;
     const sim::Tick start = eq.now();
 
-    auto record = [this, start, len, done = std::move(done)] {
+    auto record = [this, start, len, done = std::move(done)]() mutable {
         _writeMs.sample(sim::ticksToMs(eq.now() - start));
         if (auto *t = eq.tracer())
             t->complete(_name, "array_write", start, eq.now(), len);

@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -95,12 +94,10 @@ class SimArray
     xbus::XbusBoard &board() { return _board; }
 
     /** Read [off, off+len) from the array into XBUS memory. */
-    void read(std::uint64_t off, std::uint64_t len,
-              std::function<void()> done);
+    void read(std::uint64_t off, std::uint64_t len, sim::Event done);
 
     /** Write [off, off+len) from XBUS memory to the array. */
-    void write(std::uint64_t off, std::uint64_t len,
-               std::function<void()> done);
+    void write(std::uint64_t off, std::uint64_t len, sim::Event done);
 
     /** Take a disk offline; subsequent reads reconstruct on the fly.
      *  Its latent defects go with it. */
@@ -112,8 +109,7 @@ class SimArray
      * lock throughout, so a write racing the step waits and then
      * reaches the replacement.  @p done fires after the mark.
      */
-    void rebuildStripe(unsigned d, std::uint64_t stripe,
-                       std::function<void()> done);
+    void rebuildStripe(unsigned d, std::uint64_t stripe, sim::Event done);
     /** Bring a (rebuilt) disk back online; the twin rebuilds the ranges
      *  rebuildStripe() did not. */
     void restoreDisk(unsigned d);
@@ -173,7 +169,7 @@ class SimArray
      * where its rebuild has written the range).
      */
     bool reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
-                     std::function<void()> done);
+                     sim::Event done);
     /**
      * Timed rewrite of [off, off+bytes) of disk @p d from redundancy:
      * reconstruct() it, write it back to disk @p d, then run @p then.
@@ -182,15 +178,15 @@ class SimArray
      * @return false, issuing nothing, when no redundancy is left.
      */
     bool restoreRange(unsigned d, std::uint64_t off, std::uint64_t bytes,
-                      std::function<void()> then);
+                      sim::Event then);
 
     /** @{ Raw per-disk transfers through the full bus chain (used by
      *  rebuild, the scrubber and benches that bypass the RAID
      *  mapping). */
     void rawDiskRead(unsigned d, std::uint64_t disk_offset,
-                     std::uint64_t bytes, std::function<void()> done);
+                     std::uint64_t bytes, sim::Event done);
     void rawDiskWrite(unsigned d, std::uint64_t disk_offset,
-                      std::uint64_t bytes, std::function<void()> done);
+                      std::uint64_t bytes, sim::Event done);
     /** @} */
 
     disk::DiskModel &disk(unsigned i) { return *disks.at(i); }
@@ -242,21 +238,18 @@ class SimArray
 
   private:
     /** Issue a timed read of @p e into XBUS memory. */
-    void issueExtentRead(const DiskExtent &e,
-                         std::function<void()> done);
+    void issueExtentRead(const DiskExtent &e, sim::Event done);
     /** Issue a timed write of @p e from XBUS memory. */
-    void issueExtentWrite(const DiskExtent &e,
-                          std::function<void()> done);
+    void issueExtentWrite(const DiskExtent &e, sim::Event done);
 
     /** Degraded read: reconstruct @p e from the survivors (a mirror
      *  read of the partner at RAID-1). */
-    void issueDegradedRead(const DiskExtent &e,
-                           std::function<void()> done);
+    void issueDegradedRead(const DiskExtent &e, sim::Event done);
 
     /** A read of disk @p d hit a latent defect: run the timed
      *  reconstruct-and-rewrite sequence, then note the repair. */
     void issueLatentRepairRead(const DiskExtent &e, unsigned d,
-                               std::function<void()> done);
+                               sim::Event done);
 
     /** How many disks reconstruct() reads for disk @p d; 0 when no
      *  redundancy is left (RAID-0, or a failed source). */
@@ -280,12 +273,12 @@ class SimArray
     /** Plan the Level 5 write of one stripe span from its update. */
     WritePlan stripePlan(const StripeSpan &s) const;
     /** Issue @p plan; @p done fires when its last write completes. */
-    void runWrite(WritePlan plan, std::function<void()> done);
+    void runWrite(WritePlan plan, sim::Event done);
 
     /** @{ Per-stripe write serialization: concurrent updates to one
      *  stripe's parity must not interleave (the classic RAID-5 stripe
      *  lock), or the read-modify-write sequences would race. */
-    void lockStripe(std::uint64_t stripe, std::function<void()> run);
+    void lockStripe(std::uint64_t stripe, sim::Event run);
     void unlockStripe(std::uint64_t stripe);
     /** @} */
 
@@ -306,8 +299,7 @@ class SimArray
     RaidArray *_twin = nullptr;
 
     /** Stripes with a write in flight -> queued waiters. */
-    std::unordered_map<std::uint64_t,
-                       std::deque<std::function<void()>>> stripeLocks;
+    std::unordered_map<std::uint64_t, std::deque<sim::Event>> stripeLocks;
 
     std::uint64_t _reads = 0;
     std::uint64_t _writes = 0;

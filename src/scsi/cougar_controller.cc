@@ -60,8 +60,7 @@ DiskChannel::DiskChannel(disk::DiskModel &drive, ScsiString &string,
 
 void
 DiskChannel::read(std::uint64_t offset, std::uint64_t bytes,
-                  std::vector<sim::Stage> downstream,
-                  std::function<void()> done)
+                  std::vector<sim::Stage> downstream, sim::Event done)
 {
     downstream.insert(downstream.begin(), {sim::Stage(_string.bus()),
                                            sim::Stage(_cougar.svc())});
@@ -88,8 +87,7 @@ DiskChannel::read(std::uint64_t offset, std::uint64_t bytes,
 
 void
 DiskChannel::write(std::uint64_t offset, std::uint64_t bytes,
-                   std::vector<sim::Stage> upstream,
-                   std::function<void()> done)
+                   std::vector<sim::Stage> upstream, sim::Event done)
 {
     upstream.push_back(sim::Stage(_cougar.svc()));
     upstream.push_back(sim::Stage(_string.bus()));

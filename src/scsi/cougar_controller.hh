@@ -74,8 +74,7 @@ class DiskChannel
      * media chunk as soon as the drive has buffered it.
      */
     void read(std::uint64_t offset, std::uint64_t bytes,
-              std::vector<sim::Stage> downstream,
-              std::function<void()> done);
+              std::vector<sim::Stage> downstream, sim::Event done);
 
     /**
      * Write @p bytes at @p offset: bytes flow through @p upstream +
@@ -83,8 +82,7 @@ class DiskChannel
      * positions; completion when both bus and media phases finish.
      */
     void write(std::uint64_t offset, std::uint64_t bytes,
-               std::vector<sim::Stage> upstream,
-               std::function<void()> done);
+               std::vector<sim::Stage> upstream, sim::Event done);
 
     disk::DiskModel &drive() { return _drive; }
     ScsiString &string() { return _string; }

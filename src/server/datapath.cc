@@ -24,7 +24,7 @@ struct Reader : std::enable_shared_from_this<Reader>
     };
 
     Reader(sim::EventQueue &eq_, raid::SimArray &array_,
-           PipelinedReader::Config cfg_, std::function<void()> done_)
+           PipelinedReader::Config cfg_, sim::Event done_)
         : eq(eq_), array(array_), cfg(std::move(cfg_)),
           done(std::move(done_))
     {
@@ -40,7 +40,7 @@ struct Reader : std::enable_shared_from_this<Reader>
     sim::EventQueue &eq;
     raid::SimArray &array;
     PipelinedReader::Config cfg;
-    std::function<void()> done;
+    sim::Event done;
 
     std::vector<Chunk> chunks;
     std::size_t nextIssue = 0;
@@ -125,8 +125,7 @@ Reader::chunkSent(std::size_t idx)
 
 void
 PipelinedReader::start(sim::EventQueue &eq, raid::SimArray &array,
-                       std::vector<Range> ranges, Config cfg,
-                       std::function<void()> done)
+                       std::vector<Range> ranges, Config cfg, sim::Event done)
 {
     if (cfg.depth == 0)
         sim::panic("PipelinedReader: zero depth");

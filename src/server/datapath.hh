@@ -17,7 +17,6 @@
 #define RAID2_SERVER_DATAPATH_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "config/calibration.hh"
@@ -57,8 +56,7 @@ class PipelinedReader
      *  completions in flight share the reader's state, so it is freed
      *  with the last of them, or with the event queue. */
     static void start(sim::EventQueue &eq, raid::SimArray &array,
-                      std::vector<Range> ranges, Config cfg,
-                      std::function<void()> done);
+                      std::vector<Range> ranges, Config cfg, sim::Event done);
 };
 
 } // namespace raid2::server

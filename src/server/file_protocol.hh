@@ -24,7 +24,6 @@
 #define RAID2_SERVER_FILE_PROTOCOL_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -69,7 +68,7 @@ class RaidFileClient
         }
     };
 
-    using Completion = std::function<void(const Result &)>;
+    using Completion = sim::Callback<const Result &>;
 
     /** Round-trip command latency for open/close and per-request
      *  command exchange (socket + Sprite-RPC on the host). */

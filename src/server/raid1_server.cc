@@ -1,5 +1,6 @@
 #include "server/raid1_server.hh"
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -52,16 +53,14 @@ Raid1Server::Raid1Server(sim::EventQueue &eq_, std::string name,
 Raid1Server::~Raid1Server() = default;
 
 void
-Raid1Server::read(std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done)
+Raid1Server::read(std::uint64_t off, std::uint64_t len, sim::Event done)
 {
     transfer(&scsi::DiskChannel::read, _layout->mapRange(off, len),
              std::move(done));
 }
 
 void
-Raid1Server::write(std::uint64_t off, std::uint64_t len,
-                   std::function<void()> done)
+Raid1Server::write(std::uint64_t off, std::uint64_t len, sim::Event done)
 {
     transfer(&scsi::DiskChannel::write, _layout->mapRange(off, len),
              std::move(done));
@@ -69,7 +68,7 @@ Raid1Server::write(std::uint64_t off, std::uint64_t len,
 
 void
 Raid1Server::diskRead(unsigned d, std::uint64_t disk_off,
-                      std::uint64_t len, std::function<void()> done)
+                      std::uint64_t len, sim::Event done)
 {
     transfer(&scsi::DiskChannel::read,
              {{.disk = d, .diskOffset = disk_off, .bytes = len}},
@@ -79,16 +78,15 @@ Raid1Server::diskRead(unsigned d, std::uint64_t disk_off,
 void
 Raid1Server::transfer(Command cmd,
                       const std::vector<raid::DiskExtent> &extents,
-                      std::function<void()> done)
+                      sim::Event done)
 {
     // Request completion: context switches + kernel work, charged even
     // when nobody waits.
+    if (!done)
+        done = [] {};
     const sim::Join all(extents.size(),
                         [this, done = std::move(done)]() mutable {
-        _host->chargeIoCompletion(true, [done = std::move(done)] {
-            if (done)
-                done();
-        });
+        _host->chargeIoCompletion(true, std::move(done));
     });
     for (const auto &e : extents)
         std::invoke(cmd, *channels.at(e.disk), e.diskOffset, e.bytes,

@@ -14,7 +14,6 @@
 #define RAID2_SERVER_RAID1_SERVER_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,16 +43,14 @@ class Raid1Server
      * Read [off, len) of the striped array to a user buffer: disks ->
      * SCSI -> backplane DMA -> kernel buffer -> user copy.
      */
-    void read(std::uint64_t off, std::uint64_t len,
-              std::function<void()> done);
+    void read(std::uint64_t off, std::uint64_t len, sim::Event done);
 
     /** The reverse path. */
-    void write(std::uint64_t off, std::uint64_t len,
-               std::function<void()> done);
+    void write(std::uint64_t off, std::uint64_t len, sim::Event done);
 
     /** Raw single-disk read (Table 2 single-disk row). */
     void diskRead(unsigned d, std::uint64_t disk_off, std::uint64_t len,
-                  std::function<void()> done);
+                  sim::Event done);
 
     host::HostWorkstation &host() { return *_host; }
     const raid::RaidLayout &layout() const { return *_layout; }
@@ -72,11 +69,11 @@ class Raid1Server
     using Command = void (scsi::DiskChannel::*)(std::uint64_t,
                                                 std::uint64_t,
                                                 std::vector<sim::Stage>,
-                                                std::function<void()>);
+                                                sim::Event);
     /** Run @p cmd on every one of @p extents through host memory, then
      *  charge the host's request completion and run @p done. */
     void transfer(Command cmd, const std::vector<raid::DiskExtent> &extents,
-                  std::function<void()> done);
+                  sim::Event done);
 
     sim::EventQueue &eq;
     std::string _name;

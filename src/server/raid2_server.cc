@@ -272,8 +272,7 @@ Raid2Server::readerConfig(std::vector<sim::Stage> out_stages,
 }
 
 void
-Raid2Server::hwRead(std::uint64_t off, std::uint64_t len,
-                    std::function<void()> done)
+Raid2Server::hwRead(std::uint64_t off, std::uint64_t len, sim::Event done)
 {
     PipelinedReader::start(eq, *_array, {Range{off, len}},
                            readerConfig({sim::Stage(_board->memory()),
@@ -285,8 +284,7 @@ Raid2Server::hwRead(std::uint64_t off, std::uint64_t len,
 }
 
 void
-Raid2Server::hwWrite(std::uint64_t off, std::uint64_t len,
-                     std::function<void()> done)
+Raid2Server::hwWrite(std::uint64_t off, std::uint64_t len, sim::Event done)
 {
     // Data arrives over the HIPPI loop into XBUS memory while the
     // array write (parity passes + disk commands) proceeds; the
@@ -315,7 +313,7 @@ Raid2Server::noteDeviceWrite(std::uint64_t off, std::uint64_t len)
 }
 
 void
-Raid2Server::drainPendingWrites(std::function<void()> all_done)
+Raid2Server::drainPendingWrites(sim::Event all_done)
 {
     if (pendingWrites.empty()) {
         if (all_done)
@@ -427,19 +425,16 @@ Raid2Server::createFile(const std::string &path)
 
 void
 Raid2Server::fileWrite(lfs::InodeNum ino, std::uint64_t off,
-                       std::uint64_t len, std::function<void()> done)
+                       std::uint64_t len, sim::Event done)
 {
-    writePayload(ino, off, len, nullptr, std::move(done));
+    writePayload(ino, off, len, {}, std::move(done));
 }
 
 void
 Raid2Server::fileWriteData(lfs::InodeNum ino, std::uint64_t off,
-                           std::span<const std::uint8_t> data,
-                           std::function<void()> done)
+                           std::span<const std::uint8_t> data, sim::Event done)
 {
-    writePayload(ino, off, data.size(),
-                 std::make_shared<const std::vector<std::uint8_t>>(
-                     data.begin(), data.end()),
+    writePayload(ino, off, data.size(), {data.begin(), data.end()},
                  std::move(done));
 }
 
@@ -462,15 +457,14 @@ Raid2Server::payloadWindow(lfs::InodeNum ino, std::uint64_t off,
 }
 
 void
-Raid2Server::writePayload(
-    lfs::InodeNum ino, std::uint64_t off, std::uint64_t len,
-    std::shared_ptr<const std::vector<std::uint8_t>> data,
-    std::function<void()> done)
+Raid2Server::writePayload(lfs::InodeNum ino, std::uint64_t off,
+                          std::uint64_t len, std::vector<std::uint8_t> data,
+                          sim::Event done)
 {
     // Per-request file system + network software cost (~3 ms, §3.4),
     // serialized on the server software path.
     fsCpu->submitBusyTime(cal::lfsWriteOpOverhead,
-                          [this, ino, off, len, data,
+                          [this, ino, off, len, data = std::move(data),
                            done = std::move(done)]() mutable {
         // Functional write: real bytes into the log; the host's
         // cached copy (if any) is now stale (§3.2: "The file system
@@ -481,8 +475,8 @@ Raid2Server::writePayload(
         // The window is taken now, not at the call: a longer write
         // submitted since may have grown (moved) the table.
         fs().write(ino, off,
-                   data ? std::span<const std::uint8_t>(*data)
-                        : payloadWindow(ino, off, len));
+                   data.empty() ? payloadWindow(ino, off, len)
+                                : std::span<const std::uint8_t>(data));
 
         // Copy into the XBUS segment buffer.
         _board->memory().submit(len, [this, done = std::move(done)]()
@@ -609,7 +603,7 @@ Raid2Server::scrubVerifyChunk(unsigned d, std::uint64_t off,
 }
 
 void
-Raid2Server::fsSync(std::function<void()> done)
+Raid2Server::fsSync(sim::Event done)
 {
     fsCpu->submitBusyTime(0, [this, done = std::move(done)]() mutable {
         if (_fsOpObserver)
@@ -674,9 +668,10 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
             sim::Pipeline::start(
                 stages, len, cal::xbusChunkBytes,
                 [this, len, st, done = std::move(done)]() mutable {
-                    _ethernet->send(len, [st, done = std::move(done)] {
-                        done(st);
-                    });
+                    _ethernet->send(len,
+                                    [st, done = std::move(done)]() mutable {
+                                        done(st);
+                                    });
                 });
         };
         if (ranges.empty()) {
@@ -691,20 +686,18 @@ Raid2Server::standardRead(lfs::InodeNum ino, std::uint64_t off,
 
 void
 Raid2Server::standardWrite(lfs::InodeNum ino, std::uint64_t off,
-                           std::uint64_t len, std::function<void()> done)
+                           std::uint64_t len, sim::Event done)
 {
     _host->chargeIoCompletion(true, nullptr);
 
     // Never empty, so the reply's NVRAM copy and fsSync() schedule
     // their events even when nobody waits.
-    auto reply = [done = std::move(done)] {
-        if (done)
-            done();
-    };
+    if (!done)
+        done = [] {};
     // Client data arrives over the Ethernet, crosses host memory, and
     // descends the slow control link into XBUS memory.
     _ethernet->send(len, [this, ino, off, len,
-                          reply = std::move(reply)]() mutable {
+                          reply = std::move(done)]() mutable {
         std::vector<sim::Stage> stages = {_host->dataPathStages()[0],
                                           _host->dataPathStages()[1]};
         stages.push_back(

@@ -162,12 +162,10 @@ class Raid2Server
     // -----------------------------------------------------------------
 
     /** Disk array -> XBUS memory -> HIPPI loop -> XBUS memory. */
-    void hwRead(std::uint64_t off, std::uint64_t len,
-                std::function<void()> done);
+    void hwRead(std::uint64_t off, std::uint64_t len, sim::Event done);
 
     /** HIPPI loop -> XBUS memory -> parity -> disk array. */
-    void hwWrite(std::uint64_t off, std::uint64_t len,
-                 std::function<void()> done);
+    void hwWrite(std::uint64_t off, std::uint64_t len, sim::Event done);
 
     // -----------------------------------------------------------------
     // LFS operations — §3.4, Fig 8 (data to/from XBUS network buffers).
@@ -184,18 +182,17 @@ class Raid2Server
      * built per write.  @p done may be empty.
      */
     void fileWrite(lfs::InodeNum ino, std::uint64_t off,
-                   std::uint64_t len, std::function<void()> done);
+                   std::uint64_t len, sim::Event done);
 
     /** Like fileWrite() but stores caller-supplied bytes (the data is
      *  copied before the call returns). */
     void fileWriteData(lfs::InodeNum ino, std::uint64_t off,
-                       std::span<const std::uint8_t> data,
-                       std::function<void()> done);
+                       std::span<const std::uint8_t> data, sim::Event done);
 
     /** Read completion: Status::Ok, or Status::DataCorrupt when
      *  verify-on-read (Config::withIntegrity) met a block it could not
      *  repair — never silent wrong data. */
-    using ReadDone = std::function<void(Status)>;
+    using ReadDone = sim::Callback<Status>;
 
     /**
      * Timed + functional file read through the pipelined high-
@@ -217,14 +214,14 @@ class Raid2Server
      *  moves that call to the ReadDone form and deletes this. */
     void
     fileRead(lfs::InodeNum ino, std::uint64_t off, std::uint64_t len,
-             std::function<void()> done)
+             sim::Event done)
     {
         fileRead(ino, off, len,
-                 [done = std::move(done)](Status) { done(); });
+                 [done = std::move(done)](Status) mutable { done(); });
     }
 
     /** Timed sync: flush LFS state and wait for the array writes. */
-    void fsSync(std::function<void()> done);
+    void fsSync(sim::Event done);
 
     // -----------------------------------------------------------------
     // Standard mode — Ethernet through the host (§2.1.1, §3.3).
@@ -247,7 +244,7 @@ class Raid2Server
      * the host's NVRAM and the log flush proceeds behind it.
      */
     void standardWrite(lfs::InodeNum ino, std::uint64_t off,
-                       std::uint64_t len, std::function<void()> done);
+                       std::uint64_t len, sim::Event done);
 
     /** The host's standard-mode file cache. */
     host::LruCache &hostCache() { return _hostCache; }
@@ -321,19 +318,18 @@ class Raid2Server
 
   private:
     /** fileWrite() and fileWriteData(): @p len bytes from @p data,
-     *  which the server owns until the functional write, or from
-     *  payloadWindow() when @p data is null. */
+     *  which the fs CPU step owns until the functional write, or from
+     *  payloadWindow() when @p data is empty. */
     void writePayload(lfs::InodeNum ino, std::uint64_t off,
-                      std::uint64_t len,
-                      std::shared_ptr<const std::vector<std::uint8_t>> data,
-                      std::function<void()> done);
+                      std::uint64_t len, std::vector<std::uint8_t> data,
+                      sim::Event done);
     /** payloadByte(off + i, ino) for i in [0, len), as a window into
      *  payloadTable (grown as needed; valid until it next grows). */
     std::span<const std::uint8_t> payloadWindow(lfs::InodeNum ino,
                                                 std::uint64_t off,
                                                 std::uint64_t len);
     /** Collect LFS device writes and issue them to the timed array. */
-    void drainPendingWrites(std::function<void()> per_batch_done);
+    void drainPendingWrites(sim::Event per_batch_done);
     void noteDeviceWrite(std::uint64_t off, std::uint64_t len);
     void flushCompleted();
     /** Array ranges holding [off, off+len) of @p ino, holes skipped. */
@@ -389,7 +385,7 @@ class Raid2Server
     /** Device writes recorded by the hook since the last drain. */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> pendingWrites;
     unsigned flushesInFlight = 0;
-    std::deque<std::function<void()>> flushWaiters;
+    std::deque<sim::Event> flushWaiters;
 
     host::LruCache _hostCache;
 

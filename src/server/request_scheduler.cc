@@ -191,45 +191,44 @@ RequestScheduler::dispatch(ClassState &cs, Request &&r,
         return;
     }
 
-    // The request record lives until its datapath completes.
-    auto req = std::make_shared<Request>(std::move(r));
-    auto on_done = [this, &cs, req, granted_at, span] {
-        finish(cs, *req, granted_at, span, Status::Ok, req->ino);
-    };
-    // Reads pass the server's status through: verify-on-read failures
-    // (integrity subsystem) reach the client as DataCorrupt.
-    auto on_read_done = [this, &cs, req, granted_at, span](Status st) {
-        finish(cs, *req, granted_at, span, st, req->ino);
+    // The datapath's completion owns the client's callback.  Reads
+    // pass the server's status through: verify-on-read failures
+    // (integrity subsystem) reach the client as DataCorrupt; writes
+    // complete Ok through the default argument.
+    auto done = [this, &cs, done = std::move(r.done), ino = r.ino,
+                 granted_at, span](Status st = Status::Ok) mutable {
+        finish(cs, done, granted_at, span, st, ino);
     };
 
     if (cs.cls == ServiceClass::FastPath) {
-        if (req->kind == OpKind::Read) {
-            srv.fileRead(req->ino, req->off, req->len, on_read_done,
-                         req->outStages, cal::hippiSetupOverhead);
-        } else if (req->inStages.empty()) {
-            srv.fileWrite(req->ino, req->off, req->len,
-                          std::move(on_done));
+        if (r.kind == OpKind::Read) {
+            srv.fileRead(r.ino, r.off, r.len,
+                         Raid2Server::ReadDone(std::move(done)),
+                         std::move(r.outStages), cal::hippiSetupOverhead);
+        } else if (r.inStages.empty()) {
+            srv.fileWrite(r.ino, r.off, r.len, std::move(done));
         } else {
             sim::Pipeline::start(
-                req->inStages, req->len, cal::xbusChunkBytes,
-                [this, req, on_done]() mutable {
-                    srv.fileWrite(req->ino, req->off, req->len,
-                                  std::move(on_done));
+                r.inStages, r.len, cal::xbusChunkBytes,
+                [this, ino = r.ino, off = r.off, len = r.len,
+                 done = std::move(done)]() mutable {
+                    srv.fileWrite(ino, off, len, std::move(done));
                 });
         }
         return;
     }
     // Standard mode: small transfers ride the Ethernet through the
     // host (§2.1.1).
-    if (req->kind == OpKind::Read)
-        srv.standardRead(req->ino, req->off, req->len, on_read_done);
+    if (r.kind == OpKind::Read)
+        srv.standardRead(r.ino, r.off, r.len, std::move(done));
     else
-        srv.standardWrite(req->ino, req->off, req->len, on_done);
+        srv.standardWrite(r.ino, r.off, r.len, std::move(done));
 }
 
 void
-RequestScheduler::finish(ClassState &cs, Request &r, sim::Tick granted_at,
-                         std::uint64_t span, Status st, lfs::InodeNum ino)
+RequestScheduler::finish(ClassState &cs, Request::Done &done,
+                         sim::Tick granted_at, std::uint64_t span, Status st,
+                         lfs::InodeNum ino)
 {
     cs.serviceMs.sample(sim::ticksToMs(eq.now() - granted_at));
     cs.completed.inc();
@@ -238,8 +237,8 @@ RequestScheduler::finish(ClassState &cs, Request &r, sim::Tick granted_at,
         if (auto *tr = eq.tracer())
             tr->end(span);
     }
-    if (r.done)
-        r.done(st, ino);
+    if (done)
+        done(st, ino);
     pump(cs);
 }
 
@@ -268,33 +267,32 @@ RequestScheduler::flushBatch()
 {
     if (batch.empty())
         return;
-    auto ops = std::make_shared<std::vector<BatchedOpen>>(
-        std::move(batch));
-    batch.clear();
     _batches.inc();
-    _batchedOps.inc(ops->size());
+    _batchedOps.inc(batch.size());
 
     // One kernel entry per batch: full per-op cost for the first,
     // amortized cost for the rest.
     const sim::Tick cpu =
         metaOpCpu +
-        metaBatchedOpCpu * static_cast<sim::Tick>(ops->size() - 1);
-    srv.host().cpu().submitBusyTime(cpu, [this, ops] {
-        for (BatchedOpen &b : *ops) {
-            Status st = Status::Ok;
-            lfs::InodeNum ino = 0;
-            if (srv.fs().exists(b.req.path)) {
-                ino = srv.fs().lookup(b.req.path);
-            } else if (b.req.create) {
-                // Through the server so its FsOp observer sees the
-                // mutation (model checking).
-                ino = srv.createFile(b.req.path);
-            } else {
-                st = Status::NotFound;
+        metaBatchedOpCpu * static_cast<sim::Tick>(batch.size() - 1);
+    // The moved-from batch is left empty for the next one.
+    srv.host().cpu().submitBusyTime(
+        cpu, [this, ops = std::move(batch)]() mutable {
+            for (BatchedOpen &b : ops) {
+                Status st = Status::Ok;
+                lfs::InodeNum ino = 0;
+                if (srv.fs().exists(b.req.path)) {
+                    ino = srv.fs().lookup(b.req.path);
+                } else if (b.req.create) {
+                    // Through the server so its FsOp observer sees the
+                    // mutation (model checking).
+                    ino = srv.createFile(b.req.path);
+                } else {
+                    st = Status::NotFound;
+                }
+                finish(standard, b.req.done, b.grantedAt, b.span, st, ino);
             }
-            finish(standard, b.req, b.grantedAt, b.span, st, ino);
-        }
-    });
+        });
 }
 
 std::size_t

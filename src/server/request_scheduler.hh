@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -83,7 +82,8 @@ class RequestScheduler
         sim::Tick hostBusyTicks = 0;
 
         /** Completion; for Open the inode is the opened file's. */
-        std::function<void(Status, lfs::InodeNum)> done;
+        using Done = sim::Callback<Status, lfs::InodeNum>;
+        Done done;
     };
 
     struct Config
@@ -214,7 +214,7 @@ class RequestScheduler
     void grant(ClassState &cs, SessionQueue &s);
     void dispatch(ClassState &cs, Request &&r, sim::Tick granted_at,
                   std::uint64_t span);
-    void finish(ClassState &cs, Request &r, sim::Tick granted_at,
+    void finish(ClassState &cs, Request::Done &done, sim::Tick granted_at,
                 std::uint64_t span, Status st, lfs::InodeNum ino);
 
     void enqueueOpen(Request &&r, sim::Tick granted_at,

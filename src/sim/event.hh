@@ -1,14 +1,18 @@
 /**
  * @file
- * Small-buffer-optimized event callable.
+ * Small-buffer-optimized one-shot callables.
  *
- * sim::Event is the kernel's replacement for std::function<void()> on
- * the hot scheduling paths.  Callables up to inlineSize bytes (the
- * typical capture-by-value continuation: a `this` pointer plus a few
- * integers) are stored inline in the Event itself, so scheduling one
- * performs no heap allocation; larger callables fall back to the heap.
- * Unlike std::function, Event is move-only and therefore accepts
- * move-only captures (e.g. a unique_ptr riding along a completion).
+ * sim::Callback<Args...> is the simulator's one completion type: every
+ * event the kernel runs (sim::Event is Callback<>) and every one-shot
+ * completion of the datapath above it, with or without arguments (a
+ * read's Status, an open's inode, a client's Result).  Callables up to
+ * inlineSize bytes (the typical capture-by-value continuation: a
+ * `this` pointer plus a few integers, or a sim::Join) are stored
+ * inline, so handing one on performs no heap allocation; larger
+ * callables fall back to the heap.  Unlike std::function, a Callback
+ * is move-only and therefore accepts move-only captures (e.g. a
+ * unique_ptr riding along a completion), so a completion owns what it
+ * carries outright.
  */
 
 #ifndef RAID2_SIM_EVENT_HH
@@ -24,7 +28,7 @@ namespace raid2::sim {
 namespace detail {
 
 /** True for callables that can be compared against nullptr (function
- *  pointers, std::function); used to map "null" to an empty Event. */
+ *  pointers, std::function); used to map "null" to an empty Callback. */
 template <typename T, typename = void>
 struct NullComparable : std::false_type
 {};
@@ -37,31 +41,35 @@ struct NullComparable<
 } // namespace detail
 
 /**
- * Move-only `void()` callable with inline storage.
+ * Move-only `void(Args...)` callable with inline storage.
  *
  * The dispatch table is a pair of function pointers per concrete
  * callable type: invoke() and manage() (move-construct-into /
- * destroy).  An empty Event has a null invoke pointer, so emptiness is
- * one pointer test and moved-from Events are safely empty.
+ * destroy).  An empty Callback has a null invoke pointer, so emptiness
+ * is one pointer test and moved-from Callbacks are safely empty.  The
+ * converting constructor takes only callables invocable with Args, so
+ * overloads on Callbacks of different arguments stay unambiguous.
  */
-class Event
+template <typename... Args>
+class Callback
 {
   public:
     /** Inline storage; callables up to this size never hit the heap. */
     static constexpr std::size_t inlineSize = 48;
 
-    Event() = default;
-    Event(std::nullptr_t) {} // NOLINT: implicit by design
+    Callback() = default;
+    Callback(std::nullptr_t) {} // NOLINT: implicit by design
 
     template <typename F,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, Event> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    Event(F &&f) // NOLINT: implicit by design
+                  !std::is_same_v<std::decay_t<F>, Callback> &&
+                  std::is_invocable_r_v<void, std::decay_t<F> &,
+                                        Args...>>>
+    Callback(F &&f) // NOLINT: implicit by design
     {
         using Fn = std::decay_t<F>;
         // An empty std::function or null function pointer makes an
-        // empty Event, preserving "done may be null" call sites.
+        // empty Callback, preserving "done may be null" call sites.
         if constexpr (detail::NullComparable<Fn>::value) {
             if (f == nullptr)
                 return;
@@ -79,10 +87,10 @@ class Event
         }
     }
 
-    Event(Event &&other) noexcept { moveFrom(other); }
+    Callback(Callback &&other) noexcept { moveFrom(other); }
 
-    Event &
-    operator=(Event &&other) noexcept
+    Callback &
+    operator=(Callback &&other) noexcept
     {
         if (this != &other) {
             reset();
@@ -91,18 +99,22 @@ class Event
         return *this;
     }
 
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
+    Callback(const Callback &) = delete;
+    Callback &operator=(const Callback &) = delete;
 
-    ~Event() { reset(); }
+    ~Callback() { reset(); }
 
     /** True when a callable is held. */
     explicit operator bool() const { return _invoke != nullptr; }
 
     /** Invoke the callable (must not be empty). */
-    void operator()() { _invoke(store); }
+    void
+    operator()(Args... args)
+    {
+        _invoke(store, std::forward<Args>(args)...);
+    }
 
-    /** Drop the callable; the Event becomes empty. */
+    /** Drop the callable; the Callback becomes empty. */
     void
     reset()
     {
@@ -115,13 +127,13 @@ class Event
   private:
     /** manage(dst, src): dst != null moves src into dst and destroys
      *  src; dst == null just destroys src. */
-    using InvokeFn = void (*)(void *);
+    using InvokeFn = void (*)(void *, Args &&...);
     using ManageFn = void (*)(void *dst, void *src);
 
     void *&ptr() { return *reinterpret_cast<void **>(store); }
 
     void
-    moveFrom(Event &other) noexcept
+    moveFrom(Callback &other) noexcept
     {
         _invoke = other._invoke;
         _manage = other._manage;
@@ -133,9 +145,10 @@ class Event
 
     template <typename Fn>
     static void
-    invokeInline(void *s)
+    invokeInline(void *s, Args &&...args)
     {
-        (*std::launder(reinterpret_cast<Fn *>(s)))();
+        (*std::launder(reinterpret_cast<Fn *>(s)))(
+            std::forward<Args>(args)...);
     }
 
     template <typename Fn>
@@ -150,9 +163,10 @@ class Event
 
     template <typename Fn>
     static void
-    invokeHeap(void *s)
+    invokeHeap(void *s, Args &&...args)
     {
-        (*static_cast<Fn *>(*reinterpret_cast<void **>(s)))();
+        (*static_cast<Fn *>(*reinterpret_cast<void **>(s)))(
+            std::forward<Args>(args)...);
     }
 
     template <typename Fn>
@@ -171,6 +185,9 @@ class Event
     InvokeFn _invoke = nullptr;
     ManageFn _manage = nullptr;
 };
+
+/** A scheduled event, and every completion that carries no value. */
+using Event = Callback<>;
 
 } // namespace raid2::sim
 

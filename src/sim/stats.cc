@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace raid2::sim {
 
 void
@@ -39,49 +37,6 @@ double
 Distribution::stddev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo_, double hi_, std::size_t buckets_)
-    : lo(lo_), hi(hi_), width((hi_ - lo_) / static_cast<double>(buckets_)),
-      counts(buckets_, 0)
-{
-    if (buckets_ == 0 || hi_ <= lo_)
-        panic("Histogram: bad range/bucket configuration");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++n;
-    std::size_t idx;
-    if (v < lo) {
-        idx = 0;
-    } else if (v >= hi) {
-        idx = counts.size() - 1;
-    } else {
-        idx = static_cast<std::size_t>((v - lo) / width);
-        idx = std::min(idx, counts.size() - 1);
-    }
-    ++counts[idx];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    n = 0;
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    return lo + width * static_cast<double>(i);
-}
-
-double
-Histogram::bucketHi(std::size_t i) const
-{
-    return bucketLo(i) + width;
 }
 
 double

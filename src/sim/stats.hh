@@ -4,9 +4,9 @@
  *
  * Components expose counters and sample distributions; benches and
  * tests read them back.  Modeled loosely on gem5's stats package but
- * intentionally tiny: a Scalar counter, a sampled Distribution, a
- * fixed-bucket Histogram and a busy-time Utilization.  StatsRegistry
- * (stats_registry.hh) names and dumps all but the Histogram.
+ * intentionally tiny: a Scalar counter, a sampled Distribution and a
+ * busy-time Utilization, all of which StatsRegistry
+ * (stats_registry.hh) names and dumps.
  */
 
 #ifndef RAID2_SIM_STATS_HH
@@ -58,28 +58,6 @@ class Distribution
     double sumSq = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-width bucket histogram over [lo, hi); out-of-range samples
- *  land in saturating edge buckets. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void sample(double v);
-    void reset();
-
-    std::uint64_t count() const { return n; }
-    std::uint64_t bucketCount(std::size_t i) const { return counts.at(i); }
-    std::size_t buckets() const { return counts.size(); }
-    double bucketLo(std::size_t i) const;
-    double bucketHi(std::size_t i) const;
-
-  private:
-    double lo, hi, width;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t n = 0;
 };
 
 /**

@@ -84,7 +84,7 @@ BackupEngine::findSnap(const std::string &name) const
 
 void
 BackupEngine::sendWithRetry(std::uint64_t bytes, unsigned attempt,
-                            std::function<void()> done)
+                            sim::Event done)
 {
     if (chan.linkDown() && attempt < maxRetries) {
         // Deterministic exponential backoff: the link is down right
@@ -106,8 +106,7 @@ BackupEngine::sendWithRetry(std::uint64_t bytes, unsigned attempt,
 }
 
 void
-BackupEngine::backupFull(const std::string &snap_name,
-                         std::function<void()> done)
+BackupEngine::backupFull(const std::string &snap_name, sim::Event done)
 {
     const lfs::SnapshotRecord rec = findSnap(snap_name);
     std::vector<std::uint64_t> segs;
@@ -121,8 +120,7 @@ BackupEngine::backupFull(const std::string &snap_name,
 
 void
 BackupEngine::backupIncremental(const std::string &snap_name,
-                                const std::string &base_name,
-                                std::function<void()> done)
+                                const std::string &base_name, sim::Event done)
 {
     const lfs::SnapshotRecord rec = findSnap(snap_name);
     const lfs::SnapshotRecord base = findSnap(base_name);
@@ -150,8 +148,7 @@ BackupEngine::backupIncremental(const std::string &snap_name,
 
 void
 BackupEngine::startStream(const lfs::SnapshotRecord &rec,
-                          std::vector<std::uint64_t> segs,
-                          std::function<void()> done)
+                          std::vector<std::uint64_t> segs, sim::Event done)
 {
     if (active)
         throw LfsError(Errno::Invalid, "backup engine busy");
@@ -240,14 +237,13 @@ BackupEngine::finishStream()
 {
     active = false;
     auto done = std::move(streamDone);
-    streamDone = nullptr;
     if (done)
         done();
 }
 
 void
 BackupEngine::restore(const std::string &snap_name,
-                      std::function<void(const lfs::FsckReport &)> done)
+                      sim::Callback<const lfs::FsckReport &> done)
 {
     if (active)
         throw LfsError(Errno::Invalid, "backup engine busy");
@@ -279,7 +275,7 @@ BackupEngine::restore(const std::string &snap_name,
                        done = std::move(done)]() mutable {
         dst.array().write(
             sb.cp1Block * sb.blockSize, cp_bytes,
-            [this, began, done = std::move(done)] {
+            [this, began, done = std::move(done)]() mutable {
                 dst.remountFs();
                 const lfs::FsckReport rep = dst.fs().fsck();
                 dst.endRestore();

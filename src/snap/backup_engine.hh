@@ -31,7 +31,6 @@
 #define RAID2_SNAP_BACKUP_ENGINE_HH
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -68,16 +67,14 @@ class BackupEngine
                  server::Raid2Server &dst);
 
     /** Ship every segment snapshot @p snap_name pins. */
-    void backupFull(const std::string &snap_name,
-                    std::function<void()> done);
+    void backupFull(const std::string &snap_name, sim::Event done);
 
     /**
      * Ship only segments pinned by @p snap_name and not by
      * @p base_name.  The base must already be on the target.
      */
     void backupIncremental(const std::string &snap_name,
-                           const std::string &base_name,
-                           std::function<void()> done);
+                           const std::string &base_name, sim::Event done);
 
     /**
      * Rebuild the target file system at snapshot @p snap_name from
@@ -86,7 +83,7 @@ class BackupEngine
      * rewrite is in progress.
      */
     void restore(const std::string &snap_name,
-                 std::function<void(const lfs::FsckReport &)> done);
+                 sim::Callback<const lfs::FsckReport &> done);
 
     /** Byte-compare the restored target tree against a read-only
      *  mount of the source snapshot (both directions; functional, off
@@ -115,16 +112,14 @@ class BackupEngine
 
   private:
     void startStream(const lfs::SnapshotRecord &rec,
-                     std::vector<std::uint64_t> segs,
-                     std::function<void()> done);
+                     std::vector<std::uint64_t> segs, sim::Event done);
     void issueNext();
     void issueSegment(std::uint64_t seg);
     void finishSegment(std::uint64_t seg, std::uint64_t off,
                        std::uint64_t bytes, sim::Tick began);
     void finishStream();
     /** linkDown-aware send with deterministic exponential backoff. */
-    void sendWithRetry(std::uint64_t bytes, unsigned attempt,
-                       std::function<void()> done);
+    void sendWithRetry(std::uint64_t bytes, unsigned attempt, sim::Event done);
 
     std::uint64_t segmentBytes() const;
     std::uint64_t segmentByteOffset(std::uint64_t seg) const;
@@ -143,7 +138,7 @@ class BackupEngine
     std::size_t nextIssue = 0;
     std::size_t completedSegs = 0;
     unsigned inFlight = 0;
-    std::function<void()> streamDone;
+    sim::Event streamDone;
     /** @} */
 
     /** Segments whose images are present on the target. */

@@ -30,13 +30,13 @@ SnapshotManager::create(const std::string &name)
 
 void
 SnapshotManager::createTimed(const std::string &name,
-                             std::function<void(std::uint32_t)> done)
+                             sim::Callback<std::uint32_t> done)
 {
     const std::uint32_t id = create(name);
     // takeSnapshot() synced and checkpointed through the hooked
     // device; fsSync() pushes those mirrored writes through the timed
     // array so the snapshot's durability cost is on the clock.
-    srv.fsSync([id, done = std::move(done)] {
+    srv.fsSync([id, done = std::move(done)]() mutable {
         if (done)
             done(id);
     });

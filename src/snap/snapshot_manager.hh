@@ -14,7 +14,6 @@
 #define RAID2_SNAP_SNAPSHOT_MANAGER_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +35,7 @@ class SnapshotManager
     /** Like create(), then drain the mirrored checkpoint/segment
      *  writes through the timed array before @p done fires. */
     void createTimed(const std::string &name,
-                     std::function<void(std::uint32_t)> done);
+                     sim::Callback<std::uint32_t> done);
 
     /** Delete a snapshot (durable before the pins release). */
     void remove(const std::string &name);

@@ -21,6 +21,9 @@ ClosedLoopRunner::run(sim::EventQueue &eq, const Config &cfg,
         const Op &op;
         sim::EventQueue &eq;
         sim::Random rng;
+        std::uint64_t align;
+        std::uint64_t slots;
+        std::uint64_t total;
         std::uint64_t issued = 0;
         std::uint64_t finished = 0;
         std::uint64_t measuredOps = 0;
@@ -31,62 +34,60 @@ ClosedLoopRunner::run(sim::EventQueue &eq, const Config &cfg,
         std::vector<std::uint64_t> cursor; // per-process, sequential
 
         State(const Config &c, const Op &o, sim::EventQueue &q)
-            : cfg(c), op(o), eq(q), rng(c.seed)
+            : cfg(c), op(o), eq(q), rng(c.seed),
+              align(c.alignBytes ? c.alignBytes : c.requestBytes),
+              slots((c.regionBytes - c.requestBytes) / align + 1),
+              total(c.totalOps + c.warmupOps)
         {
+        }
+
+        /** Issue process @p p's next request; its completion issues
+         *  the one after, so each process keeps one outstanding. */
+        void
+        next(unsigned p)
+        {
+            if (issued >= total)
+                return;
+            ++issued;
+
+            std::uint64_t off;
+            if (cfg.sequential) {
+                const unsigned slot = cfg.sharedCursor ? 0 : p;
+                off = cursor[slot];
+                cursor[slot] += cfg.requestBytes;
+                if (cursor[slot] + cfg.requestBytes > cfg.regionBytes)
+                    cursor[slot] = 0;
+            } else {
+                off = rng.below(slots) * align;
+            }
+
+            const sim::Tick start = eq.now();
+            op(off, cfg.requestBytes, [this, p, start] {
+                ++finished;
+                const bool measured = finished > cfg.warmupOps;
+                if (finished == cfg.warmupOps + 1)
+                    measureStart = start;
+                if (measured) {
+                    ++measuredOps;
+                    measuredBytes += cfg.requestBytes;
+                    latencyMs.sample(sim::ticksToMs(eq.now() - start));
+                    lastFinish = eq.now();
+                }
+                next(p);
+            });
         }
     };
     State st(cfg, op, eq);
-
-    const std::uint64_t align =
-        cfg.alignBytes ? cfg.alignBytes : cfg.requestBytes;
-    const std::uint64_t slots =
-        (cfg.regionBytes - cfg.requestBytes) / align + 1;
-    const std::uint64_t total = cfg.totalOps + cfg.warmupOps;
+    const std::uint64_t total = st.total;
 
     // Per-process sequential partitions.
     st.cursor.resize(cfg.processes);
     for (unsigned p = 0; p < cfg.processes; ++p)
         st.cursor[p] = (cfg.regionBytes / cfg.processes) * p;
 
-    // Issue loop, one outstanding request per process.
-    std::function<void(unsigned)> next = [&](unsigned p) {
-        if (st.issued >= total)
-            return;
-        ++st.issued;
-
-        std::uint64_t off;
-        if (st.cfg.sequential) {
-            const unsigned slot = st.cfg.sharedCursor ? 0 : p;
-            off = st.cursor[slot];
-            st.cursor[slot] += st.cfg.requestBytes;
-            if (st.cursor[slot] + st.cfg.requestBytes >
-                st.cfg.regionBytes) {
-                st.cursor[slot] = 0;
-            }
-        } else {
-            off = st.rng.below(slots) * align;
-        }
-
-        const sim::Tick start = st.eq.now();
-        st.op(off, st.cfg.requestBytes, [&st, p, start, &next] {
-            ++st.finished;
-            const bool measured = st.finished > st.cfg.warmupOps;
-            if (st.finished == st.cfg.warmupOps + 1)
-                st.measureStart = start;
-            if (measured) {
-                ++st.measuredOps;
-                st.measuredBytes += st.cfg.requestBytes;
-                st.latencyMs.sample(
-                    sim::ticksToMs(st.eq.now() - start));
-                st.lastFinish = st.eq.now();
-            }
-            next(p);
-        });
-    };
-
     const sim::Tick t0 = eq.now();
     for (unsigned p = 0; p < cfg.processes && st.issued < total; ++p)
-        next(p);
+        st.next(p);
     eq.runUntilDone([&st, total] { return st.finished >= total; });
 
     if (st.finished < total)

@@ -22,8 +22,8 @@
 namespace raid2::workload {
 
 /** An asynchronous byte-range operation under test. */
-using Op = std::function<void(std::uint64_t off, std::uint64_t len,
-                              std::function<void()> done)>;
+using Op =
+    std::function<void(std::uint64_t off, std::uint64_t len, sim::Event done)>;
 
 /** Aggregate results of a run. */
 struct Results

@@ -14,7 +14,7 @@ BufferPool::BufferPool(sim::EventQueue &eq_, std::string name,
 }
 
 void
-BufferPool::alloc(std::uint64_t bytes, std::function<void()> granted)
+BufferPool::alloc(std::uint64_t bytes, sim::Event granted)
 {
     if (bytes > _capacity)
         sim::fatal("BufferPool %s: request of %llu exceeds capacity %llu",

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 
 #include "sim/event_queue.hh"
@@ -35,7 +34,7 @@ class BufferPool
      * the reservation is made.  Requests are granted strictly FIFO to
      * avoid starvation of large buffers.
      */
-    void alloc(std::uint64_t bytes, std::function<void()> granted);
+    void alloc(std::uint64_t bytes, sim::Event granted);
 
     /** Return @p bytes to the pool, waking waiters in order. */
     void free(std::uint64_t bytes);
@@ -52,7 +51,7 @@ class BufferPool
     struct Waiter
     {
         std::uint64_t bytes;
-        std::function<void()> granted;
+        sim::Event granted;
     };
 
     void drain();

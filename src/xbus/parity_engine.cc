@@ -9,7 +9,7 @@ ParityEngine::ParityEngine(sim::Service &port_, sim::Service &memory_)
 
 void
 ParityEngine::pass(std::uint64_t input_bytes, std::uint64_t output_bytes,
-                   std::function<void()> done)
+                   sim::Event done)
 {
     const std::uint64_t total = input_bytes + output_bytes;
     ++_passes;

@@ -14,7 +14,6 @@
 #define RAID2_XBUS_PARITY_ENGINE_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "config/calibration.hh"
 #include "sim/service.hh"
@@ -32,7 +31,7 @@ class ParityEngine
      * @p output_bytes of parity; @p done fires at completion.
      */
     void pass(std::uint64_t input_bytes, std::uint64_t output_bytes,
-              std::function<void()> done);
+              sim::Event done);
 
     std::uint64_t passes() const { return _passes; }
     std::uint64_t bytesProcessed() const { return _bytes; }

@@ -52,7 +52,7 @@ ZebraVolume::dataServer(std::uint64_t stripe, unsigned k) const
 }
 
 void
-ZebraVolume::emitStripe(std::function<void()> done_one)
+ZebraVolume::emitStripe(sim::Event done_one)
 {
     const unsigned n = numServers();
     const std::uint64_t frag = cfg.fragmentBytes;
@@ -77,10 +77,9 @@ ZebraVolume::emitStripe(std::function<void()> done_one)
     // A failed server's fragment is lost until rebuildServer().
     const std::size_t live = std::count(failed.begin(), failed.end(), false);
     if (live == 0) {
-        eq.scheduleIn(0, [done = std::move(done_one)] {
-            if (done)
-                done();
-        });
+        if (!done_one)
+            done_one = [] {};
+        eq.scheduleIn(0, std::move(done_one));
         return;
     }
     const sim::Join stored(live, std::move(done_one));
@@ -93,8 +92,7 @@ ZebraVolume::emitStripe(std::function<void()> done_one)
 }
 
 void
-ZebraVolume::append(std::span<const std::uint8_t> data,
-                    std::function<void()> done)
+ZebraVolume::append(std::span<const std::uint8_t> data, sim::Event done)
 {
     pending.insert(pending.end(), data.begin(), data.end());
     logicalSize += data.size();
@@ -113,7 +111,7 @@ ZebraVolume::append(std::span<const std::uint8_t> data,
 }
 
 void
-ZebraVolume::flush(std::function<void()> done)
+ZebraVolume::flush(sim::Event done)
 {
     if (pending.empty()) {
         if (done)
@@ -158,7 +156,7 @@ ZebraVolume::readFragment(std::uint64_t stripe, unsigned k,
 
 void
 ZebraVolume::read(std::uint64_t off, std::span<std::uint8_t> out,
-                  std::function<void()> done)
+                  sim::Event done)
 {
     if (off + out.size() > logicalSize)
         sim::fatal("ZebraVolume: read beyond the log end");
@@ -232,52 +230,61 @@ ZebraVolume::restoreServer(unsigned s)
     failed.at(s) = false;
 }
 
+/** One rebuildServer() run, owned by its current stripe's I/O. */
+struct ZebraVolume::Rebuild
+{
+    unsigned server;
+    std::uint64_t stripe;
+    sim::Event done;
+};
+
 void
-ZebraVolume::rebuildServer(unsigned s, std::function<void()> done)
+ZebraVolume::rebuildServer(unsigned s, sim::Event done)
 {
     if (failed.at(s))
         sim::fatal("ZebraVolume: restoreServer(%u) before rebuild", s);
+    rebuildStripe(std::make_unique<Rebuild>(Rebuild{s, 0, std::move(done)}));
+}
 
+void
+ZebraVolume::rebuildStripe(std::unique_ptr<Rebuild> r)
+{
+    if (r->stripe >= flushedStripes) {
+        ++_rebuilds;
+        if (r->done)
+            r->done();
+        return;
+    }
+    const unsigned s = r->server;
     const std::uint64_t frag = cfg.fragmentBytes;
-    // The step holds itself only weakly; the I/O in flight keeps it
-    // alive, so it is freed once the last stripe is written.
-    auto step = std::make_shared<std::function<void(std::uint64_t)>>();
-    *step = [this, s, frag, done = std::move(done),
-             weak = std::weak_ptr(step)](std::uint64_t stripe) {
-        if (stripe >= flushedStripes) {
-            ++_rebuilds;
-            if (done)
-                done();
-            return;
-        }
-        // Functional reconstruction: XOR every other fragment.
-        std::vector<std::uint8_t> rebuilt(frag, 0);
-        std::vector<std::uint8_t> tmp(frag);
-        for (unsigned j = 0; j < numServers(); ++j) {
-            if (j == s)
-                continue;
-            servers[j]->fs().read(fragIno[j], stripe * frag,
-                                  {tmp.data(), tmp.size()});
-            raid::xorInto(rebuilt.data(), tmp.data(), frag);
-        }
-        // Timed: read the survivors, write the rebuilt fragment.
-        const sim::Join survivors(
-            numServers() - 1, [this, s, stripe, frag, step = weak.lock(),
-                               rebuilt = std::move(rebuilt)] {
-                servers[s]->fileWriteData(
-                    fragIno[s], stripe * frag,
-                    {rebuilt.data(), rebuilt.size()},
-                    [step, stripe] { (*step)(stripe + 1); });
-            });
-        for (unsigned j = 0; j < numServers(); ++j) {
-            if (j != s)
-                servers[j]->fileRead(fragIno[j], stripe * frag, frag,
-                                     [survivors](server::Status) {
-                                         survivors();
-                                     });
-        }
-    };
-    (*step)(0);
+    const std::uint64_t at = r->stripe++ * frag;
+    // Functional reconstruction: XOR every other fragment.
+    std::vector<std::uint8_t> rebuilt(frag, 0);
+    std::vector<std::uint8_t> tmp(frag);
+    for (unsigned j = 0; j < numServers(); ++j) {
+        if (j == s)
+            continue;
+        servers[j]->fs().read(fragIno[j], at, {tmp.data(), tmp.size()});
+        raid::xorInto(rebuilt.data(), tmp.data(), frag);
+    }
+    // Timed: read the survivors, write the rebuilt fragment, then go
+    // on with the next stripe.
+    const sim::Join survivors(
+        numServers() - 1, [this, s, at, r = std::move(r),
+                           rebuilt = std::move(rebuilt)]() mutable {
+            servers[s]->fileWriteData(
+                fragIno[s], at, {rebuilt.data(), rebuilt.size()},
+                [this, r = std::move(r)]() mutable {
+                    rebuildStripe(std::move(r));
+                });
+        });
+    for (unsigned j = 0; j < numServers(); ++j) {
+        if (j != s)
+            servers[j]->fileRead(fragIno[j], at, frag,
+                                 [survivors](server::Status) {
+                                     survivors();
+                                 });
+    }
 }
 
 void

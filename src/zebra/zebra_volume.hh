@@ -25,7 +25,7 @@
 #define RAID2_ZEBRA_ZEBRA_VOLUME_HH
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -67,11 +67,10 @@ class ZebraVolume
      * servers as they form; @p done fires when every stripe this call
      * emitted is stored (immediately if none).
      */
-    void append(std::span<const std::uint8_t> data,
-                std::function<void()> done);
+    void append(std::span<const std::uint8_t> data, sim::Event done);
 
     /** Force out the partial tail stripe (zero-padded). */
-    void flush(std::function<void()> done);
+    void flush(sim::Event done);
 
     /** Logical bytes appended so far. */
     std::uint64_t size() const { return logicalSize; }
@@ -81,8 +80,7 @@ class ZebraVolume
      * (reconstructing via parity if a server is down), timed transfer
      * through each involved server's high-bandwidth read path.
      */
-    void read(std::uint64_t off, std::span<std::uint8_t> out,
-              std::function<void()> done);
+    void read(std::uint64_t off, std::span<std::uint8_t> out, sim::Event done);
 
     /** Mark a server unavailable (its fragments reconstruct). */
     void failServer(unsigned s);
@@ -94,7 +92,7 @@ class ZebraVolume
      * Rebuild a (restored but empty) server's fragment file from the
      * survivors: read every stripe's other fragments, XOR, store.
      */
-    void rebuildServer(unsigned s, std::function<void()> done);
+    void rebuildServer(unsigned s, sim::Event done);
 
     /** @{ Statistics. */
     std::uint64_t stripesWritten() const { return _stripesWritten; }
@@ -113,8 +111,13 @@ class ZebraVolume
     unsigned dataServer(std::uint64_t stripe, unsigned k) const;
 
   private:
+    struct Rebuild;
+
     /** Emit the (full) stripe at the head of the pending buffer. */
-    void emitStripe(std::function<void()> done_one);
+    void emitStripe(sim::Event done_one);
+
+    /** Rebuild the next stripe of @p r's server, then the rest. */
+    void rebuildStripe(std::unique_ptr<Rebuild> r);
 
     /** Functional fragment fetch (degraded-aware). */
     void readFragment(std::uint64_t stripe, unsigned k,

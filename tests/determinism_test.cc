@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,8 +65,7 @@ runWorkload(std::uint64_t req_bytes)
     w.warmupOps = 8;
     const auto res = workload::ClosedLoopRunner::run(
         eq, w,
-        [&](std::uint64_t off, std::uint64_t len,
-            std::function<void()> done) {
+        [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
             srv.array().read(off, len, std::move(done));
         });
 

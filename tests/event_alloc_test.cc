@@ -3,8 +3,9 @@
  * Verifies the kernel's zero-allocation scheduling guarantee: once the
  * queue's arena and vectors are warm, scheduling and running small
  * callables performs no heap allocations at all.  The same holds for a
- * warm drive serving queued commands, and a pipelined transfer costs
- * one allocation however many chunks it has.
+ * warm drive serving queued commands, a pipelined transfer costs one
+ * allocation however many chunks it has, and a striped array read
+ * hands each extent its completion without allocating one.
  *
  * Global operator new/delete are replaced with counting versions.
  * Sanitizer builds interpose their own allocator around these, but the
@@ -17,13 +18,16 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "disk/disk_model.hh"
 #include "disk/disk_profile.hh"
+#include "raid/sim_array.hh"
 #include "sim/event_queue.hh"
 #include "sim/service.hh"
+#include "xbus/xbus_board.hh"
 
 namespace {
 
@@ -170,6 +174,31 @@ TEST(EventAlloc, LargeCallablesDoAllocate)
     EXPECT_EQ(sink, 200);
 }
 
+TEST(EventAlloc, LargeCallbackTakesTheHeapRunsOnceAndIsFreed)
+{
+    auto token = std::make_shared<int>(0);
+    struct Big
+    {
+        char pad[64];
+    } big{};
+    big.pad[0] = 1;
+    auto large = [big, token](int v) { *token += v + big.pad[0]; };
+    static_assert(sizeof(large) > sim::Callback<int>::inlineSize);
+
+    const std::uint64_t before = g_allocs.load();
+    sim::Callback<int> cb(std::move(large));
+    // Moving the callback hands on the heap copy; it allocates no
+    // second one.
+    sim::Callback<int> moved = std::move(cb);
+    EXPECT_EQ(g_allocs.load() - before, 1u);
+    EXPECT_FALSE(static_cast<bool>(cb));
+    moved(2);
+    EXPECT_EQ(*token, 3);
+    EXPECT_EQ(token.use_count(), 2);
+    moved.reset();
+    EXPECT_EQ(token.use_count(), 1);
+}
+
 /** Queue @p n scattered commands on @p d at once and serve them all. */
 int
 serveBacklog(sim::EventQueue &eq, disk::DiskModel &d, int n)
@@ -228,6 +257,43 @@ TEST(EventAlloc, TransferAllocatesTheSameForOneChunkAndSixtyFour)
     const std::uint64_t many = transferAllocs(eq, stages, 64);
     EXPECT_EQ(single, many) << "a transfer allocated per chunk";
     EXPECT_LE(single, 1u) << "a transfer is one allocation";
+}
+
+/** Allocations of one SimArray::read of @p units whole stripe units
+ *  from the array's start, run to completion. */
+std::uint64_t
+arrayReadAllocs(sim::EventQueue &eq, raid::SimArray &array, unsigned units)
+{
+    bool done = false;
+    const std::uint64_t before = g_allocs.load();
+    array.read(0, units * array.layout().unitBytes(),
+               [&done] { done = true; });
+    eq.run();
+    const std::uint64_t after = g_allocs.load();
+    EXPECT_TRUE(done);
+    return after - before;
+}
+
+TEST(EventAlloc, WarmArrayReadAllocatesNoCallbackPerExtent)
+{
+    // Every extent of a striped read completes into the read's one
+    // sim::Join, which its disk command holds inline.  What an extent
+    // still allocates is its disk command's stage list (built, then
+    // grown by the string and controller) and its pipelined transfer:
+    // three each, plus two for the extent list growing from one to
+    // four.
+    sim::EventQueue eq;
+    xbus::XbusBoard board(eq, "x");
+    raid::LayoutConfig lcfg;
+    lcfg.level = raid::RaidLevel::Raid5;
+    raid::SimArray array(eq, board, "a", lcfg, raid::ArrayTopology{});
+    arrayReadAllocs(eq, array, 4);
+    arrayReadAllocs(eq, array, 4);
+
+    const std::uint64_t one = arrayReadAllocs(eq, array, 1);
+    const std::uint64_t four = arrayReadAllocs(eq, array, 4);
+    EXPECT_EQ(four - one, 3u * 3 + 2)
+        << "one extent: " << one << ", four: " << four;
 }
 
 } // namespace

@@ -130,8 +130,7 @@ TEST(Integration, LfsWriteGroupingBeatsRawSmallWrites)
         w.totalOps = 200;
         auto res = workload::ClosedLoopRunner::run(
             eq, w,
-            [&](std::uint64_t off, std::uint64_t len,
-                std::function<void()> done) {
+            [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
                 srv.fileWrite(ino, off, len, std::move(done));
             });
         return res.throughputMBs();
@@ -147,8 +146,7 @@ TEST(Integration, LfsWriteGroupingBeatsRawSmallWrites)
         w.totalOps = 200;
         auto res = workload::ClosedLoopRunner::run(
             eq, w,
-            [&](std::uint64_t off, std::uint64_t len,
-                std::function<void()> done) {
+            [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
                 srv.array().write(off, len, std::move(done));
             });
         return res.throughputMBs();
@@ -173,8 +171,7 @@ TEST(Integration, Raid2DeliversOrderOfMagnitudeOverRaid1)
         w.sequential = true;
         auto res = workload::ClosedLoopRunner::run(
             eq, w,
-            [&](std::uint64_t off, std::uint64_t len,
-                std::function<void()> done) {
+            [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
                 srv.read(off, len, std::move(done));
             });
         raid1_mbs = res.throughputMBs();
@@ -193,8 +190,7 @@ TEST(Integration, Raid2DeliversOrderOfMagnitudeOverRaid1)
         w.sequential = true;
         auto res = workload::ClosedLoopRunner::run(
             eq, w,
-            [&](std::uint64_t off, std::uint64_t len,
-                std::function<void()> done) {
+            [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
                 srv.hwRead(off, len, std::move(done));
             });
         raid2_mbs = res.throughputMBs();

@@ -270,8 +270,9 @@ TEST(LfsEdge, ChurnWithPeriodicChecksSurvives)
         } else {
             fs.checkpoint();
         }
-        if (step % 100 == 99)
+        if (step % 100 == 99) {
             ASSERT_TRUE(fs.fsck().ok) << "at step " << step;
+        }
     }
     EXPECT_TRUE(fs.fsck().ok);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Network model tests: HIPPI setup overhead and asymptote (the two
- * regimes of Fig 6), Ethernet packetization, Ultranet transfers, and
- * the copy-limited client.
+ * regimes of Fig 6), Ethernet packetization, transfers across the
+ * Ultranet ring, and the copy-limited client.
  */
 
 #include <gtest/gtest.h>
@@ -109,16 +109,19 @@ TEST(Ethernet, SmallTransferLatency)
     EXPECT_LT(done_at, sim::msToTicks(2.5));
 }
 
-TEST(Ultranet, TransferCrossesRingWithLatency)
+TEST(Ultranet, TransferCrossesRingAtRingRate)
 {
+    // A transfer crosses the ring as one stage between its endpoints'
+    // stages, as RaidFileClient's in and out stages do.
     sim::EventQueue eq;
     net::UltranetFabric ring(eq, "u");
     sim::Service src(eq, "src", sim::Service::Config{200.0, 0, 1});
     sim::Service dst(eq, "dst", sim::Service::Config{200.0, 0, 1});
     bool done = false;
     const std::uint64_t bytes = 10 * sim::MB;
-    ring.transfer(bytes, {sim::Stage(src)}, {sim::Stage(dst)},
-                  [&] { done = true; });
+    sim::Pipeline::start({sim::Stage(src), sim::Stage(ring.ring()),
+                          sim::Stage(dst)},
+                         bytes, cal::xbusChunkBytes, [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
     // Ring is 100 MB/s: the slowest stage.
@@ -147,8 +150,9 @@ TEST(Client, NicBoundEndToEndTransfer)
     net::ClientModel c(eq, "sparc");
     bool done = false;
     const std::uint64_t bytes = 8 * sim::MB;
-    ring.transfer(bytes, {sim::Stage(board.hippiSrcPort())},
-                  {c.rxStage()}, [&] { done = true; });
+    sim::Pipeline::start({sim::Stage(board.hippiSrcPort()),
+                          sim::Stage(ring.ring()), c.rxStage()},
+                         bytes, cal::xbusChunkBytes, [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
     EXPECT_NEAR(sim::mbPerSec(bytes, eq.now()), cal::clientReadMBs,

@@ -208,8 +208,7 @@ TEST(Robustness, ElevatorSchedulingHelpsDeepQueues)
         w.warmupOps = 200;
         auto res = workload::ClosedLoopRunner::run(
             eq, w,
-            [&](std::uint64_t off, std::uint64_t len,
-                std::function<void()> done) {
+            [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
                 srv.array().read(off, len, std::move(done));
             });
         return res.opsPerSec();

@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault_plan.hh"
@@ -332,6 +334,60 @@ TEST(Raid2Server, FileReadUsesMappedExtents)
     EXPECT_GE(eq.now() - t0, cal::lfsReadOpOverhead);
 }
 
+/** Whether Raid2Server::fileRead takes completion @p F: a call that
+ *  matches no overload, or two, is ill-formed. */
+template <typename F, typename = void>
+constexpr bool fileReadTakes = false;
+template <typename F>
+constexpr bool fileReadTakes<
+    F, std::void_t<decltype(std::declval<Raid2Server &>().fileRead(
+           0, 0, 0, std::declval<F>()))>> = true;
+
+TEST(Raid2Server, FileReadOverloadFollowsTheCompletionArguments)
+{
+    // A no-argument completion selects the status-free overload, a
+    // (Status) one the ReadDone form; neither call is ambiguous.
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", smallConfig(true));
+    const auto ino = srv.createFile("/f");
+    srv.fileWrite(ino, 0, 64 * 1024, nullptr);
+    int plain = 0;
+    Status st = Status::DataCorrupt;
+    auto no_arg = [&] { ++plain; };
+    auto with_status = [&](Status s) { st = s; };
+    using NoArg = decltype(no_arg);
+    using WithStatus = decltype(with_status);
+    static_assert(std::is_constructible_v<sim::Event, NoArg> &&
+                  !std::is_constructible_v<Raid2Server::ReadDone, NoArg>);
+    static_assert(!std::is_constructible_v<sim::Event, WithStatus> &&
+                  std::is_constructible_v<Raid2Server::ReadDone, WithStatus>);
+    static_assert(fileReadTakes<NoArg> && fileReadTakes<WithStatus>);
+
+    srv.fileRead(ino, 0, 64 * 1024, no_arg);
+    srv.fileRead(ino, 0, 64 * 1024, with_status);
+    eq.runUntilDone([&] { return plain == 1 && st == Status::Ok; });
+    EXPECT_EQ(plain, 1);
+    EXPECT_EQ(st, Status::Ok);
+}
+
+TEST(Raid2Server, StatusCompletionsForwardTheirArguments)
+{
+    Status got = Status::Ok;
+    Raid2Server::ReadDone read_done = [&](Status s) { got = s; };
+    read_done(Status::DataCorrupt);
+    EXPECT_EQ(got, Status::DataCorrupt);
+
+    lfs::InodeNum ino = 0;
+    server::RequestScheduler::Request::Done open_done =
+        [&](Status s, lfs::InodeNum i) {
+            got = s;
+            ino = i;
+        };
+    open_done(Status::NotFound, 17);
+    EXPECT_EQ(got, Status::NotFound);
+    EXPECT_EQ(ino, 17u);
+}
+
 TEST(Raid2Server, SmallFileWritesAreBufferedQuickly)
 {
     sim::EventQueue eq;
@@ -625,6 +681,45 @@ TEST(FileProtocol, PositionalOpsLeaveCursorAlone)
     });
     eq.runUntilDone([&] { return read_done; });
     EXPECT_EQ(lib.position(h).value(), 0u);
+}
+
+TEST(FileProtocol, CompletionOwnsAMoveOnlyCapture)
+{
+    // A unique_ptr captured by the client's completion rides a
+    // positional read through the scheduler, the pipelined reader, the
+    // array and its disk channels, and arrives with the completion.
+    sim::EventQueue eq;
+    Raid2Server srv(eq, "s", smallConfig(true));
+    net::UltranetFabric ring(eq, "u");
+    net::ClientModel client(eq, "c");
+    server::RequestScheduler sched(eq, srv);
+    server::RaidFileClient lib(eq, sched, client, ring);
+    using Result = server::RaidFileClient::Result;
+
+    constexpr std::uint64_t len = 256 * 1024;
+    bool written = false;
+    srv.fileWrite(srv.createFile("/m"), 0, len, [&] { written = true; });
+    eq.runUntilDone([&] { return written; });
+    server::RaidFileClient::Handle h = 0;
+    lib.raidOpen("/m", false, [&](const Result &r) { h = r.handle; });
+    eq.runUntilDone([&] { return h != 0; });
+
+    const std::uint64_t array_reads = srv.array().reads();
+    int seen = 0;
+    std::uint64_t bytes = 0;
+    lib.raidPRead(h, 0, len,
+                  [p = std::make_unique<int>(42), &seen,
+                   &bytes](const Result &r) {
+                      seen = *p;
+                      bytes = r.bytes;
+                  });
+    eq.runUntilDone([&] { return seen != 0; });
+    EXPECT_EQ(seen, 42);
+    EXPECT_EQ(bytes, len);
+    EXPECT_GT(srv.array().reads(), array_reads);
+    EXPECT_EQ(sched.completed(
+                  server::RequestScheduler::ServiceClass::FastPath),
+              1u);
 }
 
 TEST(FileProtocol, ReadPastEofReturnsShort)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: EventQueue ordering and
- * cancellation, Random determinism and distribution sanity, stats
- * containers, Service queueing math and Pipeline throughput laws.
+ * cancellation, the one-shot Callback, Random determinism and
+ * distribution sanity, stats containers, Service queueing math and
+ * Pipeline throughput laws.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -174,24 +176,6 @@ TEST(Stats, Distribution)
     EXPECT_NEAR(d.stddev(), 0.8165, 1e-3);
     d.reset();
     EXPECT_EQ(d.count(), 0u);
-}
-
-TEST(Stats, HistogramBuckets)
-{
-    sim::Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i + 0.5);
-    EXPECT_EQ(h.count(), 100u);
-    for (std::size_t i = 0; i < h.buckets(); ++i) {
-        EXPECT_EQ(h.bucketCount(i), 1u) << "bucket " << i;
-        EXPECT_DOUBLE_EQ(h.bucketLo(i), static_cast<double>(i));
-        EXPECT_DOUBLE_EQ(h.bucketHi(i), static_cast<double>(i + 1));
-    }
-    // Out-of-range samples saturate into the edge buckets.
-    h.sample(-5);
-    h.sample(1e9);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(99), 2u);
 }
 
 TEST(Stats, Utilization)
@@ -1123,6 +1107,51 @@ TEST(Event, EmptyStdFunctionMakesEmptyEvent)
     sim::Event ev3 = std::move(ev2);
     EXPECT_TRUE(static_cast<bool>(ev3));
     EXPECT_FALSE(static_cast<bool>(ev2)); // moved-from is empty
+}
+
+TEST(Callback, NullAndBracesMakeEmptyCallbacks)
+{
+    sim::Callback<int> from_null = nullptr;
+    sim::Callback<int> from_braces = {};
+    sim::Event event_from_null(nullptr);
+    EXPECT_FALSE(static_cast<bool>(from_null));
+    EXPECT_FALSE(static_cast<bool>(from_braces));
+    EXPECT_FALSE(static_cast<bool>(event_from_null));
+    EXPECT_FALSE(
+        static_cast<bool>(sim::Callback<int>(std::function<void(int)>())));
+}
+
+TEST(Callback, ForwardsItsArguments)
+{
+    // A reference argument reaches the callable as the same object; a
+    // move-only one is moved through.
+    const std::string s = "payload";
+    const std::string *seen = nullptr;
+    sim::Callback<const std::string &> by_ref(
+        [&seen](const std::string &v) { seen = &v; });
+    by_ref(s);
+    EXPECT_EQ(seen, &s);
+
+    int got = 0;
+    sim::Callback<std::unique_ptr<int>, int> by_move(
+        [&got](std::unique_ptr<int> p, int add) { got = *p + add; });
+    by_move(std::make_unique<int>(40), 2);
+    EXPECT_EQ(got, 42);
+}
+
+TEST(Callback, TakesOnlyCallablesOfItsArguments)
+{
+    auto no_arg = [] {};
+    auto one_int = [](int) {};
+    static_assert(std::is_constructible_v<sim::Event, decltype(no_arg)>);
+    static_assert(
+        !std::is_constructible_v<sim::Callback<int>, decltype(no_arg)>);
+    static_assert(
+        std::is_constructible_v<sim::Callback<int>, decltype(one_int)>);
+    static_assert(!std::is_constructible_v<sim::Event, decltype(one_int)>);
+    // Move-only: a completion has one owner.
+    static_assert(!std::is_copy_constructible_v<sim::Callback<int>>);
+    static_assert(std::is_nothrow_move_constructible_v<sim::Callback<int>>);
 }
 
 } // namespace

@@ -29,8 +29,7 @@ TEST(ClosedLoop, CountsOpsAndBytes)
     cfg.totalOps = 50;
     auto res = ClosedLoopRunner::run(eq, cfg, [&](std::uint64_t,
                                                   std::uint64_t len,
-                                                  std::function<void()>
-                                                      done) {
+                                                  sim::Event done) {
         svc.submit(len, std::move(done));
     });
     EXPECT_EQ(res.ops, 50u);
@@ -51,8 +50,7 @@ TEST(ClosedLoop, SequentialOffsetsAdvance)
     cfg.sequential = true;
     cfg.totalOps = 20;
     ClosedLoopRunner::run(eq, cfg, [&](std::uint64_t off,
-                                       std::uint64_t len,
-                                       std::function<void()> done) {
+                                       std::uint64_t len, sim::Event done) {
         offs.push_back(off);
         svc.submit(len, std::move(done));
     });
@@ -71,8 +69,7 @@ TEST(ClosedLoop, RandomOffsetsAreAlignedAndInRange)
     cfg.alignBytes = 4096;
     cfg.totalOps = 200;
     ClosedLoopRunner::run(eq, cfg, [&](std::uint64_t off,
-                                       std::uint64_t len,
-                                       std::function<void()> done) {
+                                       std::uint64_t len, sim::Event done) {
         EXPECT_EQ(off % 4096, 0u);
         EXPECT_LE(off + len, 10 * sim::MB);
         offs.insert(off);
@@ -93,8 +90,7 @@ TEST(ClosedLoop, MultipleProcessesOverlap)
     cfg.processes = 4;
     auto res = ClosedLoopRunner::run(eq, cfg, [&](std::uint64_t,
                                                   std::uint64_t len,
-                                                  std::function<void()>
-                                                      done) {
+                                                  sim::Event done) {
         svc.submit(len, std::move(done));
     });
     EXPECT_NEAR(res.throughputMBs(), 40.0, 2.0);
@@ -111,8 +107,7 @@ TEST(ClosedLoop, WarmupExcluded)
     cfg.warmupOps = 10;
     auto res = ClosedLoopRunner::run(eq, cfg, [&](std::uint64_t,
                                                   std::uint64_t len,
-                                                  std::function<void()>
-                                                      done) {
+                                                  sim::Event done) {
         svc.submit(len, std::move(done));
     });
     EXPECT_EQ(res.ops, 30u);
@@ -130,8 +125,7 @@ TEST(StreamRunner, NoMissesWhenServerIsFast)
     cfg.framesPerStream = 20;
     auto res = StreamRunner::run(eq, cfg, [&](std::uint64_t,
                                               std::uint64_t len,
-                                              std::function<void()>
-                                                  done) {
+                                              sim::Event done) {
         svc.submit(len, std::move(done));
     });
     EXPECT_EQ(res.frames, 80u);
@@ -150,8 +144,7 @@ TEST(StreamRunner, MissesWhenOverloaded)
     cfg.framesPerStream = 10;
     auto res = StreamRunner::run(eq, cfg, [&](std::uint64_t,
                                               std::uint64_t len,
-                                              std::function<void()>
-                                                  done) {
+                                              sim::Event done) {
         svc.submit(len, std::move(done));
     });
     EXPECT_EQ(res.frames, 40u);
@@ -170,7 +163,7 @@ TEST(StreamRunner, OffsetsAreStridedPerStream)
     cfg.streamStrideBytes = 1000000;
     std::set<std::uint64_t> offs;
     StreamRunner::run(eq, cfg, [&](std::uint64_t off, std::uint64_t len,
-                                   std::function<void()> done) {
+                                   sim::Event done) {
         offs.insert(off);
         svc.submit(len, std::move(done));
     });

@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 
 #include "fault/fault_controller.hh"
@@ -444,8 +443,7 @@ main(int argc, char **argv)
     w.warmupOps = std::max<std::uint64_t>(2, opt.ops / 10);
     w.seed = opt.seed;
 
-    auto op = [&](std::uint64_t off, std::uint64_t len,
-                  std::function<void()> done) {
+    auto op = [&](std::uint64_t off, std::uint64_t len, sim::Event done) {
         const bool write =
             opt.workload == "write" ||
             (opt.workload == "rw" && rw_dice.chance(0.5));
@@ -453,10 +451,11 @@ main(int argc, char **argv)
             if (write)
                 srv.fileWrite(ino, off, len, std::move(done));
             else
-                srv.fileRead(ino, off, len,
-                             [done = std::move(done)](server::Status) {
-                                 done();
-                             });
+                srv.fileRead(
+                    ino, off, len,
+                    [done = std::move(done)](server::Status) mutable {
+                        done();
+                    });
         } else {
             if (write)
                 srv.hwWrite(off, len, std::move(done));
