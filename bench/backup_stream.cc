@@ -172,8 +172,8 @@ main(int argc, char **argv)
         }
         mgr.create("bench");
         sim::StatsRegistry reg;
-        mgr.registerStats(reg, "snap");
-        eng.registerStats(reg, "backup");
+        mgr.registerStats(reg);
+        eng.registerStats(reg);
         bool done = false;
         eng.backupFull("bench", [&] { done = true; });
         eq.runUntilDone([&] { return done; });

@@ -116,10 +116,10 @@ counterRow(raid::RaidLevel level)
 
     return {levelNumber(level),
             static_cast<double>(kSegBlocks),
-            static_cast<double>(loop.array.parityRecomputes().value()),
-            static_cast<double>(extent.array.parityRecomputes().value()),
+            static_cast<double>(loop.array.parityRecomputes()),
+            static_cast<double>(extent.array.parityRecomputes()),
             static_cast<double>(
-                extent.array.parityFullStripeWrites().value())};
+                extent.array.parityFullStripeWrites())};
 }
 
 /** Wall-clock MB/s of fn (which moves @p bytes per call). */

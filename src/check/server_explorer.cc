@@ -795,29 +795,17 @@ ServerExplorer::resetStats()
 void
 ServerExplorer::registerStats(sim::StatsRegistry &reg)
 {
-    reg.addGauge("check.server.histories", [] {
-        return double(mutableStats().histories);
-    });
-    reg.addGauge("check.server.crash_points", [] {
-        return double(mutableStats().crashPoints);
-    });
-    reg.addGauge("check.server.fault_firings", [] {
-        return double(mutableStats().faultFirings);
-    });
-    reg.addGauge("check.server.ops_verified", [] {
-        return double(mutableStats().opsVerified);
-    });
-    reg.addGauge("check.server.busy_retries", [] {
-        return double(mutableStats().busyRetries);
-    });
-    reg.addGauge("check.server.throttled_retries", [] {
-        return double(mutableStats().throttledRetries);
-    });
+    const ServerCheckStats &s = mutableStats();
+    reg.add("check.server.histories", s.histories);
+    reg.add("check.server.crash_points", s.crashPoints);
+    reg.add("check.server.fault_firings", s.faultFirings);
+    reg.add("check.server.ops_verified", s.opsVerified);
+    reg.add("check.server.busy_retries", s.busyRetries);
+    reg.add("check.server.throttled_retries", s.throttledRetries);
     for (int k = 0; k <= int(SessionOp::Kind::SnapDelete); ++k) {
-        reg.addGauge(
-            std::string("check.server.op_mix.") +
-                sessionOpKindName(static_cast<SessionOp::Kind>(k)),
-            [k] { return double(mutableStats().opMix[k]); });
+        reg.add(std::string("check.server.op_mix.") +
+                    sessionOpKindName(static_cast<SessionOp::Kind>(k)),
+                s.opMix[k]);
     }
 }
 

@@ -191,16 +191,11 @@ void
 DiskModel::registerStats(sim::StatsRegistry &reg,
                          const std::string &prefix) const
 {
-    reg.addGauge(prefix + ".requests",
-                 [this] { return static_cast<double>(_requests); });
-    reg.addGauge(prefix + ".sectors_read",
-                 [this] { return static_cast<double>(_sectorsRead); });
-    reg.addGauge(prefix + ".sectors_written",
-                 [this] { return static_cast<double>(_sectorsWritten); });
-    reg.addGauge(prefix + ".readahead_hits",
-                 [this] { return static_cast<double>(_readAheadHits); });
-    reg.addGauge(prefix + ".stalls",
-                 [this] { return static_cast<double>(_stalls); });
+    reg.add(prefix + ".requests", _requests);
+    reg.add(prefix + ".sectors_read", _sectorsRead);
+    reg.add(prefix + ".sectors_written", _sectorsWritten);
+    reg.add(prefix + ".readahead_hits", _readAheadHits);
+    reg.add(prefix + ".stalls", _stalls);
     reg.addGauge(prefix + ".stall_ms",
                  [this] { return sim::ticksToMs(_stallTicks); });
     reg.add(prefix + ".service_ms", _serviceMs);

@@ -232,53 +232,32 @@ FaultController::injectedTotal() const
 }
 
 void
-FaultController::registerStats(sim::StatsRegistry &reg,
-                               const std::string &prefix) const
+FaultController::registerStats(sim::StatsRegistry &reg) const
 {
     static const char *kindKeys[] = {"disk_fails", "latent_errors",
                                      "disk_stalls", "scsi_hangs",
                                      "xbus_port_errors",
                                      "hippi_link_drops",
                                      "silent_corruptions"};
-    for (std::size_t k = 0; k < _injected.size(); ++k) {
-        reg.addGauge(prefix + ".injected." + kindKeys[k], [this, k] {
-            return static_cast<double>(_injected[k]);
-        });
-    }
-    reg.addGauge(prefix + ".suppressed", [this] {
-        return static_cast<double>(_suppressed);
-    });
-    reg.addGauge(prefix + ".data_loss_events", [this] {
-        return static_cast<double>(_dataLossEvents);
-    });
-    reg.addGauge(prefix + ".double_failures", [this] {
-        return static_cast<double>(_doubleFailures);
-    });
-    reg.addGauge(prefix + ".rebuild_exposed_ranges", [this] {
-        return static_cast<double>(_rebuildExposed);
-    });
-    reg.addGauge(prefix + ".latents_while_degraded", [this] {
-        return static_cast<double>(_latentWhileDegraded);
-    });
-    reg.addGauge(prefix + ".latent_collisions", [this] {
-        return static_cast<double>(_latentCollisions);
-    });
+    for (std::size_t k = 0; k < _injected.size(); ++k)
+        reg.add(std::string("fault.injected.") + kindKeys[k],
+                _injected[k]);
+    reg.add("fault.suppressed", _suppressed);
+    reg.add("fault.data_loss_events", _dataLossEvents);
+    reg.add("fault.double_failures", _doubleFailures);
+    reg.add("fault.rebuild_exposed_ranges", _rebuildExposed);
+    reg.add("fault.latents_while_degraded", _latentWhileDegraded);
+    reg.add("fault.latent_collisions", _latentCollisions);
     const raid::SimArray *array = hooks.array;
-    reg.addGauge(prefix + ".latent_ranges_outstanding", [array] {
+    reg.addGauge("fault.latent_ranges_outstanding", [array] {
         return static_cast<double>(array->latentRangesOutstanding());
     });
-    reg.addGauge(prefix + ".latent_bytes_outstanding", [array] {
+    reg.addGauge("fault.latent_bytes_outstanding", [array] {
         return static_cast<double>(array->latentBytesOutstanding());
     });
-    reg.addGauge(prefix + ".read_repaired_ranges", [array] {
-        return static_cast<double>(array->readRepairedRanges());
-    });
-    reg.addGauge(prefix + ".scrub_repaired_ranges", [array] {
-        return static_cast<double>(array->scrubRepairedRanges());
-    });
-    reg.addGauge(prefix + ".repaired_bytes", [array] {
-        return static_cast<double>(array->latentRepairedBytes());
-    });
+    reg.add("fault.read_repaired_ranges", array->readRepairedRanges());
+    reg.add("fault.scrub_repaired_ranges", array->scrubRepairedRanges());
+    reg.add("fault.repaired_bytes", array->latentRepairedBytes());
 }
 
 } // namespace raid2::fault

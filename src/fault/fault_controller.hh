@@ -92,10 +92,9 @@ class FaultController
     }
     /** @} */
 
-    /** Register campaign stats under @p prefix ("fault.*"), including
-     *  the array's latent-map and repair counters. */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix = "fault") const;
+    /** Register campaign stats under "fault.*", including the array's
+     *  latent-map and repair counters. */
+    void registerStats(sim::StatsRegistry &reg) const;
 
     const std::string &name() const { return _name; }
 

@@ -60,37 +60,30 @@ RecoveryManager::startRebuild(unsigned disk, sim::Tick failed_at)
 }
 
 void
-RecoveryManager::registerStats(sim::StatsRegistry &reg,
-                               const std::string &prefix) const
+RecoveryManager::registerStats(sim::StatsRegistry &reg) const
 {
-    reg.addGauge(prefix + ".spares_available",
-                 [this] { return static_cast<double>(_spares); });
-    reg.addGauge(prefix + ".spares_used",
-                 [this] { return static_cast<double>(_sparesUsed); });
-    reg.addGauge(prefix + ".rebuilds_started", [this] {
-        return static_cast<double>(_rebuildsStarted);
-    });
-    reg.addGauge(prefix + ".rebuilds_completed", [this] {
-        return static_cast<double>(_rebuildsCompleted);
-    });
-    reg.addGauge(prefix + ".failures_waiting", [this] {
+    reg.add("recovery.spares_available", _spares);
+    reg.add("recovery.spares_used", _sparesUsed);
+    reg.add("recovery.rebuilds_started", _rebuildsStarted);
+    reg.add("recovery.rebuilds_completed", _rebuildsCompleted);
+    reg.addGauge("recovery.failures_waiting", [this] {
         return static_cast<double>(pending.size());
     });
-    reg.add(prefix + ".mttr_ms", _mttrMs);
+    reg.add("recovery.mttr_ms", _mttrMs);
     // Live view of the current (or last) rebuild.
-    reg.addGauge(prefix + ".rebuild.active", [this] {
+    reg.addGauge("recovery.rebuild.active", [this] {
         return rebuildActive() ? 1.0 : 0.0;
     });
-    reg.addGauge(prefix + ".rebuild.stripes_done", [this] {
+    reg.addGauge("recovery.rebuild.stripes_done", [this] {
         return _job ? static_cast<double>(_job->stripesDone()) : 0.0;
     });
-    reg.addGauge(prefix + ".rebuild.stripes_total", [this] {
+    reg.addGauge("recovery.rebuild.stripes_total", [this] {
         return _job ? static_cast<double>(_job->stripesTotal()) : 0.0;
     });
-    reg.addGauge(prefix + ".rebuild.duration_ms", [this] {
+    reg.addGauge("recovery.rebuild.duration_ms", [this] {
         return _job ? _job->durationMs() : 0.0;
     });
-    reg.addGauge(prefix + ".rebuild.stripes_per_sec", [this] {
+    reg.addGauge("recovery.rebuild.stripes_per_sec", [this] {
         return _job ? _job->stripesPerSec() : 0.0;
     });
 }

@@ -70,7 +70,7 @@ class RecoveryManager
     /** @{ State and statistics. */
     bool rebuildActive() const { return _job && !_job->finished(); }
     const raid::RebuildJob *currentJob() const { return _job.get(); }
-    unsigned sparesAvailable() const { return _spares; }
+    std::uint64_t sparesAvailable() const { return _spares; }
     std::uint64_t sparesUsed() const { return _sparesUsed; }
     std::uint64_t rebuildsCompleted() const { return _rebuildsCompleted; }
     std::size_t failuresWaiting() const { return pending.size(); }
@@ -78,9 +78,8 @@ class RecoveryManager
     const sim::Distribution &mttrMs() const { return _mttrMs; }
     /** @} */
 
-    /** Register recovery stats under @p prefix ("recovery.*"). */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix = "recovery") const;
+    /** Register recovery stats under "recovery.*". */
+    void registerStats(sim::StatsRegistry &reg) const;
 
   private:
     void tryStart();
@@ -100,7 +99,7 @@ class RecoveryManager
     std::unique_ptr<raid::RebuildJob> _job;
     bool attaching = false;
 
-    unsigned _spares;
+    std::uint64_t _spares;
     std::uint64_t _sparesUsed = 0;
     std::uint64_t _rebuildsStarted = 0;
     std::uint64_t _rebuildsCompleted = 0;

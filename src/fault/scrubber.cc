@@ -130,28 +130,15 @@ Scrubber::repairChunk(unsigned d, std::uint64_t off, std::uint64_t len)
 }
 
 void
-Scrubber::registerStats(sim::StatsRegistry &reg,
-                        const std::string &prefix) const
+Scrubber::registerStats(sim::StatsRegistry &reg) const
 {
-    reg.addGauge(prefix + ".running",
-                 [this] { return _running ? 1.0 : 0.0; });
-    reg.addGauge(prefix + ".sweeps_completed",
-                 [this] { return static_cast<double>(_sweeps); });
-    reg.addGauge(prefix + ".chunks_scanned", [this] {
-        return static_cast<double>(_chunksScanned);
-    });
-    reg.addGauge(prefix + ".bytes_scanned", [this] {
-        return static_cast<double>(_bytesScanned);
-    });
-    reg.addGauge(prefix + ".ranges_repaired", [this] {
-        return static_cast<double>(_rangesRepaired);
-    });
-    reg.addGauge(prefix + ".repaired_bytes", [this] {
-        return static_cast<double>(_repairedBytes);
-    });
-    reg.addGauge(prefix + ".verify_calls", [this] {
-        return static_cast<double>(_verifyCalls);
-    });
+    reg.addGauge("scrub.running", [this] { return _running ? 1.0 : 0.0; });
+    reg.add("scrub.sweeps_completed", _sweeps);
+    reg.add("scrub.chunks_scanned", _chunksScanned);
+    reg.add("scrub.bytes_scanned", _bytesScanned);
+    reg.add("scrub.ranges_repaired", _rangesRepaired);
+    reg.add("scrub.repaired_bytes", _repairedBytes);
+    reg.add("scrub.verify_calls", _verifyCalls);
 }
 
 } // namespace raid2::fault

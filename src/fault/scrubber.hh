@@ -69,9 +69,8 @@ class Scrubber
     std::uint64_t rangesRepaired() const { return _rangesRepaired; }
     /** @} */
 
-    /** Register scrub stats under @p prefix ("scrub.*"). */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix = "scrub") const;
+    /** Register scrub stats under "scrub.*". */
+    void registerStats(sim::StatsRegistry &reg) const;
 
   private:
     void step();

@@ -21,7 +21,10 @@
 #include <string>
 
 #include "fs/write_log.hh"
-#include "sim/stats.hh"
+
+namespace raid2::sim {
+class StatsRegistry;
+}
 
 namespace raid2::fs {
 
@@ -54,14 +57,9 @@ class BlockDevice
 
     /** @{ Statistics in blocks (maintained by implementations via
      *  note*()). */
-    const sim::Scalar &readsStat() const { return _reads; }
-    const sim::Scalar &writesStat() const { return _writes; }
-    void
-    resetCounters()
-    {
-        _reads.reset();
-        _writes.reset();
-    }
+    std::uint64_t readsStat() const { return _reads; }
+    std::uint64_t writesStat() const { return _writes; }
+    void resetCounters() { _reads = _writes = 0; }
 
     /** Register "<prefix>.reads" / "<prefix>.writes". */
     void registerStats(sim::StatsRegistry &reg,
@@ -73,12 +71,12 @@ class BlockDevice
      *  exactly count * blockSize() bytes. */
     void checkExtent(std::uint64_t bno, std::uint64_t count,
                      std::size_t len) const;
-    void noteRead(std::uint64_t n) { _reads.inc(n); }
-    void noteWrite(std::uint64_t n) { _writes.inc(n); }
+    void noteRead(std::uint64_t n) { _reads += n; }
+    void noteWrite(std::uint64_t n) { _writes += n; }
 
   private:
-    mutable sim::Scalar _reads;
-    mutable sim::Scalar _writes;
+    std::uint64_t _reads = 0;
+    std::uint64_t _writes = 0;
 };
 
 /**

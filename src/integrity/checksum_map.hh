@@ -99,8 +99,9 @@ class ChecksumMap
         return !known(bno) || csum == sums[bno];
     }
 
-    /** Blocks with a recorded expectation. */
-    std::uint64_t knownCount() const { return _known; }
+    /** Blocks with a recorded expectation (by reference: the
+     *  verifying device registers it as "integrity.checksums_known"). */
+    const std::uint64_t &knownCount() const { return _known; }
 
     /** Forget every expectation (a remount re-seeds from the log). */
     void

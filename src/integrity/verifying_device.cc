@@ -271,29 +271,21 @@ VerifyingDevice::applyArmedReadFlips(std::span<std::uint8_t> out)
 }
 
 void
-VerifyingDevice::registerStats(sim::StatsRegistry &reg,
-                               const std::string &prefix) const
+VerifyingDevice::registerStats(sim::StatsRegistry &reg) const
 {
-    auto gauge = [&reg](const std::string &name,
-                        const std::uint64_t *v) {
-        reg.addGauge(name,
-                     [v] { return static_cast<double>(*v); });
-    };
-    gauge(prefix + ".verified_blocks", &_verifiedBlocks);
-    gauge(prefix + ".detected", &_detected);
-    gauge(prefix + ".repairs", &_repairs);
-    gauge(prefix + ".repairs_media", &_mediaRepairs);
-    gauge(prefix + ".repairs_transfer", &_transferRepairs);
-    gauge(prefix + ".repairs_scrub", &_scrubRepairs);
-    gauge(prefix + ".unrepairable_reads", &_unrepairableReads);
-    gauge(prefix + ".transfer_read_flips", &_readFlipsApplied);
-    gauge(prefix + ".transfer_write_flips", &_writeFlipsApplied);
-    reg.addGauge(prefix + ".poisoned_blocks", [this] {
+    reg.add("integrity.verified_blocks", _verifiedBlocks);
+    reg.add("integrity.detected", _detected);
+    reg.add("integrity.repairs", _repairs);
+    reg.add("integrity.repairs_media", _mediaRepairs);
+    reg.add("integrity.repairs_transfer", _transferRepairs);
+    reg.add("integrity.repairs_scrub", _scrubRepairs);
+    reg.add("integrity.unrepairable_reads", _unrepairableReads);
+    reg.add("integrity.transfer_read_flips", _readFlipsApplied);
+    reg.add("integrity.transfer_write_flips", _writeFlipsApplied);
+    reg.addGauge("integrity.poisoned_blocks", [this] {
         return static_cast<double>(poisoned.size());
     });
-    reg.addGauge(prefix + ".checksums_known", [this] {
-        return static_cast<double>(map.knownCount());
-    });
+    reg.add("integrity.checksums_known", map.knownCount());
 }
 
 } // namespace raid2::integrity

@@ -112,9 +112,8 @@ class VerifyingDevice : public fs::BlockDevice
     }
     /** @} */
 
-    /** Register "<prefix>.verified_blocks" etc. ("integrity.*"). */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix = "integrity") const;
+    /** Register "integrity.verified_blocks" etc. */
+    void registerStats(sim::StatsRegistry &reg) const;
 
   private:
     /** Verify one block in @p blk (its read image, whose checksum is

@@ -36,8 +36,7 @@ EthernetLink::registerStats(sim::StatsRegistry &reg,
                             const std::string &prefix) const
 {
     _wire.registerStats(reg, prefix + ".wire");
-    reg.addGauge(prefix + ".packets",
-                 [this] { return static_cast<double>(_packets); });
+    reg.add(prefix + ".packets", _packets);
 }
 
 } // namespace raid2::net

@@ -77,14 +77,10 @@ void
 HippiChannel::registerStats(sim::StatsRegistry &reg,
                             const std::string &prefix) const
 {
-    reg.addGauge(prefix + ".packets",
-                 [this] { return static_cast<double>(_packets); });
-    reg.addGauge(prefix + ".bytes",
-                 [this] { return static_cast<double>(_bytes); });
-    reg.addGauge(prefix + ".link_drops",
-                 [this] { return static_cast<double>(_linkDrops); });
-    reg.addGauge(prefix + ".deferred_sends",
-                 [this] { return static_cast<double>(_deferredSends); });
+    reg.add(prefix + ".packets", _packets);
+    reg.add(prefix + ".bytes", _bytes);
+    reg.add(prefix + ".link_drops", _linkDrops);
+    reg.add(prefix + ".deferred_sends", _deferredSends);
     reg.addGauge(prefix + ".down_ms",
                  [this] { return sim::ticksToMs(_downTicks); });
 }

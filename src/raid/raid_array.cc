@@ -194,7 +194,7 @@ RaidArray::recomputeParity(std::uint64_t stripe)
                       std::size_t k, std::size_t n) {
                       storeFold(pd, pos, srcs, k, n);
                   });
-    _parityRecomputes.inc();
+    ++_parityRecomputes;
 }
 
 void
@@ -267,8 +267,8 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
         storeFold(pd, base, srcs, _layout.dataUnitsPerStripe(),
                   static_cast<std::size_t>(unit));
         latents[pd].erase(base, unit);
-        _parityRecomputes.inc();
-        _parityFullStripes.inc();
+        ++_parityRecomputes;
+        ++_parityFullStripes;
     }
 }
 
@@ -616,8 +616,7 @@ RaidArray::registerStats(sim::StatsRegistry &reg,
 void
 RaidArray::resetStats()
 {
-    _parityRecomputes.reset();
-    _parityFullStripes.reset();
+    _parityRecomputes = _parityFullStripes = 0;
 }
 
 } // namespace raid2::raid

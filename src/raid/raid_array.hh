@@ -142,14 +142,8 @@ class RaidArray
      * touched — anything higher is redundant parity work.
      * storeParity() counts one recompute per stripe; writes before it
      * count nothing. */
-    const sim::Scalar &parityRecomputes() const
-    {
-        return _parityRecomputes;
-    }
-    const sim::Scalar &parityFullStripeWrites() const
-    {
-        return _parityFullStripes;
-    }
+    std::uint64_t parityRecomputes() const { return _parityRecomputes; }
+    std::uint64_t parityFullStripeWrites() const { return _parityFullStripes; }
     /** Register "<prefix>.parity.recomputes" /
      *  "<prefix>.parity.fullStripeWrites". */
     void registerStats(sim::StatsRegistry &reg,
@@ -301,8 +295,8 @@ class RaidArray
     bool redundancyStored = false;
     /** RAID-5 disks hold their parity units after their data units. */
     const bool placed;
-    sim::Scalar _parityRecomputes;
-    sim::Scalar _parityFullStripes;
+    std::uint64_t _parityRecomputes = 0;
+    std::uint64_t _parityFullStripes = 0;
 };
 
 } // namespace raid2::raid

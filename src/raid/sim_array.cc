@@ -528,50 +528,29 @@ SimArray::write(std::uint64_t off, std::uint64_t len, sim::Event done)
 }
 
 void
-SimArray::registerStats(sim::StatsRegistry &reg,
-                        const std::string &array_prefix,
-                        const std::string &disk_prefix,
-                        const std::string &scsi_prefix) const
+SimArray::registerStats(sim::StatsRegistry &reg) const
 {
-    reg.addGauge(array_prefix + ".reads",
-                 [this] { return static_cast<double>(_reads); });
-    reg.addGauge(array_prefix + ".writes",
-                 [this] { return static_cast<double>(_writes); });
-    reg.addGauge(array_prefix + ".bytes_read",
-                 [this] { return static_cast<double>(_bytesRead); });
-    reg.addGauge(array_prefix + ".bytes_written",
-                 [this] { return static_cast<double>(_bytesWritten); });
-    reg.addGauge(array_prefix + ".rmw_stripes",
-                 [this] { return static_cast<double>(_rmwStripes); });
-    reg.addGauge(array_prefix + ".reconstruct_write_stripes",
-                 [this] { return static_cast<double>(_rwStripes); });
-    reg.addGauge(array_prefix + ".full_stripe_writes",
-                 [this] { return static_cast<double>(_fullStripes); });
-    reg.addGauge(array_prefix + ".degraded_reads",
-                 [this] { return static_cast<double>(_degradedReads); });
-    reg.addGauge(array_prefix + ".degraded_bytes",
-                 [this] { return static_cast<double>(_degradedBytes); });
-    reg.addGauge(array_prefix + ".latent_repair_reads", [this] {
-        return static_cast<double>(_latentRepairReads);
-    });
-    reg.addGauge(array_prefix + ".latent_repair_bytes", [this] {
-        return static_cast<double>(_latentRepairBytes);
-    });
-    reg.addGauge(array_prefix + ".unrecoverable_reads", [this] {
-        return static_cast<double>(_unrecoverableReads);
-    });
-    reg.addGauge(array_prefix + ".stripe_lock_waits", [this] {
-        return static_cast<double>(_stripeLockWaits);
-    });
-    reg.add(array_prefix + ".stripe_lock_wait_ms", _stripeLockWaitMs);
-    reg.add(array_prefix + ".read_ms", _readMs);
-    reg.add(array_prefix + ".write_ms", _writeMs);
+    reg.add("raid.reads", _reads);
+    reg.add("raid.writes", _writes);
+    reg.add("raid.bytes_read", _bytesRead);
+    reg.add("raid.bytes_written", _bytesWritten);
+    reg.add("raid.rmw_stripes", _rmwStripes);
+    reg.add("raid.reconstruct_write_stripes", _rwStripes);
+    reg.add("raid.full_stripe_writes", _fullStripes);
+    reg.add("raid.degraded_reads", _degradedReads);
+    reg.add("raid.degraded_bytes", _degradedBytes);
+    reg.add("raid.latent_repair_reads", _latentRepairReads);
+    reg.add("raid.latent_repair_bytes", _latentRepairBytes);
+    reg.add("raid.unrecoverable_reads", _unrecoverableReads);
+    reg.add("raid.stripe_lock_waits", _stripeLockWaits);
+    reg.add("raid.stripe_lock_wait_ms", _stripeLockWaitMs);
+    reg.add("raid.read_ms", _readMs);
+    reg.add("raid.write_ms", _writeMs);
     for (std::size_t d = 0; d < disks.size(); ++d)
-        disks[d]->registerStats(reg,
-                                disk_prefix + "." + std::to_string(d));
+        disks[d]->registerStats(reg, "disk." + std::to_string(d));
     for (std::size_t c = 0; c < cougars.size(); ++c)
-        cougars[c]->registerStats(
-            reg, scsi_prefix + ".cougar" + std::to_string(c));
+        cougars[c]->registerStats(reg,
+                                  "scsi.cougar" + std::to_string(c));
 }
 
 } // namespace raid2::raid

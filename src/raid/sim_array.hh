@@ -152,10 +152,11 @@ class SimArray
     std::uint64_t latentRangesOutstanding() const;
     std::uint64_t latentBytesOutstanding() const;
     /** Ranges repaired by foreground reads / by the scrubber, and the
-     *  defective bytes those repairs cleared. */
-    std::uint64_t readRepairedRanges() const { return _readRepairs; }
-    std::uint64_t scrubRepairedRanges() const { return _scrubRepairs; }
-    std::uint64_t latentRepairedBytes() const { return _repairedBytes; }
+     *  defective bytes those repairs cleared; by reference, so the
+     *  fault controller registers them as "fault.*" counters. */
+    const std::uint64_t &readRepairedRanges() const { return _readRepairs; }
+    const std::uint64_t &scrubRepairedRanges() const { return _scrubRepairs; }
+    const std::uint64_t &latentRepairedBytes() const { return _repairedBytes; }
     /** @} */
 
     /**
@@ -226,14 +227,11 @@ class SimArray
     }
 
     /**
-     * Register array-level stats under @p array_prefix plus the member
-     * disks under "<disk_prefix>.N" and the Cougar controllers/strings
-     * under "<scsi_prefix>.cougarN".
+     * Register array-level stats under "raid" plus the member disks
+     * under "disk.N" and the Cougar controllers/strings under
+     * "scsi.cougarN".
      */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &array_prefix = "raid",
-                       const std::string &disk_prefix = "disk",
-                       const std::string &scsi_prefix = "scsi") const;
+    void registerStats(sim::StatsRegistry &reg) const;
     /** @} */
 
   private:

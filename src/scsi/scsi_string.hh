@@ -62,8 +62,7 @@ class ScsiString
                        const std::string &prefix) const
     {
         _bus.registerStats(reg, prefix + ".bus");
-        reg.addGauge(prefix + ".hangs",
-                     [this] { return static_cast<double>(_hangs); });
+        reg.add(prefix + ".hangs", _hangs);
         reg.addGauge(prefix + ".hang_ms",
                      [this] { return sim::ticksToMs(_hangTicks); });
     }

@@ -6,7 +6,6 @@
 
 #include "sim/join.hh"
 #include "sim/logging.hh"
-#include "sim/stats_registry.hh"
 
 namespace raid2::server {
 
@@ -91,17 +90,6 @@ Raid1Server::transfer(Command cmd,
     for (const auto &e : extents)
         std::invoke(cmd, *channels.at(e.disk), e.diskOffset, e.bytes,
                     _host->dataPathStages(), all);
-}
-
-void
-Raid1Server::registerStats(sim::StatsRegistry &reg) const
-{
-    _host->registerStats(reg, "host");
-    for (std::size_t c = 0; c < cougars.size(); ++c)
-        cougars[c]->registerStats(reg,
-                                  "scsi.cougar" + std::to_string(c));
-    for (std::size_t d = 0; d < disks.size(); ++d)
-        disks[d]->registerStats(reg, "disk." + std::to_string(d));
 }
 
 } // namespace raid2::server

@@ -60,10 +60,6 @@ class Raid1Server
     }
     disk::DiskModel &disk(unsigned d) { return *disks.at(d); }
 
-    /** Register host, controller and per-disk stats: "host.*",
-     *  "scsi.cougarN.*", "disk.N.*". */
-    void registerStats(sim::StatsRegistry &reg) const;
-
   private:
     /** A per-disk command: DiskChannel::read or DiskChannel::write. */
     using Command = void (scsi::DiskChannel::*)(std::uint64_t,

@@ -355,34 +355,24 @@ void
 Raid2Server::registerStats(sim::StatsRegistry &reg) const
 {
     _board->registerStats(reg, "xbus");
-    _array->registerStats(reg, "raid", "disk", "scsi");
+    _array->registerStats(reg);
     _host->registerStats(reg, "host");
     _ethernet->registerStats(reg, "ether");
     if (_faults) {
-        _faults->registerStats(reg, "fault");
-        _recovery->registerStats(reg, "recovery");
-        _scrubber->registerStats(reg, "scrub");
+        _faults->registerStats(reg);
+        _recovery->registerStats(reg);
+        _scrubber->registerStats(reg);
     }
     if (verifyDev) {
-        verifyDev->registerStats(reg, "integrity");
+        verifyDev->registerStats(reg);
         _functional->registerStats(reg, "integrity.array");
-        reg.addGauge("integrity.corrupt_reads", [this] {
-            return static_cast<double>(_corruptReads);
-        });
-        reg.addGauge("integrity.net_retransmits", [this] {
-            return static_cast<double>(_netRetransmits);
-        });
+        reg.add("integrity.corrupt_reads", _corruptReads);
+        reg.add("integrity.net_retransmits", _netRetransmits);
     }
     fsCpu->registerStats(reg, "server.fs_cpu");
-    reg.addGauge("server.segment_flushes", [this] {
-        return static_cast<double>(_segmentFlushes);
-    });
-    reg.addGauge("server.flushed_bytes", [this] {
-        return static_cast<double>(_flushedBytes);
-    });
-    reg.addGauge("server.restores", [this] {
-        return static_cast<double>(_restores);
-    });
+    reg.add("server.segment_flushes", _segmentFlushes);
+    reg.add("server.flushed_bytes", _flushedBytes);
+    reg.add("server.restores", _restores);
     if (_fs) {
         // Capture the server, not the Lfs: remountFs() replaces the
         // file system object and would dangle a raw pointer.

@@ -91,7 +91,7 @@ RequestScheduler::costOf(const Request &r) const
 void
 RequestScheduler::reject(ClassState &cs, Request &&r, Status st)
 {
-    cs.rejected.inc();
+    ++cs.rejected;
     eq.scheduleIn(rejectLatency,
                   [done = std::move(r.done), st]() mutable {
                       if (done)
@@ -120,7 +120,7 @@ RequestScheduler::submit(Request r)
         reject(cs, std::move(r), Status::Throttled);
         return;
     }
-    cs.admitted.inc();
+    ++cs.admitted;
     ++cs.depth;
     s.q.push_back(std::move(r));
     s.enqueuedAt.push_back(eq.now());
@@ -231,7 +231,7 @@ RequestScheduler::finish(ClassState &cs, Request::Done &done,
                          lfs::InodeNum ino)
 {
     cs.serviceMs.sample(sim::ticksToMs(eq.now() - granted_at));
-    cs.completed.inc();
+    ++cs.completed;
     --cs.inflight;
     if (span) {
         if (auto *tr = eq.tracer())
@@ -267,8 +267,8 @@ RequestScheduler::flushBatch()
 {
     if (batch.empty())
         return;
-    _batches.inc();
-    _batchedOps.inc(batch.size());
+    ++_batches;
+    _batchedOps += batch.size();
 
     // One kernel entry per batch: full per-op cost for the first,
     // amortized cost for the rest.
@@ -310,19 +310,19 @@ RequestScheduler::inFlight(ServiceClass c) const
 std::uint64_t
 RequestScheduler::admitted(ServiceClass c) const
 {
-    return state(c).admitted.value();
+    return state(c).admitted;
 }
 
 std::uint64_t
 RequestScheduler::rejected(ServiceClass c) const
 {
-    return state(c).rejected.value();
+    return state(c).rejected;
 }
 
 std::uint64_t
 RequestScheduler::completed(ServiceClass c) const
 {
-    return state(c).completed.value();
+    return state(c).completed;
 }
 
 std::uint64_t
@@ -341,15 +341,12 @@ RequestScheduler::serviceMs(ServiceClass c) const
 }
 
 void
-RequestScheduler::registerStats(sim::StatsRegistry &reg,
-                                const std::string &prefix)
+RequestScheduler::registerStats(sim::StatsRegistry &reg) const
 {
-    for (ClassState *cs : {&fast, &standard}) {
+    for (const ClassState *cs : {&fast, &standard}) {
         const std::string p =
-            prefix + "." + className(cs->cls) + ".";
-        reg.addGauge(p + "depth", [cs] {
-            return static_cast<double>(cs->depth);
-        });
+            std::string("server.sched.") + className(cs->cls) + ".";
+        reg.add(p + "depth", cs->depth);
         reg.addGauge(p + "sessions", [cs] {
             return static_cast<double>(cs->sessions.size());
         });
@@ -359,8 +356,8 @@ RequestScheduler::registerStats(sim::StatsRegistry &reg,
         reg.add(p + "queue_delay_ms", cs->queueDelayMs);
         reg.add(p + "service_ms", cs->serviceMs);
     }
-    reg.add(prefix + ".std.batches", _batches);
-    reg.add(prefix + ".std.batched_ops", _batchedOps);
+    reg.add("server.sched.std.batches", _batches);
+    reg.add("server.sched.std.batched_ops", _batchedOps);
 }
 
 } // namespace raid2::server

@@ -150,8 +150,8 @@ class RequestScheduler
     std::uint64_t admitted(ServiceClass c) const;
     std::uint64_t rejected(ServiceClass c) const;
     std::uint64_t completed(ServiceClass c) const;
-    std::uint64_t batches() const { return _batches.value(); }
-    std::uint64_t batchedOps() const { return _batchedOps.value(); }
+    std::uint64_t batches() const { return _batches; }
+    std::uint64_t batchedOps() const { return _batchedOps; }
     /** Bytes granted to @p session in class @p c (fairness tests). */
     std::uint64_t sessionServedBytes(ServiceClass c,
                                      std::uint32_t session) const;
@@ -159,13 +159,12 @@ class RequestScheduler
     /** @} */
 
     /**
-     * Register scheduler stats under @p prefix: per class
-     * "<prefix>.<fast|std>.{depth,sessions,admitted,rejected,
+     * Register scheduler stats: per class
+     * "server.sched.<fast|std>.{depth,sessions,admitted,rejected,
      * completed,queue_delay_ms,service_ms}" plus
-     * "<prefix>.std.{batches,batched_ops}".
+     * "server.sched.std.{batches,batched_ops}".
      */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix = "server.sched");
+    void registerStats(sim::StatsRegistry &reg) const;
 
     const Config &config() const { return cfg; }
     Raid2Server &server() const { return srv; }
@@ -187,11 +186,11 @@ class RequestScheduler
         ServiceClass cls;
         std::size_t queueCap = 0;
         unsigned inflightCap = 1;
-        std::size_t depth = 0;
+        std::uint64_t depth = 0;
         unsigned inflight = 0;
         std::map<std::uint32_t, SessionQueue> sessions;
         std::deque<SessionQueue *> active; // DRR visiting order
-        sim::Scalar admitted, rejected, completed;
+        std::uint64_t admitted = 0, rejected = 0, completed = 0;
         sim::Distribution queueDelayMs, serviceMs;
     };
 
@@ -230,7 +229,7 @@ class RequestScheduler
 
     std::vector<BatchedOpen> batch;
     sim::EventQueue::EventId batchTimer = sim::EventQueue::invalidEvent;
-    sim::Scalar _batches, _batchedOps;
+    std::uint64_t _batches = 0, _batchedOps = 0;
 
     std::uint32_t nextSession = 1;
 };

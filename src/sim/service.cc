@@ -66,10 +66,8 @@ Service::submitBusyTime(Tick service_ticks, Event done)
 void
 Service::registerStats(StatsRegistry &reg, const std::string &prefix) const
 {
-    reg.addGauge(prefix + ".bytes",
-                 [this] { return static_cast<double>(_bytesServed); });
-    reg.addGauge(prefix + ".requests",
-                 [this] { return static_cast<double>(_requests); });
+    reg.add(prefix + ".bytes", _bytesServed);
+    reg.add(prefix + ".requests", _requests);
     reg.add(prefix + ".busy", busy);
     reg.add(prefix + ".queue_delay_ms", _queueDelay);
 }

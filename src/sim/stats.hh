@@ -4,9 +4,9 @@
  *
  * Components expose counters and sample distributions; benches and
  * tests read them back.  Modeled loosely on gem5's stats package but
- * intentionally tiny: a Scalar counter, a sampled Distribution and a
- * busy-time Utilization, all of which StatsRegistry
- * (stats_registry.hh) names and dumps.
+ * intentionally tiny: a counter is a plain std::uint64_t member, and
+ * this file adds a sampled Distribution and a busy-time Utilization;
+ * StatsRegistry (stats_registry.hh) names and dumps all three.
  */
 
 #ifndef RAID2_SIM_STATS_HH
@@ -24,18 +24,6 @@
 namespace raid2::sim {
 
 class StatsRegistry; // stats_registry.hh
-
-/** Monotonic counter. */
-class Scalar
-{
-  public:
-    void inc(std::uint64_t n = 1) { _value += n; }
-    void reset() { _value = 0; }
-    std::uint64_t value() const { return _value; }
-
-  private:
-    std::uint64_t _value = 0;
-};
 
 /** Online mean / min / max / variance over double samples. */
 class Distribution

@@ -32,11 +32,11 @@ StatsRegistry::insert(const std::string &name, Entry e)
 }
 
 void
-StatsRegistry::add(const std::string &name, const Scalar &s)
+StatsRegistry::add(const std::string &name, const std::uint64_t &counter)
 {
     Entry e;
-    e.kind = Entry::Kind::ScalarStat;
-    e.scalar = &s;
+    e.kind = Entry::Kind::Counter;
+    e.counter = &counter;
     insert(name, std::move(e));
 }
 
@@ -91,8 +91,8 @@ StatsRegistry::dumpEntry(std::ostream &os, const std::string &name,
 {
     os << name << " = ";
     switch (e.kind) {
-      case Entry::Kind::ScalarStat:
-        os << e.scalar->value();
+      case Entry::Kind::Counter:
+        os << *e.counter;
         break;
       case Entry::Kind::GaugeFn:
         os << e.gauge();
@@ -125,8 +125,8 @@ void
 StatsRegistry::jsonValue(JsonWriter &jw, const Entry &e) const
 {
     switch (e.kind) {
-      case Entry::Kind::ScalarStat:
-        jw.value(e.scalar->value());
+      case Entry::Kind::Counter:
+        jw.value(*e.counter);
         break;
       case Entry::Kind::GaugeFn:
         jw.value(e.gauge());

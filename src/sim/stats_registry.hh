@@ -2,13 +2,16 @@
  * @file
  * Hierarchical statistics registry.
  *
- * Components register their Scalar/Distribution/Utilization stats (or a Gauge closure over an existing counter) under dotted
- * names ("xbus.port.hippi_src.bytes", "disk.0.service_ms"); a bench or
- * tool then dumps the whole tree as text or as nested JSON.  The
- * registry stores non-owning pointers: it must not outlive the
- * components that registered with it, which holds naturally because
- * benches create the registry alongside the simulated system and dump
- * it before teardown.
+ * Components register their integer counters, Distributions and
+ * Utilizations by address under dotted names
+ * ("xbus.port.hippi_src.bytes", "disk.0.service_ms"), and a Gauge
+ * closure only for a value computed when the registry is dumped (a
+ * ratio, a flag, a container size, a tick sum in ms); a bench or tool
+ * then dumps the whole tree as text or as nested JSON.  Counters print
+ * as exact integers.  The registry stores non-owning pointers: it must
+ * not outlive the components that registered with it, which holds
+ * naturally because benches create the registry alongside the
+ * simulated system and dump it before teardown.
  *
  * The dotted names are the hierarchy: dump() prints them sorted (so
  * siblings group), toJson() nests them into objects at the dots.
@@ -41,8 +44,11 @@ class StatsRegistry
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
-    /** @{ Register a stat under @p name (panics on duplicates). */
-    void add(const std::string &name, const Scalar &s);
+    /** @{ Register a stat under @p name (panics on duplicates).  A
+     *  counter is read through its address, so a temporary cannot be
+     *  registered. */
+    void add(const std::string &name, const std::uint64_t &counter);
+    void add(const std::string &name, std::uint64_t &&) = delete;
     void add(const std::string &name, const Distribution &d);
     void add(const std::string &name, const Utilization &u);
     void addGauge(const std::string &name, Gauge fn);
@@ -73,9 +79,9 @@ class StatsRegistry
   private:
     struct Entry
     {
-        enum class Kind { ScalarStat, Dist, Util, GaugeFn };
+        enum class Kind { Counter, Dist, Util, GaugeFn };
         Kind kind;
-        const Scalar *scalar = nullptr;
+        const std::uint64_t *counter = nullptr;
         const Distribution *dist = nullptr;
         const Utilization *util = nullptr;
         Gauge gauge;

@@ -50,8 +50,7 @@ BackupEngine::BackupEngine(sim::EventQueue &eq_,
     const std::uint64_t cap = src.board().buffers().capacity();
     const std::uint64_t fit =
         std::max<std::uint64_t>(1, cap / segmentBytes());
-    cfg.windowSegments = static_cast<unsigned>(
-        std::min<std::uint64_t>(cfg.windowSegments, fit));
+    cfg.windowSegments = std::min(cfg.windowSegments, fit);
 }
 
 BackupEngine::BackupEngine(sim::EventQueue &eq_,
@@ -344,34 +343,17 @@ BackupEngine::verify(const std::string &snap_name) const
 }
 
 void
-BackupEngine::registerStats(sim::StatsRegistry &reg,
-                            const std::string &prefix) const
+BackupEngine::registerStats(sim::StatsRegistry &reg) const
 {
-    reg.addGauge(prefix + ".segments", [this] {
-        return static_cast<double>(_segments);
-    });
-    reg.addGauge(prefix + ".bytes", [this] {
-        return static_cast<double>(_bytes);
-    });
-    reg.addGauge(prefix + ".retries", [this] {
-        return static_cast<double>(_retries);
-    });
-    reg.addGauge(prefix + ".skipped_segments", [this] {
-        return static_cast<double>(_skipped);
-    });
-    reg.addGauge(prefix + ".full", [this] {
-        return static_cast<double>(_full);
-    });
-    reg.addGauge(prefix + ".incremental", [this] {
-        return static_cast<double>(_incremental);
-    });
-    reg.addGauge(prefix + ".restores", [this] {
-        return static_cast<double>(_restores);
-    });
-    reg.addGauge(prefix + ".window", [this] {
-        return static_cast<double>(cfg.windowSegments);
-    });
-    chan.registerStats(reg, prefix + ".hippi");
+    reg.add("backup.segments", _segments);
+    reg.add("backup.bytes", _bytes);
+    reg.add("backup.retries", _retries);
+    reg.add("backup.skipped_segments", _skipped);
+    reg.add("backup.full", _full);
+    reg.add("backup.incremental", _incremental);
+    reg.add("backup.restores", _restores);
+    reg.add("backup.window", cfg.windowSegments);
+    chan.registerStats(reg, "backup.hippi");
 }
 
 } // namespace raid2::snap

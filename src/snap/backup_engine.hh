@@ -48,7 +48,7 @@ class BackupEngine
     {
         /** Segments in flight at once; each holds one segment-sized
          *  XBUS buffer on the source board. */
-        unsigned windowSegments = 4;
+        std::uint64_t windowSegments = 4;
     };
 
     /** restore() + verify() outcome against the source snapshot. */
@@ -107,8 +107,7 @@ class BackupEngine
 
     /** Register "backup.*" (plus the channel under
      *  "backup.hippi.*"). */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix = "backup") const;
+    void registerStats(sim::StatsRegistry &reg) const;
 
   private:
     void startStream(const lfs::SnapshotRecord &rec,

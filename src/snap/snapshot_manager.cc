@@ -85,22 +85,15 @@ SnapshotManager::pinnedSegments() const
 }
 
 void
-SnapshotManager::registerStats(sim::StatsRegistry &reg,
-                               const std::string &prefix) const
+SnapshotManager::registerStats(sim::StatsRegistry &reg) const
 {
-    reg.addGauge(prefix + ".created", [this] {
-        return static_cast<double>(_created);
-    });
-    reg.addGauge(prefix + ".deleted", [this] {
-        return static_cast<double>(_deleted);
-    });
-    reg.addGauge(prefix + ".views", [this] {
-        return static_cast<double>(_views);
-    });
-    reg.addGauge(prefix + ".count", [this] {
+    reg.add("snap.created", _created);
+    reg.add("snap.deleted", _deleted);
+    reg.add("snap.views", _views);
+    reg.addGauge("snap.count", [this] {
         return static_cast<double>(list().size());
     });
-    reg.addGauge(prefix + ".pinned_segments", [this] {
+    reg.addGauge("snap.pinned_segments", [this] {
         return static_cast<double>(pinnedSegments());
     });
 }

@@ -58,8 +58,7 @@ class SnapshotManager
     /** @} */
 
     /** Register "snap.*": created/deleted/views/count/pinned_segments. */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix = "snap") const;
+    void registerStats(sim::StatsRegistry &reg) const;
 
   private:
     void traceOp(const char *op, const std::string &name,

@@ -39,13 +39,15 @@ class BufferPool
     /** Return @p bytes to the pool, waking waiters in order. */
     void free(std::uint64_t bytes);
 
-    std::uint64_t capacity() const { return _capacity; }
+    /** By reference, as peakUse(): the board registers both as
+     *  "xbus.dram.*". */
+    const std::uint64_t &capacity() const { return _capacity; }
     std::uint64_t inUse() const { return used; }
     std::uint64_t available() const { return _capacity - used; }
     std::size_t waiters() const { return waitQueue.size(); }
 
     /** High-water mark of bytes in use. */
-    std::uint64_t peakUse() const { return _peakUse; }
+    const std::uint64_t &peakUse() const { return _peakUse; }
 
   private:
     struct Waiter

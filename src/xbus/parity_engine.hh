@@ -33,8 +33,10 @@ class ParityEngine
     void pass(std::uint64_t input_bytes, std::uint64_t output_bytes,
               sim::Event done);
 
-    std::uint64_t passes() const { return _passes; }
-    std::uint64_t bytesProcessed() const { return _bytes; }
+    /** @{ By reference: the board registers them as "xbus.parity.*". */
+    const std::uint64_t &passes() const { return _passes; }
+    const std::uint64_t &bytesProcessed() const { return _bytes; }
+    /** @} */
 
   private:
     sim::Service &port;

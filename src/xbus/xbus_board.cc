@@ -59,21 +59,11 @@ XbusBoard::registerStats(sim::StatsRegistry &reg,
             reg, prefix + ".port.vme" + std::to_string(i));
     _parityPort.registerStats(reg, prefix + ".port.parity");
     _hostLink.registerStats(reg, prefix + ".host_link");
-    reg.addGauge(prefix + ".parity.passes", [this] {
-        return static_cast<double>(_parity->passes());
-    });
-    reg.addGauge(prefix + ".parity.bytes", [this] {
-        return static_cast<double>(_parity->bytesProcessed());
-    });
-    reg.addGauge(prefix + ".dram.peak_use", [this] {
-        return static_cast<double>(_buffers.peakUse());
-    });
-    reg.addGauge(prefix + ".dram.capacity", [this] {
-        return static_cast<double>(_buffers.capacity());
-    });
-    reg.addGauge(prefix + ".port_errors", [this] {
-        return static_cast<double>(_portErrors);
-    });
+    reg.add(prefix + ".parity.passes", _parity->passes());
+    reg.add(prefix + ".parity.bytes", _parity->bytesProcessed());
+    reg.add(prefix + ".dram.peak_use", _buffers.peakUse());
+    reg.add(prefix + ".dram.capacity", _buffers.capacity());
+    reg.add(prefix + ".port_errors", _portErrors);
     reg.addGauge(prefix + ".port_error_ms", [this] {
         return sim::ticksToMs(_portErrorTicks);
     });

@@ -288,24 +288,13 @@ ZebraVolume::rebuildStripe(std::unique_ptr<Rebuild> r)
 }
 
 void
-ZebraVolume::registerStats(sim::StatsRegistry &reg,
-                           const std::string &prefix) const
+ZebraVolume::registerStats(sim::StatsRegistry &reg) const
 {
-    reg.addGauge(prefix + ".appended_bytes", [this] {
-        return static_cast<double>(logicalSize);
-    });
-    reg.addGauge(prefix + ".stripes", [this] {
-        return static_cast<double>(_stripesWritten);
-    });
-    reg.addGauge(prefix + ".degraded_reads", [this] {
-        return static_cast<double>(_degradedReads);
-    });
-    reg.addGauge(prefix + ".rebuilds", [this] {
-        return static_cast<double>(_rebuilds);
-    });
-    reg.addGauge(prefix + ".parity_bytes", [this] {
-        return static_cast<double>(_parityBytes);
-    });
+    reg.add("zebra.appended_bytes", logicalSize);
+    reg.add("zebra.stripes", _stripesWritten);
+    reg.add("zebra.degraded_reads", _degradedReads);
+    reg.add("zebra.rebuilds", _rebuilds);
+    reg.add("zebra.parity_bytes", _parityBytes);
 }
 
 } // namespace raid2::zebra

@@ -101,8 +101,7 @@ class ZebraVolume
 
     /** Register "zebra.*": appended_bytes, stripes, degraded_reads,
      *  rebuilds, parity_bytes. */
-    void registerStats(sim::StatsRegistry &reg,
-                       const std::string &prefix = "zebra") const;
+    void registerStats(sim::StatsRegistry &reg) const;
     /** @} */
 
     /** Which server holds parity for @p stripe. */

@@ -256,18 +256,18 @@ TEST(ParityCounters, FullSegmentWriteRecomputesOncePerStripe)
         sw.add(lfs::BlockKind::Data, 1, 0,
                {payload.data(), payload.size()});
 
-    const std::uint64_t before = array.parityRecomputes().value();
+    const std::uint64_t before = array.parityRecomputes();
     const std::uint64_t beforeFull =
-        array.parityFullStripeWrites().value();
+        array.parityFullStripeWrites();
     sw.writeOut(1);
 
     const std::uint64_t stripesTouched =
         std::uint64_t(sb.segBlocks) * kBs /
         array.layout().stripeDataBytes();
-    EXPECT_EQ(array.parityRecomputes().value() - before,
+    EXPECT_EQ(array.parityRecomputes() - before,
               stripesTouched)
         << "a full-segment write must not do redundant parity work";
-    EXPECT_EQ(array.parityFullStripeWrites().value() - beforeFull,
+    EXPECT_EQ(array.parityFullStripeWrites() - beforeFull,
               stripesTouched)
         << "every stripe of an aligned segment takes the "
            "single-pass path";
@@ -283,15 +283,15 @@ TEST(ParityCounters, RaggedExtentPaysRmwOnlyOnTheEdges)
     raid::RaidArray array(cfg, 1024 * 1024);
     const std::uint64_t sdb = array.layout().stripeDataBytes();
     array.storeParity();
-    const std::uint64_t before = array.parityRecomputes().value();
-    const std::uint64_t beforeFull = array.parityFullStripeWrites().value();
+    const std::uint64_t before = array.parityRecomputes();
+    const std::uint64_t beforeFull = array.parityFullStripeWrites();
 
     // Half a stripe in, spanning 3 full stripes, ending half a stripe
     // into the last: 2 RMW edges + 3 full-stripe folds.
     const auto data = pattern(static_cast<std::size_t>(4 * sdb), 5);
     array.write(sdb / 2, {data.data(), data.size()});
-    EXPECT_EQ(array.parityRecomputes().value() - before, 5u);
-    EXPECT_EQ(array.parityFullStripeWrites().value() - beforeFull, 3u);
+    EXPECT_EQ(array.parityRecomputes() - before, 5u);
+    EXPECT_EQ(array.parityFullStripeWrites() - beforeFull, 3u);
     EXPECT_TRUE(array.redundancyConsistent());
 }
 

@@ -77,7 +77,7 @@ TEST_F(FfsFixture, SmallOverwriteTouchesOneDataBlock)
     const auto small = pattern(4096, 5);
     fs->write(ino, 8192, {small.data(), small.size()});
     // Aligned overwrite: one data block + inode update.
-    EXPECT_LE(dev.writesStat().value(), 2u);
+    EXPECT_LE(dev.writesStat(), 2u);
 }
 
 TEST_F(FfsFixture, MkdirAndNestedFiles)

@@ -54,8 +54,8 @@ TEST(MemBlockDevice, ReadsBackWrites)
     std::vector<std::uint8_t> out(4096);
     dev.readRange(7, 1, {out.data(), out.size()});
     EXPECT_EQ(out, a);
-    EXPECT_EQ(dev.readsStat().value(), 1u);
-    EXPECT_EQ(dev.writesStat().value(), 1u);
+    EXPECT_EQ(dev.readsStat(), 1u);
+    EXPECT_EQ(dev.writesStat(), 1u);
     EXPECT_EQ(dev.capacityBytes(), 64u * 4096);
 }
 
@@ -165,8 +165,8 @@ TYPED_TEST(DeviceContract, ZeroLengthExtentsReturnEarly)
     // with a wild bno.
     dev.readRange(1000, 0, {});
     dev.writeRange(1000, 0, {});
-    EXPECT_EQ(dev.readsStat().value(), 0u);
-    EXPECT_EQ(dev.writesStat().value(), 0u);
+    EXPECT_EQ(dev.readsStat(), 0u);
+    EXPECT_EQ(dev.writesStat(), 0u);
 }
 
 TYPED_TEST(DeviceContract, CountersCountBlocks)
@@ -175,12 +175,12 @@ TYPED_TEST(DeviceContract, CountersCountBlocks)
     std::vector<std::uint8_t> buf(5 * kBs);
     dev.writeRange(3, 5, {buf.data(), buf.size()});
     dev.readRange(3, 5, {buf.data(), buf.size()});
-    EXPECT_EQ(dev.writesStat().value(), 5u);
-    EXPECT_EQ(dev.readsStat().value(), 5u);
+    EXPECT_EQ(dev.writesStat(), 5u);
+    EXPECT_EQ(dev.readsStat(), 5u);
     dev.writeRange(9, 1, {buf.data(), kBs});
     dev.readRange(9, 1, {buf.data(), kBs});
-    EXPECT_EQ(dev.writesStat().value(), 6u);
-    EXPECT_EQ(dev.readsStat().value(), 6u);
+    EXPECT_EQ(dev.writesStat(), 6u);
+    EXPECT_EQ(dev.readsStat(), 6u);
 }
 
 TYPED_TEST(DeviceContractDeathTest, BadExtentsPanic)

@@ -2,12 +2,16 @@
  * @file
  * Segment cleaner tests: reclamation of overwritten/deleted space,
  * data integrity across cleaning, cost-benefit victim choice, the
- * auto-clean low-water trigger, and cleaning + recovery interaction.
+ * auto-clean low-water trigger, relocation of each pointer-block role,
+ * and cleaning + recovery interaction.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "fs/fault_device.hh"
@@ -211,6 +215,105 @@ TEST(LfsCleaner, IndirectBlocksRelocateCorrectly)
     EXPECT_EQ(back, data);
     EXPECT_TRUE(fs.fsck().ok);
 }
+
+/**
+ * A live pointer block alone in a victim segment, without any data
+ * block of its file: the cleaner must relocate it itself.  (Relocating
+ * a data block first rewrites the pointer blocks above it too, which
+ * would hide a cleaner that skips them.)  A block-aligned truncate
+ * rewrites only the pointer blocks it trims, so they land in a segment
+ * of their own; half the device written and unlinked behind them
+ * makes that segment the cleaner's choice, and a second fill reuses
+ * it, so a pointer left behind reads garbage or fails fsck.
+ */
+struct PointerCase
+{
+    const char *name;
+    std::uint32_t blockSize;
+    std::uint64_t fileBlocks;
+    std::uint64_t keepBlocks; ///< truncate point, in whole blocks
+};
+
+void
+PrintTo(const PointerCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class CleanerPointerBlock : public ::testing::TestWithParam<PointerCase>
+{
+};
+
+TEST_P(CleanerPointerBlock, RelocatedWhenAloneInTheVictim)
+{
+    const PointerCase &c = GetParam();
+    const std::uint64_t bs = c.blockSize;
+    fs::MemBlockDevice dev{c.blockSize, 1536};
+    Lfs::Params p;
+    p.blockSize = c.blockSize;
+    p.segBlocks = 32;
+    Lfs::format(dev, p);
+    Lfs fs(dev);
+    auto expect_clean = [&fs] {
+        for (const auto &problem : fs.fsck().problems())
+            ADD_FAILURE() << "fsck: " << problem;
+    };
+    auto data_offsets = [&fs](lfs::InodeNum ino, std::uint64_t len) {
+        std::vector<std::uint64_t> out;
+        for (const auto &e : fs.mapFile(ino, 0, len))
+            out.push_back(e.deviceOffset);
+        return out;
+    };
+
+    const auto data = pattern(c.fileBlocks * bs, 1);
+    const auto a = fs.create("/a");
+    fs.write(a, 0, {data.data(), data.size()});
+    fs.sync();
+    const std::uint64_t kept = c.keepBlocks * bs;
+    fs.truncate(a, kept);
+    fs.sync();
+
+    const auto b = fs.create("/b");
+    const auto filler = pattern(dev.capacityBytes() / 2, 2);
+    fs.write(b, 0, {filler.data(), filler.size()});
+    fs.sync();
+    fs.unlink("/b");
+    fs.sync();
+
+    const auto placed = data_offsets(a, kept);
+    const auto cleaned = fs.stats().cleanerSegmentsCleaned;
+    fs.clean(static_cast<unsigned>(fs.freeSegments() + 1));
+    EXPECT_GT(fs.stats().cleanerSegmentsCleaned, cleaned);
+    // No data block of /a moved, so only the cleaner's own pointer
+    // relocation can keep /a reachable.
+    EXPECT_EQ(data_offsets(a, kept), placed);
+    expect_clean();
+
+    const auto reuse = fs.create("/c");
+    const auto refill = pattern(dev.capacityBytes() * 13 / 30, 3);
+    fs.write(reuse, 0, {refill.data(), refill.size()});
+    fs.sync();
+    expect_clean();
+    std::vector<std::uint8_t> back(kept);
+    ASSERT_EQ(fs.read(a, 0, {back.data(), back.size()}), kept);
+    EXPECT_TRUE(std::equal(back.begin(), back.end(), data.begin()));
+}
+
+// With 4 KB blocks the single-indirect block covers file blocks
+// 12..1035; with 1 KB blocks it covers 12..139 and each double-
+// indirect child 128 blocks from 140 on.
+INSTANTIATE_TEST_SUITE_P(
+    Roles, CleanerPointerBlock,
+    ::testing::Values(
+        // Trim the indirect block's tail.
+        PointerCase{"Ind1", 4096, 40, 30},
+        // Drop the second double-indirect child: only the root changes.
+        PointerCase{"Ind2Root", 1024, 300, 268},
+        // Trim the first child's tail: the child and the root change.
+        PointerCase{"Ind2Child", 1024, 300, 200}),
+    [](const ::testing::TestParamInfo<PointerCase> &info) {
+        return std::string(info.param.name);
+    });
 
 /**
  * Cleaning x recovery: kill the device partway through a cleaning

@@ -367,24 +367,24 @@ TEST_F(LfsFixture, BlockMapWalksReadEachPointerBlockOnce)
     constexpr std::uint64_t span = 512 * 1024; // 128 file blocks
 
     // Single-indirect range: one pointer-block read for 128 blocks.
-    std::uint64_t before = dev.readsStat().value();
+    std::uint64_t before = dev.readsStat();
     const auto extents = fs->mapFile(ino, 12 * 4096, span);
-    EXPECT_EQ(dev.readsStat().value() - before, 1u);
+    EXPECT_EQ(dev.readsStat() - before, 1u);
     std::uint64_t covered = 0;
     for (const auto &e : extents)
         covered += e.bytes;
     EXPECT_EQ(covered, span);
 
     // Double-indirect range: the root and one child, once each.
-    before = dev.readsStat().value();
+    before = dev.readsStat();
     fs->mapFile(ino, 600 * 4096, span);
-    EXPECT_EQ(dev.readsStat().value() - before, 2u);
+    EXPECT_EQ(dev.readsStat() - before, 2u);
 
     // readData walks the same way: 128 data blocks + 1 pointer block.
     std::vector<std::uint8_t> back(span);
-    before = dev.readsStat().value();
+    before = dev.readsStat();
     EXPECT_EQ(fs->read(ino, 12 * 4096, {back.data(), back.size()}), span);
-    EXPECT_EQ(dev.readsStat().value() - before, 129u);
+    EXPECT_EQ(dev.readsStat() - before, 129u);
     EXPECT_TRUE(std::equal(back.begin(), back.end(),
                            data.begin() + 12 * 4096));
 }

@@ -80,6 +80,25 @@ TEST(Hippi, SetupCostIsCharged)
     EXPECT_EQ(ch.packets(), 1u);
 }
 
+TEST(Hippi, SendDuringLinkDropWaitsForLinkUp)
+{
+    sim::EventQueue eq;
+    xbus::XbusBoard board(eq, "x");
+    net::HippiChannel ch(eq, "ch", board.hippiSrcPort(),
+                         board.hippiDstPort());
+    const Tick down = sim::msToTicks(25);
+    ch.injectLinkDown(down);
+    ASSERT_TRUE(ch.linkDown());
+    Tick at = 0;
+    ch.send(4 * sim::KB, {}, {}, [&] { at = eq.now(); });
+    EXPECT_EQ(ch.packets(), 0u);
+    eq.run();
+    EXPECT_EQ(ch.deferredSends(), 1u);
+    EXPECT_EQ(ch.packets(), 1u);
+    // Held until link-up, then charged the usual setup.
+    EXPECT_GE(at, down + cal::hippiSetupOverhead);
+}
+
 TEST(Ethernet, WireRateIsTenMegabits)
 {
     sim::EventQueue eq;

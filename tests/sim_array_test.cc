@@ -10,6 +10,8 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "raid/sim_array.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
+#include "sim/stats_registry.hh"
 #include "xbus/xbus_board.hh"
 
 namespace {
@@ -290,6 +293,58 @@ TEST(SimArray, Raid1ReadOfAFailedDiskIsDegraded)
     EXPECT_EQ(rig.array.degradedBytes(), 64u * 1024);
     EXPECT_EQ(at, 56002322u);
     EXPECT_EQ(rig.array.disk(mirror).sectorsRead(), 128u);
+    EXPECT_EQ(rig.board.parity().passes(), 0u);
+}
+
+/** One "name = value" line of @p array's registry dump. */
+std::string
+statLine(const raid::SimArray &array, const std::string &name)
+{
+    sim::StatsRegistry reg;
+    array.registerStats(reg);
+    std::ostringstream os;
+    reg.dump(os);
+    const std::string text = os.str();
+    const auto at = text.find(name + " = ");
+    if (at == std::string::npos)
+        return {};
+    return text.substr(at, text.find('\n', at) - at);
+}
+
+TEST(SimArray, Raid0LatentReadCompletesUnrecoverable)
+{
+    // No redundancy: the read fails fast, with nothing to repair from.
+    Rig rig(raid::RaidLevel::Raid0);
+    const unsigned d = rig.array.layout().dataDisk(0, 0);
+    rig.array.injectLatent(d, 4096, 8192);
+    bool done = false;
+    rig.array.read(0, 64 * 1024, [&] { done = true; });
+    rig.eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(statLine(rig.array, "raid.unrecoverable_reads"),
+              "raid.unrecoverable_reads = 1");
+    EXPECT_EQ(rig.array.latentRepairReads(), 0u);
+    EXPECT_EQ(rig.array.latentRangesOutstanding(), 1u);
+}
+
+TEST(SimArray, LatentWhoseSourceFailedIsUnrecoverable)
+{
+    // A RAID-5 latent, then a failure of another disk of its stripe:
+    // the drive's retry pass runs, and no reconstruction can follow.
+    Rig rig;
+    const auto &layout = rig.array.layout();
+    const unsigned d = layout.dataDisk(0, 0);
+    rig.array.injectLatent(d, 4096, 8192);
+    rig.array.failDisk(layout.parityDisk(0));
+    Tick at = 0;
+    rig.array.read(0, 64 * 1024, [&] { at = rig.eq.now(); });
+    rig.eq.run();
+    EXPECT_GT(at, 0u);
+    EXPECT_EQ(rig.array.latentRepairReads(), 1u);
+    EXPECT_EQ(statLine(rig.array, "raid.unrecoverable_reads"),
+              "raid.unrecoverable_reads = 1");
+    EXPECT_EQ(rig.array.readRepairedRanges(), 0u);
+    EXPECT_EQ(rig.array.latentRangesOutstanding(), 1u);
     EXPECT_EQ(rig.board.parity().passes(), 0u);
 }
 

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -137,8 +138,7 @@ struct MiniJson
 TEST(StatsRegistry, RegistersAndReadsBack)
 {
     sim::StatsRegistry reg;
-    sim::Scalar s;
-    s.inc(42);
+    const std::uint64_t s = 42;
     sim::Distribution d;
     d.sample(1.0);
     d.sample(3.0);
@@ -155,7 +155,7 @@ TEST(StatsRegistry, RegistersAndReadsBack)
 TEST(StatsRegistry, RemovePrefixDropsSubtree)
 {
     sim::StatsRegistry reg;
-    sim::Scalar a, b, c;
+    const std::uint64_t a = 0, b = 0, c = 0;
     reg.add("disk.0.reads", a);
     reg.add("disk.1.reads", b);
     reg.add("raid.reads", c);
@@ -168,7 +168,7 @@ TEST(StatsRegistry, RemovePrefixDropsSubtree)
 TEST(StatsRegistryDeathTest, DuplicateNamePanics)
 {
     sim::StatsRegistry reg;
-    sim::Scalar a, b;
+    const std::uint64_t a = 0, b = 0;
     reg.add("x.count", a);
     EXPECT_DEATH(reg.add("x.count", b), "duplicate");
 }
@@ -176,7 +176,7 @@ TEST(StatsRegistryDeathTest, DuplicateNamePanics)
 TEST(StatsRegistryDeathTest, LeafSubtreeConflictPanics)
 {
     sim::StatsRegistry reg;
-    sim::Scalar a, b;
+    const std::uint64_t a = 0, b = 0;
     reg.add("x.y", a);
     // "x.y" is a leaf; "x.y.z" would need it to be an object.
     EXPECT_DEATH(reg.add("x.y.z", b), "conflicts");
@@ -185,10 +185,7 @@ TEST(StatsRegistryDeathTest, LeafSubtreeConflictPanics)
 TEST(StatsRegistry, DumpIsSortedAndGroupsSiblings)
 {
     sim::StatsRegistry reg;
-    sim::Scalar a, b, c;
-    a.inc(1);
-    b.inc(2);
-    c.inc(3);
+    const std::uint64_t a = 1, b = 2, c = 3;
     reg.add("zeta.count", a);
     reg.add("alpha.second", b);
     reg.add("alpha.first", c);
@@ -209,8 +206,7 @@ TEST(StatsRegistry, DumpIsSortedAndGroupsSiblings)
 TEST(StatsRegistry, JsonRoundTripsHierarchy)
 {
     sim::StatsRegistry reg;
-    sim::Scalar reads;
-    reads.inc(12);
+    const std::uint64_t reads = 12;
     sim::Distribution lat;
     lat.sample(2.0);
     lat.sample(4.0);
@@ -236,8 +232,7 @@ TEST(StatsRegistry, JsonRoundTripsHierarchy)
 TEST(StatsRegistry, CompactAndPrettyJsonAgree)
 {
     sim::StatsRegistry reg;
-    sim::Scalar s;
-    s.inc(5);
+    const std::uint64_t s = 5;
     reg.add("a.b.c", s);
     std::ostringstream compact;
     reg.toJson(compact, /*pretty=*/false);
@@ -251,11 +246,43 @@ TEST(StatsRegistry, CompactAndPrettyJsonAgree)
 TEST(StatsRegistry, GaugeReadsLiveValue)
 {
     sim::StatsRegistry reg;
-    std::uint64_t counter = 0;
-    reg.addGauge("live", [&] { return double(counter); });
-    counter = 31;
+    std::uint64_t hits = 0, lookups = 1;
+    reg.addGauge("hit_frac",
+                 [&] { return double(hits) / double(lookups); });
+    hits = 1;
+    lookups = 4;
     const MiniJson doc = MiniJson::parse(reg.toJson());
-    EXPECT_EQ(doc.leaves.at("live"), "31");
+    EXPECT_EQ(doc.leaves.at("hit_frac"), "0.25");
+}
+
+// A counter is registered by address, so a temporary (or a narrower
+// integer converted into one) cannot be.
+template <typename T>
+concept Registrable = requires(sim::StatsRegistry &r, T &&v) {
+    r.add("x", std::forward<T>(v));
+};
+static_assert(Registrable<const std::uint64_t &>);
+static_assert(!Registrable<std::uint64_t>);
+static_assert(!Registrable<const unsigned &>);
+
+TEST(StatsRegistry, CountersReadLiveAndPrintExactly)
+{
+    sim::StatsRegistry reg;
+    std::uint64_t bytes = 0;
+    std::uint64_t big = 0;
+    reg.add("xbus.memory.bytes", bytes);
+    reg.add("x.big", big);
+    // Past six significant digits and past a double's 53-bit mantissa.
+    bytes = 194560123;
+    big = (std::uint64_t(1) << 53) + 1;
+
+    std::ostringstream text;
+    reg.dump(text);
+    EXPECT_EQ(text.str(), "x.big = 9007199254740993\n"
+                          "xbus.memory.bytes = 194560123\n");
+    const MiniJson doc = MiniJson::parse(reg.toJson());
+    EXPECT_EQ(doc.leaves.at("xbus.memory.bytes"), "194560123");
+    EXPECT_EQ(doc.leaves.at("x.big"), "9007199254740993");
 }
 
 TEST(StatsRegistry, ZebraVolumeRegistersItsTree)
@@ -284,7 +311,7 @@ TEST(StatsRegistry, ZebraVolumeRegistersItsTree)
     EXPECT_TRUE(reg.contains("zebra.rebuilds"));
     EXPECT_TRUE(reg.contains("zebra.parity_bytes"));
 
-    // The gauges read live values: one full stripe shows up in the
+    // The counters read live values: one full stripe shows up in the
     // snapshot without re-registration.
     std::vector<std::uint8_t> data(vol.stripeDataBytes(), 0x5a);
     bool done = false;
