@@ -84,11 +84,11 @@ main(int argc, char **argv)
         raid::RebuildJob job(eq, "srv.rebuild", array, 3);
         job.start({});
         eq.runUntilDone([&] {
-            return array.live(3, 0, (regionBytes / sdb + 1) * unit);
+            return array.media().live(3, 0, (regionBytes / sdb + 1) * unit);
         });
         const double behind = randomReadMBs(eq, array, 100);
         const double ahead = randomReadMBs(eq, array, 100, aheadBase);
-        if (array.live(3, aheadBase / sdb * unit, unit))
+        if (array.media().live(3, aheadBase / sdb * unit, unit))
             sim::fatal("ablation_rebuild: the cursor reached the last "
                        "region");
         rep.row("Rebuilding, reads behind the cursor", behind, "MB/s",

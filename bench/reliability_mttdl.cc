@@ -142,7 +142,7 @@ runTrial(const Setting &st, std::uint64_t seed)
         srv.array().read(off, reqBytes, [&] {
             if (eq.now() <= kHorizon) {
                 bytesDone += reqBytes;
-                if (srv.array().degraded())
+                if (srv.array().media().degraded())
                     degradedBytes += reqBytes;
             }
             issue();

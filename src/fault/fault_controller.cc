@@ -59,7 +59,7 @@ FaultController::handleEvent(const FaultEvent &e)
         injectLatent(e.target, e.offset, e.bytes);
         return;
     case FaultKind::DiskStall: {
-        if (e.target >= array.numDisks() || array.isFailed(e.target)) {
+        if (e.target >= array.numDisks() || array.media().failed(e.target)) {
             ++_suppressed;
             return;
         }
@@ -107,7 +107,7 @@ FaultController::injectSilentCorruption(const FaultEvent &e)
         raid::RaidArray *fn = hooks.array->twin();
         const std::uint64_t span = hooks.array->mediaSpan();
         if (!fn || e.target >= fn->numDisks() ||
-            fn->isFailed(e.target) || e.bytes == 0 || e.offset >= span) {
+            fn->media().failed(e.target) || e.bytes == 0 || e.offset >= span) {
             ++_suppressed;
             return;
         }
@@ -135,13 +135,11 @@ void
 FaultController::injectDiskFail(unsigned d)
 {
     raid::SimArray &array = *hooks.array;
-    if (d >= array.numDisks() || array.isFailed(d)) {
+    if (d >= array.numDisks() || array.media().failed(d)) {
         ++_suppressed;
         return;
     }
-    bool redundant = false;
-    array.layout().forEachSource(d, [&](unsigned) { redundant = true; });
-    if (!redundant) {
+    if (array.media().sources(d, 0, 0).count == 0) {
         // No redundancy (RAID-0): the disk's data is simply gone.
         // Account the loss; injecting would leave the simulator unable
         // to serve any read of the dead disk.
@@ -149,7 +147,7 @@ FaultController::injectDiskFail(unsigned d)
         ++_suppressed;
         return;
     }
-    if (array.degraded()) {
+    if (array.media().degraded()) {
         // Second failure before the first rebuild completed: the
         // classic RAID data-loss mode.  The campaign records it; the
         // simulated array soldiers on with the first failure so the
@@ -164,7 +162,7 @@ FaultController::injectDiskFail(unsigned d)
     // Latent ranges outstanding on the disks the rebuild will read are
     // unreconstructable stripes: each is a data-loss event.  The
     // defects are consumed here (media reallocation on the failed
-    // array) so both planes stay recoverable.
+    // array) so the rebuild stays recoverable.
     array.layout().forEachSource(d, [&](unsigned o) {
         const std::uint64_t n = array.dropLatents(o);
         _rebuildExposed += n;
@@ -189,27 +187,22 @@ FaultController::injectLatent(unsigned d, std::uint64_t off,
         return;
     }
     bytes = std::min(bytes, span - off);
-    if (array.isFailed(d)) {
+    if (array.media().failed(d)) {
         ++_suppressed;
         return;
     }
     // The defect is data loss when a disk it would be rebuilt from is
     // failed or defective over the same range.  RAID-0 has no such
     // disk: its latent is injected, and reads of it are unrecoverable.
-    bool source_failed = false;
-    bool collides = false;
-    array.layout().forEachSource(d, [&](unsigned o) {
-        source_failed = source_failed || array.isFailed(o);
-        collides = collides || array.hasLatent(o, off, bytes);
-    });
-    if (source_failed) {
+    const raid::MediaState::Sources src = array.media().sources(d, off, bytes);
+    if (src.failed) {
         // A defect growing while its redundancy is degraded has
         // nothing to repair from.
         ++_latentWhileDegraded;
         ++_dataLossEvents;
         return;
     }
-    if (collides) {
+    if (src.latent) {
         // Overlapping defects on a disk and its source: neither side
         // can reconstruct the other.
         ++_latentCollisions;
@@ -250,10 +243,10 @@ FaultController::registerStats(sim::StatsRegistry &reg) const
     reg.add("fault.latent_collisions", _latentCollisions);
     const raid::SimArray *array = hooks.array;
     reg.addGauge("fault.latent_ranges_outstanding", [array] {
-        return static_cast<double>(array->latentRangesOutstanding());
+        return static_cast<double>(array->media().latentRanges());
     });
     reg.addGauge("fault.latent_bytes_outstanding", [array] {
-        return static_cast<double>(array->latentBytesOutstanding());
+        return static_cast<double>(array->media().latentBytes());
     });
     reg.add("fault.read_repaired_ranges", array->readRepairedRanges());
     reg.add("fault.scrub_repaired_ranges", array->scrubRepairedRanges());

@@ -7,8 +7,8 @@
  * ScsiString::injectHang, XbusBoard::injectPortError,
  * HippiChannel::injectLinkDown, and SimArray's failDisk and
  * injectLatent.  It only injects and counts: the SimArray owns the
- * media state (failed disks, the latent-defect map) and carries every
- * change into its functional twin, if one is attached.
+ * media state (raid::MediaState: failed disks, rebuild progress, latent
+ * defects), and a functional twin works on the same record.
  *
  * Injection preserves the recoverability invariant documented in
  * RaidArray: events that *would* destroy data — a second disk death

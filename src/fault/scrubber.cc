@@ -65,21 +65,12 @@ Scrubber::step()
 {
     if (!_running)
         return;
-    if (cfg.pauseWhileDegraded && array.degraded()) {
+    // Hold the sweep while the array is degraded: the rebuild needs
+    // the datapath more than the scrubber does, and a failed disk has
+    // nothing to verify.
+    if (array.media().degraded()) {
         scheduleNext(std::max(cfg.interChunkDelay, sim::msToTicks(5)));
         return;
-    }
-    // Failed disks have nothing to verify; move past them.
-    unsigned skipped = 0;
-    while (array.isFailed(curDisk)) {
-        curOff = 0;
-        curDisk = (curDisk + 1) % array.numDisks();
-        if (++skipped >= array.numDisks()) {
-            // Whole array failed; retry later.
-            scheduleNext(std::max(cfg.interChunkDelay,
-                                  sim::msToTicks(5)));
-            return;
-        }
     }
     const unsigned d = curDisk;
     const std::uint64_t off = curOff;
@@ -105,7 +96,7 @@ Scrubber::finishChunk(unsigned d, std::uint64_t off, std::uint64_t len)
     // Repair needs full redundancy: skip while degraded (the latent
     // stays in the map; a later sweep retries) and on RAID-0 (nothing
     // to repair from, so repairChunk issues nothing).
-    if (array.hasLatent(d, off, len) && !array.degraded() &&
+    if (array.media().hasLatent(d, off, len) && !array.media().degraded() &&
         repairChunk(d, off, len))
         return;
     chunkInFlight = false;

@@ -10,8 +10,9 @@
  * timed datapath (so it competes with foreground traffic for the
  * drives, strings and XBUS ports), asks the array's defect map whether
  * the chunk is damaged, and repairs damage from redundancy with one
- * timed SimArray::restoreRange (reconstruct, then rewrite).  The
- * inter-chunk delay is the scrub-rate knob an MTTDL campaign sweeps.
+ * timed SimArray::restoreRange (reconstruct, then rewrite).  It holds
+ * while the array is degraded.  The inter-chunk delay is the scrub-rate
+ * knob an MTTDL campaign sweeps.
  */
 
 #ifndef RAID2_FAULT_SCRUBBER_HH
@@ -38,9 +39,6 @@ class Scrubber
         /** Pause between chunks; the scrub-rate knob (0 = scrub
          *  back-to-back, i.e. as fast as the datapath allows). */
         sim::Tick interChunkDelay = sim::msToTicks(20);
-        /** Hold the sweep while the array is degraded (the rebuild
-         *  needs the datapath more than the scrubber does). */
-        bool pauseWhileDegraded = true;
     };
 
     Scrubber(sim::EventQueue &eq, std::string name,

@@ -252,7 +252,7 @@ VerifyingDevice::applyArmedWriteFlip(std::uint64_t bno,
         bno * std::uint64_t(blockSize()) + nextFlipPos(span_bytes);
     array->layout().forEachPiece(
         abs, 1, [&](unsigned, const raid::DiskExtent &e) {
-            if (!array->isFailed(e.disk)) {
+            if (!array->media().failed(e.disk)) {
                 array->corrupt(e.disk, e.diskOffset, 1, 0x4a);
                 ++_writeFlipsApplied;
             }

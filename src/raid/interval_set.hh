@@ -2,12 +2,10 @@
  * @file
  * A set of disjoint byte ranges on one member disk.
  *
- * Both RAID planes keep one per disk for latent media defects (SimArray
- * to know when a timed read needs a repair, RaidArray to know which
- * twin bytes are garbled) and one per disk for the ranges of a failed
- * disk that the rebuild has already written to its replacement.
- * Inserting merges ranges that overlap or touch, so the set stays a
- * sorted list of maximal disjoint ranges.
+ * MediaState keeps one per disk for its latent media defects and one
+ * for the ranges of a failed disk that the rebuild has written to its
+ * replacement.  Inserting merges ranges that overlap or touch, so the
+ * set stays a sorted list of maximal disjoint ranges.
  */
 
 #ifndef RAID2_RAID_INTERVAL_SET_HH

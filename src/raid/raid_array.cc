@@ -14,10 +14,11 @@ constexpr std::uint64_t G = sim::ByteStore::granuleBytes;
 
 } // namespace
 
-RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
+RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes,
+                     MediaState *media)
     : _layout(cfg, disk_bytes), _diskBytes(disk_bytes),
-      failed(cfg.numDisks, false), latents(cfg.numDisks),
-      rebuilt(cfg.numDisks),
+      own(media ? nullptr : std::make_unique<MediaState>(_layout)),
+      _media(media ? *media : *own),
       placed(cfg.level == RaidLevel::Raid5 &&
              _layout.unitBytes() % G == 0)
 {
@@ -25,18 +26,12 @@ RaidArray::RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes)
         sim::fatal("RaidArray: %u disks exceeds the %zu-way parity "
                    "fold limit",
                    cfg.numDisks, kMaxFoldSources);
+    if (_media.numDisks() != cfg.numDisks)
+        sim::panic("RaidArray: %u disks on a media record of %u",
+                   cfg.numDisks, _media.numDisks());
     disks.reserve(cfg.numDisks);
     for (unsigned d = 0; d < cfg.numDisks; ++d)
         disks.emplace_back(static_cast<std::size_t>(disk_bytes));
-}
-
-unsigned
-RaidArray::failedCount() const
-{
-    unsigned n = 0;
-    for (bool f : failed)
-        n += f ? 1 : 0;
-    return n;
 }
 
 std::uint64_t
@@ -140,13 +135,8 @@ RaidArray::redundant(unsigned dead, std::uint64_t off,
     if (_layout.level() != RaidLevel::Raid1 &&
         off + bytes > _layout.numStripes() * _layout.unitBytes())
         return false;
-    unsigned sources = 0;
-    bool usable = true;
-    _layout.forEachSource(dead, [&](unsigned d) {
-        ++sources;
-        usable = usable && !failed[d] && !latentOverlaps(d, off, bytes);
-    });
-    return sources > 0 && usable;
+    const MediaState::Sources s = _media.sources(dead, off, bytes);
+    return s.count > 0 && !s.failed && !s.latent;
 }
 
 template <typename Fn>
@@ -230,8 +220,6 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
     auto store = [this](unsigned d, std::uint64_t doff,
                         const std::uint8_t *src, std::uint64_t n) {
         disks[d].write(place(d, doff), {src, static_cast<std::size_t>(n)});
-        // Overwriting a latent sector rewrites (remaps) it.
-        latents[d].erase(doff, n);
     };
 
     for (const StripeSpan &s : _layout.mapStripes(off, data.size())) {
@@ -266,7 +254,6 @@ RaidArray::write(std::uint64_t off, std::span<const std::uint8_t> data)
         const unsigned pd = _layout.parityDisk(s.stripe);
         storeFold(pd, base, srcs, _layout.dataUnitsPerStripe(),
                   static_cast<std::size_t>(unit));
-        latents[pd].erase(base, unit);
         ++_parityRecomputes;
         ++_parityFullStripes;
     }
@@ -277,14 +264,12 @@ RaidArray::prepareStripeForUpdate(std::uint64_t s)
 {
     const std::uint64_t unit = _layout.unitBytes();
     const std::uint64_t base = s * unit;
-    // Parity is rewritten wholesale by recomputeParity, which heals
-    // any latent defect there without reconstruction.
-    latents[_layout.parityDisk(s)].erase(base, unit);
-    // A failed disk's unit the rebuild has not reached is reconstructed
-    // into its buffer too, so the parity recompute re-encodes the bytes
-    // the write does not touch.  Without this, a degraded
-    // partial-stripe write would fold the destroyed buffer into parity
-    // and lose the untouched region of the unit.
+    // A data unit's latent parts, and a failed disk's unit the rebuild
+    // has not reached, are reconstructed into their buffers, so the
+    // parity recompute re-encodes the bytes the write does not touch.
+    // Without this, a degraded partial-stripe write would fold the
+    // destroyed buffer into parity and lose the untouched region of
+    // the unit.
     for (unsigned k = 0; k < _layout.dataUnitsPerStripe(); ++k)
         recoverUnreadable(_layout.dataDisk(s, k), base, unit);
 }
@@ -316,14 +301,11 @@ RaidArray::patchDiskRange(unsigned d, std::uint64_t off,
     if (off + data.size() > _diskBytes)
         sim::panic("patchDiskRange: range [%llu, +%zu) beyond disk",
                    (unsigned long long)off, data.size());
-    if (failed[d])
+    if (_media.failed(d))
         sim::panic("patchDiskRange: disk %u is failed", d);
-    if (data.empty())
-        return;
     forEachRun(off, data.size(), [&](std::uint64_t pos, std::size_t n) {
         disks[d].write(place(d, pos), data.subspan(pos - off, n));
     });
-    latents[d].erase(off, data.size());
 }
 
 bool
@@ -332,7 +314,7 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
 {
     if (len == 0 || _layout.level() == RaidLevel::Raid0)
         return true;
-    if (d >= disks.size() || failedCount() > 0)
+    if (d >= disks.size() || _media.degraded())
         return false;
     const std::uint64_t end = std::min(off + len, _diskBytes);
     if (off >= end || !redundancyStored)
@@ -345,10 +327,11 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
         const unsigned p = d < half ? d : d - half;
         const unsigned m = _layout.mirrorDisk(p);
         // Heal known-garbled primary bytes from the mirror first, or
-        // the copy below would launder them into the good side.
+        // the copy below would launder them into the good side; the
+        // mirror already holds them there.
         recoverUnreadable(p, off, end - off);
-        recoverInPlace(m, off, end - off);
-        latents[m].erase(off, end - off);
+        for (const auto &[s, n] : _media.disk(p).latents.gaps(off, end - off))
+            recoverInPlace(m, s, n);
         return true;
     }
 
@@ -359,8 +342,8 @@ RaidArray::healRedundancyRange(unsigned d, std::uint64_t off,
     for (std::uint64_t s = off / unit;
          s * unit < std::min(end, covered); ++s) {
         if (_layout.parityDisk(s) == d) {
-            // Repairs data-unit latents (and drops the parity-unit
-            // latent record) before the recompute folds raw bytes.
+            // Recovers data-unit latents into their buffers before the
+            // recompute folds raw bytes.
             prepareStripeForUpdate(s);
             recomputeParity(s);
         }
@@ -390,15 +373,6 @@ RaidArray::recoverInPlace(unsigned d, std::uint64_t off,
                   });
 }
 
-std::vector<IntervalSet::Range>
-RaidArray::unreadable(unsigned d, std::uint64_t off,
-                      std::uint64_t bytes) const
-{
-    // A failed disk has no latent ranges: failDisk drops them.
-    return failed[d] ? rebuilt[d].gaps(off, bytes)
-                     : latents[d].within(off, bytes);
-}
-
 void
 RaidArray::readDiskRange(unsigned d, std::uint64_t off,
                          std::span<std::uint8_t> out) const
@@ -408,7 +382,7 @@ RaidArray::readDiskRange(unsigned d, std::uint64_t off,
     auto copyUpTo = [&](std::uint64_t until) {
         readRaw(d, pos, out.subspan(pos - off, until - pos));
     };
-    for (const auto &[s, len] : unreadable(d, off, out.size())) {
+    for (const auto &[s, len] : _media.unreadable(d, off, out.size())) {
         copyUpTo(s);
         if (!tryReconstructRange(d, s, out.subspan(s - off, len)))
             lost(d, s, len);
@@ -437,13 +411,11 @@ RaidArray::failDisk(unsigned d)
         sim::panic("failDisk: bad disk %u", d);
     // Parity is folded from the disk before its bytes are lost.
     storeParity();
-    failed[d] = true;
     // The whole disk is gone, and its latent defects with it.  Its
     // buffer, the replacement, starts empty and reads zeros; what the
     // rebuild has not reached is never read from it.
+    _media.fail(d);
     disks[d].forget();
-    latents[d].clear();
-    rebuilt[d].clear();
 }
 
 void
@@ -454,7 +426,7 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
     if (off + bytes > _diskBytes)
         sim::panic("injectLatent: range [%llu, +%llu) beyond disk",
                    (unsigned long long)off, (unsigned long long)bytes);
-    if (bytes == 0 || failed[d])
+    if (bytes == 0 || _media.failed(d))
         return;
     storeParity();
 
@@ -469,14 +441,7 @@ RaidArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
         }
     });
 
-    latents[d].insert(off, bytes);
-}
-
-bool
-RaidArray::latentOverlaps(unsigned d, std::uint64_t off,
-                          std::uint64_t bytes) const
-{
-    return latents.at(d).overlaps(off, bytes);
+    _media.addLatent(d, off, bytes);
 }
 
 void
@@ -486,21 +451,19 @@ RaidArray::repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
         sim::panic("repairLatent: bad disk %u", d);
     if (bytes == 0)
         return;
-    if (failed[d])
+    if (_media.failed(d))
         sim::panic("repairLatent: disk %u is failed", d);
 
     recoverInPlace(d, off, bytes);
-    latents[d].erase(off, bytes);
+    _media.repaired(d, off, bytes);
 }
 
 void
 RaidArray::recoverUnreadable(unsigned d, std::uint64_t off,
                              std::uint64_t bytes)
 {
-    for (const auto &[s, len] : unreadable(d, off, bytes)) {
+    for (const auto &[s, len] : _media.unreadable(d, off, bytes))
         recoverInPlace(d, s, len);
-        latents[d].erase(s, len);
-    }
 }
 
 std::uint64_t
@@ -508,39 +471,26 @@ RaidArray::scrub()
 {
     std::uint64_t repaired = 0;
     for (unsigned d = 0; d < disks.size(); ++d) {
-        if (failed[d])
-            continue;
-        const auto todo = latents[d]; // copy: repairLatent mutates
-        for (const auto &[s, len] : todo) {
+        const IntervalSet todo = _media.disk(d).latents; // repairs mutate it
+        for (const auto &[s, len] : todo)
             repairLatent(d, s, len);
-            ++repaired;
-        }
+        repaired += todo.size();
     }
     return repaired;
-}
-
-std::uint64_t
-RaidArray::latentCount() const
-{
-    std::uint64_t n = 0;
-    for (const auto &lm : latents)
-        n += lm.size();
-    return n;
 }
 
 void
 RaidArray::rebuildRange(unsigned d, std::uint64_t off, std::uint64_t bytes)
 {
-    if (d >= disks.size() || !failed[d])
+    if (d >= disks.size() || !_media.failed(d))
         sim::panic("rebuildRange: disk %u is not failed", d);
     // Parity covers whole stripes only; the tail beyond them holds no
-    // data.
+    // data, and no write reaches it.
     const std::uint64_t end =
         std::min(off + bytes, _layout.numStripes() * _layout.unitBytes());
-    if (off >= end)
-        return;
-    recoverUnreadable(d, off, end - off);
-    rebuilt[d].insert(off, end - off);
+    if (off < end)
+        recoverUnreadable(d, off, end - off);
+    _media.markRebuilt(d, off, bytes);
 }
 
 void
@@ -548,15 +498,10 @@ RaidArray::rebuildDisk(unsigned d)
 {
     if (d >= disks.size())
         sim::panic("rebuildDisk: bad disk %u", d);
-    if (!failed[d])
+    if (!_media.failed(d))
         return;
-    const std::uint64_t covered =
-        _layout.numStripes() * _layout.unitBytes();
-    // The tail beyond the stripes has read zeros since failDisk(): no
-    // write reaches it.
-    rebuildRange(d, 0, covered);
-    failed[d] = false;
-    rebuilt[d].clear();
+    rebuildRange(d, 0, _diskBytes);
+    _media.restore(d);
 }
 
 bool
@@ -588,7 +533,7 @@ RaidArray::redundancyConsistent() const
     const RaidLevel level = _layout.level();
     if (level == RaidLevel::Raid0)
         return true;
-    if (failedCount() > 0)
+    if (_media.degraded())
         return false;
 
     if (level == RaidLevel::Raid1) {

@@ -42,18 +42,22 @@
  * A failed disk's buffer stands for its replacement drive, which starts
  * empty.  Every write lands in it, but only the ranges rebuildRange()
  * has reconstructed are read from it; the rest of the disk is still
- * reconstructed from the survivors on every read.
+ * reconstructed from the survivors on every read.  Which disks have
+ * failed, how far their rebuild has got and where latent defects lie
+ * is read from a MediaState: the array's own, or the timed SimArray's
+ * when this is its twin.
  */
 
 #ifndef RAID2_RAID_RAID_ARRAY_HH
 #define RAID2_RAID_RAID_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "raid/interval_set.hh"
+#include "raid/media_state.hh"
 #include "raid/raid_layout.hh"
 #include "sim/byte_store.hh"
 #include "sim/stats.hh"
@@ -64,9 +68,13 @@ namespace raid2::raid {
 class RaidArray
 {
   public:
-    RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes);
+    /** An array on @p media, the record of a timed array of the same
+     *  level and disk count (a twin), or on a record of its own. */
+    RaidArray(const LayoutConfig &cfg, std::uint64_t disk_bytes,
+              MediaState *media = nullptr);
 
     const RaidLayout &layout() const { return _layout; }
+    const MediaState &media() const { return _media; }
     std::uint64_t capacity() const { return _layout.dataCapacity(); }
     unsigned numDisks() const { return _layout.numDisks(); }
 
@@ -84,16 +92,14 @@ class RaidArray
 
     /** One on-line rebuild step: reconstruct [off, off+bytes) of failed
      *  disk @p d from the survivors into its buffer and serve it from
-     *  there from now on.  Bytes beyond the striped region, and bytes
-     *  an earlier step rebuilt, are left alone. */
+     *  there from now on.  The record takes the whole range; bytes
+     *  beyond this array's striped region, and bytes an earlier step
+     *  rebuilt, are left alone. */
     void rebuildRange(unsigned d, std::uint64_t off, std::uint64_t bytes);
 
     /** Finish a failed disk's rebuild: reconstruct the ranges
      *  rebuildRange() did not, and bring the disk back online. */
     void rebuildDisk(unsigned d);
-
-    bool isFailed(unsigned d) const { return failed.at(d); }
-    unsigned failedCount() const;
 
     /** @{ Latent (unreadable) media errors.
      *
@@ -102,7 +108,9 @@ class RaidArray
      * from redundancy (parity for levels 3/5, the mirror for level 1).
      * The redundancy still encodes the original data, so reconstruction
      * recovers it exactly; repairLatent() writes it back and clears the
-     * defect, which is what the scrubber does in bulk.
+     * defect, which is what the scrubber does in bulk.  Nothing else
+     * clears it: a write over the range stores the new bytes and keeps
+     * redundancy in step, and reads still reconstruct it from there.
      *
      * Recoverability invariant (enforced with fatal errors, maintained
      * by fault::FaultController through SimArray): no latent range
@@ -115,20 +123,11 @@ class RaidArray
     /** Garble @p bytes at disk offset @p off of disk @p d (after
      *  parity is stored from the intact bytes). */
     void injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
-    /** True if disk @p d has a latent range intersecting [off, off+bytes). */
-    bool latentOverlaps(unsigned d, std::uint64_t off,
-                        std::uint64_t bytes) const;
     /** Reconstruct the latent range from redundancy, write it back, and
      *  clear the defect. */
     void repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
     /** Repair every outstanding latent range.  @return ranges repaired. */
     std::uint64_t scrub();
-    /** Outstanding latent ranges across all disks. */
-    std::uint64_t latentCount() const;
-    const IntervalSet &latentIntervals(unsigned d) const
-    {
-        return latents.at(d);
-    }
     /** @} */
 
     /** @{ Parity-work counters (levels 3/5).
@@ -171,7 +170,8 @@ class RaidArray
                              std::span<std::uint8_t> out) const;
     /** Patch verified bytes straight into disk @p d's buffer without
      *  touching parity (the parity already encodes @p data — this is
-     *  the repair-writeback step, same shape as repairLatent). */
+     *  the repair-writeback step).  Unlike repairLatent() it leaves the
+     *  record alone. */
     void patchDiskRange(unsigned d, std::uint64_t off,
                         std::span<const std::uint8_t> data);
     /** Re-derive the redundancy covering [off, off+len) of disk @p d
@@ -264,11 +264,6 @@ class RaidArray
      *  (the sources exclude it); lost() if there is no redundancy. */
     void recoverInPlace(unsigned d, std::uint64_t off,
                         std::uint64_t bytes);
-    /** The parts of [off, off+bytes) of disk @p d its buffer cannot
-     *  vouch for: latent ranges, or for a failed disk what the rebuild
-     *  has not reached. */
-    std::vector<IntervalSet::Range> unreadable(unsigned d, std::uint64_t off,
-                                               std::uint64_t bytes) const;
     /** Copy [off, off+out.size()) of disk @p d into @p out, routing
      *  unreadable subranges through reconstruction. */
     void readDiskRange(unsigned d, std::uint64_t off,
@@ -276,21 +271,19 @@ class RaidArray
     /** Make stripe @p s safe to recompute parity over: bring every
      *  data unit's buffer to its true content first. */
     void prepareStripeForUpdate(std::uint64_t s);
-    /** Reconstruct the unreadable parts of [off, off+bytes) of disk
-     *  @p d into its buffer, clearing the latent ranges among them.  A
-     *  failed disk's parts stay unreadable: only rebuildRange() marks
-     *  them rebuilt. */
+    /** Reconstruct the unreadable parts (MediaState::unreadable) of
+     *  [off, off+bytes) of disk @p d into its buffer.  They stay
+     *  unreadable in the record: only a repair clears a latent, and
+     *  only rebuildRange() marks a failed disk's range rebuilt. */
     void recoverUnreadable(unsigned d, std::uint64_t off,
                            std::uint64_t bytes);
 
     RaidLayout _layout;
     std::uint64_t _diskBytes;
     std::vector<sim::ByteStore> disks;
-    std::vector<bool> failed;
-    /** Per-disk garbled ranges. */
-    std::vector<IntervalSet> latents;
-    /** Per failed disk, the ranges rebuildRange() has reconstructed. */
-    std::vector<IntervalSet> rebuilt;
+    /** The record of a standalone array; a twin has none. */
+    std::unique_ptr<MediaState> own;
+    MediaState &_media;
     /** storeParity() has run: writes keep redundancy in step. */
     bool redundancyStored = false;
     /** RAID-5 disks hold their parity units after their data units. */

@@ -12,7 +12,7 @@ RebuildJob::RebuildJob(sim::EventQueue &eq_, std::string name,
       window(window_), delay(inter_stripe_delay),
       total(array_.layout().numStripes())
 {
-    if (!array.isFailed(dead))
+    if (!array.media().failed(dead))
         sim::fatal("RebuildJob: disk %u is not failed", dead);
     if (window == 0)
         sim::fatal("RebuildJob: zero window");

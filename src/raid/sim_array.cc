@@ -25,6 +25,7 @@ SimArray::SimArray(sim::EventQueue &eq_, xbus::XbusBoard &board,
     layout_cfg.numDisks = topo.numDisks();
     _layout = std::make_unique<RaidLayout>(layout_cfg,
                                            topo.profile->capacityBytes());
+    _media = std::make_unique<MediaState>(*_layout);
 
     for (unsigned c = 0; c < topo.numCougars; ++c) {
         cougars.push_back(std::make_unique<scsi::CougarController>(
@@ -43,9 +44,6 @@ SimArray::SimArray(sim::EventQueue &eq_, xbus::XbusBoard &board,
         channels.push_back(std::make_unique<scsi::DiskChannel>(
             *disks.back(), str, ctrl));
     }
-    failedDisks.assign(n, false);
-    rebuilt.resize(n);
-    latents.resize(n);
 }
 
 SimArray::~SimArray() = default;
@@ -64,27 +62,19 @@ SimArray::stringOf(unsigned d) const
     return g / topo.numCougars;
 }
 
-bool
-SimArray::degraded() const
-{
-    return std::any_of(failedDisks.begin(), failedDisks.end(),
-                       [](bool f) { return f; });
-}
-
 void
 SimArray::failDisk(unsigned d)
 {
-    failedDisks.at(d) = true;
-    rebuilt[d].clear();
-    latents[d].clear();
     if (_twin)
         _twin->failDisk(d);
+    else
+        _media->fail(d);
 }
 
 void
 SimArray::rebuildStripe(unsigned d, std::uint64_t stripe, sim::Event done)
 {
-    if (!failedDisks.at(d))
+    if (!_media->failed(d))
         sim::panic("SimArray %s: rebuild of healthy disk %u",
                    _name.c_str(), d);
     const std::uint64_t unit = _layout->unitBytes();
@@ -92,9 +82,10 @@ SimArray::rebuildStripe(unsigned d, std::uint64_t stripe, sim::Event done)
     const bool locks = _layout->level() == RaidLevel::Raid5;
     auto mark_live = [this, d, stripe, off, unit, locks,
                       done = std::move(done)]() mutable {
-        rebuilt[d].insert(off, unit);
         if (_twin)
             _twin->rebuildRange(d, off, unit);
+        else
+            _media->markRebuilt(d, off, unit);
         if (locks)
             unlockStripe(stripe);
         done();
@@ -114,10 +105,10 @@ SimArray::rebuildStripe(unsigned d, std::uint64_t stripe, sim::Event done)
 void
 SimArray::restoreDisk(unsigned d)
 {
-    failedDisks.at(d) = false;
-    rebuilt[d].clear();
     if (_twin)
         _twin->rebuildDisk(d);
+    else
+        _media->restore(d);
 }
 
 void
@@ -125,9 +116,9 @@ SimArray::attachTwin(RaidArray &twin)
 {
     if (_twin)
         sim::panic("SimArray %s: twin attached twice", _name.c_str());
-    if (twin.numDisks() != numDisks())
-        sim::panic("SimArray %s: twin has %u disks, array %u",
-                   _name.c_str(), twin.numDisks(), numDisks());
+    if (&twin.media() != _media.get())
+        sim::panic("SimArray %s: twin built on another media record",
+                   _name.c_str());
     _twin = &twin;
 }
 
@@ -144,22 +135,28 @@ SimArray::mediaSpan() const
 void
 SimArray::injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
 {
-    latents.at(d).insert(off, bytes);
     if (_twin)
         _twin->injectLatent(d, off, bytes);
+    else
+        _media->addLatent(d, off, bytes);
+}
+
+void
+SimArray::repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes)
+{
+    if (_twin)
+        _twin->repairLatent(d, off, bytes);
+    else
+        _media->repaired(d, off, bytes);
 }
 
 std::uint64_t
 SimArray::dropLatents(unsigned d)
 {
-    IntervalSet &m = latents.at(d);
-    if (_twin) {
-        for (const auto &[s, len] : m)
-            _twin->repairLatent(d, s, len);
-    }
-    const std::uint64_t n = m.size();
-    m.clear();
-    return n;
+    const IntervalSet found = _media->disk(d).latents;
+    for (const auto &[s, len] : found)
+        repairLatent(d, s, len);
+    return found.size();
 }
 
 void
@@ -171,52 +168,23 @@ SimArray::noteRepaired(unsigned d, std::uint64_t off, std::uint64_t bytes,
     // in the twin.  Repairing the full span would reconstruct bytes
     // that are latent on *other* disks — a false unrecoverable-range
     // error.
-    IntervalSet &m = latents.at(d);
-    for (const auto &[s, len] : m.within(off, bytes)) {
-        if (_twin && _twin->latentOverlaps(d, s, len))
-            _twin->repairLatent(d, s, len);
+    const auto parts = _media->disk(d).latents.within(off, bytes);
+    for (const auto &[s, len] : parts) {
+        repairLatent(d, s, len);
         _repairedBytes += len;
     }
-    (by_scrub ? _scrubRepairs : _readRepairs) += m.erase(off, bytes);
-}
-
-std::uint64_t
-SimArray::latentRangesOutstanding() const
-{
-    std::uint64_t n = 0;
-    for (const auto &m : latents)
-        n += m.size();
-    return n;
-}
-
-std::uint64_t
-SimArray::latentBytesOutstanding() const
-{
-    std::uint64_t n = 0;
-    for (const auto &m : latents)
-        n += m.bytes();
-    return n;
-}
-
-unsigned
-SimArray::sourcesLeft(unsigned d) const
-{
-    unsigned n = 0;
-    bool lost = false;
-    _layout->forEachSource(d, [&](unsigned s) {
-        ++n;
-        lost = lost || failedDisks[s];
-    });
-    return lost ? 0 : n;
+    (by_scrub ? _scrubRepairs : _readRepairs) += parts.size();
 }
 
 bool
 SimArray::reconstruct(unsigned d, std::uint64_t off, std::uint64_t bytes,
                       sim::Event done)
 {
-    const unsigned n = sourcesLeft(d);
-    if (n == 0)
+    // Unlike the twin's, the timed reconstruct ignores source latents.
+    const MediaState::Sources src = _media->sources(d, off, bytes);
+    if (src.count == 0 || src.failed)
         return false;
+    const unsigned n = src.count;
     // A mirror is copied; parity levels XOR the same range of every
     // source in one pass.
     const sim::Join join(
@@ -264,15 +232,15 @@ SimArray::issueExtentRead(const DiskExtent &e, sim::Event done)
     // Balance mirror reads by alternating stripe rows.
     if (_layout->level() == RaidLevel::Raid1 &&
         (e.diskOffset / _layout->unitBytes()) % 2 == 1 &&
-        live(_layout->mirrorDisk(d), e.diskOffset, e.bytes))
+        _media->live(_layout->mirrorDisk(d), e.diskOffset, e.bytes))
         d = _layout->mirrorDisk(d);
     // Only the extent's own disk can be dead here: a mirror is chosen
     // only while live.
-    if (!live(d, e.diskOffset, e.bytes)) {
+    if (!_media->live(d, e.diskOffset, e.bytes)) {
         issueDegradedRead(e, std::move(done));
         return;
     }
-    if (hasLatent(d, e.diskOffset, e.bytes)) {
+    if (_media->hasLatent(d, e.diskOffset, e.bytes)) {
         issueLatentRepairRead(e, d, std::move(done));
         return;
     }
@@ -304,7 +272,7 @@ SimArray::issueLatentRepairRead(const DiskExtent &e, unsigned d,
                           done = std::move(done)]() mutable {
         if (auto *t = eq.tracer())
             t->complete(_name, "latent_repair", eq.now(), eq.now(), bytes);
-        if (sourcesLeft(d) == 0) {
+        if (_media->sources(d, off, bytes).failed) {
             ++_unrecoverableReads;
             if (done)
                 done();
@@ -326,7 +294,8 @@ void
 SimArray::issueExtentWrite(const DiskExtent &e, sim::Event done)
 {
     const unsigned d = e.disk;
-    if (failedDisks[d] && !rebuilt[d].overlaps(e.diskOffset, e.bytes)) {
+    if (_media->failed(d) &&
+        !_media->disk(d).rebuilt.overlaps(e.diskOffset, e.bytes)) {
         // Ahead of the rebuild a failed disk takes no write (the data
         // is covered by parity / the mirror, and the rebuild will
         // reconstruct it); complete immediately.  Behind it the write

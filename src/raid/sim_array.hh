@@ -18,13 +18,13 @@
  * unaligned requests spill onto "a second string on one of the
  * controllers" — the cause of Fig 5's dip.
  *
- * The array also owns the media state: which disks have failed, how
- * far each failed disk's rebuild has got, and where latent defects lie.
- * SimArray moves no real bytes, so it keeps these maps itself; a timed
- * read that lands on a defect runs the reconstruct-and-rewrite
- * sequence.  When a functional twin (RaidArray) is attached, every
- * change of media state reaches it in the same call, so the byte plane
- * and the timing plane stay consistent.  Degraded reads, latent
+ * The array also owns the media state (MediaState): which disks have
+ * failed, how far each failed disk's rebuild has got, and where latent
+ * defects lie.  A timed read that lands on a defect runs the
+ * reconstruct-and-rewrite sequence.  A functional twin (RaidArray) is
+ * built on the same record, and when one is attached it applies each
+ * change, doing its byte work in the same call; without one the array
+ * applies the change to the record alone.  Degraded reads, latent
  * repairs, rebuild stripes and scrub repairs all run through one timed
  * reconstruct(), and the last three write the range back through one
  * restoreRange().
@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "disk/disk_model.hh"
-#include "raid/interval_set.hh"
+#include "raid/media_state.hh"
 #include "raid/raid_layout.hh"
 #include "scsi/cougar_controller.hh"
 #include "sim/stats.hh"
@@ -113,18 +113,13 @@ class SimArray
     /** Bring a (rebuilt) disk back online; the twin rebuilds the ranges
      *  rebuildStripe() did not. */
     void restoreDisk(unsigned d);
-    bool isFailed(unsigned d) const { return failedDisks.at(d); }
-    bool degraded() const;
-    /** Is every byte of [off, off+bytes) of disk @p d live: its disk
-     *  healthy, or written by the rebuild? */
-    bool live(unsigned d, std::uint64_t off, std::uint64_t bytes) const
-    {
-        return !failedDisks.at(d) || rebuilt.at(d).contains(off, bytes);
-    }
 
-    /** Attach the functional twin, once.  failDisk, rebuildStripe,
-     *  restoreDisk, injectLatent, dropLatents and noteRepaired then
-     *  change its media state too. */
+    /** The media record; a twin is built on it. */
+    MediaState &media() { return *_media; }
+    const MediaState &media() const { return *_media; }
+
+    /** Attach the functional twin, built on media(), once; every media
+     *  change then goes through it. */
     void attachTwin(RaidArray &twin);
     RaidArray *twin() const { return _twin; }
 
@@ -135,22 +130,14 @@ class SimArray
     /** Mark [off, off+bytes) of disk @p d unreadable (the twin garbles
      *  its copy). */
     void injectLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
-    /** Is any byte of [off, off+bytes) on disk @p d unreadable? */
-    bool hasLatent(unsigned d, std::uint64_t off,
-                   std::uint64_t bytes) const
-    {
-        return latents.at(d).overlaps(off, bytes);
-    }
     /** Consume every defect of disk @p d without a timed repair (media
      *  reallocation; the twin repairs its copy).  @return ranges
      *  dropped. */
     std::uint64_t dropLatents(unsigned d);
-    /** A timed repair rewrote [off, off+bytes) of disk @p d: clear the
-     *  defects inside it, in the twin too, and count the repair. */
+    /** A timed repair rewrote [off, off+bytes) of disk @p d: repair
+     *  the defects inside it and count the repair. */
     void noteRepaired(unsigned d, std::uint64_t off, std::uint64_t bytes,
                       bool by_scrub);
-    std::uint64_t latentRangesOutstanding() const;
-    std::uint64_t latentBytesOutstanding() const;
     /** Ranges repaired by foreground reads / by the scrubber, and the
      *  defective bytes those repairs cleared; by reference, so the
      *  fault controller registers them as "fault.*" counters. */
@@ -249,9 +236,8 @@ class SimArray
     void issueLatentRepairRead(const DiskExtent &e, unsigned d,
                                sim::Event done);
 
-    /** How many disks reconstruct() reads for disk @p d; 0 when no
-     *  redundancy is left (RAID-0, or a failed source). */
-    unsigned sourcesLeft(unsigned d) const;
+    /** Repair latent [off, off+bytes) of disk @p d (via the twin). */
+    void repairLatent(unsigned d, std::uint64_t off, std::uint64_t bytes);
 
     /** One timed write: its pre-reads, then at most one parity-engine
      *  pass, then its writes. */
@@ -284,16 +270,12 @@ class SimArray
     xbus::XbusBoard &_board;
     std::string _name;
     std::unique_ptr<RaidLayout> _layout;
+    std::unique_ptr<MediaState> _media;
     ArrayTopology topo;
 
     std::vector<std::unique_ptr<disk::DiskModel>> disks;
     std::vector<std::unique_ptr<scsi::CougarController>> cougars;
     std::vector<std::unique_ptr<scsi::DiskChannel>> channels;
-    std::vector<bool> failedDisks;
-    /** Per failed disk, the ranges the rebuild has written. */
-    std::vector<IntervalSet> rebuilt;
-    /** Per-disk latent defects. */
-    std::vector<IntervalSet> latents;
     RaidArray *_twin = nullptr;
 
     /** Stripes with a write in flight -> queued waiters. */

@@ -43,15 +43,6 @@ CougarController::registerStats(sim::StatsRegistry &reg,
                                   prefix + ".string" + std::to_string(i));
 }
 
-unsigned
-CougarController::numDisks() const
-{
-    unsigned n = 0;
-    for (const auto &s : strings)
-        n += s->disks().size();
-    return n;
-}
-
 DiskChannel::DiskChannel(disk::DiskModel &drive, ScsiString &string,
                          CougarController &cougar)
     : _drive(drive), _string(string), _cougar(cougar)

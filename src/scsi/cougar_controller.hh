@@ -40,9 +40,6 @@ class CougarController
 
     const std::string &name() const { return _name; }
 
-    /** Total drives attached across both strings. */
-    unsigned numDisks() const;
-
     /** Register controller + per-string stats under @p prefix. */
     void registerStats(sim::StatsRegistry &reg,
                        const std::string &prefix) const;

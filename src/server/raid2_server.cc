@@ -80,14 +80,13 @@ Raid2Server::Raid2Server(sim::EventQueue &eq_, std::string name,
         // timed array, whose layout carries the disk count the
         // topology resolved).  Each stripe takes one layout unit per
         // disk, which RAID-3 pins to the sector.
+        const raid::RaidLayout &lay = _array->layout();
         raid::LayoutConfig lcfg = cfg.layout;
-        lcfg.numDisks = _array->layout().numDisks();
-        const raid::RaidLayout probe(lcfg, lcfg.stripeUnitBytes);
-        const std::uint64_t sdb = probe.stripeDataBytes();
-        const std::uint64_t stripes =
-            (cfg.fsDeviceBytes + sdb - 1) / sdb;
+        lcfg.numDisks = lay.numDisks();
+        const std::uint64_t sdb = lay.stripeDataBytes();
+        const std::uint64_t stripes = (cfg.fsDeviceBytes + sdb - 1) / sdb;
         _functional = std::make_unique<raid::RaidArray>(
-            lcfg, stripes * probe.unitBytes());
+            lcfg, stripes * lay.unitBytes(), &_array->media());
         _array->attachTwin(*_functional);
         // Clamp to fsDeviceBytes: the twin is stripe-rounded, but the
         // file system sees the configured device.
@@ -680,10 +679,6 @@ Raid2Server::standardWrite(lfs::InodeNum ino, std::uint64_t off,
 {
     _host->chargeIoCompletion(true, nullptr);
 
-    // Never empty, so the reply's NVRAM copy and fsSync() schedule
-    // their events even when nobody waits.
-    if (!done)
-        done = [] {};
     // Client data arrives over the Ethernet, crosses host memory, and
     // descends the slow control link into XBUS memory.
     _ethernet->send(len, [this, ino, off, len,

@@ -112,8 +112,8 @@ struct PairRig
             ASSERT_TRUE(diskImage(blockArr, d) == diskImage(extentArr, d))
                 << where << ": disk " << d
                 << " diverged between block and extent paths";
-            EXPECT_EQ(blockArr.latentIntervals(d),
-                      extentArr.latentIntervals(d))
+            EXPECT_EQ(blockArr.media().disk(d).latents,
+                      extentArr.media().disk(d).latents)
                 << where << ": latent map diverged on disk " << d;
         }
     }

@@ -69,7 +69,7 @@ struct Rig
 
     explicit Rig(raid::RaidLevel level = raid::RaidLevel::Raid5)
         : timed(eq, board, "a", layoutCfg(level), topo()),
-          functional(layoutCfg(level), kDiskBytes),
+          functional(layoutCfg(level), kDiskBytes, &timed.media()),
           faults(eq, "fault", {&timed, &loop.channel()})
     {
         timed.attachTwin(functional);
@@ -251,13 +251,88 @@ TEST(FaultController, ForegroundReadRepairsLatentError)
     EXPECT_EQ(rig.timed.latentRepairReads(), 1u);
     EXPECT_GE(rig.timed.latentRepairBytes(), 8192u);
     EXPECT_EQ(rig.timed.readRepairedRanges(), 1u);
-    EXPECT_EQ(rig.timed.latentBytesOutstanding(), 0u);
-    EXPECT_EQ(rig.functional.latentCount(), 0u);
+    EXPECT_EQ(rig.timed.media().latentBytes(), 0u);
+    EXPECT_EQ(rig.functional.media().latentRanges(), 0u);
     EXPECT_TRUE(rig.functional.redundancyConsistent());
 
     std::vector<std::uint8_t> back(span);
     rig.functional.read(0, {back.data(), back.size()});
     EXPECT_EQ(back, data);
+}
+
+TEST(FaultController, OverwrittenLatentStaysUntilItsTimedRepair)
+{
+    // Both planes keep one record, so a write over a latent leaves it
+    // outstanding in both; the twin reads the written bytes around it
+    // (from redundancy), and the next timed read repairs it once.
+    Rig rig;
+    const auto &layout = rig.timed.layout();
+    const std::uint64_t span = layout.stripeDataBytes();
+    std::vector<std::uint8_t> data(span);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    rig.functional.write(0, {data.data(), data.size()});
+
+    const unsigned d = layout.dataDisk(0, 0);
+    fault::FaultPlan plan;
+    plan.latent(sim::msToTicks(1), d, 4096, 8192);
+    rig.faults.setPlan(std::move(plan));
+    rig.faults.start();
+    rig.eq.runUntil(sim::msToTicks(2));
+    ASSERT_EQ(rig.timed.media().latentRanges(), 1u);
+
+    // Stripe 0's first unit is disk d's [0, unit): overwrite its first
+    // 16 KB, the defect included.
+    for (std::size_t i = 0; i < 16384; ++i)
+        data[i] = static_cast<std::uint8_t>(i ^ 0xc3);
+    rig.functional.write(0, {data.data(), 16384});
+    EXPECT_EQ(rig.functional.media().latentRanges(),
+              rig.timed.media().latentRanges());
+    EXPECT_EQ(rig.timed.media().latentRanges(), 1u);
+    std::vector<std::uint8_t> back(span);
+    rig.functional.read(0, {back.data(), back.size()});
+    EXPECT_EQ(back, data);
+
+    bool done = false;
+    rig.timed.read(0, span, [&] { done = true; });
+    rig.eq.run();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(rig.timed.latentRepairReads(), 1u);
+    EXPECT_EQ(rig.timed.readRepairedRanges(), 1u);
+    EXPECT_EQ(rig.timed.media().latentRanges(), 0u);
+    EXPECT_EQ(rig.functional.media().latentRanges(), 0u);
+    EXPECT_TRUE(rig.functional.redundancyConsistent());
+    rig.functional.read(0, {back.data(), back.size()});
+    EXPECT_EQ(back, data);
+}
+
+TEST(SimArrayDeathTest, TwinOnAnotherRecordIsRejected)
+{
+    sim::EventQueue eq;
+    xbus::XbusBoard board(eq, "x");
+    raid::SimArray timed(eq, board, "a", layoutCfg(raid::RaidLevel::Raid5),
+                         Rig::topo());
+    raid::RaidArray own(layoutCfg(raid::RaidLevel::Raid5), kDiskBytes);
+    EXPECT_DEATH(timed.attachTwin(own), "another media record");
+}
+
+TEST(SimArray, RebuildStepBeyondTheTwinGoesLive)
+{
+    // The twin holds only the first kDiskBytes of each disk, so a
+    // rebuild step past them has no twin bytes to rebuild; the record
+    // still takes the whole step, and the timed array reads that unit
+    // from the replacement.
+    Rig rig;
+    const std::uint64_t unit = rig.timed.layout().unitBytes();
+    const std::uint64_t stripe = kDiskBytes / unit + 3;
+    ASSERT_LT(stripe, rig.timed.layout().numStripes());
+    rig.timed.failDisk(5);
+    bool done = false;
+    rig.timed.rebuildStripe(5, stripe, [&] { done = true; });
+    rig.eq.run();
+    ASSERT_TRUE(done);
+    EXPECT_TRUE(rig.timed.media().live(5, stripe * unit, unit));
+    EXPECT_FALSE(rig.timed.media().live(5, 0, unit));
 }
 
 TEST(Scrubber, RepairsLatentsWithoutForegroundReads)
@@ -276,7 +351,7 @@ TEST(Scrubber, RepairsLatentsWithoutForegroundReads)
     // Land the latents before the sweep starts, or the wait predicate
     // below is satisfied trivially at t=0.
     rig.eq.runUntil(sim::msToTicks(2));
-    ASSERT_EQ(rig.timed.latentRangesOutstanding(), 2u);
+    ASSERT_EQ(rig.timed.media().latentRanges(), 2u);
 
     fault::Scrubber::Config scfg;
     scfg.chunkBytes = 256 * 1024;
@@ -284,7 +359,7 @@ TEST(Scrubber, RepairsLatentsWithoutForegroundReads)
     fault::Scrubber scrub(rig.eq, "scrub", rig.timed, scfg);
     scrub.start();
     const bool repaired = rig.eq.runUntilDone(
-        [&] { return rig.timed.latentBytesOutstanding() == 0; });
+        [&] { return rig.timed.media().latentBytes() == 0; });
     scrub.stop();
     rig.eq.run();
 
@@ -293,7 +368,7 @@ TEST(Scrubber, RepairsLatentsWithoutForegroundReads)
     EXPECT_EQ(rig.timed.readRepairedRanges(), 0u);
     EXPECT_GE(scrub.rangesRepaired(), 2u);
     EXPECT_GT(scrub.bytesScanned(), 0u);
-    EXPECT_EQ(rig.functional.latentCount(), 0u);
+    EXPECT_EQ(rig.functional.media().latentRanges(), 0u);
     EXPECT_TRUE(rig.functional.redundancyConsistent());
 
     std::vector<std::uint8_t> back(data.size());
@@ -329,8 +404,8 @@ TEST(RecoveryManager, AllocatesSpareAndRebuilds)
     EXPECT_FALSE(rec.rebuildActive());
     // The timed plane is whole again and the restore was mirrored into
     // the functional plane.
-    EXPECT_FALSE(rig.timed.degraded());
-    EXPECT_FALSE(rig.functional.isFailed(4));
+    EXPECT_FALSE(rig.timed.media().degraded());
+    EXPECT_FALSE(rig.functional.media().failed(4));
     EXPECT_TRUE(rig.functional.redundancyConsistent());
     // MTTR covers failure -> rebuild completion, so it is at least the
     // attach delay.
@@ -412,9 +487,9 @@ TEST(FaultController, DoubleFailureIsAccountedNotInjected)
     // simulated array keeps serving with the first failure only.
     EXPECT_EQ(rig.faults.doubleFailures(), 1u);
     EXPECT_EQ(rig.faults.dataLossEvents(), 1u);
-    EXPECT_TRUE(rig.timed.isFailed(0));
-    EXPECT_FALSE(rig.timed.isFailed(9));
-    EXPECT_FALSE(rig.functional.isFailed(9));
+    EXPECT_TRUE(rig.timed.media().failed(0));
+    EXPECT_FALSE(rig.timed.media().failed(9));
+    EXPECT_FALSE(rig.functional.media().failed(9));
 }
 
 TEST(FaultController, SurvivorLatentsAtFailureAreRebuildExposure)
@@ -432,8 +507,8 @@ TEST(FaultController, SurvivorLatentsAtFailureAreRebuildExposure)
     // so both planes stay recoverable.
     EXPECT_EQ(rig.faults.rebuildExposedRanges(), 1u);
     EXPECT_EQ(rig.faults.dataLossEvents(), 1u);
-    EXPECT_EQ(rig.timed.latentBytesOutstanding(), 0u);
-    EXPECT_EQ(rig.functional.latentCount(), 0u);
+    EXPECT_EQ(rig.timed.media().latentBytes(), 0u);
+    EXPECT_EQ(rig.functional.media().latentRanges(), 0u);
 }
 
 TEST(FaultController, LatentWhileDegradedIsDataLoss)
@@ -448,7 +523,7 @@ TEST(FaultController, LatentWhileDegradedIsDataLoss)
 
     EXPECT_EQ(rig.faults.latentsWhileDegraded(), 1u);
     EXPECT_EQ(rig.faults.dataLossEvents(), 1u);
-    EXPECT_EQ(rig.timed.latentBytesOutstanding(), 0u);
+    EXPECT_EQ(rig.timed.media().latentBytes(), 0u);
 }
 
 TEST(FaultController, Raid1LatentIsLossOnlyThroughItsMirrorPartner)
@@ -474,11 +549,11 @@ TEST(FaultController, Raid1LatentIsLossOnlyThroughItsMirrorPartner)
     EXPECT_EQ(rig.faults.injected(fault::FaultKind::LatentError), 3u);
     EXPECT_EQ(rig.faults.latentsWhileDegraded(), 0u);
     EXPECT_EQ(rig.faults.dataLossEvents(), 1u); // the collision
-    EXPECT_EQ(rig.timed.latentRangesOutstanding(), 3u);
-    EXPECT_EQ(rig.functional.latentCount(), 3u);
-    EXPECT_TRUE(rig.timed.hasLatent(5, 8192, 1));
-    EXPECT_TRUE(rig.timed.hasLatent(6, 8192, 1));
-    EXPECT_FALSE(rig.timed.hasLatent(5, 65536 + 1024, 4096));
+    EXPECT_EQ(rig.timed.media().latentRanges(), 3u);
+    EXPECT_EQ(rig.functional.media().latentRanges(), 3u);
+    EXPECT_TRUE(rig.timed.media().hasLatent(5, 8192, 1));
+    EXPECT_TRUE(rig.timed.media().hasLatent(6, 8192, 1));
+    EXPECT_FALSE(rig.timed.media().hasLatent(5, 65536 + 1024, 4096));
 }
 
 TEST(FaultController, Raid0LatentsAreInjectedWithoutRedundancy)
@@ -495,7 +570,7 @@ TEST(FaultController, Raid0LatentsAreInjectedWithoutRedundancy)
 
     EXPECT_EQ(rig.faults.injected(fault::FaultKind::LatentError), 2u);
     EXPECT_EQ(rig.faults.dataLossEvents(), 0u);
-    EXPECT_EQ(rig.timed.latentRangesOutstanding(), 2u);
+    EXPECT_EQ(rig.timed.media().latentRanges(), 2u);
 }
 
 // ---------------------------------------------------------------------

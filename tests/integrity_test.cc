@@ -735,10 +735,10 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
 {
     // RAID-1: a failure consumes only the dead disk's partner latents,
     // so a latent on an unrelated disk survives into the degraded
-    // window and the scrubber *discovers* it while the RebuildJob is
-    // still queued behind the spare-attach delay.  It must be repaired
-    // exactly once — deferred during the window (no redundancy to
-    // spare), then healed by the sweep after the rebuild completes.
+    // window, while the RebuildJob is still queued behind the
+    // spare-attach delay.  The scrubber holds its sweep while the
+    // array is degraded, so the latent must be repaired exactly once,
+    // by the sweep after the rebuild completes.
     sim::EventQueue eq;
     xbus::XbusBoard board(eq, "x");
     raid::ArrayTopology topo;
@@ -750,7 +750,7 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
     net::HippiLoopback loop(eq, board);
     raid::RaidArray functional(
         raid::LayoutConfig{raid::RaidLevel::Raid1, 16, 64 * 1024},
-        4ull * 1024 * 1024);
+        4ull * 1024 * 1024, &timed.media());
     timed.attachTwin(functional);
     fault::FaultController faults(eq, "fault", {&timed, &loop.channel()});
 
@@ -763,7 +763,6 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
     fault::Scrubber::Config scfg;
     scfg.chunkBytes = 1024 * 1024;
     scfg.interChunkDelay = 0;
-    scfg.pauseWhileDegraded = false; // keep discovering while degraded
     fault::Scrubber scrub(eq, "scrub", timed, scfg);
 
     std::vector<std::uint8_t> shadow(2ull * 1024 * 1024);
@@ -784,16 +783,16 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
     // While the rebuild is queued/attaching the latent is outstanding
     // and nothing has repaired it.
     eq.runUntil(sim::msToTicks(60));
-    EXPECT_TRUE(timed.degraded());
+    EXPECT_TRUE(timed.media().degraded());
     EXPECT_TRUE(recovery.rebuildActive() ||
                 recovery.failuresWaiting() > 0 ||
                 recovery.sparesUsed() == 1);
-    EXPECT_EQ(timed.latentRangesOutstanding(), 1u);
+    EXPECT_EQ(timed.media().latentRanges(), 1u);
     EXPECT_EQ(scrub.rangesRepaired(), 0u);
     EXPECT_EQ(faults.rebuildExposedRanges(), 0u);
 
     const bool settled = eq.runUntilDone([&] {
-        return timed.latentBytesOutstanding() == 0 &&
+        return timed.media().latentBytes() == 0 &&
                !recovery.rebuildActive() &&
                recovery.failuresWaiting() == 0;
     });
@@ -807,8 +806,8 @@ TEST(ScrubberRebuild, LatentFoundWhileRebuildQueuedRepairsOnce)
     EXPECT_EQ(timed.readRepairedRanges(), 0u);
     EXPECT_EQ(faults.dataLossEvents(), 0u);
     EXPECT_EQ(faults.latentsWhileDegraded(), 0u);
-    EXPECT_EQ(functional.latentCount(), 0u);
-    EXPECT_FALSE(timed.degraded());
+    EXPECT_EQ(functional.media().latentRanges(), 0u);
+    EXPECT_FALSE(timed.media().degraded());
     EXPECT_TRUE(functional.redundancyConsistent());
 
     std::vector<std::uint8_t> back(shadow.size());

@@ -455,7 +455,7 @@ TEST_P(RebuildRangeTest, WritesInterleavedWithRebuildStepsReadBack)
         ASSERT_EQ(back, ref) << "after the step at " << off;
     }
     array.rebuildDisk(dead);
-    EXPECT_FALSE(array.isFailed(dead));
+    EXPECT_FALSE(array.media().failed(dead));
     array.read(0, {back.data(), back.size()});
     EXPECT_EQ(back, ref);
     EXPECT_TRUE(array.redundancyConsistent());
@@ -599,7 +599,7 @@ TEST_P(FirstTouchArray, RebuildOfANeverWrittenRangeLeavesItUntouched)
     EXPECT_EQ(rebuilt, image);
 
     a.rebuildDisk(dead);
-    EXPECT_FALSE(a.isFailed(dead));
+    EXPECT_FALSE(a.media().failed(dead));
     EXPECT_TRUE(a.untouched(dead, G, diskBytes - G));
     a.read(0, back);
     EXPECT_EQ(back, ref);
@@ -709,7 +709,7 @@ class LazyParity : public ::testing::TestWithParam<RaidLevel>
         const std::uint64_t last = (writtenStripes() - 1) * unit / G;
         for (std::uint64_t s = 0; s < lay.numStripes(); ++s) {
             const unsigned pd = lay.parityDisk(s);
-            if (a.isFailed(pd))
+            if (a.media().failed(pd))
                 continue;
             const bool stored = !a.untouched(pd, s * unit, unit);
             if (s < writtenStripes()) {
@@ -832,6 +832,46 @@ TEST(LazyMirror, FaultFreeMirrorsStayUntouchedUntilAFault)
     }
 }
 
+class HealWithLatents : public ::testing::TestWithParam<RaidLevel>
+{
+};
+
+/**
+ * A heal re-derives redundancy but repairs nothing: every latent stays
+ * recorded and reads keep reconstructing it.  At level 1 the primary is
+ * copied onto its mirror only outside its own latents, whose bytes the
+ * mirror already holds; copying them would vet the copy against the
+ * primary's latent and find no redundancy.
+ */
+TEST_P(HealWithLatents, KeepsEveryLatentAndTheBytesReadable)
+{
+    RaidArray a(makeCfg(GetParam(), 4, 4096), 64 * 1024);
+    const auto ref = pattern(a.capacity(), 33);
+    a.write(0, ref);
+    // Disks 0 and 1 rebuild each other at levels 3/5; at level 1 they
+    // are primaries of two pairs.
+    a.injectLatent(0, 4096, 2048);
+    a.injectLatent(1, 16384, 1024);
+    for (unsigned d = 0; d < a.numDisks(); ++d)
+        EXPECT_TRUE(a.healRedundancyRange(d, 0, a.diskBytes())) << d;
+    EXPECT_EQ(a.media().latentRanges(), 2u);
+    std::vector<std::uint8_t> back(ref.size(), 0xaa);
+    a.read(0, back);
+    EXPECT_EQ(back, ref) << "healed";
+    EXPECT_EQ(a.scrub(), 2u);
+    EXPECT_EQ(a.media().latentRanges(), 0u);
+    EXPECT_TRUE(a.redundancyConsistent());
+    a.read(0, back);
+    EXPECT_EQ(back, ref) << "scrubbed";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, HealWithLatents,
+    ::testing::Values(RaidLevel::Raid1, RaidLevel::Raid3, RaidLevel::Raid5),
+    [](const ::testing::TestParamInfo<RaidLevel> &info) {
+        return "Raid" + std::string(raid::raidLevelName(info.param) + 5);
+    });
+
 /**
  * RAID-5 parity stored after each disk's data.  Disk order is what
  * every call speaks; these check it against a disk-order image built
@@ -934,7 +974,8 @@ TEST_F(PlacedParity, MatchesADiskOrderImageUnderFaults)
                 const auto data = pattern(len, rng.next());
                 a.write(off, data);
                 std::ranges::copy(data, ref.begin() + off);
-            } else if (pick < 60 && dead < 0 && a.latentCount() == 0) {
+            } else if (pick < 60 && dead < 0 &&
+                       a.media().latentRanges() == 0) {
                 const std::uint64_t len = 1 + rng.below(2 * unit);
                 a.injectLatent(static_cast<unsigned>(rng.below(n)),
                                rng.below(striped - std::min(len, striped)),
@@ -942,7 +983,8 @@ TEST_F(PlacedParity, MatchesADiskOrderImageUnderFaults)
                 stored = true;
             } else if (pick < 68) {
                 a.scrub();
-            } else if (pick < 76 && dead < 0 && a.latentCount() == 0) {
+            } else if (pick < 76 && dead < 0 &&
+                       a.media().latentRanges() == 0) {
                 dead = static_cast<int>(rng.below(n));
                 a.failDisk(static_cast<unsigned>(dead));
                 stored = true;
@@ -954,7 +996,7 @@ TEST_F(PlacedParity, MatchesADiskOrderImageUnderFaults)
                     a.rebuildDisk(static_cast<unsigned>(dead));
                     dead = -1;
                 }
-            } else if (dead < 0 && a.latentCount() == 0) {
+            } else if (dead < 0 && a.media().latentRanges() == 0) {
                 // A view inside one unit, or (rarely) anywhere.
                 const unsigned d = static_cast<unsigned>(rng.below(n));
                 const bool anywhere = rng.chance(0.1);

@@ -72,7 +72,7 @@ struct Campaign
 
     Campaign(raid::RaidLevel level, std::uint64_t seed)
         : timed(eq, board, "a", layoutCfg(level), topo()),
-          functional(layoutCfg(level), kDiskBytes),
+          functional(layoutCfg(level), kDiskBytes, &timed.media()),
           faults(eq, "fault", {&timed, &loop.channel()}),
           recovery(eq, "rec", timed, faults, recoveryCfg()),
           scrubber(eq, "scrub", timed, scrubCfg()),
@@ -191,16 +191,16 @@ runProperty(raid::RaidLevel level, std::uint64_t seed)
         return c.eq.now() >= pc.horizon && ops >= 120 &&
                !c.recovery.rebuildActive() &&
                c.recovery.failuresWaiting() == 0 &&
-               c.timed.latentBytesOutstanding() == 0;
+               c.timed.media().latentBytes() == 0;
     });
     c.scrubber.stop();
     c.eq.run();
     ASSERT_TRUE(settled);
 
     // Settled state: whole array healthy, every byte intact.
-    EXPECT_FALSE(c.timed.degraded());
-    EXPECT_EQ(c.functional.failedCount(), 0u);
-    EXPECT_EQ(c.functional.latentCount(), 0u);
+    EXPECT_FALSE(c.timed.media().degraded());
+    EXPECT_FALSE(c.functional.media().degraded());
+    EXPECT_EQ(c.functional.media().latentRanges(), 0u);
     EXPECT_TRUE(c.functional.redundancyConsistent());
 
     std::vector<std::uint8_t> back(kWorkingSet);

@@ -74,7 +74,7 @@ TEST(Robustness, ServerServesThroughFailureAndRebuild)
     job.start([&] { rebuilt = true; });
     eq.runUntilDone([&] { return rebuilt; });
     EXPECT_TRUE(rebuilt);
-    EXPECT_FALSE(srv.array().isFailed(3));
+    EXPECT_FALSE(srv.array().media().failed(3));
 
     // Keep serving a little longer, then drain.
     eq.runUntil(eq.now() + sim::msToTicks(200));

@@ -166,7 +166,7 @@ TEST(Raid2Server, PlainServerKeepsLfsOnItsTwin)
 
     // A timed-array failure reaches the twin; LFS reads reconstruct.
     srv.array().failDisk(3);
-    EXPECT_TRUE(twin.isFailed(3));
+    EXPECT_TRUE(twin.media().failed(3));
     std::vector<std::uint8_t> back(data.size());
     srv.fs().read(ino, 0, {back.data(), back.size()});
     EXPECT_EQ(back, data);
@@ -218,9 +218,9 @@ TEST(Raid2Server, PlainServerTakesLatentsOnlyWhereItsTwinReaches)
 
     EXPECT_EQ(srv.faults().injected(fault::FaultKind::LatentError), 1u);
     EXPECT_EQ(srv.faults().dataLossEvents(), 0u);
-    EXPECT_EQ(srv.array().latentRangesOutstanding(), 1u);
-    EXPECT_TRUE(srv.array().hasLatent(disk, doff, 512));
-    EXPECT_TRUE(twin.latentOverlaps(disk, doff, 512));
+    EXPECT_EQ(srv.array().media().latentRanges(), 1u);
+    EXPECT_TRUE(srv.array().media().hasLatent(disk, doff, 512));
+    EXPECT_TRUE(twin.media().hasLatent(disk, doff, 512));
     std::vector<std::uint8_t> back(e.bytes);
     twin.read(e.deviceOffset, {back.data(), back.size()});
     EXPECT_TRUE(std::equal(back.begin(), back.end(),

@@ -324,7 +324,7 @@ TEST(SimArray, Raid0LatentReadCompletesUnrecoverable)
     EXPECT_EQ(statLine(rig.array, "raid.unrecoverable_reads"),
               "raid.unrecoverable_reads = 1");
     EXPECT_EQ(rig.array.latentRepairReads(), 0u);
-    EXPECT_EQ(rig.array.latentRangesOutstanding(), 1u);
+    EXPECT_EQ(rig.array.media().latentRanges(), 1u);
 }
 
 TEST(SimArray, LatentWhoseSourceFailedIsUnrecoverable)
@@ -344,7 +344,7 @@ TEST(SimArray, LatentWhoseSourceFailedIsUnrecoverable)
     EXPECT_EQ(statLine(rig.array, "raid.unrecoverable_reads"),
               "raid.unrecoverable_reads = 1");
     EXPECT_EQ(rig.array.readRepairedRanges(), 0u);
-    EXPECT_EQ(rig.array.latentRangesOutstanding(), 1u);
+    EXPECT_EQ(rig.array.media().latentRanges(), 1u);
     EXPECT_EQ(rig.board.parity().passes(), 0u);
 }
 
@@ -495,7 +495,7 @@ TEST(RebuildJob, RebuildsAllStripesAndRestoresDisk)
     job.start([&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
-    EXPECT_FALSE(array.isFailed(3));
+    EXPECT_FALSE(array.media().failed(3));
     EXPECT_EQ(job.stripesDone(), array.layout().numStripes());
     EXPECT_GT(array.disk(3).sectorsWritten(), 0u);
 }
@@ -627,7 +627,7 @@ TEST(RebuildJob, ReadsBehindTheCursorGoToTheReplacement)
 {
     RebuildRig rig;
     rig.runTo(8);
-    ASSERT_TRUE(rig.array.live(rig.dead, 0, 8 * rig.unit));
+    ASSERT_TRUE(rig.array.media().live(rig.dead, 0, 8 * rig.unit));
     // The rebuild only writes the dead disk, so its reads are ours.
     const std::uint64_t degraded = rig.array.degradedReads();
     ASSERT_EQ(rig.array.disk(rig.dead).sectorsRead(), 0u);
@@ -642,13 +642,13 @@ TEST(RebuildJob, ReadsBehindTheCursorGoToTheReplacement)
     rig.complete([&](auto done) {
         rig.array.read(rig.deadUnit(40), 4096, std::move(done));
     });
-    EXPECT_FALSE(rig.array.live(rig.dead, 40 * rig.unit, rig.unit));
+    EXPECT_FALSE(rig.array.media().live(rig.dead, 40 * rig.unit, rig.unit));
     EXPECT_EQ(rig.array.degradedReads(), degraded + 1);
     EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
 
     rig.eq.run();
     EXPECT_TRUE(rig.rebuilt);
-    EXPECT_FALSE(rig.array.isFailed(rig.dead));
+    EXPECT_FALSE(rig.array.media().failed(rig.dead));
 }
 
 TEST(RebuildJob, WritesBehindTheCursorReachTheReplacement)
@@ -667,7 +667,7 @@ TEST(RebuildJob, WritesBehindTheCursorReachTheReplacement)
     rig.complete([&](auto done) {
         rig.array.write(rig.deadUnit(40), 4096, std::move(done));
     });
-    EXPECT_FALSE(rig.array.live(rig.dead, 40 * rig.unit, rig.unit));
+    EXPECT_FALSE(rig.array.media().live(rig.dead, 40 * rig.unit, rig.unit));
     EXPECT_EQ(rig.array.degradedReads(), degraded + 1);
 
     rig.eq.run();
@@ -686,7 +686,7 @@ TEST(RebuildJob, WriteRacingItsStripeWaitsForTheRebuild)
     // it and then updates the replacement instead of leaving it stale.
     RebuildRig rig;
     rig.runTo(8);
-    ASSERT_FALSE(rig.array.live(rig.dead, 8 * rig.unit, rig.unit));
+    ASSERT_FALSE(rig.array.media().live(rig.dead, 8 * rig.unit, rig.unit));
     const std::uint64_t waits = rig.array.stripeLockWaits();
     const std::uint64_t degraded = rig.array.degradedReads();
     rig.complete([&](auto done) {
@@ -720,7 +720,7 @@ TEST(RebuildJob, Raid1RebuiltMirrorTakesItsRowsBack)
     readRow(5);
     EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
     readRow(41);
-    EXPECT_FALSE(rig.array.live(rig.dead, 41 * rig.unit, rig.unit));
+    EXPECT_FALSE(rig.array.media().live(rig.dead, 41 * rig.unit, rig.unit));
     EXPECT_EQ(rig.array.disk(rig.dead).sectorsRead(), 8u);
     EXPECT_EQ(rig.array.degradedReads(), 0u);
 }
